@@ -81,6 +81,7 @@ def _measure(
     return {
         "elapsed_s": elapsed,
         "simulations": result.stats.simulations,
+        "composed": result.stats.composed,
         "points": points,
         "points_per_s": points / elapsed if elapsed > 0 else 0.0,
         "trace_generations": result.trace_counters["generations"],

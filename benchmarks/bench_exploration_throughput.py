@@ -59,6 +59,7 @@ def _measure(engine: ExplorationEngine) -> dict[str, float]:
     return {
         "elapsed_s": elapsed,
         "simulations": engine.stats.simulations,
+        "composed": engine.stats.composed,
         "cache_hits": engine.stats.cache_hits,
         "points": points,
         "points_per_s": points / elapsed if elapsed > 0 else 0.0,
@@ -69,7 +70,7 @@ def _measure(engine: ExplorationEngine) -> dict[str, float]:
 def test_benchmark_serial_throughput(benchmark, report):
     engine = ExplorationEngine()
     figures = benchmark.pedantic(lambda: _measure(engine), rounds=1, iterations=1)
-    assert figures["simulations"] == figures["reduced_simulations"]
+    assert figures["points"] == figures["reduced_simulations"]
     _RESULTS["serial"] = figures
     report(
         f"serial: {figures['simulations']} simulations in "

@@ -100,6 +100,7 @@ from repro.core.transport import (
     FrameConnectionError,
     TransportError,
     WorkerTransport,
+    _close_listener,
     _connect_with_retry,
     parse_address,
     recv_frame,
@@ -456,10 +457,7 @@ class EmbeddedBroker:
             conns = list(self._conns)
             self._conns.clear()
             self._cond.notify_all()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        _close_listener(self._listener)
         for conn in conns:
             try:
                 conn.close()
@@ -509,16 +507,16 @@ class EmbeddedBroker:
 
     def _sweep_loop(self) -> None:
         interval = max(0.02, min(0.25, self.heartbeat_ttl / 5.0))
-        while True:
-            with self._cond:
-                if self._closed:
-                    return
+        with self._cond:
+            while not self._closed:
                 now = time.monotonic()
                 for worker_id in [
                     w for w, e in self._workers.items() if e.expires_at < now
                 ]:
                     self._fail_worker_locked(worker_id)
-            time.sleep(interval)
+                # close() notifies the condition, so shutdown never
+                # waits out the interval.
+                self._cond.wait_for(lambda: self._closed, timeout=interval)
 
     def _requeue_leases_locked(self, worker_id: str, count: bool) -> None:
         """Hand a departing worker's leased tasks back, at the queue front.

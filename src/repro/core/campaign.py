@@ -132,8 +132,10 @@ class AppIncremental:
     status: str
     #: Points served from the persistent cache.
     reused: int
-    #: Points actually simulated this run.
+    #: Cover runs actually simulated this run.
     resimulated: int
+    #: Points composed from this run's cover runs.
+    composed: int
 
 
 @dataclass
@@ -153,12 +155,20 @@ class IncrementalReport:
 
     @property
     def resimulated(self) -> int:
-        """Freshly simulated points across every application."""
+        """Freshly simulated cover runs across every application."""
         return sum(app.resimulated for app in self.apps)
 
-    def rows(self) -> list[tuple[str, str, int, int]]:
-        """Report rows ``(app, status, reused, resimulated)``."""
-        return [(a.app_name, a.status, a.reused, a.resimulated) for a in self.apps]
+    @property
+    def composed(self) -> int:
+        """Points composed from cover runs across every application."""
+        return sum(app.composed for app in self.apps)
+
+    def rows(self) -> list[tuple[str, str, int, int, int]]:
+        """Report rows ``(app, status, reused, resimulated, composed)``."""
+        return [
+            (a.app_name, a.status, a.reused, a.resimulated, a.composed)
+            for a in self.apps
+        ]
 
 
 @dataclass
@@ -171,7 +181,7 @@ class CampaignResult:
         Per-application :class:`RefinementResult`, in schedule order.
     stats:
         The engine's aggregate counters over the whole campaign
-        (simulations, cache hits, batches).
+        (cover runs simulated, points composed, cache hits, batches).
     trace_counters:
         The shared trace store's satisfaction counters
         (``generations`` / ``disk_loads`` / ``memo_hits``), empty when
@@ -751,6 +761,7 @@ class CampaignScheduler:
                     status=status,
                     reused=sum(node.cache_hits for node in nodes),
                     resimulated=sum(node.simulations for node in nodes),
+                    composed=sum(node.composed for node in nodes),
                 )
             )
         return IncrementalReport(apps=apps)

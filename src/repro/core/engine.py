@@ -56,6 +56,7 @@ from repro.core.metrics import MetricVector
 from repro.core.results import SimulationRecord
 from repro.core.simulate import SimulationEnvironment, run_simulation
 from repro.memory.cacti import CactiModel
+from repro.memory.profiler import PoolPart, ProfileParts
 from repro.memory.timing import OperationCosts
 from repro.net.config import NetworkConfig
 from repro.net.profiles import profiles_fingerprint_payload
@@ -175,7 +176,7 @@ def model_fingerprint(
 # persistent on-disk cache
 # ----------------------------------------------------------------------
 def _record_to_json(record: SimulationRecord) -> dict[str, Any]:
-    return {
+    data = {
         "app_name": record.app_name,
         "config_label": record.config_label,
         "combo_label": record.combo_label,
@@ -188,10 +189,14 @@ def _record_to_json(record: SimulationRecord) -> dict[str, Any]:
         "stats": dict(record.stats),
         "wall_time_s": record.wall_time_s,
     }
+    if record.parts is not None:
+        data["parts"] = dataclasses.asdict(record.parts)
+    return data
 
 
 def _record_from_json(data: Mapping[str, Any]) -> SimulationRecord:
     metrics = data["metrics"]
+    parts = data.get("parts")
     return SimulationRecord(
         app_name=data["app_name"],
         config_label=data["config_label"],
@@ -207,11 +212,26 @@ def _record_from_json(data: Mapping[str, Any]) -> SimulationRecord:
         # break the bit-for-bit cache-hit guarantee.
         stats=dict(data.get("stats", {})),
         wall_time_s=float(data.get("wall_time_s", 0.0)),
+        parts=(
+            ProfileParts(
+                base_cycles=int(parts["base_cycles"]),
+                clock_hz=float(parts["clock_hz"]),
+                pools=tuple(PoolPart(**pool) for pool in parts["pools"]),
+            )
+            if parts is not None
+            else None
+        ),
     )
 
 
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).lower() or "app"
+
+
+#: Record-shard format.  Version 2 stores the per-pool parts of simulated
+#: (cover-run) records; a shard of any other version reads as empty,
+#: exactly like a stale one.
+SHARD_VERSION = 2
 
 
 class SimulationCache:
@@ -249,7 +269,7 @@ class SimulationCache:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
             if (
-                payload.get("version") == 1
+                payload.get("version") == SHARD_VERSION
                 and payload.get("fingerprint") == fingerprint
             ):
                 return dict(payload.get("records", {}))
@@ -322,7 +342,7 @@ class SimulationCache:
                 merged.update(self._shards[(app_name, fingerprint)])
                 self._shards[(app_name, fingerprint)] = merged
             payload = {
-                "version": 1,
+                "version": SHARD_VERSION,
                 "app": app_name,
                 "fingerprint": fingerprint,
                 "records": self._shards[(app_name, fingerprint)],
@@ -393,16 +413,10 @@ class WorkerRecordStore:
         self._env = env
         self._fingerprints: dict[str, str] = {}
         self._unflushed = 0
-
-    @property
-    def hits(self) -> int:
-        """Points answered from this store."""
-        return self.cache.hits
-
-    @property
-    def misses(self) -> int:
-        """Points this store could not answer."""
-        return self.cache.misses
+        #: Points answered from this store.
+        self.hits = 0
+        #: Points this store could not answer.
+        self.misses = 0
 
     def fingerprint(self, trace_name: str) -> str:
         """Model fingerprint scoped to one trace profile (memoised)."""
@@ -423,9 +437,17 @@ class WorkerRecordStore:
         app_cls = point["app"]
         config = NetworkConfig(point["trace"], point["params"])
         combo = combination_label(point["assignment"], app_cls.dominant_structures)
-        return self.cache.get(
+        record = self.cache.get(
             app_cls.name, self.fingerprint(point["trace"]), config.label, combo
         )
+        # Only a record with its per-pool parts can answer a cover run: a
+        # coordinator cache sharing this directory writes composed
+        # records, which carry none.
+        if record is None or record.parts is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return record
 
     def put(self, point: Mapping[str, Any], record: SimulationRecord) -> None:
         """Store one freshly simulated record (periodically flushed)."""
@@ -516,24 +538,27 @@ def _run_campaign_point(
 class EngineStats:
     """Counters of what the engine actually did (vs. served from cache).
 
-    ``cache_hits`` counts coordinator-tier (tier-two) hits resolved
-    before dispatch; ``worker_cache_hits`` counts points a transport
-    worker answered from its own :class:`WorkerRecordStore` (tier one)
-    instead of simulating -- provenance the transports report per
-    result, so a campaign summary can say how much work the fleet's
-    warm stores saved.  ``simulations`` counts only points genuinely
-    simulated somewhere.
+    ``cache_hits`` counts requested points the coordinator cache (tier
+    two) resolved before dispatch; every other requested point is
+    ``composed`` from the per-pool parts of a few *cover runs* (see
+    :mod:`repro.core.taskgraph`).  ``simulations`` counts cover runs
+    genuinely simulated somewhere, and ``worker_cache_hits`` cover runs
+    a transport worker answered from its own :class:`WorkerRecordStore`
+    (tier one) instead -- provenance the transports report per result,
+    so a campaign summary can say how much work the fleet's warm stores
+    saved.
     """
 
     simulations: int = 0
     cache_hits: int = 0
     batches: int = 0
     worker_cache_hits: int = 0
+    composed: int = 0
 
     @property
     def points(self) -> int:
-        """Total points resolved (simulated + served from either tier)."""
-        return self.simulations + self.cache_hits + self.worker_cache_hits
+        """Requested points resolved: cache hits plus composed points."""
+        return self.cache_hits + self.composed
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -541,6 +566,7 @@ class EngineStats:
         self.cache_hits = 0
         self.batches = 0
         self.worker_cache_hits = 0
+        self.composed = 0
 
 
 class ExplorationEngine:
@@ -852,29 +878,3 @@ class ExplorationEngine:
         for node in nodes:
             graph.add(node)
         return graph.run()
-
-    def _finish(
-        self,
-        app_cls: type[NetworkApplication],
-        record: SimulationRecord,
-        fingerprint: str | None = None,
-        simulated: bool = True,
-    ) -> SimulationRecord:
-        """Account for one transport-returned record and cache it.
-
-        ``simulated=False`` marks a record a worker answered from its
-        local store (tier-one hit): it counts as a worker-tier hit
-        instead of a simulation, but is still written through the
-        coordinator cache (tier two) like any other record.
-        """
-        if simulated:
-            self.stats.simulations += 1
-        else:
-            self.stats.worker_cache_hits += 1
-        if self.cache is not None:
-            self.cache.put(
-                app_cls.name,
-                fingerprint if fingerprint is not None else self.fingerprint,
-                record,
-            )
-        return record

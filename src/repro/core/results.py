@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from repro.core.metrics import METRIC_NAMES, MetricVector
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.memory.profiler import ProfileParts
 
 __all__ = ["SimulationRecord", "ExplorationLog"]
 
@@ -38,7 +41,13 @@ class SimulationRecord:
         be int or float; the persistent cache round-trips both exactly.
     wall_time_s:
         Host wall-clock seconds the simulation took (the paper quotes
-        0.8-64 s per simulation on its testbed).
+        0.8-64 s per simulation on its testbed); a composed record holds
+        its share of its cover runs' time.
+    parts:
+        The run's metrics split per pool
+        (:class:`~repro.memory.profiler.ProfileParts`) on a simulated
+        record; ``None`` on a composed one.  Excluded from equality and
+        from :meth:`content_key`.
     """
 
     app_name: str
@@ -47,6 +56,7 @@ class SimulationRecord:
     metrics: MetricVector
     stats: Mapping[str, float] = field(default_factory=dict)
     wall_time_s: float = 0.0
+    parts: "ProfileParts | None" = field(default=None, compare=False, repr=False)
 
     @property
     def key(self) -> tuple[str, str]:

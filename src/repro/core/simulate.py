@@ -89,19 +89,23 @@ def run_simulation(
     Returns the four metrics plus the functional stats; with
     ``env.repeats > 1`` the metrics are averaged over the repeats (they
     are identical for this deterministic simulator, matching the paper's
-    "variations of less than 2%" note).
+    "variations of less than 2%" note).  The record carries the run's
+    per-pool :class:`~repro.memory.profiler.ProfileParts`, which the
+    exploration engine composes other DDT combinations from.
     """
     env = env if env is not None else SimulationEnvironment()
     trace = env.trace_for(config)
 
     vectors: list[MetricVector] = []
     stats: Mapping[str, int] = {}
+    parts = None
     started = time.perf_counter()
     for _ in range(env.repeats):
         profiler = MemoryProfiler(cacti=env.cacti, costs=env.costs)
         app = app_cls(config, assignment, profiler)
         stats = app.run(trace)
-        vectors.append(profiler.metrics())
+        parts = profiler.parts()
+        vectors.append(parts.metrics())
     wall = time.perf_counter() - started
 
     return SimulationRecord(
@@ -111,4 +115,5 @@ def run_simulation(
         metrics=MetricVector.mean(vectors),
         stats=dict(stats),
         wall_time_s=wall,
+        parts=parts,
     )

@@ -27,6 +27,19 @@ in the parent process, and a simulation record is a pure function of
 streaming produces bit-identical per-app results to the barrier and
 serial paths (asserted by ``tests/test_taskgraph.py``).
 
+**Separable evaluation.**  The paper gives every dominant data structure
+its own memory, so a point's four metrics are a pure function of
+per-structure parts (:class:`~repro.memory.profiler.ProfileParts`).  The
+graph therefore simulates no requested point directly: it groups each
+node's cache misses by configuration, simulates a small *cover* of each
+group (:func:`cover_assignments`: as many runs as the group's longest
+per-structure DDT list, so at most the library size), and *composes*
+every miss from the cover runs' parts (:func:`compose_records`) through
+the aggregation :meth:`~repro.memory.profiler.MemoryProfiler.metrics`
+uses, so composed records equal simulated ones bit for bit.  Cover runs
+are ordinary points to the transports; composed points are never
+dispatched.
+
 Nodes may be ``scoped``: the engine then keys each point's cache entry
 by a fingerprint over the model parameters and *only the profile of
 that point's own trace* (instead of the full profile registry).  A
@@ -45,12 +58,20 @@ from itertools import count
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.apps.base import NetworkApplication
+from repro.core.metrics import MetricVector
 from repro.core.results import SimulationRecord
 from repro.core.simulate import run_simulation
 from repro.ddt.registry import combination_label
+from repro.memory.profiler import PoolPart, ProfileParts
 from repro.net.config import NetworkConfig
 
-__all__ = ["TaskGraph", "TaskNode", "auto_chunk_points"]
+__all__ = [
+    "TaskGraph",
+    "TaskNode",
+    "auto_chunk_points",
+    "compose_records",
+    "cover_assignments",
+]
 
 #: Target wall-clock seconds one dispatched chunk should keep a worker
 #: busy: long enough to amortise the per-frame pickle/IPC round-trip
@@ -69,13 +90,13 @@ def auto_chunk_points(
     per_point_s: float | None = None,
     slots: int | None = None,
 ) -> int:
-    """Adaptive chunk size for one node's cache-miss points.
+    """Adaptive chunk size for one node's dispatched points.
 
     Targets :data:`TARGET_LEASE_S` seconds of simulated work per
-    dispatched chunk using ``per_point_s`` (a node's manifest-derived
-    cost hint, falling back to :data:`DEFAULT_POINT_COST_S`), then caps
-    the size so the node still splits into at least two chunks per
-    worker slot -- a node must never collapse into fewer chunks than
+    dispatched chunk using ``per_point_s`` (derived from a node's
+    manifest cost hint, falling back to :data:`DEFAULT_POINT_COST_S`),
+    then caps the size so the node still splits into at least two chunks
+    per worker slot -- a node must never collapse into fewer chunks than
     the fleet has slots, or parallelism degenerates back to serial.
     """
     if misses <= 1:
@@ -89,6 +110,105 @@ def auto_chunk_points(
     width = max(1, int(slots or 4))
     fair = max(1, math.ceil(misses / (2 * width)))
     return min(by_lease, fair)
+
+
+def cover_assignments(
+    structures: Sequence[str], assignments: Iterable[Mapping[str, str]]
+) -> list[dict[str, str]]:
+    """The cover runs of a group of assignments sharing one configuration.
+
+    Per structure, the distinct DDTs the assignments use, in first-seen
+    order.  Run *i* gives each structure its *i*-th DDT, or its first
+    once its list has run out, so every (structure, DDT) pair of the
+    group appears in some run and the cover has as many runs as the
+    longest list -- the ten ``X+X`` runs for a full step-1 sweep.
+    """
+    lists: dict[str, dict[str, None]] = {structure: {} for structure in structures}
+    for assignment in assignments:
+        for structure, ddts in lists.items():
+            ddts.setdefault(assignment[structure], None)
+    ordered = {structure: list(ddts) for structure, ddts in lists.items()}
+    width = max((len(ddts) for ddts in ordered.values()), default=1)
+    return [
+        {s: ddts[i] if i < len(ddts) else ddts[0] for s, ddts in ordered.items()}
+        for i in range(width)
+    ]
+
+
+def compose_records(
+    app_cls: type[NetworkApplication],
+    config: NetworkConfig,
+    covers: Sequence[tuple[Mapping[str, str], SimulationRecord]],
+    assignments: Sequence[Mapping[str, str]],
+    repeats: int = 1,
+) -> list[SimulationRecord]:
+    """Each assignment's record, composed from the cover runs' parts.
+
+    ``covers`` pairs every cover run's assignment with its simulated
+    record.  A pool's part comes from a run that gave its structure the
+    assignment's DDT, and the metrics go through
+    :meth:`ProfileParts.metrics` and the repeat averaging of
+    :func:`~repro.core.simulate.run_simulation` -- so a composed record
+    equals a plain simulation of its assignment bit for bit, provided
+    every cost is charged through a structure's own pool or is the
+    per-packet charge.  Cover runs that disagree on what no DDT may
+    change (stats, pool order, base cycles, or one structure's part
+    under one DDT) mean the application breaks that contract, and a
+    :class:`ValueError` names the app and config.  Composed records
+    carry no parts; each gets an equal share of the covers' wall time.
+    """
+    where = f"{app_cls.name} @ {config.label}"
+
+    def broken(what: str) -> ValueError:
+        return ValueError(
+            f"{where}: cover runs disagree on {what}; composing DDT "
+            "combinations needs every cost charged through a dominant "
+            "structure's own pool or as the per-packet charge"
+        )
+
+    if any(record.parts is None for _assignment, record in covers):
+        raise ValueError(f"{where}: a cover run carries no per-pool parts")
+    first = covers[0][1]
+    base = first.parts
+    names = [part.name for part in base.pools]
+    table: dict[tuple[str, str], PoolPart] = {}
+    for assignment, record in covers:
+        parts = record.parts
+        if record.stats != first.stats:
+            raise broken("stats")
+        if [part.name for part in parts.pools] != names:
+            raise broken("pool order")
+        if (parts.base_cycles, parts.clock_hz) != (base.base_cycles, base.clock_hz):
+            raise broken("base cycles")
+        for part in parts.pools:
+            ddt = assignment.get(part.name)
+            if ddt is None:
+                raise ValueError(
+                    f"{where}: pool {part.name!r} is not a dominant structure"
+                )
+            if table.setdefault((part.name, ddt), part) != part:
+                raise broken(f"the {part.name} part under {ddt}")
+
+    wall = sum(record.wall_time_s for _assignment, record in covers) / len(assignments)
+    composed = []
+    for assignment in assignments:
+        parts = ProfileParts(
+            base_cycles=base.base_cycles,
+            clock_hz=base.clock_hz,
+            pools=tuple(table[(name, assignment[name])] for name in names),
+        )
+        composed.append(
+            SimulationRecord(
+                app_name=app_cls.name,
+                config_label=config.label,
+                combo_label=combination_label(assignment, app_cls.dominant_structures),
+                metrics=MetricVector.mean([parts.metrics()] * repeats),
+                stats=dict(first.stats),
+                wall_time_s=wall,
+            )
+        )
+    return composed
+
 
 #: ``(node, done-in-node, node-total, detail)`` -- node-relative so the
 #: caller can aggregate per phase, per app, or globally as it likes.
@@ -134,11 +254,13 @@ class TaskNode:
         falls back to :data:`DEFAULT_POINT_COST_S`.
     records:
         Results, index-aligned with ``points``; populated by the run.
-    cache_hits / simulations / worker_hits:
-        How this node's points were resolved -- coordinator-cache hits,
-        genuine simulations, and points a transport worker answered
-        from its local record store (tier-one hits) -- the per-node
-        split the campaign aggregates into its incremental report.
+    cache_hits / simulations / worker_hits / composed:
+        How this node was resolved -- points served from the coordinator
+        cache, cover runs genuinely simulated, cover runs a transport
+        worker answered from its local record store (tier-one hits), and
+        points composed from cover runs -- the per-node split the
+        campaign aggregates into its incremental report.
+        ``cache_hits + composed`` is every point of the node.
     """
 
     name: str
@@ -153,6 +275,7 @@ class TaskNode:
     cache_hits: int = 0
     simulations: int = 0
     worker_hits: int = 0
+    composed: int = 0
     sim_wall_cost: float = field(default=0.0, repr=False)
     _labels: list[str] = field(default_factory=list, repr=False)
     _remaining: int = field(default=0, repr=False)
@@ -187,21 +310,34 @@ class TaskNode:
 
     @property
     def measured_wall_cost(self) -> float | None:
-        """Node wall cost from **freshly simulated** points only.
+        """Node wall cost from **freshly simulated** cover runs only.
 
-        Cache-served points (either tier) are excluded: their replayed
+        Cache-served work (either tier) is excluded: its replayed
         ``wall_time_s`` was measured on some earlier run or some other
         host, and feeding it back into the manifest would keep stale
-        per-point timings driving :func:`auto_chunk_points` and the
-        longest-first schedule forever.  A partially warm node
-        extrapolates its fresh per-point rate to the whole node, so
-        the persisted total stays comparable across runs.  ``None``
-        when nothing was simulated -- a fully warm node has measured
-        nothing, and the campaign keeps its prior manifest cost.
+        timings driving :func:`auto_chunk_points` and the longest-first
+        schedule forever.  The fresh per-run rate is extrapolated to
+        every cover run of the node, and from the composed points to
+        the whole node, so the persisted total stays comparable across
+        runs.  ``None`` when nothing was simulated -- a fully warm node
+        has measured nothing, and the campaign keeps its prior manifest
+        cost.
         """
-        if self.simulations <= 0:
+        if self.simulations <= 0 or self.composed <= 0:
             return None
-        return self.sim_wall_cost * (self.total / self.simulations)
+        runs = self.simulations + self.worker_hits
+        return self.sim_wall_cost / self.simulations * runs * self.total / self.composed
+
+
+@dataclass
+class _Group:
+    """One configuration's cache misses within a node, and their cover."""
+
+    config: NetworkConfig
+    misses: list[int] = field(default_factory=list)
+    covers: list[dict[str, str]] = field(default_factory=list)
+    records: list[SimulationRecord | None] = field(default_factory=list)
+    pending: int = 0
 
 
 class TaskGraph:
@@ -249,8 +385,9 @@ class TaskGraph:
         scope = (config.trace_name,) if node.scoped else None
         return self.engine.fingerprint_for(scope)
 
-    def _prepare(self, node: TaskNode) -> list[int]:
-        """Resolve labels, details and cache hits; return miss indices."""
+    def _prepare(self, node: TaskNode) -> list[_Group]:
+        """Resolve labels, details and cache hits; group the misses by
+        configuration, each with its cover."""
         engine = self.engine
         node._labels = [
             combination_label(assignment, node.app_cls.dominant_structures)
@@ -262,12 +399,12 @@ class TaskGraph:
                 for (config, _), label in zip(node.points, node._labels)
             ]
         node.records = [None] * len(node.points)
-        node.cache_hits = node.simulations = node.worker_hits = 0
+        node.cache_hits = node.simulations = node.worker_hits = node.composed = 0
         node.sim_wall_cost = 0.0
         node._done = node._remaining = 0
         node._prepared = True
         engine.stats.batches += 1
-        misses: list[int] = []
+        groups: dict[str, _Group] = {}
         for index, (config, _assignment) in enumerate(node.points):
             cached = None
             if engine.cache is not None:
@@ -283,45 +420,73 @@ class TaskGraph:
                 engine.stats.cache_hits += 1
                 node._done += 1
                 self._emit(node, f"{node.details[index]} (cached)")
-            else:
-                misses.append(index)
-        node._remaining = len(misses)
-        return misses
+                continue
+            group = groups.get(config.label)
+            if group is None:
+                group = groups[config.label] = _Group(config)
+            group.misses.append(index)
+            node._remaining += 1
+        for group in groups.values():
+            group.covers = cover_assignments(
+                node.app_cls.dominant_structures,
+                (node.points[index][1] for index in group.misses),
+            )
+            group.records = [None] * len(group.covers)
+            group.pending = len(group.covers)
+        return list(groups.values())
 
     def _emit(self, node: TaskNode, detail: str) -> None:
         if self.progress is not None:
             self.progress(node, node._done, node.total, detail)
 
-    def _slot(
+    def _take_cover(
         self,
         node: TaskNode,
-        index: int,
+        group: _Group,
+        cover: int,
         record: SimulationRecord,
         worker_cached: bool = False,
     ) -> None:
-        """Place one transport-returned record and account for it.
+        """Account for one cover run; compose its group once complete.
 
-        ``worker_cached`` marks a record answered from a worker-local
-        store (tier-one hit): it is written through the coordinator
-        cache like any simulated record, but counts as a worker hit
-        and its replayed wall time stays out of the node's measured
-        cost.
+        ``worker_cached`` marks a run a worker answered from its local
+        store (tier-one hit): it counts as a worker hit, and its
+        replayed wall time stays out of the node's measured cost.
         """
-        record = self.engine._finish(
-            node.app_cls,
-            record,
-            fingerprint=self._fingerprint(node, node.points[index][0]),
-            simulated=not worker_cached,
-        )
-        node.records[index] = record
+        stats = self.engine.stats
         if worker_cached:
             node.worker_hits += 1
+            stats.worker_cache_hits += 1
         else:
             node.simulations += 1
             node.sim_wall_cost += record.wall_time_s
-        node._remaining -= 1
-        node._done += 1
-        self._emit(node, node.details[index])
+            stats.simulations += 1
+        group.records[cover] = record
+        group.pending -= 1
+        if group.pending == 0:
+            self._compose(node, group)
+
+    def _compose(self, node: TaskNode, group: _Group) -> None:
+        """Slot every miss of a finished group, composed from its cover,
+        and write it through the coordinator cache."""
+        engine = self.engine
+        records = compose_records(
+            node.app_cls,
+            group.config,
+            list(zip(group.covers, group.records)),
+            [node.points[index][1] for index in group.misses],
+            engine.env.repeats,
+        )
+        fingerprint = self._fingerprint(node, group.config)
+        for index, record in zip(group.misses, records):
+            if engine.cache is not None:
+                engine.cache.put(node.app_cls.name, fingerprint, record)
+            node.records[index] = record
+            node.composed += 1
+            engine.stats.composed += 1
+            node._remaining -= 1
+            node._done += 1
+            self._emit(node, node.details[index])
 
     def _complete(self, node: TaskNode) -> None:
         """Run the continuation; schedule any follow-up nodes."""
@@ -362,13 +527,13 @@ class TaskGraph:
         return list(self.nodes)
 
     def _run_serial(self) -> None:
-        engine = self.engine
+        env = self.engine.env
         while self._queue:
             node = self._queue.popleft()
-            for index in self._prepare(node):
-                config, assignment = node.points[index]
-                record = run_simulation(node.app_cls, config, assignment, engine.env)
-                self._slot(node, index, record)
+            for group in self._prepare(node):
+                for cover, assignment in enumerate(group.covers):
+                    record = run_simulation(node.app_cls, group.config, assignment, env)
+                    self._take_cover(node, group, cover, record)
             self._complete(node)
 
     def _run_transport(self) -> None:
@@ -376,29 +541,34 @@ class TaskGraph:
 
         engine = self.engine
         transport = engine.transport()
-        slots: dict[int, tuple[TaskNode, int]] = {}
+        slots: dict[int, tuple[TaskNode, _Group, int]] = {}
         tokens = count()
 
-        def chunk_size(node: TaskNode, misses: int) -> int:
+        def chunk_size(node: TaskNode, runs: int) -> int:
             fixed = getattr(engine, "chunk_points", None)
             if fixed is not None:
                 return max(1, int(fixed))
+            # The cost hint is per requested point; one cover run
+            # stands in for misses / runs of them.
+            per_run = (
+                node.cost_hint * node._remaining / runs
+                if node.cost_hint is not None
+                else None
+            )
             return auto_chunk_points(
-                misses,
-                per_point_s=node.cost_hint,
-                slots=getattr(transport, "workers", None),
+                runs, per_point_s=per_run, slots=getattr(transport, "workers", None)
             )
 
         def launch(node: TaskNode) -> None:
-            misses = self._prepare(node)
-            if not misses:
+            groups = self._prepare(node)
+            if not groups:
                 self._complete(node)
                 return
             store = engine.trace_store
             if store is not None and store.directory is not None:
                 # Pay trace generation once here; workers only load.
-                store.ensure(node.points[i][0].trace_name for i in misses)
-            size = chunk_size(node, len(misses))
+                store.ensure(group.config.trace_name for group in groups)
+            size = chunk_size(node, sum(len(group.covers) for group in groups))
             entries: list[tuple[int, tuple]] = []
 
             def flush_chunk() -> None:
@@ -406,23 +576,24 @@ class TaskGraph:
                     transport.submit_chunk(next(tokens), ChunkTask.of(entries))
                     entries.clear()
 
-            for index in misses:
-                config, assignment = node.points[index]
-                token = next(tokens)
-                slots[token] = (node, index)
-                entries.append(
-                    (
-                        token,
+            for group in groups:
+                config = group.config
+                for cover, assignment in enumerate(group.covers):
+                    token = next(tokens)
+                    slots[token] = (node, group, cover)
+                    entries.append(
                         (
-                            node.app_cls,
-                            config.trace_name,
-                            dict(config.app_params),
-                            dict(assignment),
-                        ),
+                            token,
+                            (
+                                node.app_cls,
+                                config.trace_name,
+                                dict(config.app_params),
+                                dict(assignment),
+                            ),
+                        )
                     )
-                )
-                if len(entries) >= size:
-                    flush_chunk()
+                    if len(entries) >= size:
+                        flush_chunk()
             flush_chunk()
 
         was_cached = getattr(transport, "was_cached", None)
@@ -436,10 +607,11 @@ class TaskGraph:
                     # broker already deduplicates by token; the socket
                     # coordinator can still re-deliver across a reconnect).
                     continue
-                node, index = entry
-                self._slot(
+                node, group, cover = entry
+                self._take_cover(
                     node,
-                    index,
+                    group,
+                    cover,
                     record,
                     worker_cached=bool(was_cached and was_cached(token)),
                 )

@@ -640,10 +640,7 @@ class SocketTransport(WorkerTransport):
             remotes = list(self._remotes)
             self._remotes.clear()
             self._pending.clear()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        _close_listener(self._listener)
         for remote in remotes:
             remote.closing = True
             try:
@@ -840,6 +837,23 @@ class SocketTransport(WorkerTransport):
 # ----------------------------------------------------------------------
 # worker side (what `ddt-explore worker` runs)
 # ----------------------------------------------------------------------
+def _close_listener(listener: socket.socket) -> None:
+    """Close a listening socket, waking a thread blocked in ``accept()``.
+
+    ``close()`` alone leaves another thread's ``accept()`` blocked until
+    the next connection arrives; shutting the socket down first makes it
+    return at once, so the owner's join never waits out its timeout.
+    """
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not every platform lets a listener be shut down
+    try:
+        listener.close()
+    except OSError:
+        pass
+
+
 def _connect_with_retry(
     address: tuple[str, int], retry_s: float, what: str = "coordinator"
 ) -> socket.socket:

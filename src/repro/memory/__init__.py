@@ -18,7 +18,7 @@ those metrics are computed from:
 from repro.memory.allocator import AllocationError, Allocator, AllocatorStats
 from repro.memory.cacti import CactiModel, MemoryCharacteristics, TechnologyParameters
 from repro.memory.pools import MemoryPool
-from repro.memory.profiler import MemoryProfiler
+from repro.memory.profiler import MemoryProfiler, PoolPart, ProfileParts
 from repro.memory.timing import CpuModel, OperationCosts
 
 __all__ = [
@@ -31,5 +31,7 @@ __all__ = [
     "MemoryPool",
     "MemoryProfiler",
     "OperationCosts",
+    "PoolPart",
+    "ProfileParts",
     "TechnologyParameters",
 ]

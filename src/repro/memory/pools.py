@@ -43,9 +43,9 @@ class MemoryPool:
     cacti:
         The energy/latency model shared by all pools of a simulation.
     cpu:
-        The cycle accumulator shared by all pools of a simulation
-        (instruction-stream cycles only; memory cycles are derived from
-        the pool counters).
+        The pool's own cycle accumulator: the instruction-stream cycles
+        its structure charges (memory cycles are derived from the pool
+        counters).
     header_bytes / alignment:
         Forwarded to the pool's :class:`Allocator`.
     allocator_touch_words:

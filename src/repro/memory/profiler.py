@@ -4,16 +4,73 @@ One :class:`MemoryProfiler` is created per simulation.  Applications ask
 it for memory pools (one per dominant data structure), charge per-packet
 CPU overhead through it, and at the end of the run the exploration engine
 reads off a single :class:`~repro.core.metrics.MetricVector`.
+
+Every pool keeps its own CPU-cycle counter, so a run's metrics split
+exactly into :class:`ProfileParts`: the app-level base cycles plus one
+:class:`PoolPart` per pool.  Because the paper gives every dominant
+structure its own memory, a pool's part depends only on the DDT of its
+structure -- which is what lets the exploration engine compose a DDT
+combination's metrics from runs of other combinations.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.core.metrics import MetricVector
 from repro.memory.cacti import CactiModel
 from repro.memory.pools import MemoryPool
 from repro.memory.timing import CpuModel, OperationCosts
 
-__all__ = ["MemoryProfiler"]
+__all__ = ["MemoryProfiler", "PoolPart", "ProfileParts"]
+
+
+@dataclass(frozen=True)
+class PoolPart:
+    """One pool's share of a simulation's four metrics."""
+
+    name: str
+    energy_pj: float
+    memory_cycles: int
+    cpu_cycles: int
+    accesses: int
+    footprint_bytes: int
+
+
+@dataclass(frozen=True)
+class ProfileParts:
+    """A simulation's metrics, split per pool.
+
+    ``base_cycles`` are the instruction-stream cycles charged outside any
+    pool (the per-packet overhead); ``pools`` are in pool creation order.
+    :meth:`metrics` is the one aggregation every metric snapshot goes
+    through, so metrics rebuilt from stored parts equal the simulated
+    ones bit for bit.
+    """
+
+    base_cycles: int
+    clock_hz: float
+    pools: tuple[PoolPart, ...]
+
+    def metrics(self) -> MetricVector:
+        """The four metrics: pool sums plus the base cycles."""
+        energy_pj = 0.0
+        memory_cycles = 0
+        cpu_cycles = self.base_cycles
+        accesses = 0
+        footprint = 0
+        for part in self.pools:
+            energy_pj += part.energy_pj
+            memory_cycles += part.memory_cycles
+            cpu_cycles += part.cpu_cycles
+            accesses += part.accesses
+            footprint += part.footprint_bytes
+        return MetricVector(
+            energy_mj=energy_pj * 1e-9,
+            time_s=(cpu_cycles + memory_cycles) / self.clock_hz,
+            accesses=accesses,
+            footprint_bytes=footprint,
+        )
 
 
 class MemoryProfiler:
@@ -65,7 +122,8 @@ class MemoryProfiler:
         existing = self._pools.get(name)
         if existing is not None:
             return existing
-        pool = MemoryPool(name, cacti=self.cacti, cpu=self.cpu, **pool_kwargs)
+        cpu = CpuModel(clock_hz=self.cpu.clock_hz, costs=self.cpu.costs)
+        pool = MemoryPool(name, cacti=self.cacti, cpu=cpu, **pool_kwargs)
         self._pools[name] = pool
         return pool
 
@@ -104,52 +162,36 @@ class MemoryProfiler:
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def _aggregate(self) -> tuple[float, int, int, int]:
-        """(energy pJ, memory cycles, accesses, footprint bytes) over all
-        pools, with one provisioned-spec lookup per pool."""
-        energy_pj = 0.0
-        memory_cycles = 0
-        accesses = 0
-        footprint = 0
-        for pool in self._pools.values():
-            pool_energy, pool_cycles = pool.energy_and_cycles()
-            energy_pj += pool_energy
-            memory_cycles += pool_cycles
-            accesses += pool.accesses
-            footprint += pool.footprint_bytes
-        return energy_pj, memory_cycles, accesses, footprint
-
-    def total_accesses(self) -> int:
-        """Word reads + writes summed over all pools."""
-        return sum(p.accesses for p in self._pools.values())
-
-    def total_energy_mj(self) -> float:
-        """Dissipated energy in millijoules summed over all pools."""
-        return self._aggregate()[0] * 1e-9
-
-    def total_footprint_bytes(self) -> int:
-        """Sum of per-pool peak footprints (one memory per structure)."""
-        return sum(p.footprint_bytes for p in self._pools.values())
-
-    def total_cycles(self) -> int:
-        """Instruction-stream cycles + per-pool memory latency cycles."""
-        return self.cpu.cpu_cycles + self._aggregate()[1]
-
-    def metrics(self) -> MetricVector:
-        """Snapshot the four metrics accumulated so far.
+    def parts(self) -> ProfileParts:
+        """The metrics so far, split into base cycles and per-pool parts.
 
         Energy and memory latency are evaluated at each pool's
         provisioned (peak) capacity -- one spec lookup per pool covers
-        both -- so the snapshot is cheap to take and consistent no
-        matter when it is taken.
+        both -- so the split is cheap to take and consistent no matter
+        when it is taken.
         """
-        energy_pj, memory_cycles, accesses, footprint = self._aggregate()
-        return MetricVector(
-            energy_mj=energy_pj * 1e-9,
-            time_s=(self.cpu.cpu_cycles + memory_cycles) / self.cpu.clock_hz,
-            accesses=accesses,
-            footprint_bytes=footprint,
+        pools = []
+        for pool in self._pools.values():
+            energy_pj, memory_cycles = pool.energy_and_cycles()
+            pools.append(
+                PoolPart(
+                    name=pool.name,
+                    energy_pj=energy_pj,
+                    memory_cycles=memory_cycles,
+                    cpu_cycles=pool.cpu.cpu_cycles,
+                    accesses=pool.accesses,
+                    footprint_bytes=pool.footprint_bytes,
+                )
+            )
+        return ProfileParts(
+            base_cycles=self.cpu.cpu_cycles,
+            clock_hz=self.cpu.clock_hz,
+            pools=tuple(pools),
         )
+
+    def metrics(self) -> MetricVector:
+        """Snapshot the four metrics accumulated so far."""
+        return self.parts().metrics()
 
     def pool_snapshots(self) -> list[dict[str, float]]:
         """Per-pool counters, for the detailed simulation logs."""

@@ -903,8 +903,8 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
     )
     stats = result.stats
     print(
-        f"engine: {stats.simulations} simulated, {stats.cache_hits} served "
-        f"from cache, {stats.batches} batches"
+        f"engine: {stats.simulations} simulated, {stats.composed} composed, "
+        f"{stats.cache_hits} served from cache, {stats.batches} batches"
     )
     if stats.worker_cache_hits:
         print(
@@ -945,12 +945,12 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         inc = result.incremental
         print(
             f"incremental: {inc.reused} points reused, "
-            f"{inc.resimulated} resimulated"
+            f"{inc.resimulated} resimulated, {inc.composed} composed"
         )
         if args.resume:
             print(
                 render_table(
-                    ["app", "status", "reused", "resimulated"],
+                    ["app", "status", "reused", "resimulated", "composed"],
                     inc.rows(),
                 )
             )
@@ -1047,8 +1047,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     stats = engine.stats
     mode = f"{args.workers} workers" if args.workers else "serial"
     print(
-        f"engine: {stats.simulations} simulated, {stats.cache_hits} served "
-        f"from cache ({mode})"
+        f"engine: {stats.simulations} simulated, {stats.composed} composed, "
+        f"{stats.cache_hits} served from cache ({mode})"
     )
     print(
         render_table(

@@ -224,7 +224,15 @@ def crash_requeue_drill(transport, serial_campaign, *, mode: str = "socket"):
     PR 4).  Queue mode is pull-based, so the survivor only joins once
     the flaky worker has provably crashed holding a lease -- making the
     requeue deterministic instead of racing the drain.
+
+    The sweep uses the full DDT library: only cover runs are dispatched
+    (one per DDT in step 1), and the narrow library leaves too few of
+    them in flight for the crash to strand any.  ``serial_campaign`` is
+    unused here; the drill runs its own serial baseline of that sweep.
     """
+    sweep = {"studies": ["url"], "configs": {"URL": NARROW["URL"]}}
+    with CampaignScheduler(**sweep) as campaign:
+        serial = campaign.run().refinements["URL"]
     flaky = FlakyWorker(transport.address, fail_after=2, max_crashes=1, mode=mode)
     steady_box: list[subprocess.Popen] = []
 
@@ -237,12 +245,7 @@ def crash_requeue_drill(transport, serial_campaign, *, mode: str = "socket"):
     else:
         watcher = _launch_after(flaky.crashed, launch_steady)
     try:
-        with CampaignScheduler(
-            studies=["url"],
-            candidates=CANDIDATES,
-            configs={"URL": NARROW["URL"]},
-            transport=transport,
-        ) as campaign:
+        with CampaignScheduler(transport=transport, **sweep) as campaign:
             result = campaign.run()
         if watcher is not None:
             watcher.join(timeout=60)
@@ -253,7 +256,6 @@ def crash_requeue_drill(transport, serial_campaign, *, mode: str = "socket"):
                 steady.kill()
                 steady.wait(timeout=10)
         flaky.terminate()
-    serial = serial_campaign.refinements["URL"]
     scheduled = result.refinements["URL"]
     assert content(scheduled.step1.log) == content(serial.step1.log)
     assert content(scheduled.step2.log) == content(serial.step2.log)
@@ -273,7 +275,17 @@ def quarantine_drill(transport, serial_campaign, *, mode: str = "socket"):
     (crashing after every single point makes the second crash land well
     before the drain, as in PR 4); queue mode admits the survivor once
     the flaky id has been rejected, so the quarantine is deterministic.
+
+    Like :func:`crash_requeue_drill`, the sweep uses the full DDT library
+    so enough cover runs stay queued across the respawns, and the drill
+    runs its own serial baseline of it (``serial_campaign`` is unused).
     """
+    sweep = {
+        "studies": ["url", "drr"],
+        "configs": {"URL": NARROW["URL"], "DRR": NARROW["DRR"]},
+    }
+    with CampaignScheduler(**sweep) as campaign:
+        serial_campaign = campaign.run()
     flaky = FlakyWorker(transport.address, fail_after=1, max_crashes=3, mode=mode)
     steady_box: list[subprocess.Popen] = []
 
@@ -286,12 +298,7 @@ def quarantine_drill(transport, serial_campaign, *, mode: str = "socket"):
     else:
         watcher = _launch_after(flaky.rejected, launch_steady)
     try:
-        with CampaignScheduler(
-            studies=["url", "drr"],
-            candidates=CANDIDATES,
-            configs={"URL": NARROW["URL"], "DRR": NARROW["DRR"]},
-            transport=transport,
-        ) as campaign:
+        with CampaignScheduler(transport=transport, **sweep) as campaign:
             result = campaign.run()
         if watcher is not None:
             watcher.join(timeout=60)

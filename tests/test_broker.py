@@ -509,6 +509,24 @@ class TestConcurrentCampaigns:
 
 
 # ----------------------------------------------------------------------
+# bounded shutdown
+# ----------------------------------------------------------------------
+class TestBoundedShutdown:
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_start_to_close_is_bounded(self, tmp_path, journaled):
+        """close() wakes the accept and sweep threads instead of waiting
+        out a join timeout or a sweep interval."""
+        started = time.monotonic()
+        broker = EmbeddedBroker(
+            journal=str(tmp_path / "journal") if journaled else None
+        )
+        broker.start()
+        broker.close()
+        assert time.monotonic() - started < 0.5
+        assert not any(thread.is_alive() for thread in broker._threads)
+
+
+# ----------------------------------------------------------------------
 # capacity-weighted dispatch, fleet records, manifest feedback loop
 # ----------------------------------------------------------------------
 class TestCapacityWeightedDispatch:

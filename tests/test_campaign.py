@@ -16,6 +16,8 @@ from repro.core.campaign import CampaignScheduler
 from repro.core.casestudies import CASE_STUDIES, case_study
 from repro.core.engine import ExplorationEngine, ShardedSimulationCache
 from repro.core.methodology import DDTRefinement
+from repro.core.taskgraph import cover_assignments
+from repro.ddt.registry import parse_combination_label
 from repro.net.config import NetworkConfig
 from repro.tools import explore
 
@@ -62,9 +64,22 @@ class TestSerialParity:
         with CampaignScheduler(candidates=CANDIDATES, configs=NARROW) as campaign:
             result = campaign.run()
         assert_matches_serial(result, serial_results)
-        assert result.stats.simulations == sum(
-            r.reduced_simulations for r in serial_results.values()
-        )
+        # every Table-1 point is composed; only the covers are simulated
+        reduced = sum(r.reduced_simulations for r in serial_results.values())
+        assert result.stats.points == result.stats.composed == reduced
+        covers = 0
+        for study in CASE_STUDIES:
+            structures = study.app_cls.dominant_structures
+            refinement = result.refinements[study.name]
+            survivors = [
+                parse_combination_label(label, structures)
+                for label in dict.fromkeys(refinement.step1.survivors)
+            ]
+            covers += len(CANDIDATES)  # step 1: the X+X diagonal
+            covers += (len(refinement.step2.configs) - 1) * len(
+                cover_assignments(structures, survivors)
+            )
+        assert result.stats.simulations == covers < reduced
 
     def test_summary_accounting(self, serial_results):
         with CampaignScheduler(candidates=CANDIDATES, configs=NARROW) as campaign:
@@ -142,7 +157,7 @@ class TestCacheSharding:
         ) as campaign:
             warm = campaign.run()
         assert warm.stats.simulations == 0
-        assert warm.stats.cache_hits == cold.stats.simulations
+        assert warm.stats.cache_hits == cold.stats.points
         assert warm.summary_rows() == cold.summary_rows()
 
     def test_shared_engine_not_closed(self, tmp_path):
@@ -323,7 +338,7 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "incremental: " in out
         assert "unchanged" in out
-        assert "engine: 0 simulated" in out
+        assert "engine: 0 simulated, 0 composed" in out
 
     def test_no_streaming_runs_barrier_schedule(self, tmp_path, capsys):
         code = explore.main(

@@ -239,7 +239,7 @@ class TestIncrementalResume:
             warm = campaign.run()
         assert warm.stats.simulations == 0
         assert warm.incremental.resimulated == 0
-        assert warm.incremental.reused == cold.stats.simulations
+        assert warm.incremental.reused == cold.stats.points
         assert [row[1] for row in warm.incremental.rows()] == [
             "unchanged",
             "unchanged",
@@ -281,7 +281,7 @@ class TestIncrementalResume:
         rows = {row[0]: row for row in warm.incremental.rows()}
         assert rows["URL"][1] == "unchanged"
         assert rows["URL"][3] == 0  # nothing resimulated
-        assert rows["URL"][2] == per_app["URL"][3]  # fully cache-served
+        assert rows["URL"][2] == per_app["URL"][4]  # fully cache-served
         assert rows["DRR"][1] == "changed"
         assert rows["DRR"][2] == 0  # stale shard invisible
         assert rows["DRR"][3] == drr_points  # full delta resimulated
@@ -314,10 +314,11 @@ class TestIncrementalResume:
             NARROW["Route"]
         )
         assert new_configs > 0
-        assert rows["Route"][3] == survivors * new_configs
+        assert rows["Route"][4] == survivors * new_configs
+        assert 0 < rows["Route"][3] <= rows["Route"][4]
         assert warm.stats.simulations == rows["Route"][3]
         cold_route = {r[0]: r for r in cold.incremental.rows()}["Route"]
-        assert rows["Route"][2] == cold_route[3]  # everything else reused
+        assert rows["Route"][2] == cold_route[4]  # everything else reused
 
     def test_parallel_resume_replays_and_simulates_only_the_delta(self, tmp_path):
         """Workers + warm cache: all-cached nodes complete synchronously
@@ -338,7 +339,7 @@ class TestIncrementalResume:
         ) as campaign:
             warm = campaign.run()
         assert warm.stats.simulations == 0
-        assert warm.incremental.reused == cold.stats.simulations
+        assert warm.incremental.reused == cold.stats.points
         assert warm.summary_rows() == cold.summary_rows()
         # Partial miss on 2 workers: widen the grid so step 1 and the
         # original configs hit while the new grid points simulate.
@@ -352,7 +353,7 @@ class TestIncrementalResume:
             partial = campaign.run()
         rows = {row[0]: row for row in partial.incremental.rows()}
         assert rows["URL"][1] == "changed"
-        assert rows["URL"][2] == cold.stats.simulations  # hits preserved
+        assert rows["URL"][2] == cold.stats.points  # hits preserved
         assert rows["URL"][3] > 0  # the delta really ran on the pool
         assert partial.stats.simulations == rows["URL"][3]
 
