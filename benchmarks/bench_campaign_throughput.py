@@ -3,16 +3,14 @@
 The campaign scheduler's wins over four serial per-app runs are (a)
 one shared worker pool for every app's shards, (b) the persistent
 trace store, which caps trace generation at once per profile
-fingerprint instead of once per worker per app, (c) the streaming
-task graph, which starts an app's step-2 grid the moment its own
-step-1 survivors are known instead of waiting for the global phase
-barrier, and (d) -- since PR 7 -- **chunked dispatch**, which
-amortises the per-point pickle/IPC round-trip (the "dispatch tax")
-across a block of points.
+fingerprint instead of once per worker per app, (c) the task graph,
+which starts an app's step-2 grid the moment its own step-1 survivors
+are known instead of waiting for a global phase barrier, and (d)
+**chunked dispatch**, which amortises the per-point pickle/IPC
+round-trip (the "dispatch tax") across a block of points.
 
 This benchmark runs the same six-candidate four-app campaign in modes
 crossing {serial, 4 workers} x {cold store, warm store}, plus a
-parallel barrier-schedule run (for the streaming delta) and a
 **chunk-size sweep** (1 / 4 / 16 / auto points per chunk, warm store)
 that records each mode's ``dispatch_overhead_s`` -- wall time beyond
 the perfect-scaling ideal ``serial_warm / workers``, i.e. everything
@@ -63,7 +61,6 @@ _RESULTS: dict[str, dict[str, float]] = {}
 def _measure(
     workers: int,
     store_dir: str,
-    streaming: bool = True,
     chunk_points: "int | None" = None,
 ) -> dict[str, float]:
     started = time.perf_counter()
@@ -72,7 +69,6 @@ def _measure(
         configs=CONFIGS,
         workers=workers,
         trace_store=store_dir,
-        streaming=streaming,
         chunk_points=chunk_points,
     ) as campaign:
         result = campaign.run()
@@ -88,7 +84,6 @@ def _measure(
         "trace_disk_loads": result.trace_counters["disk_loads"],
         "reduced_simulations": result.total_reduced_simulations(),
         "workers": workers,
-        "streaming": streaming,
         "chunk_points": 0 if chunk_points is None else chunk_points,
     }
 
@@ -99,14 +94,13 @@ def _run_mode(
     report,
     workers: int,
     warm: bool,
-    streaming: bool = True,
     chunk_points: "int | None" = None,
 ):
     with tempfile.TemporaryDirectory() as store_dir:
         if warm:
             _measure(0, store_dir)  # cold pass leaves the store populated
         figures = benchmark.pedantic(
-            lambda: _measure(workers, store_dir, streaming, chunk_points),
+            lambda: _measure(workers, store_dir, chunk_points),
             rounds=1,
             iterations=1,
         )
@@ -137,18 +131,6 @@ def test_benchmark_parallel_cold_store(benchmark, report):
 
 def test_benchmark_parallel_warm_store(benchmark, report):
     _run_mode("parallel_warm", benchmark, report, workers=PARALLEL_WORKERS, warm=True)
-
-
-def test_benchmark_parallel_cold_barrier(benchmark, report):
-    """The legacy two-phase barrier schedule, for the streaming delta."""
-    _run_mode(
-        "parallel_cold_barrier",
-        benchmark,
-        report,
-        workers=PARALLEL_WORKERS,
-        warm=False,
-        streaming=False,
-    )
 
 
 def test_benchmark_chunk_sweep(benchmark, report):
@@ -191,12 +173,10 @@ def test_write_benchmark_artifact(report):
         "serial_warm",
         "parallel_cold",
         "parallel_warm",
-        "parallel_cold_barrier",
         *CHUNK_MODES,
     }
     serial_s = _RESULTS["serial_cold"]["elapsed_s"]
     serial_warm_s = _RESULTS["serial_warm"]["elapsed_s"]
-    barrier_s = _RESULTS["parallel_cold_barrier"]["elapsed_s"]
     # Dispatch overhead: wall time beyond the perfect-scaling ideal.
     ideal_s = serial_warm_s / PARALLEL_WORKERS
     for mode in (*CHUNK_MODES, "parallel_warm"):
@@ -221,11 +201,6 @@ def test_write_benchmark_artifact(report):
         "parallel_speedup_warm": (
             serial_warm_s / _RESULTS["parallel_warm"]["elapsed_s"]
             if _RESULTS["parallel_warm"]["elapsed_s"] > 0
-            else 0.0
-        ),
-        "streaming_speedup_vs_barrier": (
-            barrier_s / _RESULTS["parallel_cold"]["elapsed_s"]
-            if _RESULTS["parallel_cold"]["elapsed_s"] > 0
             else 0.0
         ),
     }

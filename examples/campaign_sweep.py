@@ -73,9 +73,10 @@ def main() -> None:
         assert warm.trace_counters["generations"] == 0
         assert warm.summary_rows() == cold.summary_rows()
         # --resume accounting: every app replays untouched from its shard.
-        for app, status, reused, resimulated in warm.incremental.rows():
+        for app, status, reused, resimulated, composed in warm.incremental.rows():
             print(f"  resume: {app:10s} {status:10s} "
-                  f"{reused} reused / {resimulated} resimulated")
+                  f"{reused} reused / {resimulated} resimulated / "
+                  f"{composed} composed")
 
     print("\nPer-app Table-1 accounting (identical across runs):")
     print(table1_report(list(warm.refinements.values())))

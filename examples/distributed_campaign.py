@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""A distributed campaign: TCP coordinator + two worker processes,
-then the same sweep through an embedded queue broker.
+"""A distributed campaign: an embedded queue broker + two worker processes.
 
 The campaign scheduler compiles the case studies into task-graph nodes
 whose points are serialisable tuples; a
-:class:`~repro.core.transport.SocketTransport` streams those points to
-``ddt-explore worker`` processes over TCP instead of a local pool, and
-a :class:`~repro.core.broker.QueueTransport` decouples the workers from
-the coordinator entirely (they pull from a broker and may join or leave
-mid-campaign).  This example runs the whole loop on one machine:
+:class:`~repro.core.broker.QueueTransport` pushes those points onto an
+embedded broker that ``ddt-explore worker --connect-broker`` processes
+pull from, instead of a local pool -- so workers are decoupled from the
+coordinator and may join or leave mid-campaign.  This example runs the
+whole loop on one machine:
 
-1. bind a coordinator on an ephemeral localhost port;
-2. spawn two worker subprocesses pointed at it (workers retry the
-   connection, so start order does not matter);
-3. run a narrow URL campaign through the coordinator;
+1. start a broker on an ephemeral localhost port;
+2. spawn two worker subprocesses with unequal advertised capacities
+   (1 vs 3 parallel slots; workers retry the connection, so start order
+   does not matter);
+3. run a narrow URL campaign through the broker;
 4. verify the records equal a serial run on ``content_key()`` -- the
-   distribution layer may change *where* points run, never the results;
-5. repeat through an embedded queue broker with unequal worker
-   capacities (1 vs 3 parallel slots) and print the measured
-   capacity-weighted dispatch.
+   distribution layer may change *where* points run, never the results
+   -- and print the measured capacity-weighted dispatch.
 
 Run with::
 
@@ -28,16 +26,13 @@ Run with::
 import os
 import subprocess
 import sys
-import tempfile
 
-from repro import CampaignScheduler, QueueTransport, SocketTransport, case_study
+from repro import CampaignScheduler, QueueTransport, case_study
 
 CANDIDATES = ("AR", "SLL", "DLL(O)", "SLL(AR)")
 
 
-def spawn_worker(
-    address: str, worker_id: str, *extra: str, broker: bool = False
-) -> subprocess.Popen:
+def spawn_worker(address: str, worker_id: str, *extra: str) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
@@ -46,7 +41,7 @@ def spawn_worker(
             "-m",
             "repro.tools.explore",
             "worker",
-            "--connect-broker" if broker else "--connect",
+            "--connect-broker",
             address,
             "--id",
             worker_id,
@@ -65,58 +60,35 @@ def main() -> None:
     ) as campaign:
         serial = campaign.run()
 
-    transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-    print(f"coordinator listening on {transport.address}")
-    workers = [spawn_worker(transport.address, f"worker-{i}") for i in range(2)]
-
-    with tempfile.TemporaryDirectory() as store_dir:
-        with CampaignScheduler(
-            studies=["url"],
-            candidates=CANDIDATES,
-            configs=configs,
-            trace_store=store_dir,  # workers hydrate traces from here
-            transport=transport,
-        ) as campaign:
-            distributed = campaign.run()
-
-    # Closing the scheduler sent the shutdown frame; workers exit cleanly.
+    # Workers pull at capacity-weighted rates and could join/leave
+    # mid-campaign.
+    transport = QueueTransport(worker_timeout=60)
+    print(f"campaign broker at {transport.address}")
+    workers = [
+        spawn_worker(transport.address, "small", "--capacity", "1"),
+        spawn_worker(transport.address, "big", "--capacity", "3"),
+    ]
+    with CampaignScheduler(
+        studies=["url"],
+        candidates=CANDIDATES,
+        configs=configs,
+        transport=transport,
+    ) as campaign:
+        queued = campaign.run()
+    # Closing the scheduler concluded the campaign; workers exit cleanly.
     for worker in workers:
         worker.wait(timeout=30)
 
     a = [r.content_key() for r in serial.refinements["URL"].step2.log]
-    b = [r.content_key() for r in distributed.refinements["URL"].step2.log]
+    b = [r.content_key() for r in queued.refinements["URL"].step2.log]
     assert a == b, "distribution must not change results"
     print(
         f"\n{len(b)} step-2 records bit-identical to the serial run; "
         f"{transport.results_received} points executed by "
         f"{len(transport.workers_seen)} workers "
         f"({transport.requeues} requeued, "
-        f"quarantined: {distributed.quarantined or 'none'})"
+        f"quarantined: {queued.quarantined or 'none'})"
     )
-
-    # The same sweep through an embedded queue broker: workers pull at
-    # capacity-weighted rates and could join/leave mid-campaign.
-    queue_transport = QueueTransport(worker_timeout=60)
-    print(f"\ncampaign broker at {queue_transport.address}")
-    queue_workers = [
-        spawn_worker(queue_transport.address, "small", "--capacity", "1",
-                     broker=True),
-        spawn_worker(queue_transport.address, "big", "--capacity", "3",
-                     broker=True),
-    ]
-    with CampaignScheduler(
-        studies=["url"],
-        candidates=CANDIDATES,
-        configs=configs,
-        transport=queue_transport,
-    ) as campaign:
-        queued = campaign.run()
-    for worker in queue_workers:
-        worker.wait(timeout=30)
-
-    c = [r.content_key() for r in queued.refinements["URL"].step2.log]
-    assert a == c, "the broker must not change results either"
-    print(f"{len(c)} step-2 records bit-identical through the broker")
     for worker_id, stats in sorted(queued.worker_stats.items()):
         print(
             f"  {worker_id}: capacity {stats['capacity']}, "

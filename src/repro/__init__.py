@@ -37,7 +37,6 @@ from repro.core import (
     SimulationCache,
     SimulationEnvironment,
     SimulationRecord,
-    SocketTransport,
     case_study,
     case_study_names,
     recommend,
@@ -81,7 +80,6 @@ __all__ = [
     "SimulationCache",
     "SimulationEnvironment",
     "SimulationRecord",
-    "SocketTransport",
     "TraceStore",
     "UrlApp",
     "all_ddt_names",

@@ -66,10 +66,8 @@ from repro.core.pareto_level import Step3Result, curve_for, explore_pareto_level
 from repro.core.taskgraph import TaskGraph, TaskNode
 from repro.core.transport import (
     LocalPoolTransport,
-    SocketTransport,
     TransportError,
     WorkerTransport,
-    serve_worker,
 )
 from repro.core.reporting import (
     baseline_comparison,
@@ -129,7 +127,6 @@ __all__ = [
     "SimulationCache",
     "SimulationEnvironment",
     "SimulationRecord",
-    "SocketTransport",
     "Step1Result",
     "Step2Plan",
     "Step2Result",
@@ -163,7 +160,6 @@ __all__ = [
     "robust_choices",
     "run_simulation",
     "serve_queue_worker",
-    "serve_worker",
     "step1_points",
     "table1_report",
     "table2_report",

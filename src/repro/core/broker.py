@@ -1,26 +1,23 @@
 """Queue-backed campaign transport: an embedded broker + elastic workers.
 
-PR 4's :class:`~repro.core.transport.SocketTransport` distributes
-campaigns, but couples every worker's lifetime to one TCP connection
-held by the coordinator process: a worker exists exactly as long as its
-socket, and the coordinator must be reachable before any worker can do
-anything.  This module decouples them with a small, dependency-free
-**broker** -- Redis-like queue semantics over the same length-prefixed
-pickle frames PR 4 introduced:
+Remote execution goes through a small, dependency-free **broker** that
+decouples worker lifetime from the coordinator -- Redis-like queue
+semantics over the length-prefixed pickle frames of
+:mod:`repro.core.transport`:
 
 * :class:`EmbeddedBroker` -- a threaded TCP server holding named FIFO
   queues (campaign tasks), per-campaign result queues with
-  **duplicate-result rejection by token**, a key-value table (the
-  campaign announcement: pickled :class:`~repro.core.engine.EnvSpec`
-  plus queue names), and a **worker registry with heartbeat TTLs**.  A
-  worker that stops heartbeating (or whose connection drops) has its
-  leased tasks requeued at the front of the task queue and its crash
-  counted; repeat offenders are quarantined exactly like the socket
-  coordinator's accounting.
+  **duplicate-result rejection by token**, a key-value table (lease
+  quota refinements), the campaign registry (each announcement carries
+  the pickled :class:`~repro.core.engine.EnvSpec` plus queue names), and
+  a **worker registry with heartbeat TTLs**.  A worker that stops
+  heartbeating (or whose connection drops) has its leased tasks
+  requeued at the front of the task queue and its crash counted;
+  repeat offenders are quarantined.
 * :class:`QueueTransport` -- a
   :class:`~repro.core.transport.WorkerTransport` implemented *against*
   a broker instead of against worker connections.  The coordinator
-  pushes task frames and pops result frames; workers pull.  Workers can
+  pushes chunk items and pops result frames; workers pull.  Workers can
   therefore join, leave, and rejoin mid-campaign without the
   coordinator noticing anything beyond throughput.
 * :func:`serve_queue_worker` -- the worker loop behind ``ddt-explore
@@ -48,32 +45,32 @@ config, assignment)`` -- so queue-transport campaigns are bit-identical
 on ``SimulationRecord.content_key()`` to serial runs (asserted by
 ``tests/test_broker.py`` and CI's ``queue-smoke`` job).
 
-PR 6 promotes the broker from an embed to a **standing service**: pass
-``journal=DIR`` (CLI: ``ddt-explore broker --journal DIR``) and every
-state-changing op is appended to a :class:`~repro.core.journal.Journal`
-write-ahead log before it is applied, with periodic compaction into a
-snapshot.  A restarted broker replays snapshot+log, requeues any
-journaled leases and unacknowledged deliveries at the queue front, and
-resumes -- combined with :class:`BrokerClient`'s transparent reconnect
-(capped exponential backoff + jitter, bounded by ``max_outage_s``) a
-broker kill/restart mid-campaign is invisible to the coordinator and
-the fleet (asserted by ``tests/support/faults.py``'s broker-restart
-drill and CI's ``restart-smoke`` job).
+**Durability.**  Pass ``journal=DIR`` (CLI: ``ddt-explore broker
+--journal DIR``) and every state-changing op is appended to a
+:class:`~repro.core.journal.Journal` write-ahead log before it is
+applied, with periodic compaction into a snapshot.  A restarted broker
+replays snapshot+log, requeues any journaled leases and unacknowledged
+deliveries at the queue front, and resumes -- combined with
+:class:`BrokerClient`'s transparent reconnect (capped exponential
+backoff + jitter, bounded by ``max_outage_s``) a broker kill/restart
+mid-campaign is invisible to the coordinator and the fleet (asserted by
+``tests/support/faults.py``'s broker-restart drill and CI's
+``restart-smoke`` job).
 
-This PR makes the broker **multi-tenant**: campaigns are *announced*
-onto a standing broker (``announce`` / ``conclude`` / ``withdraw`` ops,
-all journaled) and live side by side in a per-campaign namespace --
-task/result queues, seen-token sets, and quota refinements are all
-keyed by campaign id, so one tenant can never drain or poison
-another's state.  Workers subscribe to the *broker*, not a campaign:
-``take_any`` leases chunks across every running campaign under
-**deficit round-robin** fair scheduling, weighted by each campaign's
-announced ``--priority``.  A campaign is a job submitted to the
-cluster; coordinators register on start and tear down (conclude, then
-withdraw) on close without disturbing their neighbours.
+**Multi-tenancy.**  Campaigns are *announced* onto a standing broker
+(``announce`` / ``conclude`` / ``withdraw`` ops, all journaled) and
+live side by side in a per-campaign namespace -- task/result queues,
+seen-token sets, and quota refinements are all keyed by campaign id, so
+one tenant can never drain or poison another's state.  Workers
+subscribe to the *broker*, not a campaign: ``take_any`` leases chunks
+across every running campaign under **deficit round-robin** fair
+scheduling, weighted by each campaign's announced ``--priority``.  A
+campaign is a job submitted to the cluster; coordinators register on
+start and tear down (conclude, then withdraw) on close without
+disturbing their neighbours.
 
-Like the socket transport, frames are pickle: expose the broker only to
-**trusted workers on a trusted network**.
+Frames are pickle: expose the broker only to **trusted workers on a
+trusted network**.
 """
 
 from __future__ import annotations
@@ -93,7 +90,6 @@ from repro.core.journal import RECORD_VERSION, Journal, JournalWarning
 from repro.core.results import SimulationRecord
 from repro.core.simulate import run_simulation
 from repro.core.transport import (
-    CAP_CHUNKS,
     WORKER_CRASH_EXIT,
     WORKER_REJECTED_EXIT,
     ChunkTask,
@@ -117,12 +113,10 @@ __all__ = [
     "serve_queue_worker",
 ]
 
-#: Broker wire-protocol version; clients and broker must agree exactly.
-#: Chunked dispatch (PR 7) is an *additive* change -- chunk items carry
-#: a ``points`` list, takes accept ``max``/list acks, hellos may list
-#: ``caps`` in their meta -- so the version stays at 1 and pre-chunk
-#: clients still interoperate.
-BROKER_PROTOCOL = 1
+#: Broker wire-protocol version; a worker's hello must match it exactly.
+#: Version 2 serves chunk items only, through ``take_any``; a version-1
+#: worker is refused at hello instead of being mis-served.
+BROKER_PROTOCOL = 2
 
 #: Sequence for campaign ids minted by :meth:`QueueTransport.start`.
 _CAMPAIGN_SEQ = count()
@@ -154,8 +148,8 @@ def _item_points(item: Any) -> int:
     """Number of exploration points one queue item carries.
 
     A chunk item (``{"token", "points": [...]}``) counts its block; a
-    legacy flat point item counts 1.  Drives the point-granular
-    ``requeues`` accounting the fault drills assert on.
+    flat item counts 1.  Drives the point-granular ``requeues``
+    accounting the fault drills assert on.
     """
     if isinstance(item, dict):
         points = item.get("points")
@@ -316,14 +310,23 @@ class EmbeddedBroker:
     def _recover(self) -> None:
         """Replay snapshot+log, then requeue every orphaned delivery."""
         assert self._journal is not None
-        snapshot, records = self._journal.load()
+        snapshot, entries = self._journal.load()
+        if snapshot is not None and "campaigns" not in snapshot:
+            # Only a version-1 broker wrote snapshots without a campaign
+            # registry; its state is refused, not translated.
+            warnings.warn(
+                "journal snapshot is record version 1; this broker reads "
+                f"version {RECORD_VERSION} only, so replay stops there",
+                JournalWarning,
+                stacklevel=2,
+            )
+            snapshot, entries = None, []
         with self._cond:
             if snapshot is not None:
                 self._restore_snapshot_locked(snapshot)
-            for version, entry in records:
+            for entry in entries:
                 try:
-                    for upgraded in self._upgrade_entry_locked(version, entry):
-                        self._apply_locked(upgraded, journal=False)
+                    self._apply_locked(entry, journal=False)
                 except Exception as exc:  # a damaged entry ends the replay
                     warnings.warn(
                         f"journal replay stopped on {entry!r}: {exc!r}",
@@ -337,35 +340,6 @@ class EmbeddedBroker:
                 # the (re-connecting) fleet picks it up again.
                 self._apply_locked(("recover",))
             self._journal.compact(self._snapshot_locked())
-
-    def _upgrade_entry_locked(self, version: int, entry: tuple) -> list[tuple]:
-        """Translate one journal record to the current reducer schema.
-
-        Version >= 2 records pass through untouched.  Version 1 records
-        predate multi-tenancy, where the ``campaign``/``state`` KV keys
-        *were* the (single) campaign registry -- so the KV writes that
-        used to carry campaign lifecycle are expanded into the explicit
-        lifecycle ops, against whatever campaigns the replay has
-        registered so far (at most one, by v1 construction).
-        """
-        if version >= 2:
-            return [entry]
-        op = entry[0]
-        if op == "set":
-            _, key, value = entry
-            if key == "campaign" and value is None:
-                return [entry] + [("withdraw", cid) for cid in list(self._campaigns)]
-            if key == "campaign" and isinstance(value, Mapping) and value.get("id"):
-                return [entry, ("announce", dict(value), {})]
-            if key == "state" and value == "done":
-                return [entry] + [("conclude", cid) for cid in list(self._campaigns)]
-            if key.startswith("quota:") and self._campaigns:
-                worker = key[len("quota:"):]
-                return [
-                    ("set", f"quota:{cid}:{worker}", value)
-                    for cid in list(self._campaigns)
-                ]
-        return [entry]
 
     def _snapshot_locked(self) -> dict[str, Any]:
         return {
@@ -388,25 +362,7 @@ class EmbeddedBroker:
         }
         self._seen = {name: set(s) for name, s in (snapshot.get("seen") or {}).items()}
         self._kv = dict(snapshot.get("kv") or {})
-        campaigns = snapshot.get("campaigns")
-        if campaigns is None:
-            # Pre-multi-tenant snapshot: the single campaign lived in
-            # the KV table.  Synthesize its registry entry so a v1
-            # journal directory resumes as a one-tenant broker.
-            campaigns = {}
-            legacy = self._kv.get("campaign")
-            if isinstance(legacy, Mapping) and legacy.get("id"):
-                cid = str(legacy["id"])
-                campaigns[cid] = {
-                    **dict(legacy),
-                    "tasks": legacy.get("tasks") or f"tasks:{cid}",
-                    "results": legacy.get("results") or f"results:{cid}",
-                    "priority": 1.0,
-                    "state": (
-                        "done" if self._kv.get("state") == "done" else "running"
-                    ),
-                }
-        self._campaigns = {cid: dict(c) for cid, c in campaigns.items()}
+        self._campaigns = {cid: dict(c) for cid, c in snapshot["campaigns"].items()}
         self._leases = {w: dict(l) for w, l in (snapshot.get("leases") or {}).items()}
         self._delivered = {
             q: dict(d) for q, d in (snapshot.get("delivered") or {}).items()
@@ -476,12 +432,10 @@ class EmbeddedBroker:
         The standalone broker's signal handlers call this before
         :meth:`close`, so a worker launched after a *deliberate*
         shutdown waits for the next campaign instead of reading a stale
-        one from the journal.  The legacy ``campaign`` KV entry is
-        cleared too, for pre-multi-tenant readers.
+        one from the journal.
         """
         with self._cond:
             if not self._closed:
-                self._apply_locked(("set", "campaign", None))
                 for cid in list(self._campaigns):
                     self._apply_locked(("withdraw", cid))
                 self._cond.notify_all()
@@ -713,39 +667,6 @@ class EmbeddedBroker:
                     cid, campaign["tasks"], campaign["results"]
                 )
             return None
-        if op == "reset":
-            # Legacy (record v1) single-tenant campaign open: the old
-            # broker cleared *everything* on reset, so a v1 journal
-            # replay must too -- the live ``reset`` op now announces
-            # into a namespace instead (see :meth:`_op_reset`).
-            _, campaign, quotas = entry
-            self._queues.clear()
-            self._seen.clear()
-            self._leases.clear()
-            self._lease_times.clear()
-            self._delivered.clear()
-            self._campaigns.clear()
-            self._drr_deficit.clear()
-            self._drr_current = None
-            for key in [k for k in self._kv if k.startswith("quota:")]:
-                del self._kv[key]
-            self._kv["campaign"] = campaign
-            self._kv["state"] = "running"
-            if isinstance(campaign, Mapping) and campaign.get("id"):
-                cid = str(campaign["id"])
-                self._campaigns[cid] = {
-                    **dict(campaign),
-                    "tasks": str(campaign.get("tasks") or f"tasks:{cid}"),
-                    "results": str(campaign.get("results") or f"results:{cid}"),
-                    "priority": 1.0,
-                    "state": "running",
-                }
-                for worker_id, quota in dict(quotas or {}).items():
-                    self._kv[f"quota:{cid}:{worker_id}"] = quota
-            else:
-                for worker_id, quota in dict(quotas or {}).items():
-                    self._kv[f"quota:{worker_id}"] = quota
-            return None
         if op == "drop":
             _, worker_id, clean = entry
             self._requeue_leases_locked(worker_id, count=not clean)
@@ -832,13 +753,14 @@ class EmbeddedBroker:
     # ------------------------------------------------------------------
     # ops (each runs on the connection thread, state under the lock)
     # ------------------------------------------------------------------
-    def _state_locked(self) -> Any:
-        """Aggregate campaign state for single-tenant-era reply fields:
-        ``"done"`` only once *every* registered campaign concluded."""
-        if self._campaigns:
-            states = {str(c.get("state")) for c in self._campaigns.values()}
-            return "done" if states == {"done"} else "running"
-        return self._kv.get("state")
+    def _state_locked(self) -> str | None:
+        """Aggregate campaign state for reply ``state`` fields: ``"done"``
+        only once *every* registered campaign concluded, ``None`` with
+        no campaign registered."""
+        if not self._campaigns:
+            return None
+        states = {str(c.get("state")) for c in self._campaigns.values()}
+        return "done" if states == {"done"} else "running"
 
     def _running_locked(self) -> dict[str, dict[str, Any]]:
         return {
@@ -850,16 +772,13 @@ class EmbeddedBroker:
     def _quota_locked(self, worker_id: str) -> Any:
         """A worker's lease quota: the max over running campaigns'
         namespaced refinements (a worker serving two tenants needs the
-        headroom of the more generous one), with the pre-namespace key
-        as a legacy fallback."""
+        headroom of the more generous one); ``None`` without any."""
         quotas = []
         for cid in self._running_locked():
             value = self._kv.get(f"quota:{cid}:{worker_id}")
             if value is not None:
                 quotas.append(value)
-        if quotas:
-            return max(quotas)
-        return self._kv.get(f"quota:{worker_id}")
+        return max(quotas, default=None)
 
     def _leased_points_locked(self) -> dict[str, int]:
         """Points currently leased, per campaign tasks queue."""
@@ -1155,25 +1074,6 @@ class EmbeddedBroker:
             self._cond.notify_all()
             return {"ok": True}
 
-    def _op_reset(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Open a campaign: fresh queues, seen-sets and leases.
-
-        Historically this wiped the *whole* broker -- under two tenants,
-        campaign B's start would destroy campaign A's announcement and
-        quota refinements.  It now scopes to the resetting campaign's
-        own namespace (the ``announce`` reducer clears exactly the
-        namespace being opened), so quota refinements still die with the
-        campaign that measured them without collateral damage.
-        """
-        campaign = message.get("campaign")
-        with self._cond:
-            if isinstance(campaign, Mapping) and campaign.get("id"):
-                self._apply_locked(
-                    ("announce", dict(campaign), dict(message.get("quotas") or {}))
-                )
-            self._cond.notify_all()
-            return {"ok": True}
-
     def _register_locked(
         self, worker_id: str, meta: dict[str, Any], conn: Any
     ) -> dict[str, Any]:
@@ -1236,7 +1136,6 @@ class EmbeddedBroker:
         """One JSON-safe snapshot of broker health for ``--status``."""
         now = time.monotonic()
         with self._cond:
-            campaign = self._kv.get("campaign")
             leases: dict[str, dict[str, Any]] = {}
             for worker_id, held in self._leases.items():
                 if not held:
@@ -1260,18 +1159,10 @@ class EmbeddedBroker:
                 }
                 for cid, c in self._campaigns.items()
             }
-            single = (
-                str(campaign.get("id"))
-                if isinstance(campaign, Mapping)
-                else None
-            )
-            if single is None and len(self._campaigns) == 1:
-                single = str(next(iter(self._campaigns)))
             status: dict[str, Any] = {
                 "proto": BROKER_PROTOCOL,
                 "uptime_s": round(now - self._started_at, 3),
                 "state": self._state_locked(),
-                "campaign": single,
                 "campaigns": campaigns,
                 "queues": {
                     str(n): len(q) for n, q in self._queues.items() if q
@@ -1333,7 +1224,7 @@ class BrokerClient:
         self.reconnects = 0
         #: duration of the most recent survived outage, seconds.
         self.last_outage_s = 0.0
-        self._sock = _connect_with_retry((host, port), retry_s, what="broker")
+        self._sock = _connect_with_retry((host, port), retry_s)
         self._lock = threading.Lock()
 
     def call(self, op: str, **fields: Any) -> dict[str, Any]:
@@ -1441,8 +1332,7 @@ class QueueTransport(WorkerTransport):
         brokers).
     worker_timeout:
         Seconds to wait with work outstanding but **zero** live workers
-        before failing the run -- same semantics as the socket
-        transport's coordinator.  Distinct from a *broker outage*: an
+        before failing the run.  Distinct from a *broker outage*: an
         unreachable broker is waited out with backoff (``max_outage_s``)
         and never starts the starvation clock.
     max_outage_s:
@@ -1470,11 +1360,9 @@ class QueueTransport(WorkerTransport):
         neighbour while both have work queued.  Must be > 0; 1.0 (the
         default) shares equally.
 
-    Mirrors the socket transport's observability surface --
-    :attr:`crashes`, :attr:`requeues`, :attr:`workers_seen`,
-    :attr:`results_received`, :attr:`quarantined` -- so the shared
-    fault-injection drills of ``tests/support/faults.py`` run against
-    either transport unchanged.
+    Observability for the fault-injection drills of
+    ``tests/support/faults.py``: :attr:`crashes`, :attr:`requeues`,
+    :attr:`workers_seen`, :attr:`results_received`, :attr:`quarantined`.
     """
 
     def __init__(
@@ -1985,12 +1873,11 @@ def serve_queue_worker(
     a worker that crashes and rejoins answers its already-completed
     points from disk.
 
-    ``fail_after=N`` is the fault-injection hook shared with the socket
-    worker: hard-exit (:data:`~repro.core.transport.WORKER_CRASH_EXIT`,
-    no goodbye) upon **leasing** the N-th point -- the lease is provably
-    held when the crash happens, so the broker's requeue machinery is
-    always exercised (the socket worker crashes after *sending* N
-    results instead; its coordinator keeps extra points in flight).
+    ``fail_after=N`` is the fault-injection hook: hard-exit
+    (:data:`~repro.core.transport.WORKER_CRASH_EXIT`, no goodbye) upon
+    **leasing** the N-th point -- the lease is provably held when the
+    crash happens, so the broker's requeue machinery is always
+    exercised.
 
     A broker restart is ridden out transparently: the client reconnects
     with backoff for up to ``max_outage_s`` seconds (the worker's
@@ -2021,7 +1908,6 @@ def serve_queue_worker(
         "speed": float(speed),
         "cores": os.cpu_count() or 1,
         "pid": os.getpid(),
-        "caps": [CAP_CHUNKS],
     }
 
     def rehello(reconnected: BrokerClient) -> None:
@@ -2151,11 +2037,8 @@ def serve_queue_worker(
                     continue
                 results_q = ctx["results"]
                 store = ctx["store"]
-                # A chunk item carries a block of points under one
-                # lease; a legacy flat item is a one-point block.
-                points = item.get("points")
-                if points is None:
-                    points = [item]
+                # A chunk item carries a block of points under one lease.
+                points = item["points"]
                 taken += len(points)
                 if fail_after is not None and taken >= fail_after:
                     # ``--fail-after`` counts *points leased*, never

@@ -1,18 +1,16 @@
 """Campaign scheduling: every case study as one global exploration.
 
-PR 1's engine made a single refinement parallel and cacheable; this
+The engine makes a single refinement parallel and cacheable; this
 module makes the *whole paper* one workload.  A
 :class:`CampaignScheduler` compiles every registered case study (plus
 any sensitivity grids) into nodes of one
 :class:`~repro.core.taskgraph.TaskGraph` submitted through a single
-:class:`~repro.core.engine.ExplorationEngine` pool.  In the default
-**streaming** mode each application's step-1 node carries a
-continuation that plans and enqueues that application's step-2 grid the
-moment its own survivors are known -- a fast app's network-level grid
-simulates concurrently with a slow app's exhaustive sweep, with no
-global phase barrier.  ``streaming=False`` keeps the legacy two-phase
-barrier schedule (all step-1 batches, then all step-2 batches); both
-modes produce bit-identical per-app results (asserted by the tests),
+:class:`~repro.core.engine.ExplorationEngine` pool.  Each application's
+step-1 node carries a continuation that plans and enqueues that
+application's step-2 grid the moment its own survivors are known -- a
+fast app's network-level grid simulates concurrently with a slow app's
+exhaustive sweep, with no global phase barrier.  Per-app results are
+bit-identical to standalone serial refinements (asserted by the tests),
 because records are slotted by point index and simulation is a pure
 function of ``(application, config, assignment)``.
 
@@ -21,36 +19,33 @@ Per-app records persist under ``.repro_cache/<app>/`` via
 from the shared :class:`~repro.net.tracestore.TraceStore`, generated
 once per profile fingerprint for the whole campaign.
 
-**Incremental campaigns**: a streaming campaign with a persistent cache
-records a ``campaign-manifest.json`` next to its shards -- per
-application, the scoped model fingerprint, config labels, combination
-labels and per-trace profile fingerprints.  Because streaming cache
-entries are keyed by a trace-scoped fingerprint (model parameters
+**Incremental campaigns**: a campaign with a persistent cache records
+a ``campaign-manifest.json`` next to its shards -- per application, the
+scoped model fingerprint, config labels, combination labels and
+per-trace profile fingerprints.  Because campaign cache entries are
+keyed by a trace-scoped fingerprint (model parameters
 plus *only the profile of each record's own trace*), editing one trace
 profile or widening one app's grid invalidates exactly the affected
 records; a ``resume=True`` re-run replays every unaffected shard from
 cache and resimulates only the delta, reported per app by
 :attr:`CampaignResult.incremental`.
 
-**Distributed campaigns**: pass a
-:class:`~repro.core.transport.SocketTransport` (or ``ddt-explore
-campaign --transport socket``) and the same task-graph nodes are
-streamed to ``ddt-explore worker`` processes over TCP instead of a
-local pool; the shared trace store is the artifact layer workers
-hydrate from.  Crashed workers' unresolved points are resubmitted to
-the survivors and repeat offenders are reported on
-:attr:`CampaignResult.quarantined`.  The manifest additionally records
-each node's wall cost, and the next campaign enqueues step-1 nodes
-longest-first so the worker fleet drains evenly (adaptive scheduling;
-ordering never changes the records, which stay slotted by point index).
+**Distributed campaigns**: a :class:`~repro.core.broker.QueueTransport`
+(or ``ddt-explore campaign --transport queue``) leases the same
+task-graph nodes to ``ddt-explore worker --connect-broker`` processes
+through a broker instead of a local pool -- workers pull tasks and push
+results, so they can join, leave and rejoin mid-campaign, and the
+shared trace store is the artifact layer they hydrate from.  Crashed
+workers' unresolved points are requeued to the survivors and repeat
+offenders are reported on :attr:`CampaignResult.quarantined`.  Each
+worker advertises a capacity in its hello and dispatch is weighted by
+it (lease quotas), refined by measured per-worker throughput.
 
-**Elastic campaigns**: a :class:`~repro.core.broker.QueueTransport`
-(or ``--transport queue``) decouples workers from the coordinator
-through an embedded broker -- workers pull tasks and push results, so
-they can join, leave and rejoin mid-campaign.  Each worker advertises a
-capacity in its hello and dispatch is weighted by it (lease quotas),
-refined by measured per-worker throughput.  Those measurements are
-written into the manifest's ``node_costs`` under the reserved
+The manifest additionally records each node's wall cost, and the next
+campaign enqueues step-1 nodes longest-first so the worker fleet drains
+evenly (adaptive scheduling; ordering never changes the records, which
+stay slotted by point index).  The per-worker throughput measurements
+are written into the manifest's ``node_costs`` under the reserved
 ``__fleet__`` key (outside the diffed per-app entries, like the wall
 costs), making the adaptive schedule worker-aware: the next campaign
 seeds returning workers' quotas from their recorded throughput via
@@ -140,7 +135,7 @@ class AppIncremental:
 
 @dataclass
 class IncrementalReport:
-    """Reused-vs-resimulated accounting of one streaming campaign run.
+    """Reused-vs-resimulated accounting of one campaign run.
 
     Built from the per-node counters of the task graph plus the diff
     against the previously recorded manifest (when resuming).
@@ -182,20 +177,19 @@ class CampaignResult:
     stats:
         The engine's aggregate counters over the whole campaign
         (cover runs simulated, points composed, cache hits, batches).
+    incremental:
+        Per-app reused-vs-resimulated accounting.
     trace_counters:
         The shared trace store's satisfaction counters
         (``generations`` / ``disk_loads`` / ``memo_hits``), empty when
         the campaign ran without a store.
-    incremental:
-        Per-app reused-vs-resimulated accounting (streaming runs only;
-        ``None`` for the legacy barrier schedule).
     quarantined:
         Worker ids the transport quarantined after repeated crashes
         (always empty for serial and local-pool runs).
     worker_stats:
         Measured per-worker dispatch records of a capacity-tracking
         transport (``{worker: {capacity, points, throughput, quota,
-        ...}}``; empty for serial, local-pool and socket runs) -- the
+        ...}}``; empty for serial and local-pool runs) -- the
         observable face of capacity-weighted dispatch, also persisted
         in the manifest's ``node_costs`` fleet entry.
     broker_outages:
@@ -206,8 +200,8 @@ class CampaignResult:
 
     refinements: dict[str, RefinementResult]
     stats: EngineStats
+    incremental: IncrementalReport
     trace_counters: dict[str, int] = field(default_factory=dict)
-    incremental: IncrementalReport | None = None
     quarantined: list[str] = field(default_factory=list)
     worker_stats: dict[str, dict[str, Any]] = field(default_factory=dict)
     broker_outages: int = 0
@@ -314,26 +308,20 @@ class CampaignScheduler:
     transport:
         Optional :class:`~repro.core.transport.WorkerTransport`
         forwarded to the owned engine -- a
-        :class:`~repro.core.transport.SocketTransport` turns the
-        campaign into a distributed coordinator.  Mutually exclusive
+        :class:`~repro.core.broker.QueueTransport` turns the campaign
+        into a distributed coordinator.  Mutually exclusive
         with ``engine`` (give the transport to your own engine instead).
     engine:
         Bring-your-own engine; the scheduler then owns neither the pool
         nor the cache and will not close them.
     progress:
         Optional callback ``(phase, done, total, detail)``; ``done`` and
-        ``total`` count across all applications of the phase (in
-        streaming mode a phase's total grows as continuations enqueue
-        step-2 grids).
-    streaming:
-        ``True`` (default) schedules the campaign as a dependency-aware
-        task graph -- each app's step-2 grid starts the moment its own
-        step-1 survivors are known.  ``False`` keeps the legacy global
-        two-phase barrier.  Results are bit-identical either way.
+        ``total`` count across all applications of the phase (a phase's
+        total grows as continuations enqueue step-2 grids).
     resume:
         Consult the previously written campaign manifest and report the
         per-app reuse delta (statuses ``unchanged``/``changed``/``new``)
-        in :attr:`CampaignResult.incremental`.  Streaming mode only.
+        in :attr:`CampaignResult.incremental`.
     manifest:
         Manifest location override: ``None`` (default) derives
         ``<cache dir>/campaign-manifest.json`` from a persistent cache
@@ -370,16 +358,11 @@ class CampaignScheduler:
         transport: "Any | None" = None,
         engine: ExplorationEngine | None = None,
         progress: ProgressCallback | None = None,
-        streaming: bool = True,
         resume: bool = False,
         manifest: "str | os.PathLike[str] | bool | None" = None,
         chunk_points: int | None = None,
         worker_cache: "str | os.PathLike[str] | None" = None,
     ) -> None:
-        if resume and not streaming:
-            # Checked before any engine/cache construction so nothing
-            # is left unclosed when the combination is rejected.
-            raise ValueError("resume requires the streaming schedule")
         chosen = list(studies) if studies is not None else list(CASE_STUDIES)
         self.studies: list[CaseStudy] = [
             case_study(s) if isinstance(s, str) else s for s in chosen
@@ -436,7 +419,6 @@ class CampaignScheduler:
             if chunk_points < 1:
                 raise ValueError("chunk_points must be >= 1 (or None for auto)")
             self.engine.chunk_points = chunk_points
-        self.streaming = streaming
         self.resume = resume
         if manifest is False:
             self._manifest_path: str | None = None
@@ -467,19 +449,9 @@ class CampaignScheduler:
         """The scheduled configurations of one application."""
         return list(self._configs[name])
 
-    def _phase_progress(self, phase: str):
-        if self.progress is None:
-            return None
-        callback = self.progress
-
-        def inner(done: int, total: int, detail: str) -> None:
-            callback(phase, done, total, detail)
-
-        return inner
-
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
-        """Execute the campaign (streaming task graph or legacy barrier).
+        """Execute the campaign as one dependency-aware task graph.
 
         Before any point is dispatched, the previous manifest's fleet
         records (if any) are seeded into the engine's transport so
@@ -490,18 +462,6 @@ class CampaignScheduler:
         previous_fleet = self._previous_fleet()
         if previous_fleet:
             self.engine.seed_fleet(previous_fleet)
-        if self.streaming:
-            return self._run_streaming()
-        return self._run_barrier()
-
-    # ------------------------------------------------------------------
-    # streaming: dependency-aware task graph, no phase barrier
-    # ------------------------------------------------------------------
-    def _scope(self, name: str) -> tuple[str, ...]:
-        """Trace names one app's sweep touches (its fingerprint scope)."""
-        return tuple(dict.fromkeys(c.trace_name for c in self._configs[name]))
-
-    def _run_streaming(self) -> CampaignResult:
         engine = self.engine
         graph = TaskGraph(engine, progress=self._graph_progress())
         step1s: dict[str, Any] = {}
@@ -635,6 +595,10 @@ class CampaignScheduler:
     # ------------------------------------------------------------------
     # manifest + incremental accounting
     # ------------------------------------------------------------------
+    def _scope(self, name: str) -> tuple[str, ...]:
+        """Trace names one app's sweep touches (its fingerprint scope)."""
+        return tuple(dict.fromkeys(c.trace_name for c in self._configs[name]))
+
     def manifest_entries(self) -> dict[str, dict[str, Any]]:
         """The per-app manifest payload of the *current* schedule.
 
@@ -785,64 +749,3 @@ class CampaignScheduler:
                 reduced_simulations=step1.simulations + step2.simulations,
             )
         return refinements
-
-    # ------------------------------------------------------------------
-    # legacy barrier schedule (two global phases)
-    # ------------------------------------------------------------------
-    def _run_barrier(self) -> CampaignResult:
-        """Execute the campaign: two global batch phases + per-app Pareto."""
-        engine = self.engine
-
-        # Phase 1: every app's exhaustive reference sweep, one workload.
-        batches = []
-        for study in self.studies:
-            reference = self._configs[study.name][0]
-            points, details = step1_points(study.app_cls, reference, self.candidates)
-            batches.append(
-                (study.app_cls, points, [f"{study.name}: {d}" for d in details])
-            )
-        phase1 = engine.run_batches(
-            batches, progress=self._phase_progress("application-level")
-        )
-        step1s = {
-            study.name: finish_application_level(
-                self._configs[study.name][0], records, self.policy
-            )
-            for study, records in zip(self.studies, phase1)
-        }
-
-        # Phase 2: every app's survivor x configuration grid, pooled.
-        plans = {
-            study.name: plan_network_level(
-                study.app_cls, step1s[study.name], self._configs[study.name]
-            )
-            for study in self.studies
-        }
-        batches = [
-            (
-                plans[study.name].app_cls,
-                plans[study.name].points,
-                [f"{study.name}: {d}" for d in plans[study.name].details],
-            )
-            for study in self.studies
-        ]
-        phase2 = engine.run_batches(
-            batches, progress=self._phase_progress("network-level")
-        )
-        step2s = {
-            study.name: finish_network_level(plans[study.name], records)
-            for study, records in zip(self.studies, phase2)
-        }
-
-        # Phase 3: Pareto analysis per app, plus Table-1 accounting.
-        refinements = self._assemble(step1s, step2s)
-
-        store = engine.trace_store
-        return CampaignResult(
-            refinements=refinements,
-            stats=engine.stats,
-            trace_counters=store.counters() if store is not None else {},
-            quarantined=engine.quarantined_workers,
-            worker_stats=engine.worker_stats,
-            broker_outages=engine.transport_outages,
-        )

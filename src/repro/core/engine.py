@@ -15,10 +15,10 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   generated once per worker (not once per task) and every worker runs
   under identical model parameters.  Results are re-ordered by
   submission index, so the produced records match the serial run
-  deterministically.  Since the transport refactor the pool is one
-  pluggable :mod:`~repro.core.transport` backend -- pass a
-  :class:`~repro.core.transport.SocketTransport` to distribute the same
-  points to ``ddt-explore worker`` processes over TCP instead.
+  deterministically.  The pool is one :mod:`~repro.core.transport`
+  backend -- pass a :class:`~repro.core.broker.QueueTransport` to
+  distribute the same points to ``ddt-explore worker --connect-broker``
+  processes instead.
 * **Persistent caching** -- an optional :class:`SimulationCache` stores
   finished :class:`~repro.core.results.SimulationRecord`\\ s as JSON
   under ``.repro_cache/``, keyed by ``(app, config label, combo label,
@@ -597,9 +597,8 @@ class ExplorationEngine:
         :class:`~repro.core.transport.LocalPoolTransport` over
         ``workers`` processes -- the pre-transport behaviour.  An
         explicit :class:`~repro.core.transport.WorkerTransport` (e.g. a
-        :class:`~repro.core.transport.SocketTransport` coordinator)
-        routes every cache miss through it instead, regardless of
-        ``workers``.
+        :class:`~repro.core.broker.QueueTransport`) routes every cache
+        miss through it instead, regardless of ``workers``.
     chunk_points:
         Points per dispatched :class:`~repro.core.transport.ChunkTask`.
         ``None`` (default) lets the task graph pick adaptively -- it
@@ -704,7 +703,7 @@ class ExplorationEngine:
 
     @property
     def transport_outages(self) -> int:
-        """Broker/coordinator outages the transport survived (0 serial)."""
+        """Broker outages the transport survived (0 serial)."""
         transport = self._transport or self._transport_spec
         if transport is None:
             return 0
@@ -746,7 +745,7 @@ class ExplorationEngine:
         :class:`EnvSpec`.
         """
         if self._transport is None:
-            from repro.core.transport import LocalPoolTransport, ensure_chunked
+            from repro.core.transport import LocalPoolTransport
 
             if self._transport_spec is not None:
                 transport = self._transport_spec
@@ -756,9 +755,7 @@ class ExplorationEngine:
             if self.worker_cache is not None:
                 spec = dataclasses.replace(spec, local_cache=self.worker_cache)
             transport.start(spec)
-            # A third-party transport predating the chunk contract is
-            # wrapped so the graph drives everything through chunks.
-            self._transport = ensure_chunked(transport)
+            self._transport = transport
         return self._transport
 
     def shutdown_transport(self) -> None:

@@ -3,7 +3,7 @@
 The :class:`~repro.core.broker.EmbeddedBroker` promotes itself from an
 in-memory embed to a durable service by journaling every state-changing
 operation (queue puts/takes/acks, lease grants, seen result tokens,
-crash bookkeeping, KV announcements) to an append-only log before
+crash bookkeeping, campaign announcements) to an append-only log before
 applying it.  On restart the broker loads the latest snapshot, replays
 the log suffix, and resumes -- the campaign never notices.
 
@@ -19,17 +19,18 @@ lied) is *truncated* at the last valid record with a
 :class:`JournalWarning`; corruption never prevents the broker from
 starting.
 
-Records are versioned: entries written at :data:`RECORD_VERSION` >= 2
-are wrapped in a ``{"v": version, "entry": entry}`` envelope on disk,
-while pre-versioning logs hold bare entries.  :meth:`Journal.load`
-normalises both shapes to ``(version, entry)`` pairs -- bare records
-load as version 1 -- so the replaying reducer can upgrade legacy
-operations in place and an old journal directory keeps working after
-an on-disk schema change.  Every ``compact_every`` appends the caller is expected to
-fold the log into a fresh snapshot via :meth:`Journal.compact`, which
-writes the snapshot atomically (tmp + rename) before truncating the
-log, so a crash between the two steps only ever *re-replays* entries,
-never loses them.
+Records are versioned: every entry is wrapped in a ``{"v":
+RECORD_VERSION, "entry": entry}`` envelope on disk.  A record of any
+other version -- including a bare entry from a version-1 log -- is
+refused, not translated: :meth:`Journal.load` stops there with a
+:class:`JournalWarning` naming the version and truncates the tail, as
+on a damaged record.
+
+Every ``compact_every`` appends the caller is expected to fold the log
+into a fresh snapshot via :meth:`Journal.compact`, which writes the
+snapshot atomically (tmp + rename) before truncating the log, so a
+crash between the two steps only ever *re-replays* entries, never
+loses them.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ __all__ = [
 SNAPSHOT_NAME = "snapshot.pkl"
 LOG_NAME = "wal.log"
 
-#: Current on-disk record schema.  Version 1 (bare entries) predates the
-#: multi-tenant broker; version 2 wraps each entry in a version envelope.
+#: The on-disk record schema this build reads and writes.  Version 1
+#: (bare entries) predates the multi-tenant broker; version 2 wraps each
+#: entry in a version envelope.
 RECORD_VERSION = 2
 
 #: ``(payload_length, crc32)`` little-endian record header.
@@ -62,19 +64,20 @@ _HEADER = struct.Struct("<II")
 
 
 class JournalWarning(UserWarning):
-    """A journal file was damaged and partially recovered."""
+    """A journal file was damaged, or of another record version, and was
+    only partially recovered."""
 
 
-def _unwrap(record: Any) -> "tuple[int, Any]":
-    """Normalise an on-disk record to ``(version, entry)``.
+def _version(record: Any) -> Any:
+    """The schema version of one on-disk record.
 
     Broker entries are tuples, so a dict holding exactly the envelope
-    keys is unambiguously a versioned record; anything else is a legacy
-    bare entry from a version-1 log.
+    keys is unambiguously a versioned record; anything else is a bare
+    entry from a version-1 log.
     """
     if isinstance(record, dict) and set(record) == {"v", "entry"}:
-        return int(record["v"]), record["entry"]
-    return 1, record
+        return record["v"]
+    return 1
 
 
 class Journal:
@@ -107,16 +110,15 @@ class Journal:
         return os.path.join(self.directory, LOG_NAME)
 
     # -- recovery ------------------------------------------------------
-    def load(self) -> "tuple[Any, list[tuple[int, Any]]]":
-        """Read ``(snapshot_state, [(version, entry), ...])`` and open the log.
+    def load(self) -> "tuple[Any, list[Any]]":
+        """Read ``(snapshot_state, [entry, ...])`` and open the log.
 
         Returns ``(None, [...])`` when no snapshot exists.  A corrupt
-        snapshot or a torn/corrupt log tail is dropped with a
+        snapshot, a torn/corrupt log tail or a record of another
+        version than :data:`RECORD_VERSION` is dropped with a
         :class:`JournalWarning`; whatever valid prefix remains is
         returned.  The log file is truncated to its valid prefix and
-        left open for appending.  Bare records from pre-versioning logs
-        load as version 1; enveloped records carry their written
-        version.
+        left open for appending.
         """
         snapshot = None
         if os.path.exists(self.snapshot_path):
@@ -153,14 +155,22 @@ class Journal:
                         damage = "checksum mismatch"
                         break
                     try:
-                        entries.append(_unwrap(pickle.loads(blob)))
+                        record = pickle.loads(blob)
                     except Exception as exc:
                         damage = f"undecodable record ({exc!r})"
                         break
+                    version = _version(record)
+                    if version != RECORD_VERSION:
+                        damage = (
+                            f"record version {version}; this build reads "
+                            f"version {RECORD_VERSION} only"
+                        )
+                        break
+                    entries.append(record["entry"])
                     valid_size = handle.tell()
         if damage is not None:
             warnings.warn(
-                f"journal log {self.log_path} damaged after "
+                f"journal log {self.log_path}: replay stops after "
                 f"{len(entries)} record(s) ({damage}); truncating the tail",
                 JournalWarning,
                 stacklevel=2,
@@ -176,14 +186,9 @@ class Journal:
         return snapshot, entries
 
     # -- writing -------------------------------------------------------
-    def append(self, entry: Any, *, version: int = RECORD_VERSION) -> None:
-        """Durably append one entry (flushed so a killed process loses nothing).
-
-        ``version`` stamps the record's schema: >= 2 writes the
-        versioned envelope, <= 1 writes the legacy bare entry (used by
-        tests exercising old-journal replay).
-        """
-        record = {"v": version, "entry": entry} if version >= 2 else entry
+    def append(self, entry: Any) -> None:
+        """Durably append one entry (flushed so a killed process loses nothing)."""
+        record = {"v": RECORD_VERSION, "entry": entry}
         blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
         header = _HEADER.pack(len(blob), zlib.crc32(blob) & 0xFFFFFFFF)
         with self._lock:

@@ -1,10 +1,10 @@
 """Dependency-aware task-graph scheduling of exploration batches.
 
-The two-phase campaign of PR 2 ran as global barriers: every
-application's step-1 batch had to finish before *any* application's
-step-2 grid could start, so one slow exhaustive sweep left the worker
-pool idle exactly where the methodology's pruning should have bought
-wall-clock.  This module replaces the barrier with a small task graph:
+A campaign run as global phase barriers -- every application's step-1
+batch finished before *any* application's step-2 grid starts -- leaves
+the worker pool idle behind one slow exhaustive sweep exactly where the
+methodology's pruning should buy wall-clock.  This module schedules a
+campaign as a small task graph instead:
 
 * a :class:`TaskNode` is one application batch -- a list of
   ``(config, assignment)`` points plus an optional **continuation**
@@ -14,18 +14,17 @@ wall-clock.  This module replaces the barrier with a small task graph:
   :class:`~repro.core.engine.ExplorationEngine` -- serially in FIFO
   order with ``workers=0``, or interleaved across the engine's single
   :class:`~repro.core.transport.WorkerTransport` otherwise (the local
-  process pool by default, a TCP worker fleet with a
-  :class:`~repro.core.transport.SocketTransport`, an elastic broker-
-  decoupled fleet with a :class:`~repro.core.broker.QueueTransport`),
-  so a fast application's step-2 grid simulates concurrently with a
-  slow application's step-1 sweep.
+  process pool by default, an elastic broker-decoupled fleet with a
+  :class:`~repro.core.broker.QueueTransport`), so a fast application's
+  step-2 grid simulates concurrently with a slow application's step-1
+  sweep.
 
 Determinism is preserved by construction: each node's ``records`` are
 slotted by point index (never by completion order), continuations run
 in the parent process, and a simulation record is a pure function of
 ``(application, config, assignment)`` under a fixed environment -- so
-streaming produces bit-identical per-app results to the barrier and
-serial paths (asserted by ``tests/test_taskgraph.py``).
+the graph produces bit-identical per-app results to plain serial
+refinements (asserted by ``tests/test_taskgraph.py``).
 
 **Separable evaluation.**  The paper gives every dominant data structure
 its own memory, so a point's four metrics are a pure function of
@@ -596,7 +595,6 @@ class TaskGraph:
                         flush_chunk()
             flush_chunk()
 
-        was_cached = getattr(transport, "was_cached", None)
         while self._queue:
             launch(self._queue.popleft())
         while slots:
@@ -604,8 +602,7 @@ class TaskGraph:
                 entry = slots.pop(token, None)
                 if entry is None:
                     # Duplicate delivery after a requeue race (the queue
-                    # broker already deduplicates by token; the socket
-                    # coordinator can still re-deliver across a reconnect).
+                    # broker already deduplicates by token).
                     continue
                 node, group, cover = entry
                 self._take_cover(
@@ -613,7 +610,7 @@ class TaskGraph:
                     group,
                     cover,
                     record,
-                    worker_cached=bool(was_cached and was_cached(token)),
+                    worker_cached=transport.was_cached(token),
                 )
                 if node._remaining == 0:
                     self._complete(node)

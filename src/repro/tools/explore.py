@@ -19,7 +19,7 @@ Print the dominance profile only (step 0)::
 
     ddt-explore drr --profile-only
 
-Run *all four* case studies as one scheduled campaign -- streaming task
+Run *all four* case studies as one scheduled campaign -- one task
 graph over a shared worker pool, per-app cache shards, persistent trace
 store::
 
@@ -30,16 +30,10 @@ trace profile (unaffected apps replay from cache)::
 
     ddt-explore campaign --apps all --workers 2 --resume --trace-store
 
-Distribute a campaign over TCP workers instead of a local pool: start
-the coordinator, then point any number of workers at it (they retry the
-connection, so start order does not matter)::
-
-    ddt-explore campaign --apps all --transport socket \
-        --bind 127.0.0.1:4446 --trace-store
-    ddt-explore worker --connect 127.0.0.1:4446   # repeat per worker
-
-Distribute through a broker instead, so workers can join, leave and
-rejoin mid-campaign (elastic fleet, capacity-weighted dispatch)::
+Distribute a campaign through a broker instead of a local pool, so
+workers can join, leave and rejoin mid-campaign (elastic fleet,
+capacity-weighted dispatch); workers retry the connection, so start
+order does not matter::
 
     ddt-explore broker --bind 127.0.0.1:4447      # or skip this and let
                                                   # the campaign embed one
@@ -260,14 +254,12 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--transport",
-        choices=["local", "socket", "queue"],
+        choices=["local", "queue"],
         default="local",
         help=(
             "where cache-miss points execute: 'local' (default) uses the "
-            "in-process pool of --workers; 'socket' starts a TCP "
-            "coordinator that distributes points to `ddt-explore worker "
-            "--connect` processes; 'queue' routes points through a "
-            "campaign broker that `ddt-explore worker --connect-broker` "
+            "in-process pool of --workers; 'queue' routes points through "
+            "a campaign broker that `ddt-explore worker --connect-broker` "
             "processes pull from (elastic fleet)"
         ),
     )
@@ -276,9 +268,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default="127.0.0.1:0",
         metavar="HOST:PORT",
         help=(
-            "listen address of the socket coordinator or of the "
-            "embedded queue broker (default 127.0.0.1:0 -- an ephemeral "
-            "port, printed at start)"
+            "listen address of the embedded queue broker (default "
+            "127.0.0.1:0 -- an ephemeral port, printed at start)"
         ),
     )
     parser.add_argument(
@@ -297,7 +288,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "fail the run after this long with work pending but no "
-            "connected workers (socket/queue transports; default 120)"
+            "registered workers (queue transport; default 120)"
         ),
     )
     parser.add_argument(
@@ -330,7 +321,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "dispatch cache-miss points to workers in blocks of N "
-            "(1 restores per-point dispatch; applies to every transport)"
+            "(1 dispatches single points; applies to every transport)"
         ),
     )
     chunking.add_argument(
@@ -353,24 +344,12 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--streaming",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "schedule as a dependency-aware task graph: each app's "
-            "step-2 grid starts as soon as its own step-1 survivors are "
-            "known (default; --no-streaming restores the two-phase "
-            "global barrier)"
-        ),
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help=(
             "incremental re-run: compare against the recorded campaign "
             "manifest, replay unaffected apps from the persistent cache "
-            "and resimulate only the delta (implies --cache; requires "
-            "--streaming)"
+            "and resimulate only the delta (implies --cache)"
         ),
     )
     parser.add_argument(
@@ -420,27 +399,20 @@ def build_worker_parser() -> argparse.ArgumentParser:
         prog="ddt-explore worker",
         description=(
             "run one simulation worker for a distributed campaign: "
-            "connect to a socket coordinator (--connect) or a campaign "
-            "broker (--connect-broker), hydrate the simulation "
+            "connect to a campaign broker, hydrate the simulation "
             "environment (and traces, from a shared trace store when the "
-            "campaign uses one), then stream results back until shutdown"
+            "campaign uses one), then lease points and push results back "
+            "until every campaign it served has ended"
         ),
     )
     parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="coordinator address (what `campaign --transport socket` printed)",
-    )
-    parser.add_argument(
         "--connect-broker",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
         help=(
             "broker address (what `ddt-explore broker` or `campaign "
-            "--transport queue` printed); pull tasks instead of holding "
-            "a coordinator connection, so this worker may join, leave "
-            "and rejoin mid-campaign"
+            "--transport queue` printed); this worker pulls tasks, so it "
+            "may join, leave and rejoin mid-campaign"
         ),
     )
     parser.add_argument(
@@ -449,9 +421,9 @@ def build_worker_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "advertised capacity for broker campaigns: parallel "
-            "simulation slots on this worker (capacity > 1 runs a local "
-            "process pool; dispatch is weighted by it; default 1)"
+            "advertised capacity: parallel simulation slots on this "
+            "worker (capacity > 1 runs a local process pool; dispatch is "
+            "weighted by it; default 1)"
         ),
     )
     parser.add_argument(
@@ -460,8 +432,8 @@ def build_worker_parser() -> argparse.ArgumentParser:
         default=1.0,
         metavar="X",
         help=(
-            "advertised relative speed hint for broker campaigns "
-            "(default 1.0; informational, refined by measured throughput)"
+            "advertised relative speed hint (default 1.0; "
+            "informational, refined by measured throughput)"
         ),
     )
     parser.add_argument(
@@ -469,7 +441,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "stable worker identity for the coordinator's crash/quarantine "
+            "stable worker identity for the broker's crash/quarantine "
             "accounting (default: <hostname>-<pid>)"
         ),
     )
@@ -486,10 +458,9 @@ def build_worker_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "reconnect window for broker campaigns (--connect-broker): "
-            "ride out a broker outage up to this long by reconnecting "
-            "with backoff and re-registering, then exit 4 (default 60; "
-            "0 disables reconnecting)"
+            "reconnect window: ride out a broker outage up to this long "
+            "by reconnecting with backoff and re-registering, then exit "
+            "4 (default 60; 0 disables reconnecting)"
         ),
     )
     parser.add_argument(
@@ -499,8 +470,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "fault-injection harness: hard-exit (simulated crash, no "
-            "goodbye) after sending N results (--connect) or upon "
-            "leasing the N-th point (--connect-broker)"
+            "goodbye) upon leasing the N-th point"
         ),
     )
     parser.add_argument(
@@ -525,32 +495,18 @@ def worker_main(argv: Sequence[str] | None = None) -> int:
 
     Exit codes: ``0`` clean shutdown, ``3`` rejected/quarantined id,
     ``4`` (:data:`~repro.core.transport.WORKER_CONNECT_EXIT`) when the
-    coordinator/broker could never be reached (the last error is
-    printed to stderr even under ``--quiet``), ``70`` an injected
-    ``--fail-after`` crash.
+    broker could never be reached (the last error is printed to stderr
+    even under ``--quiet``), ``70`` an injected ``--fail-after`` crash.
     """
     from repro.core.broker import serve_queue_worker
-    from repro.core.transport import (
-        WORKER_CONNECT_EXIT,
-        TransportError,
-        serve_worker,
-    )
+    from repro.core.transport import WORKER_CONNECT_EXIT, TransportError
 
     parser = build_worker_parser()
     args = parser.parse_args(argv)
     if args.fail_after is not None and args.fail_after < 1:
         parser.error("--fail-after must be >= 1")
-    if (args.connect is None) == (args.connect_broker is None):
-        parser.error("exactly one of --connect/--connect-broker is required")
     if args.capacity < 1:
         parser.error("--capacity must be >= 1")
-    if args.connect is not None and (args.capacity != 1 or args.speed != 1.0):
-        parser.error(
-            "--capacity/--speed apply to broker campaigns "
-            "(--connect-broker) only"
-        )
-    if args.max_outage is not None and args.connect is not None:
-        parser.error("--max-outage applies to broker campaigns only")
     if args.max_outage is not None and args.max_outage < 0:
         parser.error("--max-outage must be >= 0")
 
@@ -560,28 +516,19 @@ def worker_main(argv: Sequence[str] | None = None) -> int:
             sys.stderr.flush()
 
     try:
-        if args.connect_broker is not None:
-            return serve_queue_worker(
-                args.connect_broker,
-                worker_id=args.id,
-                capacity=args.capacity,
-                speed=args.speed,
-                retry_s=args.retry,
-                max_outage_s=60.0 if args.max_outage is None else args.max_outage,
-                fail_after=args.fail_after,
-                local_cache=args.local_cache,
-                log=log,
-            )
-        return serve_worker(
-            args.connect,
+        return serve_queue_worker(
+            args.connect_broker,
             worker_id=args.id,
+            capacity=args.capacity,
+            speed=args.speed,
             retry_s=args.retry,
+            max_outage_s=60.0 if args.max_outage is None else args.max_outage,
             fail_after=args.fail_after,
             local_cache=args.local_cache,
             log=log,
         )
     except TransportError as exc:
-        # Never exit 0 on a failed campaign connection: print the last
+        # Never exit 0 on a failed broker connection: print the last
         # error (stderr, regardless of --quiet) and use a dedicated code
         # so supervisors and CI can tell "never connected" from "done".
         sys.stderr.write(f"ddt-explore worker: {exc}\n")
@@ -680,7 +627,9 @@ def _broker_status_main(address: str) -> int:
     from repro.core.transport import TransportError
 
     try:
-        client = BrokerClient(address, retry_s=5.0)
+        # One connection attempt: a dead address fails at once, and
+        # pollers (e.g. the CI smoke loops) retry on their own schedule.
+        client = BrokerClient(address, retry_s=0.0)
         try:
             reply = client.call("status")
         finally:
@@ -779,8 +728,6 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 0:
         parser.error("--workers must be >= 0")
-    if args.resume and not args.streaming:
-        parser.error("--resume requires the streaming schedule")
     if args.chunk_points is not None and args.chunk_points < 1:
         parser.error("--chunk-points must be >= 1")
     if args.resume and args.cache is None:
@@ -810,20 +757,7 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         parser.error("--priority applies to --transport queue only")
     if args.priority is not None and args.priority <= 0:
         parser.error("--priority must be > 0")
-    if args.transport == "socket":
-        from repro.core.transport import SocketTransport
-
-        if args.workers:
-            parser.error("--workers applies to the local transport only")
-        transport = SocketTransport(
-            args.bind, worker_timeout=args.worker_timeout
-        )
-        sys.stderr.write(
-            f"coordinator listening on {transport.address} -- connect workers "
-            f"with: ddt-explore worker --connect {transport.address}\n"
-        )
-        sys.stderr.flush()
-    elif args.transport == "queue":
+    if args.transport == "queue":
         from repro.core.broker import QueueTransport
 
         if args.workers:
@@ -870,7 +804,6 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         trace_store=args.trace_store,
         transport=transport,
         progress=progress,
-        streaming=args.streaming,
         resume=args.resume,
         chunk_points=args.chunk_points,
         worker_cache=args.worker_cache,
@@ -896,10 +829,8 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         mode = f"{args.workers} workers"
     else:
         mode = "serial"
-    schedule = "streaming" if args.streaming else "barrier"
     print(
-        f"\ncampaign: {len(refinements)} case studies in {elapsed:.1f}s "
-        f"({mode}, {schedule})"
+        f"\ncampaign: {len(refinements)} case studies in {elapsed:.1f}s ({mode})"
     )
     stats = result.stats
     print(
@@ -941,19 +872,18 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
                     ],
                 )
             )
-    if result.incremental is not None:
-        inc = result.incremental
+    inc = result.incremental
+    print(
+        f"incremental: {inc.reused} points reused, "
+        f"{inc.resimulated} resimulated, {inc.composed} composed"
+    )
+    if args.resume:
         print(
-            f"incremental: {inc.reused} points reused, "
-            f"{inc.resimulated} resimulated, {inc.composed} composed"
-        )
-        if args.resume:
-            print(
-                render_table(
-                    ["app", "status", "reused", "resimulated", "composed"],
-                    inc.rows(),
-                )
+            render_table(
+                ["app", "status", "reused", "resimulated", "composed"],
+                inc.rows(),
             )
+        )
     if result.trace_counters:
         t = result.trace_counters
         print(

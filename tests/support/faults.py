@@ -1,12 +1,9 @@
-"""Transport-agnostic fault-injection and parity toolkit.
+"""Fault-injection and parity toolkit for the queue transport.
 
-Extracted from PR 4's ``tests/test_transport.py`` so the same drills
-run against every distributed transport: the helpers are parameterized
-over a *mode* (``"socket"`` connects workers with ``--connect``,
-``"queue"`` with ``--connect-broker``) and over any
-:class:`~repro.core.transport.WorkerTransport` that exposes the shared
-observability surface (``crashes`` / ``requeues`` / ``workers_seen`` /
-``results_received`` / ``quarantined``).
+The helpers spawn ``ddt-explore worker --connect-broker`` subprocesses
+and brokers, inject crashes and broker restarts, and read the
+transport's observability surface (``crashes`` / ``requeues`` /
+``workers_seen`` / ``results_received`` / ``quarantined``).
 
 The contract every drill enforces is the determinism contract:
 distribution -- including injected crashes, requeues and quarantines --
@@ -32,9 +29,6 @@ CANDIDATES = ("AR", "SLL", "DLL(O)", "SLL(AR)")
 
 #: Two configurations per app (the first is each study's reference).
 NARROW = {study.name: list(study.configs[:2]) for study in CASE_STUDIES}
-
-#: `ddt-explore worker` connection flag per transport mode.
-CONNECT_FLAGS = {"socket": "--connect", "queue": "--connect-broker"}
 
 
 def content(log):
@@ -103,16 +97,15 @@ def spawn_broker(
 
 
 def spawn_worker(
-    address: str, worker_id: str, *extra: str, mode: str = "socket",
-    capacity: "int | None" = None,
+    address: str, worker_id: str, *extra: str, capacity: "int | None" = None,
 ) -> subprocess.Popen:
-    """Launch one `ddt-explore worker` subprocess against ``address``."""
+    """Launch one `ddt-explore worker` subprocess against the broker."""
     args = [
         sys.executable,
         "-m",
         "repro.tools.explore",
         "worker",
-        CONNECT_FLAGS[mode],
+        "--connect-broker",
         address,
         "--id",
         worker_id,
@@ -134,7 +127,7 @@ class FlakyWorker:
     Spawns a ``--fail-after N`` worker subprocess and, each time it
     hard-exits with the injected-crash code, respawns it under the same
     worker id -- until ``max_crashes`` crashes have happened or the
-    coordinator/broker starts rejecting the id (quarantine).
+    broker starts rejecting the id (quarantine).
 
     ``crashed`` is set on the first injected crash and ``rejected``
     when a respawn was turned away -- drills use them to sequence
@@ -142,12 +135,11 @@ class FlakyWorker:
     """
 
     def __init__(self, address: str, fail_after: int, max_crashes: int,
-                 worker_id: str = "flaky", mode: str = "socket") -> None:
+                 worker_id: str = "flaky") -> None:
         self.address = address
         self.fail_after = fail_after
         self.max_crashes = max_crashes
         self.worker_id = worker_id
-        self.mode = mode
         self.crashes = 0
         self.crashed = threading.Event()
         self.rejected = threading.Event()
@@ -156,8 +148,7 @@ class FlakyWorker:
 
     def _spawn(self) -> None:
         proc = spawn_worker(
-            self.address, self.worker_id, "--fail-after", str(self.fail_after),
-            mode=self.mode,
+            self.address, self.worker_id, "--fail-after", str(self.fail_after)
         )
         self.procs.append(proc)
         threading.Thread(target=self._watch, args=(proc,), daemon=True).start()
@@ -205,7 +196,7 @@ def run_serial_baseline():
 
 
 # ----------------------------------------------------------------------
-# the drills (run unchanged against any distributed transport)
+# the drills
 # ----------------------------------------------------------------------
 def _launch_after(event: threading.Event, launch, timeout: float = 60.0):
     """Start ``launch()`` on a watcher thread once ``event`` fires."""
@@ -216,39 +207,32 @@ def _launch_after(event: threading.Event, launch, timeout: float = 60.0):
     return thread
 
 
-def crash_requeue_drill(transport, serial_campaign, *, mode: str = "socket"):
+def crash_requeue_drill(transport):
     """One injected crash: unresolved points land on the survivor.
 
-    Socket mode spawns the survivor immediately (the flaky worker is
-    spawned first, so it is dispatched to before the pool drains, as in
-    PR 4).  Queue mode is pull-based, so the survivor only joins once
-    the flaky worker has provably crashed holding a lease -- making the
-    requeue deterministic instead of racing the drain.
+    Dispatch is pull-based, so the survivor only joins once the flaky
+    worker has provably crashed holding a lease -- making the requeue
+    deterministic instead of racing the drain.
 
     The sweep uses the full DDT library: only cover runs are dispatched
     (one per DDT in step 1), and the narrow library leaves too few of
-    them in flight for the crash to strand any.  ``serial_campaign`` is
-    unused here; the drill runs its own serial baseline of that sweep.
+    them in flight for the crash to strand any.  The drill runs its own
+    serial baseline of that sweep.
     """
     sweep = {"studies": ["url"], "configs": {"URL": NARROW["URL"]}}
     with CampaignScheduler(**sweep) as campaign:
         serial = campaign.run().refinements["URL"]
-    flaky = FlakyWorker(transport.address, fail_after=2, max_crashes=1, mode=mode)
+    flaky = FlakyWorker(transport.address, fail_after=2, max_crashes=1)
     steady_box: list[subprocess.Popen] = []
 
     def launch_steady():
-        steady_box.append(spawn_worker(transport.address, "steady", mode=mode))
+        steady_box.append(spawn_worker(transport.address, "steady"))
 
-    watcher = None
-    if mode == "socket":
-        launch_steady()
-    else:
-        watcher = _launch_after(flaky.crashed, launch_steady)
+    watcher = _launch_after(flaky.crashed, launch_steady)
     try:
         with CampaignScheduler(transport=transport, **sweep) as campaign:
             result = campaign.run()
-        if watcher is not None:
-            watcher.join(timeout=60)
+        watcher.join(timeout=60)
         assert steady_box and steady_box[0].wait(timeout=30) == 0
     finally:
         for steady in steady_box:
@@ -267,18 +251,16 @@ def crash_requeue_drill(transport, serial_campaign, *, mode: str = "socket"):
     return result
 
 
-def quarantine_drill(transport, serial_campaign, *, mode: str = "socket"):
+def quarantine_drill(transport):
     """Two crashes quarantine the id; the campaign still completes.
 
     Two apps' worth of points keep the queue busy across the flaky
-    worker's respawns.  Socket mode runs the survivor from the start
-    (crashing after every single point makes the second crash land well
-    before the drain, as in PR 4); queue mode admits the survivor once
-    the flaky id has been rejected, so the quarantine is deterministic.
+    worker's respawns; the survivor is admitted once the flaky id has
+    been rejected, so the quarantine is deterministic.
 
     Like :func:`crash_requeue_drill`, the sweep uses the full DDT library
     so enough cover runs stay queued across the respawns, and the drill
-    runs its own serial baseline of it (``serial_campaign`` is unused).
+    runs its own serial baseline of it.
     """
     sweep = {
         "studies": ["url", "drr"],
@@ -286,22 +268,17 @@ def quarantine_drill(transport, serial_campaign, *, mode: str = "socket"):
     }
     with CampaignScheduler(**sweep) as campaign:
         serial_campaign = campaign.run()
-    flaky = FlakyWorker(transport.address, fail_after=1, max_crashes=3, mode=mode)
+    flaky = FlakyWorker(transport.address, fail_after=1, max_crashes=3)
     steady_box: list[subprocess.Popen] = []
 
     def launch_steady():
-        steady_box.append(spawn_worker(transport.address, "steady", mode=mode))
+        steady_box.append(spawn_worker(transport.address, "steady"))
 
-    watcher = None
-    if mode == "socket":
-        launch_steady()
-    else:
-        watcher = _launch_after(flaky.rejected, launch_steady)
+    watcher = _launch_after(flaky.rejected, launch_steady)
     try:
         with CampaignScheduler(transport=transport, **sweep) as campaign:
             result = campaign.run()
-        if watcher is not None:
-            watcher.join(timeout=60)
+        watcher.join(timeout=60)
         assert steady_box and steady_box[0].wait(timeout=30) == 0
     finally:
         for steady in steady_box:
@@ -349,7 +326,7 @@ def warm_rejoin_drill(serial_campaign, *, store_dir, trace_store=None):
     # -- campaign 1: warm the store ------------------------------------
     transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
     worker = spawn_worker(
-        transport.address, "w1", "--local-cache", str(store_dir), mode="queue"
+        transport.address, "w1", "--local-cache", str(store_dir)
     )
     try:
         with CampaignScheduler(
@@ -376,7 +353,7 @@ def warm_rejoin_drill(serial_campaign, *, store_dir, trace_store=None):
     procs = [
         spawn_worker(
             transport.address, "w1", "--local-cache", str(store_dir),
-            "--fail-after", "4", mode="queue",
+            "--fail-after", "4",
         )
     ]
     crashed = threading.Event()
@@ -388,8 +365,7 @@ def warm_rejoin_drill(serial_campaign, *, store_dir, trace_store=None):
         crashed.set()
         procs.append(
             spawn_worker(
-                transport.address, "w1", "--local-cache", str(store_dir),
-                mode="queue",
+                transport.address, "w1", "--local-cache", str(store_dir)
             )
         )
 
@@ -456,8 +432,8 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
     brokers = [spawn_broker(address, journal=str(journal_dir))]
     transport = QueueTransport(address, worker_timeout=60, max_outage_s=60)
     workers = [
-        spawn_worker(address, "w1", mode="queue"),
-        spawn_worker(address, "w2", mode="queue"),
+        spawn_worker(address, "w1"),
+        spawn_worker(address, "w2"),
     ]
     mid_campaign = threading.Event()
     done_points = [0]
@@ -610,7 +586,7 @@ def concurrent_campaign_drill(serial_campaign, *, journal_dir,
     finally:
         gate.close()
 
-    workers = [spawn_worker(address, w, mode="queue") for w in ("w1", "w2")]
+    workers = [spawn_worker(address, w) for w in ("w1", "w2")]
 
     def choreography():
         if not mid_run.wait(240):

@@ -4,9 +4,7 @@ The broker decouples worker lifetime from the coordinator: workers pull
 tasks and push results through Redis-like queues, heartbeat with a TTL,
 and may join, leave and rejoin mid-campaign.  None of that may show in
 the results -- every drill gates on ``SimulationRecord.content_key()``
-parity with the serial baseline, and the crash/quarantine drills are
-the same toolkit drills the socket transport runs
-(``tests/support/faults.py``).
+parity with the serial baseline (drills in ``tests/support/faults.py``).
 """
 
 import json
@@ -38,7 +36,7 @@ from repro.core.broker import (
 from repro.core.campaign import FLEET_KEY, CampaignScheduler
 from repro.core.engine import EnvSpec
 from repro.core.simulate import SimulationEnvironment
-from repro.core.transport import TransportError, parse_address
+from repro.core.transport import ChunkTask, TransportError, parse_address
 
 
 @pytest.fixture()
@@ -243,6 +241,9 @@ class TestBrokerProtocol:
     def test_protocol_mismatch_rejected(self, client):
         hello = client.call("hello", proto=99, worker="future", meta={})
         assert not hello["ok"] and "protocol" in hello["error"]
+        # a version-1 worker is refused at hello, not mis-served
+        hello = client.call("hello", proto=1, worker="older", meta={})
+        assert not hello["ok"] and "protocol" in hello["error"]
 
     def test_unknown_op_rejected(self, client):
         reply = client.call("flush_everything")
@@ -278,7 +279,9 @@ class TestQueueTransportLifecycle:
         transport = QueueTransport()
         try:
             with pytest.raises(TransportError, match="not started"):
-                transport.submit(0, (UrlApp, "Whittemore", {}, {}))
+                transport.submit_chunk(
+                    0, ChunkTask.of([(0, (UrlApp, "Whittemore", {}, {}))])
+                )
         finally:
             transport.close()
 
@@ -287,19 +290,21 @@ class TestQueueTransportLifecycle:
         transport.close()
         transport.close()
         with pytest.raises(TransportError, match="closed"):
-            transport.submit(0, (UrlApp, "Whittemore", {}, {}))
+            transport.submit_chunk(
+                0, ChunkTask.of([(0, (UrlApp, "Whittemore", {}, {}))])
+            )
 
     def test_no_workers_times_out(self):
         transport = QueueTransport(worker_timeout=0.5)
         try:
             transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            transport.submit(
+            transport.submit_chunk(
                 0,
-                (UrlApp, "Whittemore", {},
-                 {"url_pattern": "AR", "connection": "SLL"}),
+                ChunkTask.of([(0, (UrlApp, "Whittemore", {},
+                                   {"url_pattern": "AR", "connection": "SLL"}))]),
             )
             with pytest.raises(TransportError, match="no workers"):
-                transport.next_result()
+                transport.next_results()
         finally:
             transport.close()
 
@@ -328,7 +333,7 @@ class TestQueueTransportLifecycle:
         try:
             transport.start(EnvSpec.from_env(SimulationEnvironment()))
             with pytest.raises(TransportError, match="no outstanding"):
-                transport.next_result()
+                transport.next_results()
         finally:
             transport.close()
 
@@ -382,7 +387,7 @@ class TestElasticFleet:
         nothing but throughput -- results match serial on content keys.
         """
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        early = spawn_worker(transport.address, "early", mode="queue")
+        early = spawn_worker(transport.address, "early")
         late_box = []
         mid_campaign = threading.Event()
         done_points = [0]
@@ -397,7 +402,7 @@ class TestElasticFleet:
             if not mid_campaign.wait(120):
                 return
             early.kill()  # leaves without a goodbye
-            late_box.append(spawn_worker(transport.address, "late", mode="queue"))
+            late_box.append(spawn_worker(transport.address, "late"))
 
         stagehand = threading.Thread(target=choreography, daemon=True)
         stagehand.start()
@@ -418,6 +423,10 @@ class TestElasticFleet:
                     proc.kill()
                     proc.wait(timeout=10)
         assert_matches(result, serial_campaign)
+        # workers hydrated traces from the shared store: the coordinator
+        # generated each needed trace exactly once
+        needed = {c.trace_name for configs in NARROW.values() for c in configs}
+        assert result.trace_counters["generations"] == len(needed)
         assert {"early", "late"} <= transport.workers_seen
         # the kill was noticed as exactly one crash, below quarantine
         assert transport.crashes.get("early") == 1
@@ -425,16 +434,16 @@ class TestElasticFleet:
 
 
 # ----------------------------------------------------------------------
-# fault injection through the shared drills (same as the socket runs)
+# fault injection through the shared drills
 # ----------------------------------------------------------------------
 class TestQueueFaultInjection:
-    def test_crashed_workers_points_are_requeued(self, serial_campaign):
+    def test_crashed_workers_points_are_requeued(self):
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        crash_requeue_drill(transport, serial_campaign, mode="queue")
+        crash_requeue_drill(transport)
 
-    def test_twice_crashing_worker_is_quarantined(self, serial_campaign):
+    def test_twice_crashing_worker_is_quarantined(self):
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        quarantine_drill(transport, serial_campaign, mode="queue")
+        quarantine_drill(transport)
 
 
 # ----------------------------------------------------------------------
@@ -537,8 +546,8 @@ class TestCapacityWeightedDispatch:
         cache_dir = tmp_path / "cache"
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         workers = [
-            spawn_worker(transport.address, "small", mode="queue", capacity=1),
-            spawn_worker(transport.address, "big", mode="queue", capacity=3),
+            spawn_worker(transport.address, "small", capacity=1),
+            spawn_worker(transport.address, "big", capacity=3),
         ]
         try:
             with CampaignScheduler(

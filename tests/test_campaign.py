@@ -314,10 +314,6 @@ class TestCampaignCli:
         with pytest.raises(SystemExit):
             explore.main(["campaign", "--workers", "-1"])
 
-    def test_resume_requires_streaming(self):
-        with pytest.raises(SystemExit):
-            explore.main(["campaign", "--resume", "--no-streaming"])
-
     def test_resume_run_reports_incremental(self, tmp_path, capsys):
         args = [
             "campaign",
@@ -339,26 +335,6 @@ class TestCampaignCli:
         assert "incremental: " in out
         assert "unchanged" in out
         assert "engine: 0 simulated, 0 composed" in out
-
-    def test_no_streaming_runs_barrier_schedule(self, tmp_path, capsys):
-        code = explore.main(
-            [
-                "campaign",
-                "--apps",
-                "drr",
-                "--candidates",
-                "AR",
-                "SLL",
-                "--no-streaming",
-                "--out",
-                str(tmp_path / "results"),
-                "--quiet",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "barrier" in out
-        assert "incremental:" not in out  # legacy schedule has no report
 
     def test_single_case_cli_still_works(self, capsys):
         assert explore.main(["url", "--profile-only"]) == 0

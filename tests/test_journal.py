@@ -16,12 +16,15 @@ The full mid-campaign kill -9 drill lives in ``tests/test_broker.py``
 
 import json
 import os
+import pickle
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -42,6 +45,16 @@ from repro.core.journal import (
 )
 
 
+def write_raw_records(directory, records):
+    """Append ``records`` to the log with the journal's CRC framing but
+    no version envelope -- what an older (or newer) build wrote."""
+    with open(directory / LOG_NAME, "ab") as handle:
+        for record in records:
+            blob = pickle.dumps(record)
+            crc = zlib.crc32(blob) & 0xFFFFFFFF
+            handle.write(struct.pack("<II", len(blob), crc) + blob)
+
+
 # ----------------------------------------------------------------------
 # journal file format
 # ----------------------------------------------------------------------
@@ -55,29 +68,42 @@ class TestJournalFormat:
         writer.close()
         reader = Journal(tmp_path)
         try:
-            assert reader.load() == (
-                None,
-                [(RECORD_VERSION, entry) for entry in entries],
-            )
+            assert reader.load() == (None, entries)
         finally:
             reader.close()
 
-    def test_bare_legacy_records_load_as_version_1(self, tmp_path):
-        """A pre-versioning log (bare entries) replays as version 1, and
-        mixes freely with enveloped records appended after an upgrade."""
+    @pytest.mark.parametrize(
+        "record, version",
+        [
+            (("put", "q", 1), 1),  # a bare entry from a version-1 log
+            ({"v": RECORD_VERSION + 1, "entry": ("put", "q", 1)}, RECORD_VERSION + 1),
+        ],
+        ids=["bare-v1", "newer"],
+    )
+    def test_record_of_another_version_is_refused(self, tmp_path, record, version):
+        """A record of another version is refused, not translated: the
+        load stops there with a warning naming the version, and the
+        tail is truncated like a damaged one."""
         writer = Journal(tmp_path)
         writer.load()
-        writer.append(("put", "q", 0), version=1)
-        writer.append(("put", "q", 1))
+        writer.append(("put", "q", 0))
         writer.close()
+        # a current record after the refused one is not replayed either
+        current = {"v": RECORD_VERSION, "entry": ("put", "q", 2)}
+        write_raw_records(tmp_path, [record, current])
         reader = Journal(tmp_path)
         try:
-            assert reader.load() == (
-                None,
-                [(1, ("put", "q", 0)), (RECORD_VERSION, ("put", "q", 1))],
-            )
+            with pytest.warns(JournalWarning, match=f"record version {version}"):
+                snapshot, entries = reader.load()
+            assert snapshot is None
+            assert entries == [("put", "q", 0)]
         finally:
             reader.close()
+        again = Journal(tmp_path)
+        try:
+            assert again.load() == (None, [("put", "q", 0)])  # tail is gone
+        finally:
+            again.close()
 
     @pytest.mark.parametrize(
         "damage",
@@ -111,16 +137,14 @@ class TestJournalFormat:
                 snapshot, entries = reader.load()
             expected = 2 if damage == "bad crc" else 3
             assert snapshot is None
-            assert entries == [
-                (RECORD_VERSION, ("put", "q", i)) for i in range(expected)
-            ]
+            assert entries == [("put", "q", i) for i in range(expected)]
             # the tail is physically gone: appends land after the prefix
             reader.append(("put", "q", 99))
             reader.close()
             again = Journal(tmp_path)
             _, replay = again.load()
             again.close()
-            assert replay[-1] == (RECORD_VERSION, ("put", "q", 99))
+            assert replay[-1] == ("put", "q", 99)
             assert replay[:-1] == entries
         finally:
             reader.close()
@@ -138,7 +162,7 @@ class TestJournalFormat:
             with pytest.warns(JournalWarning, match="snapshot"):
                 snapshot, entries = reader.load()
             assert snapshot is None
-            assert entries == [(RECORD_VERSION, ("set", "k", 2))]
+            assert entries == [("set", "k", 2)]
         finally:
             reader.close()
 
@@ -164,7 +188,7 @@ class TestJournalFormat:
         reader = Journal(tmp_path)
         try:
             snapshot, entries = reader.load()
-            state = list(snapshot["q"]) + [entry[2] for _, entry in entries]
+            state = list(snapshot["q"]) + [entry[2] for entry in entries]
             assert state == [0, 1, 2, 3, 4]
         finally:
             reader.close()
@@ -177,7 +201,7 @@ class TestJournalFormat:
         writer.append(("set", "k", 2))  # must not raise or write
         reader = Journal(tmp_path)
         try:
-            assert reader.load() == (None, [(RECORD_VERSION, ("set", "k", 1))])
+            assert reader.load() == (None, [("set", "k", 1)])
         finally:
             reader.close()
 
@@ -216,61 +240,57 @@ class TestBrokerReplay:
             finally:
                 client.close()
 
-    def test_v1_journal_replays_into_a_registered_campaign(self, tmp_path):
-        """A journal written by the pre-multi-tenant broker (bare
-        version-1 records, global ``reset``/quota/state entries) replays
-        into the namespaced model: the campaign is registered and
-        running, its quota refinements are scoped to it, and ``take_any``
-        serves its legacy task queue."""
-        writer = Journal(tmp_path)
-        writer.load()
-        campaign = {
-            "id": "c1",
-            "tasks": "tasks:c1",
-            "results": "results:c1",
-            "spec": None,
-        }
-        writer.append(("reset", campaign, {"w": 4}), version=1)
-        for i in range(2):
-            writer.append(("put", "tasks:c1", {"token": i}), version=1)
-        writer.append(("set", "quota:w", 6), version=1)
-        writer.close()
-        with EmbeddedBroker(journal=tmp_path) as broker:
+    def test_v1_journal_is_refused_not_translated(self, tmp_path):
+        """A journal written by the pre-multi-tenant broker -- bare
+        version-1 records, or a snapshot without a campaign registry --
+        is refused with a warning naming the version: the successor
+        registers no campaign, serves none of its tasks and applies none
+        of its global quota refinements."""
+        campaign = {"id": "c1", "tasks": "tasks:c1", "results": "results:c1"}
+        write_raw_records(
+            tmp_path,
+            [
+                ("reset", campaign, {"w": 4}),
+                ("put", "tasks:c1", {"token": 0}),
+                ("set", "quota:w", 6),
+            ],
+        )
+        with pytest.warns(JournalWarning, match="record version 1"):
+            broker = EmbeddedBroker(journal=tmp_path)
+        with broker:
             client = BrokerClient(broker.address)
             try:
                 reply = client.call("campaigns")
-                assert reply["running"] == 1
-                assert reply["campaigns"]["c1"]["state"] == "running"
+                assert reply["campaigns"] == {} and reply["running"] == 0
                 hello = client.call(
                     "hello", proto=BROKER_PROTOCOL, worker="w", meta={}
                 )
-                # the *later* global refinement won, scoped to c1 now
-                assert hello["quota"] == 6
-                tokens = []
-                for _ in range(2):
-                    take = client.call("take_any", worker="w", timeout=0.1)
-                    assert take["ok"] and take["campaign"] == "c1"
-                    tokens.append(take["item"]["token"])
-                assert tokens == [0, 1]
+                assert hello["quota"] is None
+                take = client.call("take_any", worker="w", timeout=0.05)
+                assert take["ok"] and take["item"] is None
+                assert client.call("take", queue="tasks:c1")["item"] is None
             finally:
                 client.close()
 
-    def test_v1_done_state_concludes_replayed_campaigns(self, tmp_path):
-        """The old coordinator signalled the end of a campaign with a
-        global ``state=done`` KV write; on replay that concludes every
-        campaign the journal had announced."""
-        writer = Journal(tmp_path)
-        writer.load()
-        campaign = {"id": "c1", "tasks": "tasks:c1", "results": "results:c1"}
-        writer.append(("reset", campaign, {}), version=1)
-        writer.append(("set", "state", "done"), version=1)
-        writer.close()
-        with EmbeddedBroker(journal=tmp_path) as broker:
+        # a version-1 snapshot: the single campaign lived in the KV table
+        for name in (SNAPSHOT_NAME, LOG_NAME):
+            (tmp_path / name).unlink()
+        (tmp_path / SNAPSHOT_NAME).write_bytes(
+            pickle.dumps(
+                {
+                    "queues": {"tasks:c1": [{"token": 0}]},
+                    "kv": {"campaign": campaign, "state": "running"},
+                }
+            )
+        )
+        with pytest.warns(JournalWarning, match="record version 1"):
+            broker = EmbeddedBroker(journal=tmp_path)
+        with broker:
             client = BrokerClient(broker.address)
             try:
-                reply = client.call("campaigns")
-                assert reply["running"] == 0
-                assert reply["campaigns"]["c1"]["state"] == "done"
+                assert client.call("campaigns")["campaigns"] == {}
+                assert client.call("take", queue="tasks:c1")["item"] is None
+                assert client.call("get", key="campaign")["value"] is None
             finally:
                 client.close()
 
@@ -438,7 +458,8 @@ class TestBrokerReplay:
         try:
             client = BrokerClient(broker.address)
             try:
-                client.call("set", key="campaign", value={"id": "done"})
+                assert client.call("announce", campaign={"id": "done"})["ok"]
+                assert "done" in client.call("campaigns")["campaigns"]
             finally:
                 client.close()
             broker.drop_announcement()
@@ -447,7 +468,7 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
-                assert client.call("get", key="campaign")["value"] is None
+                assert client.call("campaigns")["campaigns"] == {}
             finally:
                 client.close()
 
@@ -582,7 +603,7 @@ class TestStandaloneBrokerProcess:
                     time.sleep(0.05)
             client = BrokerClient(address)
             try:
-                client.call("set", key="campaign", value={"id": "c"})
+                assert client.call("announce", campaign={"id": "c"})["ok"]
             finally:
                 client.close()
             proc.send_signal(signum)
@@ -599,7 +620,7 @@ class TestStandaloneBrokerProcess:
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
-                assert client.call("get", key="campaign")["value"] is None
+                assert client.call("campaigns")["campaigns"] == {}
             finally:
                 client.close()
 

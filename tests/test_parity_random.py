@@ -2,11 +2,11 @@
 
 The determinism contract says a simulation record is a pure function of
 ``(application, config, assignment)`` -- scheduling (serial, local
-pool, socket coordinator, queue broker) must be invisible in the
-results.  Rather than hand-pick one sweep per transport, this test
-draws a random app/config/candidate subset and worker count from a
-seeded RNG and runs the *same* campaign through all four execution
-modes, asserting ``content_key()`` equality throughout.  Seeds are
+pool, queue broker) must be invisible in the results.  Rather than
+hand-pick one sweep per transport, this test draws a random
+app/config/candidate subset and worker count from a seeded RNG and runs
+the *same* campaign through all three execution modes, asserting
+``content_key()`` equality throughout.  Seeds are
 fixed, so failures reproduce exactly.
 """
 
@@ -19,7 +19,6 @@ from support.faults import assert_matches, spawn_worker
 from repro.core.broker import QueueTransport
 from repro.core.campaign import CampaignScheduler
 from repro.core.casestudies import CASE_STUDIES
-from repro.core.transport import SocketTransport
 
 #: Subset of the DDT library the RNG samples from (kept small so the
 #: randomized sweeps stay fast; all names exist in the registry).
@@ -57,27 +56,11 @@ def test_randomized_transport_parity(seed, tmp_path):
     pooled = run_campaign(workers=workers)
     assert_matches(pooled, serial)
 
-    socket_transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-    socket_workers = [
-        spawn_worker(socket_transport.address, f"rand-s{i}")
-        for i in range(workers)
-    ]
-    try:
-        socketed = run_campaign(transport=socket_transport)
-        assert [p.wait(timeout=30) for p in socket_workers] == [0] * workers
-    finally:
-        for proc in socket_workers:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
-    assert_matches(socketed, serial)
-
     queue_transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
     queue_workers = [
         spawn_worker(
             queue_transport.address,
             f"rand-q{i}",
-            mode="queue",
             capacity=capacity,
         )
         for i, capacity in enumerate(capacities)
@@ -119,29 +102,11 @@ def test_randomized_chunk_size_parity(seed, tmp_path):
         pooled = run_campaign(workers=workers, chunk_points=chunk_points)
         assert_matches(pooled, serial)
 
-        socket_transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-        socket_workers = [
-            spawn_worker(socket_transport.address, f"chunk-s{i}")
-            for i in range(workers)
-        ]
-        try:
-            socketed = run_campaign(
-                transport=socket_transport, chunk_points=chunk_points
-            )
-            assert [p.wait(timeout=30) for p in socket_workers] == [0] * workers
-        finally:
-            for proc in socket_workers:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=10)
-        assert_matches(socketed, serial)
-
         queue_transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         queue_workers = [
             spawn_worker(
                 queue_transport.address,
                 f"chunk-q{i}",
-                mode="queue",
                 capacity=capacity,
             )
             for i, capacity in enumerate(capacities)

@@ -1,9 +1,8 @@
 """Tests of the task-graph scheduler: primitives, parity, resume.
 
-The streaming pipeline must change *scheduling only*: per application,
-a streaming campaign (serial or 2-worker) produces records bit-identical
-to the legacy barrier schedule and to standalone serial
-:class:`DDTRefinement` runs.  On top, the campaign manifest must make
+The task graph must change *scheduling only*: per application, a
+campaign (serial or 2-worker) produces records bit-identical to
+standalone serial :class:`DDTRefinement` runs.  On top, the campaign manifest must make
 re-runs incremental -- editing one trace profile or one app's grid may
 resimulate only the affected delta.
 """
@@ -188,21 +187,6 @@ class TestStreamingParity:
             result = campaign.run()
         assert_matches_serial(result, serial_results)
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_streaming_matches_barrier(self, serial_results, workers, tmp_path):
-        with CampaignScheduler(
-            candidates=CANDIDATES,
-            configs=NARROW,
-            workers=workers,
-            streaming=False,
-            trace_store=tmp_path / "barrier-traces",
-        ) as campaign:
-            barrier = campaign.run()
-        assert barrier.incremental is None  # barrier keeps the legacy report
-        assert_matches_serial(barrier, serial_results)
-        for name, serial in serial_results.items():
-            assert barrier.refinements[name].summary_row() == serial.summary_row()
-
 
 # ----------------------------------------------------------------------
 # incremental campaigns: manifest + resume
@@ -356,10 +340,6 @@ class TestIncrementalResume:
         assert rows["URL"][2] == cold.stats.points  # hits preserved
         assert rows["URL"][3] > 0  # the delta really ran on the pool
         assert partial.stats.simulations == rows["URL"][3]
-
-    def test_resume_rejected_without_streaming(self):
-        with pytest.raises(ValueError, match="streaming"):
-            CampaignScheduler(studies=["drr"], streaming=False, resume=True)
 
     def test_resume_without_manifest_reports_new(self, tmp_path):
         with CampaignScheduler(

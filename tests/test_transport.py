@@ -1,34 +1,28 @@
-"""Tests of the pluggable worker transports and the fault harness.
+"""Tests of the transport layer: wire frames, the local pool, the chunk
+contract, worker-local record stores and the worker CLI.
 
-Distribution must be a pure scheduling layer: a socket-transport
-campaign (in-process TCP coordinator + worker subprocesses) produces
-records equal on ``SimulationRecord.content_key()`` to serial and
-local-pool runs -- including under injected worker crashes, which only
-exercise the coordinator's resubmission and quarantine machinery, never
-the results.
-
-The fault-injection helpers and drills live in
-``tests/support/faults.py`` (shared with ``tests/test_broker.py``);
-this module runs the PR 4 socket drills through that toolkit unchanged.
+Distribution must be a pure scheduling layer: a campaign run through a
+transport produces records equal on ``SimulationRecord.content_key()``
+to a serial run.  The queue transport's own protocol, lifecycle and
+fault drills live in ``tests/test_broker.py``; the fault-injection
+helpers in ``tests/support/faults.py``.
 """
 
 import socket
 import subprocess
-import time
 
 import pytest
 
 from support.faults import (
     CANDIDATES,
     NARROW,
-    assert_matches,
-    crash_requeue_drill,
-    quarantine_drill,
+    assert_app_matches,
     spawn_worker,
     worker_env,
 )
 
 from repro.apps import UrlApp
+from repro.core.broker import EmbeddedBroker, QueueTransport
 from repro.core.campaign import CampaignScheduler
 from repro.core.engine import EnvSpec
 from repro.core.simulate import SimulationEnvironment, run_simulation
@@ -37,11 +31,7 @@ from repro.core.transport import (
     WORKER_REJECTED_EXIT,
     ChunkTask,
     LocalPoolTransport,
-    PointwiseAdapter,
-    SocketTransport,
     TransportError,
-    WorkerTransport,
-    ensure_chunked,
     parse_address,
     recv_frame,
     send_frame,
@@ -101,8 +91,8 @@ class TestLocalPoolTransport:
         transport = LocalPoolTransport(workers=1)
         try:
             transport.start(EnvSpec.from_env(env))
-            transport.submit("tok", task)
-            token, record = transport.next_result()
+            transport.submit_chunk("c0", ChunkTask.of([("tok", task)]))
+            [(token, record)] = transport.next_results()
         finally:
             transport.close()
         direct = run_simulation(UrlApp, SMALL, task[3], env)
@@ -116,12 +106,14 @@ class TestLocalPoolTransport:
     def test_submit_before_start_rejected(self):
         transport = LocalPoolTransport(workers=1)
         with pytest.raises(TransportError, match="not started"):
-            transport.submit(0, (UrlApp, "Whittemore", {}, {}))
+            transport.submit_chunk(
+                0, ChunkTask.of([(0, (UrlApp, "Whittemore", {}, {}))])
+            )
 
     def test_next_result_without_work_rejected(self):
         transport = LocalPoolTransport(workers=1)
         with pytest.raises(TransportError, match="no outstanding"):
-            transport.next_result()
+            transport.next_results()
 
     def test_base_fleet_surface_is_inert(self):
         """The default transport tracks no fleet: stats empty, seed no-op."""
@@ -129,64 +121,6 @@ class TestLocalPoolTransport:
         assert transport.worker_stats() == {}
         transport.seed_fleet({"w": {"quota": 3}})  # must not raise
         assert transport.worker_stats() == {}
-
-
-class TestSocketTransportLifecycle:
-    def test_address_is_concrete_before_start(self):
-        transport = SocketTransport(("127.0.0.1", 0))
-        host, port = parse_address(transport.address)
-        assert host == "127.0.0.1" and port > 0
-        transport.close()
-
-    def test_close_idempotent_and_submit_after_close_rejected(self):
-        transport = SocketTransport(("127.0.0.1", 0))
-        transport.close()
-        transport.close()
-        with pytest.raises(TransportError, match="closed"):
-            transport.submit(0, (UrlApp, "Whittemore", {}, {}))
-
-    def test_no_workers_times_out(self):
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=0.5)
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            transport.submit(
-                0,
-                (UrlApp, "Whittemore", {},
-                 {"url_pattern": "AR", "connection": "SLL"}),
-            )
-            with pytest.raises(TransportError, match="no workers"):
-                transport.next_result()
-        finally:
-            transport.close()
-
-    def test_starvation_clock_arms_on_observation_not_wall_clock(self):
-        """Regression: wall time that passes while starvation is not
-        being *observed* (the coordinator was busy elsewhere -- e.g.
-        riding out a broker outage in take backoff) must not count
-        toward ``worker_timeout``.  The first starved observation arms
-        the clock; only ``worker_timeout`` of continuous starvation
-        after that fires."""
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=0.3)
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            transport.submit(
-                0,
-                (UrlApp, "Whittemore", {},
-                 {"url_pattern": "AR", "connection": "SLL"}),
-            )
-            time.sleep(0.5)  # > worker_timeout, but never observed
-            transport._check_starvation()  # first observation only arms
-            time.sleep(0.4)  # continuously starved past the timeout
-            with pytest.raises(TransportError, match="no workers"):
-                transport._check_starvation()
-        finally:
-            transport.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="quarantine_after"):
-            SocketTransport(("127.0.0.1", 0), quarantine_after=0)
-        with pytest.raises(ValueError, match="max_inflight"):
-            SocketTransport(("127.0.0.1", 0), max_inflight=0)
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +135,7 @@ class TestChunkContract:
         chunk = ChunkTask.of([(1, URL_TASK), (2, URL_TASK)])
         assert len(chunk) == 2
         assert chunk.tokens == (1, 2)
-        assert ChunkTask.single(7, URL_TASK).tokens == (7,)
+        assert ChunkTask.of([(7, URL_TASK)]).tokens == (7,)
         with pytest.raises(ValueError, match="at least one point"):
             ChunkTask(())
 
@@ -224,191 +158,6 @@ class TestChunkContract:
             for _token, record in batch
         )
 
-    def test_pointwise_adapter_peels_chunks(self):
-        """A per-point-only transport runs under the chunked contract."""
-
-        class Legacy(WorkerTransport):
-            def __init__(self):
-                super().__init__()
-                self.submitted = []
-                self.queue = []
-
-            def start(self, spec):
-                self.spec = spec
-
-            def submit(self, token, task):
-                self.submitted.append(token)
-                self.queue.append((token, f"record-{token}"))
-
-            def next_result(self):
-                return self.queue.pop(0)
-
-            def close(self):
-                self.closed = True
-
-        legacy = Legacy()
-        wrapped = ensure_chunked(legacy)
-        assert isinstance(wrapped, PointwiseAdapter)
-        wrapped.submit_chunk("c0", ChunkTask.of([(1, URL_TASK), (2, URL_TASK)]))
-        assert legacy.submitted == [1, 2]
-        assert wrapped.next_results() == [(1, "record-1")]
-        assert wrapped.next_result() == (2, "record-2")
-        # observability falls through to the wrapped transport
-        legacy.quarantined.append("banned")
-        assert wrapped.quarantined == ["banned"]
-        wrapped.close()
-        assert legacy.closed
-        # chunk-native transports pass through unwrapped
-        native = LocalPoolTransport(workers=1)
-        assert ensure_chunked(native) is native
-
-    def test_pointwise_adapter_campaign_matches_serial(self, serial_campaign):
-        """The task graph auto-wraps a legacy transport; parity holds."""
-
-        class PerPointOnly(WorkerTransport):
-            """Chunk-oblivious facade over the local pool."""
-
-            def __init__(self, inner):
-                super().__init__()
-                self.inner = inner
-
-            def start(self, spec):
-                self.inner.start(spec)
-
-            def submit(self, token, task):
-                self.inner.submit(token, task)
-
-            def next_result(self):
-                return self.inner.next_result()
-
-            def close(self):
-                self.inner.close()
-
-        with CampaignScheduler(
-            studies=["url"],
-            candidates=CANDIDATES,
-            configs={"URL": NARROW["URL"]},
-            transport=PerPointOnly(LocalPoolTransport(workers=2)),
-        ) as campaign:
-            result = campaign.run()
-        from support.faults import assert_app_matches
-
-        assert_app_matches(
-            result.refinements["URL"], serial_campaign.refinements["URL"]
-        )
-
-
-class TestNegotiation:
-    """Protocol-version and capability negotiation on the socket."""
-
-    def _handshake(self, transport, proto, caps=None):
-        host, port = parse_address(transport.address)
-        sock = socket.create_connection((host, port), timeout=10)
-        hello = {"type": "hello", "proto": proto, "worker": f"v{proto}-client"}
-        if caps is not None:
-            hello["caps"] = caps
-        send_frame(sock, hello)
-        return sock
-
-    def test_unsupported_protocol_is_hung_up_on(self):
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=30)
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            sock = self._handshake(transport, proto=99)
-            try:
-                assert recv_frame(sock) is None  # no init: connection closed
-            finally:
-                sock.close()
-        finally:
-            transport.close()
-
-    def test_legacy_v1_worker_gets_per_point_frames(self):
-        """A chunk is peeled into `task` frames for a version-1 hello."""
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=30)
-        env = SimulationEnvironment()
-        try:
-            transport.start(EnvSpec.from_env(env))
-            sock = self._handshake(transport, proto=1)  # no caps field
-            try:
-                init = recv_frame(sock)
-                assert init["type"] == "init"
-                assert init["proto"] == 2 and "chunks" in init["caps"]
-                worker_env_ = init["spec"].build()
-
-                transport.submit_chunk(
-                    "c0", ChunkTask.of([(i, URL_TASK) for i in range(3)])
-                )
-                served = 0
-                while served < 3:
-                    frame = recv_frame(sock)
-                    assert frame["type"] == "task"  # never "chunk"
-                    config = NetworkConfig(frame["trace"], frame["params"])
-                    record = run_simulation(
-                        frame["app"], config, frame["assignment"], worker_env_
-                    )
-                    send_frame(
-                        sock,
-                        {"type": "result", "token": frame["token"],
-                         "record": record},
-                    )
-                    served += 1
-                tokens = []
-                while len(tokens) < 3:
-                    tokens.extend(t for t, _ in transport.next_results())
-                assert sorted(tokens) == [0, 1, 2]
-                assert transport.results_received == 3
-            finally:
-                sock.close()
-        finally:
-            transport.close()
-
-
-# ----------------------------------------------------------------------
-# the parity suite (the acceptance matrix)
-# ----------------------------------------------------------------------
-class TestSocketParity:
-    def test_all_four_apps_match_serial_and_local_pool(
-        self, serial_campaign, tmp_path
-    ):
-        """Socket == local pool == serial on content keys, all 4 apps."""
-        with CampaignScheduler(
-            candidates=CANDIDATES,
-            configs=NARROW,
-            workers=2,
-            trace_store=tmp_path / "pool-traces",
-        ) as campaign:
-            pooled = campaign.run()
-        assert_matches(pooled, serial_campaign)
-
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-        workers = [
-            spawn_worker(transport.address, f"parity-{i}") for i in range(2)
-        ]
-        try:
-            with CampaignScheduler(
-                candidates=CANDIDATES,
-                configs=NARROW,
-                trace_store=tmp_path / "socket-traces",
-                transport=transport,
-            ) as campaign:
-                distributed = campaign.run()
-            # closing the scheduler shut the coordinator down; workers
-            # received the shutdown frame and exited cleanly
-            assert [proc.wait(timeout=30) for proc in workers] == [0, 0]
-        finally:
-            for proc in workers:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=10)
-        assert_matches(distributed, serial_campaign)
-        assert distributed.quarantined == []
-        assert transport.results_received == distributed.stats.simulations
-        assert transport.workers_seen == {"parity-0", "parity-1"}
-        # workers hydrated traces from the shared store: the coordinator
-        # pre-generated each app's traces exactly once
-        needed = {c.trace_name for configs in NARROW.values() for c in configs}
-        assert distributed.trace_counters["generations"] == len(needed)
-
 
 # ----------------------------------------------------------------------
 # two-tier result cache: worker-local record stores (tier one)
@@ -422,15 +171,13 @@ class TestWorkerLocalStore:
         Campaign 1 announces the store directory through the campaign's
         ``worker_cache`` (the :class:`EnvSpec` plumbing -- the worker is
         spawned *without* ``--local-cache`` and adopts it); everything
-        is simulated and persisted.  Campaign 2 runs a fresh
+        is simulated and persisted.  Campaign 2 runs a fresh broker and
         coordinator with no coordinator cache against the same store,
         this time via the explicit ``--local-cache`` flag: the worker
         answers every point from disk, so the engine reports zero
         simulations and all points as worker-tier hits, with results
         still equal to the serial baseline on ``content_key()``.
         """
-        from support.faults import assert_app_matches
-
         store = tmp_path / "store"
         kwargs = {
             "studies": ["url"],
@@ -438,7 +185,7 @@ class TestWorkerLocalStore:
             "configs": {"URL": NARROW["URL"]},
         }
 
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
+        transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         worker = spawn_worker(transport.address, "warm")
         try:
             with CampaignScheduler(
@@ -456,7 +203,7 @@ class TestWorkerLocalStore:
             cold.refinements["URL"], serial_campaign.refinements["URL"]
         )
 
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
+        transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         worker = spawn_worker(
             transport.address, "warm", "--local-cache", str(store)
         )
@@ -481,43 +228,27 @@ class TestWorkerLocalStore:
 
 
 # ----------------------------------------------------------------------
-# fault injection: crashes, resubmission, quarantine (shared drills)
+# fault injection (the crash and quarantine drills: tests/test_broker.py)
 # ----------------------------------------------------------------------
 class TestFaultInjection:
-    def test_crashed_workers_points_are_resubmitted(self, serial_campaign):
-        """One injected crash: unresolved points land on the survivor."""
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-        crash_requeue_drill(transport, serial_campaign, mode="socket")
-
-    def test_twice_crashing_worker_is_quarantined(self, serial_campaign):
-        """Two crashes quarantine the id; the campaign still completes."""
-        transport = SocketTransport(
-            ("127.0.0.1", 0), worker_timeout=60, quarantine_after=2
-        )
-        quarantine_drill(transport, serial_campaign, mode="socket")
-
     def test_quarantined_id_is_rejected_on_reconnect(self):
         """A hello from a quarantined id is turned away at the door."""
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-        transport.quarantined.append("banned")
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            proc = spawn_worker(transport.address, "banned")
+        with EmbeddedBroker() as broker:
+            broker._quarantined.append("banned")
+            proc = spawn_worker(broker.address, "banned")
             assert proc.wait(timeout=30) == WORKER_REJECTED_EXIT
-        finally:
-            transport.close()
 
 
 # ----------------------------------------------------------------------
 # CLI plumbing
 # ----------------------------------------------------------------------
 class TestTransportCli:
-    def test_campaign_rejects_workers_with_socket(self):
+    def test_campaign_rejects_workers_with_queue(self):
         from repro.tools import explore
 
         with pytest.raises(SystemExit):
             explore.main(
-                ["campaign", "--transport", "socket", "--workers", "2"]
+                ["campaign", "--transport", "queue", "--workers", "2"]
             )
 
     def test_campaign_rejects_unknown_traces(self):
@@ -529,19 +260,15 @@ class TestTransportCli:
     def test_worker_requires_exactly_one_connection(self):
         from repro.tools import explore
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit):  # --connect-broker is required
             explore.main(["worker"])
-        with pytest.raises(SystemExit):
-            explore.main(
-                ["worker", "--connect", "h:1", "--connect-broker", "h:2"]
-            )
 
     def test_worker_rejects_bad_fail_after(self):
         from repro.tools import explore
 
         with pytest.raises(SystemExit):
             explore.main(
-                ["worker", "--connect", "127.0.0.1:1", "--fail-after", "0"]
+                ["worker", "--connect-broker", "127.0.0.1:1", "--fail-after", "0"]
             )
 
     def test_worker_gives_up_with_nonzero_exit_and_last_error(self, capsys):
@@ -556,7 +283,7 @@ class TestTransportCli:
         code = explore.main(
             [
                 "worker",
-                "--connect",
+                "--connect-broker",
                 f"127.0.0.1:{free_port}",
                 "--retry",
                 "0.2",
@@ -579,7 +306,7 @@ class TestTransportCli:
                 "-m",
                 "repro.tools.explore",
                 "worker",
-                "--connect",
+                "--connect-broker",
                 f"127.0.0.1:{free_port}",
                 "--retry",
                 "0.2",
