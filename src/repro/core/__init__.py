@@ -42,7 +42,6 @@ from repro.core.engine import (
     EngineStats,
     EnvSpec,
     ExplorationEngine,
-    ShardedSimulationCache,
     SimulationCache,
     model_fingerprint,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "RefinementResult",
     "RegretEntry",
     "SelectionPolicy",
-    "ShardedSimulationCache",
     "SimulationCache",
     "SimulationEnvironment",
     "SimulationRecord",

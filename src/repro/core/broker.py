@@ -22,7 +22,7 @@ semantics over the length-prefixed pickle frames of
   coordinator noticing anything beyond throughput.
 * :func:`serve_queue_worker` -- the worker loop behind ``ddt-explore
   worker --connect-broker``.  Each worker advertises a **capacity** in
-  its hello (parallel simulation slots, cores, relative speed); it
+  its hello (parallel simulation slots and cores); it
   keeps up to ``quota`` tasks leased, where the quota starts at the
   advertised capacity and is **refined by the coordinator from measured
   per-worker throughput** (written back through the broker's key-value
@@ -1583,9 +1583,6 @@ class QueueTransport(WorkerTransport):
                     continue  # stale or redelivered frame: ack it, skip it
                 self._outstanding.discard(token)
                 self.results_received += 1
-                if (payload.get("meta") or {}).get("cached"):
-                    self.worker_cache_hits += 1
-                    self.cached_tokens.add(token)
                 self._account(item, payload)
                 batch.append((token, payload["record"]))
             if batch:
@@ -1653,14 +1650,12 @@ class QueueTransport(WorkerTransport):
     def worker_stats(self) -> dict[str, dict[str, Any]]:
         """Measured per-worker dispatch records of this campaign.
 
-        ``{worker: {capacity, speed, points, busy_s, throughput,
-        quota, cached}}`` -- what the campaign writes into the
-        manifest's ``node_costs["__fleet__"]`` and what makes
-        capacity-weighted dispatch observable after the fact.
-        ``points``/``busy_s``/``throughput`` cover **simulated** points
-        only; ``cached`` counts the points the worker answered from its
-        local record store (excluded from throughput so replayed wall
-        times never skew quota refinement).
+        ``{worker: {capacity, points, busy_s, throughput, quota}}`` --
+        what the campaign writes into the manifest's
+        ``node_costs["__fleet__"]`` and what makes capacity-weighted
+        dispatch observable after the fact.  ``points`` counts the cover
+        runs the worker simulated and ``busy_s`` the wall time it
+        measured on them.
         """
         stats: dict[str, dict[str, Any]] = {}
         for worker_id, point in self._point_stats.items():
@@ -1669,12 +1664,10 @@ class QueueTransport(WorkerTransport):
             span = max(point["last"] - point["first"], point["busy_s"], 1e-9)
             stats[worker_id] = {
                 "capacity": capacity,
-                "speed": float(meta.get("speed") or 1.0),
                 "points": int(point["points"]),
                 "busy_s": round(point["busy_s"], 6),
                 "throughput": round(point["points"] / span, 6),
                 "quota": self._quotas.get(worker_id, capacity),
-                "cached": int(point.get("cached", 0)),
             }
         return stats
 
@@ -1747,16 +1740,8 @@ class QueueTransport(WorkerTransport):
         now = time.monotonic()
         point = self._point_stats.setdefault(
             str(worker_id),
-            {"points": 0.0, "busy_s": 0.0, "cached": 0.0, "first": now, "last": now},
+            {"points": 0.0, "busy_s": 0.0, "first": now, "last": now},
         )
-        if meta.get("cached"):
-            # Answered from the worker's local record store: count it
-            # as a tier-one hit, but keep it out of the points/busy_s
-            # throughput measurement -- replayed (or zero) wall times
-            # must not skew quota refinement.
-            point["cached"] += 1
-            point["last"] = now
-            return
         point["points"] += 1
         point["busy_s"] += float(meta.get("wall") or 0.0)
         point["last"] = now
@@ -1826,24 +1811,21 @@ def serve_queue_worker(
     worker_id: str | None = None,
     *,
     capacity: int = 1,
-    speed: float = 1.0,
     retry_s: float = 30.0,
     max_outage_s: float = 60.0,
     fail_after: int | None = None,
-    local_cache: "str | os.PathLike[str] | None" = None,
     log: Callable[[str], None] | None = None,
 ) -> int:
     """Run one queue worker until every observed campaign ends.
 
     Connects to the broker (retrying up to ``retry_s`` seconds, so
     workers may be launched before the broker or any campaign), says
-    hello advertising its **capacity** (parallel simulation slots),
-    relative ``speed`` hint and core count, and waits for at least one
-    campaign announcement.  The worker subscribes to the **broker**,
-    not to a campaign: every lease comes from the ``take_any`` op,
-    which arbitrates between all running campaigns with
-    priority-weighted deficit round-robin, and each reply names the
-    campaign the chunk belongs to.  Per campaign, the worker lazily
+    hello advertising its **capacity** (parallel simulation slots) and
+    core count, and waits for at least one campaign announcement.  The
+    worker subscribes to the **broker**, not to a campaign: every lease
+    comes from the ``take_any`` op, which arbitrates between all running
+    campaigns with priority-weighted deficit round-robin, and each reply
+    names the campaign the chunk belongs to.  Per campaign, the worker lazily
     hydrates a :class:`~repro.core.simulate.SimulationEnvironment` from
     the announced :class:`~repro.core.engine.EnvSpec` and pushes
     results into that campaign's own result queue, so serving two
@@ -1861,17 +1843,11 @@ def serve_queue_worker(
     :func:`~repro.core.engine._run_campaign_point`), so interleaved
     chunks from different campaigns still reuse hydrated traces.
 
-    ``local_cache`` (or the campaign spec's announced default) opens a
-    persistent :class:`~repro.core.engine.WorkerRecordStore` there --
-    tier one of the two-tier result cache.  Every leased point is first
-    looked up in the store; hits are pushed immediately through the
-    **same** ``push_result`` op as simulated points (their payload meta
-    marked ``cached``), so lease stripping, journal replay and the
-    broker's duplicate-token rejection are untouched -- only the
-    simulation is skipped.  Freshly simulated records are stored before
-    the loop moves on and the store is flushed as chunks complete, so
-    a worker that crashes and rejoins answers its already-completed
-    points from disk.
+    The worker keeps no records of its own: every leased point is
+    simulated, and the coordinator's
+    :class:`~repro.core.engine.SimulationCache` is the only record store.
+    A worker that crashes loses at most its leased points, which the
+    broker requeues.
 
     ``fail_after=N`` is the fault-injection hook: hard-exit
     (:data:`~repro.core.transport.WORKER_CRASH_EXIT`, no goodbye) upon
@@ -1905,7 +1881,6 @@ def serve_queue_worker(
 
     meta = {
         "capacity": int(capacity),
-        "speed": float(speed),
         "cores": os.cpu_count() or 1,
         "pid": os.getpid(),
     }
@@ -1958,8 +1933,8 @@ def serve_queue_worker(
             pool = ProcessPoolExecutor(max_workers=capacity)
 
         # Per-campaign service context, hydrated lazily on first lease:
-        # the announced spec, the campaign's own result queue, an inline
-        # environment (capacity 1) and a tier-one record store.
+        # the announced spec, the campaign's own result queue and an
+        # inline environment (capacity 1).
         contexts: dict[str, "dict[str, Any]"] = {}
 
         def hydrate(cid: str) -> "dict[str, Any] | None":
@@ -1972,26 +1947,10 @@ def serve_queue_worker(
                 # withdrawal already stripped the lease broker-side.
                 return None
             spec = info["spec"]
-            env = spec.build() if pool is None else None
-            store = None
-            store_dir = (
-                local_cache
-                if local_cache is not None
-                else getattr(spec, "local_cache", None)
-            )
-            if store_dir:
-                from repro.core.engine import WorkerRecordStore
-
-                # The pool path has no inline env; a spec-built one
-                # serves purely for fingerprinting (trace cache empty).
-                store = WorkerRecordStore(
-                    store_dir, env if env is not None else spec.build()
-                )
             ctx = {
                 "spec": spec,
                 "results": info["results"],
-                "env": env,
-                "store": store,
+                "env": spec.build() if pool is None else None,
             }
             contexts[cid] = ctx
             emit(
@@ -2036,7 +1995,6 @@ def serve_queue_worker(
                 if ctx is None:
                     continue
                 results_q = ctx["results"]
-                store = ctx["store"]
                 # A chunk item carries a block of points under one lease.
                 points = item["points"]
                 taken += len(points)
@@ -2045,31 +2003,11 @@ def serve_queue_worker(
                     # chunks: the chunk containing the N-th point is
                     # provably leased when the crash happens, so the
                     # broker's point-granular requeue is exercised.
-                    for other in contexts.values():
-                        if other["store"] is not None:
-                            other["store"].flush()  # completed work must survive
                     emit(
                         f"worker {worker_id}: injected crash leasing "
                         f"point {taken}"
                     )
                     os._exit(WORKER_CRASH_EXIT)
-                if store is not None:
-                    # Tier-one lookup: answer what this worker already
-                    # has on disk through the normal result path (the
-                    # broker strips each answered point from the lease
-                    # exactly as for a simulated one), simulate the rest.
-                    misses = []
-                    for point in points:
-                        record = store.get(point)
-                        if record is None:
-                            misses.append(point)
-                            continue
-                        _push_result(
-                            client, results_q, worker_id, point["token"],
-                            {"record": record, "meta": {"wall": 0.0, "cached": True}},
-                        )
-                        sent += 1
-                    points = misses
                 if pool is not None:
                     for point in points:
                         future = pool.submit(
@@ -2098,22 +2036,17 @@ def serve_queue_worker(
                             {"error": repr(exc), "meta": {}},
                         )
                         raise
-                    if store is not None:
-                        store.put(point, record)
                     _push_result(
                         client, results_q, worker_id, point["token"],
                         {"record": record, "meta": {"wall": record.wall_time_s}},
                     )
                     sent += 1
-                if store is not None:
-                    store.flush()
                 break
 
             if pool is not None and inflight:
                 done, _ = wait(
                     list(inflight), timeout=0.2, return_when=FIRST_COMPLETED
                 )
-                flushed: "set[str]" = set()
                 for future in done:
                     cid, finished = inflight.pop(future)
                     ctx = contexts[cid]
@@ -2125,21 +2058,13 @@ def serve_queue_worker(
                             {"error": repr(exc), "meta": {}},
                         )
                         raise
-                    if ctx["store"] is not None:
-                        ctx["store"].put(finished, record)
-                        flushed.add(cid)
                     _push_result(
                         client, ctx["results"], worker_id, finished["token"],
                         {"record": record, "meta": {"wall": record.wall_time_s}},
                     )
                     sent += 1
-                for cid in flushed:
-                    contexts[cid]["store"].flush()
 
             if running == 0 and item is None and not inflight:
-                for ctx in contexts.values():
-                    if ctx["store"] is not None:
-                        ctx["store"].flush()
                 client.call("goodbye", worker=worker_id)
                 emit(f"worker {worker_id}: campaigns done after {sent} points")
                 return 0

@@ -15,7 +15,7 @@ because records are slotted by point index and simulation is a pure
 function of ``(application, config, assignment)``.
 
 Per-app records persist under ``.repro_cache/<app>/`` via
-:class:`~repro.core.engine.ShardedSimulationCache`, and traces come
+:class:`~repro.core.engine.SimulationCache`, and traces come
 from the shared :class:`~repro.net.tracestore.TraceStore`, generated
 once per profile fingerprint for the whole campaign.
 
@@ -35,11 +35,13 @@ cache and resimulates only the delta, reported per app by
 task-graph nodes to ``ddt-explore worker --connect-broker`` processes
 through a broker instead of a local pool -- workers pull tasks and push
 results, so they can join, leave and rejoin mid-campaign, and the
-shared trace store is the artifact layer they hydrate from.  Crashed
-workers' unresolved points are requeued to the survivors and repeat
-offenders are reported on :attr:`CampaignResult.quarantined`.  Each
-worker advertises a capacity in its hello and dispatch is weighted by
-it (lease quotas), refined by measured per-worker throughput.
+shared trace store is the artifact layer they hydrate from.  Workers
+keep no records of their own, so a rerun warm-starts only from the
+coordinator's persistent cache.  Crashed workers' unresolved points are
+requeued to the survivors and repeat offenders are reported on
+:attr:`CampaignResult.quarantined`.  Each worker advertises a capacity
+in its hello and dispatch is weighted by it (lease quotas), refined by
+measured per-worker throughput.
 
 The manifest additionally records each node's wall cost, and the next
 campaign enqueues step-1 nodes longest-first so the worker fleet drains
@@ -62,12 +64,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.application_level import finish_application_level, step1_points
 from repro.core.casestudies import CASE_STUDIES, CaseStudy, case_study
-from repro.core.engine import (
-    EngineStats,
-    ExplorationEngine,
-    ShardedSimulationCache,
-    SimulationCache,
-)
+from repro.core.engine import EngineStats, ExplorationEngine, SimulationCache
 from repro.core.methodology import RefinementResult, exhaustive_simulation_count
 from repro.core.network_level import finish_network_level, plan_network_level
 from repro.core.pareto import pareto_front_2d
@@ -302,7 +299,7 @@ class CampaignScheduler:
         given).
     workers / cache / trace_store:
         Forwarded to the owned :class:`ExplorationEngine`; a path-like
-        ``cache`` becomes a per-app :class:`ShardedSimulationCache`
+        ``cache`` becomes a :class:`SimulationCache`
         (``<cache>/<app>/...``), and ``trace_store=True`` uses the
         default ``.repro_cache/traces/`` store.
     transport:
@@ -334,14 +331,6 @@ class CampaignScheduler:
         targets a fixed lease duration
         (:data:`repro.core.taskgraph.TARGET_LEASE_S`), capped so the
         fleet stays saturated.  ``1`` reproduces per-point dispatch.
-    worker_cache:
-        Default directory for worker-local record stores, announced to
-        the fleet through :class:`~repro.core.engine.EnvSpec` (ignored
-        when ``engine`` is given).  Workers launched with their own
-        ``--local-cache`` keep that; workers launched without one adopt
-        this directory and answer previously simulated points from disk
-        before simulating anything (reported as
-        :attr:`EngineStats.worker_cache_hits`).
     """
 
     def __init__(
@@ -361,7 +350,6 @@ class CampaignScheduler:
         resume: bool = False,
         manifest: "str | os.PathLike[str] | bool | None" = None,
         chunk_points: int | None = None,
-        worker_cache: "str | os.PathLike[str] | None" = None,
     ) -> None:
         chosen = list(studies) if studies is not None else list(CASE_STUDIES)
         self.studies: list[CaseStudy] = [
@@ -401,10 +389,6 @@ class CampaignScheduler:
             self.engine = engine
             self._owns_engine = False
         else:
-            if cache is not None and not isinstance(cache, (SimulationCache, bool)):
-                cache = ShardedSimulationCache(cache)
-            elif cache is True:
-                cache = ShardedSimulationCache(ExplorationEngine.DEFAULT_CACHE_DIR)
             self.engine = ExplorationEngine(
                 env=env,
                 workers=workers,
@@ -412,7 +396,6 @@ class CampaignScheduler:
                 trace_store=trace_store,
                 transport=transport,
                 chunk_points=chunk_points,
-                worker_cache=worker_cache,
             )
             self._owns_engine = True
         if engine is not None and chunk_points is not None:
@@ -541,10 +524,10 @@ class CampaignScheduler:
         )
         incremental = self._incremental_report(app_nodes, entries)
         # Manifest node costs prefer freshly *measured* timings: a
-        # cache-served point (either tier) replays the wall time of
-        # some earlier run or some other machine, and folding it back
-        # in would let stale per-point timings drive chunk sizing and
-        # longest-first ordering forever.  A fully warm node measured
+        # cache-served point replays the wall time of some earlier run
+        # or some other machine, and folding it back in would let stale
+        # per-point timings drive chunk sizing and longest-first
+        # ordering forever.  A fully warm node measured
         # nothing, so its prior manifest cost is kept verbatim; only
         # with no prior either does the replayed total fill the gap.
         node_costs: dict[str, Any] = {}

@@ -19,9 +19,10 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   backend -- pass a :class:`~repro.core.broker.QueueTransport` to
   distribute the same points to ``ddt-explore worker --connect-broker``
   processes instead.
-* **Persistent caching** -- an optional :class:`SimulationCache` stores
-  finished :class:`~repro.core.results.SimulationRecord`\\ s as JSON
-  under ``.repro_cache/``, keyed by ``(app, config label, combo label,
+* **Persistent caching** -- an optional :class:`SimulationCache`, the
+  one record store, keeps finished
+  :class:`~repro.core.results.SimulationRecord`\\ s as JSON under
+  ``.repro_cache/<app>/``, keyed by ``(app, config label, combo label,
   model fingerprint)``.  The fingerprint (:func:`model_fingerprint`)
   hashes the :class:`~repro.memory.cacti.CactiModel` coefficients, the
   :class:`~repro.memory.timing.OperationCosts` table and the trace
@@ -56,7 +57,6 @@ from repro.core.metrics import MetricVector
 from repro.core.results import SimulationRecord
 from repro.core.simulate import SimulationEnvironment, run_simulation
 from repro.memory.cacti import CactiModel
-from repro.memory.profiler import PoolPart, ProfileParts
 from repro.memory.timing import OperationCosts
 from repro.net.config import NetworkConfig
 from repro.net.profiles import profiles_fingerprint_payload
@@ -69,9 +69,7 @@ __all__ = [
     "EnvSpec",
     "EngineStats",
     "ExplorationEngine",
-    "ShardedSimulationCache",
     "SimulationCache",
-    "WorkerRecordStore",
     "model_fingerprint",
 ]
 
@@ -93,20 +91,14 @@ class EnvSpec:
     hydrates traces from the persistent on-disk store (the parent
     pre-generates them, see :meth:`ExplorationEngine.run_batches`);
     without it the worker regenerates traces locally on first use.
-
-    ``local_cache`` is the campaign-announced default directory for
-    **worker-local record stores** (tier one of the two-tier result
-    cache, see :class:`WorkerRecordStore`): a transport worker that
-    receives the spec opens a store there unless its own
-    ``--local-cache`` flag says otherwise.  ``None`` (the default)
-    leaves workers store-less unless they opt in themselves.
+    Workers keep no records of their own: the coordinator's
+    :class:`SimulationCache` is the only record store.
     """
 
     cacti: CactiModel
     costs: OperationCosts
     repeats: int = 1
     trace_store: str | None = None
-    local_cache: str | None = None
 
     @classmethod
     def from_env(cls, env: SimulationEnvironment) -> "EnvSpec":
@@ -176,7 +168,7 @@ def model_fingerprint(
 # persistent on-disk cache
 # ----------------------------------------------------------------------
 def _record_to_json(record: SimulationRecord) -> dict[str, Any]:
-    data = {
+    return {
         "app_name": record.app_name,
         "config_label": record.config_label,
         "combo_label": record.combo_label,
@@ -189,14 +181,10 @@ def _record_to_json(record: SimulationRecord) -> dict[str, Any]:
         "stats": dict(record.stats),
         "wall_time_s": record.wall_time_s,
     }
-    if record.parts is not None:
-        data["parts"] = dataclasses.asdict(record.parts)
-    return data
 
 
 def _record_from_json(data: Mapping[str, Any]) -> SimulationRecord:
     metrics = data["metrics"]
-    parts = data.get("parts")
     return SimulationRecord(
         app_name=data["app_name"],
         config_label=data["config_label"],
@@ -212,15 +200,6 @@ def _record_from_json(data: Mapping[str, Any]) -> SimulationRecord:
         # break the bit-for-bit cache-hit guarantee.
         stats=dict(data.get("stats", {})),
         wall_time_s=float(data.get("wall_time_s", 0.0)),
-        parts=(
-            ProfileParts(
-                base_cycles=int(parts["base_cycles"]),
-                clock_hz=float(parts["clock_hz"]),
-                pools=tuple(PoolPart(**pool) for pool in parts["pools"]),
-            )
-            if parts is not None
-            else None
-        ),
     )
 
 
@@ -228,8 +207,7 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).lower() or "app"
 
 
-#: Record-shard format.  Version 2 stores the per-pool parts of simulated
-#: (cover-run) records; a shard of any other version reads as empty,
+#: Record-shard format; a shard of any other version reads as empty,
 #: exactly like a stale one.
 SHARD_VERSION = 2
 
@@ -237,12 +215,15 @@ SHARD_VERSION = 2
 class SimulationCache:
     """Persistent record store under a cache directory.
 
-    One JSON shard per ``(application, model fingerprint)`` pair, e.g.
-    ``.repro_cache/route-1f2e3d4c5b6a7980.json``.  Keys inside a shard
-    are ``(config label, combo label)`` pairs.  Because the fingerprint
-    is part of the shard identity, stale shards (written under different
-    model coefficients) are never consulted -- they are invisible rather
-    than wrong.
+    One JSON shard per ``(application, model fingerprint)`` pair, kept in
+    a per-application subdirectory, e.g.
+    ``.repro_cache/route/route-1f2e3d4c5b6a7980.json`` -- a multi-app
+    campaign writes through one instance while every application's
+    records stay physically isolated.  Keys inside a shard are ``(config
+    label, combo label)`` pairs.  Because the fingerprint is part of the
+    shard identity, stale shards (written under different model
+    coefficients) are never consulted -- they are invisible rather than
+    wrong.
 
     Floats survive the JSON round trip exactly (``json`` serialises via
     ``repr``), so a cache hit reproduces the original record's metrics
@@ -258,7 +239,8 @@ class SimulationCache:
 
     # ------------------------------------------------------------------
     def _shard_path(self, app_name: str, fingerprint: str) -> str:
-        return os.path.join(self.directory, f"{_slug(app_name)}-{fingerprint}.json")
+        slug = _slug(app_name)
+        return os.path.join(self.directory, slug, f"{slug}-{fingerprint}.json")
 
     @staticmethod
     def _read_shard(path: str, fingerprint: str) -> dict[str, dict[str, Any]]:
@@ -320,11 +302,10 @@ class SimulationCache:
 
         The write **merges with the on-disk shard** instead of
         rewriting it wholesale: another process sharing the directory
-        (a concurrent campaign, a worker-local store pointed at the
-        coordinator's cache) may have flushed records of its own since
-        this instance loaded the shard, and those must not be dropped
-        by a last-writer-wins replace.  Conflicting keys keep this
-        instance's record -- identical content anyway, since the
+        (a concurrent campaign) may have flushed records of its own
+        since this instance loaded the shard, and those must not be
+        dropped by a last-writer-wins replace.  Conflicting keys keep
+        this instance's record -- identical content anyway, since the
         fingerprint pins every model input.  The read-merge-replace is
         not one atomic step, so two *simultaneous* flushes can still
         race within that window; each instance keeps its own records in
@@ -335,7 +316,7 @@ class SimulationCache:
             return
         for app_name, fingerprint in sorted(self._dirty):
             path = self._shard_path(app_name, fingerprint)
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             disk = self._read_shard(path, fingerprint)
             if disk:
                 merged = dict(disk)
@@ -357,109 +338,6 @@ class SimulationCache:
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards.values())
-
-
-class ShardedSimulationCache(SimulationCache):
-    """Record cache sharded into per-application subdirectories.
-
-    Same format and invalidation scheme as :class:`SimulationCache`, but
-    each application's shards live under ``<directory>/<app>/`` (e.g.
-    ``.repro_cache/route/route-<fingerprint>.json``).  A multi-app
-    campaign writes through one cache instance while keeping every
-    application's records physically isolated -- shards can be shipped,
-    pruned, or diffed per app.
-    """
-
-    def _shard_path(self, app_name: str, fingerprint: str) -> str:
-        slug = _slug(app_name)
-        return os.path.join(self.directory, slug, f"{slug}-{fingerprint}.json")
-
-
-class WorkerRecordStore:
-    """Tier one of the two-tier result cache: a worker's own record store.
-
-    A transport worker (``ddt-explore worker --local-cache DIR``) keeps
-    every record it ever simulated in a :class:`ShardedSimulationCache`
-    under ``DIR`` and consults it before simulating any point it is
-    handed -- so a worker that rejoins after a crash answers its
-    already-completed points from disk, and a returning fleet warm-
-    starts a repeated campaign with zero resimulations.
-
-    Identity is ``content_key()``-compatible: ``(app, model
-    fingerprint, config label, combo label)``.  The fingerprint is
-    scoped to **the point's own trace profile**
-    (:func:`model_fingerprint` with a one-trace scope) -- exactly the
-    purity granularity of the campaign's scoped task nodes, so entries
-    survive edits to unrelated profiles and self-invalidate whenever
-    any model coefficient changes.  The coordinator's shard cache stays
-    tier two: locally-answered points flow back through the normal
-    result frames and are written through it like any other record.
-
-    The store flushes after every :data:`FLUSH_EVERY` puts and on
-    :meth:`flush` (workers call it per completed chunk and before an
-    injected crash), so a kill -9 forfeits at most the records
-    simulated since the last chunk boundary.  Thanks to the cache's
-    merge-on-flush write, many workers -- or a worker and the
-    coordinator -- may share one directory without dropping records.
-    """
-
-    #: Puts between automatic flushes (bounds loss under kill -9).
-    FLUSH_EVERY = 16
-
-    def __init__(
-        self, directory: str | os.PathLike[str], env: SimulationEnvironment
-    ) -> None:
-        self.cache = ShardedSimulationCache(directory)
-        self._env = env
-        self._fingerprints: dict[str, str] = {}
-        self._unflushed = 0
-        #: Points answered from this store.
-        self.hits = 0
-        #: Points this store could not answer.
-        self.misses = 0
-
-    def fingerprint(self, trace_name: str) -> str:
-        """Model fingerprint scoped to one trace profile (memoised)."""
-        cached = self._fingerprints.get(trace_name)
-        if cached is None:
-            cached = model_fingerprint(self._env, (trace_name,))
-            self._fingerprints[trace_name] = cached
-        return cached
-
-    def get(self, point: Mapping[str, Any]) -> SimulationRecord | None:
-        """Look a dispatched point frame up; ``None`` on a miss.
-
-        ``point`` is the transport's wire shape: ``{"app": app class,
-        "trace": trace name, "params": {...}, "assignment": {...}}``.
-        """
-        from repro.ddt.registry import combination_label
-
-        app_cls = point["app"]
-        config = NetworkConfig(point["trace"], point["params"])
-        combo = combination_label(point["assignment"], app_cls.dominant_structures)
-        record = self.cache.get(
-            app_cls.name, self.fingerprint(point["trace"]), config.label, combo
-        )
-        # Only a record with its per-pool parts can answer a cover run: a
-        # coordinator cache sharing this directory writes composed
-        # records, which carry none.
-        if record is None or record.parts is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
-
-    def put(self, point: Mapping[str, Any], record: SimulationRecord) -> None:
-        """Store one freshly simulated record (periodically flushed)."""
-        self.cache.put(point["app"].name, self.fingerprint(point["trace"]), record)
-        self._unflushed += 1
-        if self._unflushed >= self.FLUSH_EVERY:
-            self.flush()
-
-    def flush(self) -> None:
-        """Persist dirty shards now (merge-on-flush, crash-safe)."""
-        self.cache.flush()
-        self._unflushed = 0
 
 
 # ----------------------------------------------------------------------
@@ -538,21 +416,16 @@ def _run_campaign_point(
 class EngineStats:
     """Counters of what the engine actually did (vs. served from cache).
 
-    ``cache_hits`` counts requested points the coordinator cache (tier
-    two) resolved before dispatch; every other requested point is
+    ``cache_hits`` counts requested points the :class:`SimulationCache`
+    resolved before dispatch; every other requested point is
     ``composed`` from the per-pool parts of a few *cover runs* (see
-    :mod:`repro.core.taskgraph`).  ``simulations`` counts cover runs
-    genuinely simulated somewhere, and ``worker_cache_hits`` cover runs
-    a transport worker answered from its own :class:`WorkerRecordStore`
-    (tier one) instead -- provenance the transports report per result,
-    so a campaign summary can say how much work the fleet's warm stores
-    saved.
+    :mod:`repro.core.taskgraph`).  ``simulations`` counts cover runs,
+    each simulated serially or by a transport worker.
     """
 
     simulations: int = 0
     cache_hits: int = 0
     batches: int = 0
-    worker_cache_hits: int = 0
     composed: int = 0
 
     @property
@@ -565,7 +438,6 @@ class EngineStats:
         self.simulations = 0
         self.cache_hits = 0
         self.batches = 0
-        self.worker_cache_hits = 0
         self.composed = 0
 
 
@@ -607,12 +479,6 @@ class ExplorationEngine:
         ``N >= 1`` forces fixed-size chunks (``1`` reproduces the
         pre-chunk per-point dispatch exactly).  Ignored on the serial
         path.
-    worker_cache:
-        Default directory for **worker-local record stores** announced
-        to the fleet through the :class:`EnvSpec` (tier one of the
-        two-tier cache; see :class:`WorkerRecordStore`).  Workers
-        launched with their own ``--local-cache`` keep it; ``None``
-        (default) announces nothing.  Ignored on the serial path.
 
     The engine is a context manager; :meth:`close` shuts the worker
     transport down (a serial engine holds no resources).
@@ -628,7 +494,6 @@ class ExplorationEngine:
         trace_store: "TraceStore | str | os.PathLike[str] | bool | None" = None,
         transport: "WorkerTransport | None" = None,
         chunk_points: int | None = None,
-        worker_cache: "str | os.PathLike[str] | None" = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -655,9 +520,6 @@ class ExplorationEngine:
         self.trace_store = store
         self.env.trace_store = store
         self.chunk_points = chunk_points
-        self.worker_cache = (
-            os.fspath(worker_cache) if worker_cache is not None else None
-        )
         self.stats = EngineStats()
         self._fingerprints: dict[tuple[str, ...] | None, str] = {}
         self._transport_spec = transport
@@ -751,10 +613,7 @@ class ExplorationEngine:
                 transport = self._transport_spec
             else:
                 transport = LocalPoolTransport(self.workers)
-            spec = EnvSpec.from_env(self.env)
-            if self.worker_cache is not None:
-                spec = dataclasses.replace(spec, local_cache=self.worker_cache)
-            transport.start(spec)
+            transport.start(EnvSpec.from_env(self.env))
             self._transport = transport
         return self._transport
 

@@ -253,13 +253,12 @@ class TaskNode:
         falls back to :data:`DEFAULT_POINT_COST_S`.
     records:
         Results, index-aligned with ``points``; populated by the run.
-    cache_hits / simulations / worker_hits / composed:
-        How this node was resolved -- points served from the coordinator
-        cache, cover runs genuinely simulated, cover runs a transport
-        worker answered from its local record store (tier-one hits), and
-        points composed from cover runs -- the per-node split the
-        campaign aggregates into its incremental report.
-        ``cache_hits + composed`` is every point of the node.
+    cache_hits / simulations / composed:
+        How this node was resolved -- points served from the record
+        cache, cover runs simulated, and points composed from cover
+        runs -- the per-node split the campaign aggregates into its
+        incremental report.  ``cache_hits + composed`` is every point of
+        the node.
     """
 
     name: str
@@ -273,7 +272,6 @@ class TaskNode:
     records: list[SimulationRecord | None] = field(default_factory=list, repr=False)
     cache_hits: int = 0
     simulations: int = 0
-    worker_hits: int = 0
     composed: int = 0
     sim_wall_cost: float = field(default=0.0, repr=False)
     _labels: list[str] = field(default_factory=list, repr=False)
@@ -311,21 +309,19 @@ class TaskNode:
     def measured_wall_cost(self) -> float | None:
         """Node wall cost from **freshly simulated** cover runs only.
 
-        Cache-served work (either tier) is excluded: its replayed
-        ``wall_time_s`` was measured on some earlier run or some other
-        host, and feeding it back into the manifest would keep stale
-        timings driving :func:`auto_chunk_points` and the longest-first
-        schedule forever.  The fresh per-run rate is extrapolated to
-        every cover run of the node, and from the composed points to
-        the whole node, so the persisted total stays comparable across
-        runs.  ``None`` when nothing was simulated -- a fully warm node
-        has measured nothing, and the campaign keeps its prior manifest
-        cost.
+        Cache-served work is excluded: its replayed ``wall_time_s`` was
+        measured on some earlier run or some other host, and feeding it
+        back into the manifest would keep stale timings driving
+        :func:`auto_chunk_points` and the longest-first schedule
+        forever.  The cover runs' cost is extrapolated from the composed
+        points to the whole node, so the persisted total stays
+        comparable across runs.  ``None`` when nothing was simulated --
+        a fully warm node has measured nothing, and the campaign keeps
+        its prior manifest cost.
         """
         if self.simulations <= 0 or self.composed <= 0:
             return None
-        runs = self.simulations + self.worker_hits
-        return self.sim_wall_cost / self.simulations * runs * self.total / self.composed
+        return self.sim_wall_cost * self.total / self.composed
 
 
 @dataclass
@@ -398,7 +394,7 @@ class TaskGraph:
                 for (config, _), label in zip(node.points, node._labels)
             ]
         node.records = [None] * len(node.points)
-        node.cache_hits = node.simulations = node.worker_hits = node.composed = 0
+        node.cache_hits = node.simulations = node.composed = 0
         node.sim_wall_cost = 0.0
         node._done = node._remaining = 0
         node._prepared = True
@@ -439,27 +435,12 @@ class TaskGraph:
             self.progress(node, node._done, node.total, detail)
 
     def _take_cover(
-        self,
-        node: TaskNode,
-        group: _Group,
-        cover: int,
-        record: SimulationRecord,
-        worker_cached: bool = False,
+        self, node: TaskNode, group: _Group, cover: int, record: SimulationRecord
     ) -> None:
-        """Account for one cover run; compose its group once complete.
-
-        ``worker_cached`` marks a run a worker answered from its local
-        store (tier-one hit): it counts as a worker hit, and its
-        replayed wall time stays out of the node's measured cost.
-        """
-        stats = self.engine.stats
-        if worker_cached:
-            node.worker_hits += 1
-            stats.worker_cache_hits += 1
-        else:
-            node.simulations += 1
-            node.sim_wall_cost += record.wall_time_s
-            stats.simulations += 1
+        """Account for one cover run; compose its group once complete."""
+        node.simulations += 1
+        node.sim_wall_cost += record.wall_time_s
+        self.engine.stats.simulations += 1
         group.records[cover] = record
         group.pending -= 1
         if group.pending == 0:
@@ -605,13 +586,7 @@ class TaskGraph:
                     # broker already deduplicates by token).
                     continue
                 node, group, cover = entry
-                self._take_cover(
-                    node,
-                    group,
-                    cover,
-                    record,
-                    worker_cached=transport.was_cached(token),
-                )
+                self._take_cover(node, group, cover, record)
                 if node._remaining == 0:
                     self._complete(node)
                     # Continuations enqueue follow-ups; submit them now so

@@ -197,18 +197,9 @@ class WorkerTransport:
     #: restart mid-campaign, ever increments it).
     outages: int
 
-    #: Points a worker answered from its local record store instead of
-    #: simulating (tier-one cache hits; the queue transport counts them
-    #: from the result provenance workers attach).
-    worker_cache_hits: int
-
     def __init__(self) -> None:
         self.quarantined = []
         self.outages = 0
-        self.worker_cache_hits = 0
-        #: tokens whose record was served from a worker-local store,
-        #: pending collection by :meth:`was_cached`.
-        self.cached_tokens: set[Any] = set()
 
     def start(self, spec: Any) -> None:
         """Begin serving with worker environments built from ``spec``."""
@@ -231,17 +222,6 @@ class WorkerTransport:
     def close(self) -> None:
         """Release workers, pools and connections (idempotent)."""
         raise NotImplementedError
-
-    def was_cached(self, token: Any) -> bool:
-        """Whether ``token``'s record came from a worker-local store.
-
-        Consuming: the flag is popped, so asking once per delivered
-        result (what the task graph does) never leaks tokens.
-        """
-        if token in self.cached_tokens:
-            self.cached_tokens.discard(token)
-            return True
-        return False
 
     # ------------------------------------------------------------------
     def worker_stats(self) -> dict[str, dict[str, Any]]:

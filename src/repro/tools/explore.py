@@ -333,17 +333,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--worker-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "announce DIR to the fleet as the default worker-local "
-            "record store: workers without their own --local-cache "
-            "persist results under DIR and answer repeats from disk "
-            "(DIR must be reachable from the workers)"
-        ),
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help=(
@@ -427,16 +416,6 @@ def build_worker_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--speed",
-        type=float,
-        default=1.0,
-        metavar="X",
-        help=(
-            "advertised relative speed hint (default 1.0; "
-            "informational, refined by measured throughput)"
-        ),
-    )
-    parser.add_argument(
         "--id",
         default=None,
         metavar="NAME",
@@ -471,17 +450,6 @@ def build_worker_parser() -> argparse.ArgumentParser:
         help=(
             "fault-injection harness: hard-exit (simulated crash, no "
             "goodbye) upon leasing the N-th point"
-        ),
-    )
-    parser.add_argument(
-        "--local-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "worker-local record store: answer points already simulated "
-            "by this worker (in any campaign against the same model) "
-            "from DIR without re-simulating, and persist new results "
-            "there; overrides the campaign's announced store directory"
         ),
     )
     parser.add_argument(
@@ -520,11 +488,9 @@ def worker_main(argv: Sequence[str] | None = None) -> int:
             args.connect_broker,
             worker_id=args.id,
             capacity=args.capacity,
-            speed=args.speed,
             retry_s=args.retry,
             max_outage_s=60.0 if args.max_outage is None else args.max_outage,
             fail_after=args.fail_after,
-            local_cache=args.local_cache,
             log=log,
         )
     except TransportError as exc:
@@ -806,7 +772,6 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         progress=progress,
         resume=args.resume,
         chunk_points=args.chunk_points,
-        worker_cache=args.worker_cache,
     ) as campaign:
         result = campaign.run()
     elapsed = time.time() - started
@@ -837,11 +802,6 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         f"engine: {stats.simulations} simulated, {stats.composed} composed, "
         f"{stats.cache_hits} served from cache, {stats.batches} batches"
     )
-    if stats.worker_cache_hits:
-        print(
-            f"fleet cache: {stats.worker_cache_hits} points answered "
-            "from worker-local stores"
-        )
     if transport is not None:
         print(
             f"transport: {transport.results_received} points over "
@@ -858,14 +818,13 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         if result.worker_stats:
             print(
                 render_table(
-                    ["worker", "capacity", "quota", "points", "cached", "points/s"],
+                    ["worker", "capacity", "quota", "points", "points/s"],
                     [
                         (
                             worker,
                             ws["capacity"],
                             ws["quota"],
                             ws["points"],
-                            ws.get("cached", 0),
                             f"{ws['throughput']:.1f}",
                         )
                         for worker, ws in sorted(result.worker_stats.items())

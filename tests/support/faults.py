@@ -303,59 +303,36 @@ def quarantine_drill(transport):
     return result
 
 
-def warm_rejoin_drill(serial_campaign, *, store_dir, trace_store=None):
-    """Kill a worker mid-campaign; it rejoins warm and resimulates nothing.
+def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
+    """Kill a worker mid-campaign; the coordinator cache serves the rerun.
 
-    Two campaigns against the same worker-local record store prove tier
-    one of the two-tier result cache end to end:
+    Two campaigns share one coordinator record cache (``cache_dir``);
+    workers keep no records of their own:
 
-    1. *Warm-up*: a single queue worker runs the URL study with
-       ``--local-cache``, simulating every point and persisting the
-       records under ``store_dir``.
-    2. *Warm rejoin*: a fresh broker and coordinator -- and **no**
-       coordinator cache, so every point is dispatched again -- rerun
-       the same study.  The worker starts with ``--fail-after 4`` and
-       hard-exits upon leasing its 4th point (the suite's kill -9
-       analogue: no goodbye, no ack); a watcher respawns the same id
-       against the same store without the fault.  The rejoined worker
-       answers the requeued points and the whole remainder from disk,
-       so the campaign completes with **zero** simulations, every
-       dispatched point reported as a worker-tier hit, and results
-       equal to the serial baseline on ``content_key()``.
+    1. *Crash and rejoin*: a single queue worker starts with
+       ``--fail-after 4`` and hard-exits upon leasing its 4th point (the
+       suite's kill -9 analogue: no goodbye, no ack); a watcher respawns
+       the same id without the fault.  The broker requeues only the
+       dead lease's unfinished points, so the campaign simulates exactly
+       as many cover runs as a clean serial run of the same sweep.
+    2. *Warm rerun*: a fresh broker and coordinator on the same cache,
+       and no worker at all.  Every point is a cache hit, so nothing is
+       simulated or dispatched.
+
+    Both campaigns equal the serial baseline on ``content_key()``.
     """
-    # -- campaign 1: warm the store ------------------------------------
-    transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-    worker = spawn_worker(
-        transport.address, "w1", "--local-cache", str(store_dir)
-    )
-    try:
-        with CampaignScheduler(
-            studies=["url"],
-            candidates=CANDIDATES,
-            configs={"URL": NARROW["URL"]},
-            trace_store=trace_store,
-            transport=transport,
-        ) as campaign:
-            warmup = campaign.run()
-        assert worker.wait(timeout=30) == 0
-    finally:
-        if worker.poll() is None:
-            worker.kill()
-            worker.wait(timeout=10)
-    assert warmup.stats.worker_cache_hits == 0  # the store started cold
-    assert warmup.stats.simulations > 0
-    assert_app_matches(
-        warmup.refinements["URL"], serial_campaign.refinements["URL"]
-    )
+    sweep = {
+        "studies": ["url"],
+        "candidates": CANDIDATES,
+        "configs": {"URL": NARROW["URL"]},
+        "trace_store": trace_store,
+    }
+    with CampaignScheduler(**sweep) as campaign:
+        clean = campaign.run()
 
-    # -- campaign 2: crash mid-flight, rejoin warm ---------------------
+    # -- campaign 1: crash mid-flight, rejoin cold ---------------------
     transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-    procs = [
-        spawn_worker(
-            transport.address, "w1", "--local-cache", str(store_dir),
-            "--fail-after", "4",
-        )
-    ]
+    procs = [spawn_worker(transport.address, "w1", "--fail-after", "4")]
     crashed = threading.Event()
 
     def rejoin() -> None:
@@ -363,21 +340,13 @@ def warm_rejoin_drill(serial_campaign, *, store_dir, trace_store=None):
         if procs[0].returncode != WORKER_CRASH_EXIT:
             return  # leave `crashed` unset so the drill fails loudly
         crashed.set()
-        procs.append(
-            spawn_worker(
-                transport.address, "w1", "--local-cache", str(store_dir)
-            )
-        )
+        procs.append(spawn_worker(transport.address, "w1"))
 
     watcher = threading.Thread(target=rejoin, daemon=True)
     watcher.start()
     try:
         with CampaignScheduler(
-            studies=["url"],
-            candidates=CANDIDATES,
-            configs={"URL": NARROW["URL"]},
-            trace_store=trace_store,
-            transport=transport,
+            cache=cache_dir, transport=transport, **sweep
         ) as campaign:
             result = campaign.run()
         watcher.join(timeout=60)
@@ -388,24 +357,29 @@ def warm_rejoin_drill(serial_campaign, *, store_dir, trace_store=None):
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-    # Warm rejoin is (nearly) free: nothing was simulated again, every
-    # dispatched point came back as a worker-tier hit ...
-    assert result.stats.simulations == 0
-    assert result.stats.worker_cache_hits > 0
-    assert (
-        transport.results_received
-        == transport.worker_cache_hits
-        == result.stats.worker_cache_hits
-    )
-    # ... the crash and requeue really happened, below quarantine ...
+    # The crash and requeue really happened, below quarantine ...
     assert transport.crashes.get("w1") == 1
     assert transport.requeues >= 1
     assert result.quarantined == []
-    # ... and replayed records are bit-identical to simulating afresh.
+    # ... yet cost no cover run beyond a clean serial run's.
+    assert result.stats.simulations == clean.stats.simulations
     assert_app_matches(
         result.refinements["URL"], serial_campaign.refinements["URL"]
     )
-    return result
+
+    # -- campaign 2: the same sweep, served by the cache alone ---------
+    transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
+    with CampaignScheduler(
+        cache=cache_dir, transport=transport, **sweep
+    ) as campaign:
+        warm = campaign.run()
+    assert warm.stats.simulations == 0
+    assert warm.stats.cache_hits == warm.stats.points == result.stats.points
+    assert transport.results_received == 0
+    assert_app_matches(
+        warm.refinements["URL"], serial_campaign.refinements["URL"]
+    )
+    return warm
 
 
 def broker_restart_drill(serial_campaign, *, journal_dir,

@@ -18,11 +18,11 @@ from support.faults import (
     NARROW,
     assert_matches,
     broker_restart_drill,
+    cache_rejoin_drill,
     concurrent_campaign_drill,
     content,
     crash_requeue_drill,
     quarantine_drill,
-    warm_rejoin_drill,
     spawn_worker,
 )
 
@@ -447,22 +447,21 @@ class TestQueueFaultInjection:
 
 
 # ----------------------------------------------------------------------
-# two-tier result cache: crash, rejoin warm, resimulate nothing
+# one record store: crash and rejoin, then rerun from the coordinator cache
 # ----------------------------------------------------------------------
 class TestWarmRejoin:
-    def test_rejoining_worker_answers_from_its_local_store(
+    def test_rejoin_costs_no_extra_runs_and_rerun_is_all_cache_hits(
         self, serial_campaign, tmp_path
     ):
-        """The warm-rejoin fault drill: campaign 1 warms a worker-local
-        record store; campaign 2 (no coordinator cache) injects a hard
-        crash mid-campaign and respawns the same worker id against the
-        same store.  The rejoined worker answers the requeued points and
-        the entire remainder from disk -- zero resimulations, every
-        dispatched point a worker-tier hit, results bit-identical to
-        serial on ``content_key()``."""
-        warm_rejoin_drill(
+        """The rejoin fault drill on the coordinator cache: campaign 1
+        injects a hard crash mid-campaign and respawns the same worker
+        id, and still simulates exactly a clean serial run's cover runs;
+        campaign 2 reruns the sweep on the same cache with no worker and
+        answers every point from it.  Both match serial on
+        ``content_key()``."""
+        cache_rejoin_drill(
             serial_campaign,
-            store_dir=tmp_path / "store",
+            cache_dir=tmp_path / "cache",
             trace_store=tmp_path / "traces",
         )
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.campaign import CampaignScheduler
 from repro.core.casestudies import CASE_STUDIES, case_study
-from repro.core.engine import ExplorationEngine, ShardedSimulationCache
+from repro.core.engine import ExplorationEngine, SimulationCache
 from repro.core.methodology import DDTRefinement
 from repro.core.taskgraph import cover_assignments
 from repro.ddt.registry import parse_combination_label
@@ -131,7 +131,7 @@ class TestCacheSharding:
             candidates=CANDIDATES, configs=NARROW, cache=cache_dir
         ) as campaign:
             cold = campaign.run()
-        assert isinstance(campaign.engine.cache, ShardedSimulationCache)
+        assert isinstance(campaign.engine.cache, SimulationCache)
 
         # one subdirectory per app, each holding only that app's records
         # (plus the campaign manifest recorded next to the shards)

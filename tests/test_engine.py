@@ -18,7 +18,6 @@ from repro.core.engine import (
     EnvSpec,
     ExplorationEngine,
     SimulationCache,
-    WorkerRecordStore,
     model_fingerprint,
 )
 from repro.core.methodology import DDTRefinement
@@ -117,7 +116,8 @@ class TestSimulationCache:
         cache = SimulationCache(tmp_path)
         cache.put("URL", fp, record)
         cache.flush()
-        shard = next(tmp_path.iterdir())
+        app_dir = next(tmp_path.iterdir())
+        shard = next(app_dir.iterdir())
         shard.write_text("{ not json")
         assert (
             SimulationCache(tmp_path).get(
@@ -186,50 +186,6 @@ class TestSimulationCache:
         assert isinstance(reloaded.stats["avg_occupancy"], float)
         for key, value in record.stats.items():
             assert type(reloaded.stats[key]) is type(value)
-
-
-class TestWorkerRecordStore:
-    POINT = {
-        "token": ("URL", 0),
-        "app": UrlApp,
-        "trace": "Whittemore",
-        "params": {},
-        "assignment": {"url_pattern": "AR", "connection": "SLL"},
-    }
-
-    def test_round_trip_across_restarts(self, env, tmp_path):
-        record = run_simulation(
-            UrlApp, SMALL, self.POINT["assignment"], env
-        )
-        store = WorkerRecordStore(tmp_path, env)
-        assert store.get(self.POINT) is None  # cold store
-        store.put(self.POINT, record)
-        store.flush()
-        # a rejoining worker process opens a fresh store instance
-        rejoined = WorkerRecordStore(tmp_path, env)
-        assert rejoined.get(self.POINT) == record
-        assert rejoined.hits == 1 and rejoined.misses == 0
-
-    def test_model_change_invalidates(self, env, tmp_path):
-        record = run_simulation(
-            UrlApp, SMALL, self.POINT["assignment"], env
-        )
-        store = WorkerRecordStore(tmp_path, env)
-        store.put(self.POINT, record)
-        store.flush()
-        tweaked = SimulationEnvironment(
-            costs=OperationCosts(packet_overhead=61)
-        )
-        assert WorkerRecordStore(tmp_path, tweaked).get(self.POINT) is None
-
-    def test_auto_flush_after_threshold(self, env, tmp_path, monkeypatch):
-        record = run_simulation(
-            UrlApp, SMALL, self.POINT["assignment"], env
-        )
-        monkeypatch.setattr(WorkerRecordStore, "FLUSH_EVERY", 1)
-        store = WorkerRecordStore(tmp_path, env)
-        store.put(self.POINT, record)  # reaches the threshold: flushed
-        assert WorkerRecordStore(tmp_path, env).get(self.POINT) == record
 
 
 class TestEngineSerial:

@@ -1,5 +1,5 @@
 """Tests of the transport layer: wire frames, the local pool, the chunk
-contract, worker-local record stores and the worker CLI.
+contract and the worker CLI.
 
 Distribution must be a pure scheduling layer: a campaign run through a
 transport produces records equal on ``SimulationRecord.content_key()``
@@ -13,17 +13,10 @@ import subprocess
 
 import pytest
 
-from support.faults import (
-    CANDIDATES,
-    NARROW,
-    assert_app_matches,
-    spawn_worker,
-    worker_env,
-)
+from support.faults import spawn_worker, worker_env
 
 from repro.apps import UrlApp
-from repro.core.broker import EmbeddedBroker, QueueTransport
-from repro.core.campaign import CampaignScheduler
+from repro.core.broker import EmbeddedBroker
 from repro.core.engine import EnvSpec
 from repro.core.simulate import SimulationEnvironment, run_simulation
 from repro.core.transport import (
@@ -156,74 +149,6 @@ class TestChunkContract:
         assert all(
             record.content_key() == direct.content_key()
             for _token, record in batch
-        )
-
-
-# ----------------------------------------------------------------------
-# two-tier result cache: worker-local record stores (tier one)
-# ----------------------------------------------------------------------
-class TestWorkerLocalStore:
-    def test_warm_fleet_answers_from_local_store(
-        self, serial_campaign, tmp_path
-    ):
-        """A repeated campaign warm-starts from the worker's own store.
-
-        Campaign 1 announces the store directory through the campaign's
-        ``worker_cache`` (the :class:`EnvSpec` plumbing -- the worker is
-        spawned *without* ``--local-cache`` and adopts it); everything
-        is simulated and persisted.  Campaign 2 runs a fresh broker and
-        coordinator with no coordinator cache against the same store,
-        this time via the explicit ``--local-cache`` flag: the worker
-        answers every point from disk, so the engine reports zero
-        simulations and all points as worker-tier hits, with results
-        still equal to the serial baseline on ``content_key()``.
-        """
-        store = tmp_path / "store"
-        kwargs = {
-            "studies": ["url"],
-            "candidates": CANDIDATES,
-            "configs": {"URL": NARROW["URL"]},
-        }
-
-        transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        worker = spawn_worker(transport.address, "warm")
-        try:
-            with CampaignScheduler(
-                transport=transport, worker_cache=store, **kwargs
-            ) as campaign:
-                cold = campaign.run()
-            assert worker.wait(timeout=30) == 0
-        finally:
-            if worker.poll() is None:
-                worker.kill()
-                worker.wait(timeout=10)
-        assert cold.stats.worker_cache_hits == 0  # the store started cold
-        assert cold.stats.simulations > 0
-        assert_app_matches(
-            cold.refinements["URL"], serial_campaign.refinements["URL"]
-        )
-
-        transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        worker = spawn_worker(
-            transport.address, "warm", "--local-cache", str(store)
-        )
-        try:
-            with CampaignScheduler(transport=transport, **kwargs) as campaign:
-                warm = campaign.run()
-            assert worker.wait(timeout=30) == 0
-        finally:
-            if worker.poll() is None:
-                worker.kill()
-                worker.wait(timeout=10)
-        assert warm.stats.simulations == 0
-        assert warm.stats.worker_cache_hits > 0
-        assert (
-            transport.results_received
-            == transport.worker_cache_hits
-            == warm.stats.worker_cache_hits
-        )
-        assert_app_matches(
-            warm.refinements["URL"], serial_campaign.refinements["URL"]
         )
 
 
