@@ -50,7 +50,8 @@ CONFIGS = {study.name: list(study.configs[:2]) for study in CASE_STUDIES}
 PARALLEL_WORKERS = 4
 
 #: The chunk-size sweep: fixed block sizes plus the adaptive policy
-#: (``None`` lets ``auto_chunk_points`` size blocks from node costs).
+#: (``None`` lets ``auto_chunk_points`` size blocks from each node's
+#: cover runs and the pool width).
 CHUNK_MODES = {"chunk1": 1, "chunk4": 4, "chunk16": 16, "chunk_auto": None}
 
 #: Mode name -> measured figures; written out by the final artifact test

@@ -92,8 +92,7 @@ def main() -> None:
     for worker_id, stats in sorted(queued.worker_stats.items()):
         print(
             f"  {worker_id}: capacity {stats['capacity']}, "
-            f"{stats['points']} points at {stats['throughput']:.1f}/s "
-            f"(quota {stats['quota']})"
+            f"{stats['points']} points at {stats['throughput']:.1f}/s"
         )
 
 

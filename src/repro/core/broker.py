@@ -7,10 +7,10 @@ semantics over the length-prefixed pickle frames of
 
 * :class:`EmbeddedBroker` -- a threaded TCP server holding named FIFO
   queues (campaign tasks), per-campaign result queues with
-  **duplicate-result rejection by token**, a key-value table (lease
-  quota refinements), the campaign registry (each announcement carries
-  the pickled :class:`~repro.core.engine.EnvSpec` plus queue names), and
-  a **worker registry with heartbeat TTLs**.  A worker that stops
+  **duplicate-result rejection by token**, the campaign registry (each
+  announcement carries the pickled
+  :class:`~repro.core.engine.EnvSpec` plus queue names), and a
+  **worker registry with heartbeat TTLs**.  A worker that stops
   heartbeating (or whose connection drops) has its leased tasks
   requeued at the front of the task queue and its crash counted;
   repeat offenders are quarantined.
@@ -22,21 +22,15 @@ semantics over the length-prefixed pickle frames of
   coordinator noticing anything beyond throughput.
 * :func:`serve_queue_worker` -- the worker loop behind ``ddt-explore
   worker --connect-broker``.  Each worker advertises a **capacity** in
-  its hello (parallel simulation slots and cores); it
-  keeps up to ``quota`` tasks leased, where the quota starts at the
-  advertised capacity and is **refined by the coordinator from measured
-  per-worker throughput** (written back through the broker's key-value
-  table and picked up via heartbeat replies).  A worker with
-  ``capacity > 1`` runs its leased points on a local process pool, so a
-  4-core box genuinely completes ~4x the points of a 1-core box.
+  its hello (parallel simulation slots and cores) and keeps that many
+  points in flight.  A worker with ``capacity > 1`` runs its leased
+  points on a local process pool, so a 4-core box genuinely completes
+  ~4x the points of a 1-core box.
 
-Dispatch is thus capacity-weighted by construction -- a pull model
-where each worker's lease quota is its weight -- and the measured
-per-worker throughput is persisted in the campaign manifest's
-``node_costs`` (under the reserved ``__fleet__`` key, see
-:mod:`repro.core.campaign`), making the adaptive longest-first schedule
-worker-aware across campaigns: the next run seeds each returning
-worker's quota from its recorded throughput.
+Dispatch is thus capacity-weighted by construction -- a pull model in
+which each worker's capacity is its weight.  What each worker did in
+one campaign is reported by :meth:`QueueTransport.worker_stats` and
+never carried into the next.
 
 Determinism is untouched: results are slotted by submission token, the
 broker deduplicates tokens (a requeued point that completes twice is
@@ -59,15 +53,14 @@ mid-campaign is invisible to the coordinator and the fleet (asserted by
 
 **Multi-tenancy.**  Campaigns are *announced* onto a standing broker
 (``announce`` / ``conclude`` / ``withdraw`` ops, all journaled) and
-live side by side in a per-campaign namespace -- task/result queues,
-seen-token sets, and quota refinements are all keyed by campaign id, so
-one tenant can never drain or poison another's state.  Workers
-subscribe to the *broker*, not a campaign: ``take_any`` leases chunks
-across every running campaign under **deficit round-robin** fair
-scheduling, weighted by each campaign's announced ``--priority``.  A
-campaign is a job submitted to the cluster; coordinators register on
-start and tear down (conclude, then withdraw) on close without
-disturbing their neighbours.
+live side by side in a per-campaign namespace -- task/result queues and
+seen-token sets are keyed by campaign id, so one tenant can never drain
+or poison another's state.  Workers subscribe to the *broker*, not a
+campaign: ``take_any`` leases chunks across every running campaign
+under **deficit round-robin** fair scheduling, weighted by each
+campaign's announced ``--priority``.  A campaign is a job submitted to
+the cluster; coordinators register on start and tear down (conclude,
+then withdraw) on close without disturbing their neighbours.
 
 Frames are pickle: expose the broker only to **trusted workers on a
 trusted network**.
@@ -86,7 +79,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from itertools import count
 from typing import Any, Callable, Mapping
 
-from repro.core.journal import RECORD_VERSION, Journal, JournalWarning
+from repro.core.journal import Journal, JournalWarning
 from repro.core.results import SimulationRecord
 from repro.core.simulate import run_simulation
 from repro.core.transport import (
@@ -197,10 +190,10 @@ class EmbeddedBroker:
     """Dependency-free TCP broker with Redis-like queue semantics.
 
     One broker serves **any number of concurrent campaigns**: every
-    announced campaign owns a namespace (task/result queues, seen-token
-    sets, ``quota:{campaign}:{worker}`` refinements) and the worker-
-    facing ``take_any`` op arbitrates between running campaigns with
-    priority-weighted deficit round-robin (see :data:`DRR_QUANTUM`).
+    announced campaign owns a namespace (task/result queues and
+    seen-token sets) and the worker-facing ``take_any`` op arbitrates
+    between running campaigns with priority-weighted deficit
+    round-robin (see :data:`DRR_QUANTUM`).
     All state is in memory unless journaled; the broker is cheap enough
     to embed in the coordinator process (what ``ddt-explore campaign
     --transport queue`` does without ``--broker``) or to run standalone
@@ -265,7 +258,6 @@ class EmbeddedBroker:
         self._queues: dict[str, deque[Any]] = {}
         #: per result-queue token sets driving duplicate rejection.
         self._seen: dict[str, set[Any]] = {}
-        self._kv: dict[str, Any] = {}
         #: campaign id -> announcement (id, tasks/results queue names,
         #: spec, priority, state) -- the tenant registry, journaled.
         self._campaigns: dict[str, dict[str, Any]] = {}
@@ -313,10 +305,13 @@ class EmbeddedBroker:
         snapshot, entries = self._journal.load()
         if snapshot is not None and "campaigns" not in snapshot:
             # Only a version-1 broker wrote snapshots without a campaign
-            # registry; its state is refused, not translated.
+            # registry; its state is refused, not translated.  A
+            # version-2 snapshot carries the same registry and restores
+            # (its key-value table is ignored).
             warnings.warn(
-                "journal snapshot is record version 1; this broker reads "
-                f"version {RECORD_VERSION} only, so replay stops there",
+                "journal snapshot is record version 1 (no campaign "
+                "registry); this broker cannot restore it, so replay "
+                "stops there",
                 JournalWarning,
                 stacklevel=2,
             )
@@ -345,7 +340,6 @@ class EmbeddedBroker:
         return {
             "queues": {name: list(q) for name, q in self._queues.items()},
             "seen": {name: set(s) for name, s in self._seen.items()},
-            "kv": dict(self._kv),
             "campaigns": {cid: dict(c) for cid, c in self._campaigns.items()},
             "leases": {w: dict(l) for w, l in self._leases.items()},
             "delivered": {q: dict(d) for q, d in self._delivered.items()},
@@ -361,7 +355,6 @@ class EmbeddedBroker:
             name: deque(items) for name, items in (snapshot.get("queues") or {}).items()
         }
         self._seen = {name: set(s) for name, s in (snapshot.get("seen") or {}).items()}
-        self._kv = dict(snapshot.get("kv") or {})
         self._campaigns = {cid: dict(c) for cid, c in snapshot["campaigns"].items()}
         self._leases = {w: dict(l) for w, l in (snapshot.get("leases") or {}).items()}
         self._delivered = {
@@ -500,14 +493,13 @@ class EmbeddedBroker:
             queue.appendleft(item)
         delivered.clear()
 
-    def _clear_campaign_locked(self, cid: str, tasks: str, results: str) -> None:
+    def _clear_campaign_locked(self, tasks: str, results: str) -> None:
         """Erase one campaign's namespace and nothing else.
 
-        Queues, seen-token sets, un-acked deliveries, leases pointing at
-        the campaign's queues, and its ``quota:{cid}:*`` refinements are
-        dropped; every other tenant's state is untouched -- this is the
-        scoping that keeps campaign B's start (or teardown) from wiping
-        campaign A's announcement and quotas.
+        Queues, seen-token sets, un-acked deliveries and leases pointing
+        at the campaign's queues are dropped; every other tenant's state
+        is untouched -- this is the scoping that keeps campaign B's
+        start (or teardown) from wiping campaign A's queued work.
         """
         for name in (tasks, results):
             self._queues.pop(name, None)
@@ -523,9 +515,6 @@ class EmbeddedBroker:
             if not held:
                 self._leases.pop(worker_id, None)
                 self._lease_times.pop(worker_id, None)
-        prefix = f"quota:{cid}:"
-        for key in [k for k in self._kv if k.startswith(prefix)]:
-            del self._kv[key]
 
     def _release_lease_point_locked(self, worker_id: str, token: Any) -> None:
         """Release one completed point from a worker's leases.
@@ -627,20 +616,15 @@ class EmbeddedBroker:
                 {"token": token, "payload": payload, "worker": worker_id}
             )
             return False
-        if op == "set":
-            _, key, value = entry
-            self._kv[key] = value
-            return None
         if op == "announce":
             # Open (or re-open) one campaign in its own namespace; the
             # id-liveness check happens at the op layer, so replay is a
             # pure function of the journal.
-            _, campaign, quotas = entry
-            campaign = dict(campaign or {})
+            campaign = dict(entry[1] or {})
             cid = str(campaign.get("id"))
             tasks = str(campaign.get("tasks") or f"tasks:{cid}")
             results = str(campaign.get("results") or f"results:{cid}")
-            self._clear_campaign_locked(cid, tasks, results)
+            self._clear_campaign_locked(tasks, results)
             self._campaigns[cid] = {
                 **campaign,
                 "tasks": tasks,
@@ -648,8 +632,6 @@ class EmbeddedBroker:
                 "priority": float(campaign.get("priority") or 1.0),
                 "state": "running",
             }
-            for worker_id, quota in dict(quotas or {}).items():
-                self._kv[f"quota:{cid}:{worker_id}"] = quota
             return None
         if op == "conclude":
             campaign = self._campaigns.get(entry[1])
@@ -663,9 +645,7 @@ class EmbeddedBroker:
             if self._drr_current == cid:
                 self._drr_current = None
             if campaign is not None:
-                self._clear_campaign_locked(
-                    cid, campaign["tasks"], campaign["results"]
-                )
+                self._clear_campaign_locked(campaign["tasks"], campaign["results"])
             return None
         if op == "drop":
             _, worker_id, clean = entry
@@ -768,17 +748,6 @@ class EmbeddedBroker:
             for cid, c in self._campaigns.items()
             if c.get("state") == "running"
         }
-
-    def _quota_locked(self, worker_id: str) -> Any:
-        """A worker's lease quota: the max over running campaigns'
-        namespaced refinements (a worker serving two tenants needs the
-        headroom of the more generous one); ``None`` without any."""
-        quotas = []
-        for cid in self._running_locked():
-            value = self._kv.get(f"quota:{cid}:{worker_id}")
-            if value is not None:
-                quotas.append(value)
-        return max(quotas, default=None)
 
     def _leased_points_locked(self) -> dict[str, int]:
         """Points currently leased, per campaign tasks queue."""
@@ -1019,9 +988,7 @@ class EmbeddedBroker:
                     "ok": False,
                     "error": f"campaign {cid!r} is already live on this broker",
                 }
-            self._apply_locked(
-                ("announce", campaign, dict(message.get("quotas") or {}))
-            )
+            self._apply_locked(("announce", campaign))
             self._cond.notify_all()
             return {"ok": True, "campaign": cid}
 
@@ -1060,20 +1027,6 @@ class EmbeddedBroker:
                 self._cond.notify_all()
             return {"ok": True, "dup": bool(dup), "state": self._state_locked()}
 
-    def _op_get(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        with self._cond:
-            return {
-                "ok": True,
-                "value": self._kv.get(str(message.get("key"))),
-                "state": self._state_locked(),
-            }
-
-    def _op_set(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        with self._cond:
-            self._apply_locked(("set", str(message.get("key")), message.get("value")))
-            self._cond.notify_all()
-            return {"ok": True}
-
     def _register_locked(
         self, worker_id: str, meta: dict[str, Any], conn: Any
     ) -> dict[str, Any]:
@@ -1097,7 +1050,6 @@ class EmbeddedBroker:
         return {
             "ok": True,
             "ttl": self.heartbeat_ttl,
-            "quota": self._quota_locked(worker_id),
             "state": self._state_locked(),
             "running": len(self._running_locked()),
         }
@@ -1347,11 +1299,6 @@ class QueueTransport(WorkerTransport):
     heartbeat_ttl / quarantine_after:
         Forwarded to the owned embedded broker (ignored for external
         brokers, which have their own configuration).
-    quota_refresh:
-        Recompute measured-throughput quota refinements every this many
-        results (8 by default; the refinement writes
-        ``quota:<campaign>:<worker>`` keys the workers pick up via
-        heartbeat replies).
     priority:
         Fair-share weight of this campaign on a multi-tenant broker:
         the deficit-round-robin scheduler banks ``DRR_QUANTUM *
@@ -1375,12 +1322,9 @@ class QueueTransport(WorkerTransport):
         on_outage: "Callable[[str], None] | None" = None,
         heartbeat_ttl: float = 15.0,
         quarantine_after: int = 2,
-        quota_refresh: int = 8,
         priority: float = 1.0,
     ) -> None:
         super().__init__()
-        if quota_refresh < 1:
-            raise ValueError("quota_refresh must be >= 1")
         if max_outage_s < 0:
             raise ValueError("max_outage_s must be >= 0")
         if priority <= 0:
@@ -1388,7 +1332,6 @@ class QueueTransport(WorkerTransport):
         self.worker_timeout = worker_timeout
         self.max_outage_s = max_outage_s
         self.on_outage = on_outage
-        self.quota_refresh = quota_refresh
         self.priority = float(priority)
         self._owns_broker = False
         self._broker: EmbeddedBroker | None = None
@@ -1428,8 +1371,6 @@ class QueueTransport(WorkerTransport):
         self.results_received = 0
         self._meta: dict[str, dict[str, Any]] = {}
         self._point_stats: dict[str, dict[str, float]] = {}
-        self._quotas: dict[str, int] = {}
-        self._seeded: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -1439,33 +1380,6 @@ class QueueTransport(WorkerTransport):
             return self._broker.address
         assert self._broker_address is not None
         return self._broker_address
-
-    # ------------------------------------------------------------------
-    def seed_fleet(self, stats: Mapping[str, Mapping[str, Any]]) -> None:
-        """Pre-set worker quotas from a previous campaign's fleet records.
-
-        ``stats`` is the manifest's per-worker record
-        (``{worker: {"quota": ..., "capacity": ...}}``); returning
-        workers start at their previously *refined* quota instead of
-        their advertised capacity -- the cross-campaign half of the
-        measured-throughput feedback loop.
-        """
-        seeded: dict[str, int] = {}
-        for worker_id, record in stats.items():
-            quota = record.get("quota") or record.get("capacity") or 1
-            try:
-                seeded[str(worker_id)] = max(1, int(round(float(quota))))
-            except (TypeError, ValueError):
-                continue
-        self._seeded = seeded
-        if self._client is not None and self._campaign_id is not None:
-            for worker_id, quota in seeded.items():
-                self._client.call(
-                    "set",
-                    key=f"quota:{self._campaign_id}:{worker_id}",
-                    value=quota,
-                )
-            self._quotas.update(seeded)
 
     # ------------------------------------------------------------------
     def start(self, spec: Any) -> None:
@@ -1495,11 +1409,9 @@ class QueueTransport(WorkerTransport):
                 "spec": spec,
                 "priority": self.priority,
             },
-            quotas=dict(self._seeded),
         )
         if not reply.get("ok"):
             raise TransportError(str(reply.get("error")))
-        self._quotas.update(self._seeded)
         self._starved_since = None
 
     #: Results pulled per coordinator take -- one round-trip drains up
@@ -1650,24 +1562,21 @@ class QueueTransport(WorkerTransport):
     def worker_stats(self) -> dict[str, dict[str, Any]]:
         """Measured per-worker dispatch records of this campaign.
 
-        ``{worker: {capacity, points, busy_s, throughput, quota}}`` --
-        what the campaign writes into the manifest's
-        ``node_costs["__fleet__"]`` and what makes capacity-weighted
-        dispatch observable after the fact.  ``points`` counts the cover
-        runs the worker simulated and ``busy_s`` the wall time it
-        measured on them.
+        ``{worker: {capacity, points, busy_s, throughput}}`` -- what
+        makes capacity-weighted dispatch observable after the fact.
+        ``points`` counts the cover runs the worker simulated and
+        ``busy_s`` the wall time it measured on them.  A per-run report
+        only: nothing here feeds the next campaign's schedule.
         """
         stats: dict[str, dict[str, Any]] = {}
         for worker_id, point in self._point_stats.items():
             meta = self._meta.get(worker_id, {})
-            capacity = int(meta.get("capacity") or 1)
             span = max(point["last"] - point["first"], point["busy_s"], 1e-9)
             stats[worker_id] = {
-                "capacity": capacity,
+                "capacity": int(meta.get("capacity") or 1),
                 "points": int(point["points"]),
                 "busy_s": round(point["busy_s"], 6),
                 "throughput": round(point["points"] / span, 6),
-                "quota": self._quotas.get(worker_id, capacity),
             }
         return stats
 
@@ -1745,41 +1654,6 @@ class QueueTransport(WorkerTransport):
         point["points"] += 1
         point["busy_s"] += float(meta.get("wall") or 0.0)
         point["last"] = now
-        if self.results_received % self.quota_refresh == 0:
-            self._refine_quotas()
-
-    def _refine_quotas(self) -> None:
-        """Scale each worker's lease quota by its measured per-slot speed.
-
-        The advertised capacity is the prior; once a worker has enough
-        completed points, its quota becomes ``capacity * (per-slot rate
-        / fleet mean per-slot rate)``, clamped to ``[1, 2 * capacity]``.
-        The per-slot rate is ``points / busy seconds`` over the wall
-        time the worker itself measured per point, so queue idling and
-        join/leave bursts cannot skew the comparison -- a fleet of
-        equal machines keeps quota == capacity exactly, and only a
-        genuinely faster (or slower) worker per slot moves.
-        """
-        rates: dict[str, float] = {}
-        for worker_id, point in self._point_stats.items():
-            if point["points"] < 3 or point["busy_s"] <= 0:
-                continue
-            rates[worker_id] = point["points"] / point["busy_s"]
-        if len(rates) < 1:
-            return
-        mean = sum(rates.values()) / len(rates)
-        if mean <= 0:
-            return
-        for worker_id, rate in rates.items():
-            capacity = max(1, int(self._meta.get(worker_id, {}).get("capacity") or 1))
-            quota = min(max(1, int(round(capacity * rate / mean))), 2 * capacity)
-            if self._quotas.get(worker_id) != quota and self._client is not None:
-                self._client.call(
-                    "set",
-                    key=f"quota:{self._campaign_id}:{worker_id}",
-                    value=quota,
-                )
-                self._quotas[worker_id] = quota
 
 
 # ----------------------------------------------------------------------
@@ -1835,11 +1709,9 @@ def serve_queue_worker(
 
     A worker with ``capacity > 1`` executes its leased points on a
     local :class:`~concurrent.futures.ProcessPoolExecutor` of that many
-    processes, keeping up to ``quota`` points in flight (the quota
-    starts at the capacity and follows each coordinator's measured-
-    throughput refinements, delivered via heartbeat replies; with
-    several tenants the most generous refinement wins).  Pool processes
-    build and cache one environment per campaign (see
+    processes and leases another chunk whenever fewer than ``capacity``
+    points are in flight.  Pool processes build and cache one
+    environment per campaign (see
     :func:`~repro.core.engine._run_campaign_point`), so interleaved
     chunks from different campaigns still reuse hydrated traces.
 
@@ -1910,22 +1782,7 @@ def serve_queue_worker(
             emit(f"worker {worker_id}: rejected: {reply.get('error')}")
             return WORKER_REJECTED_EXIT
         ttl = float(reply.get("ttl") or 15.0)
-        quota = int(reply.get("quota") or capacity)
         running = int(reply.get("running") or 0)
-
-        # Wait for at least one announcement -- workers may be launched
-        # before any campaign is submitted to the standing broker.
-        deadline = time.monotonic() + retry_s
-        while running == 0:
-            reply = client.call("campaigns")
-            running = int(reply.get("running") or 0)
-            if running == 0:
-                if time.monotonic() >= deadline:
-                    raise TransportError(
-                        f"broker at {host}:{port} announced no campaign "
-                        f"within {retry_s:.0f}s"
-                    )
-                time.sleep(0.2)
         if capacity > 1:
             # No initializer: pool processes hydrate one environment per
             # campaign on first use (``_run_campaign_point``), so a
@@ -1963,6 +1820,14 @@ def serve_queue_worker(
         taken = 0
         inflight: dict[Any, "tuple[str, Any]"] = {}  # future -> (cid, point)
         last_beat = time.monotonic()
+        # Workers may be launched before any campaign is submitted to the
+        # standing broker, so running out of work means "done" only once
+        # a campaign has been observed.  Until then the worker waits in
+        # ``take_any``: it blocks in the broker, so the first chunk put is
+        # leased at once, and it re-arms this worker's TTL, so a long wait
+        # never counts as a crash (or leaves a lease unrecorded).
+        observed = running > 0
+        deadline = last_beat + retry_s
         while True:
             now = time.monotonic()
             if now - last_beat > ttl / 3.0:
@@ -1970,12 +1835,12 @@ def serve_queue_worker(
                 if not beat.get("ok"):
                     emit(f"worker {worker_id}: dropped: {beat.get('error')}")
                     return WORKER_REJECTED_EXIT
-                quota = int(beat.get("quota") or capacity)
                 running = int(beat.get("running") or 0)
+                observed = observed or running > 0
                 last_beat = now
 
             item = None
-            while len(inflight) < max(1, quota):
+            while len(inflight) < capacity:
                 reply = client.call(
                     "take_any",
                     worker=worker_id,
@@ -1987,6 +1852,7 @@ def serve_queue_worker(
                         return WORKER_REJECTED_EXIT
                     raise TransportError(str(reply.get("error")))
                 running = int(reply.get("running") or 0)
+                observed = observed or running > 0
                 item = reply.get("item")
                 if item is None:
                     break
@@ -2065,9 +1931,15 @@ def serve_queue_worker(
                     sent += 1
 
             if running == 0 and item is None and not inflight:
-                client.call("goodbye", worker=worker_id)
-                emit(f"worker {worker_id}: campaigns done after {sent} points")
-                return 0
+                if observed:
+                    client.call("goodbye", worker=worker_id)
+                    emit(f"worker {worker_id}: campaigns done after {sent} points")
+                    return 0
+                if time.monotonic() >= deadline:
+                    raise TransportError(
+                        f"broker at {host}:{port} announced no campaign "
+                        f"within {retry_s:.0f}s"
+                    )
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)

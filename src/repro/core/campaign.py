@@ -40,19 +40,15 @@ keep no records of their own, so a rerun warm-starts only from the
 coordinator's persistent cache.  Crashed workers' unresolved points are
 requeued to the survivors and repeat offenders are reported on
 :attr:`CampaignResult.quarantined`.  Each worker advertises a capacity
-in its hello and dispatch is weighted by it (lease quotas), refined by
-measured per-worker throughput.
+in its hello and keeps that many points in flight, so dispatch is
+weighted by it; what each worker did is reported on
+:attr:`CampaignResult.worker_stats`.
 
-The manifest additionally records each node's wall cost, and the next
-campaign enqueues step-1 nodes longest-first so the worker fleet drains
-evenly (adaptive scheduling; ordering never changes the records, which
-stay slotted by point index).  The per-worker throughput measurements
-are written into the manifest's ``node_costs`` under the reserved
-``__fleet__`` key (outside the diffed per-app entries, like the wall
-costs), making the adaptive schedule worker-aware: the next campaign
-seeds returning workers' quotas from their recorded throughput via
-:meth:`ExplorationEngine.seed_fleet`, and the per-worker records are
-reported on :attr:`CampaignResult.worker_stats`.
+Every scheduling choice is a function of the current run's inputs:
+step-1 nodes are enqueued in study order and chunk sizes follow from
+each node's cover runs and the transport's width.  Nothing a previous
+run measured feeds back into the schedule, so the manifest holds only
+what ``resume`` diffs.
 """
 
 from __future__ import annotations
@@ -80,18 +76,12 @@ __all__ = [
     "CampaignResult",
     "CampaignScheduler",
     "CrossAppPoint",
-    "FLEET_KEY",
     "IncrementalReport",
     "MANIFEST_NAME",
 ]
 
 #: File name of the campaign manifest, written next to the cache shards.
 MANIFEST_NAME = "campaign-manifest.json"
-
-#: Reserved ``node_costs`` key holding the per-worker fleet records
-#: (never a case-study name, so it can share the mapping with the
-#: per-app wall costs without colliding).
-FLEET_KEY = "__fleet__"
 
 ProgressCallback = Callable[[str, int, int, str], None]
 
@@ -184,11 +174,10 @@ class CampaignResult:
         Worker ids the transport quarantined after repeated crashes
         (always empty for serial and local-pool runs).
     worker_stats:
-        Measured per-worker dispatch records of a capacity-tracking
-        transport (``{worker: {capacity, points, throughput, quota,
-        ...}}``; empty for serial and local-pool runs) -- the
-        observable face of capacity-weighted dispatch, also persisted
-        in the manifest's ``node_costs`` fleet entry.
+        This run's per-worker dispatch records of a capacity-tracking
+        transport (``{worker: {capacity, points, busy_s,
+        throughput}}``; empty for serial and local-pool runs) -- the
+        observable face of capacity-weighted dispatch.
     broker_outages:
         Broker outages the queue transport rode out by reconnecting
         mid-campaign (0 everywhere else) -- nonzero means the results
@@ -316,21 +305,17 @@ class CampaignScheduler:
         ``total`` count across all applications of the phase (a phase's
         total grows as continuations enqueue step-2 grids).
     resume:
-        Consult the previously written campaign manifest and report the
-        per-app reuse delta (statuses ``unchanged``/``changed``/``new``)
-        in :attr:`CampaignResult.incremental`.
-    manifest:
-        Manifest location override: ``None`` (default) derives
-        ``<cache dir>/campaign-manifest.json`` from a persistent cache
-        (no manifest without one), ``False`` disables recording, a path
-        uses that file.
+        Consult the previously written campaign manifest
+        (``<cache dir>/campaign-manifest.json``, recorded by every run
+        with a persistent cache) and report the per-app reuse delta
+        (statuses ``unchanged``/``changed``/``new``) in
+        :attr:`CampaignResult.incremental`.
     chunk_points:
         Points per dispatched chunk (the transport's unit of work).
-        ``None`` (default) picks adaptively per node: the previous
-        manifest's node costs yield a per-point estimate, and the chunk
-        targets a fixed lease duration
-        (:data:`repro.core.taskgraph.TARGET_LEASE_S`), capped so the
-        fleet stays saturated.  ``1`` reproduces per-point dispatch.
+        ``None`` (default) sizes each node's chunks from its cover runs
+        and the transport's width
+        (:func:`repro.core.taskgraph.auto_chunk_points`).  ``1``
+        reproduces per-point dispatch.
     """
 
     def __init__(
@@ -348,7 +333,6 @@ class CampaignScheduler:
         engine: ExplorationEngine | None = None,
         progress: ProgressCallback | None = None,
         resume: bool = False,
-        manifest: "str | os.PathLike[str] | bool | None" = None,
         chunk_points: int | None = None,
     ) -> None:
         chosen = list(studies) if studies is not None else list(CASE_STUDIES)
@@ -403,17 +387,12 @@ class CampaignScheduler:
                 raise ValueError("chunk_points must be >= 1 (or None for auto)")
             self.engine.chunk_points = chunk_points
         self.resume = resume
-        if manifest is False:
-            self._manifest_path: str | None = None
-        elif manifest is None or manifest is True:
-            engine_cache = self.engine.cache
-            self._manifest_path = (
-                os.path.join(engine_cache.directory, MANIFEST_NAME)
-                if engine_cache is not None
-                else None
-            )
-        else:
-            self._manifest_path = os.fspath(manifest)
+        engine_cache = self.engine.cache
+        self._manifest_path: str | None = (
+            os.path.join(engine_cache.directory, MANIFEST_NAME)
+            if engine_cache is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -434,37 +413,12 @@ class CampaignScheduler:
 
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
-        """Execute the campaign as one dependency-aware task graph.
-
-        Before any point is dispatched, the previous manifest's fleet
-        records (if any) are seeded into the engine's transport so
-        returning workers start at their measured quota instead of
-        their advertised capacity -- the worker-aware half of the
-        adaptive schedule.
-        """
-        previous_fleet = self._previous_fleet()
-        if previous_fleet:
-            self.engine.seed_fleet(previous_fleet)
+        """Execute the campaign as one dependency-aware task graph."""
         engine = self.engine
         graph = TaskGraph(engine, progress=self._graph_progress())
         step1s: dict[str, Any] = {}
         step2s: dict[str, Any] = {}
         app_nodes: dict[str, list[TaskNode]] = {}
-        previous_costs = self._previous_node_costs()
-
-        def cost_hint(name: str, phase: str, points: int) -> float | None:
-            """Per-point seconds from the previous manifest's node cost.
-
-            Feeds the adaptive chunk-size policy; ``None`` (no prior
-            run, or a reshaped node) falls back to the policy default.
-            """
-            total = previous_costs.get(name, {}).get(phase)
-            if total is None or points <= 0:
-                return None
-            try:
-                return max(float(total), 0.0) / points or None
-            except (TypeError, ValueError):
-                return None
 
         def compile_study(study: CaseStudy) -> TaskNode:
             configs = self._configs[study.name]
@@ -487,9 +441,6 @@ class CampaignScheduler:
                     phase="network-level",
                     scoped=True,
                     continuation=step2_done,
-                    cost_hint=cost_hint(
-                        study.name, "network-level", len(plan.points)
-                    ),
                 )
                 app_nodes[study.name].append(node)
                 return [node]
@@ -502,16 +453,12 @@ class CampaignScheduler:
                 phase="application-level",
                 scoped=True,
                 continuation=step1_done,
-                cost_hint=cost_hint(
-                    study.name, "application-level", len(points)
-                ),
             )
             app_nodes[study.name] = [node]
             return node
 
-        by_name = {study.name: study for study in self.studies}
-        for name in self.step1_order():
-            graph.add(compile_study(by_name[name]))
+        for study in self.studies:
+            graph.add(compile_study(study))
         graph.run()
 
         refinements = self._assemble(step1s, step2s)
@@ -523,31 +470,7 @@ class CampaignScheduler:
             else {}
         )
         incremental = self._incremental_report(app_nodes, entries)
-        # Manifest node costs prefer freshly *measured* timings: a
-        # cache-served point replays the wall time of some earlier run
-        # or some other machine, and folding it back in would let stale
-        # per-point timings drive chunk sizing and longest-first
-        # ordering forever.  A fully warm node measured
-        # nothing, so its prior manifest cost is kept verbatim; only
-        # with no prior either does the replayed total fill the gap.
-        node_costs: dict[str, Any] = {}
-        for name, nodes in app_nodes.items():
-            per_phase: dict[str, float] = {}
-            for node in nodes:
-                measured = node.measured_wall_cost
-                if measured is None:
-                    prior = previous_costs.get(name, {}).get(node.phase)
-                    measured = (
-                        float(prior)
-                        if isinstance(prior, (int, float))
-                        else node.wall_cost
-                    )
-                per_phase[node.phase] = round(measured, 6)
-            node_costs[name] = per_phase
-        fleet = engine.worker_stats
-        if fleet:
-            node_costs[FLEET_KEY] = fleet
-        self._write_manifest(entries, node_costs)
+        self._write_manifest(entries)
         store = engine.trace_store
         return CampaignResult(
             refinements=refinements,
@@ -555,7 +478,7 @@ class CampaignScheduler:
             trace_counters=store.counters() if store is not None else {},
             incremental=incremental,
             quarantined=engine.quarantined_workers,
-            worker_stats=fleet,
+            worker_stats=engine.worker_stats,
             broker_outages=engine.transport_outages,
         )
 
@@ -624,65 +547,20 @@ class CampaignScheduler:
         apps = self._manifest_payload().get("apps", {})
         return apps if isinstance(apps, dict) else {}
 
-    def _previous_node_costs(self) -> dict[str, dict[str, float]]:
-        """Per-app per-phase wall costs of the last recorded run.
+    def _write_manifest(self, entries: Mapping[str, Any]) -> None:
+        """Record this run's per-app entries -- all the manifest holds.
 
-        ``{app: {phase: seconds}}``; kept outside the per-app entries so
-        timing noise never flips an app's resume status to "changed".
-        The reserved :data:`FLEET_KEY` entry (per-worker throughput
-        records) shares the mapping; consumers look up by app name and
-        never see it.
+        Any other key an older build wrote is dropped here; reading
+        (:meth:`_previous_manifest`) already ignores it.
         """
-        costs = self._manifest_payload().get("node_costs", {})
-        return costs if isinstance(costs, dict) else {}
-
-    def _previous_fleet(self) -> dict[str, dict[str, Any]]:
-        """Per-worker fleet records of the last recorded run (or ``{}``)."""
-        fleet = self._previous_node_costs().get(FLEET_KEY, {})
-        return fleet if isinstance(fleet, dict) else {}
-
-    def step1_order(self) -> list[str]:
-        """Application names in step-1 enqueue order: longest first.
-
-        Adaptive scheduling over the manifest's recorded per-node wall
-        costs -- the most expensive exhaustive sweeps start first so the
-        worker pool drains evenly instead of idling behind one straggler
-        enqueued last.  Apps without a recorded cost keep their schedule
-        position relative to each other, after the known-expensive ones.
-        Ordering affects scheduling only: records are slotted by point
-        index and :meth:`run` reports refinements in study order, so
-        results are bit-identical for every order.
-
-        The worker-aware half of the same manifest data -- the
-        :data:`FLEET_KEY` per-worker throughput records -- is replayed
-        by :meth:`run` into the transport's lease quotas, so a
-        heterogeneous fleet both drains the longest nodes first *and*
-        hands each returning worker a share matching its measured
-        speed.
-        """
-        costs = self._previous_node_costs()
-        indexed = list(enumerate(study.name for study in self.studies))
-        indexed.sort(
-            key=lambda pair: (
-                -float(costs.get(pair[1], {}).get("application-level", 0.0) or 0.0),
-                pair[0],
-            )
-        )
-        return [name for _index, name in indexed]
-
-    def _write_manifest(
-        self,
-        entries: Mapping[str, Any],
-        node_costs: Mapping[str, Mapping[str, float]] | None = None,
-    ) -> None:
         path = self._manifest_path
         if path is None:
             return
-        payload: dict[str, Any] = {"version": 1, "apps": dict(entries)}
-        if node_costs:
-            payload["node_costs"] = {k: dict(v) for k, v in node_costs.items()}
+        payload = {"version": 1, "apps": dict(entries)}
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = f"{path}.tmp"
+        # Per-process tmp name: campaigns sharing one --cache must never
+        # interleave writes into (or rename away) each other's tmp file.
+        tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         os.replace(tmp, path)

@@ -18,7 +18,9 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   deterministically.  The pool is one :mod:`~repro.core.transport`
   backend -- pass a :class:`~repro.core.broker.QueueTransport` to
   distribute the same points to ``ddt-explore worker --connect-broker``
-  processes instead.
+  processes instead.  Points travel in chunks sized from each node's
+  own cover runs and the transport's width; no timing measured by an
+  earlier run steers the schedule.
 * **Persistent caching** -- an optional :class:`SimulationCache`, the
   one record store, keeps finished
   :class:`~repro.core.results.SimulationRecord`\\ s as JSON under
@@ -473,9 +475,9 @@ class ExplorationEngine:
         miss through it instead, regardless of ``workers``.
     chunk_points:
         Points per dispatched :class:`~repro.core.transport.ChunkTask`.
-        ``None`` (default) lets the task graph pick adaptively -- it
-        targets a fixed lease duration from each node's manifest cost
-        hint, capped so every worker slot stays busy.  An explicit
+        ``None`` (default) lets the task graph size each node's chunks
+        from its cover runs, capped so every worker slot stays busy
+        (:func:`~repro.core.taskgraph.auto_chunk_points`).  An explicit
         ``N >= 1`` forces fixed-size chunks (``1`` reproduces the
         pre-chunk per-point dispatch exactly).  Ignored on the serial
         path.
@@ -573,29 +575,16 @@ class ExplorationEngine:
 
     @property
     def worker_stats(self) -> dict:
-        """The transport's measured per-worker dispatch records.
+        """The transport's per-worker dispatch records of this run.
 
-        ``{worker: {capacity, points, throughput, quota, ...}}`` for a
+        ``{worker: {capacity, points, busy_s, throughput}}`` for a
         capacity-tracking transport (the queue transport), ``{}`` for
         serial runs and transports that do not distinguish workers.
-        The campaign persists this in the manifest's fleet records.
         """
         transport = self._transport or self._transport_spec
         if transport is None:
             return {}
         return transport.worker_stats()
-
-    def seed_fleet(self, stats: Mapping[str, Mapping[str, Any]]) -> None:
-        """Forward previous fleet records to the configured transport.
-
-        Lets a campaign replay the manifest's measured per-worker
-        quotas (see :meth:`~repro.core.transport.WorkerTransport.seed_fleet`)
-        before the transport starts; a no-op for serial engines and
-        transports without fleet state.
-        """
-        transport = self._transport or self._transport_spec
-        if transport is not None:
-            transport.seed_fleet(stats)
 
     def transport(self) -> "WorkerTransport":
         """The running transport, starting it on first use.
@@ -682,8 +671,8 @@ class ExplorationEngine:
         details-or-None)`` batch is wrapped in a continuation-free
         :class:`~repro.core.taskgraph.TaskNode` and handed straight to
         :meth:`run_graph`; there is no separate batch execution path, so
-        every batch's cache misses share the worker transport (and the
-        adaptive chunking policy) instead of draining it one application
+        every batch's cache misses share the worker transport (and its
+        chunking policy) instead of draining it one application
         at a time.  ``progress`` counts across the whole workload.  The
         returned lists are index-aligned with ``batches`` and their
         points; per batch the records are bit-identical to a standalone

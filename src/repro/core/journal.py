@@ -21,10 +21,11 @@ starting.
 
 Records are versioned: every entry is wrapped in a ``{"v":
 RECORD_VERSION, "entry": entry}`` envelope on disk.  A record of any
-other version -- including a bare entry from a version-1 log -- is
-refused, not translated: :meth:`Journal.load` stops there with a
-:class:`JournalWarning` naming the version and truncates the tail, as
-on a damaged record.
+other version -- a version-2 record, or a bare entry from a version-1
+log -- is refused, not translated: :meth:`Journal.load` stops there
+with a :class:`JournalWarning` naming the version and truncates the
+tail, as on a damaged record.  Snapshots carry no version; the broker
+decides what it can restore from one.
 
 Every ``compact_every`` appends the caller is expected to fold the log
 into a fresh snapshot via :meth:`Journal.compact`, which writes the
@@ -56,8 +57,9 @@ LOG_NAME = "wal.log"
 
 #: The on-disk record schema this build reads and writes.  Version 1
 #: (bare entries) predates the multi-tenant broker; version 2 wraps each
-#: entry in a version envelope.
-RECORD_VERSION = 2
+#: entry in a version envelope; version 3 drops the key-value ``set``
+#: entry and shortens ``announce`` to ``("announce", campaign)``.
+RECORD_VERSION = 3
 
 #: ``(payload_length, crc32)`` little-endian record header.
 _HEADER = struct.Struct("<II")

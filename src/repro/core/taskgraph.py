@@ -37,7 +37,10 @@ every miss from the cover runs' parts (:func:`compose_records`) through
 the aggregation :meth:`~repro.memory.profiler.MemoryProfiler.metrics`
 uses, so composed records equal simulated ones bit for bit.  Cover runs
 are ordinary points to the transports; composed points are never
-dispatched.
+dispatched.  A node's cover runs travel in chunks whose size depends
+only on this run's inputs -- the node's cover-run count and the
+transport's width (:func:`auto_chunk_points`), or the engine's fixed
+``chunk_points``.
 
 Nodes may be ``scoped``: the engine then keys each point's cache entry
 by a fingerprint over the model parameters and *only the profile of
@@ -72,43 +75,25 @@ __all__ = [
     "cover_assignments",
 ]
 
-#: Target wall-clock seconds one dispatched chunk should keep a worker
-#: busy: long enough to amortise the per-frame pickle/IPC round-trip
-#: that made per-point dispatch slower than serial, short enough that a
-#: crashed worker forfeits little work and the tail of a node stays
-#: load-balanced.
-TARGET_LEASE_S = 0.2
-
-#: Per-point wall-clock estimate used when a node carries no
-#: :attr:`TaskNode.cost_hint` (fresh campaigns without a manifest).
-DEFAULT_POINT_COST_S = 0.005
+#: Most cover runs one dispatched chunk carries: enough to amortise the
+#: per-chunk pickle/IPC round-trip that made per-point dispatch slower
+#: than serial, few enough that a crashed worker forfeits little work.
+MAX_CHUNK_POINTS = 40
 
 
-def auto_chunk_points(
-    misses: int,
-    per_point_s: float | None = None,
-    slots: int | None = None,
-) -> int:
-    """Adaptive chunk size for one node's dispatched points.
+def auto_chunk_points(runs: int, slots: int | None = None) -> int:
+    """Default chunk size for one node's ``runs`` dispatched cover runs.
 
-    Targets :data:`TARGET_LEASE_S` seconds of simulated work per
-    dispatched chunk using ``per_point_s`` (derived from a node's
-    manifest cost hint, falling back to :data:`DEFAULT_POINT_COST_S`),
-    then caps the size so the node still splits into at least two chunks
-    per worker slot -- a node must never collapse into fewer chunks than
-    the fleet has slots, or parallelism degenerates back to serial.
+    At most :data:`MAX_CHUNK_POINTS`, and small enough that the node
+    still splits into at least two chunks per worker slot (``slots``,
+    or 4 when the transport does not say) -- a node must never collapse
+    into fewer chunks than the fleet has slots, or parallelism
+    degenerates back to serial.
     """
-    if misses <= 1:
+    if runs <= 1:
         return 1
-    estimate = (
-        per_point_s
-        if per_point_s is not None and per_point_s > 0
-        else DEFAULT_POINT_COST_S
-    )
-    by_lease = max(1, math.ceil(TARGET_LEASE_S / estimate))
     width = max(1, int(slots or 4))
-    fair = max(1, math.ceil(misses / (2 * width)))
-    return min(by_lease, fair)
+    return min(MAX_CHUNK_POINTS, math.ceil(runs / (2 * width)))
 
 
 def cover_assignments(
@@ -245,12 +230,6 @@ class TaskNode:
     continuation:
         Parent-process callback invoked with the completed ``records``;
         any nodes it returns are scheduled on the same graph.
-    cost_hint:
-        Estimated wall-clock seconds **per point**, typically derived
-        from a previous campaign's manifest node costs.  Feeds the
-        adaptive chunk-size policy (:func:`auto_chunk_points`): cheap
-        points get large chunks, expensive points small ones.  ``None``
-        falls back to :data:`DEFAULT_POINT_COST_S`.
     records:
         Results, index-aligned with ``points``; populated by the run.
     cache_hits / simulations / composed:
@@ -268,12 +247,10 @@ class TaskNode:
     phase: str = ""
     scoped: bool = False
     continuation: Continuation | None = None
-    cost_hint: float | None = None
     records: list[SimulationRecord | None] = field(default_factory=list, repr=False)
     cache_hits: int = 0
     simulations: int = 0
     composed: int = 0
-    sim_wall_cost: float = field(default=0.0, repr=False)
     _labels: list[str] = field(default_factory=list, repr=False)
     _remaining: int = field(default=0, repr=False)
     _done: int = field(default=0, repr=False)
@@ -288,40 +265,6 @@ class TaskNode:
     def complete(self) -> bool:
         """Whether every point has a slotted record."""
         return self._prepared and self._done == len(self.points)
-
-    @property
-    def wall_cost(self) -> float:
-        """Summed wall-clock seconds of this node's resolved records.
-
-        Cache-served records contribute their historically recorded
-        cost, so a warm node still reports how expensive it *would* be.
-        The campaign's manifest prefers :attr:`measured_wall_cost` --
-        hit records replay timings measured who-knows-where and must
-        not keep driving chunk sizing -- and only falls back to this
-        replayed total when nothing fresher exists (first run against a
-        pre-warmed cache without a manifest).
-        """
-        return sum(
-            record.wall_time_s for record in self.records if record is not None
-        )
-
-    @property
-    def measured_wall_cost(self) -> float | None:
-        """Node wall cost from **freshly simulated** cover runs only.
-
-        Cache-served work is excluded: its replayed ``wall_time_s`` was
-        measured on some earlier run or some other host, and feeding it
-        back into the manifest would keep stale timings driving
-        :func:`auto_chunk_points` and the longest-first schedule
-        forever.  The cover runs' cost is extrapolated from the composed
-        points to the whole node, so the persisted total stays
-        comparable across runs.  ``None`` when nothing was simulated --
-        a fully warm node has measured nothing, and the campaign keeps
-        its prior manifest cost.
-        """
-        if self.simulations <= 0 or self.composed <= 0:
-            return None
-        return self.sim_wall_cost * self.total / self.composed
 
 
 @dataclass
@@ -395,7 +338,6 @@ class TaskGraph:
             ]
         node.records = [None] * len(node.points)
         node.cache_hits = node.simulations = node.composed = 0
-        node.sim_wall_cost = 0.0
         node._done = node._remaining = 0
         node._prepared = True
         engine.stats.batches += 1
@@ -439,7 +381,6 @@ class TaskGraph:
     ) -> None:
         """Account for one cover run; compose its group once complete."""
         node.simulations += 1
-        node.sim_wall_cost += record.wall_time_s
         self.engine.stats.simulations += 1
         group.records[cover] = record
         group.pending -= 1
@@ -523,21 +464,7 @@ class TaskGraph:
         transport = engine.transport()
         slots: dict[int, tuple[TaskNode, _Group, int]] = {}
         tokens = count()
-
-        def chunk_size(node: TaskNode, runs: int) -> int:
-            fixed = getattr(engine, "chunk_points", None)
-            if fixed is not None:
-                return max(1, int(fixed))
-            # The cost hint is per requested point; one cover run
-            # stands in for misses / runs of them.
-            per_run = (
-                node.cost_hint * node._remaining / runs
-                if node.cost_hint is not None
-                else None
-            )
-            return auto_chunk_points(
-                runs, per_point_s=per_run, slots=getattr(transport, "workers", None)
-            )
+        width = getattr(transport, "workers", None)
 
         def launch(node: TaskNode) -> None:
             groups = self._prepare(node)
@@ -548,7 +475,9 @@ class TaskGraph:
             if store is not None and store.directory is not None:
                 # Pay trace generation once here; workers only load.
                 store.ensure(group.config.trace_name for group in groups)
-            size = chunk_size(node, sum(len(group.covers) for group in groups))
+            size = engine.chunk_points or auto_chunk_points(
+                sum(len(group.covers) for group in groups), slots=width
+            )
             entries: list[tuple[int, tuple]] = []
 
             def flush_chunk() -> None:

@@ -11,7 +11,9 @@ The unit of dispatch is a **chunk**: an ordered block of points
 hydrated worker environment, and comes back as one batch of results.
 Per-point dispatch paid one pickle/IPC round-trip per millisecond-scale
 simulation -- the "dispatch tax"; chunking amortises the round-trip
-across the block.
+across the block.  A transport only executes: chunk sizes are chosen by
+the task graph from the current run's inputs, and nothing a transport
+measures carries over to the next run.
 
 Two transports implement :class:`WorkerTransport`:
 
@@ -225,22 +227,14 @@ class WorkerTransport:
 
     # ------------------------------------------------------------------
     def worker_stats(self) -> dict[str, dict[str, Any]]:
-        """Measured per-worker dispatch records, ``{}`` by default.
+        """This run's per-worker dispatch records, ``{}`` by default.
 
         Transports that track heterogeneous worker capacities (the
-        queue transport) report ``{worker: {capacity, points,
-        throughput, quota, ...}}`` here; the campaign persists it in
-        the manifest's ``node_costs`` fleet records.
+        queue transport) report ``{worker: {capacity, points, busy_s,
+        throughput}}`` here, reported on
+        :attr:`~repro.core.campaign.CampaignResult.worker_stats`.
         """
         return {}
-
-    def seed_fleet(self, stats: Mapping[str, Mapping[str, Any]]) -> None:
-        """Pre-load per-worker records from a previous campaign (no-op).
-
-        The queue transport overrides this to start returning workers
-        at their previously measured quota instead of their advertised
-        capacity.
-        """
 
 
 class LocalPoolTransport(WorkerTransport):

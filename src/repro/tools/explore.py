@@ -31,9 +31,10 @@ trace profile (unaffected apps replay from cache)::
     ddt-explore campaign --apps all --workers 2 --resume --trace-store
 
 Distribute a campaign through a broker instead of a local pool, so
-workers can join, leave and rejoin mid-campaign (elastic fleet,
-capacity-weighted dispatch); workers retry the connection, so start
-order does not matter::
+workers can join, leave and rejoin mid-campaign (elastic fleet; each
+worker keeps its ``--capacity`` of points in flight, so dispatch is
+capacity-weighted); workers retry the connection, so start order does
+not matter::
 
     ddt-explore broker --bind 127.0.0.1:4447      # or skip this and let
                                                   # the campaign embed one
@@ -313,23 +314,17 @@ def build_campaign_parser() -> argparse.ArgumentParser:
             "is offered twice the work of a priority-1 one)"
         ),
     )
-    chunking = parser.add_mutually_exclusive_group()
-    chunking.add_argument(
+    parser.add_argument(
         "--chunk-points",
         type=int,
         default=None,
         metavar="N",
         help=(
             "dispatch cache-miss points to workers in blocks of N "
-            "(1 dispatches single points; applies to every transport)"
-        ),
-    )
-    chunking.add_argument(
-        "--chunk-auto",
-        action="store_true",
-        help=(
-            "size dispatch chunks automatically from recorded node costs "
-            "and fleet width (the default policy)"
+            "(1 dispatches single points; applies to every transport). "
+            "Default: per node, at most 40 cover runs and at least two "
+            "blocks per worker slot (the pool width, or 4 for the queue "
+            "transport)"
         ),
     )
     parser.add_argument(
@@ -818,12 +813,11 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         if result.worker_stats:
             print(
                 render_table(
-                    ["worker", "capacity", "quota", "points", "points/s"],
+                    ["worker", "capacity", "points", "points/s"],
                     [
                         (
                             worker,
                             ws["capacity"],
-                            ws["quota"],
                             ws["points"],
                             f"{ws['throughput']:.1f}",
                         )

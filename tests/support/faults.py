@@ -400,7 +400,8 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
       journal rejects replayed ``push_result`` frames as duplicates),
     - nobody is blamed: a broker restart is not a worker crash, so the
       quarantine list stays empty and both workers exit 0,
-    - the coordinator observed the outage (``transport.outages >= 1``).
+    - the coordinator observed the outage (``transport.outages >= 1``),
+    - both workers appear on the result's per-worker records.
     """
     address = f"127.0.0.1:{free_port()}"
     brokers = [spawn_broker(address, journal=str(journal_dir))]
@@ -450,18 +451,9 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
     assert transport.results_received == result.stats.simulations
     assert result.quarantined == []
     assert {"w1", "w2"} <= transport.workers_seen
-    if cache is not None:
-        import json
-
-        from repro.core.campaign import FLEET_KEY
-
-        manifest = json.loads(
-            (cache / "campaign-manifest.json").read_text()
-        )
-        fleet = manifest["node_costs"][FLEET_KEY]
-        assert fleet == result.worker_stats
-        assert set(fleet) == {"w1", "w2"}
-        assert all(ws["points"] >= 1 for ws in fleet.values())
+    fleet = result.worker_stats
+    assert set(fleet) == {"w1", "w2"}
+    assert all(ws["points"] >= 1 for ws in fleet.values())
     return result
 
 

@@ -33,10 +33,15 @@ from repro.core.broker import (
     EmbeddedBroker,
     QueueTransport,
 )
-from repro.core.campaign import FLEET_KEY, CampaignScheduler
+from repro.core.campaign import CampaignScheduler
 from repro.core.engine import EnvSpec
 from repro.core.simulate import SimulationEnvironment
-from repro.core.transport import ChunkTask, TransportError, parse_address
+from repro.core.transport import (
+    WORKER_CRASH_EXIT,
+    ChunkTask,
+    TransportError,
+    parse_address,
+)
 
 
 @pytest.fixture()
@@ -114,30 +119,37 @@ class TestBrokerProtocol:
 
     def test_reset_drops_stale_quota_refinements(self, client):
         """A re-announced campaign must not inherit its previous run's
-        refined quotas -- but a *different* tenant's start must not wipe
-        them either (the pre-multi-tenant ``reset`` cleared globally)."""
-        client.call("announce", campaign={"id": "a"}, quotas={"w": 6})
-        hello = client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
-        assert hello["quota"] == 6
-        # a second tenant starting leaves campaign a's refinement alone
-        client.call("announce", campaign={"id": "b"}, quotas={})
-        beat = client.call("heartbeat", worker="w", meta={})
-        assert beat["quota"] == 6
-        # withdrawing campaign a takes its namespace (and the quota) along
+        queued work -- but a *different* tenant's start must not wipe
+        it either (the pre-multi-tenant ``reset`` cleared globally)."""
+
+        def pending(cid):
+            return client.call("campaigns")["campaigns"][cid]["tasks_pending"]
+
+        client.call("announce", campaign={"id": "a"})
+        client.call("put", queue="tasks:a", item={"token": "stale"})
+        client.call("conclude", campaign="a")
+        # re-announcing campaign a starts it from an empty namespace
+        client.call("announce", campaign={"id": "a"})
+        assert pending("a") == 0
+        client.call("put", queue="tasks:a", item={"token": "a0"})
+        # a second tenant starting leaves campaign a's queued task alone
+        client.call("announce", campaign={"id": "b"})
+        assert pending("a") == 1
+        # withdrawing campaign a takes its namespace (and the task) along
         client.call("withdraw", campaign="a")
-        beat = client.call("heartbeat", worker="w", meta={})
-        assert beat["quota"] is None
+        assert "a" not in client.call("campaigns")["campaigns"]
+        assert client.call("take", queue="tasks:a", timeout=0.05)["item"] is None
 
     def test_reannouncing_a_live_campaign_id_is_rejected(self, client):
         """Two coordinators that mint the same id must not cross-wire
         queues: the second announcement is refused while the first is
         live, and accepted again once it concludes."""
-        first = client.call("announce", campaign={"id": "dup"}, quotas={})
+        first = client.call("announce", campaign={"id": "dup"})
         assert first["ok"]
-        second = client.call("announce", campaign={"id": "dup"}, quotas={})
+        second = client.call("announce", campaign={"id": "dup"})
         assert not second["ok"] and "already live" in second["error"]
         client.call("conclude", campaign="dup")
-        again = client.call("announce", campaign={"id": "dup"}, quotas={})
+        again = client.call("announce", campaign={"id": "dup"})
         assert again["ok"]
 
     @staticmethod
@@ -153,7 +165,7 @@ class TestBrokerProtocol:
 
         cost = int(DRR_QUANTUM)  # one chunk spends a full visit's deficit
         for cid in ("a", "b"):
-            client.call("announce", campaign={"id": cid}, quotas={})
+            client.call("announce", campaign={"id": cid})
             for token in range(4):
                 client.call(
                     "put",
@@ -178,8 +190,8 @@ class TestBrokerProtocol:
         from repro.core.broker import DRR_QUANTUM
 
         cost = int(DRR_QUANTUM)
-        client.call("announce", campaign={"id": "hi", "priority": 2.0}, quotas={})
-        client.call("announce", campaign={"id": "lo", "priority": 1.0}, quotas={})
+        client.call("announce", campaign={"id": "hi", "priority": 2.0})
+        client.call("announce", campaign={"id": "lo", "priority": 1.0})
         for cid in ("hi", "lo"):
             for token in range(12):
                 client.call(
@@ -261,8 +273,6 @@ class TestBrokerProtocol:
             EmbeddedBroker(heartbeat_ttl=0.0)
         with pytest.raises(ValueError, match="quarantine_after"):
             EmbeddedBroker(quarantine_after=0)
-        with pytest.raises(ValueError, match="quota_refresh"):
-            QueueTransport(quota_refresh=0)
 
 
 # ----------------------------------------------------------------------
@@ -357,22 +367,49 @@ class TestQueueTransportLifecycle:
             finally:
                 client.close()
 
-    def test_seed_fleet_replays_quotas_to_returning_workers(self):
-        """A returning worker's hello carries its previously refined quota."""
-        transport = QueueTransport()
-        transport.seed_fleet({"veteran": {"quota": 3, "capacity": 2}})
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            client = BrokerClient(transport.address)
+    def test_worker_waiting_for_first_campaign_stays_registered(self):
+        """Regression: a worker launched before any campaign polled an
+        op that never re-armed its TTL, so waiting out the TTL counted
+        as a crash, and its first lease after the wait went unrecorded
+        -- a crash then lost the leased points.  A waiting worker stays
+        live, and a crash on its first lease requeues that lease."""
+        with EmbeddedBroker(heartbeat_ttl=0.8) as broker:
+            client = BrokerClient(broker.address)
+            worker = spawn_worker(broker.address, "early", "--fail-after", "1")
             try:
-                hello = client.call(
-                    "hello", proto=BROKER_PROTOCOL, worker="veteran", meta={}
+                deadline = time.monotonic() + 30
+                while "early" not in client.call("fleet")["fleet"]["live"]:
+                    assert time.monotonic() < deadline, "worker never registered"
+                    time.sleep(0.05)
+                time.sleep(2.0)  # well past the TTL, still no campaign
+                fleet = client.call("fleet")["fleet"]
+                assert "early" in fleet["live"]
+                assert fleet["crashes"] == {}
+
+                spec = EnvSpec.from_env(SimulationEnvironment())
+                client.call("announce", campaign={"id": "c", "spec": spec})
+                point = {
+                    "token": "p0",
+                    "app": UrlApp,
+                    "trace": "Whittemore",
+                    "params": {},
+                    "assignment": {"url_pattern": "AR", "connection": "SLL"},
+                }
+                client.call(
+                    "put", queue="tasks:c", item={"token": "c0", "points": [point]}
                 )
-                assert hello["ok"] and hello["quota"] == 3
+                assert worker.wait(timeout=30) == WORKER_CRASH_EXIT
+                deadline = time.monotonic() + 10
+                while client.call("fleet")["fleet"]["requeues"] < 1:
+                    assert time.monotonic() < deadline, "the lease was lost"
+                    time.sleep(0.05)
+                requeued = client.call("take", queue="tasks:c", timeout=1.0)["item"]
+                assert [p["token"] for p in requeued["points"]] == ["p0"]
             finally:
                 client.close()
-        finally:
-            transport.close()
+                if worker.poll() is None:
+                    worker.kill()
+                    worker.wait(timeout=10)
 
 
 # ----------------------------------------------------------------------
@@ -479,8 +516,8 @@ class TestBrokerRestart:
         the write-ahead log, the coordinator and both workers reconnect
         transparently, and the campaign finishes with results
         bit-identical to serial -- no duplicates, no one quarantined,
-        no worker blamed for the broker's death, and the manifest's
-        fleet records intact."""
+        no worker blamed for the broker's death, and both workers on
+        the result's per-worker records."""
         broker_restart_drill(
             serial_campaign,
             journal_dir=tmp_path / "journal",
@@ -535,13 +572,14 @@ class TestBoundedShutdown:
 
 
 # ----------------------------------------------------------------------
-# capacity-weighted dispatch, fleet records, manifest feedback loop
+# capacity-weighted dispatch and its per-run fleet records
 # ----------------------------------------------------------------------
 class TestCapacityWeightedDispatch:
     def test_fleet_records_reach_result_and_manifest(
         self, serial_campaign, tmp_path
     ):
-        """Unequal advertised capacities are measured and persisted."""
+        """Unequal advertised capacities are measured and reported on
+        the result; the manifest keeps only what ``--resume`` diffs."""
         cache_dir = tmp_path / "cache"
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         workers = [
@@ -581,18 +619,4 @@ class TestCapacityWeightedDispatch:
         manifest = json.loads(
             (cache_dir / "campaign-manifest.json").read_text()
         )
-        assert manifest["node_costs"][FLEET_KEY] == stats
-        # the fleet entry must never collide with the app cost entries
-        assert "URL" in manifest["node_costs"]
-
-        # the next campaign reads the fleet back for its seed
-        follow_up = CampaignScheduler(
-            studies=["url"],
-            candidates=CANDIDATES,
-            configs={"URL": NARROW["URL"]},
-            cache=cache_dir,
-        )
-        try:
-            assert follow_up._previous_fleet() == stats
-        finally:
-            follow_up.close()
+        assert set(manifest) == {"version", "apps"}

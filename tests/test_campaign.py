@@ -9,10 +9,14 @@ configurations per app) to keep the full four-app parity test fast.
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
+from support.faults import worker_env
 
-from repro.core.campaign import CampaignScheduler
+from repro.core.campaign import MANIFEST_NAME, CampaignScheduler
 from repro.core.casestudies import CASE_STUDIES, case_study
 from repro.core.engine import ExplorationEngine, SimulationCache
 from repro.core.methodology import DDTRefinement
@@ -175,6 +179,64 @@ class TestCacheSharding:
             [(NARROW["DRR"][0], {"flow_queue": "SLL", "packet_buf": "SLL"})],
         )
         engine.close()
+
+
+#: One process of the shared-cache manifest race: builds a campaign on
+#: the cache in argv[1], reports ready, waits for the go file, then
+#: writes the manifest 300 times tagged with argv[2].
+MANIFEST_WRITER = """
+import os, sys, time
+from repro.core.campaign import CampaignScheduler
+
+cache, tag = sys.argv[1], sys.argv[2]
+campaign = CampaignScheduler(studies=["url"], cache=cache)
+open(os.path.join(cache, "ready-" + tag), "w").close()
+deadline = time.monotonic() + 60
+while not os.path.exists(os.path.join(cache, "go")):
+    if time.monotonic() > deadline:
+        sys.exit("never released")
+    time.sleep(0.001)
+for write in range(300):
+    campaign._write_manifest({"URL": {"writer": tag, "write": write}})
+"""
+
+
+class TestSharedCacheManifest:
+    def test_concurrent_manifest_writes_do_not_collide(self, tmp_path):
+        """Two campaigns sharing one cache may write the manifest at the
+        same moment: each writes through its own tmp file before the
+        atomic rename, so neither fails and the file left behind is a
+        whole manifest."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", MANIFEST_WRITER, str(cache), tag],
+                env=worker_env(),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for tag in ("a", "b")
+        ]
+        try:
+            deadline = time.monotonic() + 60
+            while not all((cache / f"ready-{tag}").exists() for tag in "ab"):
+                assert time.monotonic() < deadline, "writers never got ready"
+                assert all(w.poll() is None for w in writers), "a writer died"
+                time.sleep(0.01)
+            (cache / "go").touch()
+            errors = [w.communicate(timeout=60)[1] for w in writers]
+        finally:
+            for writer in writers:
+                if writer.poll() is None:
+                    writer.kill()
+                    writer.wait(timeout=10)
+        assert [w.returncode for w in writers] == [0, 0], errors
+        payload = json.loads((cache / MANIFEST_NAME).read_text())
+        assert set(payload) == {"version", "apps"}
+        assert payload["apps"]["URL"]["write"] == 299
+        assert not list(cache.glob("*.tmp"))
 
 
 class TestTraceStoreIntegration:

@@ -76,9 +76,10 @@ class TestJournalFormat:
         "record, version",
         [
             (("put", "q", 1), 1),  # a bare entry from a version-1 log
+            ({"v": 2, "entry": ("put", "q", 1)}, 2),
             ({"v": RECORD_VERSION + 1, "entry": ("put", "q", 1)}, RECORD_VERSION + 1),
         ],
-        ids=["bare-v1", "newer"],
+        ids=["bare-v1", "v2", "newer"],
     )
     def test_record_of_another_version_is_refused(self, tmp_path, record, version):
         """A record of another version is refused, not translated: the
@@ -216,7 +217,7 @@ class TestBrokerReplay:
             try:
                 for token in (1, 2, 3):
                     client.call("put", queue="q", item={"token": token})
-                client.call("set", key="campaign", value={"id": "c1"})
+                assert client.call("announce", campaign={"id": "c1"})["ok"]
                 assert client.call(
                     "push_result", queue="res", token=7, payload={}, worker="w"
                 )["dup"] is False
@@ -231,7 +232,9 @@ class TestBrokerReplay:
                     for _ in range(3)
                 ]
                 assert order == [1, 2, 3]
-                assert client.call("get", key="campaign")["value"] == {"id": "c1"}
+                campaigns = client.call("campaigns")["campaigns"]
+                assert list(campaigns) == ["c1"]
+                assert campaigns["c1"]["state"] == "running"
                 # the seen-token set survived: a replayed frame is a dup
                 dup = client.call(
                     "push_result", queue="res", token=7, payload={}, worker="w"
@@ -244,15 +247,13 @@ class TestBrokerReplay:
         """A journal written by the pre-multi-tenant broker -- bare
         version-1 records, or a snapshot without a campaign registry --
         is refused with a warning naming the version: the successor
-        registers no campaign, serves none of its tasks and applies none
-        of its global quota refinements."""
+        registers no campaign and serves none of its tasks."""
         campaign = {"id": "c1", "tasks": "tasks:c1", "results": "results:c1"}
         write_raw_records(
             tmp_path,
             [
                 ("reset", campaign, {"w": 4}),
                 ("put", "tasks:c1", {"token": 0}),
-                ("set", "quota:w", 6),
             ],
         )
         with pytest.warns(JournalWarning, match="record version 1"):
@@ -262,10 +263,7 @@ class TestBrokerReplay:
             try:
                 reply = client.call("campaigns")
                 assert reply["campaigns"] == {} and reply["running"] == 0
-                hello = client.call(
-                    "hello", proto=BROKER_PROTOCOL, worker="w", meta={}
-                )
-                assert hello["quota"] is None
+                client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
                 take = client.call("take_any", worker="w", timeout=0.05)
                 assert take["ok"] and take["item"] is None
                 assert client.call("take", queue="tasks:c1")["item"] is None
@@ -290,7 +288,36 @@ class TestBrokerReplay:
             try:
                 assert client.call("campaigns")["campaigns"] == {}
                 assert client.call("take", queue="tasks:c1")["item"] is None
-                assert client.call("get", key="campaign")["value"] is None
+            finally:
+                client.close()
+
+    def test_v2_snapshot_restores_its_campaign_registry(self, tmp_path):
+        """A version-2 snapshot carries the same campaign registry as a
+        current one, so it restores; its key-value table is ignored."""
+        campaign = {
+            "id": "c1",
+            "tasks": "tasks:c1",
+            "results": "results:c1",
+            "priority": 1.0,
+            "state": "running",
+        }
+        (tmp_path / SNAPSHOT_NAME).write_bytes(
+            pickle.dumps(
+                {
+                    "queues": {"tasks:c1": [{"token": 0}]},
+                    "seen": {},
+                    "kv": {"quota:c1:w": 6},
+                    "campaigns": {"c1": campaign},
+                }
+            )
+        )
+        with EmbeddedBroker(journal=tmp_path) as broker:
+            client = BrokerClient(broker.address)
+            try:
+                reply = client.call("campaigns")
+                assert list(reply["campaigns"]) == ["c1"] and reply["running"] == 1
+                take = client.call("take_any", worker="w", timeout=0.05)
+                assert take["campaign"] == "c1" and take["item"] == {"token": 0}
             finally:
                 client.close()
 

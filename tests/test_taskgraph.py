@@ -16,7 +16,7 @@ from repro.core.campaign import MANIFEST_NAME, CampaignScheduler
 from repro.core.casestudies import CASE_STUDIES
 from repro.core.engine import ExplorationEngine
 from repro.core.methodology import DDTRefinement
-from repro.core.taskgraph import TaskGraph, TaskNode
+from repro.core.taskgraph import TaskGraph, TaskNode, auto_chunk_points
 from repro.apps import DrrApp, UrlApp
 from repro.net import profiles
 from repro.net.config import NetworkConfig
@@ -118,6 +118,15 @@ class TestGraphPrimitives:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "runs, slots, size", [(1, 2, 1), (10, 2, 3), (160, 2, 40), (16, None, 2)]
+    )
+    def test_default_chunk_size(self, runs, slots, size):
+        """The default chunk size depends on the node's cover runs and
+        the transport's width alone: two chunks per slot, at most 40
+        runs, and 4 slots when the transport does not say."""
+        assert auto_chunk_points(runs, slots=slots) == size
+
     def test_parallel_matches_serial_records(self, tmp_path):
         def build():
             return TaskNode(
@@ -206,6 +215,7 @@ class TestIncrementalResume:
         assert path.exists()
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
+        assert set(payload) == {"version", "apps"}
         assert payload["version"] == 1
         assert sorted(payload["apps"]) == ["DRR", "URL"]
         url = payload["apps"]["URL"]
@@ -354,83 +364,14 @@ class TestIncrementalResume:
 
 
 class TestAdaptiveScheduling:
-    """Manifest wall costs order step-1 nodes longest-first."""
-
-    #: DRR recorded as the by-far most expensive sweep, Route cheapest.
-    SKEWED = {
-        "Route": {"application-level": 0.5, "network-level": 0.2},
-        "URL": {"application-level": 2.0, "network-level": 0.4},
-        "IPchains": {"application-level": 1.0, "network-level": 0.3},
-        "DRR": {"application-level": 9.0, "network-level": 0.1},
-    }
-
-    def _seed_manifest(self, cache, node_costs):
-        cache.mkdir(parents=True, exist_ok=True)
-        with open(cache / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-            json.dump({"version": 1, "apps": {}, "node_costs": node_costs}, handle)
-
-    def test_step1_order_longest_first(self, tmp_path):
-        cache = tmp_path / "cache"
-        self._seed_manifest(cache, self.SKEWED)
-        with CampaignScheduler(
-            candidates=CANDIDATES, configs=NARROW, cache=cache
-        ) as campaign:
-            assert campaign.step1_order() == ["DRR", "URL", "IPchains", "Route"]
-
-    def test_unknown_costs_keep_schedule_order(self, tmp_path):
-        with CampaignScheduler(
-            candidates=CANDIDATES, configs=NARROW, cache=tmp_path / "none"
-        ) as campaign:
-            assert campaign.step1_order() == [s.name for s in CASE_STUDIES]
-
-    def test_partial_costs_rank_known_apps_first(self, tmp_path):
-        cache = tmp_path / "cache"
-        self._seed_manifest(cache, {"URL": {"application-level": 3.0}})
-        with CampaignScheduler(
-            candidates=CANDIDATES, configs=NARROW, cache=cache
-        ) as campaign:
-            assert campaign.step1_order() == ["URL", "Route", "IPchains", "DRR"]
-
-    def test_ordering_changes_schedule_not_results(
-        self, tmp_path, serial_results
-    ):
-        """Skewed costs really reorder the enqueue -- and nothing else."""
-        cache = tmp_path / "cache"
-        self._seed_manifest(cache, self.SKEWED)
-        first_seen: list[str] = []
-
-        def progress(phase, done, total, detail):
-            if phase == "application-level":
-                app = detail.split(":", 1)[0]
-                if app not in first_seen:
-                    first_seen.append(app)
-
-        with CampaignScheduler(
-            candidates=CANDIDATES, configs=NARROW, cache=cache, progress=progress
-        ) as campaign:
-            result = campaign.run()
-        # serial drain executes nodes in enqueue order: longest first
-        assert first_seen == ["DRR", "URL", "IPchains", "Route"]
-        # refinements stay in study order with bit-identical records
-        assert_matches_serial(result, serial_results)
-
-    def test_run_records_measured_costs(self, tmp_path):
-        cache = tmp_path / "cache"
-        with CampaignScheduler(
-            studies=["url"],
-            candidates=CANDIDATES,
-            configs={"URL": NARROW["URL"]},
-            cache=cache,
-        ) as campaign:
-            campaign.run()
-        with open(cache / MANIFEST_NAME, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        costs = payload["node_costs"]["URL"]
-        assert costs["application-level"] > 0.0
-        assert costs["network-level"] > 0.0
+    """Manifests written when campaigns still persisted measured node
+    costs resume like any other: the costs are ignored, then dropped."""
 
     def test_costs_do_not_flip_resume_status(self, tmp_path):
-        """Timing noise between runs must never look like a change."""
+        """Recorded timings never look like a change: a manifest with a
+        junk ``node_costs`` key, as older builds wrote, resumes
+        ``unchanged`` with nothing simulated and is rewritten without
+        that key."""
         cache = tmp_path / "cache"
         kwargs = {
             "studies": ["url"],
@@ -440,48 +381,22 @@ class TestAdaptiveScheduling:
         }
         with CampaignScheduler(**kwargs) as campaign:
             campaign.run()
-        # overwrite the recorded costs with wildly different numbers
         with open(cache / MANIFEST_NAME, encoding="utf-8") as handle:
             payload = json.load(handle)
-        payload["node_costs"]["URL"] = {"application-level": 123.0}
+        payload["node_costs"] = {
+            "URL": {"application-level": 123.0},
+            "__fleet__": {"w": {"capacity": 2, "quota": 3}},
+        }
         with open(cache / MANIFEST_NAME, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         with CampaignScheduler(resume=True, **kwargs) as campaign:
             warm = campaign.run()
         assert [row[1] for row in warm.incremental.rows()] == ["unchanged"]
         assert warm.stats.simulations == 0
-
-    def test_warm_resume_preserves_measured_costs(self, tmp_path):
-        """Cache-served points must not overwrite measured node costs.
-
-        A fully warm resume replays every record from the cache: its
-        wall times measure some *earlier* run, not this one.  Folding
-        them into the manifest would let replayed (or zeroed) timings
-        steer chunk sizing and longest-first ordering forever.  The
-        sentinel costs planted below must survive the warm run
-        verbatim -- a node that simulated nothing keeps its prior cost.
-        """
-        cache = tmp_path / "cache"
-        kwargs = {
-            "studies": ["url"],
-            "candidates": CANDIDATES,
-            "configs": {"URL": NARROW["URL"]},
-            "cache": cache,
-        }
-        with CampaignScheduler(**kwargs) as campaign:
-            campaign.run()
-        sentinel = {"application-level": 123.456789, "network-level": 7.654321}
-        with open(cache / MANIFEST_NAME, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["node_costs"]["URL"] = dict(sentinel)
-        with open(cache / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        with CampaignScheduler(resume=True, **kwargs) as campaign:
-            warm = campaign.run()
-        assert warm.stats.simulations == 0  # fully warm: nothing measured
         with open(cache / MANIFEST_NAME, encoding="utf-8") as handle:
             rewritten = json.load(handle)
-        assert rewritten["node_costs"]["URL"] == sentinel
+        assert set(rewritten) == {"version", "apps"}
+        assert rewritten["apps"] == payload["apps"]
 
 
 class TestDDTRefinementGraph:

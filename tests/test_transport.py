@@ -109,10 +109,8 @@ class TestLocalPoolTransport:
             transport.next_results()
 
     def test_base_fleet_surface_is_inert(self):
-        """The default transport tracks no fleet: stats empty, seed no-op."""
+        """The default transport tracks no fleet: stats empty."""
         transport = LocalPoolTransport(workers=1)
-        assert transport.worker_stats() == {}
-        transport.seed_fleet({"w": {"quota": 3}})  # must not raise
         assert transport.worker_stats() == {}
 
 
