@@ -1,301 +1,378 @@
-"""Benchmark regression gate.
+"""The perf gate: this checkout against its parent commit.
 
-Compares the freshly measured benchmark artifacts under
-``benchmarks/out/`` against the committed baselines under
-``benchmarks/baselines/`` and exits non-zero when any mode's throughput
-(``points_per_s``) regressed by more than the tolerance (default 25%,
-the CI gate policy).  Faster-than-baseline results always pass -- the
-gate only guards the downside.  Modes whose sample ran shorter than
-``MIN_GATED_ELAPSED_S`` (e.g. a warm-cache replay finishing in ~1 ms)
-are reported but not gated: at that scale the figure is scheduler
-noise, not throughput.
+Runs every workload ``BENCHMARK.json`` declares through
+``perfbench/run.py`` on the working tree and on an export of its parent
+commit (``HEAD^1``; on a pull request's merge commit, the tip of the
+base branch), and applies the benchmark's acceptance rule to each
+end-to-end metric ``BENCHMARK.json`` declares:
 
-Usage::
+* The medians of both sides' repetitions are compared in the metric's
+  ``better`` direction.  The checkout **fails** when it is worse by more
+  than the metric's ``bound`` while the parent's own spread (quartile
+  distance over median, as perfbench prints it) is within the bound.
+  When the parent's spread is wider than the bound, a worse median is
+  **unresolved**: printed, not failed.  ``simulations`` has zero
+  spread, so any rise past its bound fails.
+* The checkout also fails when perfbench exits non-zero, prints
+  ``"correct": false`` or reports a failed point, or when the
+  repetitions of one run disagree on ``simulations``, ``points`` or
+  ``cache_hits``.  A parent run with such a problem is printed with the
+  reason, and that workload is not compared.
 
-    # measure first
-    PYTHONPATH=src python -m pytest benchmarks/bench_exploration_throughput.py \
-        benchmarks/bench_campaign_throughput.py -q
-    # then gate
-    python benchmarks/check_regression.py [--tolerance 0.25]
+Both trees run one benchmark definition: the checkout's ``perfbench/``
+and ``BENCHMARK.json`` are copied over the parent's export.  Each
+workload runs in ``PAIRS`` parent/checkout pairs, the first pair parent
+first, the next checkout first.
 
-Refreshing the baseline (after an intentional perf change, on the same
-class of machine CI uses)::
+The gate also holds the parallel-speedup floor: a warm-store campaign on
+``FLOOR_WORKERS`` pool processes must beat the same campaign run
+serially by ``SPEEDUP_FLOOR``, wherever the machine has at least that
+many cores; elsewhere it prints a named skip with the observed ratio.
 
-    python benchmarks/check_regression.py --update
+Every figure is measured fresh on one machine, so there is no baseline
+to keep or refresh.  Run it from a git checkout that holds the parent
+commit, with no options; the working tree is the checkout side, so
+commit a change before gating it against the commit it sits on::
 
-``--update`` copies the current artifacts over the baselines; commit
-the result.  The tolerance can also be set with the
-``BENCH_GATE_TOLERANCE`` environment variable (CI uses the default).
+    python benchmarks/check_regression.py
+
+Writes every run's values and the verdicts to
+``benchmarks/out/perf_gate.json``.  Exits 0 when the checkout passes, 1
+on any failure and 2 when there is no parent commit to compare against.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import os
 import shutil
+import subprocess
 import sys
+import tempfile
+import time
+from statistics import median, quantiles
+from typing import Any, Sequence
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-OUT_DIR = os.path.join(HERE, "out")
-BASELINE_DIR = os.path.join(HERE, "baselines")
+ROOT = os.path.dirname(HERE)
+OUT = os.path.join(HERE, "out", "perf_gate.json")
 
-#: The gated artifacts and the per-mode throughput key inside each.
-ARTIFACTS = ("BENCH_exploration.json", "BENCH_campaign.json")
-THROUGHPUT_KEY = "points_per_s"
-#: Modes measured faster than this (e.g. a warm-cache replay finishing
-#: in ~1 ms) are noise-dominated and reported but not gated.
-MIN_GATED_ELAPSED_S = 0.25
+#: Parent/checkout pairs per workload, alternating which side runs first.
+PAIRS = 2
+SEED = 1
+#: Counters every repetition of one run must report alike.
+DETERMINISTIC = ("simulations", "points", "cache_hits")
 
-#: Parallel-speedup floors: artifact -> (parallel mode, serial mode,
-#: minimum elapsed ratio serial/parallel).  Enforced only when the
-#: *measuring* machine had at least as many cores as the parallel mode
-#: used workers -- four processes time-slicing one core cannot express
-#: real parallelism, so the gate prints a named skip there instead of
-#: failing on physics.  The artifact records ``cpu_count`` for this.
-SPEEDUP_FLOORS = {
-    "BENCH_campaign.json": ("parallel_warm", "serial_warm", 1.2),
-}
+#: The parallel-speedup floor's campaign: six DDTs, each app's first
+#: two configurations, a trace store warmed by one serial pass.
+FLOOR_CANDIDATES = ("AR", "SLL", "DLL", "SLL(O)", "DLL(O)", "SLL(AR)")
+FLOOR_WORKERS = 4
+SPEEDUP_FLOOR = 1.2
 
 
-def _load(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+class NoParent(RuntimeError):
+    """There is no parent commit to compare against."""
 
 
-def _delta_table(
-    name: str, baseline: dict, current: dict
-) -> list[tuple[str, str, float, float, str]]:
-    """Per-metric deltas ``(mode, metric, baseline, current, delta)``.
-
-    Covers every numeric metric the baseline and current run share, so
-    a passing gate still shows how elapsed time, simulation counts and
-    throughput moved.
-    """
-    rows: list[tuple[str, str, float, float, str]] = []
-    for mode in sorted(baseline):
-        if mode not in current:
-            continue
-        base_figures, now_figures = baseline[mode], current[mode]
-        for metric in sorted(base_figures):
-            base_value, now_value = base_figures.get(metric), now_figures.get(metric)
-            numeric = (
-                isinstance(base_value, (int, float))
-                and isinstance(now_value, (int, float))
-                and not isinstance(base_value, bool)
-                and not isinstance(now_value, bool)
-            )
-            if not numeric:
-                continue
-            delta = (
-                f"{(now_value - base_value) / base_value:+.1%}"
-                if base_value
-                else "n/a"
-            )
-            rows.append((f"{name}:{mode}", metric, base_value, now_value, delta))
-    return rows
+def spread(values: Sequence[float]) -> float:
+    """Quartile distance as a share of the median, as perfbench prints
+    it (0 for fewer than two values)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _q2, q3 = quantiles(values, n=4)
+    mid = median(values)
+    return (q3 - q1) / mid if mid else 0.0
 
 
-def check_artifact(
-    name: str, tolerance: float
-) -> tuple[list[str], list[tuple[str, str, float, float, str]]]:
-    """Compare one artifact against its baseline.
+def worse_by(parent: float, checkout: float, better: str) -> float:
+    """How much worse the checkout's value is, as a share of the
+    parent's; negative when it is better."""
+    change = checkout - parent if better == "lower" else parent - checkout
+    if parent:
+        return change / abs(parent)
+    return math.copysign(math.inf, change) if change else 0.0
 
-    Returns ``(failure lines, per-metric delta rows)``.  Malformed
-    artifacts and absent measurement keys become failure lines with the
-    offending file and key named -- never a traceback.
-    """
-    current_path = os.path.join(OUT_DIR, name)
-    baseline_path = os.path.join(BASELINE_DIR, name)
-    if not os.path.exists(current_path):
-        return (
-            [f"{name}: no current measurement at {current_path} (run the benchmarks first)"],
-            [],
-        )
-    if not os.path.exists(baseline_path):
-        return [f"{name}: no committed baseline at {baseline_path}"], []
+
+def read_run(code: int, stdout: str, record: dict[str, Any] | None) -> dict[str, Any]:
+    """One perfbench run: its exit code, the end-to-end values of every
+    repetition (from ``result.json``) and what is wrong with it."""
+    problems: list[str] = []
+    if code != 0:
+        problems.append(f"perfbench exited {code}")
+    lines = stdout.strip().splitlines()
     try:
-        current = _load(current_path).get("modes", {})
-    except (OSError, ValueError) as exc:
-        return [f"{name}: unreadable current measurement {current_path}: {exc}"], []
-    try:
-        baseline = _load(baseline_path).get("modes", {})
-    except (OSError, ValueError) as exc:
-        return [f"{name}: unreadable baseline {baseline_path}: {exc}"], []
+        summary = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        summary = None
+    if not isinstance(summary, dict):
+        problems.append("perfbench printed no result line")
+    else:
+        if summary.get("correct") is not True:
+            problems.append('perfbench printed "correct": false')
+        if summary.get("failed"):
+            problems.append(
+                f"{summary['failed']} of {summary.get('attempted')} points failed"
+            )
+    values: dict[str, list[float]] = {}
+    if record is None:
+        problems.append("perfbench wrote no result.json")
+    else:
+        for key in DETERMINISTIC:
+            seen = sorted({rep[key] for rep in record["reps"]})
+            if len(seen) > 1:
+                problems.append(f"repetitions disagree on {key}: {seen}")
+        values = {name: m["values"] for name, m in record["end_to_end"].items()}
+    return {"code": code, "values": values, "problems": problems}
 
-    failures: list[str] = []
-    for mode, base_figures in sorted(baseline.items()):
-        if THROUGHPUT_KEY not in base_figures:
+
+def judge(
+    metrics: Sequence[dict[str, Any]],
+    parent_runs: Sequence[dict[str, Any]],
+    checkout_runs: Sequence[dict[str, Any]],
+) -> dict[str, Any]:
+    """Verdict of one workload: a row per metric, the checkout's
+    failures, and the parent's problems (which skip the comparison)."""
+    failures = [p for run in checkout_runs for p in run["problems"]]
+    skipped = [p for run in parent_runs for p in run["problems"]]
+    rows: list[dict[str, Any]] = []
+    if skipped:
+        return {"rows": rows, "failures": failures, "parent_problems": skipped}
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        before = [v for run in parent_runs for v in run["values"].get(name, ())]
+        after = [v for run in checkout_runs for v in run["values"].get(name, ())]
+        if not before or not after:
+            continue  # a run without values already failed or was skipped
+        parent, checkout = median(before), median(after)
+        worse = worse_by(parent, checkout, metric["better"])
+        noise = spread(before)
+        verdict = "ok"
+        if worse > bound:
+            verdict = "FAIL" if noise <= bound else "unresolved"
+        if verdict == "FAIL":
             failures.append(
-                f"{name}: baseline mode {mode!r} has no {THROUGHPUT_KEY!r} key "
-                f"(re-measure and refresh with --update)"
+                f"{name} {worse:+.1%} worse than the parent "
+                f"({checkout:.6g} vs {parent:.6g}; bound {bound:.0%})"
             )
-            continue
-        base = float(base_figures[THROUGHPUT_KEY])
-        if base <= 0.0:
-            continue  # nothing meaningful to gate on
-        if mode not in current:
-            failures.append(
-                f"{name}: mode {mode!r} missing from current run "
-                f"(did the benchmark drop a configuration?)"
-            )
-            continue
-        if THROUGHPUT_KEY not in current[mode]:
-            failures.append(
-                f"{name}: current mode {mode!r} has no {THROUGHPUT_KEY!r} key "
-                f"(malformed benchmark artifact)"
-            )
-            continue
-        now = float(current[mode][THROUGHPUT_KEY])
-        elapsed = min(
-            float(base_figures.get("elapsed_s", 0.0)),
-            float(current[mode].get("elapsed_s", 0.0)),
+        rows.append(
+            {
+                "metric": name,
+                "parent": parent,
+                "checkout": checkout,
+                "worse": worse,
+                "parent_spread": noise,
+                "bound": bound,
+                "verdict": verdict,
+            }
         )
-        if elapsed < MIN_GATED_ELAPSED_S:
+    return {"rows": rows, "failures": failures, "parent_problems": skipped}
+
+
+def print_verdicts(verdicts: dict[str, dict[str, Any]]) -> None:
+    table = [["workload", "metric", "parent", "checkout", "worse",
+              "parent spread", "bound", "verdict"]]
+    for workload, verdict in verdicts.items():
+        for row in verdict["rows"]:
+            table.append(
+                [workload, row["metric"], f"{row['parent']:.6g}",
+                 f"{row['checkout']:.6g}", f"{row['worse']:+.1%}",
+                 f"{row['parent_spread']:.3f}", f"{row['bound']:.0%}",
+                 row["verdict"]]
+            )
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    for row in table:
+        print("  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    for workload, verdict in verdicts.items():
+        if verdict["parent_problems"]:
             print(
-                f"  {name} {mode:<20} baseline {base:8.1f}  current {now:8.1f}  "
-                f"skipped ({elapsed * 1000:.0f} ms sample, too fast to gate)"
+                f"  {workload}: parent not gated, comparison skipped: "
+                + "; ".join(verdict["parent_problems"])
             )
-            continue
-        floor = base * (1.0 - tolerance)
-        verdict = "ok" if now >= floor else "REGRESSED"
-        print(
-            f"  {name} {mode:<20} baseline {base:8.1f}  current {now:8.1f}  "
-            f"floor {floor:8.1f}  {verdict}"
-        )
-        if now < floor:
-            failures.append(
-                f"{name}: {mode} throughput {now:.1f} points/s is more than "
-                f"{tolerance:.0%} below baseline {base:.1f}"
-            )
-    return failures, _delta_table(name, baseline, current)
 
 
-def check_speedup(name: str, floor_override: "float | None" = None) -> list[str]:
-    """Enforce the parallel-speedup floor on one *current* artifact.
-
-    Unlike the regression check this does not compare against the
-    baseline: it asserts an absolute property of the fresh measurement
-    -- parallel must actually beat serial by the floor -- wherever the
-    measuring machine has the cores to express it.
-    """
-    spec = SPEEDUP_FLOORS.get(name)
-    if spec is None:
-        return []
-    parallel_mode, serial_mode, floor = spec
-    if floor_override is not None:
-        floor = floor_override
-    current_path = os.path.join(OUT_DIR, name)
-    if not os.path.exists(current_path):
-        return []  # the missing measurement is already a gate failure
+def export_parent(dest: str) -> str:
+    """Export ``HEAD^1`` into ``dest`` with this checkout's benchmark
+    copied over it; returns the parent's commit id."""
     try:
-        artifact = _load(current_path)
-    except (OSError, ValueError):
-        return []  # ditto for unreadable artifacts
-    modes = artifact.get("modes", {})
-    if parallel_mode not in modes or serial_mode not in modes:
-        return [
-            f"{name}: speedup gate needs modes {parallel_mode!r} and "
-            f"{serial_mode!r} in the artifact"
-        ]
-    parallel = modes[parallel_mode]
-    serial = modes[serial_mode]
-    workers = int(parallel.get("workers") or 0)
-    cores = int(artifact.get("cpu_count") or 0)
-    parallel_s = float(parallel.get("elapsed_s") or 0.0)
-    serial_s = float(serial.get("elapsed_s") or 0.0)
-    if parallel_s <= 0.0 or serial_s <= 0.0:
-        return [f"{name}: speedup gate has no usable elapsed_s figures"]
-    speedup = serial_s / parallel_s
-    if cores < workers:
+        probe = subprocess.run(
+            ["git", "-C", ROOT, "rev-parse", "--verify", "--quiet", "HEAD^1^{commit}"],
+            capture_output=True,
+            text=True,
+        )
+    except OSError as exc:
+        raise NoParent(f"cannot run git: {exc}") from exc
+    if probe.returncode != 0:
+        raise NoParent(
+            "HEAD has no parent commit in this checkout (a shallow clone "
+            "needs a depth of at least 2)"
+        )
+    commit = probe.stdout.strip()
+    os.makedirs(dest)
+    archive = subprocess.Popen(
+        ["git", "-C", ROOT, "archive", "--format=tar", commit],
+        stdout=subprocess.PIPE,
+    )
+    extract = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or extract.returncode != 0:
+        raise NoParent(f"could not export the parent commit {commit}")
+    shutil.rmtree(os.path.join(dest, "perfbench"), ignore_errors=True)
+    shutil.copytree(
+        os.path.join(ROOT, "perfbench"),
+        os.path.join(dest, "perfbench"),
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    shutil.copyfile(
+        os.path.join(ROOT, "BENCHMARK.json"), os.path.join(dest, "BENCHMARK.json")
+    )
+    return commit
+
+
+def run_perfbench(tree: str, workload: str, seconds: float) -> dict[str, Any]:
+    """One untraced perfbench run of ``workload`` on ``tree``."""
+    result = os.path.join(tree, ".bench_out", f"{workload}-seed{SEED}", "result.json")
+    if os.path.exists(result):
+        os.remove(result)  # never read an earlier run's figures
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"),
+         "--workload", workload, "--seed", str(SEED),
+         "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=tree,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    record = None
+    if os.path.exists(result):
+        with open(result, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+    return read_run(done.returncode, done.stdout, record)
+
+
+def speedup_floor() -> dict[str, Any]:
+    """The warm-store campaign on ``FLOOR_WORKERS`` pool processes
+    against the same campaign run serially."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from repro.core.campaign import CampaignScheduler
+    from repro.core.casestudies import CASE_STUDIES
+
+    configs = {study.name: list(study.configs[:2]) for study in CASE_STUDIES}
+
+    def elapsed(workers: int, store: str) -> float:
+        started = time.perf_counter()
+        with CampaignScheduler(
+            candidates=FLOOR_CANDIDATES,
+            configs=configs,
+            workers=workers,
+            trace_store=store,
+        ) as campaign:
+            campaign.run()
+        return time.perf_counter() - started
+
+    with tempfile.TemporaryDirectory(prefix="perf-gate-traces-") as store:
+        elapsed(0, store)  # warms the trace store
+        serial_s = elapsed(0, store)
+        parallel_s = elapsed(FLOOR_WORKERS, store)
+    cores = os.cpu_count() or 1
+    ratio = serial_s / parallel_s
+    return {
+        "serial_s": serial_s,
+        "parallel_s": parallel_s,
+        "workers": FLOOR_WORKERS,
+        "cores": cores,
+        "speedup": ratio,
+        "floor": SPEEDUP_FLOOR,
+        "enforced": cores >= FLOOR_WORKERS,
+        "passed": cores < FLOOR_WORKERS or ratio >= SPEEDUP_FLOOR,
+    }
+
+
+def main() -> int:
+    started = time.monotonic()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
+        benchmark = json.load(handle)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    metrics = benchmark["end_to_end"]
+    seconds = float(benchmark["run_seconds"])
+    runs: dict[str, dict[str, list[dict[str, Any]]]] = {
+        side: {w: [] for w in workloads} for side in ("parent", "checkout")
+    }
+    with tempfile.TemporaryDirectory(prefix="perf-gate-") as scratch:
+        trees = {"parent": os.path.join(scratch, "parent"), "checkout": ROOT}
+        try:
+            commit = export_parent(trees["parent"])
+        except NoParent as exc:
+            print(f"perf gate: {exc}")
+            return 2
         print(
-            f"  {name} speedup gate skipped: measured on {cores} core(s), "
-            f"fewer than the {workers} workers of {parallel_mode!r} "
-            f"(observed {speedup:.2f}x)"
+            f"perf gate: checkout against parent {commit[:12]}, {PAIRS} pairs "
+            f"per workload, seed {SEED}, {seconds:g} s per run"
         )
-        return []
-    verdict = "ok" if speedup >= floor else "TOO SLOW"
-    print(
-        f"  {name} {parallel_mode:<20} speedup {speedup:5.2f}x vs "
-        f"{serial_mode} (floor {floor:.2f}x, {workers} workers on "
-        f"{cores} cores)  {verdict}"
+        for pair in range(PAIRS):
+            order = ("parent", "checkout") if pair % 2 == 0 else ("checkout", "parent")
+            for workload in workloads:
+                for side in order:
+                    run = run_perfbench(trees[side], workload, seconds)
+                    run["pair"] = pair + 1
+                    runs[side][workload].append(run)
+                    wall = run["values"].get("wall_s") or [math.nan]
+                    sims = run["values"].get("simulations") or [math.nan]
+                    print(
+                        f"  pair {pair + 1} {workload:<13} {side:<8} "
+                        f"{len(wall)} reps, median wall_s {median(wall):.3f}, "
+                        f"{median(sims):.0f} simulations: "
+                        + ("; ".join(run["problems"]) or "ok")
+                    )
+    verdicts = {
+        w: judge(metrics, runs["parent"][w], runs["checkout"][w]) for w in workloads
+    }
+    print_verdicts(verdicts)
+
+    floor = speedup_floor()
+    line = (
+        f"speedup floor: serial {floor['serial_s']:.2f} s / {floor['workers']} "
+        f"workers {floor['parallel_s']:.2f} s = {floor['speedup']:.2f}x, "
+        f"floor {floor['floor']:.1f}x: "
     )
-    if speedup < floor:
-        return [
-            f"{name}: {parallel_mode} is only {speedup:.2f}x faster than "
-            f"{serial_mode} ({workers} workers on {cores} cores); the "
-            f"floor is {floor:.2f}x"
-        ]
-    return []
+    if not floor["enforced"]:
+        line += f"skipped, {floor['cores']} cores < {floor['workers']} workers"
+    else:
+        line += "ok" if floor["passed"] else "FAIL"
+    print(line)
 
-
-def update_baselines() -> int:
-    os.makedirs(BASELINE_DIR, exist_ok=True)
-    missing = [n for n in ARTIFACTS if not os.path.exists(os.path.join(OUT_DIR, n))]
-    if missing:
-        print(f"cannot update baselines, missing measurements: {missing}")
-        return 1
-    for name in ARTIFACTS:
-        shutil.copyfile(
-            os.path.join(OUT_DIR, name), os.path.join(BASELINE_DIR, name)
+    failures = [
+        f"{w}: {failure}" for w, v in verdicts.items() for failure in v["failures"]
+    ]
+    if not floor["passed"]:
+        failures.append(
+            f"parallel campaign only {floor['speedup']:.2f}x faster than serial "
+            f"on {floor['cores']} cores; the floor is {floor['floor']:.1f}x"
         )
-        print(f"baseline refreshed: benchmarks/baselines/{name}")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=float(os.environ.get("BENCH_GATE_TOLERANCE", "0.25")),
-        help="allowed fractional throughput regression (default 0.25)",
-    )
-    parser.add_argument(
-        "--update",
-        action="store_true",
-        help="copy current artifacts over the committed baselines",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "override the parallel-speedup floor (default per artifact, "
-            "1.2 for the campaign bench; applied only on machines with "
-            "at least as many cores as benchmark workers)"
-        ),
-    )
-    args = parser.parse_args(argv)
-    if args.min_speedup is not None and args.min_speedup < 1.0:
-        parser.error("--min-speedup must be >= 1.0")
-    if not 0.0 <= args.tolerance < 1.0:
-        parser.error("--tolerance must be in [0, 1)")
-
-    if args.update:
-        return update_baselines()
-
-    failures: list[str] = []
-    deltas: list[tuple[str, str, float, float, str]] = []
-    print(f"benchmark gate (tolerance {args.tolerance:.0%}):")
-    for name in ARTIFACTS:
-        artifact_failures, artifact_deltas = check_artifact(name, args.tolerance)
-        failures.extend(artifact_failures)
-        deltas.extend(artifact_deltas)
-        failures.extend(check_speedup(name, args.min_speedup))
+    wall_s = time.monotonic() - started
+    os.makedirs(os.path.dirname(OUT), exist_ok=True)
+    with open(OUT, "w", encoding="utf-8") as handle:
+        json.dump(
+            {
+                "parent": commit,
+                "pairs": PAIRS,
+                "seed": SEED,
+                "run_seconds": seconds,
+                "cpu_count": os.cpu_count(),
+                "runs": runs,
+                "verdicts": verdicts,
+                "speedup_floor": floor,
+                "failures": failures,
+                "wall_s": wall_s,
+            },
+            handle,
+            indent=1,
+        )
     if failures:
-        print("\nFAIL:")
-        for line in failures:
-            print(f"  {line}")
+        print("FAIL:")
+        for failure in failures:
+            print(f"  {failure}")
         return 1
-    print("\nbenchmark gate passed; per-metric deltas vs. baseline:")
-    width = max((len(row[0]) for row in deltas), default=10)
-    for mode, metric, base_value, now_value, delta in deltas:
-        print(
-            f"  {mode:<{width}}  {metric:<22} "
-            f"{base_value:12.3f} -> {now_value:12.3f}  {delta:>8}"
-        )
+    print(f"perf gate passed in {wall_s:.0f} s")
     return 0
 
 

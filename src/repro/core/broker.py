@@ -734,9 +734,9 @@ class EmbeddedBroker:
     # ops (each runs on the connection thread, state under the lock)
     # ------------------------------------------------------------------
     def _state_locked(self) -> str | None:
-        """Aggregate campaign state for reply ``state`` fields: ``"done"``
-        only once *every* registered campaign concluded, ``None`` with
-        no campaign registered."""
+        """Aggregate campaign state for the ``status`` snapshot:
+        ``"done"`` only once *every* registered campaign concluded,
+        ``None`` with no campaign registered."""
         if not self._campaigns:
             return None
         states = {str(c.get("state")) for c in self._campaigns.values()}
@@ -869,11 +869,7 @@ class EmbeddedBroker:
                         if item is None:
                             break
                         items.append(item)
-                    reply = {
-                        "ok": True,
-                        "item": items[0] if items else None,
-                        "state": self._state_locked(),
-                    }
+                    reply = {"ok": True, "item": items[0] if items else None}
                     if batch > 1:
                         reply["items"] = items
                 else:
@@ -885,7 +881,7 @@ class EmbeddedBroker:
                             self._apply_locked(
                                 ("take", queue_name, worker_id, ack, False)
                             )
-                        reply = {"ok": True, "item": None, "state": self._state_locked()}
+                        reply = {"ok": True, "item": None}
                     else:
                         self._cond.wait(min(remaining, 0.2))
                         continue
@@ -902,11 +898,19 @@ class EmbeddedBroker:
         right namespace.  ``running`` counts running campaigns --
         workers exit once they have observed at least one campaign and
         the count returns to zero.
+
+        The caller may send the ``running`` count it last saw; without
+        one, the count at entry stands in.  A call with no work to lease
+        returns at once, without an item, whenever the broker's count
+        differs from it, so an announce, conclude or withdraw ends the
+        wait instead of the timeout.
         """
         worker_id = message.get("worker")
         timeout = float(message.get("timeout") or 0.0)
         deadline = time.monotonic() + timeout
         with self._cond:
+            seen = message.get("running")
+            seen = len(self._running_locked()) if seen is None else int(seen)
             while True:
                 if self._closed:
                     return {"ok": False, "error": "broker is closed"}
@@ -935,16 +939,14 @@ class EmbeddedBroker:
                             "item": item,
                             "campaign": cid,
                             "results": campaign["results"],
-                            "state": campaign.get("state"),
                             "running": len(running),
                         }
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if remaining <= 0 or len(running) != seen:
                     return {
                         "ok": True,
                         "item": None,
                         "campaign": None,
-                        "state": self._state_locked(),
                         "running": len(running),
                     }
                 self._cond.wait(min(remaining, 0.2))
@@ -1025,7 +1027,7 @@ class EmbeddedBroker:
             )
             if not dup:
                 self._cond.notify_all()
-            return {"ok": True, "dup": bool(dup), "state": self._state_locked()}
+            return {"ok": True, "dup": bool(dup)}
 
     def _register_locked(
         self, worker_id: str, meta: dict[str, Any], conn: Any
@@ -1050,7 +1052,6 @@ class EmbeddedBroker:
         return {
             "ok": True,
             "ttl": self.heartbeat_ttl,
-            "state": self._state_locked(),
             "running": len(self._running_locked()),
         }
 
@@ -1082,7 +1083,7 @@ class EmbeddedBroker:
 
     def _op_fleet(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         with self._cond:
-            return {"ok": True, "fleet": self._fleet_locked(), "state": self._state_locked()}
+            return {"ok": True, "fleet": self._fleet_locked()}
 
     def _op_status(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         """One JSON-safe snapshot of broker health for ``--status``."""
@@ -1825,7 +1826,10 @@ def serve_queue_worker(
         # a campaign has been observed.  Until then the worker waits in
         # ``take_any``: it blocks in the broker, so the first chunk put is
         # leased at once, and it re-arms this worker's TTL, so a long wait
-        # never counts as a crash (or leaves a lease unrecorded).
+        # never counts as a crash (or leaves a lease unrecorded).  Each take
+        # sends the running count last seen, so the broker answers the
+        # moment a campaign is announced or the last one ends, not at the
+        # timeout.
         observed = running > 0
         deadline = last_beat + retry_s
         while True:
@@ -1845,6 +1849,7 @@ def serve_queue_worker(
                     "take_any",
                     worker=worker_id,
                     timeout=0.0 if inflight else 0.4,
+                    running=running,
                 )
                 if not reply.get("ok"):
                     if reply.get("quarantined"):

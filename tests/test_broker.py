@@ -570,6 +570,46 @@ class TestBoundedShutdown:
         assert time.monotonic() - started < 0.5
         assert not any(thread.is_alive() for thread in broker._threads)
 
+    def test_take_any_returns_when_the_running_count_moves(self):
+        """Regression: a worker's ``take_any`` sat out its whole timeout
+        after the last campaign concluded, and so did one sent just
+        after, so every worker exit waited on it.  A take whose
+        last-seen running count is stale returns at once; a blocked one
+        returns when a conclude changes the count."""
+        with EmbeddedBroker() as broker:
+            client = BrokerClient(broker.address)
+            try:
+                started = time.monotonic()
+                reply = client.call("take_any", worker="w", timeout=5.0, running=1)
+                assert reply["item"] is None and reply["running"] == 0
+                assert time.monotonic() - started < 1.0
+
+                client.call("announce", campaign={"id": "c"})
+                returned = {}
+
+                def take() -> None:
+                    waiter = BrokerClient(broker.address)
+                    try:
+                        returned["reply"] = waiter.call(
+                            "take_any", worker="w", timeout=5.0, running=1
+                        )
+                        returned["at"] = time.monotonic()
+                    finally:
+                        waiter.close()
+
+                thread = threading.Thread(target=take)
+                thread.start()
+                time.sleep(0.3)  # let the take block in the broker
+                concluded = time.monotonic()
+                client.call("conclude", campaign="c")
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+                assert returned["reply"]["item"] is None
+                assert returned["reply"]["running"] == 0
+                assert returned["at"] - concluded < 1.0
+            finally:
+                client.close()
+
 
 # ----------------------------------------------------------------------
 # capacity-weighted dispatch and its per-run fleet records
