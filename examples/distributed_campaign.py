@@ -11,8 +11,9 @@ whole loop on one machine:
 
 1. start a broker on an ephemeral localhost port;
 2. spawn two worker subprocesses with unequal advertised capacities
-   (1 vs 3 parallel slots; workers retry the connection, so start order
-   does not matter);
+   (1 vs 3 parallel slots) and wait until the broker lists both as
+   live -- the narrow sweep is only two lane runs, short enough to end
+   before a slow-starting worker says hello;
 3. run a narrow URL campaign through the broker;
 4. verify the records equal a serial run on ``content_key()`` -- the
    distribution layer may change *where* points run, never the results
@@ -26,8 +27,10 @@ Run with::
 import os
 import subprocess
 import sys
+import time
 
 from repro import CampaignScheduler, QueueTransport, case_study
+from repro.core.broker import BrokerClient
 
 CANDIDATES = ("AR", "SLL", "DLL(O)", "SLL(AR)")
 
@@ -51,6 +54,18 @@ def spawn_worker(address: str, worker_id: str, *extra: str) -> subprocess.Popen:
     )
 
 
+def wait_live(address: str, *worker_ids: str, timeout: float = 30.0) -> None:
+    client = BrokerClient(address)
+    try:
+        deadline = time.monotonic() + timeout
+        while not set(worker_ids) <= set(client.call("fleet")["fleet"]["live"]):
+            if time.monotonic() > deadline:
+                raise RuntimeError(f"workers {worker_ids} never registered")
+            time.sleep(0.05)
+    finally:
+        client.close()
+
+
 def main() -> None:
     configs = {"URL": list(case_study("URL").configs[:2])}
 
@@ -68,6 +83,7 @@ def main() -> None:
         spawn_worker(transport.address, "small", "--capacity", "1"),
         spawn_worker(transport.address, "big", "--capacity", "3"),
     ]
+    wait_live(transport.address, "small", "big")
     with CampaignScheduler(
         studies=["url"],
         candidates=CANDIDATES,

@@ -6,16 +6,22 @@ methodology) and processes trace packets through DDT instances resolved
 from a per-structure assignment.  Swapping the assignment never changes
 functional behaviour -- only the cost metrics -- which is the invariant
 the whole methodology rests on (and which the test suite asserts).
+
+An assignment may give a structure several DDTs (lanes): every
+instance :meth:`NetworkApplication.make_structure` returns then charges
+each of them side by side, so one run prices them all.  The app is not
+handed its assignment -- ``make_structure`` is its only way to a DDT --
+so an app-level charge has no assignment to depend on.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Mapping
+from typing import ClassVar, Mapping, Sequence
 
 from repro.ddt.base import DynamicDataType
 from repro.ddt.records import RecordSpec
-from repro.ddt.registry import ddt_class
+from repro.ddt.registry import ddt_class, lane_names
 from repro.memory.profiler import MemoryProfiler
 from repro.net.config import NetworkConfig
 from repro.net.packet import Packet
@@ -47,8 +53,9 @@ class NetworkApplication(ABC):
         The network configuration (trace + application parameters).
     assignment:
         Mapping of dominant structure name to DDT name, e.g.
-        ``{"radix_node": "AR", "rtentry": "DLL"}``.  Must cover exactly
-        :attr:`dominant_structures`.
+        ``{"radix_node": "AR", "rtentry": "DLL"}``, or to a tuple of
+        DDT names to charge side by side (see :func:`lane_names`).  Must
+        cover exactly :attr:`dominant_structures`.
     profiler:
         The per-simulation metric accumulator.
 
@@ -70,7 +77,7 @@ class NetworkApplication(ABC):
     def __init__(
         self,
         config: NetworkConfig,
-        assignment: Mapping[str, str],
+        assignment: Mapping[str, str | Sequence[str]],
         profiler: MemoryProfiler,
     ) -> None:
         expected = set(self.dominant_structures)
@@ -81,7 +88,10 @@ class NetworkApplication(ABC):
                 f"got {sorted(provided)}"
             )
         self.config = config
-        self.assignment = dict(assignment)
+        self._lanes = {
+            structure: tuple(ddt_class(name) for name in names)
+            for structure, names in lane_names(assignment).items()
+        }
         self.profiler = profiler
         self.stats = AppStats()
         self._trace: Trace | None = None
@@ -90,17 +100,23 @@ class NetworkApplication(ABC):
     # DDT instantiation
     # ------------------------------------------------------------------
     def make_structure(self, structure: str) -> DynamicDataType:
-        """Instantiate the assigned DDT for a dominant structure.
+        """Instantiate the assigned DDT(s) for a dominant structure.
 
         May be called repeatedly for the same structure name (e.g. one
         packet queue per flow); all instances share the structure's
-        memory pool, so their costs aggregate under one name.
+        memory pool per DDT, so their costs aggregate under one name.
+        With several DDTs assigned, the instance charges each of them
+        as a lane, every lane to its own (structure, DDT) pool.
         """
-        if structure not in self.assignment:
+        classes = self._lanes.get(structure)
+        if classes is None:
             raise KeyError(f"{self.name}: {structure!r} is not a dominant structure")
-        cls = ddt_class(self.assignment[structure])
-        pool = self.profiler.new_pool(structure)
-        return cls(pool, self.record_specs[structure])
+        spec = self.record_specs[structure]
+        lanes = [
+            cls(self.profiler.new_pool(structure, cls.ddt_name), spec)
+            for cls in classes
+        ]
+        return lanes[0].join_lanes(lanes[1:])
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -107,9 +107,11 @@ __all__ = [
 ]
 
 #: Broker wire-protocol version; a worker's hello must match it exactly.
-#: Version 2 serves chunk items only, through ``take_any``; a version-1
-#: worker is refused at hello instead of being mis-served.
-BROKER_PROTOCOL = 2
+#: Version 2 serves chunk items only, through ``take_any``.  Version 3
+#: chunk entries are lane runs: each assignment maps a structure to a
+#: tuple of DDTs, which a version-2 worker cannot run -- so older
+#: workers are refused at hello instead of being mis-served.
+BROKER_PROTOCOL = 3
 
 #: Sequence for campaign ids minted by :meth:`QueueTransport.start`.
 _CAMPAIGN_SEQ = count()
@@ -1276,7 +1278,10 @@ class QueueTransport(WorkerTransport):
     ----------
     broker:
         ``None`` (default) embeds a private :class:`EmbeddedBroker`
-        bound to ``bind`` and owns its lifetime; an address string
+        bound to ``bind`` and owns its lifetime; it serves from
+        construction on, so workers can register before the campaign
+        starts (a campaign of a few lane runs may otherwise end before a
+        worker launched alongside it has said hello); an address string
         (``"host:port"``) connects to an externally run broker
         (``ddt-explore broker``); an :class:`EmbeddedBroker` instance is
         used as-is and *not* closed.
@@ -1340,7 +1345,7 @@ class QueueTransport(WorkerTransport):
         if broker is None:
             self._broker = EmbeddedBroker(
                 bind, heartbeat_ttl=heartbeat_ttl, quarantine_after=quarantine_after
-            )
+            ).start()
             self._owns_broker = True
         elif isinstance(broker, EmbeddedBroker):
             self._broker = broker
@@ -1389,8 +1394,6 @@ class QueueTransport(WorkerTransport):
             raise TransportError("transport is closed")
         if self._client is not None:
             return
-        if self._broker is not None and self._owns_broker:
-            self._broker.start()
         self._client = BrokerClient(
             self.address,
             retry_s=10.0,
@@ -1565,7 +1568,7 @@ class QueueTransport(WorkerTransport):
 
         ``{worker: {capacity, points, busy_s, throughput}}`` -- what
         makes capacity-weighted dispatch observable after the fact.
-        ``points`` counts the cover runs the worker simulated and
+        ``points`` counts the lane runs the worker simulated and
         ``busy_s`` the wall time it measured on them.  A per-run report
         only: nothing here feeds the next campaign's schedule.
         """

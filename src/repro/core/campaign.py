@@ -46,7 +46,7 @@ weighted by it; what each worker did is reported on
 
 Every scheduling choice is a function of the current run's inputs:
 step-1 nodes are enqueued in study order and chunk sizes follow from
-each node's cover runs and the transport's width.  Nothing a previous
+each node's lane runs and the transport's width.  Nothing a previous
 run measured feeds back into the schedule, so the manifest holds only
 what ``resume`` diffs.
 """
@@ -114,9 +114,9 @@ class AppIncremental:
     status: str
     #: Points served from the persistent cache.
     reused: int
-    #: Cover runs actually simulated this run.
+    #: Lane runs actually simulated this run.
     resimulated: int
-    #: Points composed from this run's cover runs.
+    #: Points composed from this run's lane runs.
     composed: int
 
 
@@ -137,12 +137,12 @@ class IncrementalReport:
 
     @property
     def resimulated(self) -> int:
-        """Freshly simulated cover runs across every application."""
+        """Freshly simulated lane runs across every application."""
         return sum(app.resimulated for app in self.apps)
 
     @property
     def composed(self) -> int:
-        """Points composed from cover runs across every application."""
+        """Points composed from lane runs across every application."""
         return sum(app.composed for app in self.apps)
 
     def rows(self) -> list[tuple[str, str, int, int, int]]:
@@ -163,7 +163,7 @@ class CampaignResult:
         Per-application :class:`RefinementResult`, in schedule order.
     stats:
         The engine's aggregate counters over the whole campaign
-        (cover runs simulated, points composed, cache hits, batches).
+        (lane runs simulated, points composed, cache hits, batches).
     incremental:
         Per-app reused-vs-resimulated accounting.
     trace_counters:
@@ -312,7 +312,7 @@ class CampaignScheduler:
         :attr:`CampaignResult.incremental`.
     chunk_points:
         Points per dispatched chunk (the transport's unit of work).
-        ``None`` (default) sizes each node's chunks from its cover runs
+        ``None`` (default) sizes each node's chunks from its lane runs
         and the transport's width
         (:func:`repro.core.taskgraph.auto_chunk_points`).  ``1``
         reproduces per-point dispatch.

@@ -19,7 +19,7 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   backend -- pass a :class:`~repro.core.broker.QueueTransport` to
   distribute the same points to ``ddt-explore worker --connect-broker``
   processes instead.  Points travel in chunks sized from each node's
-  own cover runs and the transport's width; no timing measured by an
+  own lane runs and the transport's width; no timing measured by an
   earlier run steers the schedule.
 * **Persistent caching** -- an optional :class:`SimulationCache`, the
   one record store, keeps finished
@@ -420,8 +420,9 @@ class EngineStats:
 
     ``cache_hits`` counts requested points the :class:`SimulationCache`
     resolved before dispatch; every other requested point is
-    ``composed`` from the per-pool parts of a few *cover runs* (see
-    :mod:`repro.core.taskgraph`).  ``simulations`` counts cover runs,
+    ``composed`` from the per-pool parts of a *lane run* (see
+    :mod:`repro.core.taskgraph`).  ``simulations`` counts lane runs --
+    application runs, one per node and configuration with misses --
     each simulated serially or by a transport worker.
     """
 
@@ -476,7 +477,7 @@ class ExplorationEngine:
     chunk_points:
         Points per dispatched :class:`~repro.core.transport.ChunkTask`.
         ``None`` (default) lets the task graph size each node's chunks
-        from its cover runs, capped so every worker slot stays busy
+        from its lane runs, capped so every worker slot stays busy
         (:func:`~repro.core.taskgraph.auto_chunk_points`).  An explicit
         ``N >= 1`` forces fixed-size chunks (``1`` reproduces the
         pre-chunk per-point dispatch exactly).  Ignored on the serial

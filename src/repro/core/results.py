@@ -42,12 +42,13 @@ class SimulationRecord:
     wall_time_s:
         Host wall-clock seconds the simulation took (the paper quotes
         0.8-64 s per simulation on its testbed); a composed record holds
-        its share of its cover runs' time.
+        its share of its lane run's time.
     parts:
         The run's metrics split per pool
         (:class:`~repro.memory.profiler.ProfileParts`) on a simulated
-        record; ``None`` on a composed one.  Excluded from equality and
-        from :meth:`content_key`.
+        record -- every (structure, DDT) part on a lane run; ``None`` on
+        a composed one.  Excluded from equality and from
+        :meth:`content_key`.
     """
 
     app_name: str

@@ -3,18 +3,20 @@
 "By using the term simulation we mean an execution of an application
 under study using as input a network trace" (paper Section 3.1).  This
 module runs exactly that: one application, one DDT assignment, one
-network configuration, producing a :class:`SimulationRecord`.
+network configuration, producing a :class:`SimulationRecord`.  An
+assignment may give a structure a tuple of DDTs (lanes); the one run
+then prices every (structure, DDT) pair it names.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.apps.base import NetworkApplication
 from repro.core.metrics import MetricVector
 from repro.core.results import SimulationRecord
-from repro.ddt.registry import combination_label
+from repro.ddt.registry import combination_label, lane_names
 from repro.memory.cacti import CactiModel
 from repro.memory.profiler import MemoryProfiler
 from repro.memory.timing import OperationCosts
@@ -81,7 +83,7 @@ class SimulationEnvironment:
 def run_simulation(
     app_cls: type[NetworkApplication],
     config: NetworkConfig,
-    assignment: Mapping[str, str],
+    assignment: Mapping[str, str | Sequence[str]],
     env: SimulationEnvironment | None = None,
 ) -> SimulationRecord:
     """Simulate one (application, DDT assignment, configuration) point.
@@ -92,9 +94,15 @@ def run_simulation(
     "variations of less than 2%" note).  The record carries the run's
     per-pool :class:`~repro.memory.profiler.ProfileParts`, which the
     exploration engine composes other DDT combinations from.
+
+    With a tuple of DDTs (lanes) for some structure, the record is the
+    one of the *first-lane* combination -- equal to a plain run of it on
+    ``content_key()`` -- and its parts hold every (structure, DDT) part
+    of the run.
     """
     env = env if env is not None else SimulationEnvironment()
     trace = env.trace_for(config)
+    first = {structure: ddts[0] for structure, ddts in lane_names(assignment).items()}
 
     vectors: list[MetricVector] = []
     stats: Mapping[str, int] = {}
@@ -105,13 +113,13 @@ def run_simulation(
         app = app_cls(config, assignment, profiler)
         stats = app.run(trace)
         parts = profiler.parts()
-        vectors.append(parts.metrics())
+        vectors.append(parts.select(first).metrics())
     wall = time.perf_counter() - started
 
     return SimulationRecord(
         app_name=app_cls.name,
         config_label=config.label,
-        combo_label=combination_label(assignment, app_cls.dominant_structures),
+        combo_label=combination_label(first, app_cls.dominant_structures),
         metrics=MetricVector.mean(vectors),
         stats=dict(stats),
         wall_time_s=wall,

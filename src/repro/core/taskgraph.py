@@ -28,17 +28,18 @@ refinements (asserted by ``tests/test_taskgraph.py``).
 
 **Separable evaluation.**  The paper gives every dominant data structure
 its own memory, so a point's four metrics are a pure function of
-per-structure parts (:class:`~repro.memory.profiler.ProfileParts`).  The
-graph therefore simulates no requested point directly: it groups each
-node's cache misses by configuration, simulates a small *cover* of each
-group (:func:`cover_assignments`: as many runs as the group's longest
-per-structure DDT list, so at most the library size), and *composes*
-every miss from the cover runs' parts (:func:`compose_records`) through
+per-structure parts (:class:`~repro.memory.profiler.ProfileParts`), and
+a structure's part depends only on its own operation stream and DDT.
+The graph therefore simulates no requested point directly: it groups
+each node's cache misses by configuration, simulates each group as one
+*lane run* (:func:`lane_assignment`: per structure, every DDT the group
+needs, charged side by side in one application run), and *composes*
+every miss from the lane run's parts (:func:`compose_records`) through
 the aggregation :meth:`~repro.memory.profiler.MemoryProfiler.metrics`
-uses, so composed records equal simulated ones bit for bit.  Cover runs
+uses, so composed records equal simulated ones bit for bit.  Lane runs
 are ordinary points to the transports; composed points are never
-dispatched.  A node's cover runs travel in chunks whose size depends
-only on this run's inputs -- the node's cover-run count and the
+dispatched.  A node's lane runs travel in chunks whose size depends
+only on this run's inputs -- the node's lane-run count and the
 transport's width (:func:`auto_chunk_points`), or the engine's fixed
 ``chunk_points``.
 
@@ -64,7 +65,6 @@ from repro.core.metrics import MetricVector
 from repro.core.results import SimulationRecord
 from repro.core.simulate import run_simulation
 from repro.ddt.registry import combination_label
-from repro.memory.profiler import PoolPart, ProfileParts
 from repro.net.config import NetworkConfig
 
 __all__ = [
@@ -72,17 +72,17 @@ __all__ = [
     "TaskNode",
     "auto_chunk_points",
     "compose_records",
-    "cover_assignments",
+    "lane_assignment",
 ]
 
-#: Most cover runs one dispatched chunk carries: enough to amortise the
+#: Most lane runs one dispatched chunk carries: enough to amortise the
 #: per-chunk pickle/IPC round-trip that made per-point dispatch slower
 #: than serial, few enough that a crashed worker forfeits little work.
 MAX_CHUNK_POINTS = 40
 
 
 def auto_chunk_points(runs: int, slots: int | None = None) -> int:
-    """Default chunk size for one node's ``runs`` dispatched cover runs.
+    """Default chunk size for one node's ``runs`` dispatched lane runs.
 
     At most :data:`MAX_CHUNK_POINTS`, and small enough that the node
     still splits into at least two chunks per worker slot (``slots``,
@@ -96,102 +96,65 @@ def auto_chunk_points(runs: int, slots: int | None = None) -> int:
     return min(MAX_CHUNK_POINTS, math.ceil(runs / (2 * width)))
 
 
-def cover_assignments(
+def lane_assignment(
     structures: Sequence[str], assignments: Iterable[Mapping[str, str]]
-) -> list[dict[str, str]]:
-    """The cover runs of a group of assignments sharing one configuration.
+) -> dict[str, tuple[str, ...]]:
+    """The lane run of a group of assignments sharing one configuration.
 
     Per structure, the distinct DDTs the assignments use, in first-seen
-    order.  Run *i* gives each structure its *i*-th DDT, or its first
-    once its list has run out, so every (structure, DDT) pair of the
-    group appears in some run and the cover has as many runs as the
-    longest list -- the ten ``X+X`` runs for a full step-1 sweep.
+    order -- so one run charges every (structure, DDT) pair the group
+    needs, and the first lanes form the group's first assignment.
     """
-    lists: dict[str, dict[str, None]] = {structure: {} for structure in structures}
+    lanes: dict[str, dict[str, None]] = {structure: {} for structure in structures}
     for assignment in assignments:
-        for structure, ddts in lists.items():
+        for structure, ddts in lanes.items():
             ddts.setdefault(assignment[structure], None)
-    ordered = {structure: list(ddts) for structure, ddts in lists.items()}
-    width = max((len(ddts) for ddts in ordered.values()), default=1)
-    return [
-        {s: ddts[i] if i < len(ddts) else ddts[0] for s, ddts in ordered.items()}
-        for i in range(width)
-    ]
+    return {structure: tuple(ddts) for structure, ddts in lanes.items()}
 
 
 def compose_records(
     app_cls: type[NetworkApplication],
     config: NetworkConfig,
-    covers: Sequence[tuple[Mapping[str, str], SimulationRecord]],
+    run: SimulationRecord,
     assignments: Sequence[Mapping[str, str]],
     repeats: int = 1,
 ) -> list[SimulationRecord]:
-    """Each assignment's record, composed from the cover runs' parts.
+    """Each assignment's record, composed from one lane run's parts.
 
-    ``covers`` pairs every cover run's assignment with its simulated
-    record.  A pool's part comes from a run that gave its structure the
-    assignment's DDT, and the metrics go through
-    :meth:`ProfileParts.metrics` and the repeat averaging of
+    ``run`` is the simulated record of the group's
+    :func:`lane_assignment`.  Each assignment's parts are selected from
+    it (:meth:`~repro.memory.profiler.ProfileParts.select`), and the
+    metrics go through :meth:`~repro.memory.profiler.ProfileParts.metrics`
+    and the repeat averaging of
     :func:`~repro.core.simulate.run_simulation` -- so a composed record
     equals a plain simulation of its assignment bit for bit, provided
     every cost is charged through a structure's own pool or is the
-    per-packet charge.  Cover runs that disagree on what no DDT may
-    change (stats, pool order, base cycles, or one structure's part
-    under one DDT) mean the application breaks that contract, and a
-    :class:`ValueError` names the app and config.  Composed records
-    carry no parts; each gets an equal share of the covers' wall time.
+    per-packet charge.  An app is not handed its assignment: it reaches
+    its DDTs only through ``make_structure``.  A
+    run without parts, or with a pool outside the dominant structures,
+    is a :class:`ValueError` naming the app and config.  Composed
+    records carry no parts; each gets an equal share of the run's wall
+    time.
     """
     where = f"{app_cls.name} @ {config.label}"
-
-    def broken(what: str) -> ValueError:
-        return ValueError(
-            f"{where}: cover runs disagree on {what}; composing DDT "
-            "combinations needs every cost charged through a dominant "
-            "structure's own pool or as the per-packet charge"
+    parts = run.parts
+    if parts is None:
+        raise ValueError(f"{where}: the lane run carries no per-pool parts")
+    for part in parts.pools:
+        if part.name not in app_cls.dominant_structures:
+            raise ValueError(f"{where}: pool {part.name!r} is not a dominant structure")
+    wall = run.wall_time_s / len(assignments)
+    return [
+        SimulationRecord(
+            app_name=app_cls.name,
+            config_label=config.label,
+            combo_label=combination_label(assignment, app_cls.dominant_structures),
+            metrics=MetricVector.mean([parts.select(assignment).metrics()] * repeats),
+            stats=dict(run.stats),
+            wall_time_s=wall,
         )
-
-    if any(record.parts is None for _assignment, record in covers):
-        raise ValueError(f"{where}: a cover run carries no per-pool parts")
-    first = covers[0][1]
-    base = first.parts
-    names = [part.name for part in base.pools]
-    table: dict[tuple[str, str], PoolPart] = {}
-    for assignment, record in covers:
-        parts = record.parts
-        if record.stats != first.stats:
-            raise broken("stats")
-        if [part.name for part in parts.pools] != names:
-            raise broken("pool order")
-        if (parts.base_cycles, parts.clock_hz) != (base.base_cycles, base.clock_hz):
-            raise broken("base cycles")
-        for part in parts.pools:
-            ddt = assignment.get(part.name)
-            if ddt is None:
-                raise ValueError(
-                    f"{where}: pool {part.name!r} is not a dominant structure"
-                )
-            if table.setdefault((part.name, ddt), part) != part:
-                raise broken(f"the {part.name} part under {ddt}")
-
-    wall = sum(record.wall_time_s for _assignment, record in covers) / len(assignments)
-    composed = []
-    for assignment in assignments:
-        parts = ProfileParts(
-            base_cycles=base.base_cycles,
-            clock_hz=base.clock_hz,
-            pools=tuple(table[(name, assignment[name])] for name in names),
-        )
-        composed.append(
-            SimulationRecord(
-                app_name=app_cls.name,
-                config_label=config.label,
-                combo_label=combination_label(assignment, app_cls.dominant_structures),
-                metrics=MetricVector.mean([parts.metrics()] * repeats),
-                stats=dict(first.stats),
-                wall_time_s=wall,
-            )
-        )
-    return composed
+        for assignment in assignments
+    ]
 
 
 #: ``(node, done-in-node, node-total, detail)`` -- node-relative so the
@@ -234,10 +197,10 @@ class TaskNode:
         Results, index-aligned with ``points``; populated by the run.
     cache_hits / simulations / composed:
         How this node was resolved -- points served from the record
-        cache, cover runs simulated, and points composed from cover
-        runs -- the per-node split the campaign aggregates into its
-        incremental report.  ``cache_hits + composed`` is every point of
-        the node.
+        cache, lane runs simulated (one per configuration with misses),
+        and points composed from lane runs -- the per-node split the
+        campaign aggregates into its incremental report.
+        ``cache_hits + composed`` is every point of the node.
     """
 
     name: str
@@ -269,13 +232,11 @@ class TaskNode:
 
 @dataclass
 class _Group:
-    """One configuration's cache misses within a node, and their cover."""
+    """One configuration's cache misses within a node, and their lane run."""
 
     config: NetworkConfig
     misses: list[int] = field(default_factory=list)
-    covers: list[dict[str, str]] = field(default_factory=list)
-    records: list[SimulationRecord | None] = field(default_factory=list)
-    pending: int = 0
+    lanes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 class TaskGraph:
@@ -325,7 +286,7 @@ class TaskGraph:
 
     def _prepare(self, node: TaskNode) -> list[_Group]:
         """Resolve labels, details and cache hits; group the misses by
-        configuration, each with its cover."""
+        configuration, each with its lane run."""
         engine = self.engine
         node._labels = [
             combination_label(assignment, node.app_cls.dominant_structures)
@@ -364,37 +325,26 @@ class TaskGraph:
             group.misses.append(index)
             node._remaining += 1
         for group in groups.values():
-            group.covers = cover_assignments(
+            group.lanes = lane_assignment(
                 node.app_cls.dominant_structures,
                 (node.points[index][1] for index in group.misses),
             )
-            group.records = [None] * len(group.covers)
-            group.pending = len(group.covers)
         return list(groups.values())
 
     def _emit(self, node: TaskNode, detail: str) -> None:
         if self.progress is not None:
             self.progress(node, node._done, node.total, detail)
 
-    def _take_cover(
-        self, node: TaskNode, group: _Group, cover: int, record: SimulationRecord
-    ) -> None:
-        """Account for one cover run; compose its group once complete."""
-        node.simulations += 1
-        self.engine.stats.simulations += 1
-        group.records[cover] = record
-        group.pending -= 1
-        if group.pending == 0:
-            self._compose(node, group)
-
-    def _compose(self, node: TaskNode, group: _Group) -> None:
-        """Slot every miss of a finished group, composed from its cover,
-        and write it through the coordinator cache."""
+    def _compose(self, node: TaskNode, group: _Group, run: SimulationRecord) -> None:
+        """Account for a group's lane run; slot every miss of the group,
+        composed from it, and write it through the coordinator cache."""
         engine = self.engine
+        node.simulations += 1
+        engine.stats.simulations += 1
         records = compose_records(
             node.app_cls,
             group.config,
-            list(zip(group.covers, group.records)),
+            run,
             [node.points[index][1] for index in group.misses],
             engine.env.repeats,
         )
@@ -452,9 +402,8 @@ class TaskGraph:
         while self._queue:
             node = self._queue.popleft()
             for group in self._prepare(node):
-                for cover, assignment in enumerate(group.covers):
-                    record = run_simulation(node.app_cls, group.config, assignment, env)
-                    self._take_cover(node, group, cover, record)
+                record = run_simulation(node.app_cls, group.config, group.lanes, env)
+                self._compose(node, group, record)
             self._complete(node)
 
     def _run_transport(self) -> None:
@@ -462,7 +411,7 @@ class TaskGraph:
 
         engine = self.engine
         transport = engine.transport()
-        slots: dict[int, tuple[TaskNode, _Group, int]] = {}
+        slots: dict[int, tuple[TaskNode, _Group]] = {}
         tokens = count()
         width = getattr(transport, "workers", None)
 
@@ -475,9 +424,7 @@ class TaskGraph:
             if store is not None and store.directory is not None:
                 # Pay trace generation once here; workers only load.
                 store.ensure(group.config.trace_name for group in groups)
-            size = engine.chunk_points or auto_chunk_points(
-                sum(len(group.covers) for group in groups), slots=width
-            )
+            size = engine.chunk_points or auto_chunk_points(len(groups), slots=width)
             entries: list[tuple[int, tuple]] = []
 
             def flush_chunk() -> None:
@@ -487,22 +434,21 @@ class TaskGraph:
 
             for group in groups:
                 config = group.config
-                for cover, assignment in enumerate(group.covers):
-                    token = next(tokens)
-                    slots[token] = (node, group, cover)
-                    entries.append(
+                token = next(tokens)
+                slots[token] = (node, group)
+                entries.append(
+                    (
+                        token,
                         (
-                            token,
-                            (
-                                node.app_cls,
-                                config.trace_name,
-                                dict(config.app_params),
-                                dict(assignment),
-                            ),
-                        )
+                            node.app_cls,
+                            config.trace_name,
+                            dict(config.app_params),
+                            dict(group.lanes),
+                        ),
                     )
-                    if len(entries) >= size:
-                        flush_chunk()
+                )
+                if len(entries) >= size:
+                    flush_chunk()
             flush_chunk()
 
         while self._queue:
@@ -514,8 +460,8 @@ class TaskGraph:
                     # Duplicate delivery after a requeue race (the queue
                     # broker already deduplicates by token).
                     continue
-                node, group, cover = entry
-                self._take_cover(node, group, cover, record)
+                node, group = entry
+                self._compose(node, group, record)
                 if node._remaining == 0:
                     self._complete(node)
                     # Continuations enqueue follow-ups; submit them now so

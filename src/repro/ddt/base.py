@@ -19,12 +19,21 @@ that contract:
 
 The hooks receive positions *before* the functional mutation is applied,
 so ``len(self)`` inside a hook is the pre-operation length.
+
+**Lanes.**  One structure instance can charge several DDTs side by side
+(:meth:`DynamicDataType.join_lanes`): each charged op runs every lane's
+``_model_*`` hooks against that lane's own pool and state, then applies
+the functional mutation once to the single item list all lanes share.
+A structure's costs depend only on its own operation stream, so each
+lane's pool ends up exactly as in a plain run of its DDT -- which lets
+one application run price every candidate DDT of a structure.  A plain
+instance is the one-lane case.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, ClassVar, Iterator
+from typing import Any, Callable, ClassVar, Iterator, Sequence
 
 from repro.ddt.records import RecordSpec
 from repro.memory.pools import MemoryPool
@@ -57,14 +66,29 @@ class DynamicDataType(ABC):
         self._pool = pool
         self._spec = spec
         self._items: list[Any] = []
+        #: The instances whose hooks every charged op runs, this one first.
+        self._lanes: tuple[DynamicDataType, ...] = (self,)
         self._setup_storage()
+
+    def join_lanes(self, others: Sequence[DynamicDataType]) -> DynamicDataType:
+        """Make this instance charge ``others`` as extra lanes; returns it.
+
+        Every instance must be fresh (empty) and charge its own pool.
+        From now on ``others`` share this instance's item list and are
+        driven only through it: each charged op runs every lane's hooks,
+        in lane order, before the one functional mutation.
+        """
+        for lane in others:
+            lane._items = self._items
+        self._lanes = (self, *others)
+        return self
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
     def pool(self) -> MemoryPool:
-        """The memory pool charged by this structure."""
+        """The memory pool charged by this structure (its first lane's)."""
         return self._pool
 
     @property
@@ -87,29 +111,33 @@ class DynamicDataType(ABC):
     # ------------------------------------------------------------------
     def append(self, value: Any) -> None:
         """Add a record at the end of the sequence."""
-        self._charge_call()
-        self._model_append()
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._model_append()
         self._items.append(value)
 
     def insert(self, pos: int, value: Any) -> None:
         """Insert a record before position ``pos`` (0 <= pos <= len)."""
         self._check_pos(pos, upper_inclusive=True)
-        self._charge_call()
-        self._model_insert(pos)
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._model_insert(pos)
         self._items.insert(pos, value)
 
     def get(self, pos: int) -> Any:
         """Access the record at ``pos`` positionally, reading it fully."""
         self._check_pos(pos)
-        self._charge_call()
-        self._model_get(pos)
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._model_get(pos)
         return self._items[pos]
 
     def set(self, pos: int, value: Any) -> None:
         """Overwrite the record at ``pos`` positionally."""
         self._check_pos(pos)
-        self._charge_call()
-        self._model_set(pos)
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._model_set(pos)
         self._items[pos] = value
 
     def get_direct(self, handle: int) -> Any:
@@ -127,24 +155,27 @@ class DynamicDataType(ABC):
         responsibility, as in C).
         """
         self._check_pos(handle)
-        self._charge_call()
-        self._pool.read(1)
-        self._pool.read_stream(self._spec.record_words - 1)
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._pool.read(1)
+            lane._pool.read_stream(lane._spec.record_words - 1)
         return self._items[handle]
 
     def set_direct(self, handle: int, value: Any) -> None:
         """Overwrite a record through a stable handle -- O(1) everywhere."""
         self._check_pos(handle)
-        self._charge_call()
-        self._pool.write(1)
-        self._pool.write_stream(self._spec.record_words - 1)
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._pool.write(1)
+            lane._pool.write_stream(lane._spec.record_words - 1)
         self._items[handle] = value
 
     def remove_at(self, pos: int) -> Any:
         """Remove and return the record at ``pos``."""
         self._check_pos(pos)
-        self._charge_call()
-        self._model_remove(pos)
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._model_remove(pos)
         return self._items.pop(pos)
 
     def pop_front(self) -> Any:
@@ -163,7 +194,9 @@ class DynamicDataType(ABC):
         (charged in bulk by ``_model_scan``); the matching record, when
         found, is read fully.
         """
-        self._charge_call()
+        lanes = self._lanes
+        for lane in lanes:
+            lane._charge_call()
         items = self._items
         hit_pos = -1
         for pos, value in enumerate(items):
@@ -171,24 +204,31 @@ class DynamicDataType(ABC):
                 hit_pos = pos
                 break
         visited = hit_pos + 1 if hit_pos >= 0 else len(items)
-        self._pool.cpu.charge_cpu(visited * self._pool.cpu.costs.compare)
-        self._model_scan(visited, hit_pos >= 0)
-        if hit_pos < 0:
+        hit = hit_pos >= 0
+        for lane in lanes:
+            cpu = lane._pool.cpu
+            cpu.charge_cpu(visited * cpu.costs.compare)
+            lane._model_scan(visited, hit)
+        if not hit:
             return None
         return hit_pos, items[hit_pos]
 
     def __iter__(self) -> Iterator[Any]:
         """Charged full iteration: every record is read entirely."""
-        self._charge_call()
-        self._model_scan_reset()
+        lanes = self._lanes
+        for lane in lanes:
+            lane._charge_call()
+            lane._model_scan_reset()
         for pos, value in enumerate(self._items):
-            self._model_iter_step(pos)
+            for lane in lanes:
+                lane._model_iter_step(pos)
             yield value
 
     def clear(self) -> None:
         """Remove all records; the structure stays usable."""
-        self._charge_call()
-        self._model_clear()
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._model_clear()
         self._items.clear()
 
     def dispose(self) -> None:
@@ -198,8 +238,9 @@ class DynamicDataType(ABC):
         per-flow packet queue when the flow goes idle).  A disposed
         structure must not be used again.
         """
-        self._charge_call()
-        self._model_dispose()
+        for lane in self._lanes:
+            lane._charge_call()
+            lane._model_dispose()
         self._items.clear()
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ declare one :class:`RecordSpec` per dominant data structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["RecordSpec", "WORD_BYTES", "words_for"]
 
@@ -45,11 +45,21 @@ class RecordSpec:
     key_bytes:
         Bytes read when comparing a record's key during a scan (e.g. a
         4-byte IPv4 address).
+    record_words:
+        Words moved when a whole record is read/written/copied (derived
+        from ``size_bytes``).
+    key_words:
+        Words read by one key comparison (derived from ``key_bytes``).
+
+    The word counts are read by every cost hook, so they are computed
+    once here rather than on each access.
     """
 
     name: str
     size_bytes: int
     key_bytes: int = 4
+    record_words: int = field(init=False, repr=False, compare=False)
+    key_words: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -58,13 +68,5 @@ class RecordSpec:
             raise ValueError("key_bytes must be positive")
         if self.key_bytes > self.size_bytes:
             raise ValueError("key_bytes cannot exceed size_bytes")
-
-    @property
-    def record_words(self) -> int:
-        """Words moved when a whole record is read/written/copied."""
-        return words_for(self.size_bytes)
-
-    @property
-    def key_words(self) -> int:
-        """Words read by one key comparison."""
-        return words_for(self.key_bytes)
+        object.__setattr__(self, "record_words", words_for(self.size_bytes))
+        object.__setattr__(self, "key_words", words_for(self.key_bytes))

@@ -35,6 +35,7 @@ __all__ = [
     "ddt_class",
     "combinations",
     "combination_label",
+    "lane_names",
     "parse_combination_label",
 ]
 
@@ -122,6 +123,29 @@ def combination_label(combo: Mapping[str, str], structure_names: Sequence[str]) 
     comparable across the whole exploration.
     """
     return LABEL_SEPARATOR.join(combo[name] for name in structure_names)
+
+
+def lane_names(
+    assignment: Mapping[str, str | Sequence[str]],
+) -> dict[str, tuple[str, ...]]:
+    """Per structure, the DDT names to charge side by side (its lanes).
+
+    A plain name is one lane, so a plain assignment maps every
+    structure to a one-name tuple.  Lanes must be known, non-empty and
+    distinct.
+
+    >>> lane_names({"flow_queue": ("AR", "SLL"), "packet_buf": "DLL"})
+    {'flow_queue': ('AR', 'SLL'), 'packet_buf': ('DLL',)}
+    """
+    lanes = {}
+    for structure, ddts in assignment.items():
+        names = (ddts,) if isinstance(ddts, str) else tuple(ddts)
+        if not names or len(set(names)) != len(names):
+            raise ValueError(f"{structure!r} needs distinct DDT lanes, got {names}")
+        for name in names:
+            ddt_class(name)
+        lanes[structure] = names
+    return lanes
 
 
 def parse_combination_label(

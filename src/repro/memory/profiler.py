@@ -10,12 +10,16 @@ exactly into :class:`ProfileParts`: the app-level base cycles plus one
 :class:`PoolPart` per pool.  Because the paper gives every dominant
 structure its own memory, a pool's part depends only on the DDT of its
 structure -- which is what lets the exploration engine compose a DDT
-combination's metrics from runs of other combinations.
+combination's metrics from other runs' parts.  Pools are keyed by
+(structure, DDT), so one run whose structures charge several DDTs side
+by side (lanes, see :mod:`repro.ddt.base`) holds a part for each, and
+:meth:`ProfileParts.select` picks one combination's parts out of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.metrics import MetricVector
 from repro.memory.cacti import CactiModel
@@ -27,9 +31,14 @@ __all__ = ["MemoryProfiler", "PoolPart", "ProfileParts"]
 
 @dataclass(frozen=True)
 class PoolPart:
-    """One pool's share of a simulation's four metrics."""
+    """One pool's share of a simulation's four metrics.
+
+    ``name`` is the structure, ``ddt`` the DDT that charged the pool
+    (empty for a pool no DDT was named for).
+    """
 
     name: str
+    ddt: str
     energy_pj: float
     memory_cycles: int
     cpu_cycles: int
@@ -45,12 +54,29 @@ class ProfileParts:
     pool (the per-packet overhead); ``pools`` are in pool creation order.
     :meth:`metrics` is the one aggregation every metric snapshot goes
     through, so metrics rebuilt from stored parts equal the simulated
-    ones bit for bit.
+    ones bit for bit.  It sums every pool, so on a run with several
+    lanes per structure it applies to what :meth:`select` returns.
     """
 
     base_cycles: int
     clock_hz: float
     pools: tuple[PoolPart, ...]
+
+    def select(self, assignment: Mapping[str, str]) -> ProfileParts:
+        """The parts of one DDT combination, in pool order.
+
+        Keeps each structure's part under the DDT ``assignment`` gives
+        it, and the pools of structures it does not name; a structure
+        with no part under its assigned DDT is a :class:`KeyError`.
+        """
+        chosen = tuple(
+            part
+            for part in self.pools
+            if assignment.get(part.name, part.ddt) == part.ddt
+        )
+        if len(chosen) != len({part.name for part in self.pools}):
+            raise KeyError("a structure has no part under its assigned DDT")
+        return ProfileParts(self.base_cycles, self.clock_hz, chosen)
 
     def metrics(self) -> MetricVector:
         """The four metrics: pool sums plus the base cycles."""
@@ -112,24 +138,29 @@ class MemoryProfiler:
                 clock_hz=clock_hz if clock_hz is not None else CpuModel.DEFAULT_CLOCK_HZ,
                 costs=costs,
             )
-        self._pools: dict[str, MemoryPool] = {}
+        self._pools: dict[tuple[str, str], MemoryPool] = {}
 
     # ------------------------------------------------------------------
     # pool management
     # ------------------------------------------------------------------
-    def new_pool(self, name: str, **pool_kwargs: int) -> MemoryPool:
-        """Create (or return the existing) pool named ``name``."""
-        existing = self._pools.get(name)
+    def new_pool(self, name: str, ddt: str = "", **pool_kwargs: int) -> MemoryPool:
+        """Create (or return the existing) pool of structure ``name``
+        charged by DDT ``ddt``."""
+        existing = self._pools.get((name, ddt))
         if existing is not None:
             return existing
         cpu = CpuModel(clock_hz=self.cpu.clock_hz, costs=self.cpu.costs)
         pool = MemoryPool(name, cacti=self.cacti, cpu=cpu, **pool_kwargs)
-        self._pools[name] = pool
+        self._pools[(name, ddt)] = pool
         return pool
 
     def pool(self, name: str) -> MemoryPool:
-        """Look an existing pool up by name (KeyError if absent)."""
-        return self._pools[name]
+        """Look the first pool of structure ``name`` up -- on a run with
+        lanes, the first lane's (KeyError if absent)."""
+        for (pool_name, _ddt), pool in self._pools.items():
+            if pool_name == name:
+                return pool
+        raise KeyError(name)
 
     @property
     def pools(self) -> tuple[MemoryPool, ...]:
@@ -171,11 +202,12 @@ class MemoryProfiler:
         when it is taken.
         """
         pools = []
-        for pool in self._pools.values():
+        for (_name, ddt), pool in self._pools.items():
             energy_pj, memory_cycles = pool.energy_and_cycles()
             pools.append(
                 PoolPart(
                     name=pool.name,
+                    ddt=ddt,
                     energy_pj=energy_pj,
                     memory_cycles=memory_cycles,
                     cpu_cycles=pool.cpu.cpu_cycles,
@@ -190,7 +222,8 @@ class MemoryProfiler:
         )
 
     def metrics(self) -> MetricVector:
-        """Snapshot the four metrics accumulated so far."""
+        """Snapshot the four metrics accumulated so far (of a run with
+        one lane per structure)."""
         return self.parts().metrics()
 
     def pool_snapshots(self) -> list[dict[str, float]]:

@@ -322,9 +322,11 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help=(
             "dispatch cache-miss points to workers in blocks of N "
             "(1 dispatches single points; applies to every transport). "
-            "Default: per node, at most 40 cover runs and at least two "
-            "blocks per worker slot (the pool width, or 4 for the queue "
-            "transport)"
+            "Each dispatched point is one lane run: one application run "
+            "per (node, configuration) that charges every DDT its cache "
+            "misses need. Default: per node, at most 40 lane runs and at "
+            "least two blocks per worker slot (the pool width, or 4 for "
+            "the queue transport)"
         ),
     )
     parser.add_argument(

@@ -121,6 +121,28 @@ def spawn_worker(
     )
 
 
+def wait_live(address: str, *worker_ids: str, timeout: float = 30.0) -> None:
+    """Block until every id in ``worker_ids`` is under the broker's
+    ``fleet.live``.
+
+    A campaign of a few lane runs can finish before a worker spawned
+    just ahead of it has registered; that worker then waits its whole
+    ``--retry`` window for a first campaign.  Tests therefore start a
+    campaign only once its workers are live.
+    """
+    from repro.core.broker import BrokerClient
+
+    client = BrokerClient(address)
+    try:
+        deadline = time.monotonic() + timeout
+        while not set(worker_ids) <= set(client.call("fleet")["fleet"]["live"]):
+            if time.monotonic() > deadline:
+                raise RuntimeError(f"workers {worker_ids} never registered")
+            time.sleep(0.05)
+    finally:
+        client.close()
+
+
 class FlakyWorker:
     """Fault-injection helper: a worker that crashes after N points.
 
@@ -230,6 +252,7 @@ def crash_requeue_drill(transport):
 
     watcher = _launch_after(flaky.crashed, launch_steady)
     try:
+        wait_live(transport.address, "flaky")
         with CampaignScheduler(transport=transport, **sweep) as campaign:
             result = campaign.run()
         watcher.join(timeout=60)
@@ -276,6 +299,7 @@ def quarantine_drill(transport):
 
     watcher = _launch_after(flaky.rejected, launch_steady)
     try:
+        wait_live(transport.address, "flaky")
         with CampaignScheduler(transport=transport, **sweep) as campaign:
             result = campaign.run()
         watcher.join(timeout=60)
@@ -314,21 +338,20 @@ def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
        suite's kill -9 analogue: no goodbye, no ack); a watcher respawns
        the same id without the fault.  The broker requeues only the
        dead lease's unfinished points, so the campaign simulates exactly
-       as many cover runs as a clean serial run of the same sweep.
+       as many lane runs as the serial baseline.
     2. *Warm rerun*: a fresh broker and coordinator on the same cache,
        and no worker at all.  Every point is a cache hit, so nothing is
        simulated or dispatched.
 
-    Both campaigns equal the serial baseline on ``content_key()``.
+    The sweep is the baseline's own four-app narrow campaign: its eight
+    lane runs are enough for the 4th lease to land mid-campaign.  Both
+    campaigns equal the serial baseline on ``content_key()``.
     """
     sweep = {
-        "studies": ["url"],
         "candidates": CANDIDATES,
-        "configs": {"URL": NARROW["URL"]},
+        "configs": NARROW,
         "trace_store": trace_store,
     }
-    with CampaignScheduler(**sweep) as campaign:
-        clean = campaign.run()
 
     # -- campaign 1: crash mid-flight, rejoin cold ---------------------
     transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
@@ -345,6 +368,7 @@ def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
     watcher = threading.Thread(target=rejoin, daemon=True)
     watcher.start()
     try:
+        wait_live(transport.address, "w1")
         with CampaignScheduler(
             cache=cache_dir, transport=transport, **sweep
         ) as campaign:
@@ -361,11 +385,9 @@ def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
     assert transport.crashes.get("w1") == 1
     assert transport.requeues >= 1
     assert result.quarantined == []
-    # ... yet cost no cover run beyond a clean serial run's.
-    assert result.stats.simulations == clean.stats.simulations
-    assert_app_matches(
-        result.refinements["URL"], serial_campaign.refinements["URL"]
-    )
+    # ... yet cost no lane run beyond the serial baseline's.
+    assert result.stats.simulations == serial_campaign.stats.simulations
+    assert_matches(result, serial_campaign)
 
     # -- campaign 2: the same sweep, served by the cache alone ---------
     transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
@@ -376,9 +398,7 @@ def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
     assert warm.stats.simulations == 0
     assert warm.stats.cache_hits == warm.stats.points == result.stats.points
     assert transport.results_received == 0
-    assert_app_matches(
-        warm.refinements["URL"], serial_campaign.refinements["URL"]
-    )
+    assert_matches(warm, serial_campaign)
     return warm
 
 
@@ -428,6 +448,7 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
     stagehand = threading.Thread(target=choreography, daemon=True)
     stagehand.start()
     try:
+        wait_live(address, "w1", "w2")
         with CampaignScheduler(
             candidates=CANDIDATES,
             configs=NARROW,
@@ -457,8 +478,8 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
     return result
 
 
-def concurrent_campaign_drill(serial_campaign, *, journal_dir,
-                              trace_store_a=None, trace_store_b=None):
+def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
+                              trace_store_b=None):
     """Two campaigns, one journaled broker, one shared worker pool.
 
     The multi-tenant drill: a standalone ``broker --journal`` admits two
@@ -468,7 +489,10 @@ def concurrent_campaign_drill(serial_campaign, *, journal_dir,
     Once both campaigns are provably mid-flight (>= 4 points resolved
     each) the broker is SIGKILLed and a successor started on the same
     address + journal, so the restart machinery is exercised with *two*
-    registered campaigns in the write-ahead log.  Asserts:
+    registered campaigns in the write-ahead log.  Each tenant sweeps
+    its study's full configuration list (five lane runs each), so both
+    still have work queued when the broker dies; the drill runs its own
+    serial baseline of those sweeps.  Asserts:
 
     - both campaigns finish with per-app ``content_key()`` parity
       against the serial baseline (result isolation: neither tenant
@@ -486,6 +510,8 @@ def concurrent_campaign_drill(serial_campaign, *, journal_dir,
     """
     from repro.core.broker import BrokerClient
 
+    with CampaignScheduler(studies=["url", "drr"], candidates=CANDIDATES) as campaign:
+        serial_campaign = campaign.run()
     address = f"127.0.0.1:{free_port()}"
     brokers = [spawn_broker(address, journal=str(journal_dir))]
     timeline: list[tuple[float, str]] = []
@@ -511,7 +537,6 @@ def concurrent_campaign_drill(serial_campaign, *, journal_dir,
             with CampaignScheduler(
                 studies=[study],
                 candidates=CANDIDATES,
-                configs={tag: NARROW[tag]},
                 trace_store=trace_store,
                 transport=transport,
                 progress=tracker(tag),

@@ -20,10 +20,10 @@ from support.faults import (
     broker_restart_drill,
     cache_rejoin_drill,
     concurrent_campaign_drill,
-    content,
     crash_requeue_drill,
     quarantine_drill,
     spawn_worker,
+    wait_live,
 )
 
 from repro.apps import UrlApp
@@ -253,9 +253,11 @@ class TestBrokerProtocol:
     def test_protocol_mismatch_rejected(self, client):
         hello = client.call("hello", proto=99, worker="future", meta={})
         assert not hello["ok"] and "protocol" in hello["error"]
-        # a version-1 worker is refused at hello, not mis-served
-        hello = client.call("hello", proto=1, worker="older", meta={})
-        assert not hello["ok"] and "protocol" in hello["error"]
+        # version-1 and version-2 workers are refused at hello, not
+        # mis-served: a version-2 worker cannot run lane-run entries
+        for proto in (1, 2):
+            hello = client.call("hello", proto=proto, worker=f"v{proto}", meta={})
+            assert not hello["ok"] and "protocol" in hello["error"]
 
     def test_unknown_op_rejected(self, client):
         reply = client.call("flush_everything")
@@ -444,6 +446,7 @@ class TestElasticFleet:
         stagehand = threading.Thread(target=choreography, daemon=True)
         stagehand.start()
         try:
+            wait_live(transport.address, "early")
             with CampaignScheduler(
                 candidates=CANDIDATES,
                 configs=NARROW,
@@ -530,9 +533,7 @@ class TestBrokerRestart:
 # multi-tenant broker: two concurrent campaigns, one shared fleet
 # ----------------------------------------------------------------------
 class TestConcurrentCampaigns:
-    def test_two_campaigns_share_one_broker_and_fleet(
-        self, serial_campaign, tmp_path
-    ):
+    def test_two_campaigns_share_one_broker_and_fleet(self, tmp_path):
         """The concurrent-campaign fault drill: two campaigns (URL at
         priority 2, DRR at priority 1) run against one standing
         journaled broker with two shared workers leasing from whichever
@@ -543,7 +544,6 @@ class TestConcurrentCampaigns:
         other was active, nobody is quarantined, and every simulated
         point was received exactly once."""
         url_result, drr_result, metrics = concurrent_campaign_drill(
-            serial_campaign,
             journal_dir=tmp_path / "journal",
             trace_store_a=tmp_path / "traces-url",
             trace_store_b=tmp_path / "traces-drr",
@@ -619,7 +619,11 @@ class TestCapacityWeightedDispatch:
         self, serial_campaign, tmp_path
     ):
         """Unequal advertised capacities are measured and reported on
-        the result; the manifest keeps only what ``--resume`` diffs."""
+        the result; the manifest keeps only what ``--resume`` diffs.
+
+        The sweep is the baseline's four-app narrow campaign: its four
+        step-1 lane runs are queued at once, one more than the big
+        worker's three slots hold, so each worker simulates some."""
         cache_dir = tmp_path / "cache"
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         workers = [
@@ -627,10 +631,10 @@ class TestCapacityWeightedDispatch:
             spawn_worker(transport.address, "big", capacity=3),
         ]
         try:
+            wait_live(transport.address, "small", "big")
             with CampaignScheduler(
-                studies=["url"],
                 candidates=CANDIDATES,
-                configs={"URL": NARROW["URL"]},
+                configs=NARROW,
                 cache=cache_dir,
                 transport=transport,
             ) as campaign:
@@ -641,10 +645,7 @@ class TestCapacityWeightedDispatch:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10)
-        serial = serial_campaign.refinements["URL"]
-        scheduled = result.refinements["URL"]
-        assert content(scheduled.step1.log) == content(serial.step1.log)
-        assert content(scheduled.step2.log) == content(serial.step2.log)
+        assert_matches(result, serial_campaign)
 
         stats = result.worker_stats
         assert set(stats) == {"small", "big"}

@@ -200,7 +200,8 @@ class TestEngineSerial:
         assert [r.content_key() for r in records] == [
             r.content_key() for r in direct
         ]
-        assert engine.stats.simulations == 2
+        # one configuration: both points compose from one lane run
+        assert engine.stats.simulations == 1
         assert engine.stats.cache_hits == 0
 
     def test_progress_in_point_order(self, env):

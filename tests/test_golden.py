@@ -1,0 +1,49 @@
+"""Plain and engine-composed records equal records pinned in a file.
+
+Every other parity test compares the simulator with itself, so a drift
+in the shared charged interface (one that moves every DDT's cost the
+same way) would pass all of them.  ``tests/data/golden_records.json``
+was generated once by plain ``run_simulation`` (see
+:mod:`support.golden`); both evaluation paths must reproduce it bit for
+bit.
+"""
+
+import json
+from pathlib import Path
+
+from support.golden import encode, golden_batches, point_id
+
+from repro.core.engine import ExplorationEngine
+from repro.core.simulate import SimulationEnvironment, run_simulation
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_records.json").read_text()
+)
+BATCHES = golden_batches()
+
+
+def test_the_points_are_the_pinned_ones():
+    ids = [
+        point_id(app_cls, config, assignment)
+        for app_cls, points in BATCHES
+        for config, assignment in points
+    ]
+    assert len(set(ids)) == len(ids) == len(GOLDEN)
+    assert set(ids) == set(GOLDEN)
+
+
+def test_plain_simulation_matches_golden():
+    env = SimulationEnvironment()
+    for app_cls, points in BATCHES:
+        for config, assignment in points:
+            record = run_simulation(app_cls, config, assignment, env)
+            assert encode(record) == GOLDEN[point_id(app_cls, config, assignment)]
+
+
+def test_engine_records_match_golden():
+    engine = ExplorationEngine()
+    results = engine.run_batches([(app_cls, points, None) for app_cls, points in BATCHES])
+    for (app_cls, points), records in zip(BATCHES, results):
+        for (config, assignment), record in zip(points, records):
+            assert encode(record) == GOLDEN[point_id(app_cls, config, assignment)]
+    assert engine.stats.composed == len(GOLDEN)

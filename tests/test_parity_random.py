@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from support.faults import assert_matches, spawn_worker
+from support.faults import assert_matches, spawn_worker, wait_live
 
 from repro.core.broker import QueueTransport
 from repro.core.campaign import CampaignScheduler
@@ -66,6 +66,7 @@ def test_randomized_transport_parity(seed, tmp_path):
         for i, capacity in enumerate(capacities)
     ]
     try:
+        wait_live(queue_transport.address, *(f"rand-q{i}" for i in range(workers)))
         queued = run_campaign(transport=queue_transport)
         assert [p.wait(timeout=30) for p in queue_workers] == [0] * workers
     finally:
@@ -112,6 +113,9 @@ def test_randomized_chunk_size_parity(seed, tmp_path):
             for i, capacity in enumerate(capacities)
         ]
         try:
+            wait_live(
+                queue_transport.address, *(f"chunk-q{i}" for i in range(workers))
+            )
             queued = run_campaign(
                 transport=queue_transport, chunk_points=chunk_points
             )
