@@ -116,6 +116,12 @@ BROKER_PROTOCOL = 3
 #: Sequence for campaign ids minted by :meth:`QueueTransport.start`.
 _CAMPAIGN_SEQ = count()
 
+#: Seconds a :class:`BrokerClient` waits for a reply before it treats
+#: the broker as unavailable.  Far above the longest hold any op asks
+#: for (``take``/``take_any`` send a ``timeout`` of at most 0.4 s), so
+#: only a listener that accepted but stopped answering reaches it.
+REPLY_TIMEOUT_S = 30.0
+
 #: Base deficit-round-robin quantum, in exploration *points* per visit.
 #: Each running campaign banks ``DRR_QUANTUM * priority`` points every
 #: time the scheduler's rotation reaches it, and may lease work while
@@ -1155,6 +1161,8 @@ class BrokerClient:
         and is retried until it succeeds or the outage budget runs out.
         Safe because every broker op is idempotent or deduplicated
         (``push_result`` by token, ``take`` redelivery by ack/lease).
+        A reply that does not come within :data:`REPLY_TIMEOUT_S` counts
+        as such a failure.
     on_reconnect:
         Called with the client after each successful reconnect, *before*
         the pending op is retried -- the worker loop re-hellos here (via
@@ -1180,6 +1188,7 @@ class BrokerClient:
         #: duration of the most recent survived outage, seconds.
         self.last_outage_s = 0.0
         self._sock = _connect_with_retry((host, port), retry_s)
+        self._sock.settimeout(REPLY_TIMEOUT_S)
         self._lock = threading.Lock()
 
     def call(self, op: str, **fields: Any) -> dict[str, Any]:
@@ -1203,6 +1212,9 @@ class BrokerClient:
                 send_frame(self._sock, {"type": "cmd", "op": op, **fields})
                 reply = recv_frame(self._sock)
         except (OSError, FrameConnectionError) as exc:
+            # A reply that timed out or tore leaves the stream out of
+            # step: drop the connection so no later call reads its tail.
+            self.close()
             raise BrokerUnavailableError(op, self.address, exc) from exc
         if reply is None:
             raise BrokerUnavailableError(op, self.address, "broker hung up")
@@ -1234,7 +1246,7 @@ class BrokerClient:
                     except OSError:
                         pass
                     sock = socket.create_connection((host, port), timeout=10.0)
-                    sock.settimeout(None)
+                    sock.settimeout(REPLY_TIMEOUT_S)
                     self._sock = sock
             except OSError:
                 continue

@@ -326,17 +326,13 @@ def _close_listener(listener: socket.socket) -> None:
 def _connect_with_retry(address: tuple[str, int], retry_s: float) -> socket.socket:
     """Connect to the broker, retrying until ``retry_s`` has passed.
 
-    ``retry_s=0`` makes exactly one attempt.
+    ``retry_s=0`` makes exactly one attempt.  The socket keeps the
+    10 s connect timeout; the caller sets the one its replies need.
     """
     deadline = time.monotonic() + retry_s
     while True:
         try:
-            sock = socket.create_connection(address, timeout=10.0)
-            # The connect timeout must not linger: an idle client (e.g. a
-            # worker waiting for the next campaign, or a coordinator busy
-            # pre-generating traces) would otherwise die on recv.
-            sock.settimeout(None)
-            return sock
+            return socket.create_connection(address, timeout=10.0)
         except OSError as exc:
             if time.monotonic() >= deadline:
                 raise TransportError(

@@ -51,25 +51,29 @@ class ArrayDDT(DynamicDataType):
         new_capacity = max(INITIAL_CAPACITY, self._capacity * GROWTH_FACTOR)
         copy_words = len(self._items) * self._spec.record_words
         # realloc: stream every live record into the new block
-        self._block = self._pool.reallocate(self._block, new_capacity * self._spec.size_bytes)
-        self._pool.read_stream(copy_words)
-        self._pool.write_stream(copy_words)
+        pool = self._pool
+        self._block = pool.reallocate(self._block, new_capacity * self._spec.size_bytes)
+        pool.stream_reads += copy_words
+        pool.stream_writes += copy_words
         self._capacity = new_capacity
 
     def _shift(self, records: int) -> None:
         """Charge moving ``records`` records by one slot (memmove)."""
         words = records * self._spec.record_words
-        self._pool.read_stream(words)
-        self._pool.write_stream(words)
+        pool = self._pool
+        pool.stream_reads += words
+        pool.stream_writes += words
 
     def _read_record(self) -> None:
         """Random record read: first word dependent, rest streams."""
-        self._pool.read(1)
-        self._pool.read_stream(self._spec.record_words - 1)
+        pool = self._pool
+        pool.dep_reads += 1
+        pool.stream_reads += self._spec.record_words - 1
 
     def _write_record(self) -> None:
-        self._pool.write(1)
-        self._pool.write_stream(self._spec.record_words - 1)
+        pool = self._pool
+        pool.dep_writes += 1
+        pool.stream_writes += self._spec.record_words - 1
 
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
@@ -95,15 +99,17 @@ class ArrayDDT(DynamicDataType):
         reads = visited * self._spec.key_words
         if hit:
             reads += self._spec.record_words - self._spec.key_words
-        self._pool.read_stream(reads)
-        self._charge_steps(visited)
+        pool = self._pool
+        pool.stream_reads += reads
+        pool.steps += visited
 
     def _model_scan_reset(self) -> None:
         pass  # base address is in a register
 
     def _model_iter_step(self, pos: int) -> None:
-        self._pool.read_stream(self._spec.record_words)
-        self._charge_steps(1)
+        pool = self._pool
+        pool.stream_reads += self._spec.record_words
+        pool.steps += 1
 
     def _model_clear(self) -> None:
         self._pool.free(self._block)
@@ -137,19 +143,22 @@ class PointerArrayDDT(DynamicDataType):
             return
         new_capacity = max(INITIAL_CAPACITY, self._capacity * GROWTH_FACTOR)
         copy_words = len(self._items)  # one word per pointer
-        self._block = self._pool.reallocate(self._block, new_capacity * WORD_BYTES)
-        self._pool.read_stream(copy_words)
-        self._pool.write_stream(copy_words)
+        pool = self._pool
+        self._block = pool.reallocate(self._block, new_capacity * WORD_BYTES)
+        pool.stream_reads += copy_words
+        pool.stream_writes += copy_words
         self._capacity = new_capacity
 
     def _shift_pointers(self, count: int) -> None:
-        self._pool.read_stream(count)
-        self._pool.write_stream(count)
+        pool = self._pool
+        pool.stream_reads += count
+        pool.stream_writes += count
 
     def _alloc_record(self) -> None:
-        self._record_blocks.append(self._pool.allocate(self._spec.size_bytes))
-        self._pool.write(1)
-        self._pool.write_stream(self._spec.record_words - 1)
+        pool = self._pool
+        self._record_blocks.append(pool.allocate(self._spec.size_bytes))
+        pool.dep_writes += 1
+        pool.stream_writes += self._spec.record_words - 1
 
     def _free_record(self) -> None:
         self._pool.free(self._record_blocks.pop())
@@ -158,45 +167,50 @@ class PointerArrayDDT(DynamicDataType):
     def _model_append(self) -> None:
         self._grow_if_full()
         self._alloc_record()
-        self._pool.write(1)  # store the pointer
+        self._pool.dep_writes += 1  # store the pointer
 
     def _model_insert(self, pos: int) -> None:
         self._grow_if_full()
         self._shift_pointers(len(self._items) - pos)
         self._alloc_record()
-        self._pool.write(1)
+        self._pool.dep_writes += 1
 
     def _model_get(self, pos: int) -> None:
-        self._pool.read(2)  # pointer load + dependent first record word
-        self._pool.read_stream(self._spec.record_words - 1)
+        pool = self._pool
+        pool.dep_reads += 2  # pointer load + dependent first record word
+        pool.stream_reads += self._spec.record_words - 1
 
     def _model_set(self, pos: int) -> None:
-        self._pool.read(1)  # pointer load
-        self._pool.write(1)
-        self._pool.write_stream(self._spec.record_words - 1)
+        pool = self._pool
+        pool.dep_reads += 1  # pointer load
+        pool.dep_writes += 1
+        pool.stream_writes += self._spec.record_words - 1
 
     def _model_remove(self, pos: int) -> None:
-        self._pool.read(2)
-        self._pool.read_stream(self._spec.record_words - 1)
+        pool = self._pool
+        pool.dep_reads += 2
+        pool.stream_reads += self._spec.record_words - 1
         self._free_record()
         self._shift_pointers(len(self._items) - pos - 1)
 
     def _model_scan(self, visited: int, hit: bool) -> None:
         # one dependent pointer load per visited record, keys stream
-        self._pool.read(visited)
         reads = visited * self._spec.key_words
         if hit:
             reads += self._spec.record_words - self._spec.key_words
-        self._pool.read_stream(reads)
-        self._charge_steps(visited)
+        pool = self._pool
+        pool.dep_reads += visited
+        pool.stream_reads += reads
+        pool.steps += visited
 
     def _model_scan_reset(self) -> None:
         pass
 
     def _model_iter_step(self, pos: int) -> None:
-        self._pool.read(1)
-        self._pool.read_stream(self._spec.record_words)
-        self._charge_steps(1)
+        pool = self._pool
+        pool.dep_reads += 1
+        pool.stream_reads += self._spec.record_words
+        pool.steps += 1
 
     def _model_clear(self) -> None:
         while self._record_blocks:

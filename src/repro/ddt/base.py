@@ -11,11 +11,15 @@ that contract:
   returns exactly the same values for the same operation sequence.  This
   is asserted by the property-based equivalence tests.
 * **Cost behaviour** differs per DDT: each subclass implements the
-  ``_model_*`` hooks, charging word reads/writes to its
-  :class:`~repro.memory.pools.MemoryPool` and block allocations to the
+  ``_model_*`` hooks, counting word reads/writes and loop steps on its
+  :class:`~repro.memory.pools.MemoryPool` and allocating blocks from the
   pool's heap exactly as the underlying C data organisation would
   (pointer hops, element shifts, reallocation copies, chunk splits,
-  per-node headers).
+  per-node headers).  The charged interface itself counts one DDT call
+  per operation and one compare per key scanned.  Charging only adds
+  integers to the pool's counters; the profiler prices the counts once,
+  when the run's parts are taken
+  (:meth:`repro.memory.profiler.MemoryProfiler.parts`).
 
 The hooks receive positions *before* the functional mutation is applied,
 so ``len(self)`` inside a hook is the pre-operation length.
@@ -112,7 +116,7 @@ class DynamicDataType(ABC):
     def append(self, value: Any) -> None:
         """Add a record at the end of the sequence."""
         for lane in self._lanes:
-            lane._charge_call()
+            lane._pool.ddt_calls += 1
             lane._model_append()
         self._items.append(value)
 
@@ -120,7 +124,7 @@ class DynamicDataType(ABC):
         """Insert a record before position ``pos`` (0 <= pos <= len)."""
         self._check_pos(pos, upper_inclusive=True)
         for lane in self._lanes:
-            lane._charge_call()
+            lane._pool.ddt_calls += 1
             lane._model_insert(pos)
         self._items.insert(pos, value)
 
@@ -128,7 +132,7 @@ class DynamicDataType(ABC):
         """Access the record at ``pos`` positionally, reading it fully."""
         self._check_pos(pos)
         for lane in self._lanes:
-            lane._charge_call()
+            lane._pool.ddt_calls += 1
             lane._model_get(pos)
         return self._items[pos]
 
@@ -136,7 +140,7 @@ class DynamicDataType(ABC):
         """Overwrite the record at ``pos`` positionally."""
         self._check_pos(pos)
         for lane in self._lanes:
-            lane._charge_call()
+            lane._pool.ddt_calls += 1
             lane._model_set(pos)
         self._items[pos] = value
 
@@ -156,25 +160,27 @@ class DynamicDataType(ABC):
         """
         self._check_pos(handle)
         for lane in self._lanes:
-            lane._charge_call()
-            lane._pool.read(1)
-            lane._pool.read_stream(lane._spec.record_words - 1)
+            pool = lane._pool
+            pool.ddt_calls += 1
+            pool.dep_reads += 1
+            pool.stream_reads += lane._spec.record_words - 1
         return self._items[handle]
 
     def set_direct(self, handle: int, value: Any) -> None:
         """Overwrite a record through a stable handle -- O(1) everywhere."""
         self._check_pos(handle)
         for lane in self._lanes:
-            lane._charge_call()
-            lane._pool.write(1)
-            lane._pool.write_stream(lane._spec.record_words - 1)
+            pool = lane._pool
+            pool.ddt_calls += 1
+            pool.dep_writes += 1
+            pool.stream_writes += lane._spec.record_words - 1
         self._items[handle] = value
 
     def remove_at(self, pos: int) -> Any:
         """Remove and return the record at ``pos``."""
         self._check_pos(pos)
         for lane in self._lanes:
-            lane._charge_call()
+            lane._pool.ddt_calls += 1
             lane._model_remove(pos)
         return self._items.pop(pos)
 
@@ -194,9 +200,6 @@ class DynamicDataType(ABC):
         (charged in bulk by ``_model_scan``); the matching record, when
         found, is read fully.
         """
-        lanes = self._lanes
-        for lane in lanes:
-            lane._charge_call()
         items = self._items
         hit_pos = -1
         for pos, value in enumerate(items):
@@ -205,9 +208,10 @@ class DynamicDataType(ABC):
                 break
         visited = hit_pos + 1 if hit_pos >= 0 else len(items)
         hit = hit_pos >= 0
-        for lane in lanes:
-            cpu = lane._pool.cpu
-            cpu.charge_cpu(visited * cpu.costs.compare)
+        for lane in self._lanes:
+            pool = lane._pool
+            pool.ddt_calls += 1
+            pool.compares += visited
             lane._model_scan(visited, hit)
         if not hit:
             return None
@@ -217,7 +221,7 @@ class DynamicDataType(ABC):
         """Charged full iteration: every record is read entirely."""
         lanes = self._lanes
         for lane in lanes:
-            lane._charge_call()
+            lane._pool.ddt_calls += 1
             lane._model_scan_reset()
         for pos, value in enumerate(self._items):
             for lane in lanes:
@@ -227,7 +231,7 @@ class DynamicDataType(ABC):
     def clear(self) -> None:
         """Remove all records; the structure stays usable."""
         for lane in self._lanes:
-            lane._charge_call()
+            lane._pool.ddt_calls += 1
             lane._model_clear()
         self._items.clear()
 
@@ -239,21 +243,11 @@ class DynamicDataType(ABC):
         structure must not be used again.
         """
         for lane in self._lanes:
-            lane._charge_call()
+            lane._pool.ddt_calls += 1
             lane._model_dispose()
         self._items.clear()
 
     # ------------------------------------------------------------------
-    # shared cost helpers
-    # ------------------------------------------------------------------
-    def _charge_call(self) -> None:
-        self._pool.cpu.charge_cpu(self._pool.cpu.costs.ddt_call)
-
-    def _charge_steps(self, steps: int) -> None:
-        """CPU loop overhead of ``steps`` traversal/shift iterations."""
-        if steps > 0:
-            self._pool.cpu.charge_cpu(steps * self._pool.cpu.costs.step)
-
     def _check_pos(self, pos: int, upper_inclusive: bool = False) -> None:
         upper = len(self._items) + (1 if upper_inclusive else 0)
         if not 0 <= pos < upper:

@@ -75,14 +75,16 @@ class _ChunkedBase(DynamicDataType):
         return header + self._chunk_records * self._spec.size_bytes
 
     def _alloc_chunk(self, index: int, fill: int) -> None:
-        self._chunk_blocks.append(self._pool.allocate(self._chunk_bytes))
+        pool = self._pool
+        self._chunk_blocks.append(pool.allocate(self._chunk_bytes))
         self._fills.insert(index, fill)
-        self._pool.write(self.ptr_words + 1)  # link + count init
+        pool.dep_writes += self.ptr_words + 1  # link + count init
 
     def _free_chunk(self, index: int) -> None:
-        self._pool.free(self._chunk_blocks.pop())
+        pool = self._pool
+        pool.free(self._chunk_blocks.pop())
         del self._fills[index]
-        self._pool.write(self.ptr_words)  # unlink
+        pool.dep_writes += self.ptr_words  # unlink
 
     # -- location ----------------------------------------------------------
     def _locate(self, pos: int) -> tuple[int, int]:
@@ -94,12 +96,13 @@ class _ChunkedBase(DynamicDataType):
         """
         chunk_idx, offset = self._chunk_of(pos)
         hops = self._hops_to(chunk_idx)
-        self._pool.read(hops + 1)  # start field + next pointer per hop
-        self._pool.read_stream(hops)  # fill counts along the way
-        self._charge_steps(hops + 1)
+        pool = self._pool
+        pool.dep_reads += hops + 1  # start field + next pointer per hop
+        pool.stream_reads += hops  # fill counts along the way
+        pool.steps += hops + 1
         if self.roving:
             self._rov_chunk = chunk_idx
-            self._pool.write(1)
+            pool.dep_writes += 1
         return chunk_idx, offset
 
     def _chunk_of(self, pos: int) -> tuple[int, int]:
@@ -124,28 +127,31 @@ class _ChunkedBase(DynamicDataType):
         keep = self._chunk_records - move
         self._alloc_chunk(chunk_idx + 1, move)
         words = move * self._spec.record_words
-        self._pool.read_stream(words)
-        self._pool.write_stream(words)
-        self._pool.write(1)  # count rewrite
+        pool = self._pool
+        pool.stream_reads += words
+        pool.stream_writes += words
+        pool.dep_writes += 1  # count rewrite
         self._fills[chunk_idx] = keep
         if self.roving:
             self._rov_chunk = None
 
     def _shift_within(self, records: int) -> None:
         words = records * self._spec.record_words
-        self._pool.read_stream(words)
-        self._pool.write_stream(words)
+        pool = self._pool
+        pool.stream_reads += words
+        pool.stream_writes += words
 
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
+        pool = self._pool
         if not self._fills or self._fills[-1] == self._chunk_records:
             self._alloc_chunk(len(self._fills), 0)
             if len(self._fills) > 1:
-                self._pool.write(1)  # link previous tail chunk
-        self._pool.read(1)  # tail-chunk pointer
+                pool.dep_writes += 1  # link previous tail chunk
+        pool.dep_reads += 1  # tail-chunk pointer
         self._fills[-1] += 1
-        self._pool.write_stream(self._spec.record_words)
-        self._pool.write(1)  # count update
+        pool.stream_writes += self._spec.record_words
+        pool.dep_writes += 1  # count update
 
     def _model_insert(self, pos: int) -> None:
         if pos == len(self._items):
@@ -159,32 +165,35 @@ class _ChunkedBase(DynamicDataType):
                 chunk_idx += 1
         self._shift_within(self._fills[chunk_idx] - offset)
         self._fills[chunk_idx] += 1
-        self._pool.write_stream(self._spec.record_words)
-        self._pool.write(1)
+        pool = self._pool
+        pool.stream_writes += self._spec.record_words
+        pool.dep_writes += 1
         if self.roving:
             self._rov_chunk = None
 
     def _model_get(self, pos: int) -> None:
         self._locate(pos)
-        self._pool.read_stream(self._spec.record_words)
+        self._pool.stream_reads += self._spec.record_words
 
     def _model_set(self, pos: int) -> None:
         self._locate(pos)
-        self._pool.write_stream(self._spec.record_words)
+        self._pool.stream_writes += self._spec.record_words
 
     def _model_remove(self, pos: int) -> None:
         chunk_idx, offset = self._locate(pos)
-        self._pool.read_stream(self._spec.record_words)
+        pool = self._pool
+        pool.stream_reads += self._spec.record_words
         self._shift_within(self._fills[chunk_idx] - offset - 1)
         self._fills[chunk_idx] -= 1
-        self._pool.write(1)  # count
+        pool.dep_writes += 1  # count
         if self._fills[chunk_idx] == 0:
             self._free_chunk(chunk_idx)
         if self.roving:
             self._rov_chunk = None
 
     def _model_scan(self, visited: int, hit: bool) -> None:
-        self._pool.read(1)  # head-chunk pointer
+        pool = self._pool
+        pool.dep_reads += 1  # head-chunk pointer
         if visited == 0:
             return
         # Count the chunks the first `visited` records span.
@@ -195,26 +204,28 @@ class _ChunkedBase(DynamicDataType):
                 break
             chunks_entered += 1
             remaining -= fill
-        self._pool.read(max(0, chunks_entered - 1))  # dependent next hops
-        reads = max(0, chunks_entered - 1)  # fill counts stream
-        reads += visited * self._spec.key_words
+        hops = max(0, chunks_entered - 1)
+        pool.dep_reads += hops  # dependent next hops
+        # fill counts stream, like the keys
+        reads = hops + visited * self._spec.key_words
         if hit:
             reads += self._spec.record_words - self._spec.key_words
-        self._pool.read_stream(reads)
-        self._charge_steps(visited)
+        pool.stream_reads += reads
+        pool.steps += visited
         if self.roving and hit:
-            self._rov_chunk = max(0, chunks_entered - 1)
-            self._pool.write(1)
+            self._rov_chunk = hops
+            pool.dep_writes += 1
 
     def _model_scan_reset(self) -> None:
-        self._pool.read(1)  # head-chunk pointer
+        self._pool.dep_reads += 1  # head-chunk pointer
         self._scan_running = 0
         self._scan_chunk = 0
 
     def _model_iter_step(self, pos: int) -> None:
         self._charge_boundary(pos)
-        self._pool.read_stream(self._spec.record_words)
-        self._charge_steps(1)
+        pool = self._pool
+        pool.stream_reads += self._spec.record_words
+        pool.steps += 1
 
     def _charge_boundary(self, pos: int) -> None:
         """Charge the chunk-hop reads when a scan crosses a boundary."""
@@ -224,27 +235,29 @@ class _ChunkedBase(DynamicDataType):
         ):
             self._scan_running += self._fills[self._scan_chunk]
             self._scan_chunk += 1
-            self._pool.read(1)  # dependent next pointer
-            self._pool.read_stream(1)  # count of the new chunk
+            self._pool.dep_reads += 1  # dependent next pointer
+            self._pool.stream_reads += 1  # count of the new chunk
 
     def _model_clear(self) -> None:
         hops = len(self._fills)
-        self._pool.read(hops)
-        self._charge_steps(hops)
+        pool = self._pool
+        pool.dep_reads += hops
+        pool.steps += hops
         while self._fills:
-            self._pool.free(self._chunk_blocks.pop())
+            pool.free(self._chunk_blocks.pop())
             self._fills.pop()
-        self._pool.write(2)  # head/tail reset
+        pool.dep_writes += 2  # head/tail reset
         self._rov_chunk = None
 
     def _model_dispose(self) -> None:
         hops = len(self._fills)
-        self._pool.read(hops)
-        self._charge_steps(hops)
+        pool = self._pool
+        pool.dep_reads += hops
+        pool.steps += hops
         while self._fills:
-            self._pool.free(self._chunk_blocks.pop())
+            pool.free(self._chunk_blocks.pop())
             self._fills.pop()
-        self._pool.free(self._descriptor)
+        pool.free(self._descriptor)
         self._rov_chunk = None
 
 

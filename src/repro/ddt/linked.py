@@ -74,11 +74,12 @@ class _LinkedBase(DynamicDataType):
 
     def _walk(self, pos: int) -> None:
         reads = self._walk_reads(pos)
-        self._pool.read(reads)
-        self._charge_steps(reads)
+        pool = self._pool
+        pool.dep_reads += reads
+        pool.steps += reads
         if self.roving:
             self._rov = pos
-            self._pool.write(1)  # update the cursor field
+            pool.dep_writes += 1  # update the cursor field
 
     # -- roving-cursor maintenance ----------------------------------------
     def _cursor_after_insert(self, pos: int) -> None:
@@ -96,10 +97,11 @@ class _LinkedBase(DynamicDataType):
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
         self._alloc_node()
-        self._pool.read(1)  # tail pointer
-        self._pool.write_stream(self._spec.record_words)
+        pool = self._pool
+        pool.dep_reads += 1  # tail pointer
+        pool.stream_writes += self._spec.record_words
         # next/prev init + old-tail link + tail field update
-        self._pool.write(self.ptr_words + 2)
+        pool.dep_writes += self.ptr_words + 2
 
     def _model_insert(self, pos: int) -> None:
         if pos == len(self._items):
@@ -108,66 +110,72 @@ class _LinkedBase(DynamicDataType):
             return
         self._walk_to_neighbour(pos)
         self._alloc_node()
-        self._pool.write_stream(self._spec.record_words)
-        self._pool.write(self.ptr_words * 2)  # init links + relink neighbours
+        pool = self._pool
+        pool.stream_writes += self._spec.record_words
+        pool.dep_writes += self.ptr_words * 2  # init links + relink neighbours
         self._cursor_after_insert(pos)
 
     def _model_get(self, pos: int) -> None:
         self._walk(pos)
-        self._pool.read_stream(self._spec.record_words)
+        self._pool.stream_reads += self._spec.record_words
 
     def _model_set(self, pos: int) -> None:
         self._walk(pos)
-        self._pool.write_stream(self._spec.record_words)
+        self._pool.stream_writes += self._spec.record_words
 
     def _model_remove(self, pos: int) -> None:
         self._walk_to_neighbour(pos)
-        self._pool.read_stream(self._spec.record_words)  # removed value returned
-        self._pool.write(self.ptr_words)  # relink neighbour(s)
+        pool = self._pool
+        pool.stream_reads += self._spec.record_words  # removed value returned
+        pool.dep_writes += self.ptr_words  # relink neighbour(s)
         self._free_node()
         self._cursor_after_remove(pos)
 
     def _model_scan(self, visited: int, hit: bool) -> None:
+        pool = self._pool
         if visited == 0:
-            self._pool.read(1)  # empty check reads the head pointer
+            pool.dep_reads += 1  # empty check reads the head pointer
             return
         # head pointer + next-pointer per advance: all dependent
-        self._pool.read(visited)
         reads = visited * self._spec.key_words
         if hit:
             reads += self._spec.record_words - self._spec.key_words
-        self._pool.read_stream(reads)
-        self._charge_steps(visited)
+        pool.dep_reads += visited
+        pool.stream_reads += reads
+        pool.steps += visited
         if self.roving and hit:
             self._rov = visited - 1
-            self._pool.write(1)
+            pool.dep_writes += 1
 
     def _model_scan_reset(self) -> None:
-        self._pool.read(1)  # head pointer
+        self._pool.dep_reads += 1  # head pointer
 
     def _model_iter_step(self, pos: int) -> None:
+        pool = self._pool
         if pos > 0:
-            self._pool.read(1)
-        self._pool.read_stream(self._spec.record_words)
-        self._charge_steps(1)
+            pool.dep_reads += 1
+        pool.stream_reads += self._spec.record_words
+        pool.steps += 1
 
     def _model_clear(self) -> None:
         # Walk the chain once, freeing every node.
         n = len(self._items)
-        self._pool.read(n)  # next pointer of each node
-        self._charge_steps(n)
+        pool = self._pool
+        pool.dep_reads += n  # next pointer of each node
+        pool.steps += n
         while self._node_blocks:
             self._free_node()
-        self._pool.write(2)  # head/tail reset
+        pool.dep_writes += 2  # head/tail reset
         self._rov = None
 
     def _model_dispose(self) -> None:
         n = len(self._items)
-        self._pool.read(n)
-        self._charge_steps(n)
+        pool = self._pool
+        pool.dep_reads += n
+        pool.steps += n
         while self._node_blocks:
             self._free_node()
-        self._pool.free(self._descriptor)
+        pool.free(self._descriptor)
         self._rov = None
 
     # -- subclass hooks ----------------------------------------------------
@@ -197,8 +205,9 @@ class SinglyLinkedDDT(_LinkedBase):
 
     def _walk_to_neighbour(self, pos: int) -> None:
         reads = self._neighbour_reads(pos)
-        self._pool.read(reads)
-        self._charge_steps(reads)
+        pool = self._pool
+        pool.dep_reads += reads
+        pool.steps += reads
 
 
 class DoublyLinkedDDT(_LinkedBase):
@@ -216,8 +225,9 @@ class DoublyLinkedDDT(_LinkedBase):
     def _walk_to_neighbour(self, pos: int) -> None:
         # The node itself suffices: prev is reachable via its back link.
         reads = self._walk_reads(pos)
-        self._pool.read(reads)
-        self._charge_steps(reads)
+        pool = self._pool
+        pool.dep_reads += reads
+        pool.steps += reads
 
 
 class RovingSinglyLinkedDDT(SinglyLinkedDDT):
@@ -249,10 +259,11 @@ class RovingSinglyLinkedDDT(SinglyLinkedDDT):
 
     def _walk_to_neighbour(self, pos: int) -> None:
         reads = self._neighbour_reads(pos)
-        self._pool.read(reads)
-        self._charge_steps(reads)
+        pool = self._pool
+        pool.dep_reads += reads
+        pool.steps += reads
+        pool.dep_writes += 1
         self._rov = pos
-        self._pool.write(1)
 
 
 class RovingDoublyLinkedDDT(DoublyLinkedDDT):
@@ -276,7 +287,8 @@ class RovingDoublyLinkedDDT(DoublyLinkedDDT):
         reads = self._walk_reads(pos)
         if self._rov is not None and pos == self._rov:
             reads = 1  # cursor points at the node; prev via back link
-        self._pool.read(reads)
-        self._charge_steps(reads)
+        pool = self._pool
+        pool.dep_reads += reads
+        pool.steps += reads
+        pool.dep_writes += 1
         self._rov = pos
-        self._pool.write(1)

@@ -8,25 +8,25 @@ those metrics are computed from:
   spirit of the CACTI tool the paper relies on.
 * :mod:`repro.memory.allocator` -- a simulated heap with per-block headers,
   alignment and size-class free lists, used to derive memory footprint.
-* :mod:`repro.memory.pools` -- per-data-structure memory pools whose
-  per-access energy/latency depends on the pool's live footprint.
-* :mod:`repro.memory.profiler` -- the aggregation point turning access
-  events into the paper's four metrics.
-* :mod:`repro.memory.timing` -- cycle bookkeeping and CPU operation costs.
+* :mod:`repro.memory.pools` -- per-data-structure memory pools that
+  count cost events; per-access energy/latency depends on the pool's
+  peak footprint.
+* :mod:`repro.memory.profiler` -- the aggregation point pricing the
+  counted events into the paper's four metrics.
+* :mod:`repro.memory.timing` -- the CPU operation cost table.
 """
 
 from repro.memory.allocator import AllocationError, Allocator, AllocatorStats
 from repro.memory.cacti import CactiModel, MemoryCharacteristics, TechnologyParameters
 from repro.memory.pools import MemoryPool
 from repro.memory.profiler import MemoryProfiler, PoolPart, ProfileParts
-from repro.memory.timing import CpuModel, OperationCosts
+from repro.memory.timing import OperationCosts
 
 __all__ = [
     "AllocationError",
     "Allocator",
     "AllocatorStats",
     "CactiModel",
-    "CpuModel",
     "MemoryCharacteristics",
     "MemoryPool",
     "MemoryProfiler",

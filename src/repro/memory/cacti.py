@@ -170,8 +170,10 @@ class CactiModel:
         charged at this capacity (a real platform cannot allocate a 3-byte
         SRAM).
     clock_hz:
-        Clock used to convert access time to an integer cycle count.  The
-        paper's testbed runs at 1.6 GHz.
+        The simulated clock; the paper's testbed runs at 1.6 GHz.  It
+        converts access time to an integer cycle count, and a run's
+        cycles to seconds (:class:`~repro.memory.profiler.MemoryProfiler`
+        prices at this one clock).
 
     The model is deterministic and memoised: querying the same capacity
     twice returns the identical :class:`MemoryCharacteristics` object.

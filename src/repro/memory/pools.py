@@ -7,15 +7,22 @@ Each dominant dynamic data structure of an application owns one
   tracked per structure (the paper assumes each DDT lives in its own
   memory, which is what makes the CACTI energy model applicable per
   structure);
-* it counts word accesses in four kinds -- dependent reads/writes
-  (pointer chasing: the next address waits on the previous access) and
-  streaming reads/writes (bursts: shifts, copies, sequential scans);
-* energy and memory latency are derived *post hoc* from the counters and
-  the pool's **peak** footprint: the platform provisions each
-  structure's SRAM for its worst case, so every access of the run pays
-  the energy/latency of that provisioned capacity.  This is the paper's
-  memory-sizing assumption, and it is what couples the footprint metric
-  to the energy metric.
+* it counts cost *events* as plain integers: word accesses in four
+  kinds -- dependent reads/writes (pointer chasing: the next address
+  waits on the previous access) and streaming reads/writes (bursts:
+  shifts, copies, sequential scans) -- plus the CPU-side events of its
+  structure (DDT calls, loop steps, key compares, allocator calls).
+  The DDT cost hooks add to these counters directly, so a charged
+  operation does integer bumps only;
+* every metric is priced *post hoc* from the counters: energy and
+  memory latency at the pool's **peak** footprint (the platform
+  provisions each structure's SRAM for its worst case, so every access
+  of the run pays the energy/latency of that provisioned capacity --
+  the paper's memory-sizing assumption, and what couples the footprint
+  metric to the energy metric), CPU cycles by the run's
+  :class:`~repro.memory.timing.OperationCosts`.  Integer sums do not
+  depend on the order of the events, so pricing once equals pricing
+  every event as it happens.
 
 The capacity-dependence of per-access cost is the mechanism behind the
 paper's main effect: footprint-lean DDTs (arrays) pay less per access
@@ -27,13 +34,27 @@ from __future__ import annotations
 
 from repro.memory.allocator import Allocator, Block
 from repro.memory.cacti import CactiModel
-from repro.memory.timing import CpuModel
+from repro.memory.timing import OperationCosts
 
 __all__ = ["MemoryPool"]
 
+#: Per-block header bytes of every pool's :class:`Allocator`.
+HEADER_BYTES = 8
+#: Payload alignment of every pool's :class:`Allocator`.
+ALIGNMENT = 8
+#: Words of allocator metadata touched per allocate/free call (free-list
+#: head read + header write + link write for a classic free-list
+#: ``malloc``).
+ALLOCATOR_TOUCH_WORDS = 3
+#: Cycle cost of a streaming word access relative to a dependent one.
+#: Burst/sequential accesses (array shifts, scans, record copies)
+#: pipeline through a wide memory port; dependent accesses (pointer
+#: hops) pay the full latency before the next address is known.
+STREAM_CYCLE_FRACTION = 0.125
+
 
 class MemoryPool:
-    """Footprint-aware access-cost accounting for one data structure.
+    """Footprint-aware cost-event accounting for one data structure.
 
     Parameters
     ----------
@@ -42,53 +63,26 @@ class MemoryPool:
         (``"radix_node"``, ``"rtentry"``...).
     cacti:
         The energy/latency model shared by all pools of a simulation.
-    cpu:
-        The pool's own cycle accumulator: the instruction-stream cycles
-        its structure charges (memory cycles are derived from the pool
-        counters).
-    header_bytes / alignment:
-        Forwarded to the pool's :class:`Allocator`.
-    allocator_touch_words:
-        Words of allocator metadata touched per allocate/free call
-        (free-list head read + header write + link write for a classic
-        free-list ``malloc``).
-    stream_cycle_fraction:
-        Cycle cost of a streaming word access relative to a dependent
-        one (see :data:`STREAM_CYCLE_FRACTION`).
+
+    The eight counters are public and only ever grow: ``dep_reads``,
+    ``dep_writes``, ``stream_reads`` and ``stream_writes`` count word
+    accesses; ``ddt_calls``, ``steps``, ``compares`` and
+    ``allocator_calls`` count the CPU-side events :meth:`cpu_cycles`
+    prices.
     """
 
-    #: Cycle cost of a streaming word access relative to a dependent one.
-    #: Burst/sequential accesses (array shifts, scans, record copies)
-    #: pipeline through a wide memory port; dependent accesses (pointer
-    #: hops) pay the full latency before the next address is known.
-    STREAM_CYCLE_FRACTION = 0.125
-
-    def __init__(
-        self,
-        name: str,
-        cacti: CactiModel,
-        cpu: CpuModel,
-        header_bytes: int = 8,
-        alignment: int = 8,
-        allocator_touch_words: int = 3,
-        stream_cycle_fraction: float | None = None,
-    ) -> None:
+    def __init__(self, name: str, cacti: CactiModel) -> None:
         self.name = name
         self.cacti = cacti
-        self.cpu = cpu
-        self.allocator = Allocator(header_bytes=header_bytes, alignment=alignment)
-        self.allocator_touch_words = allocator_touch_words
-        self.stream_cycle_fraction = (
-            stream_cycle_fraction
-            if stream_cycle_fraction is not None
-            else self.STREAM_CYCLE_FRACTION
-        )
-        if not 0.0 < self.stream_cycle_fraction <= 1.0:
-            raise ValueError("stream_cycle_fraction must be in (0, 1]")
+        self.allocator = Allocator(header_bytes=HEADER_BYTES, alignment=ALIGNMENT)
         self.dep_reads = 0
         self.dep_writes = 0
         self.stream_reads = 0
         self.stream_writes = 0
+        self.ddt_calls = 0
+        self.steps = 0
+        self.compares = 0
+        self.allocator_calls = 0
         self._spec_cache: tuple[int, object] | None = None
 
     # ------------------------------------------------------------------
@@ -120,31 +114,17 @@ class MemoryPool:
         return self.reads + self.writes
 
     # ------------------------------------------------------------------
-    # access counting (hot path: pure counter bumps)
+    # post-hoc pricing
     # ------------------------------------------------------------------
-    def read(self, words: int = 1) -> None:
-        """Count dependent word-reads (pointer chasing: full latency)."""
-        if words > 0:
-            self.dep_reads += words
+    def cpu_cycles(self, costs: OperationCosts) -> int:
+        """Instruction-stream cycles of the counted CPU-side events."""
+        return (
+            self.ddt_calls * costs.ddt_call
+            + self.steps * costs.step
+            + self.compares * costs.compare
+            + self.allocator_calls * costs.allocator_call
+        )
 
-    def write(self, words: int = 1) -> None:
-        """Count dependent word-writes (full latency per word)."""
-        if words > 0:
-            self.dep_writes += words
-
-    def read_stream(self, words: int = 1) -> None:
-        """Count streaming word-reads (bursts: same energy, fewer cycles)."""
-        if words > 0:
-            self.stream_reads += words
-
-    def write_stream(self, words: int = 1) -> None:
-        """Count streaming word-writes (bursts: same energy, fewer cycles)."""
-        if words > 0:
-            self.stream_writes += words
-
-    # ------------------------------------------------------------------
-    # post-hoc energy / latency (provisioned for the peak footprint)
-    # ------------------------------------------------------------------
     def _provisioned_spec(self):
         # Memoised on the allocator's peak: the peak only ever grows, so
         # metric reads between allocations (every simulation reads all of
@@ -165,7 +145,7 @@ class MemoryPool:
         )
         dependent = (self.dep_reads + self.dep_writes) * spec.cycles_per_access
         streamed = (self.stream_reads + self.stream_writes) * spec.cycles_per_access
-        cycles = dependent + round(streamed * self.stream_cycle_fraction)
+        cycles = dependent + round(streamed * STREAM_CYCLE_FRACTION)
         return energy, cycles
 
     @property
@@ -179,31 +159,30 @@ class MemoryPool:
         return self.energy_and_cycles()[1]
 
     # ------------------------------------------------------------------
-    # allocation (footprint + bookkeeping accesses)
+    # allocation (footprint + bookkeeping): every allocator call reads
+    # the free-list head, then writes the header and the list head
     # ------------------------------------------------------------------
     def allocate(self, payload_bytes: int) -> Block:
-        """Allocate from the pool's heap, charging allocator bookkeeping."""
+        """Allocate from the pool's heap, counting allocator bookkeeping."""
         block = self.allocator.allocate(payload_bytes)
-        self.cpu.charge_cpu(self.cpu.costs.allocator_call)
-        # Free-list pop: one read of the list head, one header write, one
-        # list-head update.
-        self.read(1)
-        self.write(self.allocator_touch_words - 1)
+        self.allocator_calls += 1
+        self.dep_reads += 1
+        self.dep_writes += ALLOCATOR_TOUCH_WORDS - 1
         return block
 
     def free(self, block: Block) -> None:
-        """Return a block to the pool's heap, charging bookkeeping."""
+        """Return a block to the pool's heap, counting bookkeeping."""
         self.allocator.free(block)
-        self.cpu.charge_cpu(self.cpu.costs.allocator_call)
-        self.read(1)
-        self.write(self.allocator_touch_words - 1)
+        self.allocator_calls += 1
+        self.dep_reads += 1
+        self.dep_writes += ALLOCATOR_TOUCH_WORDS - 1
 
     def reallocate(self, block: Block, payload_bytes: int) -> Block:
-        """Resize a block (bookkeeping only; the caller charges the copy)."""
+        """Resize a block (bookkeeping only; the caller counts the copy)."""
         resized = self.allocator.reallocate(block, payload_bytes)
-        self.cpu.charge_cpu(self.cpu.costs.allocator_call)
-        self.read(1)
-        self.write(self.allocator_touch_words - 1)
+        self.allocator_calls += 1
+        self.dep_reads += 1
+        self.dep_writes += ALLOCATOR_TOUCH_WORDS - 1
         return resized
 
     # ------------------------------------------------------------------
@@ -218,6 +197,10 @@ class MemoryPool:
             "dep_writes": self.dep_writes,
             "stream_reads": self.stream_reads,
             "stream_writes": self.stream_writes,
+            "ddt_calls": self.ddt_calls,
+            "steps": self.steps,
+            "compares": self.compares,
+            "allocator_calls": self.allocator_calls,
             "energy_pj": energy_pj,
             "memory_cycles": memory_cycles,
             "live_bytes": self.live_bytes,

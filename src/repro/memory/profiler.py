@@ -5,7 +5,12 @@ it for memory pools (one per dominant data structure), charge per-packet
 CPU overhead through it, and at the end of the run the exploration engine
 reads off a single :class:`~repro.core.metrics.MetricVector`.
 
-Every pool keeps its own CPU-cycle counter, so a run's metrics split
+During the run every pool only counts events (word accesses, DDT calls,
+loop steps, compares, allocator calls); :meth:`MemoryProfiler.parts`
+prices them once, per pool: energy and memory cycles at the pool's
+peak footprint, CPU cycles by the run's
+:class:`~repro.memory.timing.OperationCosts`, and seconds at the
+:class:`~repro.memory.cacti.CactiModel` clock.  So a run's metrics split
 exactly into :class:`ProfileParts`: the app-level base cycles plus one
 :class:`PoolPart` per pool.  Because the paper gives every dominant
 structure its own memory, a pool's part depends only on the DDT of its
@@ -24,7 +29,7 @@ from typing import Mapping
 from repro.core.metrics import MetricVector
 from repro.memory.cacti import CactiModel
 from repro.memory.pools import MemoryPool
-from repro.memory.timing import CpuModel, OperationCosts
+from repro.memory.timing import OperationCosts
 
 __all__ = ["MemoryProfiler", "PoolPart", "ProfileParts"]
 
@@ -106,19 +111,18 @@ class MemoryProfiler:
     ----------
     cacti:
         Energy/latency model; a fresh default :class:`CactiModel` when
-        omitted.
-    cpu:
-        Cycle accumulator; constructed from ``clock_hz``/``costs`` when
-        omitted.
-    clock_hz / costs:
-        Convenience parameters used only when ``cpu`` is omitted.
+        omitted.  Its ``clock_hz`` is the run's one clock: it converts
+        access times to memory cycles and cycles to seconds.
+    costs:
+        CPU operation cost table that prices the counted events;
+        the default :class:`OperationCosts` when omitted.
 
     Example
     -------
     >>> profiler = MemoryProfiler()
     >>> pool = profiler.new_pool("rtentry")
     >>> block = pool.allocate(48)
-    >>> pool.write(12)
+    >>> pool.dep_writes += 12
     >>> profiler.metrics().accesses > 0
     True
     """
@@ -126,31 +130,24 @@ class MemoryProfiler:
     def __init__(
         self,
         cacti: CactiModel | None = None,
-        cpu: CpuModel | None = None,
-        clock_hz: float | None = None,
         costs: OperationCosts | None = None,
     ) -> None:
         self.cacti = cacti if cacti is not None else CactiModel()
-        if cpu is not None:
-            self.cpu = cpu
-        else:
-            self.cpu = CpuModel(
-                clock_hz=clock_hz if clock_hz is not None else CpuModel.DEFAULT_CLOCK_HZ,
-                costs=costs,
-            )
+        self.costs = costs if costs is not None else OperationCosts()
+        #: Instruction-stream cycles charged outside any pool.
+        self.base_cycles = 0
         self._pools: dict[tuple[str, str], MemoryPool] = {}
 
     # ------------------------------------------------------------------
     # pool management
     # ------------------------------------------------------------------
-    def new_pool(self, name: str, ddt: str = "", **pool_kwargs: int) -> MemoryPool:
+    def new_pool(self, name: str, ddt: str = "") -> MemoryPool:
         """Create (or return the existing) pool of structure ``name``
         charged by DDT ``ddt``."""
         existing = self._pools.get((name, ddt))
         if existing is not None:
             return existing
-        cpu = CpuModel(clock_hz=self.cpu.clock_hz, costs=self.cpu.costs)
-        pool = MemoryPool(name, cacti=self.cacti, cpu=cpu, **pool_kwargs)
+        pool = MemoryPool(name, cacti=self.cacti)
         self._pools[(name, ddt)] = pool
         return pool
 
@@ -172,7 +169,7 @@ class MemoryProfiler:
     # ------------------------------------------------------------------
     def charge_packet_overhead(self) -> None:
         """Charge the fixed per-packet application overhead."""
-        self.cpu.charge_cpu(self.cpu.costs.packet_overhead)
+        self.base_cycles += self.costs.packet_overhead
 
     def charge_packets(self, count: int) -> None:
         """Charge the fixed overhead for ``count`` packets in one call.
@@ -184,11 +181,13 @@ class MemoryProfiler:
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        self.cpu.charge_cpu(count * self.cpu.costs.packet_overhead)
+        self.base_cycles += count * self.costs.packet_overhead
 
     def charge_cpu(self, cycles: int) -> None:
         """Charge arbitrary instruction-stream cycles."""
-        self.cpu.charge_cpu(cycles)
+        if cycles < 0:
+            raise ValueError("cycles must be >= 0")
+        self.base_cycles += cycles
 
     # ------------------------------------------------------------------
     # results
@@ -196,10 +195,11 @@ class MemoryProfiler:
     def parts(self) -> ProfileParts:
         """The metrics so far, split into base cycles and per-pool parts.
 
-        Energy and memory latency are evaluated at each pool's
-        provisioned (peak) capacity -- one spec lookup per pool covers
-        both -- so the split is cheap to take and consistent no matter
-        when it is taken.
+        This is where every pool's counted events are priced: energy and
+        memory latency at the pool's provisioned (peak) capacity -- one
+        spec lookup per pool covers both -- and CPU cycles by
+        :attr:`costs`.  The counts are plain integer sums, so the split
+        is cheap to take and consistent no matter when it is taken.
         """
         pools = []
         for (_name, ddt), pool in self._pools.items():
@@ -210,14 +210,14 @@ class MemoryProfiler:
                     ddt=ddt,
                     energy_pj=energy_pj,
                     memory_cycles=memory_cycles,
-                    cpu_cycles=pool.cpu.cpu_cycles,
+                    cpu_cycles=pool.cpu_cycles(self.costs),
                     accesses=pool.accesses,
                     footprint_bytes=pool.footprint_bytes,
                 )
             )
         return ProfileParts(
-            base_cycles=self.cpu.cpu_cycles,
-            clock_hz=self.cpu.clock_hz,
+            base_cycles=self.base_cycles,
+            clock_hz=self.cacti.clock_hz,
             pools=tuple(pools),
         )
 

@@ -1,20 +1,23 @@
-"""Cycle bookkeeping: CPU operation costs and the simulated clock.
+"""CPU operation costs: the price list of the cycle model.
 
 Execution time in the paper is wall-clock time of the instrumented
 benchmark on a Pentium4 1.6 GHz.  We reproduce the *relative* behaviour
 with a cycle model: every modelled memory access contributes its
 capacity-dependent latency (from :mod:`repro.memory.cacti`) and every
 data-structure operation / processed packet contributes a fixed CPU
-overhead.  Seconds are cycles divided by the 1.6 GHz clock, so reported
-magnitudes land in the same range as the paper's (fractions of a second
-per trace).
+overhead.  The hot path only counts events (per pool, see
+:mod:`repro.memory.pools`); :class:`OperationCosts` prices the counts
+once, when :meth:`repro.memory.profiler.MemoryProfiler.parts` is taken.
+Seconds are cycles divided by the :class:`~repro.memory.cacti.CactiModel`
+clock (the paper's 1.6 GHz by default), so reported magnitudes land in
+the same range as the paper's (fractions of a second per trace).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["OperationCosts", "CpuModel"]
+__all__ = ["OperationCosts"]
 
 
 @dataclass(frozen=True)
@@ -52,58 +55,3 @@ class OperationCosts:
         for name in ("ddt_call", "step", "compare", "packet_overhead", "allocator_call"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-
-class CpuModel:
-    """Accumulates cycles and converts them to seconds.
-
-    Parameters
-    ----------
-    clock_hz:
-        Simulated core clock; defaults to the paper's 1.6 GHz.
-    costs:
-        The :class:`OperationCosts` table used by callers.
-    """
-
-    DEFAULT_CLOCK_HZ = 1.6e9
-
-    def __init__(
-        self,
-        clock_hz: float = DEFAULT_CLOCK_HZ,
-        costs: OperationCosts | None = None,
-    ) -> None:
-        if clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
-        self.clock_hz = clock_hz
-        self.costs = costs if costs is not None else OperationCosts()
-        self.cpu_cycles = 0
-        self.memory_cycles = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def total_cycles(self) -> int:
-        """CPU + memory cycles (in-order core: accesses are not overlapped)."""
-        return self.cpu_cycles + self.memory_cycles
-
-    @property
-    def seconds(self) -> float:
-        """Simulated execution time for the cycles accumulated so far."""
-        return self.total_cycles / self.clock_hz
-
-    # ------------------------------------------------------------------
-    def charge_cpu(self, cycles: int) -> None:
-        """Add instruction-stream cycles."""
-        if cycles < 0:
-            raise ValueError("cycles must be >= 0")
-        self.cpu_cycles += cycles
-
-    def charge_memory(self, cycles: int) -> None:
-        """Add memory-access latency cycles (called by memory pools)."""
-        if cycles < 0:
-            raise ValueError("cycles must be >= 0")
-        self.memory_cycles += cycles
-
-    def reset(self) -> None:
-        """Zero both counters."""
-        self.cpu_cycles = 0
-        self.memory_cycles = 0

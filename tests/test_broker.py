@@ -8,6 +8,7 @@ parity with the serial baseline (drills in ``tests/support/faults.py``).
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -27,9 +28,11 @@ from support.faults import (
 )
 
 from repro.apps import UrlApp
+from repro.core import broker as broker_module
 from repro.core.broker import (
     BROKER_PROTOCOL,
     BrokerClient,
+    BrokerUnavailableError,
     EmbeddedBroker,
     QueueTransport,
 )
@@ -275,6 +278,32 @@ class TestBrokerProtocol:
             EmbeddedBroker(heartbeat_ttl=0.0)
         with pytest.raises(ValueError, match="quarantine_after"):
             EmbeddedBroker(quarantine_after=0)
+
+    @pytest.mark.parametrize("max_outage_s", [0.0, 0.5])
+    def test_silent_listener_cannot_hang_a_call(self, monkeypatch, max_outage_s):
+        """A listener that accepts but never replies trips the reply
+        deadline; the call raises, after the outage budget if any."""
+        monkeypatch.setattr(broker_module, "REPLY_TIMEOUT_S", 0.1)
+        raised = []
+
+        def call(client):
+            try:
+                client.call("ping")
+            except BrokerUnavailableError as exc:
+                raised.append(exc)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = BrokerClient(
+                listener.getsockname(), retry_s=0.0, max_outage_s=max_outage_s
+            )
+            accepted, _ = listener.accept()
+            thread = threading.Thread(target=call, args=(client,), daemon=True)
+            thread.start()
+            thread.join(timeout=10.0)
+            accepted.close()
+            client.close()
+        assert not thread.is_alive()
+        assert len(raised) == 1
 
 
 # ----------------------------------------------------------------------

@@ -5,20 +5,30 @@ in the shared charged interface (one that moves every DDT's cost the
 same way) would pass all of them.  ``tests/data/golden_records.json``
 was generated once by plain ``run_simulation`` (see
 :mod:`support.golden`); both evaluation paths must reproduce it bit for
-bit.
+bit.  ``tests/data/golden_ddt_parts.json`` pins every DDT's charges for
+one op script that reaches every charged op, for plain instances and
+for one instance charging all ten DDTs as lanes.
 """
 
 import json
 from pathlib import Path
 
-from support.golden import encode, golden_batches, point_id
+from support.golden import (
+    OP_WEIGHTS,
+    ddt_script,
+    encode,
+    golden_batches,
+    golden_ddt_parts,
+    point_id,
+)
 
 from repro.core.engine import ExplorationEngine
 from repro.core.simulate import SimulationEnvironment, run_simulation
+from repro.ddt.registry import all_ddt_names
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "golden_records.json").read_text()
-)
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_records.json").read_text())
+GOLDEN_DDT = json.loads((DATA / "golden_ddt_parts.json").read_text())
 BATCHES = golden_batches()
 
 
@@ -47,3 +57,17 @@ def test_engine_records_match_golden():
         for (config, assignment), record in zip(points, records):
             assert encode(record) == GOLDEN[point_id(app_cls, config, assignment)]
     assert engine.stats.composed == len(GOLDEN)
+
+
+def test_the_ddt_script_reaches_every_charged_op():
+    kinds = {kind for kind, _, _ in ddt_script()}
+    assert kinds == {*OP_WEIGHTS, "clear"}
+    assert set(GOLDEN_DDT) == set(all_ddt_names())
+
+
+def test_plain_ddt_charges_match_golden():
+    assert golden_ddt_parts() == GOLDEN_DDT
+
+
+def test_all_ten_lane_ddt_charges_match_golden():
+    assert golden_ddt_parts(laned=True) == GOLDEN_DDT
