@@ -1,23 +1,21 @@
 """Queue-backed campaign transport: an embedded broker + elastic workers.
 
 Remote execution goes through a small, dependency-free **broker** that
-decouples worker lifetime from the coordinator -- Redis-like queue
-semantics over the length-prefixed pickle frames of
-:mod:`repro.core.transport`:
+decouples worker lifetime from the coordinator, over the
+length-prefixed pickle frames of :mod:`repro.core.transport`:
 
-* :class:`EmbeddedBroker` -- a threaded TCP server holding named FIFO
-  queues (campaign tasks), per-campaign result queues with
-  **duplicate-result rejection by token**, the campaign registry (each
-  announcement carries the pickled
-  :class:`~repro.core.engine.EnvSpec` plus queue names), and a
-  **worker registry with heartbeat TTLs**.  A worker that stops
-  heartbeating (or whose connection drops) has its leased tasks
-  requeued at the front of the task queue and its crash counted;
-  repeat offenders are quarantined.
+* :class:`EmbeddedBroker` -- a threaded TCP server holding one record
+  per announced campaign (its chunk queue, its result queue with
+  **duplicate-result rejection by token**, and its unacknowledged
+  deliveries), the chunk leases of every worker, and a **worker
+  registry with heartbeat TTLs**.  Every op names the campaign it acts
+  on.  A worker that stops heartbeating (or whose connection drops) has
+  its leased chunks requeued at the front of their campaign's queue and
+  its crash counted; repeat offenders are quarantined.
 * :class:`QueueTransport` -- a
   :class:`~repro.core.transport.WorkerTransport` implemented *against*
   a broker instead of against worker connections.  The coordinator
-  pushes chunk items and pops result frames; workers pull.  Workers can
+  puts chunk items and takes result frames; workers pull.  Workers can
   therefore join, leave, and rejoin mid-campaign without the
   coordinator noticing anything beyond throughput.
 * :func:`serve_queue_worker` -- the worker loop behind ``ddt-explore
@@ -52,15 +50,17 @@ mid-campaign is invisible to the coordinator and the fleet (asserted by
 ``restart-smoke`` job).
 
 **Multi-tenancy.**  Campaigns are *announced* onto a standing broker
-(``announce`` / ``conclude`` / ``withdraw`` ops, all journaled) and
-live side by side in a per-campaign namespace -- task/result queues and
-seen-token sets are keyed by campaign id, so one tenant can never drain
-or poison another's state.  Workers subscribe to the *broker*, not a
-campaign: ``take_any`` leases chunks across every running campaign
-under **deficit round-robin** fair scheduling, weighted by each
-campaign's announced ``--priority``.  A campaign is a job submitted to
-the cluster; coordinators register on start and tear down (conclude,
-then withdraw) on close without disturbing their neighbours.
+(``announce`` / ``conclude`` / ``withdraw`` ops, all journaled).  The
+ops ``put``, ``take`` and ``push_result`` name a campaign id, never a
+queue, and act on that campaign's record alone, so one tenant can never
+drain or poison another's state; ``withdraw`` drops the record and its
+leases whole, and an op on a campaign the broker does not know creates
+nothing.  Workers subscribe to the *broker*, not a campaign:
+``take_any`` leases chunks across every running campaign under
+**deficit round-robin** fair scheduling, weighted by each campaign's
+announced ``--priority``.  A campaign is a job submitted to the
+cluster; coordinators register on start and tear down (conclude, then
+withdraw) on close without disturbing their neighbours.
 
 Frames are pickle: expose the broker only to **trusted workers on a
 trusted network**.
@@ -76,6 +76,7 @@ import time
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Callable, Mapping
 
@@ -106,12 +107,13 @@ __all__ = [
     "serve_queue_worker",
 ]
 
-#: Broker wire-protocol version; a worker's hello must match it exactly.
-#: Version 2 serves chunk items only, through ``take_any``.  Version 3
-#: chunk entries are lane runs: each assignment maps a structure to a
-#: tuple of DDTs, which a version-2 worker cannot run -- so older
-#: workers are refused at hello instead of being mis-served.
-BROKER_PROTOCOL = 3
+#: Broker wire-protocol version; a worker's hello and a coordinator's
+#: ping must match it exactly.  Version 3 chunk entries are lane runs
+#: (each assignment maps a structure to a tuple of DDTs).  Version 4
+#: names a campaign id in every op where version 3 named a queue, so a
+#: version-3 peer is refused instead of having its work filed under a
+#: queue nobody reads.
+BROKER_PROTOCOL = 4
 
 #: Sequence for campaign ids minted by :meth:`QueueTransport.start`.
 _CAMPAIGN_SEQ = count()
@@ -125,7 +127,7 @@ REPLY_TIMEOUT_S = 30.0
 #: Base deficit-round-robin quantum, in exploration *points* per visit.
 #: Each running campaign banks ``DRR_QUANTUM * priority`` points every
 #: time the scheduler's rotation reaches it, and may lease work while
-#: its deficit covers the head item's point count -- so over time the
+#: its deficit covers the head chunk's point count -- so over time the
 #: leased-point ratio between two busy campaigns converges to their
 #: priority ratio, independent of chunk sizes.
 DRR_QUANTUM = 8.0
@@ -145,18 +147,19 @@ def _mint_campaign_id() -> str:
     )
 
 
-def _item_points(item: Any) -> int:
-    """Number of exploration points one queue item carries.
-
-    A chunk item (``{"token", "points": [...]}``) counts its block; a
-    flat item counts 1.  Drives the point-granular ``requeues``
-    accounting the fault drills assert on.
-    """
-    if isinstance(item, dict):
-        points = item.get("points")
-        if isinstance(points, (list, tuple)):
-            return len(points)
-    return 1
+def _is_chunk(item: Any) -> bool:
+    """Whether ``item`` is a task the broker accepts: a chunk
+    ``{"token", "points": [...]}`` of at least one point, every point a
+    dict with its own ``token`` (results release a lease point by
+    point, so a point without a token could never be released)."""
+    if not isinstance(item, dict) or "token" not in item:
+        return False
+    points = item.get("points")
+    return (
+        isinstance(points, list)
+        and bool(points)
+        and all(isinstance(point, dict) and "token" in point for point in points)
+    )
 
 
 class BrokerUnavailableError(TransportError):
@@ -191,16 +194,54 @@ class _BrokerWorker:
         self.conn: socket.socket | None = None
 
 
+#: The :class:`_Campaign` fields a journal snapshot keeps.
+_DURABLE = ("id", "spec", "priority", "state", "tasks", "results", "seen", "delivered")
+#: The :class:`EmbeddedBroker` attributes it keeps besides the campaigns.
+_DURABLE_BROKER = (
+    "_leases", "_seen_workers", "_crashes", "_quarantined", "_requeues", "_dup_results"
+)
+
+
+@dataclass(eq=False)
+class _Campaign:
+    """One tenant's whole broker state; ``withdraw`` drops it in one step.
+
+    Everything but ``consumer`` and ``deficit`` is durable (journal
+    snapshots keep the :data:`_DURABLE` fields); those two restart
+    empty after a replay.
+    """
+
+    id: str
+    #: the announced :class:`~repro.core.engine.EnvSpec` workers hydrate.
+    spec: Any = None
+    priority: float = 1.0
+    #: ``"running"`` until the coordinator concludes it, then ``"done"``.
+    state: str = "running"
+    #: chunk items waiting for a lease, FIFO.
+    tasks: deque = field(default_factory=deque)
+    #: result frames waiting for the coordinator, FIFO.
+    results: deque = field(default_factory=deque)
+    #: every result token accepted so far (duplicate rejection).
+    seen: set = field(default_factory=set)
+    #: token -> result frame taken by the coordinator, not yet acked.
+    delivered: dict = field(default_factory=dict)
+    #: the connection taking results; a new one gets the unacked again.
+    consumer: Any = None
+    #: deficit round-robin balance, in points.
+    deficit: float = 0.0
+
+
 # ----------------------------------------------------------------------
 # the broker
 # ----------------------------------------------------------------------
 class EmbeddedBroker:
-    """Dependency-free TCP broker with Redis-like queue semantics.
+    """Dependency-free TCP broker serving campaigns to a worker fleet.
 
-    One broker serves **any number of concurrent campaigns**: every
-    announced campaign owns a namespace (task/result queues and
-    seen-token sets) and the worker-facing ``take_any`` op arbitrates
-    between running campaigns with priority-weighted deficit
+    One broker serves **any number of concurrent campaigns**: each
+    announced campaign owns one record (chunk queue, result queue,
+    seen tokens, unacknowledged deliveries), every op names the
+    campaign it acts on, and the worker-facing ``take_any`` op
+    arbitrates between running campaigns with priority-weighted deficit
     round-robin (see :data:`DRR_QUANTUM`).
     All state is in memory unless journaled; the broker is cheap enough
     to embed in the coordinator process (what ``ddt-explore campaign
@@ -215,30 +256,30 @@ class EmbeddedBroker:
         the constructor so the address is known before anything runs.
     heartbeat_ttl:
         Seconds a worker may go silent before it is presumed crashed:
-        its leased tasks are requeued at the *front* of the task queue
-        and its crash count incremented.  Announced to workers in the
-        hello reply, which heartbeat at ``ttl / 3``; *every* op from a
-        registered worker re-arms its TTL, so the TTL only needs to
-        outlast a single simulation point (a capacity-1 worker cannot
-        heartbeat while simulating inline).  A spuriously expired
-        worker heals on its next heartbeat (re-registered, crash count
-        kept) and the duplicate-token rejection keeps its twice-run
-        points single-delivery, so results survive a too-small TTL --
-        it only costs repeat work and, eventually, quarantine.
+        its leased chunks are requeued at the *front* of their
+        campaign's queue and its crash count incremented.  Announced to
+        workers in the hello reply, which heartbeat at ``ttl / 3``;
+        *every* op from a registered worker re-arms its TTL, so the TTL
+        only needs to outlast a single simulation point (a capacity-1
+        worker cannot heartbeat while simulating inline).  A spuriously
+        expired worker heals on its next heartbeat (re-registered, crash
+        count kept) and the duplicate-token rejection keeps its
+        twice-run points single-delivery, so results survive a too-small
+        TTL -- it only costs repeat work and, eventually, quarantine.
     quarantine_after:
         Crash count at which a worker id is quarantined; its hellos,
         heartbeats and takes are rejected from then on.
     journal:
-        ``None`` (default) keeps all state in memory, exactly as before.
-        A directory path turns on durability: every state-changing op is
-        appended to a :class:`~repro.core.journal.Journal` write-ahead
-        log *before* it is applied, and on construction the broker
-        replays the directory's snapshot+log, requeues any journaled
-        leases and unacknowledged deliveries at the queue front, and
-        compacts -- a restart on the same directory resumes the
-        campaign exactly where the previous process died.  Restart
-        requeues are *not* counted as worker crashes: the workers are
-        blameless, so nobody edges toward quarantine.
+        ``None`` (default) keeps all state in memory.  A directory path
+        turns on durability: every state-changing op is appended to a
+        :class:`~repro.core.journal.Journal` write-ahead log *before* it
+        is applied, and on construction the broker replays the
+        directory's snapshot+log, requeues any journaled leases and
+        unacknowledged deliveries at the queue front, and compacts -- a
+        restart on the same directory resumes every campaign exactly
+        where the previous process died.  Restart requeues are *not*
+        counted as worker crashes: the workers are blameless, so nobody
+        edges toward quarantine.
     compact_every:
         Fold the journal log into a fresh snapshot every this many
         appended records (ignored without ``journal``).
@@ -263,32 +304,19 @@ class EmbeddedBroker:
             parse_address(bind), reuse_port=False, backlog=32
         )
         self._cond = threading.Condition()
-        self._queues: dict[str, deque[Any]] = {}
-        #: per result-queue token sets driving duplicate rejection.
-        self._seen: dict[str, set[Any]] = {}
-        #: campaign id -> announcement (id, tasks/results queue names,
-        #: spec, priority, state) -- the tenant registry, journaled.
-        self._campaigns: dict[str, dict[str, Any]] = {}
-        #: deficit-round-robin scheduler state (runtime-only: fairness
-        #: restarts from zero after a replay, which is itself fair).
-        self._drr_deficit: dict[str, float] = {}
+        #: campaign id -> its whole state -- the tenant registry, journaled.
+        self._campaigns: dict[str, _Campaign] = {}
+        #: the campaign deficit round-robin is serving (runtime-only).
         self._drr_current: str | None = None
         self._workers: dict[str, _BrokerWorker] = {}
-        #: worker id -> {token: (queue name, task item)}; requeued at the
-        #: queue front when the worker dies -- or when the *broker* is
-        #: restarted on a journal (the lease grants are journaled).
-        self._leases: dict[str, dict[Any, tuple[str, Any]]] = {}
-        #: lease grant times for the status op (runtime-only: leases
-        #: that survive a restart are requeued, not aged).
-        self._lease_times: dict[str, dict[Any, float]] = {}
-        #: worker-less (coordinator) deliveries awaiting an ack:
-        #: queue name -> {token: item}.  Requeued on recovery or when
-        #: the consuming connection changes, so a reply the coordinator
-        #: never saw is redelivered instead of lost.
-        self._delivered: dict[str, dict[Any, Any]] = {}
-        #: which connection each worker-less queue is being consumed on
-        #: (runtime-only; a new consumer triggers redelivery).
-        self._delivered_conn: dict[str, Any] = {}
+        #: worker id -> {(campaign id, chunk token): (chunk, grant
+        #: time)}; requeued at the queue front when the worker dies --
+        #: or when the *broker* is restarted on a journal (the lease
+        #: grants are journaled).  Keyed by campaign too: campaigns
+        #: number their chunks independently, and one worker may hold
+        #: chunks of several.  The grant time only ages leases in
+        #: ``status``; a lease that survives a restart is requeued.
+        self._leases: dict[str, dict[tuple[str, Any], tuple[dict, float]]] = {}
         self._seen_workers: set[str] = set()
         self._crashes: dict[str, int] = {}
         self._quarantined: list[str] = []
@@ -311,19 +339,6 @@ class EmbeddedBroker:
         """Replay snapshot+log, then requeue every orphaned delivery."""
         assert self._journal is not None
         snapshot, entries = self._journal.load()
-        if snapshot is not None and "campaigns" not in snapshot:
-            # Only a version-1 broker wrote snapshots without a campaign
-            # registry; its state is refused, not translated.  A
-            # version-2 snapshot carries the same registry and restores
-            # (its key-value table is ignored).
-            warnings.warn(
-                "journal snapshot is record version 1 (no campaign "
-                "registry); this broker cannot restore it, so replay "
-                "stops there",
-                JournalWarning,
-                stacklevel=2,
-            )
-            snapshot, entries = None, []
         with self._cond:
             if snapshot is not None:
                 self._restore_snapshot_locked(snapshot)
@@ -337,42 +352,30 @@ class EmbeddedBroker:
                         stacklevel=2,
                     )
                     break
-            if any(self._leases.values()) or any(self._delivered.values()):
+            if any(self._leases.values()) or any(
+                c.delivered for c in self._campaigns.values()
+            ):
                 # The previous broker died holding leases / undelivered
-                # acks: hand every such task back to the queue front so
-                # the (re-connecting) fleet picks it up again.
+                # acks: hand every such item back to its queue front so
+                # the (re-connecting) fleet and coordinators get it again.
                 self._apply_locked(("recover",))
             self._journal.compact(self._snapshot_locked())
 
     def _snapshot_locked(self) -> dict[str, Any]:
-        return {
-            "queues": {name: list(q) for name, q in self._queues.items()},
-            "seen": {name: set(s) for name, s in self._seen.items()},
-            "campaigns": {cid: dict(c) for cid, c in self._campaigns.items()},
-            "leases": {w: dict(l) for w, l in self._leases.items()},
-            "delivered": {q: dict(d) for q, d in self._delivered.items()},
-            "seen_workers": set(self._seen_workers),
-            "crashes": dict(self._crashes),
-            "quarantined": list(self._quarantined),
-            "requeues": self._requeues,
-            "dup_results": self._dup_results,
+        # Compaction pickles this at once, under the lock: no copies.
+        state = {name: getattr(self, name) for name in _DURABLE_BROKER}
+        state["_campaigns"] = {
+            cid: {name: getattr(c, name) for name in _DURABLE}
+            for cid, c in self._campaigns.items()
         }
+        return state
 
     def _restore_snapshot_locked(self, snapshot: Mapping[str, Any]) -> None:
-        self._queues = {
-            name: deque(items) for name, items in (snapshot.get("queues") or {}).items()
+        for name in _DURABLE_BROKER:
+            setattr(self, name, snapshot[name])
+        self._campaigns = {
+            cid: _Campaign(**fields) for cid, fields in snapshot["_campaigns"].items()
         }
-        self._seen = {name: set(s) for name, s in (snapshot.get("seen") or {}).items()}
-        self._campaigns = {cid: dict(c) for cid, c in snapshot["campaigns"].items()}
-        self._leases = {w: dict(l) for w, l in (snapshot.get("leases") or {}).items()}
-        self._delivered = {
-            q: dict(d) for q, d in (snapshot.get("delivered") or {}).items()
-        }
-        self._seen_workers = set(snapshot.get("seen_workers") or ())
-        self._crashes = dict(snapshot.get("crashes") or {})
-        self._quarantined = list(snapshot.get("quarantined") or ())
-        self._requeues = int(snapshot.get("requeues") or 0)
-        self._dup_results = int(snapshot.get("dup_results") or 0)
 
     # ------------------------------------------------------------------
     @property
@@ -401,8 +404,8 @@ class EmbeddedBroker:
     def close(self) -> None:
         """Stop serving; compact the journal, if any (idempotent).
 
-        A *clean* close keeps the journaled campaign intact -- leases
-        and the announcement survive into the snapshot, so a restarted
+        A *clean* close keeps the journaled campaigns intact -- leases
+        and announcements survive into the snapshot, so a restarted
         broker resumes.  Use :meth:`drop_announcement` first for a
         deliberate end-of-service shutdown.
         """
@@ -474,90 +477,52 @@ class EmbeddedBroker:
                 self._cond.wait_for(lambda: self._closed, timeout=interval)
 
     def _requeue_leases_locked(self, worker_id: str, count: bool) -> None:
-        """Hand a departing worker's leased tasks back, at the queue front.
+        """Hand a departing worker's leased chunks back, at the queue front.
 
         ``count`` distinguishes a presumed crash (tracked on the
         ``requeues`` counter the drills assert on) from a clean goodbye.
+        Requeues count points: a half-finished chunk was already
+        stripped of its completed points by the ``result`` reducer.
         """
-        leases = self._leases.pop(worker_id, None)
-        self._lease_times.pop(worker_id, None)
-        if not leases:
-            return
-        for _token, (queue_name, item) in reversed(list(leases.items())):
-            self._queues.setdefault(queue_name, deque()).appendleft(item)
+        held = self._leases.pop(worker_id, None) or {}
+        for (cid, _token), (chunk, _granted) in reversed(list(held.items())):
+            self._campaigns[cid].tasks.appendleft(chunk)
             if count:
-                # Point-granular: a half-finished chunk lease was already
-                # stripped of its completed points by the "result"
-                # reducer, so only genuinely unfinished points count.
-                self._requeues += _item_points(item)
+                self._requeues += len(chunk["points"])
 
-    def _requeue_delivered_locked(self, queue_name: str) -> None:
-        """Redeliver every un-acked worker-less take, at the queue front."""
-        delivered = self._delivered.get(queue_name)
-        if not delivered:
-            return
-        queue = self._queues.setdefault(queue_name, deque())
-        for _token, item in reversed(list(delivered.items())):
-            queue.appendleft(item)
-        delivered.clear()
-
-    def _clear_campaign_locked(self, tasks: str, results: str) -> None:
-        """Erase one campaign's namespace and nothing else.
-
-        Queues, seen-token sets, un-acked deliveries and leases pointing
-        at the campaign's queues are dropped; every other tenant's state
-        is untouched -- this is the scoping that keeps campaign B's
-        start (or teardown) from wiping campaign A's queued work.
-        """
-        for name in (tasks, results):
-            self._queues.pop(name, None)
-            self._seen.pop(name, None)
-            self._delivered.pop(name, None)
-            self._delivered_conn.pop(name, None)
+    def _drop_campaign_locked(self, cid: str) -> None:
+        """Drop one campaign's record and every lease on its chunks;
+        every other tenant's state is untouched."""
+        self._campaigns.pop(cid, None)
+        if self._drr_current == cid:
+            self._drr_current = None
         for worker_id, held in list(self._leases.items()):
-            times = self._lease_times.get(worker_id, {})
-            for token, (queue_name, _item) in list(held.items()):
-                if queue_name in (tasks, results):
-                    held.pop(token, None)
-                    times.pop(token, None)
+            for key in [key for key in held if key[0] == cid]:
+                del held[key]
             if not held:
-                self._leases.pop(worker_id, None)
-                self._lease_times.pop(worker_id, None)
+                del self._leases[worker_id]
 
-    def _release_lease_point_locked(self, worker_id: str, token: Any) -> None:
-        """Release one completed point from a worker's leases.
+    def _release_point_locked(self, worker_id: str, cid: str, token: Any) -> None:
+        """Strip one completed point from the worker's lease on its chunk.
 
-        A legacy per-point lease (item token == point token) is dropped
-        whole.  A chunk lease has the finished point **stripped from its
-        item** instead -- this runs inside the journaled ``result``
-        reducer, so both the live broker and a journal replay agree
-        point-for-point on what a lease still owes: a crash (or broker
-        restart) after a half-acked chunk requeues only the unfinished
-        points, and the ``seen`` dedup set makes any overlap harmless.
+        This runs inside the journaled ``result`` reducer, so both the
+        live broker and a journal replay agree point-for-point on what a
+        lease still owes: a crash (or broker restart) after a half-acked
+        chunk requeues only the unfinished points, and the ``seen``
+        dedup set makes any overlap harmless.
         """
-        lease_map = self._leases.get(worker_id)
-        times = self._lease_times.get(worker_id, {})
-        if lease_map:
-            if token in lease_map:
-                lease_map.pop(token, None)
-                times.pop(token, None)
-                return
-            for lease_token, (queue_name, item) in list(lease_map.items()):
-                points = item.get("points") if isinstance(item, dict) else None
-                if not points:
-                    continue
-                if any(point.get("token") == token for point in points):
-                    rest = [p for p in points if p.get("token") != token]
-                    if rest:
-                        lease_map[lease_token] = (
-                            queue_name,
-                            {**item, "points": rest},
-                        )
-                    else:
-                        lease_map.pop(lease_token, None)
-                        times.pop(lease_token, None)
-                    return
-        times.pop(token, None)
+        held = self._leases.get(worker_id) or {}
+        for key, (chunk, granted) in held.items():
+            if key[0] != cid:
+                continue
+            rest = [point for point in chunk["points"] if point["token"] != token]
+            if len(rest) == len(chunk["points"]):
+                continue
+            if rest:
+                held[key] = ({**chunk, "points": rest}, granted)
+            else:
+                del held[key]
+            return
 
     def _fail_worker_locked(self, worker_id: str) -> None:
         """Presume one worker crashed: requeue leases, count the crash."""
@@ -579,7 +544,9 @@ class EmbeddedBroker:
         Every mutation of durable state funnels through here, both live
         (``journal=True``: appended to the WAL first) and during replay
         (``journal=False``) -- so a restarted broker reconstructs
-        *exactly* the state the live broker had, by construction.
+        *exactly* the state the live broker had, by construction.  The
+        ops check that a named campaign exists before journaling, so
+        every entry names a campaign the reducer knows.
         """
         if journal and self._journal is not None:
             self._journal.append(entry)
@@ -587,73 +554,57 @@ class EmbeddedBroker:
                 self._journal.compact(self._snapshot_locked())
         op = entry[0]
         if op == "put":
-            _, queue_name, item = entry
-            self._queues.setdefault(queue_name, deque()).append(item)
+            _, cid, chunk = entry
+            self._campaigns[cid].tasks.append(chunk)
             return None
+        if op == "lease":
+            _, cid, worker_id = entry
+            chunk = self._campaigns[cid].tasks.popleft()
+            held = self._leases.setdefault(worker_id, {})
+            held[(cid, chunk["token"])] = (chunk, time.monotonic())
+            return chunk
         if op == "take":
-            _, queue_name, worker_id, ack, leased = entry
-            if ack is not None:
-                # Batched coordinator takes acknowledge a list of
-                # deliveries at once; a scalar ack is the legacy form.
-                acks = ack if isinstance(ack, (list, tuple)) else (ack,)
-                delivered = self._delivered.get(queue_name, {})
-                for acked in acks:
-                    delivered.pop(acked, None)
-            queue = self._queues.get(queue_name)
-            item = queue.popleft() if queue else None
-            if item is not None:
-                token = item.get("token") if isinstance(item, dict) else None
-                if leased and worker_id is not None and token is not None:
-                    self._leases.setdefault(worker_id, {})[token] = (queue_name, item)
-                    self._lease_times.setdefault(worker_id, {})[token] = (
-                        time.monotonic()
-                    )
-                elif worker_id is None and token is not None:
-                    self._delivered.setdefault(queue_name, {})[token] = item
-            return item
+            # The coordinator acknowledges what it saw, then takes up
+            # to ``limit`` results; they stay delivered until acked.
+            _, cid, acks, limit = entry
+            campaign = self._campaigns[cid]
+            for token in acks:
+                campaign.delivered.pop(token, None)
+            items = []
+            while campaign.results and len(items) < limit:
+                item = campaign.results.popleft()
+                campaign.delivered[item["token"]] = item
+                items.append(item)
+            return items
         if op == "result":
-            _, queue_name, token, payload, worker_id = entry
+            _, cid, token, payload, worker_id = entry
+            campaign = self._campaigns[cid]
             if worker_id is not None:
-                self._release_lease_point_locked(worker_id, token)
-            seen = self._seen.setdefault(queue_name, set())
-            if token in seen:
+                self._release_point_locked(worker_id, cid, token)
+            if token in campaign.seen:
                 self._dup_results += 1
                 return True  # duplicate: deliver exactly once
-            seen.add(token)
-            self._queues.setdefault(queue_name, deque()).append(
+            campaign.seen.add(token)
+            campaign.results.append(
                 {"token": token, "payload": payload, "worker": worker_id}
             )
             return False
         if op == "announce":
-            # Open (or re-open) one campaign in its own namespace; the
+            # Open (or re-open) one campaign on a fresh record; the
             # id-liveness check happens at the op layer, so replay is a
             # pure function of the journal.
-            campaign = dict(entry[1] or {})
-            cid = str(campaign.get("id"))
-            tasks = str(campaign.get("tasks") or f"tasks:{cid}")
-            results = str(campaign.get("results") or f"results:{cid}")
-            self._clear_campaign_locked(tasks, results)
-            self._campaigns[cid] = {
-                **campaign,
-                "tasks": tasks,
-                "results": results,
-                "priority": float(campaign.get("priority") or 1.0),
-                "state": "running",
-            }
+            announced = entry[1]
+            cid = announced["id"]
+            self._drop_campaign_locked(cid)
+            self._campaigns[cid] = _Campaign(
+                cid, announced["spec"], announced["priority"]
+            )
             return None
         if op == "conclude":
-            campaign = self._campaigns.get(entry[1])
-            if campaign is not None:
-                campaign["state"] = "done"
+            self._campaigns[entry[1]].state = "done"
             return None
         if op == "withdraw":
-            cid = entry[1]
-            campaign = self._campaigns.pop(cid, None)
-            self._drr_deficit.pop(cid, None)
-            if self._drr_current == cid:
-                self._drr_current = None
-            if campaign is not None:
-                self._clear_campaign_locked(campaign["tasks"], campaign["results"])
+            self._drop_campaign_locked(entry[1])
             return None
         if op == "drop":
             _, worker_id, clean = entry
@@ -671,21 +622,25 @@ class EmbeddedBroker:
             self._seen_workers.add(entry[1])
             return None
         if op == "reclaim":
-            self._requeue_delivered_locked(entry[1])
+            self._reclaim_locked(self._campaigns[entry[1]])
             return None
         if op == "recover":
-            # Broker restart: every un-acked delivery and lease goes
-            # back to its queue front (deliveries first, so on a shared
-            # queue the later-taken delivery lands *behind* the earlier
-            # lease -- original FIFO order).  Requeues are counted (they
-            # are real repeat work) but no crashes -- workers are
-            # blameless.
-            for queue_name in list(self._delivered):
-                self._requeue_delivered_locked(queue_name)
+            # Broker restart: every un-acked delivery goes back to its
+            # result queue front, then every lease to its chunk queue
+            # front.  Requeues are counted (they are real repeat work)
+            # but no crashes -- workers are blameless.
+            for campaign in self._campaigns.values():
+                self._reclaim_locked(campaign)
             for worker_id in list(self._leases):
                 self._requeue_leases_locked(worker_id, count=True)
             return None
         raise ValueError(f"unknown journal entry {op!r}")
+
+    @staticmethod
+    def _reclaim_locked(campaign: _Campaign) -> None:
+        """Redeliver every un-acked result, at the result queue front."""
+        campaign.results.extendleft(reversed(campaign.delivered.values()))
+        campaign.delivered.clear()
 
     # ------------------------------------------------------------------
     # per-connection protocol loop
@@ -741,71 +696,71 @@ class EmbeddedBroker:
     # ------------------------------------------------------------------
     # ops (each runs on the connection thread, state under the lock)
     # ------------------------------------------------------------------
+    def _campaign_locked(self, message: Mapping[str, Any]) -> _Campaign | None:
+        """The record of the campaign ``message`` names, if announced."""
+        cid = message.get("campaign")
+        return self._campaigns.get(cid) if isinstance(cid, str) else None
+
+    @staticmethod
+    def _unknown_campaign(message: Mapping[str, Any]) -> dict[str, Any]:
+        return {"ok": False, "error": f"unknown campaign {message.get('campaign')!r}"}
+
     def _state_locked(self) -> str | None:
         """Aggregate campaign state for the ``status`` snapshot:
         ``"done"`` only once *every* registered campaign concluded,
         ``None`` with no campaign registered."""
         if not self._campaigns:
             return None
-        states = {str(c.get("state")) for c in self._campaigns.values()}
+        states = {c.state for c in self._campaigns.values()}
         return "done" if states == {"done"} else "running"
 
-    def _running_locked(self) -> dict[str, dict[str, Any]]:
-        return {
-            cid: c
-            for cid, c in self._campaigns.items()
-            if c.get("state") == "running"
-        }
+    def _running_locked(self) -> int:
+        return sum(c.state == "running" for c in self._campaigns.values())
 
     def _leased_points_locked(self) -> dict[str, int]:
-        """Points currently leased, per campaign tasks queue."""
+        """Points currently leased, per campaign id."""
         leased: dict[str, int] = {}
         for held in self._leases.values():
-            for queue_name, item in held.values():
-                leased[queue_name] = leased.get(queue_name, 0) + _item_points(item)
+            for (cid, _token), (chunk, _granted) in held.items():
+                leased[cid] = leased.get(cid, 0) + len(chunk["points"])
         return leased
 
-    def _drr_pick_locked(self) -> str | None:
+    def _drr_pick_locked(self) -> _Campaign | None:
         """Pick the campaign the next ``take_any`` lease comes from.
 
         Stateful deficit round-robin: the current campaign keeps serving
-        while its banked deficit covers its head item's point count;
+        while its banked deficit covers its head chunk's point count;
         otherwise the rotation moves on, each visited campaign banking
         ``DRR_QUANTUM * priority`` points, until one can afford its
         head.  Two full rounds always suffice for sanely sized chunks;
-        a pathological oversized head item falls back to the fullest
+        a pathological oversized head chunk falls back to the fullest
         deficit so progress never stalls.
         """
-        active = sorted(
-            cid
-            for cid, c in self._running_locked().items()
-            if self._queues.get(c["tasks"])
-        )
+        active = [
+            campaign
+            for _cid, campaign in sorted(self._campaigns.items())
+            if campaign.state == "running" and campaign.tasks
+        ]
         if not active:
             return None
-        for cid in [c for c in self._drr_deficit if c not in self._campaigns]:
-            del self._drr_deficit[cid]
-        current = self._drr_current
-        if current in active:
-            head = self._queues[self._campaigns[current]["tasks"]][0]
-            if self._drr_deficit.get(current, 0.0) >= _item_points(head):
+        ids = [campaign.id for campaign in active]
+        if self._drr_current in ids:
+            index = ids.index(self._drr_current)
+            current = active[index]
+            if current.deficit >= len(current.tasks[0]["points"]):
                 return current
-            start = (active.index(current) + 1) % len(active)
+            start = index + 1
         else:
             start = 0
         for step in range(2 * len(active)):
-            cid = active[(start + step) % len(active)]
-            priority = max(
-                float(self._campaigns[cid].get("priority") or 1.0), 0.01
-            )
-            deficit = self._drr_deficit.get(cid, 0.0) + DRR_QUANTUM * priority
-            self._drr_deficit[cid] = deficit
-            head = self._queues[self._campaigns[cid]["tasks"]][0]
-            if deficit >= _item_points(head):
-                self._drr_current = cid
-                return cid
-        self._drr_current = max(active, key=lambda c: self._drr_deficit.get(c, 0.0))
-        return self._drr_current
+            campaign = active[(start + step) % len(active)]
+            campaign.deficit += DRR_QUANTUM * max(campaign.priority, 0.01)
+            if campaign.deficit >= len(campaign.tasks[0]["points"]):
+                self._drr_current = campaign.id
+                return campaign
+        fullest = max(active, key=lambda campaign: campaign.deficit)
+        self._drr_current = fullest.id
+        return fullest
 
     def _touch_locked(self, worker_id: str) -> None:
         """Any op from a registered worker is proof of life: re-arm its
@@ -824,88 +779,86 @@ class EmbeddedBroker:
             "quarantined": list(self._quarantined),
             "requeues": self._requeues,
             "dup_results": self._dup_results,
-            "pending": {n: len(q) for n, q in self._queues.items() if q},
+            "pending": {
+                cid: len(c.tasks) for cid, c in self._campaigns.items() if c.tasks
+            },
+        }
+
+    def _quarantined_reply(self, worker_id: str) -> dict[str, Any] | None:
+        if worker_id not in self._quarantined:
+            return None
+        return {
+            "ok": False,
+            "quarantined": True,
+            "error": f"worker {worker_id!r} is quarantined",
         }
 
     def _op_ping(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         return {"ok": True, "proto": BROKER_PROTOCOL}
 
     def _op_put(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        queue_name = str(message.get("queue"))
+        """Queue one chunk on its campaign (journaled)."""
+        chunk = message.get("item")
+        if not _is_chunk(chunk):
+            return {
+                "ok": False,
+                "error": 'a task must be a chunk {"token", "points": [...]} '
+                "whose every point has a token",
+            }
         with self._cond:
-            self._apply_locked(("put", queue_name, message.get("item")))
+            campaign = self._campaign_locked(message)
+            if campaign is None:
+                return self._unknown_campaign(message)
+            self._apply_locked(("put", campaign.id, chunk))
             self._cond.notify_all()
-            return {"ok": True, "size": len(self._queues[queue_name])}
+            return {"ok": True, "size": len(campaign.tasks)}
 
     def _op_take(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        queue_name = str(message.get("queue"))
-        timeout = float(message.get("timeout") or 0.0)
-        worker_id = message.get("worker")
-        ack = message.get("ack")
-        batch = max(1, int(message.get("max") or 1))
-        deadline = time.monotonic() + timeout
+        """Collect a campaign's results for its coordinator.
+
+        ``ack`` lists the tokens of the previous take's results, so a
+        restarted broker knows which deliveries the coordinator saw; up
+        to ``max`` results come back, waiting up to ``timeout`` seconds
+        for the first.  The reply carries the fleet too.
+        """
+        acks = list(message.get("ack") or ())
+        limit = max(1, int(message.get("max") or 1))
+        deadline = time.monotonic() + float(message.get("timeout") or 0.0)
         with self._cond:
-            if worker_id is None:
-                # A *new* consumer connection on this worker-less queue
-                # (the coordinator reconnected): whatever the previous
-                # connection took but never acknowledged was lost in
-                # flight -- hand it back before serving.
-                if self._delivered_conn.get(queue_name) is not conn and self._delivered.get(queue_name):
-                    self._apply_locked(("reclaim", queue_name))
-                self._delivered_conn[queue_name] = conn
-            while True:
+            campaign = self._campaign_locked(message)
+            if campaign is None:
+                return self._unknown_campaign(message)
+            if campaign.consumer is not conn and campaign.delivered:
+                # A *new* consumer connection (the coordinator
+                # reconnected): whatever the previous connection took
+                # but never acknowledged was lost in flight -- hand it
+                # back before serving.
+                self._apply_locked(("reclaim", campaign.id))
+            campaign.consumer = conn
+            while not campaign.results:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._cond.wait(min(remaining, 0.2))
                 if self._closed:
                     return {"ok": False, "error": "broker is closed"}
-                if worker_id is not None and worker_id in self._quarantined:
-                    return {
-                        "ok": False,
-                        "quarantined": True,
-                        "error": f"worker {worker_id!r} is quarantined",
-                    }
-                if worker_id is not None:
-                    self._touch_locked(str(worker_id))
-                if self._queues.get(queue_name):
-                    leased = (
-                        worker_id is not None and worker_id in self._workers
-                    )
-                    items: list[Any] = []
-                    while len(items) < batch and self._queues.get(queue_name):
-                        item = self._apply_locked(
-                            ("take", queue_name, worker_id, ack, leased)
-                        )
-                        ack = None
-                        if item is None:
-                            break
-                        items.append(item)
-                    reply = {"ok": True, "item": items[0] if items else None}
-                    if batch > 1:
-                        reply["items"] = items
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        if ack is not None:
-                            # Nothing to take, but the ack still clears
-                            # the previous delivery from the journal.
-                            self._apply_locked(
-                                ("take", queue_name, worker_id, ack, False)
-                            )
-                        reply = {"ok": True, "item": None}
-                    else:
-                        self._cond.wait(min(remaining, 0.2))
-                        continue
-                if message.get("fleet"):
-                    reply["fleet"] = self._fleet_locked()
-                return reply
+                if self._campaigns.get(campaign.id) is not campaign:
+                    return self._unknown_campaign(message)
+            items = []
+            if acks or campaign.results:
+                items = self._apply_locked(("take", campaign.id, acks, limit))
+            return {"ok": True, "items": items, "fleet": self._fleet_locked()}
 
     def _op_take_any(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Lease work from whichever running campaign DRR picks.
+        """Lease a chunk from whichever running campaign DRR picks.
 
-        The multi-tenant worker op: the worker subscribes to the broker,
-        not a campaign, and every reply names the campaign the item came
-        from (plus its result queue) so results are pushed back into the
-        right namespace.  ``running`` counts running campaigns --
-        workers exit once they have observed at least one campaign and
-        the count returns to zero.
+        The worker op: the worker subscribes to the broker, not a
+        campaign, and every reply names the campaign the chunk came
+        from, so results are pushed back to the right one.  Only a
+        worker that said hello may lease (its lease must be requeued if
+        it dies).  ``running`` counts running campaigns -- workers exit
+        once they have observed at least one campaign and the count
+        returns to zero.
 
         The caller may send the ``running`` count it last saw; without
         one, the count at entry stands in.  A call with no work to lease
@@ -913,49 +866,41 @@ class EmbeddedBroker:
         differs from it, so an announce, conclude or withdraw ends the
         wait instead of the timeout.
         """
-        worker_id = message.get("worker")
-        timeout = float(message.get("timeout") or 0.0)
-        deadline = time.monotonic() + timeout
+        worker_id = str(message.get("worker"))
+        deadline = time.monotonic() + float(message.get("timeout") or 0.0)
         with self._cond:
             seen = message.get("running")
-            seen = len(self._running_locked()) if seen is None else int(seen)
+            seen = self._running_locked() if seen is None else int(seen)
             while True:
                 if self._closed:
                     return {"ok": False, "error": "broker is closed"}
-                if worker_id is not None and worker_id in self._quarantined:
+                refused = self._quarantined_reply(worker_id)
+                if refused is not None:
+                    return refused
+                if worker_id not in self._workers:
                     return {
                         "ok": False,
-                        "quarantined": True,
-                        "error": f"worker {worker_id!r} is quarantined",
+                        "error": f"worker {worker_id!r} must say hello before leasing",
                     }
-                if worker_id is not None:
-                    self._touch_locked(str(worker_id))
+                self._touch_locked(worker_id)
                 running = self._running_locked()
-                cid = self._drr_pick_locked()
-                if cid is not None:
-                    campaign = self._campaigns[cid]
-                    leased = worker_id is not None and worker_id in self._workers
-                    item = self._apply_locked(
-                        ("take", campaign["tasks"], worker_id, None, leased)
-                    )
-                    if item is not None:
-                        self._drr_deficit[cid] = self._drr_deficit.get(
-                            cid, 0.0
-                        ) - _item_points(item)
-                        return {
-                            "ok": True,
-                            "item": item,
-                            "campaign": cid,
-                            "results": campaign["results"],
-                            "running": len(running),
-                        }
+                campaign = self._drr_pick_locked()
+                if campaign is not None:
+                    chunk = self._apply_locked(("lease", campaign.id, worker_id))
+                    campaign.deficit -= len(chunk["points"])
+                    return {
+                        "ok": True,
+                        "item": chunk,
+                        "campaign": campaign.id,
+                        "running": running,
+                    }
                 remaining = deadline - time.monotonic()
-                if remaining <= 0 or len(running) != seen:
+                if remaining <= 0 or running != seen:
                     return {
                         "ok": True,
                         "item": None,
                         "campaign": None,
-                        "running": len(running),
+                        "running": running,
                     }
                 self._cond.wait(min(remaining, 0.2))
 
@@ -967,85 +912,100 @@ class EmbeddedBroker:
             leased = self._leased_points_locked()
             campaigns = {
                 cid: {
-                    **dict(c),
-                    "tasks_pending": len(self._queues.get(c["tasks"]) or ()),
-                    "leased": leased.get(c["tasks"], 0),
+                    "id": cid,
+                    "spec": c.spec,
+                    "priority": c.priority,
+                    "state": c.state,
+                    "tasks_pending": len(c.tasks),
+                    "leased": leased.get(cid, 0),
                 }
                 for cid, c in self._campaigns.items()
             }
-            return {
-                "ok": True,
-                "campaigns": campaigns,
-                "running": len(self._running_locked()),
-            }
+            running = self._running_locked()
+            return {"ok": True, "campaigns": campaigns, "running": running}
 
     def _op_announce(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Register one campaign on the standing broker (journaled).
+        """Register one campaign ``{id, spec, priority}`` (journaled).
 
         A re-announcement of a *live* (running) id is rejected: distinct
-        coordinators must never silently cross-wire one namespace, and a
+        coordinators must never silently cross-wire one campaign, and a
         reconnecting coordinator re-announces only after its campaign
-        concluded or was withdrawn.
+        concluded or was withdrawn.  Re-announcing a concluded id starts
+        it from a fresh record.
         """
         campaign = dict(message.get("campaign") or {})
-        cid = str(campaign.get("id") or "")
-        if not cid:
+        cid = campaign.get("id")
+        if not cid or not isinstance(cid, str):
             return {"ok": False, "error": "announce requires a campaign id"}
+        announced = {
+            "id": cid,
+            "spec": campaign.get("spec"),
+            "priority": float(campaign.get("priority") or 1.0),
+        }
         with self._cond:
             existing = self._campaigns.get(cid)
-            if existing is not None and existing.get("state") == "running":
+            if existing is not None and existing.state == "running":
                 return {
                     "ok": False,
                     "error": f"campaign {cid!r} is already live on this broker",
                 }
-            self._apply_locked(("announce", campaign))
+            self._apply_locked(("announce", announced))
             self._cond.notify_all()
             return {"ok": True, "campaign": cid}
 
     def _op_conclude(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         """Mark one campaign done (journaled; idempotent)."""
-        cid = str(message.get("campaign"))
         with self._cond:
-            if cid in self._campaigns:
-                self._apply_locked(("conclude", cid))
+            campaign = self._campaign_locked(message)
+            if campaign is not None and campaign.state != "done":
+                self._apply_locked(("conclude", campaign.id))
             self._cond.notify_all()
             return {"ok": True}
 
     def _op_withdraw(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Erase one campaign's namespace (journaled; idempotent)."""
-        cid = str(message.get("campaign"))
+        """Drop one campaign's record and leases (journaled; idempotent)."""
         with self._cond:
-            if cid in self._campaigns:
-                self._apply_locked(("withdraw", cid))
+            campaign = self._campaign_locked(message)
+            if campaign is not None:
+                self._apply_locked(("withdraw", campaign.id))
             self._cond.notify_all()
             return {"ok": True}
 
     def _op_push_result(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        queue_name = str(message.get("queue"))
-        token = message.get("token")
+        """Accept one point's result for its campaign (journaled).
+
+        A result for a campaign the broker no longer knows (withdrawn,
+        its leases with it) is answered and dropped, leaving no state.
+        """
         worker_id = message.get("worker")
         with self._cond:
             if worker_id is not None:
                 self._touch_locked(str(worker_id))
+            campaign = self._campaign_locked(message)
+            if campaign is None:
+                return {"ok": True, "dropped": True}
             # A requeued point that both the presumed-dead and the
             # replacement worker completed -- or a reconnecting worker
             # replaying its last un-replied push -- deliver exactly once.
             dup = self._apply_locked(
-                ("result", queue_name, token, message.get("payload"), worker_id)
+                (
+                    "result",
+                    campaign.id,
+                    message.get("token"),
+                    message.get("payload"),
+                    worker_id,
+                )
             )
             if not dup:
                 self._cond.notify_all()
-            return {"ok": True, "dup": bool(dup)}
+            return {"ok": True, "dup": dup}
 
     def _register_locked(
         self, worker_id: str, meta: dict[str, Any], conn: Any
     ) -> dict[str, Any]:
-        if worker_id in self._quarantined:
-            return {
-                "ok": False,
-                "quarantined": True,
-                "error": f"worker {worker_id!r} is quarantined",
-            }
+        refused = self._quarantined_reply(worker_id)
+        if refused is not None:
+            return refused
         entry = self._workers.get(worker_id)
         if entry is None:
             entry = _BrokerWorker(worker_id, meta, self.heartbeat_ttl)
@@ -1057,11 +1017,8 @@ class EmbeddedBroker:
         if worker_id not in self._seen_workers:
             self._apply_locked(("seen", worker_id))
         self._cond.notify_all()
-        return {
-            "ok": True,
-            "ttl": self.heartbeat_ttl,
-            "running": len(self._running_locked()),
-        }
+        running = self._running_locked()
+        return {"ok": True, "ttl": self.heartbeat_ttl, "running": running}
 
     def _op_hello(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         if message.get("proto") != BROKER_PROTOCOL:
@@ -1097,26 +1054,26 @@ class EmbeddedBroker:
         """One JSON-safe snapshot of broker health for ``--status``."""
         now = time.monotonic()
         with self._cond:
-            leases: dict[str, dict[str, Any]] = {}
-            for worker_id, held in self._leases.items():
-                if not held:
-                    continue
-                times = self._lease_times.get(worker_id, {})
-                ages = [now - granted for granted in times.values()]
-                leases[str(worker_id)] = {
+            leases = {
+                str(worker_id): {
                     "count": len(held),
-                    "oldest_age_s": round(max(ages), 3) if ages else None,
+                    "oldest_age_s": round(
+                        now - min(granted for _chunk, granted in held.values()), 3
+                    ),
                 }
+                for worker_id, held in self._leases.items()
+                if held
+            }
             leased = self._leased_points_locked()
             campaigns = {
                 str(cid): {
-                    "state": str(c.get("state")),
-                    "priority": float(c.get("priority") or 1.0),
-                    "tasks_pending": len(self._queues.get(c["tasks"]) or ()),
-                    "results_pending": len(self._queues.get(c["results"]) or ()),
-                    "results_seen": len(self._seen.get(c["results"]) or ()),
-                    "unacked": len(self._delivered.get(c["results"]) or ()),
-                    "leased_points": leased.get(c["tasks"], 0),
+                    "state": c.state,
+                    "priority": c.priority,
+                    "tasks_pending": len(c.tasks),
+                    "results_pending": len(c.results),
+                    "results_seen": len(c.seen),
+                    "unacked": len(c.delivered),
+                    "leased_points": leased.get(cid, 0),
                 }
                 for cid, c in self._campaigns.items()
             }
@@ -1125,12 +1082,6 @@ class EmbeddedBroker:
                 "uptime_s": round(now - self._started_at, 3),
                 "state": self._state_locked(),
                 "campaigns": campaigns,
-                "queues": {
-                    str(n): len(q) for n, q in self._queues.items() if q
-                },
-                "unacked": {
-                    str(q): len(d) for q, d in self._delivered.items() if d
-                },
                 "leases": leases,
                 "fleet": self._fleet_locked(),
                 "heartbeat_ttl": self.heartbeat_ttl,
@@ -1160,7 +1111,8 @@ class BrokerClient:
         failed op reconnects with capped exponential backoff + jitter
         and is retried until it succeeds or the outage budget runs out.
         Safe because every broker op is idempotent or deduplicated
-        (``push_result`` by token, ``take`` redelivery by ack/lease).
+        (``push_result`` by token, ``take`` by ack and redelivery, and a
+        ``take_any`` lease is requeued if its worker never runs it).
         A reply that does not come within :data:`REPLY_TIMEOUT_S` counts
         as such a failure.
     on_reconnect:
@@ -1274,11 +1226,11 @@ class BrokerClient:
 class QueueTransport(WorkerTransport):
     """A :class:`~repro.core.transport.WorkerTransport` over a broker.
 
-    The coordinator never talks to workers: it pushes **chunk items**
-    (an ordered block of points leased as one queue item) onto the
-    broker's campaign task queue and pops result frames -- up to
+    The coordinator never talks to workers: it announces its campaign,
+    puts **chunk items** (an ordered block of points leased as one
+    unit) on it and takes its result frames -- up to
     :attr:`RESULTS_PER_TAKE` per round-trip, batch-acked on the next
-    take -- from the campaign result queue.  Workers pull chunks at
+    take.  Every op names the campaign id.  Workers pull chunks at
     their own (capacity-weighted) pace, so the fleet is **elastic** --
     workers may join, leave and rejoin mid-campaign; the only
     coordinator-visible effect is throughput.  Results stay per-point:
@@ -1366,8 +1318,6 @@ class QueueTransport(WorkerTransport):
             self._broker_address = f"{host}:{port}"
         self._client: BrokerClient | None = None
         self._campaign_id: str | None = None
-        self._tasks_q: str | None = None
-        self._results_q: str | None = None
         self._closed = False
         self._outstanding: set[Any] = set()
         #: tokens of results delivered but not yet acknowledged back to
@@ -1401,33 +1351,40 @@ class QueueTransport(WorkerTransport):
 
     # ------------------------------------------------------------------
     def start(self, spec: Any) -> None:
-        """Announce the campaign on the broker and open the queues."""
+        """Check the broker's protocol, then announce the campaign.
+
+        A broker of another :data:`BROKER_PROTOCOL` is refused before
+        anything is announced: it would misread every campaign op.
+        """
         if self._closed:
             raise TransportError("transport is closed")
         if self._client is not None:
             return
-        self._client = BrokerClient(
+        client = BrokerClient(
             self.address,
             retry_s=10.0,
             max_outage_s=self.max_outage_s,
             on_reconnect=self._broker_reconnected,
         )
         campaign_id = _mint_campaign_id()
+        try:
+            proto = client.call("ping").get("proto")
+            if proto != BROKER_PROTOCOL:
+                raise TransportError(
+                    f"broker at {self.address} speaks protocol {proto!r}; "
+                    f"this coordinator speaks {BROKER_PROTOCOL}"
+                )
+            reply = client.call(
+                "announce",
+                campaign={"id": campaign_id, "spec": spec, "priority": self.priority},
+            )
+            if not reply.get("ok"):
+                raise TransportError(str(reply.get("error")))
+        except BaseException:
+            client.close()
+            raise
+        self._client = client
         self._campaign_id = campaign_id
-        self._tasks_q = f"tasks:{campaign_id}"
-        self._results_q = f"results:{campaign_id}"
-        reply = self._client.call(
-            "announce",
-            campaign={
-                "id": campaign_id,
-                "tasks": self._tasks_q,
-                "results": self._results_q,
-                "spec": spec,
-                "priority": self.priority,
-            },
-        )
-        if not reply.get("ok"):
-            raise TransportError(str(reply.get("error")))
         self._starved_since = None
 
     #: Results pulled per coordinator take -- one round-trip drains up
@@ -1435,7 +1392,7 @@ class QueueTransport(WorkerTransport):
     RESULTS_PER_TAKE = 32
 
     def submit_chunk(self, token: Any, chunk: "ChunkTask") -> None:
-        """Push one chunk item onto the campaign task queue.
+        """Put one chunk item on the campaign's queue.
 
         The chunk travels (and is leased) as a single queue item whose
         ``points`` list keeps every point individually addressable --
@@ -1462,11 +1419,11 @@ class QueueTransport(WorkerTransport):
                 assignment,
             ) in chunk.entries
         ]
-        self._client.call(
-            "put",
-            queue=self._tasks_q,
-            item={"token": token, "points": points},
+        reply = self._client.call(
+            "put", campaign=self._campaign_id, item={"token": token, "points": points}
         )
+        if not reply.get("ok"):
+            raise TransportError(str(reply.get("error")))
         self._outstanding.update(point["token"] for point in points)
 
     def next_results(self) -> "list[tuple[Any, SimulationRecord]]":
@@ -1478,11 +1435,10 @@ class QueueTransport(WorkerTransport):
                 raise TransportError("no outstanding work")
             reply = self._client.call(
                 "take",
-                queue=self._results_q,
-                timeout=0.2,
-                fleet=True,
-                ack=(self._pending_acks or None),
+                campaign=self._campaign_id,
+                ack=self._pending_acks,
                 max=self.RESULTS_PER_TAKE,
+                timeout=0.2,
             )
             self._sync_outages()
             if not reply.get("ok"):
@@ -1491,10 +1447,7 @@ class QueueTransport(WorkerTransport):
             # from here on is the new un-acked frontier.
             self._pending_acks = []
             self._absorb_fleet(reply.get("fleet"))
-            items = reply.get("items")
-            if items is None:
-                item = reply.get("item")
-                items = [] if item is None else [item]
+            items = reply["items"]
             if not items:
                 self._check_starvation(reply.get("fleet"))
                 continue
@@ -1682,17 +1635,13 @@ def _simulate_item(item: Mapping[str, Any], env: Any) -> SimulationRecord:
 
 def _push_result(
     client: BrokerClient,
-    results_q: str,
+    campaign: str,
     worker_id: str,
     token: Any,
     payload: dict[str, Any],
 ) -> None:
     client.call(
-        "push_result",
-        queue=results_q,
-        token=token,
-        payload=payload,
-        worker=worker_id,
+        "push_result", campaign=campaign, token=token, payload=payload, worker=worker_id
     )
 
 
@@ -1715,10 +1664,10 @@ def serve_queue_worker(
     worker subscribes to the **broker**, not to a campaign: every lease
     comes from the ``take_any`` op, which arbitrates between all running
     campaigns with priority-weighted deficit round-robin, and each reply
-    names the campaign the chunk belongs to.  Per campaign, the worker lazily
-    hydrates a :class:`~repro.core.simulate.SimulationEnvironment` from
-    the announced :class:`~repro.core.engine.EnvSpec` and pushes
-    results into that campaign's own result queue, so serving two
+    names the campaign the chunk belongs to.  Per campaign, the worker
+    lazily hydrates a :class:`~repro.core.simulate.SimulationEnvironment`
+    from the announced :class:`~repro.core.engine.EnvSpec` and pushes
+    each result to the campaign it was leased from, so serving two
     tenants at once never mixes their state.  The worker exits once it
     has observed at least one campaign and the broker reports zero
     still running.
@@ -1806,8 +1755,7 @@ def serve_queue_worker(
             pool = ProcessPoolExecutor(max_workers=capacity)
 
         # Per-campaign service context, hydrated lazily on first lease:
-        # the announced spec, the campaign's own result queue and an
-        # inline environment (capacity 1).
+        # the announced spec and an inline environment (capacity 1).
         contexts: dict[str, "dict[str, Any]"] = {}
 
         def hydrate(cid: str) -> "dict[str, Any] | None":
@@ -1820,11 +1768,7 @@ def serve_queue_worker(
                 # withdrawal already stripped the lease broker-side.
                 return None
             spec = info["spec"]
-            ctx = {
-                "spec": spec,
-                "results": info["results"],
-                "env": spec.build() if pool is None else None,
-            }
+            ctx = {"spec": spec, "env": spec.build() if pool is None else None}
             contexts[cid] = ctx
             emit(
                 f"worker {worker_id}: serving campaign {cid} from "
@@ -1880,7 +1824,6 @@ def serve_queue_worker(
                 ctx = hydrate(cid)
                 if ctx is None:
                     continue
-                results_q = ctx["results"]
                 # A chunk item carries a block of points under one lease.
                 points = item["points"]
                 taken += len(points)
@@ -1918,12 +1861,12 @@ def serve_queue_worker(
                         record = _simulate_item(point, ctx["env"])
                     except Exception as exc:
                         _push_result(
-                            client, results_q, worker_id, point["token"],
+                            client, cid, worker_id, point["token"],
                             {"error": repr(exc), "meta": {}},
                         )
                         raise
                     _push_result(
-                        client, results_q, worker_id, point["token"],
+                        client, cid, worker_id, point["token"],
                         {"record": record, "meta": {"wall": record.wall_time_s}},
                     )
                     sent += 1
@@ -1935,17 +1878,16 @@ def serve_queue_worker(
                 )
                 for future in done:
                     cid, finished = inflight.pop(future)
-                    ctx = contexts[cid]
                     try:
                         _token, record = future.result()
                     except Exception as exc:
                         _push_result(
-                            client, ctx["results"], worker_id, finished["token"],
+                            client, cid, worker_id, finished["token"],
                             {"error": repr(exc), "meta": {}},
                         )
                         raise
                     _push_result(
-                        client, ctx["results"], worker_id, finished["token"],
+                        client, cid, worker_id, finished["token"],
                         {"record": record, "meta": {"wall": record.wall_time_s}},
                     )
                     sent += 1

@@ -2,10 +2,11 @@
 
 The :class:`~repro.core.broker.EmbeddedBroker` promotes itself from an
 in-memory embed to a durable service by journaling every state-changing
-operation (queue puts/takes/acks, lease grants, seen result tokens,
-crash bookkeeping, campaign announcements) to an append-only log before
-applying it.  On restart the broker loads the latest snapshot, replays
-the log suffix, and resumes -- the campaign never notices.
+operation (campaign announcements, chunk puts and leases, results and
+their acks, crash bookkeeping), each naming its campaign, to an
+append-only log before applying it.  On restart the broker loads the
+latest snapshot, replays the log suffix, and resumes -- the campaign
+never notices.
 
 On-disk layout (inside the journal directory)::
 
@@ -19,13 +20,16 @@ lied) is *truncated* at the last valid record with a
 :class:`JournalWarning`; corruption never prevents the broker from
 starting.
 
-Records are versioned: every entry is wrapped in a ``{"v":
-RECORD_VERSION, "entry": entry}`` envelope on disk.  A record of any
-other version -- a version-2 record, or a bare entry from a version-1
-log -- is refused, not translated: :meth:`Journal.load` stops there
-with a :class:`JournalWarning` naming the version and truncates the
-tail, as on a damaged record.  Snapshots carry no version; the broker
-decides what it can restore from one.
+Records and snapshots are versioned: every entry is wrapped in a
+``{"v": RECORD_VERSION, "entry": entry}`` envelope on disk, and every
+snapshot in ``{"v": RECORD_VERSION, "snapshot": state}``.  Anything
+written by another version is refused, not translated, with one
+:class:`JournalWarning` naming the version.  A log record of another
+version -- say version 3, or a bare entry from a version-1 log -- stops
+:meth:`Journal.load` there and the tail is truncated, as on a damaged
+record.  A snapshot of another version -- or an unversioned one, which
+every build before version 4 wrote -- refuses the whole journal, since
+its log only continues that snapshot.
 
 Every ``compact_every`` appends the caller is expected to fold the log
 into a fresh snapshot via :meth:`Journal.compact`, which writes the
@@ -58,8 +62,10 @@ LOG_NAME = "wal.log"
 #: The on-disk record schema this build reads and writes.  Version 1
 #: (bare entries) predates the multi-tenant broker; version 2 wraps each
 #: entry in a version envelope; version 3 drops the key-value ``set``
-#: entry and shortens ``announce`` to ``("announce", campaign)``.
-RECORD_VERSION = 3
+#: entry and shortens ``announce`` to ``("announce", campaign)``;
+#: version 4 names a campaign id where version 3 named a queue, and
+#: versions snapshots too.
+RECORD_VERSION = 4
 
 #: ``(payload_length, crc32)`` little-endian record header.
 _HEADER = struct.Struct("<II")
@@ -70,16 +76,17 @@ class JournalWarning(UserWarning):
     only partially recovered."""
 
 
-def _version(record: Any) -> Any:
-    """The schema version of one on-disk record.
+def _version(record: Any, body: str) -> Any:
+    """The schema version of one on-disk record (``body="entry"``) or
+    snapshot (``body="snapshot"``), or ``None`` when it has none.
 
-    Broker entries are tuples, so a dict holding exactly the envelope
-    keys is unambiguously a versioned record; anything else is a bare
-    entry from a version-1 log.
+    Broker entries are tuples and no broker state is a two-key dict of
+    these names, so a dict holding exactly the envelope keys is
+    unambiguously versioned.
     """
-    if isinstance(record, dict) and set(record) == {"v", "entry"}:
+    if isinstance(record, dict) and set(record) == {"v", body}:
         return record["v"]
-    return 1
+    return None
 
 
 class Journal:
@@ -119,14 +126,16 @@ class Journal:
         snapshot, a torn/corrupt log tail or a record of another
         version than :data:`RECORD_VERSION` is dropped with a
         :class:`JournalWarning`; whatever valid prefix remains is
-        returned.  The log file is truncated to its valid prefix and
-        left open for appending.
+        returned.  A snapshot of another version drops the log too.
+        The log file is truncated to its valid prefix and left open for
+        appending.
         """
         snapshot = None
+        refused = False
         if os.path.exists(self.snapshot_path):
             try:
                 with open(self.snapshot_path, "rb") as handle:
-                    snapshot = pickle.load(handle)
+                    stored = pickle.load(handle)
             except Exception as exc:  # corrupt snapshot: recover from log alone
                 warnings.warn(
                     f"journal snapshot {self.snapshot_path} unreadable "
@@ -134,12 +143,29 @@ class Journal:
                     JournalWarning,
                     stacklevel=2,
                 )
-                snapshot = None
+            else:
+                version = _version(stored, "snapshot")
+                if version == RECORD_VERSION:
+                    snapshot = stored["snapshot"]
+                else:
+                    refused = True
+                    written = (
+                        "unversioned (record version 3 or older)"
+                        if version is None
+                        else f"record version {version}"
+                    )
+                    warnings.warn(
+                        f"journal snapshot {self.snapshot_path} is {written}; "
+                        f"this build reads version {RECORD_VERSION} only, so "
+                        "the journal is refused, its log included",
+                        JournalWarning,
+                        stacklevel=2,
+                    )
 
         entries: list[Any] = []
         valid_size = 0
         damage = None
-        if os.path.exists(self.log_path):
+        if os.path.exists(self.log_path) and not refused:
             with open(self.log_path, "rb") as handle:
                 while True:
                     header = handle.read(_HEADER.size)
@@ -161,11 +187,11 @@ class Journal:
                     except Exception as exc:
                         damage = f"undecodable record ({exc!r})"
                         break
-                    version = _version(record)
+                    version = _version(record, "entry")
                     if version != RECORD_VERSION:
                         damage = (
-                            f"record version {version}; this build reads "
-                            f"version {RECORD_VERSION} only"
+                            f"record version {version or 1}; this build "
+                            f"reads version {RECORD_VERSION} only"
                         )
                         break
                     entries.append(record["entry"])
@@ -207,7 +233,9 @@ class Journal:
 
     def compact(self, state: Any) -> None:
         """Fold the log into ``state``: snapshot atomically, then truncate."""
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(
+            {"v": RECORD_VERSION, "snapshot": state}, protocol=pickle.HIGHEST_PROTOCOL
+        )
         with self._lock:
             if self._closed or self._log is None:
                 return

@@ -240,12 +240,17 @@ class DynamicDataType(ABC):
 
         Used when a structure instance dies with its owner (e.g. a
         per-flow packet queue when the flow goes idle).  A disposed
-        structure must not be used again.
+        structure must not be used again.  Its lanes are unlinked, so the
+        instances are freed by reference counting alone, with no wait
+        for the cyclic garbage collector.
         """
-        for lane in self._lanes:
+        lanes = self._lanes
+        for lane in lanes:
             lane._pool.ddt_calls += 1
             lane._model_dispose()
         self._items.clear()
+        for lane in lanes:
+            lane._lanes = ()
 
     # ------------------------------------------------------------------
     def _check_pos(self, pos: int, upper_inclusive: bool = False) -> None:

@@ -30,7 +30,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["AllocationError", "Block", "AllocatorStats", "Allocator"]
 
@@ -56,11 +56,6 @@ class Block:
     address: int
     payload_bytes: int
     stored_bytes: int
-
-    @property
-    def gross_bytes(self) -> int:
-        """Payload + header + alignment slack, as charged to the footprint."""
-        return self.stored_bytes  # header added by the allocator, see Allocator
 
 
 @dataclass
@@ -234,11 +229,3 @@ class Allocator:
         self.stats = AllocatorStats()
         self._free_lists.clear()
         self._live.clear()
-
-
-@dataclass
-class _PoolCharge:
-    """Internal record linking a live block to the pool that owns it."""
-
-    block: Block
-    pool_name: str = field(default="")

@@ -550,10 +550,11 @@ def build_broker_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "journal broker state (queues, leases, seen tokens, the "
-            "campaign announcement) to a write-ahead log under DIR; a "
-            "broker restarted on the same DIR resumes the campaign "
-            "where the previous process died"
+            "journal broker state (each campaign's chunks, results and "
+            "seen tokens, leases, crash counts) to a write-ahead log "
+            "under DIR; a broker restarted on the same DIR resumes every "
+            "campaign where the previous process died (a journal "
+            "written by an older build is refused)"
         ),
     )
     parser.add_argument(
@@ -572,8 +573,8 @@ def build_broker_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help=(
             "query a *running* broker instead of serving: print its "
-            "status (queue depths, lease ages, fleet table, journal "
-            "position) as JSON on stdout and exit"
+            "status (per-campaign queue depths, lease ages, fleet "
+            "table, journal position) as JSON on stdout and exit"
         ),
     )
     parser.add_argument(

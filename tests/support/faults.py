@@ -486,13 +486,20 @@ def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
     concurrent campaigns (URL at priority 2, DRR at priority 1), each
     driven by its own coordinator thread, while two shared workers lease
     chunks from whichever tenant the broker's deficit round-robin picks.
-    Once both campaigns are provably mid-flight (>= 4 points resolved
-    each) the broker is SIGKILLed and a successor started on the same
-    address + journal, so the restart machinery is exercised with *two*
-    registered campaigns in the write-ahead log.  Each tenant sweeps
-    its study's full configuration list (five lane runs each), so both
-    still have work queued when the broker dies; the drill runs its own
-    serial baseline of those sweeps.  Asserts:
+    Each tenant sweeps its study's full configuration list (one lane
+    run in step 1, four in step 2); the drill runs its own serial
+    baseline of those sweeps.
+
+    The broker is SIGKILLed and a successor started on the same address
+    + journal while both campaigns are provably mid-flight, without
+    relying on timing: each coordinator stops at its first result until
+    the other has one too and the successor is up.  So the write-ahead
+    log holds both campaigns with result entries (and undelivered
+    acks), and both still have points to resolve.  A count of resolved
+    points is no such gauge, and neither is work queued at the broker:
+    one lane run resolves a whole node at once and a tenant has nothing
+    queued between its steps, so a fast tenant could finish before the
+    other had any result and never see the restart.  Asserts:
 
     - both campaigns finish with per-app ``content_key()`` parity
       against the serial baseline (result isolation: neither tenant
@@ -516,14 +523,21 @@ def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
     brokers = [spawn_broker(address, journal=str(journal_dir))]
     timeline: list[tuple[float, str]] = []
     counts = {"URL": 0, "DRR": 0}
-    mid_run = threading.Event()
+    # Both first results, then the restart (the choreography is the
+    # third party), then both coordinators go on.
+    first_results = threading.Barrier(3)
+    restarted = threading.Event()
 
     def tracker(tag):
         def progress(phase, done, total, detail):
             counts[tag] += 1
             timeline.append((time.monotonic(), tag))
-            if min(counts.values()) >= 4:
-                mid_run.set()
+            if counts[tag] == 1:
+                try:
+                    first_results.wait(timeout=240)
+                except threading.BrokenBarrierError:
+                    pass  # the drill fails on its restart assertion
+                restarted.wait(timeout=240)
         return progress
 
     results: dict = {}
@@ -549,6 +563,7 @@ def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
                 results[tag] = (campaign.run(), transport)
         except BaseException as exc:  # surfaced to the drill's caller
             errors.append((tag, exc))
+            first_results.abort()
 
     coordinators = [
         threading.Thread(
@@ -580,11 +595,15 @@ def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
     workers = [spawn_worker(address, w) for w in ("w1", "w2")]
 
     def choreography():
-        if not mid_run.wait(240):
-            return
-        brokers[0].kill()  # SIGKILL: only the journal survives
-        brokers[0].wait(timeout=10)
-        brokers.append(spawn_broker(address, journal=str(journal_dir)))
+        try:
+            first_results.wait(timeout=240)
+            brokers[0].kill()  # SIGKILL: only the journal survives
+            brokers[0].wait(timeout=10)
+            brokers.append(spawn_broker(address, journal=str(journal_dir)))
+        except threading.BrokenBarrierError:
+            pass
+        finally:
+            restarted.set()
 
     stagehand = threading.Thread(target=choreography, daemon=True)
     stagehand.start()

@@ -44,6 +44,8 @@ from repro.core.transport import (
     ChunkTask,
     TransportError,
     parse_address,
+    recv_frame,
+    send_frame,
 )
 
 
@@ -60,6 +62,17 @@ def client(broker):
     connected.close()
 
 
+def chunk(token, points=1):
+    """A chunk item of ``points`` points (its cost toward the DRR deficit)."""
+    return {"token": token, "points": [{"token": (token, i)} for i in range(points)]}
+
+
+def lease(client, worker, timeout=0.1):
+    """The token of the chunk ``worker`` leases next, or ``None``."""
+    item = client.call("take_any", worker=worker, timeout=timeout)["item"]
+    return None if item is None else item["token"]
+
+
 # ----------------------------------------------------------------------
 # broker protocol units
 # ----------------------------------------------------------------------
@@ -72,33 +85,31 @@ class TestBrokerProtocol:
         }
 
     def test_queue_is_fifo(self, client):
+        client.call("announce", campaign={"id": "c"})
         for token in (1, 2, 3):
-            client.call("put", queue="q", item={"token": token})
-        order = [
-            client.call("take", queue="q", timeout=0.1)["item"]["token"]
-            for _ in range(3)
-        ]
-        assert order == [1, 2, 3]
-        assert client.call("take", queue="q", timeout=0.05)["item"] is None
+            assert client.call("put", campaign="c", item=chunk(token))["ok"]
+        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
+        assert [lease(client, "w") for _ in range(3)] == [1, 2, 3]
+        assert lease(client, "w", timeout=0.05) is None
 
     def test_heartbeat_ttl_expiry_requeues_leases_at_front(self, client):
-        """A silent worker's leased task goes back to the queue head."""
-        client.call("put", queue="q", item={"token": "leased"})
-        client.call("put", queue="q", item={"token": "second"})
+        """A silent worker's leased chunk goes back to the queue head."""
+        client.call("announce", campaign={"id": "c"})
+        client.call("put", campaign="c", item=chunk("leased"))
+        client.call("put", campaign="c", item=chunk("second"))
         hello = client.call(
             "hello", proto=BROKER_PROTOCOL, worker="silent", meta={"capacity": 1}
         )
         assert hello["ok"] and hello["ttl"] == pytest.approx(0.25)
-        taken = client.call("take", queue="q", worker="silent", timeout=0.1)
-        assert taken["item"]["token"] == "leased"
+        assert lease(client, "silent") == "leased"
         time.sleep(0.6)  # > TTL: the sweeper presumes a crash
         fleet = client.call("fleet")["fleet"]
         assert "silent" not in fleet["live"]
         assert fleet["crashes"] == {"silent": 1}
         assert fleet["requeues"] == 1
-        # requeued at the *front*, ahead of the untaken task
-        assert client.call("take", queue="q", timeout=0.1)["item"]["token"] == "leased"
-        assert client.call("take", queue="q", timeout=0.1)["item"]["token"] == "second"
+        # requeued at the *front*, ahead of the unleased chunk
+        client.call("hello", proto=BROKER_PROTOCOL, worker="next", meta={})
+        assert [lease(client, "next") for _ in range(2)] == ["leased", "second"]
 
     def test_heartbeat_refreshes_and_rearms_ttl(self, client):
         client.call("hello", proto=BROKER_PROTOCOL, worker="beater", meta={})
@@ -114,7 +125,7 @@ class TestBrokerProtocol:
         client.call("hello", proto=BROKER_PROTOCOL, worker="busy", meta={})
         deadline = time.time() + 0.6  # well past the 0.25s TTL
         while time.time() < deadline:
-            client.call("take", queue="empty", worker="busy", timeout=0.0)
+            assert client.call("take_any", worker="busy", timeout=0.0)["ok"]
             time.sleep(0.1)
         fleet = client.call("fleet")["fleet"]
         assert "busy" in fleet["live"]
@@ -129,19 +140,21 @@ class TestBrokerProtocol:
             return client.call("campaigns")["campaigns"][cid]["tasks_pending"]
 
         client.call("announce", campaign={"id": "a"})
-        client.call("put", queue="tasks:a", item={"token": "stale"})
+        client.call("put", campaign="a", item=chunk("stale"))
         client.call("conclude", campaign="a")
-        # re-announcing campaign a starts it from an empty namespace
+        # re-announcing campaign a starts it from a fresh record
         client.call("announce", campaign={"id": "a"})
         assert pending("a") == 0
-        client.call("put", queue="tasks:a", item={"token": "a0"})
-        # a second tenant starting leaves campaign a's queued task alone
+        client.call("put", campaign="a", item=chunk("a0"))
+        # a second tenant starting leaves campaign a's queued chunk alone
         client.call("announce", campaign={"id": "b"})
         assert pending("a") == 1
-        # withdrawing campaign a takes its namespace (and the task) along
+        # withdrawing campaign a drops its record (and the chunk) whole
         client.call("withdraw", campaign="a")
         assert "a" not in client.call("campaigns")["campaigns"]
-        assert client.call("take", queue="tasks:a", timeout=0.05)["item"] is None
+        assert pending("b") == 0
+        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
+        assert lease(client, "w", timeout=0.05) is None
 
     def test_reannouncing_a_live_campaign_id_is_rejected(self, client):
         """Two coordinators that mint the same id must not cross-wire
@@ -155,11 +168,6 @@ class TestBrokerProtocol:
         again = client.call("announce", campaign={"id": "dup"})
         assert again["ok"]
 
-    @staticmethod
-    def _chunk(token, points):
-        """A chunk item costing ``points`` toward the DRR deficit."""
-        return {"token": token, "points": [{"token": (token, i)} for i in range(points)]}
-
     def test_take_any_interleaves_tenants_fairly(self, client):
         """Deficit round-robin: with two equal-priority tenants queued,
         a stream of ``take_any`` leases alternates between them instead
@@ -170,11 +178,7 @@ class TestBrokerProtocol:
         for cid in ("a", "b"):
             client.call("announce", campaign={"id": cid})
             for token in range(4):
-                client.call(
-                    "put",
-                    queue=f"tasks:{cid}",
-                    item=self._chunk(f"{cid}{token}", cost),
-                )
+                client.call("put", campaign=cid, item=chunk(f"{cid}{token}", cost))
         client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
         origins = []
         for _ in range(8):
@@ -197,11 +201,7 @@ class TestBrokerProtocol:
         client.call("announce", campaign={"id": "lo", "priority": 1.0})
         for cid in ("hi", "lo"):
             for token in range(12):
-                client.call(
-                    "put",
-                    queue=f"tasks:{cid}",
-                    item=self._chunk(f"{cid}{token}", cost),
-                )
+                client.call("put", campaign=cid, item=chunk(f"{cid}{token}", cost))
         client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
         origins = []
         for _ in range(12):
@@ -229,16 +229,19 @@ class TestBrokerProtocol:
             assert re.fullmatch(prefix + r"\d+-[0-9a-f]{6}", cid)
 
     def test_duplicate_result_rejected_by_token(self, client):
+        client.call("announce", campaign={"id": "c"})
         first = client.call(
-            "push_result", queue="res", token=7, payload={"x": 1}, worker="w"
+            "push_result", campaign="c", token=7, payload={"x": 1}, worker="w"
         )
         dup = client.call(
-            "push_result", queue="res", token=7, payload={"x": 1}, worker="w"
+            "push_result", campaign="c", token=7, payload={"x": 1}, worker="w"
         )
         assert first["dup"] is False
         assert dup["dup"] is True
-        assert client.call("take", queue="res", timeout=0.1)["item"]["token"] == 7
-        assert client.call("take", queue="res", timeout=0.05)["item"] is None
+        taken = client.call("take", campaign="c", ack=[], max=8, timeout=0.1)
+        assert [item["token"] for item in taken["items"]] == [7]
+        again = client.call("take", campaign="c", ack=[7], max=8, timeout=0.05)
+        assert again["items"] == []
         assert client.call("fleet")["fleet"]["dup_results"] == 1
 
     def test_quarantined_worker_is_rejected_everywhere(self, broker, client):
@@ -248,23 +251,90 @@ class TestBrokerProtocol:
             time.sleep(0.6)
         fleet = client.call("fleet")["fleet"]
         assert "repeat" in fleet["quarantined"]
-        hello = client.call("hello", proto=BROKER_PROTOCOL, worker="repeat", meta={})
-        assert not hello["ok"] and hello.get("quarantined")
-        take = client.call("take", queue="q", worker="repeat", timeout=0.05)
-        assert not take["ok"] and take.get("quarantined")
+        for op, fields in (
+            ("hello", {"proto": BROKER_PROTOCOL, "meta": {}}),
+            ("heartbeat", {"meta": {}}),
+            ("take_any", {"timeout": 0.05}),
+        ):
+            reply = client.call(op, worker="repeat", **fields)
+            assert not reply["ok"] and reply.get("quarantined"), op
 
     def test_protocol_mismatch_rejected(self, client):
         hello = client.call("hello", proto=99, worker="future", meta={})
         assert not hello["ok"] and "protocol" in hello["error"]
-        # version-1 and version-2 workers are refused at hello, not
-        # mis-served: a version-2 worker cannot run lane-run entries
-        for proto in (1, 2):
+        # older workers are refused at hello, not mis-served: a version-2
+        # worker cannot run lane-run entries, and a version-3 one would
+        # push results under queue names instead of campaign ids
+        for proto in (1, 2, 3):
             hello = client.call("hello", proto=proto, worker=f"v{proto}", meta={})
             assert not hello["ok"] and "protocol" in hello["error"]
 
     def test_unknown_op_rejected(self, client):
         reply = client.call("flush_everything")
         assert not reply["ok"] and "unknown op" in reply["error"]
+
+    def test_put_and_take_on_an_unknown_campaign_are_refused(self, client):
+        """Only an announced campaign has a record to file work under; a
+        put or take naming any other id (or none) creates nothing."""
+        client.call("announce", campaign={"id": "known"})
+        for fields in ({"campaign": "other"}, {"queue": "tasks:known"}):
+            put = client.call("put", item=chunk(0), **fields)
+            assert not put["ok"] and "unknown campaign" in put["error"]
+            take = client.call("take", ack=[], max=1, timeout=0.0, **fields)
+            assert not take["ok"] and "unknown campaign" in take["error"]
+        status = client.call("status")["status"]
+        assert list(status["campaigns"]) == ["known"]
+        assert status["fleet"]["pending"] == {}
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"token": 0},
+            {"token": 0, "points": []},
+            {"token": 0, "points": [{"app": "x"}]},
+            {"points": [{"token": 0}]},
+        ],
+        ids=["flat", "empty", "point-without-token", "chunk-without-token"],
+    )
+    def test_put_accepts_chunks_only(self, client, item):
+        client.call("announce", campaign={"id": "c"})
+        reply = client.call("put", campaign="c", item=item)
+        assert not reply["ok"] and "chunk" in reply["error"]
+        assert client.call("campaigns")["campaigns"]["c"]["tasks_pending"] == 0
+
+    def test_take_any_needs_a_hello_and_leases_nothing_without_one(self, client):
+        """A worker that never said hello is not in the registry, so a
+        lease it took could never be requeued when it dies: the take is
+        refused and the chunk stays queued."""
+        client.call("announce", campaign={"id": "c"})
+        client.call("put", campaign="c", item=chunk("c0"))
+        reply = client.call("take_any", worker="stranger", timeout=0.05)
+        assert not reply["ok"] and "hello" in reply["error"]
+        status = client.call("status")["status"]
+        assert status["leases"] == {}
+        assert status["campaigns"]["c"]["tasks_pending"] == 1
+        client.call("hello", proto=BROKER_PROTOCOL, worker="stranger", meta={})
+        assert lease(client, "stranger") == "c0"
+
+    def test_same_numbered_chunks_of_two_campaigns_both_requeue(self, client):
+        """Campaigns number their chunks independently, so one worker may
+        lease chunk 0 of two campaigns at once; when it dies, both go
+        back to their own campaign's queue."""
+        for cid in ("a", "b"):
+            client.call("announce", campaign={"id": cid})
+            client.call("put", campaign=cid, item=chunk(0, points=2))
+        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
+        assert [lease(client, "w"), lease(client, "w")] == [0, 0]
+        status = client.call("status")["status"]
+        assert status["leases"]["w"]["count"] == 2
+        assert {cid: c["leased_points"] for cid, c in status["campaigns"].items()} == {
+            "a": 2,
+            "b": 2,
+        }
+        time.sleep(0.6)  # > TTL: the sweeper presumes a crash
+        fleet = client.call("fleet")["fleet"]
+        assert fleet["requeues"] == 4
+        assert fleet["pending"] == {"a": 1, "b": 1}
 
     def test_goodbye_is_not_a_crash(self, client):
         client.call("hello", proto=BROKER_PROTOCOL, worker="leaver", meta={})
@@ -334,6 +404,35 @@ class TestQueueTransportLifecycle:
             transport.submit_chunk(
                 0, ChunkTask.of([(0, (UrlApp, "Whittemore", {}, {}))])
             )
+
+    def test_start_refuses_a_broker_of_another_protocol(self):
+        """The coordinator pings before it announces: a broker that
+        answers with another protocol is refused, and nothing else is
+        sent to it (a version-3 broker would file every put under a
+        queue literally named "None")."""
+        ops = []
+
+        def answer(listener):
+            conn, _ = listener.accept()
+            with conn:
+                while (message := recv_frame(conn)) is not None:
+                    ops.append(message.get("op"))
+                    reply = {"type": "reply", "ok": True, "proto": BROKER_PROTOCOL - 1}
+                    send_frame(conn, reply)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(target=answer, args=(listener,), daemon=True)
+            thread.start()
+            host, port = listener.getsockname()[:2]
+            transport = QueueTransport(f"{host}:{port}", max_outage_s=0.0)
+            try:
+                with pytest.raises(TransportError, match="protocol"):
+                    transport.start(EnvSpec.from_env(SimulationEnvironment()))
+            finally:
+                transport.close()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert ops == ["ping"]
 
     def test_no_workers_times_out(self):
         transport = QueueTransport(worker_timeout=0.5)
@@ -426,15 +525,15 @@ class TestQueueTransportLifecycle:
                     "params": {},
                     "assignment": {"url_pattern": "AR", "connection": "SLL"},
                 }
-                client.call(
-                    "put", queue="tasks:c", item={"token": "c0", "points": [point]}
-                )
+                item = {"token": "c0", "points": [point]}
+                client.call("put", campaign="c", item=item)
                 assert worker.wait(timeout=30) == WORKER_CRASH_EXIT
                 deadline = time.monotonic() + 10
                 while client.call("fleet")["fleet"]["requeues"] < 1:
                     assert time.monotonic() < deadline, "the lease was lost"
                     time.sleep(0.05)
-                requeued = client.call("take", queue="tasks:c", timeout=1.0)["item"]
+                client.call("hello", proto=BROKER_PROTOCOL, worker="next", meta={})
+                requeued = client.call("take_any", worker="next", timeout=1.0)["item"]
                 assert [p["token"] for p in requeued["points"]] == ["p0"]
             finally:
                 client.close()
@@ -608,6 +707,7 @@ class TestBoundedShutdown:
         with EmbeddedBroker() as broker:
             client = BrokerClient(broker.address)
             try:
+                client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
                 started = time.monotonic()
                 reply = client.call("take_any", worker="w", timeout=5.0, running=1)
                 assert reply["item"] is None and reply["running"] == 0

@@ -55,6 +55,21 @@ def write_raw_records(directory, records):
             handle.write(struct.pack("<II", len(blob), crc) + blob)
 
 
+def chunk(token, points=1):
+    """A chunk item of ``points`` points."""
+    return {"token": token, "points": [{"token": (token, i)} for i in range(points)]}
+
+
+def hello(client, worker):
+    assert client.call("hello", proto=BROKER_PROTOCOL, worker=worker, meta={})["ok"]
+
+
+def lease(client, worker, timeout=0.1):
+    """The token of the chunk ``worker`` leases next, or ``None``."""
+    item = client.call("take_any", worker=worker, timeout=timeout)["item"]
+    return None if item is None else item["token"]
+
+
 # ----------------------------------------------------------------------
 # journal file format
 # ----------------------------------------------------------------------
@@ -77,9 +92,10 @@ class TestJournalFormat:
         [
             (("put", "q", 1), 1),  # a bare entry from a version-1 log
             ({"v": 2, "entry": ("put", "q", 1)}, 2),
+            ({"v": 3, "entry": ("put", "q", 1)}, 3),
             ({"v": RECORD_VERSION + 1, "entry": ("put", "q", 1)}, RECORD_VERSION + 1),
         ],
-        ids=["bare-v1", "v2", "newer"],
+        ids=["bare-v1", "v2", "v3", "newer"],
     )
     def test_record_of_another_version_is_refused(self, tmp_path, record, version):
         """A record of another version is refused, not translated: the
@@ -215,11 +231,11 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as broker:
             client = BrokerClient(broker.address)
             try:
-                for token in (1, 2, 3):
-                    client.call("put", queue="q", item={"token": token})
                 assert client.call("announce", campaign={"id": "c1"})["ok"]
+                for token in (1, 2, 3):
+                    client.call("put", campaign="c1", item=chunk(token))
                 assert client.call(
-                    "push_result", queue="res", token=7, payload={}, worker="w"
+                    "push_result", campaign="c1", token=7, payload={}, worker="w"
                 )["dup"] is False
             finally:
                 client.close()
@@ -227,99 +243,102 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
-                order = [
-                    client.call("take", queue="q", timeout=0.1)["item"]["token"]
-                    for _ in range(3)
-                ]
-                assert order == [1, 2, 3]
+                hello(client, "w")
+                assert [lease(client, "w") for _ in range(3)] == [1, 2, 3]
                 campaigns = client.call("campaigns")["campaigns"]
                 assert list(campaigns) == ["c1"]
                 assert campaigns["c1"]["state"] == "running"
                 # the seen-token set survived: a replayed frame is a dup
                 dup = client.call(
-                    "push_result", queue="res", token=7, payload={}, worker="w"
+                    "push_result", campaign="c1", token=7, payload={}, worker="w"
                 )
                 assert dup["dup"] is True
             finally:
                 client.close()
 
-    def test_v1_journal_is_refused_not_translated(self, tmp_path):
-        """A journal written by the pre-multi-tenant broker -- bare
-        version-1 records, or a snapshot without a campaign registry --
-        is refused with a warning naming the version: the successor
-        registers no campaign and serves none of its tasks."""
-        campaign = {"id": "c1", "tasks": "tasks:c1", "results": "results:c1"}
-        write_raw_records(
-            tmp_path,
-            [
-                ("reset", campaign, {"w": 4}),
-                ("put", "tasks:c1", {"token": 0}),
-            ],
-        )
-        with pytest.warns(JournalWarning, match="record version 1"):
-            broker = EmbeddedBroker(journal=tmp_path)
-        with broker:
-            client = BrokerClient(broker.address)
-            try:
-                reply = client.call("campaigns")
-                assert reply["campaigns"] == {} and reply["running"] == 0
-                client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
-                take = client.call("take_any", worker="w", timeout=0.05)
-                assert take["ok"] and take["item"] is None
-                assert client.call("take", queue="tasks:c1")["item"] is None
-            finally:
-                client.close()
-
-        # a version-1 snapshot: the single campaign lived in the KV table
-        for name in (SNAPSHOT_NAME, LOG_NAME):
-            (tmp_path / name).unlink()
-        (tmp_path / SNAPSHOT_NAME).write_bytes(
-            pickle.dumps(
-                {
-                    "queues": {"tasks:c1": [{"token": 0}]},
-                    "kv": {"campaign": campaign, "state": "running"},
-                }
-            )
-        )
-        with pytest.warns(JournalWarning, match="record version 1"):
-            broker = EmbeddedBroker(journal=tmp_path)
-        with broker:
-            client = BrokerClient(broker.address)
-            try:
-                assert client.call("campaigns")["campaigns"] == {}
-                assert client.call("take", queue="tasks:c1")["item"] is None
-            finally:
-                client.close()
-
-    def test_v2_snapshot_restores_its_campaign_registry(self, tmp_path):
-        """A version-2 snapshot carries the same campaign registry as a
-        current one, so it restores; its key-value table is ignored."""
-        campaign = {
+    def test_older_journals_are_refused_not_translated(self, tmp_path):
+        """A journal written by an older build -- a version-1 or
+        version-3 log, or an unversioned (version-3 or older) snapshot
+        -- is refused with one warning naming the version: the successor
+        registers no campaign and serves none of its chunks."""
+        v3_campaign = {
             "id": "c1",
             "tasks": "tasks:c1",
             "results": "results:c1",
+            "spec": None,
             "priority": 1.0,
-            "state": "running",
         }
-        (tmp_path / SNAPSHOT_NAME).write_bytes(
-            pickle.dumps(
-                {
-                    "queues": {"tasks:c1": [{"token": 0}]},
-                    "seen": {},
-                    "kv": {"quota:c1:w": 6},
-                    "campaigns": {"c1": campaign},
-                }
-            )
-        )
+        v3_snapshot = {
+            "queues": {"tasks:c1": [chunk(0)]},
+            "seen": {"results:c1": set()},
+            "campaigns": {"c1": {**v3_campaign, "state": "running"}},
+            "leases": {},
+            "delivered": {},
+            "seen_workers": set(),
+            "crashes": {},
+            "quarantined": [],
+            "requeues": 0,
+            "dup_results": 0,
+        }
+        v3_log = [
+            {"v": 3, "entry": ("announce", v3_campaign)},
+            {"v": 3, "entry": ("put", "tasks:c1", chunk(1))},
+        ]
+        cases = [
+            ("record version 1", None, [("reset", v3_campaign, {"w": 4})]),
+            ("record version 3", None, v3_log),
+            ("record version 3 or older", v3_snapshot, v3_log),
+        ]
+        for version, snapshot, log in cases:
+            for name in (SNAPSHOT_NAME, LOG_NAME):
+                (tmp_path / name).unlink(missing_ok=True)
+            if snapshot is not None:
+                (tmp_path / SNAPSHOT_NAME).write_bytes(pickle.dumps(snapshot))
+            write_raw_records(tmp_path, log)
+            with pytest.warns(JournalWarning, match=version) as caught:
+                broker = EmbeddedBroker(journal=tmp_path)
+            refusals = [w for w in caught if issubclass(w.category, JournalWarning)]
+            assert len(refusals) == 1, version
+            with broker:
+                client = BrokerClient(broker.address)
+                try:
+                    reply = client.call("campaigns")
+                    assert reply["campaigns"] == {} and reply["running"] == 0
+                    hello(client, "w")
+                    assert lease(client, "w", timeout=0.05) is None
+                    take = client.call("take", campaign="c1", ack=[], timeout=0.0)
+                    assert not take["ok"] and "unknown campaign" in take["error"]
+                finally:
+                    client.close()
+
+    def test_late_result_for_a_withdrawn_campaign_leaves_no_state(self, tmp_path):
+        """A worker's push for a campaign that was concluded and
+        withdrawn is answered and dropped: no campaign, result or seen
+        token appears, live or after a journaled restart."""
         with EmbeddedBroker(journal=tmp_path) as broker:
             client = BrokerClient(broker.address)
             try:
-                reply = client.call("campaigns")
-                assert list(reply["campaigns"]) == ["c1"] and reply["running"] == 1
-                take = client.call("take_any", worker="w", timeout=0.05)
-                assert take["campaign"] == "c1" and take["item"] == {"token": 0}
+                client.call("announce", campaign={"id": "gone"})
+                client.call("conclude", campaign="gone")
+                client.call("withdraw", campaign="gone")
+                late = client.call(
+                    "push_result", campaign="gone", token=3, payload={}, worker="w"
+                )
+                assert late["ok"] and late["dropped"]
+                status = client.call("status")["status"]
             finally:
                 client.close()
+        assert status["campaigns"] == {} and status["fleet"]["pending"] == {}
+        assert status["fleet"]["dup_results"] == 0
+        with EmbeddedBroker(journal=tmp_path) as successor:
+            client = BrokerClient(successor.address)
+            try:
+                status = client.call("status")["status"]
+                take = client.call("take", campaign="gone", ack=[], timeout=0.0)
+            finally:
+                client.close()
+        assert status["campaigns"] == {} and status["fleet"]["pending"] == {}
+        assert not take["ok"]
 
     def test_journaled_lease_requeued_at_front_for_other_workers(self, tmp_path):
         """A lease held when the broker died is requeued at the *front*
@@ -330,13 +349,11 @@ class TestBrokerReplay:
         broker.start()
         client = BrokerClient(broker.address)
         try:
-            client.call("put", queue="q", item={"token": "leased"})
-            client.call("put", queue="q", item={"token": "second"})
-            client.call(
-                "hello", proto=BROKER_PROTOCOL, worker="doomed", meta={}
-            )
-            taken = client.call("take", queue="q", worker="doomed", timeout=0.1)
-            assert taken["item"]["token"] == "leased"
+            client.call("announce", campaign={"id": "c"})
+            client.call("put", campaign="c", item=chunk("leased"))
+            client.call("put", campaign="c", item=chunk("second"))
+            hello(client, "doomed")
+            assert lease(client, "doomed") == "leased"
         finally:
             # broker first: this is the broker dying, not the worker --
             # a client hangup before broker close would be blamed on
@@ -346,15 +363,8 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
-                client.call(
-                    "hello", proto=BROKER_PROTOCOL, worker="survivor", meta={}
-                )
-                order = [
-                    client.call(
-                        "take", queue="q", worker="survivor", timeout=0.1
-                    )["item"]["token"]
-                    for _ in range(2)
-                ]
+                hello(client, "survivor")
+                order = [lease(client, "survivor") for _ in range(2)]
                 assert order == ["leased", "second"]
                 fleet = client.call("fleet")["fleet"]
                 assert fleet["requeues"] == 1
@@ -372,19 +382,16 @@ class TestBrokerReplay:
         broker.start()
         client = BrokerClient(broker.address)
         try:
-            client.call(
-                "put", queue="q", item={"token": "c0", "points": points}
-            )
-            client.call(
-                "hello", proto=BROKER_PROTOCOL, worker="doomed", meta={}
-            )
-            taken = client.call("take", queue="q", worker="doomed", timeout=0.1)
+            client.call("announce", campaign={"id": "c"})
+            client.call("put", campaign="c", item={"token": "c0", "points": points})
+            hello(client, "doomed")
+            taken = client.call("take_any", worker="doomed", timeout=0.1)
             assert [p["token"] for p in taken["item"]["points"]] == [
                 "p0", "p1", "p2",
             ]
             # the first point of the chunk completes and is journaled
             assert client.call(
-                "push_result", queue="res", token="p0", payload={},
+                "push_result", campaign="c", token="p0", payload={},
                 worker="doomed",
             )["dup"] is False
         finally:
@@ -394,12 +401,8 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
-                client.call(
-                    "hello", proto=BROKER_PROTOCOL, worker="survivor", meta={}
-                )
-                again = client.call(
-                    "take", queue="q", worker="survivor", timeout=0.1
-                )
+                hello(client, "survivor")
+                again = client.call("take_any", worker="survivor", timeout=0.1)
                 # only the unfinished remainder of the chunk came back
                 assert [p["token"] for p in again["item"]["points"]] == [
                     "p1", "p2",
@@ -409,38 +412,43 @@ class TestBrokerReplay:
                 assert fleet["crashes"] == {}
                 # the completed point is still a duplicate after replay
                 assert client.call(
-                    "push_result", queue="res", token="p0", payload={},
+                    "push_result", campaign="c", token="p0", payload={},
                     worker="survivor",
                 )["dup"] is True
             finally:
                 client.close()
 
     def test_unacked_coordinator_delivery_redelivered_after_restart(self, tmp_path):
-        """A worker-less take (the coordinator popping results) that was
-        never acked by a follow-up take is redelivered on restart --
-        at-least-once, with the stale-token skip making it safe."""
+        """A result the coordinator took but never acked by a follow-up
+        take is redelivered on restart -- at-least-once, with the
+        stale-token skip making it safe."""
+
+        def take(client, ack=()):
+            reply = client.call(
+                "take", campaign="c", ack=list(ack), max=8, timeout=0.05
+            )
+            return [item["token"] for item in reply["items"]]
+
         with EmbeddedBroker(journal=tmp_path) as broker:
             client = BrokerClient(broker.address)
             try:
-                client.call("put", queue="res", item={"token": 1})
-                taken = client.call("take", queue="res", timeout=0.1)
-                assert taken["item"]["token"] == 1  # delivered, never acked
+                client.call("announce", campaign={"id": "c"})
+                client.call("push_result", campaign="c", token=1, payload={})
+                assert take(client) == [1]  # delivered, never acked
             finally:
                 client.close()
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
-                again = client.call("take", queue="res", timeout=0.1)
-                assert again["item"]["token"] == 1
+                assert take(client) == [1]
                 # acking clears it: nothing is redelivered a third time
-                empty = client.call("take", queue="res", timeout=0.05, ack=1)
-                assert empty["item"] is None
+                assert take(client, ack=[1]) == []
             finally:
                 client.close()
         with EmbeddedBroker(journal=tmp_path) as third:
             client = BrokerClient(third.address)
             try:
-                assert client.call("take", queue="res", timeout=0.05)["item"] is None
+                assert take(client) == []
             finally:
                 client.close()
 
@@ -448,12 +456,17 @@ class TestBrokerReplay:
         """With a tiny compaction interval, concurrent producers force
         compactions mid-stream; the restarted state is still exact."""
         with EmbeddedBroker(journal=tmp_path, compact_every=5) as broker:
+            announcer = BrokerClient(broker.address)
+            try:
+                announcer.call("announce", campaign={"id": "c"})
+            finally:
+                announcer.close()
 
             def produce(start):
                 mine = BrokerClient(broker.address)
                 try:
                     for i in range(start, start + 20):
-                        mine.call("put", queue="q", item={"token": i})
+                        mine.call("put", campaign="c", item=chunk(i))
                 finally:
                     mine.close()
 
@@ -469,12 +482,10 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
+                hello(client, "w")
                 tokens = set()
-                while True:
-                    item = client.call("take", queue="q", timeout=0.05)["item"]
-                    if item is None:
-                        break
-                    tokens.add(item["token"])
+                while (token := lease(client, "w", timeout=0.05)) is not None:
+                    tokens.add(token)
                 assert tokens == set(range(20)) | set(range(100, 120))
             finally:
                 client.close()
@@ -503,11 +514,11 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as broker:
             client = BrokerClient(broker.address)
             try:
-                client.call("put", queue="q", item={"token": 1})
-                client.call(
-                    "hello", proto=BROKER_PROTOCOL, worker="w", meta={}
-                )
-                client.call("take", queue="q", worker="w", timeout=0.1)
+                client.call("announce", campaign={"id": "c"})
+                client.call("put", campaign="c", item=chunk(1, points=3))
+                client.call("push_result", campaign="c", token=(1, 0), payload={})
+                hello(client, "w")
+                assert lease(client, "w") == 1
                 status = client.call("status")["status"]
             finally:
                 client.close()
@@ -515,6 +526,15 @@ class TestBrokerReplay:
         assert status["proto"] == BROKER_PROTOCOL
         assert status["uptime_s"] >= 0
         assert status["leases"]["w"]["count"] == 1
+        assert status["campaigns"]["c"] == {
+            "state": "running",
+            "priority": 1.0,
+            "tasks_pending": 0,
+            "results_pending": 1,
+            "results_seen": 1,
+            "unacked": 0,
+            "leased_points": 3,
+        }
         assert status["journal"]["directory"] == str(tmp_path)
         assert "w" in status["fleet"]["live"]
 
@@ -539,7 +559,8 @@ class TestBrokerReconnect:
         client = BrokerClient(address, max_outage_s=30.0)
         successor = []
         try:
-            client.call("put", queue="q", item={"token": 1})
+            client.call("announce", campaign={"id": "c"})
+            client.call("put", campaign="c", item=chunk(1))
 
             def restart():
                 time.sleep(0.3)
@@ -551,9 +572,9 @@ class TestBrokerReconnect:
             stagehand = threading.Thread(target=restart)
             stagehand.start()
             time.sleep(0.4)  # land the call inside the outage window
-            taken = client.call("take", queue="q", timeout=0.2)
+            campaigns = client.call("campaigns")["campaigns"]
             stagehand.join()
-            assert taken["item"]["token"] == 1
+            assert campaigns["c"]["tasks_pending"] == 1
             assert client.reconnects == 1
             assert client.last_outage_s > 0
         finally:

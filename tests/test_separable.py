@@ -9,7 +9,9 @@ this file is the oracle, and it checks that lanes never leak into each
 other.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -158,6 +160,30 @@ def test_roving_lane_keeps_its_own_cursor(names):
         alone = ddt_class(name)(MemoryProfiler().new_pool("rec", name), spec)
         drive(alone)
         assert lane.pool.snapshot() == alone.pool.snapshot()
+
+
+def test_disposed_lanes_die_with_their_last_reference():
+    """``dispose()`` unlinks the lanes, so a disposed multi-lane
+    structure is freed by reference counting alone: with the cyclic
+    collector off, no lane outlives the last reference to it."""
+    spec = RecordSpec("rec", size_bytes=24, key_bytes=4)
+    profiler = MemoryProfiler()
+    gc.collect()
+    gc.disable()
+    try:
+        lanes = [
+            ddt_class(name)(profiler.new_pool("rec", name), spec) for name in LIBRARY
+        ]
+        structure = lanes[0].join_lanes(lanes[1:])
+        for value in range(20):
+            structure.append(value)
+        structure.find(lambda item: item == 7)
+        structure.dispose()
+        refs = [weakref.ref(lane) for lane in lanes]
+        del lanes, structure
+        assert [ref() for ref in refs] == [None] * len(LIBRARY)
+    finally:
+        gc.enable()
 
 
 class _AssignmentCharging(NetworkApplication):
