@@ -5,25 +5,27 @@ decouples worker lifetime from the coordinator, over the
 length-prefixed pickle frames of :mod:`repro.core.transport`:
 
 * :class:`EmbeddedBroker` -- a threaded TCP server holding one record
-  per announced campaign (its chunk queue, its result queue with
+  per announced campaign (its queue of lane runs, its result queue with
   **duplicate-result rejection by token**, and its unacknowledged
-  deliveries), the chunk leases of every worker, and a **worker
-  registry with heartbeat TTLs**.  Every op names the campaign it acts
-  on.  A worker that stops heartbeating (or whose connection drops) has
-  its leased chunks requeued at the front of their campaign's queue and
-  its crash counted; repeat offenders are quarantined.
+  deliveries), the leases of every worker, and a **worker registry
+  with heartbeat TTLs**.  Every op names the campaign it acts on, and
+  a lane run is the unit it queues, leases and requeues.  A worker that
+  stops heartbeating (or whose connection drops, or whose id a new
+  process registers) has its leased runs requeued at the front of their
+  campaign's queue and its crash counted; repeat offenders are
+  quarantined.
 * :class:`QueueTransport` -- a
   :class:`~repro.core.transport.WorkerTransport` implemented *against*
   a broker instead of against worker connections.  The coordinator
-  puts chunk items and takes result frames; workers pull.  Workers can
+  puts lane runs and takes result frames; workers pull.  Workers can
   therefore join, leave, and rejoin mid-campaign without the
   coordinator noticing anything beyond throughput.
 * :func:`serve_queue_worker` -- the worker loop behind ``ddt-explore
   worker --connect-broker``.  Each worker advertises a **capacity** in
   its hello (parallel simulation slots and cores) and keeps that many
-  points in flight.  A worker with ``capacity > 1`` runs its leased
-  points on a local process pool, so a 4-core box genuinely completes
-  ~4x the points of a 1-core box.
+  lane runs leased.  A worker with ``capacity > 1`` runs its leased
+  runs on a local process pool, so a 4-core box genuinely completes
+  ~4x the runs of a 1-core box.
 
 Dispatch is thus capacity-weighted by construction -- a pull model in
 which each worker's capacity is its weight.  What each worker did in
@@ -31,7 +33,7 @@ one campaign is reported by :meth:`QueueTransport.worker_stats` and
 never carried into the next.
 
 Determinism is untouched: results are slotted by submission token, the
-broker deduplicates tokens (a requeued point that completes twice is
+broker deduplicates tokens (a requeued run that completes twice is
 delivered once), and a record is a pure function of ``(application,
 config, assignment)`` -- so queue-transport campaigns are bit-identical
 on ``SimulationRecord.content_key()`` to serial runs (asserted by
@@ -56,7 +58,7 @@ queue, and act on that campaign's record alone, so one tenant can never
 drain or poison another's state; ``withdraw`` drops the record and its
 leases whole, and an op on a campaign the broker does not know creates
 nothing.  Workers subscribe to the *broker*, not a campaign:
-``take_any`` leases chunks across every running campaign under
+``take_any`` leases runs across every running campaign under
 **deficit round-robin** fair scheduling, weighted by each campaign's
 announced ``--priority``.  A campaign is a job submitted to the
 cluster; coordinators register on start and tear down (conclude, then
@@ -108,12 +110,13 @@ __all__ = [
 ]
 
 #: Broker wire-protocol version; a worker's hello and a coordinator's
-#: ping must match it exactly.  Version 3 chunk entries are lane runs
-#: (each assignment maps a structure to a tuple of DDTs).  Version 4
-#: names a campaign id in every op where version 3 named a queue, so a
-#: version-3 peer is refused instead of having its work filed under a
-#: queue nobody reads.
-BROKER_PROTOCOL = 4
+#: ping must match it exactly.  Version 3 entries are lane runs (each
+#: assignment maps a structure to a tuple of DDTs).  Version 4 names a
+#: campaign id in every op where version 3 named a queue.  Version 5
+#: queues, leases and returns single lane runs where version 4 moved
+#: chunks of them, so an older peer is refused instead of misreading
+#: every item.
+BROKER_PROTOCOL = 5
 
 #: Sequence for campaign ids minted by :meth:`QueueTransport.start`.
 _CAMPAIGN_SEQ = count()
@@ -124,12 +127,11 @@ _CAMPAIGN_SEQ = count()
 #: only a listener that accepted but stopped answering reaches it.
 REPLY_TIMEOUT_S = 30.0
 
-#: Base deficit-round-robin quantum, in exploration *points* per visit.
-#: Each running campaign banks ``DRR_QUANTUM * priority`` points every
-#: time the scheduler's rotation reaches it, and may lease work while
-#: its deficit covers the head chunk's point count -- so over time the
-#: leased-point ratio between two busy campaigns converges to their
-#: priority ratio, independent of chunk sizes.
+#: Base deficit-round-robin quantum, in lane runs per visit.  Each
+#: running campaign banks ``DRR_QUANTUM * priority`` runs every time the
+#: scheduler's rotation reaches it, and leases one run per unit of
+#: deficit -- so the leased-run ratio between two busy campaigns
+#: follows their priority ratio.
 DRR_QUANTUM = 8.0
 
 
@@ -144,21 +146,6 @@ def _mint_campaign_id() -> str:
     return (
         f"c{socket.gethostname()}-{os.getpid()}-"
         f"{next(_CAMPAIGN_SEQ)}-{random.randrange(16 ** 6):06x}"
-    )
-
-
-def _is_chunk(item: Any) -> bool:
-    """Whether ``item`` is a task the broker accepts: a chunk
-    ``{"token", "points": [...]}`` of at least one point, every point a
-    dict with its own ``token`` (results release a lease point by
-    point, so a point without a token could never be released)."""
-    if not isinstance(item, dict) or "token" not in item:
-        return False
-    points = item.get("points")
-    return (
-        isinstance(points, list)
-        and bool(points)
-        and all(isinstance(point, dict) and "token" in point for point in points)
     )
 
 
@@ -217,7 +204,7 @@ class _Campaign:
     priority: float = 1.0
     #: ``"running"`` until the coordinator concludes it, then ``"done"``.
     state: str = "running"
-    #: chunk items waiting for a lease, FIFO.
+    #: lane runs waiting for a lease, FIFO.
     tasks: deque = field(default_factory=deque)
     #: result frames waiting for the coordinator, FIFO.
     results: deque = field(default_factory=deque)
@@ -227,7 +214,7 @@ class _Campaign:
     delivered: dict = field(default_factory=dict)
     #: the connection taking results; a new one gets the unacked again.
     consumer: Any = None
-    #: deficit round-robin balance, in points.
+    #: deficit round-robin balance, in lane runs.
     deficit: float = 0.0
 
 
@@ -238,7 +225,7 @@ class EmbeddedBroker:
     """Dependency-free TCP broker serving campaigns to a worker fleet.
 
     One broker serves **any number of concurrent campaigns**: each
-    announced campaign owns one record (chunk queue, result queue,
+    announced campaign owns one record (run queue, result queue,
     seen tokens, unacknowledged deliveries), every op names the
     campaign it acts on, and the worker-facing ``take_any`` op
     arbitrates between running campaigns with priority-weighted deficit
@@ -256,15 +243,15 @@ class EmbeddedBroker:
         the constructor so the address is known before anything runs.
     heartbeat_ttl:
         Seconds a worker may go silent before it is presumed crashed:
-        its leased chunks are requeued at the *front* of their
-        campaign's queue and its crash count incremented.  Announced to
-        workers in the hello reply, which heartbeat at ``ttl / 3``;
-        *every* op from a registered worker re-arms its TTL, so the TTL
-        only needs to outlast a single simulation point (a capacity-1
-        worker cannot heartbeat while simulating inline).  A spuriously
-        expired worker heals on its next heartbeat (re-registered, crash
-        count kept) and the duplicate-token rejection keeps its
-        twice-run points single-delivery, so results survive a too-small
+        its leased runs are requeued at the *front* of their campaign's
+        queue and its crash count incremented.  Announced to workers in
+        the hello reply, which heartbeat at ``ttl / 3``; *every* op from
+        a registered worker re-arms its TTL, so the TTL only needs to
+        outlast a single lane run (a capacity-1 worker cannot heartbeat
+        while simulating inline).  A spuriously expired worker heals on
+        its next heartbeat (re-registered, crash count kept) and the
+        duplicate-token rejection keeps its twice-run runs
+        single-delivery, so results survive a too-small
         TTL -- it only costs repeat work and, eventually, quarantine.
     quarantine_after:
         Crash count at which a worker id is quarantined; its hellos,
@@ -309,13 +296,13 @@ class EmbeddedBroker:
         #: the campaign deficit round-robin is serving (runtime-only).
         self._drr_current: str | None = None
         self._workers: dict[str, _BrokerWorker] = {}
-        #: worker id -> {(campaign id, chunk token): (chunk, grant
-        #: time)}; requeued at the queue front when the worker dies --
-        #: or when the *broker* is restarted on a journal (the lease
-        #: grants are journaled).  Keyed by campaign too: campaigns
-        #: number their chunks independently, and one worker may hold
-        #: chunks of several.  The grant time only ages leases in
-        #: ``status``; a lease that survives a restart is requeued.
+        #: worker id -> {(campaign id, run token): (run, grant time)};
+        #: requeued at the queue front when the worker dies -- or when
+        #: the *broker* is restarted on a journal (the lease grants are
+        #: journaled).  Keyed by campaign too: campaigns number their
+        #: runs independently, and one worker may hold runs of several.
+        #: The grant time only ages leases in ``status``; a lease that
+        #: survives a restart is requeued.
         self._leases: dict[str, dict[tuple[str, Any], tuple[dict, float]]] = {}
         self._seen_workers: set[str] = set()
         self._crashes: dict[str, int] = {}
@@ -477,21 +464,19 @@ class EmbeddedBroker:
                 self._cond.wait_for(lambda: self._closed, timeout=interval)
 
     def _requeue_leases_locked(self, worker_id: str, count: bool) -> None:
-        """Hand a departing worker's leased chunks back, at the queue front.
+        """Hand a departing worker's leased runs back, at the queue front.
 
         ``count`` distinguishes a presumed crash (tracked on the
         ``requeues`` counter the drills assert on) from a clean goodbye.
-        Requeues count points: a half-finished chunk was already
-        stripped of its completed points by the ``result`` reducer.
         """
         held = self._leases.pop(worker_id, None) or {}
-        for (cid, _token), (chunk, _granted) in reversed(list(held.items())):
-            self._campaigns[cid].tasks.appendleft(chunk)
+        for (cid, _token), (run, _granted) in reversed(list(held.items())):
+            self._campaigns[cid].tasks.appendleft(run)
             if count:
-                self._requeues += len(chunk["points"])
+                self._requeues += 1
 
     def _drop_campaign_locked(self, cid: str) -> None:
-        """Drop one campaign's record and every lease on its chunks;
+        """Drop one campaign's record and every lease on its runs;
         every other tenant's state is untouched."""
         self._campaigns.pop(cid, None)
         if self._drr_current == cid:
@@ -501,28 +486,6 @@ class EmbeddedBroker:
                 del held[key]
             if not held:
                 del self._leases[worker_id]
-
-    def _release_point_locked(self, worker_id: str, cid: str, token: Any) -> None:
-        """Strip one completed point from the worker's lease on its chunk.
-
-        This runs inside the journaled ``result`` reducer, so both the
-        live broker and a journal replay agree point-for-point on what a
-        lease still owes: a crash (or broker restart) after a half-acked
-        chunk requeues only the unfinished points, and the ``seen``
-        dedup set makes any overlap harmless.
-        """
-        held = self._leases.get(worker_id) or {}
-        for key, (chunk, granted) in held.items():
-            if key[0] != cid:
-                continue
-            rest = [point for point in chunk["points"] if point["token"] != token]
-            if len(rest) == len(chunk["points"]):
-                continue
-            if rest:
-                held[key] = ({**chunk, "points": rest}, granted)
-            else:
-                del held[key]
-            return
 
     def _fail_worker_locked(self, worker_id: str) -> None:
         """Presume one worker crashed: requeue leases, count the crash."""
@@ -554,15 +517,15 @@ class EmbeddedBroker:
                 self._journal.compact(self._snapshot_locked())
         op = entry[0]
         if op == "put":
-            _, cid, chunk = entry
-            self._campaigns[cid].tasks.append(chunk)
+            _, cid, runs = entry
+            self._campaigns[cid].tasks.extend(runs)
             return None
         if op == "lease":
             _, cid, worker_id = entry
-            chunk = self._campaigns[cid].tasks.popleft()
+            run = self._campaigns[cid].tasks.popleft()
             held = self._leases.setdefault(worker_id, {})
-            held[(cid, chunk["token"])] = (chunk, time.monotonic())
-            return chunk
+            held[(cid, run["token"])] = (run, time.monotonic())
+            return run
         if op == "take":
             # The coordinator acknowledges what it saw, then takes up
             # to ``limit`` results; they stay delivered until acked.
@@ -579,8 +542,8 @@ class EmbeddedBroker:
         if op == "result":
             _, cid, token, payload, worker_id = entry
             campaign = self._campaigns[cid]
-            if worker_id is not None:
-                self._release_point_locked(worker_id, cid, token)
+            # A result ends its run's lease.
+            self._leases.get(worker_id, {}).pop((cid, token), None)
             if token in campaign.seen:
                 self._dup_results += 1
                 return True  # duplicate: deliver exactly once
@@ -626,7 +589,7 @@ class EmbeddedBroker:
             return None
         if op == "recover":
             # Broker restart: every un-acked delivery goes back to its
-            # result queue front, then every lease to its chunk queue
+            # result queue front, then every lease to its run queue
             # front.  Requeues are counted (they are real repeat work)
             # but no crashes -- workers are blameless.
             for campaign in self._campaigns.values():
@@ -717,24 +680,22 @@ class EmbeddedBroker:
     def _running_locked(self) -> int:
         return sum(c.state == "running" for c in self._campaigns.values())
 
-    def _leased_points_locked(self) -> dict[str, int]:
-        """Points currently leased, per campaign id."""
+    def _leased_runs_locked(self) -> dict[str, int]:
+        """Lane runs currently leased, per campaign id."""
         leased: dict[str, int] = {}
         for held in self._leases.values():
-            for (cid, _token), (chunk, _granted) in held.items():
-                leased[cid] = leased.get(cid, 0) + len(chunk["points"])
+            for cid, _token in held:
+                leased[cid] = leased.get(cid, 0) + 1
         return leased
 
     def _drr_pick_locked(self) -> _Campaign | None:
         """Pick the campaign the next ``take_any`` lease comes from.
 
         Stateful deficit round-robin: the current campaign keeps serving
-        while its banked deficit covers its head chunk's point count;
-        otherwise the rotation moves on, each visited campaign banking
-        ``DRR_QUANTUM * priority`` points, until one can afford its
-        head.  Two full rounds always suffice for sanely sized chunks;
-        a pathological oversized head chunk falls back to the fullest
-        deficit so progress never stalls.
+        while its banked deficit covers one run; otherwise the rotation
+        moves on, each visited campaign banking ``DRR_QUANTUM *
+        priority`` runs, until one can afford a run.  Every visit banks
+        a positive amount, so the loop ends.
         """
         active = [
             campaign
@@ -746,26 +707,23 @@ class EmbeddedBroker:
         ids = [campaign.id for campaign in active]
         if self._drr_current in ids:
             index = ids.index(self._drr_current)
-            current = active[index]
-            if current.deficit >= len(current.tasks[0]["points"]):
-                return current
-            start = index + 1
+            if active[index].deficit >= 1:
+                return active[index]
+            index += 1
         else:
-            start = 0
-        for step in range(2 * len(active)):
-            campaign = active[(start + step) % len(active)]
+            index = 0
+        while True:
+            campaign = active[index % len(active)]
             campaign.deficit += DRR_QUANTUM * max(campaign.priority, 0.01)
-            if campaign.deficit >= len(campaign.tasks[0]["points"]):
+            if campaign.deficit >= 1:
                 self._drr_current = campaign.id
                 return campaign
-        fullest = max(active, key=lambda campaign: campaign.deficit)
-        self._drr_current = fullest.id
-        return fullest
+            index += 1
 
     def _touch_locked(self, worker_id: str) -> None:
         """Any op from a registered worker is proof of life: re-arm its
-        TTL, so a capacity-1 worker blocked in one long inline point only
-        needs the TTL to outlast a single simulation, not a whole batch.
+        TTL, so a capacity-1 worker blocked in one long inline run only
+        needs the TTL to outlast that run.
         """
         entry = self._workers.get(worker_id)
         if entry is not None:
@@ -797,19 +755,28 @@ class EmbeddedBroker:
         return {"ok": True, "proto": BROKER_PROTOCOL}
 
     def _op_put(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Queue one chunk on its campaign (journaled)."""
-        chunk = message.get("item")
-        if not _is_chunk(chunk):
+        """Queue lane runs on their campaign (one journal entry).
+
+        ``runs`` must be a non-empty list of runs, each a dict with its
+        own ``token``: a result ends a lease by token, so a run without
+        one could never be released.
+        """
+        runs = message.get("runs")
+        if not (
+            isinstance(runs, list)
+            and runs
+            and all(isinstance(run, dict) and "token" in run for run in runs)
+        ):
             return {
                 "ok": False,
-                "error": 'a task must be a chunk {"token", "points": [...]} '
-                "whose every point has a token",
+                "error": 'put needs "runs": a non-empty list of lane runs, '
+                "each with a token",
             }
         with self._cond:
             campaign = self._campaign_locked(message)
             if campaign is None:
                 return self._unknown_campaign(message)
-            self._apply_locked(("put", campaign.id, chunk))
+            self._apply_locked(("put", campaign.id, runs))
             self._cond.notify_all()
             return {"ok": True, "size": len(campaign.tasks)}
 
@@ -850,11 +817,11 @@ class EmbeddedBroker:
             return {"ok": True, "items": items, "fleet": self._fleet_locked()}
 
     def _op_take_any(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Lease a chunk from whichever running campaign DRR picks.
+        """Lease one lane run from whichever running campaign DRR picks.
 
         The worker op: the worker subscribes to the broker, not a
-        campaign, and every reply names the campaign the chunk came
-        from, so results are pushed back to the right one.  Only a
+        campaign, and every reply names the campaign the run came from,
+        so its result is pushed back to the right one.  Only a
         worker that said hello may lease (its lease must be requeued if
         it dies).  ``running`` counts running campaigns -- workers exit
         once they have observed at least one campaign and the count
@@ -886,11 +853,11 @@ class EmbeddedBroker:
                 running = self._running_locked()
                 campaign = self._drr_pick_locked()
                 if campaign is not None:
-                    chunk = self._apply_locked(("lease", campaign.id, worker_id))
-                    campaign.deficit -= len(chunk["points"])
+                    run = self._apply_locked(("lease", campaign.id, worker_id))
+                    campaign.deficit -= 1
                     return {
                         "ok": True,
-                        "item": chunk,
+                        "item": run,
                         "campaign": campaign.id,
                         "running": running,
                     }
@@ -909,7 +876,7 @@ class EmbeddedBroker:
         pickle, like every frame) -- what workers hydrate environments
         from and coordinators poll during teardown."""
         with self._cond:
-            leased = self._leased_points_locked()
+            leased = self._leased_runs_locked()
             campaigns = {
                 cid: {
                     "id": cid,
@@ -931,17 +898,21 @@ class EmbeddedBroker:
         coordinators must never silently cross-wire one campaign, and a
         reconnecting coordinator re-announces only after its campaign
         concluded or was withdrawn.  Re-announcing a concluded id starts
-        it from a fresh record.
+        it from a fresh record.  A priority must be a positive finite
+        number: deficit round-robin banks ``DRR_QUANTUM * priority`` per
+        visit until a campaign can afford a run.
         """
         campaign = dict(message.get("campaign") or {})
         cid = campaign.get("id")
         if not cid or not isinstance(cid, str):
             return {"ok": False, "error": "announce requires a campaign id"}
-        announced = {
-            "id": cid,
-            "spec": campaign.get("spec"),
-            "priority": float(campaign.get("priority") or 1.0),
-        }
+        priority = float(campaign.get("priority") or 1.0)
+        if not 0 < priority < float("inf"):
+            return {
+                "ok": False,
+                "error": f"priority must be a finite number > 0, not {priority!r}",
+            }
+        announced = {"id": cid, "spec": campaign.get("spec"), "priority": priority}
         with self._cond:
             existing = self._campaigns.get(cid)
             if existing is not None and existing.state == "running":
@@ -972,7 +943,7 @@ class EmbeddedBroker:
             return {"ok": True}
 
     def _op_push_result(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Accept one point's result for its campaign (journaled).
+        """Accept one lane run's result for its campaign (journaled).
 
         A result for a campaign the broker no longer knows (withdrawn,
         its leases with it) is answered and dropped, leaving no state.
@@ -984,7 +955,7 @@ class EmbeddedBroker:
             campaign = self._campaign_locked(message)
             if campaign is None:
                 return {"ok": True, "dropped": True}
-            # A requeued point that both the presumed-dead and the
+            # A requeued run that both the presumed-dead and the
             # replacement worker completed -- or a reconnecting worker
             # replaying its last un-replied push -- deliver exactly once.
             dup = self._apply_locked(
@@ -1021,12 +992,23 @@ class EmbeddedBroker:
         return {"ok": True, "ttl": self.heartbeat_ttl, "running": running}
 
     def _op_hello(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
+        """Register a worker.
+
+        A hello naming a live id with another ``pid`` comes from a new
+        process: its predecessor died, possibly before the broker read
+        its connection's end, so that incarnation is failed first (its
+        leases requeued, its crash counted).  A same-pid hello -- the
+        worker re-registering after a reconnect -- keeps its leases.
+        """
         if message.get("proto") != BROKER_PROTOCOL:
             return {"ok": False, "error": "broker protocol mismatch"}
+        worker_id = str(message.get("worker"))
+        meta = dict(message.get("meta") or {})
         with self._cond:
-            return self._register_locked(
-                str(message.get("worker")), dict(message.get("meta") or {}), conn
-            )
+            entry = self._workers.get(worker_id)
+            if entry is not None and meta.get("pid") != entry.meta.get("pid"):
+                self._fail_worker_locked(worker_id)
+            return self._register_locked(worker_id, meta, conn)
 
     def _op_heartbeat(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         # Carries the meta too, so a worker whose entry expired while it
@@ -1058,13 +1040,13 @@ class EmbeddedBroker:
                 str(worker_id): {
                     "count": len(held),
                     "oldest_age_s": round(
-                        now - min(granted for _chunk, granted in held.values()), 3
+                        now - min(granted for _run, granted in held.values()), 3
                     ),
                 }
                 for worker_id, held in self._leases.items()
                 if held
             }
-            leased = self._leased_points_locked()
+            leased = self._leased_runs_locked()
             campaigns = {
                 str(cid): {
                     "state": c.state,
@@ -1227,16 +1209,14 @@ class QueueTransport(WorkerTransport):
     """A :class:`~repro.core.transport.WorkerTransport` over a broker.
 
     The coordinator never talks to workers: it announces its campaign,
-    puts **chunk items** (an ordered block of points leased as one
-    unit) on it and takes its result frames -- up to
-    :attr:`RESULTS_PER_TAKE` per round-trip, batch-acked on the next
-    take.  Every op names the campaign id.  Workers pull chunks at
-    their own (capacity-weighted) pace, so the fleet is **elastic** --
-    workers may join, leave and rejoin mid-campaign; the only
-    coordinator-visible effect is throughput.  Results stay per-point:
-    the broker strips each completed point out of its chunk lease (a
-    journaled transition), so a crashed worker's lease requeues only
-    unfinished points.
+    puts each node's **lane runs** on it in one call and takes its
+    result frames -- up to :attr:`RESULTS_PER_TAKE` per round-trip,
+    batch-acked on the next take.  Every op names the campaign id.
+    Workers lease one run at a time at their own (capacity-weighted)
+    pace, so the fleet is **elastic** -- workers may join, leave and
+    rejoin mid-campaign; the only coordinator-visible effect is
+    throughput.  A result ends its run's lease, so a crashed worker's
+    leases requeue only runs it never finished.
 
     Parameters
     ----------
@@ -1272,10 +1252,10 @@ class QueueTransport(WorkerTransport):
     priority:
         Fair-share weight of this campaign on a multi-tenant broker:
         the deficit-round-robin scheduler banks ``DRR_QUANTUM *
-        priority`` points per rotation visit, so a priority-2 campaign
-        leases roughly twice the points per unit time of a priority-1
-        neighbour while both have work queued.  Must be > 0; 1.0 (the
-        default) shares equally.
+        priority`` runs per rotation visit, so a priority-2 campaign
+        leases twice the runs of a priority-1 neighbour while both have
+        work queued.  Must be a finite number > 0; 1.0 (the default)
+        shares equally.
 
     Observability for the fault-injection drills of
     ``tests/support/faults.py``: :attr:`crashes`, :attr:`requeues`,
@@ -1297,8 +1277,8 @@ class QueueTransport(WorkerTransport):
         super().__init__()
         if max_outage_s < 0:
             raise ValueError("max_outage_s must be >= 0")
-        if priority <= 0:
-            raise ValueError("priority must be > 0")
+        if not 0 < priority < float("inf"):
+            raise ValueError("priority must be a finite number > 0")
         self.worker_timeout = worker_timeout
         self.max_outage_s = max_outage_s
         self.on_outage = on_outage
@@ -1333,7 +1313,7 @@ class QueueTransport(WorkerTransport):
         self.crashes: dict[str, int] = {}
         #: distinct worker ids that ever registered at the broker.
         self.workers_seen: set[str] = set()
-        #: points handed back to the queue after a presumed crash.
+        #: lane runs handed back to the queue after a presumed crash.
         self.requeues = 0
         #: results successfully received (deduplicated) by this run.
         self.results_received = 0
@@ -1388,43 +1368,34 @@ class QueueTransport(WorkerTransport):
         self._starved_since = None
 
     #: Results pulled per coordinator take -- one round-trip drains up
-    #: to this many finished points (each still individually acked).
+    #: to this many finished runs (each still individually acked).
     RESULTS_PER_TAKE = 32
 
-    def submit_chunk(self, token: Any, chunk: "ChunkTask") -> None:
-        """Put one chunk item on the campaign's queue.
+    def submit_chunk(self, token: Any, chunk: ChunkTask) -> None:
+        """Put every lane run of one node on the campaign's queue.
 
-        The chunk travels (and is leased) as a single queue item whose
-        ``points`` list keeps every point individually addressable --
-        workers push one result per point, and the broker strips
-        completed points out of the lease so crash requeues stay
-        point-granular.
+        One ``put`` carries them all; the broker queues, leases and
+        requeues each run on its own.
         """
         if self._closed:
             raise TransportError("transport is closed")
         if self._client is None:
             raise TransportError("transport is not started")
-        points = [
+        runs = [
             {
-                "token": point_token,
+                "token": run_token,
                 "app": app_cls,
                 "trace": trace_name,
                 "params": app_params,
                 "assignment": assignment,
             }
-            for point_token, (
-                app_cls,
-                trace_name,
-                app_params,
-                assignment,
-            ) in chunk.entries
+            for run_token, (app_cls, trace_name, app_params, assignment)
+            in chunk.entries
         ]
-        reply = self._client.call(
-            "put", campaign=self._campaign_id, item={"token": token, "points": points}
-        )
+        reply = self._client.call("put", campaign=self._campaign_id, runs=runs)
         if not reply.get("ok"):
             raise TransportError(str(reply.get("error")))
-        self._outstanding.update(point["token"] for point in points)
+        self._outstanding.update(chunk.tokens)
 
     def next_results(self) -> "list[tuple[Any, SimulationRecord]]":
         """Pop a batch of deduplicated results; starve out on a dead fleet."""
@@ -1638,8 +1609,20 @@ def _push_result(
     campaign: str,
     worker_id: str,
     token: Any,
-    payload: dict[str, Any],
+    simulate: Callable[[], SimulationRecord],
 ) -> None:
+    """Push the record ``simulate()`` returns, or push its error and
+    re-raise it."""
+    try:
+        record = simulate()
+    except Exception as exc:
+        payload: dict[str, Any] = {"error": repr(exc), "meta": {}}
+        client.call(
+            "push_result", campaign=campaign, token=token, payload=payload,
+            worker=worker_id,
+        )
+        raise
+    payload = {"record": record, "meta": {"wall": record.wall_time_s}}
     client.call(
         "push_result", campaign=campaign, token=token, payload=payload, worker=worker_id
     )
@@ -1664,31 +1647,31 @@ def serve_queue_worker(
     worker subscribes to the **broker**, not to a campaign: every lease
     comes from the ``take_any`` op, which arbitrates between all running
     campaigns with priority-weighted deficit round-robin, and each reply
-    names the campaign the chunk belongs to.  Per campaign, the worker
-    lazily hydrates a :class:`~repro.core.simulate.SimulationEnvironment`
-    from the announced :class:`~repro.core.engine.EnvSpec` and pushes
-    each result to the campaign it was leased from, so serving two
-    tenants at once never mixes their state.  The worker exits once it
-    has observed at least one campaign and the broker reports zero
-    still running.
+    is one lane run and names the campaign it belongs to.  Per campaign,
+    the worker lazily hydrates a
+    :class:`~repro.core.simulate.SimulationEnvironment` from the
+    announced :class:`~repro.core.engine.EnvSpec` and pushes each result
+    to the campaign it was leased from, so serving two tenants at once
+    never mixes their state.  The worker exits once it has observed at
+    least one campaign and the broker reports zero still running.
 
-    A worker with ``capacity > 1`` executes its leased points on a
-    local :class:`~concurrent.futures.ProcessPoolExecutor` of that many
-    processes and leases another chunk whenever fewer than ``capacity``
-    points are in flight.  Pool processes build and cache one
-    environment per campaign (see
-    :func:`~repro.core.engine._run_campaign_point`), so interleaved
-    chunks from different campaigns still reuse hydrated traces.
+    A worker with ``capacity > 1`` executes its leased runs on a local
+    :class:`~concurrent.futures.ProcessPoolExecutor` of that many
+    processes and leases another run whenever fewer than ``capacity``
+    are in flight.  Pool processes build and cache one environment per
+    campaign (see :func:`~repro.core.engine._run_campaign_point`), so
+    interleaved runs from different campaigns still reuse hydrated
+    traces.
 
-    The worker keeps no records of its own: every leased point is
+    The worker keeps no records of its own: every leased run is
     simulated, and the coordinator's
     :class:`~repro.core.engine.SimulationCache` is the only record store.
-    A worker that crashes loses at most its leased points, which the
+    A worker that crashes loses at most its leased runs, which the
     broker requeues.
 
     ``fail_after=N`` is the fault-injection hook: hard-exit
     (:data:`~repro.core.transport.WORKER_CRASH_EXIT`, no goodbye) upon
-    **leasing** the N-th point -- the lease is provably held when the
+    **leasing** the N-th lane run -- the lease is provably held when the
     crash happens, so the broker's requeue machinery is always
     exercised.
 
@@ -1778,12 +1761,12 @@ def serve_queue_worker(
 
         sent = 0
         taken = 0
-        inflight: dict[Any, "tuple[str, Any]"] = {}  # future -> (cid, point)
+        inflight: dict[Any, "tuple[str, Any]"] = {}  # future -> (cid, token)
         last_beat = time.monotonic()
         # Workers may be launched before any campaign is submitted to the
         # standing broker, so running out of work means "done" only once
         # a campaign has been observed.  Until then the worker waits in
-        # ``take_any``: it blocks in the broker, so the first chunk put is
+        # ``take_any``: it blocks in the broker, so the first run put is
         # leased at once, and it re-arms this worker's TTL, so a long wait
         # never counts as a crash (or leaves a lease unrecorded).  Each take
         # sends the running count last seen, so the broker answers the
@@ -1824,78 +1807,43 @@ def serve_queue_worker(
                 ctx = hydrate(cid)
                 if ctx is None:
                     continue
-                # A chunk item carries a block of points under one lease.
-                points = item["points"]
-                taken += len(points)
+                taken += 1
                 if fail_after is not None and taken >= fail_after:
-                    # ``--fail-after`` counts *points leased*, never
-                    # chunks: the chunk containing the N-th point is
-                    # provably leased when the crash happens, so the
-                    # broker's point-granular requeue is exercised.
-                    emit(
-                        f"worker {worker_id}: injected crash leasing "
-                        f"point {taken}"
-                    )
+                    # The N-th run is provably leased when the crash
+                    # happens, so the broker's requeue is exercised.
+                    emit(f"worker {worker_id}: injected crash leasing run {taken}")
                     os._exit(WORKER_CRASH_EXIT)
-                if pool is not None:
-                    for point in points:
-                        future = pool.submit(
-                            _run_campaign_point,
-                            cid,
-                            ctx["spec"],
-                            (
-                                point["token"],
-                                point["app"],
-                                point["trace"],
-                                point["params"],
-                                point["assignment"],
-                            ),
-                        )
-                        inflight[future] = (cid, point)
-                    continue
-                # capacity 1: simulate inline, one chunk at a time;
-                # each point pushes its own result so the broker strips
-                # it from the lease (and re-arms the TTL) as it lands.
-                for point in points:
-                    try:
-                        record = _simulate_item(point, ctx["env"])
-                    except Exception as exc:
-                        _push_result(
-                            client, cid, worker_id, point["token"],
-                            {"error": repr(exc), "meta": {}},
-                        )
-                        raise
+                if pool is None:
+                    # capacity 1: simulate inline; the push ends the
+                    # lease (and re-arms the TTL).
                     _push_result(
-                        client, cid, worker_id, point["token"],
-                        {"record": record, "meta": {"wall": record.wall_time_s}},
+                        client, cid, worker_id, item["token"],
+                        lambda: _simulate_item(item, ctx["env"]),
                     )
                     sent += 1
-                break
+                    break
+                task = (
+                    item["token"], item["app"], item["trace"], item["params"],
+                    item["assignment"],
+                )
+                future = pool.submit(_run_campaign_point, cid, ctx["spec"], task)
+                inflight[future] = (cid, item["token"])
 
             if pool is not None and inflight:
                 done, _ = wait(
                     list(inflight), timeout=0.2, return_when=FIRST_COMPLETED
                 )
                 for future in done:
-                    cid, finished = inflight.pop(future)
-                    try:
-                        _token, record = future.result()
-                    except Exception as exc:
-                        _push_result(
-                            client, cid, worker_id, finished["token"],
-                            {"error": repr(exc), "meta": {}},
-                        )
-                        raise
+                    cid, token = inflight.pop(future)
                     _push_result(
-                        client, cid, worker_id, finished["token"],
-                        {"record": record, "meta": {"wall": record.wall_time_s}},
+                        client, cid, worker_id, token, lambda: future.result()[1]
                     )
                     sent += 1
 
             if running == 0 and item is None and not inflight:
                 if observed:
                     client.call("goodbye", worker=worker_id)
-                    emit(f"worker {worker_id}: campaigns done after {sent} points")
+                    emit(f"worker {worker_id}: campaigns done after {sent} runs")
                     return 0
                 if time.monotonic() >= deadline:
                     raise TransportError(

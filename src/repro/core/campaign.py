@@ -45,10 +45,9 @@ weighted by it; what each worker did is reported on
 :attr:`CampaignResult.worker_stats`.
 
 Every scheduling choice is a function of the current run's inputs:
-step-1 nodes are enqueued in study order and chunk sizes follow from
-each node's lane runs and the transport's width.  Nothing a previous
-run measured feeds back into the schedule, so the manifest holds only
-what ``resume`` diffs.
+step-1 nodes are enqueued in study order and each lane run is
+dispatched on its own.  Nothing a previous run measured feeds back into
+the schedule, so the manifest holds only what ``resume`` diffs.
 """
 
 from __future__ import annotations
@@ -310,12 +309,6 @@ class CampaignScheduler:
         with a persistent cache) and report the per-app reuse delta
         (statuses ``unchanged``/``changed``/``new``) in
         :attr:`CampaignResult.incremental`.
-    chunk_points:
-        Points per dispatched chunk (the transport's unit of work).
-        ``None`` (default) sizes each node's chunks from its lane runs
-        and the transport's width
-        (:func:`repro.core.taskgraph.auto_chunk_points`).  ``1``
-        reproduces per-point dispatch.
     """
 
     def __init__(
@@ -333,7 +326,6 @@ class CampaignScheduler:
         engine: ExplorationEngine | None = None,
         progress: ProgressCallback | None = None,
         resume: bool = False,
-        chunk_points: int | None = None,
     ) -> None:
         chosen = list(studies) if studies is not None else list(CASE_STUDIES)
         self.studies: list[CaseStudy] = [
@@ -379,13 +371,8 @@ class CampaignScheduler:
                 cache=cache,
                 trace_store=trace_store,
                 transport=transport,
-                chunk_points=chunk_points,
             )
             self._owns_engine = True
-        if engine is not None and chunk_points is not None:
-            if chunk_points < 1:
-                raise ValueError("chunk_points must be >= 1 (or None for auto)")
-            self.engine.chunk_points = chunk_points
         self.resume = resume
         engine_cache = self.engine.cache
         self._manifest_path: str | None = (

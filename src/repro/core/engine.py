@@ -18,9 +18,8 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   deterministically.  The pool is one :mod:`~repro.core.transport`
   backend -- pass a :class:`~repro.core.broker.QueueTransport` to
   distribute the same points to ``ddt-explore worker --connect-broker``
-  processes instead.  Points travel in chunks sized from each node's
-  own lane runs and the transport's width; no timing measured by an
-  earlier run steers the schedule.
+  processes instead.  Each lane run is one dispatched task; no timing
+  measured by an earlier run steers the schedule.
 * **Persistent caching** -- an optional :class:`SimulationCache`, the
   one record store, keeps finished
   :class:`~repro.core.results.SimulationRecord`\\ s as JSON under
@@ -99,7 +98,6 @@ class EnvSpec:
 
     cacti: CactiModel
     costs: OperationCosts
-    repeats: int = 1
     trace_store: str | None = None
 
     @classmethod
@@ -109,7 +107,6 @@ class EnvSpec:
         return cls(
             cacti=env.cacti,
             costs=env.costs,
-            repeats=env.repeats,
             trace_store=store.directory if store is not None else None,
         )
 
@@ -118,7 +115,6 @@ class EnvSpec:
         return SimulationEnvironment(
             cacti=self.cacti,
             costs=self.costs,
-            repeats=self.repeats,
             trace_store=(
                 TraceStore(self.trace_store) if self.trace_store is not None else None
             ),
@@ -135,8 +131,8 @@ def model_fingerprint(
 
     Covers the CACTI technology coefficients (and any extra attributes a
     :class:`~repro.memory.cacti.CactiModel` subclass adds, e.g. the flat
-    ablation model's energies), the CPU operation cost table, the repeat
-    count, and the trace-profile registry.  Two environments with the
+    ablation model's energies), the CPU operation cost table and the
+    trace-profile registry.  Two environments with the
     same fingerprint produce byte-identical records for the same point,
     so the fingerprint is what keys the persistent cache -- change any
     coefficient and previously cached records simply stop matching.
@@ -159,7 +155,6 @@ def model_fingerprint(
         "technology": dataclasses.asdict(cacti.technology),
         "cacti_extra": extra,
         "costs": dataclasses.asdict(env.costs),
-        "repeats": env.repeats,
         "profiles": profiles_fingerprint_payload(trace_names),
     }
     blob = json.dumps(payload, sort_keys=True)
@@ -357,32 +352,15 @@ def _init_worker(spec: EnvSpec) -> None:
 def _run_point(
     task: tuple[Any, type[NetworkApplication], str, dict[str, Any], dict[str, str]],
 ) -> tuple[Any, SimulationRecord]:
-    """Run one exploration point inside a worker process.
+    """Run one lane run inside a pool worker process.
 
-    ``task[0]`` is an opaque slot key echoed back with the record so the
-    parent can place the result deterministically (a plain index for
-    single batches, a ``(batch, index)`` pair for campaign batches).
+    ``task[0]`` is an opaque token echoed back with the record so the
+    task graph can slot the result deterministically.
     """
     key, app_cls, trace_name, app_params, assignment = task
     config = NetworkConfig(trace_name, app_params)
     record = run_simulation(app_cls, config, assignment, _WORKER_ENV)
     return key, record
-
-
-def _run_chunk(
-    tasks: Sequence[
-        tuple[Any, type[NetworkApplication], str, dict[str, Any], dict[str, str]]
-    ],
-) -> list[tuple[Any, SimulationRecord]]:
-    """Run an ordered block of exploration points in one worker call.
-
-    The chunked dispatch unit of
-    :class:`~repro.core.transport.LocalPoolTransport`: one pool submit
-    (one pickle/IPC round-trip) covers the whole block, and every point
-    shares the worker's hydrated environment and trace cache.  Records
-    are identical to ``len(tasks)`` separate :func:`_run_point` calls.
-    """
-    return [_run_point(task) for task in tasks]
 
 
 _CAMPAIGN_ENVS: dict[str, SimulationEnvironment] = {}
@@ -393,13 +371,14 @@ def _run_campaign_point(
     spec: EnvSpec,
     task: tuple[Any, type[NetworkApplication], str, dict[str, Any], dict[str, str]],
 ) -> tuple[Any, SimulationRecord]:
-    """Run one point for a named campaign inside a shared worker process.
+    """Run one lane run for a named campaign inside a shared worker
+    process.
 
     The multi-tenant queue worker shares one process pool across every
     campaign it serves, so pool processes cannot be initialised for a
     single :class:`EnvSpec` up front.  Instead each process hydrates an
     environment per campaign on first use and caches it here, keyed by
-    campaign id; interleaved chunks from different tenants reuse their
+    campaign id; interleaved runs from different tenants reuse their
     own hydrated traces without rebuilding, and never share state.
     """
     env = _CAMPAIGN_ENVS.get(campaign_id)
@@ -474,14 +453,6 @@ class ExplorationEngine:
         explicit :class:`~repro.core.transport.WorkerTransport` (e.g. a
         :class:`~repro.core.broker.QueueTransport`) routes every cache
         miss through it instead, regardless of ``workers``.
-    chunk_points:
-        Points per dispatched :class:`~repro.core.transport.ChunkTask`.
-        ``None`` (default) lets the task graph size each node's chunks
-        from its lane runs, capped so every worker slot stays busy
-        (:func:`~repro.core.taskgraph.auto_chunk_points`).  An explicit
-        ``N >= 1`` forces fixed-size chunks (``1`` reproduces the
-        pre-chunk per-point dispatch exactly).  Ignored on the serial
-        path.
 
     The engine is a context manager; :meth:`close` shuts the worker
     transport down (a serial engine holds no resources).
@@ -496,12 +467,9 @@ class ExplorationEngine:
         cache: "SimulationCache | str | os.PathLike[str] | bool | None" = None,
         trace_store: "TraceStore | str | os.PathLike[str] | bool | None" = None,
         transport: "WorkerTransport | None" = None,
-        chunk_points: int | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if chunk_points is not None and chunk_points < 1:
-            raise ValueError("chunk_points must be >= 1 (or None for auto)")
         self.env = env if env is not None else SimulationEnvironment()
         self.workers = workers
         if cache is None or cache is False:
@@ -522,7 +490,6 @@ class ExplorationEngine:
             store = TraceStore(trace_store)
         self.trace_store = store
         self.env.trace_store = store
-        self.chunk_points = chunk_points
         self.stats = EngineStats()
         self._fingerprints: dict[tuple[str, ...] | None, str] = {}
         self._transport_spec = transport
@@ -672,12 +639,12 @@ class ExplorationEngine:
         details-or-None)`` batch is wrapped in a continuation-free
         :class:`~repro.core.taskgraph.TaskNode` and handed straight to
         :meth:`run_graph`; there is no separate batch execution path, so
-        every batch's cache misses share the worker transport (and its
-        chunking policy) instead of draining it one application
-        at a time.  ``progress`` counts across the whole workload.  The
-        returned lists are index-aligned with ``batches`` and their
-        points; per batch the records are bit-identical to a standalone
-        :meth:`run_batch` (itself an alias of this method).
+        every batch's cache misses share the worker transport instead of
+        draining it one application at a time.  ``progress`` counts
+        across the whole workload.  The returned lists are index-aligned
+        with ``batches`` and their points; per batch the records are
+        bit-identical to a standalone :meth:`run_batch` (itself an alias
+        of this method).
         """
         from repro.core.taskgraph import TaskNode
 

@@ -90,21 +90,8 @@ class MetricVector:
         return all(a <= b for a, b in zip(self.as_tuple(), other.as_tuple()))
 
     # ------------------------------------------------------------------
-    # arithmetic helpers (averaging repeated simulations)
+    # arithmetic helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def mean(vectors: "list[MetricVector]") -> "MetricVector":
-        """Average several vectors (the paper averages 10 runs)."""
-        if not vectors:
-            raise ValueError("cannot average an empty list of vectors")
-        n = len(vectors)
-        return MetricVector(
-            energy_mj=sum(v.energy_mj for v in vectors) / n,
-            time_s=sum(v.time_s for v in vectors) / n,
-            accesses=round(sum(v.accesses for v in vectors) / n),
-            footprint_bytes=round(sum(v.footprint_bytes for v in vectors) / n),
-        )
-
     def scaled(self, factor: float) -> "MetricVector":
         """Return a copy with every metric multiplied by ``factor``."""
         if factor < 0:

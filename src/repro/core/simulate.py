@@ -14,7 +14,6 @@ import time
 from typing import Mapping, Sequence
 
 from repro.apps.base import NetworkApplication
-from repro.core.metrics import MetricVector
 from repro.core.results import SimulationRecord
 from repro.ddt.registry import combination_label, lane_names
 from repro.memory.cacti import CactiModel
@@ -41,10 +40,6 @@ class SimulationEnvironment:
         apart from its memo cache, so sharing is safe and fast).
     costs:
         CPU operation cost table.
-    repeats:
-        Simulations per (combo, config) point, averaged -- the paper
-        averages 10 runs; our simulator is deterministic so the default
-        is 1 (repeats exist for timing-noise studies on the host).
     trace_store:
         Optional :class:`~repro.net.tracestore.TraceStore` to source
         traces from; a persistent store lets the environment load
@@ -57,14 +52,10 @@ class SimulationEnvironment:
         self,
         cacti: CactiModel | None = None,
         costs: OperationCosts | None = None,
-        repeats: int = 1,
         trace_store: TraceStore | None = None,
     ) -> None:
-        if repeats <= 0:
-            raise ValueError("repeats must be positive")
         self.cacti = cacti if cacti is not None else CactiModel()
         self.costs = costs if costs is not None else OperationCosts()
-        self.repeats = repeats
         self.trace_store = trace_store
         self._trace_cache: dict[str, Trace] = {}
 
@@ -88,12 +79,11 @@ def run_simulation(
 ) -> SimulationRecord:
     """Simulate one (application, DDT assignment, configuration) point.
 
-    Returns the four metrics plus the functional stats; with
-    ``env.repeats > 1`` the metrics are averaged over the repeats (they
-    are identical for this deterministic simulator, matching the paper's
-    "variations of less than 2%" note).  The record carries the run's
-    per-pool :class:`~repro.memory.profiler.ProfileParts`, which the
-    exploration engine composes other DDT combinations from.
+    Returns the four metrics plus the functional stats.  The paper
+    averages 10 runs per point; this simulator is deterministic, so one
+    run gives the same metrics.  The record carries the run's per-pool
+    :class:`~repro.memory.profiler.ProfileParts`, which the exploration
+    engine composes other DDT combinations from.
 
     With a tuple of DDTs (lanes) for some structure, the record is the
     one of the *first-lane* combination -- equal to a plain run of it on
@@ -104,23 +94,19 @@ def run_simulation(
     trace = env.trace_for(config)
     first = {structure: ddts[0] for structure, ddts in lane_names(assignment).items()}
 
-    vectors: list[MetricVector] = []
-    stats: Mapping[str, int] = {}
-    parts = None
     started = time.perf_counter()
-    for _ in range(env.repeats):
-        profiler = MemoryProfiler(cacti=env.cacti, costs=env.costs)
-        app = app_cls(config, assignment, profiler)
-        stats = app.run(trace)
-        parts = profiler.parts()
-        vectors.append(parts.select(first).metrics())
+    profiler = MemoryProfiler(cacti=env.cacti, costs=env.costs)
+    app = app_cls(config, assignment, profiler)
+    stats = app.run(trace)
+    parts = profiler.parts()
+    metrics = parts.select(first).metrics()
     wall = time.perf_counter() - started
 
     return SimulationRecord(
         app_name=app_cls.name,
         config_label=config.label,
         combo_label=combination_label(first, app_cls.dominant_structures),
-        metrics=MetricVector.mean(vectors),
+        metrics=metrics,
         stats=dict(stats),
         wall_time_s=wall,
         parts=parts,

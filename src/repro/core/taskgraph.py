@@ -36,12 +36,11 @@ each node's cache misses by configuration, simulates each group as one
 needs, charged side by side in one application run), and *composes*
 every miss from the lane run's parts (:func:`compose_records`) through
 the aggregation :meth:`~repro.memory.profiler.MemoryProfiler.metrics`
-uses, so composed records equal simulated ones bit for bit.  Lane runs
-are ordinary points to the transports; composed points are never
-dispatched.  A node's lane runs travel in chunks whose size depends
-only on this run's inputs -- the node's lane-run count and the
-transport's width (:func:`auto_chunk_points`), or the engine's fixed
-``chunk_points``.
+uses, so composed records equal simulated ones bit for bit.  The lane
+run is the unit a transport dispatches, leases and returns; composed
+points are never dispatched.  A node hands all its lane runs to the
+transport in one :meth:`~repro.core.transport.WorkerTransport.submit_chunk`
+call.
 
 Nodes may be ``scoped``: the engine then keys each point's cache entry
 by a fingerprint over the model parameters and *only the profile of
@@ -54,14 +53,12 @@ inputs did not change (see :mod:`repro.core.campaign`).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.apps.base import NetworkApplication
-from repro.core.metrics import MetricVector
 from repro.core.results import SimulationRecord
 from repro.core.simulate import run_simulation
 from repro.ddt.registry import combination_label
@@ -70,31 +67,9 @@ from repro.net.config import NetworkConfig
 __all__ = [
     "TaskGraph",
     "TaskNode",
-    "auto_chunk_points",
     "compose_records",
     "lane_assignment",
 ]
-
-#: Most lane runs one dispatched chunk carries: enough to amortise the
-#: per-chunk pickle/IPC round-trip that made per-point dispatch slower
-#: than serial, few enough that a crashed worker forfeits little work.
-MAX_CHUNK_POINTS = 40
-
-
-def auto_chunk_points(runs: int, slots: int | None = None) -> int:
-    """Default chunk size for one node's ``runs`` dispatched lane runs.
-
-    At most :data:`MAX_CHUNK_POINTS`, and small enough that the node
-    still splits into at least two chunks per worker slot (``slots``,
-    or 4 when the transport does not say) -- a node must never collapse
-    into fewer chunks than the fleet has slots, or parallelism
-    degenerates back to serial.
-    """
-    if runs <= 1:
-        return 1
-    width = max(1, int(slots or 4))
-    return min(MAX_CHUNK_POINTS, math.ceil(runs / (2 * width)))
-
 
 def lane_assignment(
     structures: Sequence[str], assignments: Iterable[Mapping[str, str]]
@@ -117,17 +92,15 @@ def compose_records(
     config: NetworkConfig,
     run: SimulationRecord,
     assignments: Sequence[Mapping[str, str]],
-    repeats: int = 1,
 ) -> list[SimulationRecord]:
     """Each assignment's record, composed from one lane run's parts.
 
     ``run`` is the simulated record of the group's
     :func:`lane_assignment`.  Each assignment's parts are selected from
     it (:meth:`~repro.memory.profiler.ProfileParts.select`), and the
-    metrics go through :meth:`~repro.memory.profiler.ProfileParts.metrics`
-    and the repeat averaging of
-    :func:`~repro.core.simulate.run_simulation` -- so a composed record
-    equals a plain simulation of its assignment bit for bit, provided
+    metrics go through :meth:`~repro.memory.profiler.ProfileParts.metrics`,
+    as in :func:`~repro.core.simulate.run_simulation` -- so a composed
+    record equals a plain simulation of its assignment bit for bit, provided
     every cost is charged through a structure's own pool or is the
     per-packet charge.  An app is not handed its assignment: it reaches
     its DDTs only through ``make_structure``.  A
@@ -149,7 +122,7 @@ def compose_records(
             app_name=app_cls.name,
             config_label=config.label,
             combo_label=combination_label(assignment, app_cls.dominant_structures),
-            metrics=MetricVector.mean([parts.select(assignment).metrics()] * repeats),
+            metrics=parts.select(assignment).metrics(),
             stats=dict(run.stats),
             wall_time_s=wall,
         )
@@ -346,7 +319,6 @@ class TaskGraph:
             group.config,
             run,
             [node.points[index][1] for index in group.misses],
-            engine.env.repeats,
         )
         fingerprint = self._fingerprint(node, group.config)
         for index, record in zip(group.misses, records):
@@ -413,7 +385,6 @@ class TaskGraph:
         transport = engine.transport()
         slots: dict[int, tuple[TaskNode, _Group]] = {}
         tokens = count()
-        width = getattr(transport, "workers", None)
 
         def launch(node: TaskNode) -> None:
             groups = self._prepare(node)
@@ -424,32 +395,19 @@ class TaskGraph:
             if store is not None and store.directory is not None:
                 # Pay trace generation once here; workers only load.
                 store.ensure(group.config.trace_name for group in groups)
-            size = engine.chunk_points or auto_chunk_points(len(groups), slots=width)
-            entries: list[tuple[int, tuple]] = []
-
-            def flush_chunk() -> None:
-                if entries:
-                    transport.submit_chunk(next(tokens), ChunkTask.of(entries))
-                    entries.clear()
-
+            entries = []
             for group in groups:
-                config = group.config
                 token = next(tokens)
                 slots[token] = (node, group)
-                entries.append(
-                    (
-                        token,
-                        (
-                            node.app_cls,
-                            config.trace_name,
-                            dict(config.app_params),
-                            dict(group.lanes),
-                        ),
-                    )
+                config = group.config
+                task = (
+                    node.app_cls,
+                    config.trace_name,
+                    dict(config.app_params),
+                    dict(group.lanes),
                 )
-                if len(entries) >= size:
-                    flush_chunk()
-            flush_chunk()
+                entries.append((token, task))
+            transport.submit_chunk(node.name, ChunkTask.of(entries))
 
         while self._queue:
             launch(self._queue.popleft())

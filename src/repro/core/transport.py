@@ -6,30 +6,31 @@ label, combo label)`` tuples plus a parent-side continuation.  This
 module ships those points to workers through a **transport** instead
 of hard-wiring the engine to one local process pool.
 
-The unit of dispatch is a **chunk**: an ordered block of points
-(:class:`ChunkTask`) that travels as one unit, is executed against one
-hydrated worker environment, and comes back as one batch of results.
-Per-point dispatch paid one pickle/IPC round-trip per millisecond-scale
-simulation -- the "dispatch tax"; chunking amortises the round-trip
-across the block.  A transport only executes: chunk sizes are chosen by
-the task graph from the current run's inputs, and nothing a transport
-measures carries over to the next run.
+The unit of dispatch is a **lane run**: one application run per
+(node, configuration) that prices every DDT the node's cache misses
+need (see :mod:`repro.core.taskgraph`).  The task graph hands a node's
+lane runs to a transport in one :class:`ChunkTask`, and the transport
+dispatches, leases and returns each run on its own: a lane run takes
+tens to hundreds of milliseconds, so one round-trip per run costs
+little.  A transport only executes; nothing it measures carries over
+to the next run.
 
 Two transports implement :class:`WorkerTransport`:
 
 * :class:`LocalPoolTransport` -- one
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers build a
   :class:`~repro.core.engine.EnvSpec` environment once via the pool
-  initializer; a chunk is one pool task.  This is what ``workers=N``
-  means everywhere.
-* :class:`~repro.core.broker.QueueTransport` -- remote execution: chunks
-  become leases on an embedded queue broker that ``ddt-explore worker
-  --connect-broker`` processes pull from, possibly on other machines
-  sharing the trace-store directory (see :mod:`repro.core.broker`).
+  initializer; a lane run is one pool task.  This is what
+  ``workers=N`` means everywhere.
+* :class:`~repro.core.broker.QueueTransport` -- remote execution: lane
+  runs become leases on an embedded queue broker that ``ddt-explore
+  worker --connect-broker`` processes pull from, possibly on other
+  machines sharing the trace-store directory (see
+  :mod:`repro.core.broker`).
 
-Results carry their per-point submission tokens, so the task graph
-slots them by point index whichever transport ran them -- distribution
-changes *where* a point runs, never what it returns (asserted on
+Results carry their per-run submission tokens, so the task graph slots
+them by point index whichever transport ran them -- distribution
+changes *where* a run happens, never what it returns (asserted on
 ``content_key()`` by the randomized parity sweeps in
 ``tests/test_parity_random.py``).
 
@@ -63,9 +64,9 @@ __all__ = [
     "parse_address",
 ]
 
-#: What a transport ships per point: ``(application class, trace name,
-#: application parameters, DDT assignment)``.  The config is rebuilt on
-#: the worker from its picklable parts, mirroring the pool task format.
+#: What a transport ships per lane run: ``(application class, trace
+#: name, application parameters, DDT assignment)``.  The config is
+#: rebuilt on the worker from its picklable parts.
 PointTask = tuple[type[NetworkApplication], str, dict[str, Any], dict[str, str]]
 
 #: Exit code of a worker whose hello was rejected (quarantined id).
@@ -144,30 +145,29 @@ def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# the unit of dispatch
+# one node's lane runs
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ChunkTask:
-    """An ordered block of points dispatched (and leased) as one unit.
+    """The lane runs of one node, handed to a transport in one call.
 
-    Every entry is ``(token, PointTask)``; the tokens inside a chunk
-    stay individually addressable -- results, requeues and fault
-    injection all happen at **point** granularity, only the transport
-    round-trip is amortised across the block.
+    Every entry is ``(token, PointTask)``.  Each entry is dispatched,
+    leased, requeued and returned on its own; the chunk only groups
+    one node's submissions.
     """
 
     entries: tuple[tuple[Any, PointTask], ...]
 
     def __post_init__(self) -> None:
         if not self.entries:
-            raise ValueError("ChunkTask needs at least one point")
+            raise ValueError("ChunkTask needs at least one lane run")
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def tokens(self) -> tuple[Any, ...]:
-        """The per-point tokens, in dispatch order."""
+        """The per-run tokens, in submission order."""
         return tuple(token for token, _task in self.entries)
 
     @classmethod
@@ -180,14 +180,14 @@ class ChunkTask:
 # transport interface
 # ----------------------------------------------------------------------
 class WorkerTransport:
-    """Where the task graph's cache-miss points actually execute.
+    """Where the task graph's lane runs actually execute.
 
-    The chunked contract the graph relies on: every point token inside
-    every :meth:`submit_chunk`\\ ed chunk is eventually returned exactly
-    once across :meth:`next_results` batches (or an exception is
-    raised), and the record of a token is a pure function of its task
-    -- which worker ran it, in what chunk, in what order, after how
-    many retries, is invisible in the result.
+    The contract the graph relies on: every token of every
+    :meth:`submit_chunk`\\ ed chunk is eventually returned exactly once
+    across :meth:`next_results` batches (or an exception is raised), and
+    the record of a token is a pure function of its task -- which worker
+    ran it, in what order, after how many retries, is invisible in the
+    result.
     """
 
     #: Worker ids barred after repeated crashes (informational; the
@@ -208,16 +208,15 @@ class WorkerTransport:
         raise NotImplementedError
 
     def submit_chunk(self, token: Any, chunk: ChunkTask) -> None:
-        """Queue one block of points, identified by ``token``."""
+        """Queue every lane run of one node (``token`` names the node
+        for display only; each run carries its own token)."""
         raise NotImplementedError
 
     def next_results(self) -> list[tuple[Any, SimulationRecord]]:
-        """Block until at least one point resolves; return the batch.
+        """Block until at least one lane run resolves; return the batch.
 
-        The batch is a non-empty list of ``(token, record)`` pairs --
-        typically one completed chunk, but transports are free to
-        coalesce or split batches as long as every token shows up
-        exactly once overall.
+        The batch is a non-empty list of ``(token, record)`` pairs, one
+        per finished run; every token shows up exactly once overall.
         """
         raise NotImplementedError
 
@@ -240,12 +239,10 @@ class WorkerTransport:
 class LocalPoolTransport(WorkerTransport):
     """The default transport: a local :class:`ProcessPoolExecutor`.
 
-    What ``workers=N`` means, with chunking on top -- one
-    pool whose initializer builds a single
-    :class:`~repro.core.simulate.SimulationEnvironment` per worker
-    process from the :class:`~repro.core.engine.EnvSpec`, and one pool
-    task per **chunk** so a block of points pays one submit/pickle
-    round-trip instead of one per point.
+    What ``workers=N`` means: one pool whose initializer builds a
+    single :class:`~repro.core.simulate.SimulationEnvironment` per
+    worker process from the :class:`~repro.core.engine.EnvSpec`, and
+    one pool task per lane run.
     """
 
     def __init__(self, workers: int) -> None:
@@ -268,32 +265,21 @@ class LocalPoolTransport(WorkerTransport):
             )
 
     def submit_chunk(self, token: Any, chunk: ChunkTask) -> None:
-        """Schedule one block of points as a single pool task."""
-        from repro.core.engine import _run_chunk
+        """Schedule each lane run of the chunk as its own pool task."""
+        from repro.core.engine import _run_point
 
         if self._pool is None:
             raise TransportError("transport is not started")
-        tasks = [
-            (point_token, app_cls, trace_name, app_params, assignment)
-            for point_token, (
-                app_cls,
-                trace_name,
-                app_params,
-                assignment,
-            ) in chunk.entries
-        ]
-        self._futures.add(self._pool.submit(_run_chunk, tasks))
+        for run_token, task in chunk.entries:
+            self._futures.add(self._pool.submit(_run_point, (run_token, *task)))
 
     def next_results(self) -> list[tuple[Any, SimulationRecord]]:
-        """Pop every finished chunk, waiting on the pool as needed."""
+        """Pop every finished lane run, waiting on the pool as needed."""
         if not self._futures:
             raise TransportError("no outstanding work")
         done, _ = wait(self._futures, return_when=FIRST_COMPLETED)
-        results: list[tuple[Any, SimulationRecord]] = []
-        for future in done:
-            self._futures.discard(future)
-            results.extend(future.result())
-        return results
+        self._futures -= done
+        return [future.result() for future in done]
 
     def close(self) -> None:
         """Shut the pool down, waiting for workers to exit."""

@@ -32,7 +32,7 @@ trace profile (unaffected apps replay from cache)::
 
 Distribute a campaign through a broker instead of a local pool, so
 workers can join, leave and rejoin mid-campaign (elastic fleet; each
-worker keeps its ``--capacity`` of points in flight, so dispatch is
+worker keeps its ``--capacity`` of lane runs leased, so dispatch is
 capacity-weighted); workers retry the connection, so start order does
 not matter::
 
@@ -315,21 +315,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--chunk-points",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "dispatch cache-miss points to workers in blocks of N "
-            "(1 dispatches single points; applies to every transport). "
-            "Each dispatched point is one lane run: one application run "
-            "per (node, configuration) that charges every DDT its cache "
-            "misses need. Default: per node, at most 40 lane runs and at "
-            "least two blocks per worker slot (the pool width, or 4 for "
-            "the queue transport)"
-        ),
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help=(
@@ -387,7 +372,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
             "run one simulation worker for a distributed campaign: "
             "connect to a campaign broker, hydrate the simulation "
             "environment (and traces, from a shared trace store when the "
-            "campaign uses one), then lease points and push results back "
+            "campaign uses one), then lease lane runs and push results back "
             "until every campaign it served has ended"
         ),
     )
@@ -446,7 +431,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "fault-injection harness: hard-exit (simulated crash, no "
-            "goodbye) upon leasing the N-th point"
+            "goodbye) upon leasing the N-th lane run"
         ),
     )
     parser.add_argument(
@@ -550,7 +535,7 @@ def build_broker_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "journal broker state (each campaign's chunks, results and "
+            "journal broker state (each campaign's lane runs, results and "
             "seen tokens, leases, crash counts) to a write-ahead log "
             "under DIR; a broker restarted on the same DIR resumes every "
             "campaign where the previous process died (a journal "
@@ -692,8 +677,6 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 0:
         parser.error("--workers must be >= 0")
-    if args.chunk_points is not None and args.chunk_points < 1:
-        parser.error("--chunk-points must be >= 1")
     if args.resume and args.cache is None:
         args.cache = ExplorationEngine.DEFAULT_CACHE_DIR
     if any(app.lower() == "all" for app in args.apps):
@@ -719,8 +702,8 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         parser.error("--max-outage must be >= 0")
     if args.priority is not None and args.transport != "queue":
         parser.error("--priority applies to --transport queue only")
-    if args.priority is not None and args.priority <= 0:
-        parser.error("--priority must be > 0")
+    if args.priority is not None and not 0 < args.priority < float("inf"):
+        parser.error("--priority must be a finite number > 0")
     if args.transport == "queue":
         from repro.core.broker import QueueTransport
 
@@ -769,7 +752,6 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         transport=transport,
         progress=progress,
         resume=args.resume,
-        chunk_points=args.chunk_points,
     ) as campaign:
         result = campaign.run()
     elapsed = time.time() - started

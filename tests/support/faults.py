@@ -3,7 +3,10 @@
 The helpers spawn ``ddt-explore worker --connect-broker`` subprocesses
 and brokers, inject crashes and broker restarts, and read the
 transport's observability surface (``crashes`` / ``requeues`` /
-``workers_seen`` / ``results_received`` / ``quarantined``).
+``workers_seen`` / ``results_received`` / ``quarantined``).  Every
+spawned process writes its output to its own log file under the
+caller's ``log_dir``; each drill prints those logs when it ends, so a
+failing test shows them beside its own output.
 
 The contract every drill enforces is the determinism contract:
 distribution -- including injected crashes, requeues and quarantines --
@@ -11,10 +14,12 @@ is a pure scheduling layer, so campaign results stay equal on
 ``SimulationRecord.content_key()`` to a serial run.
 """
 
+import glob
 import os
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -56,8 +61,28 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
+def _spawn(args: list, log_dir, name: str) -> subprocess.Popen:
+    """Start ``args`` with stdout and stderr in a fresh log file under
+    ``log_dir``, named so that logs sort in spawn order."""
+    os.makedirs(log_dir, exist_ok=True)
+    prefix = f"{time.time_ns()}-{name}-"
+    fd, _path = tempfile.mkstemp(prefix=prefix, suffix=".log", dir=log_dir)
+    with os.fdopen(fd, "wb") as log:
+        return subprocess.Popen(
+            args, env=worker_env(), stdout=log, stderr=subprocess.STDOUT
+        )
+
+
+def print_logs(log_dir) -> None:
+    """Print the log of every process spawned under ``log_dir``; pytest
+    shows it with the captured output of a failing test."""
+    for path in sorted(glob.glob(os.path.join(log_dir, "*.log"))):
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            print(f"----- {os.path.basename(path)} -----\n{handle.read()}")
+
+
 def spawn_broker(
-    address: str, *extra: str, journal: "str | None" = None,
+    address: str, *extra: str, log_dir, journal: "str | None" = None,
     wait_s: float = 20.0,
 ) -> subprocess.Popen:
     """Launch a standalone `ddt-explore broker` and wait until it accepts.
@@ -72,16 +97,10 @@ def spawn_broker(
         "broker",
         "--bind",
         address,
-        "--quiet",
     ]
     if journal is not None:
         args += ["--journal", str(journal)]
-    proc = subprocess.Popen(
-        [*args, *extra],
-        env=worker_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    proc = _spawn([*args, *extra], log_dir, "broker")
     host, _, port = address.rpartition(":")
     deadline = time.monotonic() + wait_s
     while time.monotonic() < deadline:
@@ -97,7 +116,8 @@ def spawn_broker(
 
 
 def spawn_worker(
-    address: str, worker_id: str, *extra: str, capacity: "int | None" = None,
+    address: str, worker_id: str, *extra: str, log_dir,
+    capacity: "int | None" = None,
 ) -> subprocess.Popen:
     """Launch one `ddt-explore worker` subprocess against the broker."""
     args = [
@@ -109,16 +129,10 @@ def spawn_worker(
         address,
         "--id",
         worker_id,
-        "--quiet",
     ]
     if capacity is not None:
         args += ["--capacity", str(capacity)]
-    return subprocess.Popen(
-        [*args, *extra],
-        env=worker_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    return _spawn([*args, *extra], log_dir, f"worker-{worker_id}")
 
 
 def wait_live(address: str, *worker_ids: str, timeout: float = 30.0) -> None:
@@ -157,8 +171,9 @@ class FlakyWorker:
     """
 
     def __init__(self, address: str, fail_after: int, max_crashes: int,
-                 worker_id: str = "flaky") -> None:
+                 log_dir, worker_id: str = "flaky") -> None:
         self.address = address
+        self.log_dir = log_dir
         self.fail_after = fail_after
         self.max_crashes = max_crashes
         self.worker_id = worker_id
@@ -170,7 +185,8 @@ class FlakyWorker:
 
     def _spawn(self) -> None:
         proc = spawn_worker(
-            self.address, self.worker_id, "--fail-after", str(self.fail_after)
+            self.address, self.worker_id, "--fail-after", str(self.fail_after),
+            log_dir=self.log_dir,
         )
         self.procs.append(proc)
         threading.Thread(target=self._watch, args=(proc,), daemon=True).start()
@@ -229,7 +245,7 @@ def _launch_after(event: threading.Event, launch, timeout: float = 60.0):
     return thread
 
 
-def crash_requeue_drill(transport):
+def crash_requeue_drill(transport, *, log_dir):
     """One injected crash: unresolved points land on the survivor.
 
     Dispatch is pull-based, so the survivor only joins once the flaky
@@ -244,11 +260,12 @@ def crash_requeue_drill(transport):
     sweep = {"studies": ["url"], "configs": {"URL": NARROW["URL"]}}
     with CampaignScheduler(**sweep) as campaign:
         serial = campaign.run().refinements["URL"]
-    flaky = FlakyWorker(transport.address, fail_after=2, max_crashes=1)
+    flaky = FlakyWorker(transport.address, fail_after=2, max_crashes=1,
+                        log_dir=log_dir)
     steady_box: list[subprocess.Popen] = []
 
     def launch_steady():
-        steady_box.append(spawn_worker(transport.address, "steady"))
+        steady_box.append(spawn_worker(transport.address, "steady", log_dir=log_dir))
 
     watcher = _launch_after(flaky.crashed, launch_steady)
     try:
@@ -263,6 +280,7 @@ def crash_requeue_drill(transport):
                 steady.kill()
                 steady.wait(timeout=10)
         flaky.terminate()
+        print_logs(log_dir)
     scheduled = result.refinements["URL"]
     assert content(scheduled.step1.log) == content(serial.step1.log)
     assert content(scheduled.step2.log) == content(serial.step2.log)
@@ -274,7 +292,7 @@ def crash_requeue_drill(transport):
     return result
 
 
-def quarantine_drill(transport):
+def quarantine_drill(transport, *, log_dir):
     """Two crashes quarantine the id; the campaign still completes.
 
     Two apps' worth of points keep the queue busy across the flaky
@@ -291,11 +309,12 @@ def quarantine_drill(transport):
     }
     with CampaignScheduler(**sweep) as campaign:
         serial_campaign = campaign.run()
-    flaky = FlakyWorker(transport.address, fail_after=1, max_crashes=3)
+    flaky = FlakyWorker(transport.address, fail_after=1, max_crashes=3,
+                        log_dir=log_dir)
     steady_box: list[subprocess.Popen] = []
 
     def launch_steady():
-        steady_box.append(spawn_worker(transport.address, "steady"))
+        steady_box.append(spawn_worker(transport.address, "steady", log_dir=log_dir))
 
     watcher = _launch_after(flaky.rejected, launch_steady)
     try:
@@ -310,6 +329,7 @@ def quarantine_drill(transport):
                 steady.kill()
                 steady.wait(timeout=10)
         flaky.terminate()
+        print_logs(log_dir)
     assert result.quarantined == ["flaky"]
     assert transport.crashes["flaky"] >= 2
     # identical records regardless of the chaos
@@ -327,17 +347,17 @@ def quarantine_drill(transport):
     return result
 
 
-def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
+def cache_rejoin_drill(serial_campaign, *, cache_dir, log_dir, trace_store=None):
     """Kill a worker mid-campaign; the coordinator cache serves the rerun.
 
     Two campaigns share one coordinator record cache (``cache_dir``);
     workers keep no records of their own:
 
     1. *Crash and rejoin*: a single queue worker starts with
-       ``--fail-after 4`` and hard-exits upon leasing its 4th point (the
-       suite's kill -9 analogue: no goodbye, no ack); a watcher respawns
-       the same id without the fault.  The broker requeues only the
-       dead lease's unfinished points, so the campaign simulates exactly
+       ``--fail-after 4`` and hard-exits upon leasing its 4th lane run
+       (the suite's kill -9 analogue: no goodbye, no ack); a watcher
+       respawns the same id without the fault.  The broker requeues only
+       the runs the dead worker held, so the campaign simulates exactly
        as many lane runs as the serial baseline.
     2. *Warm rerun*: a fresh broker and coordinator on the same cache,
        and no worker at all.  Every point is a cache hit, so nothing is
@@ -355,7 +375,9 @@ def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
 
     # -- campaign 1: crash mid-flight, rejoin cold ---------------------
     transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-    procs = [spawn_worker(transport.address, "w1", "--fail-after", "4")]
+    procs = [
+        spawn_worker(transport.address, "w1", "--fail-after", "4", log_dir=log_dir)
+    ]
     crashed = threading.Event()
 
     def rejoin() -> None:
@@ -363,7 +385,7 @@ def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
         if procs[0].returncode != WORKER_CRASH_EXIT:
             return  # leave `crashed` unset so the drill fails loudly
         crashed.set()
-        procs.append(spawn_worker(transport.address, "w1"))
+        procs.append(spawn_worker(transport.address, "w1", log_dir=log_dir))
 
     watcher = threading.Thread(target=rejoin, daemon=True)
     watcher.start()
@@ -381,6 +403,7 @@ def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+        print_logs(log_dir)
     # The crash and requeue really happened, below quarantine ...
     assert transport.crashes.get("w1") == 1
     assert transport.requeues >= 1
@@ -402,7 +425,7 @@ def cache_rejoin_drill(serial_campaign, *, cache_dir, trace_store=None):
     return warm
 
 
-def broker_restart_drill(serial_campaign, *, journal_dir,
+def broker_restart_drill(serial_campaign, *, journal_dir, log_dir,
                          trace_store=None, cache=None):
     """Hard-kill the broker mid-campaign; a successor resumes its journal.
 
@@ -424,11 +447,11 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
     - both workers appear on the result's per-worker records.
     """
     address = f"127.0.0.1:{free_port()}"
-    brokers = [spawn_broker(address, journal=str(journal_dir))]
+    brokers = [spawn_broker(address, journal=str(journal_dir), log_dir=log_dir)]
     transport = QueueTransport(address, worker_timeout=60, max_outage_s=60)
     workers = [
-        spawn_worker(address, "w1"),
-        spawn_worker(address, "w2"),
+        spawn_worker(address, "w1", log_dir=log_dir),
+        spawn_worker(address, "w2", log_dir=log_dir),
     ]
     mid_campaign = threading.Event()
     done_points = [0]
@@ -443,7 +466,9 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
             return
         brokers[0].kill()  # SIGKILL: only the journal survives
         brokers[0].wait(timeout=10)
-        brokers.append(spawn_broker(address, journal=str(journal_dir)))
+        brokers.append(
+            spawn_broker(address, journal=str(journal_dir), log_dir=log_dir)
+        )
 
     stagehand = threading.Thread(target=choreography, daemon=True)
     stagehand.start()
@@ -466,6 +491,7 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+        print_logs(log_dir)
     assert_matches(result, serial_campaign)
     assert transport.outages >= 1
     assert result.broker_outages >= 1
@@ -478,14 +504,14 @@ def broker_restart_drill(serial_campaign, *, journal_dir,
     return result
 
 
-def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
+def concurrent_campaign_drill(*, journal_dir, log_dir, trace_store_a=None,
                               trace_store_b=None):
     """Two campaigns, one journaled broker, one shared worker pool.
 
     The multi-tenant drill: a standalone ``broker --journal`` admits two
     concurrent campaigns (URL at priority 2, DRR at priority 1), each
     driven by its own coordinator thread, while two shared workers lease
-    chunks from whichever tenant the broker's deficit round-robin picks.
+    lane runs from whichever tenant the broker's deficit round-robin picks.
     Each tenant sweeps its study's full configuration list (one lane
     run in step 1, four in step 2); the drill runs its own serial
     baseline of those sweeps.
@@ -520,7 +546,7 @@ def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
     with CampaignScheduler(studies=["url", "drr"], candidates=CANDIDATES) as campaign:
         serial_campaign = campaign.run()
     address = f"127.0.0.1:{free_port()}"
-    brokers = [spawn_broker(address, journal=str(journal_dir))]
+    brokers = [spawn_broker(address, journal=str(journal_dir), log_dir=log_dir)]
     timeline: list[tuple[float, str]] = []
     counts = {"URL": 0, "DRR": 0}
     # Both first results, then the restart (the choreography is the
@@ -554,11 +580,6 @@ def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
                 trace_store=trace_store,
                 transport=transport,
                 progress=tracker(tag),
-                # Per-point dispatch: these narrow sweeps fit in a
-                # handful of auto-sized chunks, which leaves the fair
-                # scheduler almost nothing to arbitrate; point leases
-                # make the interleaving observable (and assertable).
-                chunk_points=1,
             ) as campaign:
                 results[tag] = (campaign.run(), transport)
         except BaseException as exc:  # surfaced to the drill's caller
@@ -592,14 +613,16 @@ def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
     finally:
         gate.close()
 
-    workers = [spawn_worker(address, w) for w in ("w1", "w2")]
+    workers = [spawn_worker(address, w, log_dir=log_dir) for w in ("w1", "w2")]
 
     def choreography():
         try:
             first_results.wait(timeout=240)
             brokers[0].kill()  # SIGKILL: only the journal survives
             brokers[0].wait(timeout=10)
-            brokers.append(spawn_broker(address, journal=str(journal_dir)))
+            brokers.append(
+            spawn_broker(address, journal=str(journal_dir), log_dir=log_dir)
+        )
         except threading.BrokenBarrierError:
             pass
         finally:
@@ -623,6 +646,7 @@ def concurrent_campaign_drill(*, journal_dir, trace_store_a=None,
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+        print_logs(log_dir)
 
     # per-tenant parity and exactly-once receipt, broker restart survived
     for tag in ("URL", "DRR"):

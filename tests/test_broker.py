@@ -22,6 +22,7 @@ from support.faults import (
     cache_rejoin_drill,
     concurrent_campaign_drill,
     crash_requeue_drill,
+    print_logs,
     quarantine_drill,
     spawn_worker,
     wait_live,
@@ -62,13 +63,13 @@ def client(broker):
     connected.close()
 
 
-def chunk(token, points=1):
-    """A chunk item of ``points`` points (its cost toward the DRR deficit)."""
-    return {"token": token, "points": [{"token": (token, i)} for i in range(points)]}
+def put(client, campaign, *tokens):
+    """Queue one lane run per token on ``campaign`` (one ``put``)."""
+    return client.call("put", campaign=campaign, runs=[{"token": t} for t in tokens])
 
 
 def lease(client, worker, timeout=0.1):
-    """The token of the chunk ``worker`` leases next, or ``None``."""
+    """The token of the lane run ``worker`` leases next, or ``None``."""
     item = client.call("take_any", worker=worker, timeout=timeout)["item"]
     return None if item is None else item["token"]
 
@@ -86,17 +87,16 @@ class TestBrokerProtocol:
 
     def test_queue_is_fifo(self, client):
         client.call("announce", campaign={"id": "c"})
-        for token in (1, 2, 3):
-            assert client.call("put", campaign="c", item=chunk(token))["ok"]
+        assert put(client, "c", 1, 2)["ok"]
+        assert put(client, "c", 3)["ok"]
         client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
         assert [lease(client, "w") for _ in range(3)] == [1, 2, 3]
         assert lease(client, "w", timeout=0.05) is None
 
     def test_heartbeat_ttl_expiry_requeues_leases_at_front(self, client):
-        """A silent worker's leased chunk goes back to the queue head."""
+        """A silent worker's leased run goes back to the queue head."""
         client.call("announce", campaign={"id": "c"})
-        client.call("put", campaign="c", item=chunk("leased"))
-        client.call("put", campaign="c", item=chunk("second"))
+        put(client, "c", "leased", "second")
         hello = client.call(
             "hello", proto=BROKER_PROTOCOL, worker="silent", meta={"capacity": 1}
         )
@@ -107,7 +107,7 @@ class TestBrokerProtocol:
         assert "silent" not in fleet["live"]
         assert fleet["crashes"] == {"silent": 1}
         assert fleet["requeues"] == 1
-        # requeued at the *front*, ahead of the unleased chunk
+        # requeued at the *front*, ahead of the unleased run
         client.call("hello", proto=BROKER_PROTOCOL, worker="next", meta={})
         assert [lease(client, "next") for _ in range(2)] == ["leased", "second"]
 
@@ -140,16 +140,16 @@ class TestBrokerProtocol:
             return client.call("campaigns")["campaigns"][cid]["tasks_pending"]
 
         client.call("announce", campaign={"id": "a"})
-        client.call("put", campaign="a", item=chunk("stale"))
+        put(client, "a", "stale")
         client.call("conclude", campaign="a")
         # re-announcing campaign a starts it from a fresh record
         client.call("announce", campaign={"id": "a"})
         assert pending("a") == 0
-        client.call("put", campaign="a", item=chunk("a0"))
-        # a second tenant starting leaves campaign a's queued chunk alone
+        put(client, "a", "a0")
+        # a second tenant starting leaves campaign a's queued run alone
         client.call("announce", campaign={"id": "b"})
         assert pending("a") == 1
-        # withdrawing campaign a drops its record (and the chunk) whole
+        # withdrawing campaign a drops its record (and the run) whole
         client.call("withdraw", campaign="a")
         assert "a" not in client.call("campaigns")["campaigns"]
         assert pending("b") == 0
@@ -170,47 +170,55 @@ class TestBrokerProtocol:
 
     def test_take_any_interleaves_tenants_fairly(self, client):
         """Deficit round-robin: with two equal-priority tenants queued,
-        a stream of ``take_any`` leases alternates between them instead
-        of draining one campaign before touching the other."""
+        a stream of ``take_any`` leases alternates between them, one
+        quantum of lane runs at a time, instead of draining one campaign
+        before touching the other."""
         from repro.core.broker import DRR_QUANTUM
 
-        cost = int(DRR_QUANTUM)  # one chunk spends a full visit's deficit
+        quantum = int(DRR_QUANTUM)  # runs one visit's deficit pays for
         for cid in ("a", "b"):
             client.call("announce", campaign={"id": cid})
-            for token in range(4):
-                client.call("put", campaign=cid, item=chunk(f"{cid}{token}", cost))
+            put(client, cid, *(f"{cid}{token}" for token in range(2 * quantum)))
         client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
         origins = []
-        for _ in range(8):
+        for _ in range(4 * quantum):
             reply = client.call("take_any", worker="w", timeout=0.1)
             assert reply["ok"] and reply["item"] is not None
             origins.append(reply["campaign"])
-        assert sorted(origins) == ["a"] * 4 + ["b"] * 4
-        # both tenants appear in the first half: neither waits for the
-        # other to drain
-        assert {"a", "b"} <= set(origins[:4])
+        # neither tenant waits for the other to drain
+        assert origins == (["a"] * quantum + ["b"] * quantum) * 2
         assert client.call("take_any", worker="w", timeout=0.05)["item"] is None
 
     def test_take_any_weights_by_priority(self, client):
-        """A priority-2 tenant is offered about twice the work of a
-        priority-1 one while both have tasks queued."""
+        """A priority-2 tenant is offered twice the work of a priority-1
+        one while both have tasks queued."""
         from repro.core.broker import DRR_QUANTUM
 
-        cost = int(DRR_QUANTUM)
+        quantum = int(DRR_QUANTUM)
         client.call("announce", campaign={"id": "hi", "priority": 2.0})
         client.call("announce", campaign={"id": "lo", "priority": 1.0})
         for cid in ("hi", "lo"):
-            for token in range(12):
-                client.call("put", campaign=cid, item=chunk(f"{cid}{token}", cost))
+            put(client, cid, *(f"{cid}{token}" for token in range(6 * quantum)))
         client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
         origins = []
-        for _ in range(12):
+        for _ in range(6 * quantum):  # two rotations of 2 + 1 quanta
             reply = client.call("take_any", worker="w", timeout=0.1)
             assert reply["item"] is not None
             origins.append(reply["campaign"])
-        # the leases split roughly 2:1 in favour of the hi tenant
-        assert origins.count("hi") >= 7
-        assert origins.count("lo") >= 2
+        # the leases split 2:1 in favour of the hi tenant
+        assert origins.count("hi") == 2 * origins.count("lo") == 4 * quantum
+
+    @pytest.mark.parametrize("priority", [-1.0, float("nan"), float("inf")])
+    def test_announce_refuses_a_priority_drr_cannot_bank(self, client, priority):
+        """Deficit round-robin banks ``DRR_QUANTUM * priority`` per visit
+        until a campaign affords a run; a priority that is not a positive
+        finite number would never get there (or never stop), so it is
+        refused and nothing is registered."""
+        reply = client.call("announce", campaign={"id": "c", "priority": priority})
+        assert not reply["ok"] and "priority" in reply["error"]
+        assert client.call("campaigns")["campaigns"] == {}
+        with pytest.raises(ValueError, match="priority"):
+            QueueTransport(priority=priority)
 
     def test_campaign_ids_are_host_and_pid_scoped(self):
         """Minted ids embed hostname, pid and a random tail, so two
@@ -263,9 +271,10 @@ class TestBrokerProtocol:
         hello = client.call("hello", proto=99, worker="future", meta={})
         assert not hello["ok"] and "protocol" in hello["error"]
         # older workers are refused at hello, not mis-served: a version-2
-        # worker cannot run lane-run entries, and a version-3 one would
-        # push results under queue names instead of campaign ids
-        for proto in (1, 2, 3):
+        # worker cannot run lane-run entries, a version-3 one would push
+        # results under queue names instead of campaign ids, and a
+        # version-4 one would read a single lane run as a chunk
+        for proto in (1, 2, 3, 4):
             hello = client.call("hello", proto=proto, worker=f"v{proto}", meta={})
             assert not hello["ok"] and "protocol" in hello["error"]
 
@@ -278,8 +287,8 @@ class TestBrokerProtocol:
         put or take naming any other id (or none) creates nothing."""
         client.call("announce", campaign={"id": "known"})
         for fields in ({"campaign": "other"}, {"queue": "tasks:known"}):
-            put = client.call("put", item=chunk(0), **fields)
-            assert not put["ok"] and "unknown campaign" in put["error"]
+            refused = client.call("put", runs=[{"token": 0}], **fields)
+            assert not refused["ok"] and "unknown campaign" in refused["error"]
             take = client.call("take", ack=[], max=1, timeout=0.0, **fields)
             assert not take["ok"] and "unknown campaign" in take["error"]
         status = client.call("status")["status"]
@@ -287,27 +296,30 @@ class TestBrokerProtocol:
         assert status["fleet"]["pending"] == {}
 
     @pytest.mark.parametrize(
-        "item",
+        "fields",
         [
-            {"token": 0},
-            {"token": 0, "points": []},
-            {"token": 0, "points": [{"app": "x"}]},
-            {"points": [{"token": 0}]},
+            {"runs": {"token": 0}},
+            {"runs": []},
+            {"runs": [{"token": 0}, {"app": "x"}]},
+            {"item": {"points": [{"token": 0}]}},
         ],
         ids=["flat", "empty", "point-without-token", "chunk-without-token"],
     )
-    def test_put_accepts_chunks_only(self, client, item):
+    def test_put_accepts_chunks_only(self, client, fields):
+        """A put carries one node's lane runs as a non-empty ``runs``
+        list, every run with a token; a lone run, an empty list, a
+        tokenless run or a version-4 chunk item is refused whole."""
         client.call("announce", campaign={"id": "c"})
-        reply = client.call("put", campaign="c", item=item)
-        assert not reply["ok"] and "chunk" in reply["error"]
+        reply = client.call("put", campaign="c", **fields)
+        assert not reply["ok"] and "runs" in reply["error"]
         assert client.call("campaigns")["campaigns"]["c"]["tasks_pending"] == 0
 
     def test_take_any_needs_a_hello_and_leases_nothing_without_one(self, client):
         """A worker that never said hello is not in the registry, so a
         lease it took could never be requeued when it dies: the take is
-        refused and the chunk stays queued."""
+        refused and the run stays queued."""
         client.call("announce", campaign={"id": "c"})
-        client.call("put", campaign="c", item=chunk("c0"))
+        put(client, "c", "c0")
         reply = client.call("take_any", worker="stranger", timeout=0.05)
         assert not reply["ok"] and "hello" in reply["error"]
         status = client.call("status")["status"]
@@ -317,16 +329,16 @@ class TestBrokerProtocol:
         assert lease(client, "stranger") == "c0"
 
     def test_same_numbered_chunks_of_two_campaigns_both_requeue(self, client):
-        """Campaigns number their chunks independently, so one worker may
-        lease chunk 0 of two campaigns at once; when it dies, both go
+        """Campaigns number their lane runs independently, so one worker
+        may lease run 0 of two campaigns at once; when it dies, both go
         back to their own campaign's queue."""
         for cid in ("a", "b"):
             client.call("announce", campaign={"id": cid})
-            client.call("put", campaign=cid, item=chunk(0, points=2))
+            put(client, cid, 0, 1)
         client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
-        assert [lease(client, "w"), lease(client, "w")] == [0, 0]
+        assert [lease(client, "w") for _ in range(4)] == [0, 1, 0, 1]
         status = client.call("status")["status"]
-        assert status["leases"]["w"]["count"] == 2
+        assert status["leases"]["w"]["count"] == 4
         assert {cid: c["leased_points"] for cid, c in status["campaigns"].items()} == {
             "a": 2,
             "b": 2,
@@ -334,7 +346,59 @@ class TestBrokerProtocol:
         time.sleep(0.6)  # > TTL: the sweeper presumes a crash
         fleet = client.call("fleet")["fleet"]
         assert fleet["requeues"] == 4
-        assert fleet["pending"] == {"a": 1, "b": 1}
+        assert fleet["pending"] == {"a": 2, "b": 2}
+
+    def test_new_process_under_a_live_id_requeues_its_predecessors_leases(self):
+        """A respawned worker may say hello before the broker has read its
+        predecessor's end of connection.  A hello with another pid ends
+        the previous incarnation there and then: its lease is requeued at
+        the front and its crash counted, once."""
+        broker = EmbeddedBroker(heartbeat_ttl=30.0).start()
+        first, second, admin = (BrokerClient(broker.address) for _ in range(3))
+        try:
+            admin.call("announce", campaign={"id": "c"})
+            put(admin, "c", "a", "b")
+            first.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={"pid": 1})
+            assert lease(first, "w") == "a"
+            second.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={"pid": 2})
+            first.close()
+            fleet = admin.call("fleet")["fleet"]
+            assert fleet["crashes"] == {"w": 1}
+            assert fleet["requeues"] == 1
+            assert [lease(second, "w") for _ in range(2)] == ["a", "b"]
+            time.sleep(0.1)  # the predecessor's end of connection counts nothing
+            status = admin.call("status")["status"]
+            assert status["fleet"]["crashes"] == {"w": 1}
+            assert status["leases"]["w"]["count"] == 2
+            assert status["fleet"]["pending"] == {}
+        finally:
+            for client in (first, second, admin):
+                client.close()
+            broker.close()
+
+    def test_same_process_rehello_keeps_its_leases(self):
+        """A worker re-registering after a reconnect sends its own pid
+        again: its lease stays and no crash is counted, also when the
+        old connection ends afterwards."""
+        broker = EmbeddedBroker(heartbeat_ttl=30.0).start()
+        first, second, admin = (BrokerClient(broker.address) for _ in range(3))
+        try:
+            admin.call("announce", campaign={"id": "c"})
+            put(admin, "c", "a", "b")
+            first.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={"pid": 1})
+            assert lease(first, "w") == "a"
+            second.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={"pid": 1})
+            first.close()
+            time.sleep(0.1)
+            status = admin.call("status")["status"]
+            assert status["fleet"]["crashes"] == {}
+            assert status["fleet"]["requeues"] == 0
+            assert status["leases"]["w"]["count"] == 1
+            assert lease(second, "w") == "b"
+        finally:
+            for client in (first, second, admin):
+                client.close()
+            broker.close()
 
     def test_goodbye_is_not_a_crash(self, client):
         client.call("hello", proto=BROKER_PROTOCOL, worker="leaver", meta={})
@@ -434,6 +498,37 @@ class TestQueueTransportLifecycle:
         assert not thread.is_alive()
         assert ops == ["ping"]
 
+    def test_a_node_is_one_put_of_single_lane_runs(self):
+        """A node's lane runs go to the broker in one put and are queued,
+        leased and returned one by one: three runs become three queued
+        items, and one take leases exactly one."""
+        with EmbeddedBroker() as shared:
+            transport = QueueTransport(shared)
+            client = BrokerClient(shared.address)
+            try:
+                transport.start(EnvSpec.from_env(SimulationEnvironment()))
+                assignment = {"url_pattern": "AR", "connection": "SLL"}
+                task = (UrlApp, "Whittemore", {}, assignment)
+                transport.submit_chunk(
+                    "node", ChunkTask.of([(i, task) for i in range(3)])
+                )
+                (cid,) = client.call("campaigns")["campaigns"]
+                status = client.call("status")["status"]
+                assert status["campaigns"][cid]["tasks_pending"] == 3
+                client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
+                reply = client.call("take_any", worker="w", timeout=0.1)
+                assert reply["campaign"] == cid
+                assert reply["item"]["token"] == 0
+                assert reply["item"]["assignment"] == assignment
+                status = client.call("status")["status"]
+                assert status["campaigns"][cid]["tasks_pending"] == 2
+                assert status["campaigns"][cid]["leased_points"] == 1
+                assert status["leases"]["w"]["count"] == 1
+                client.call("goodbye", worker="w")  # hand the lease back
+            finally:
+                client.close()
+                transport.close()
+
     def test_no_workers_times_out(self):
         transport = QueueTransport(worker_timeout=0.5)
         try:
@@ -497,7 +592,7 @@ class TestQueueTransportLifecycle:
             finally:
                 client.close()
 
-    def test_worker_waiting_for_first_campaign_stays_registered(self):
+    def test_worker_waiting_for_first_campaign_stays_registered(self, tmp_path):
         """Regression: a worker launched before any campaign polled an
         op that never re-armed its TTL, so waiting out the TTL counted
         as a crash, and its first lease after the wait went unrecorded
@@ -505,7 +600,9 @@ class TestQueueTransportLifecycle:
         live, and a crash on its first lease requeues that lease."""
         with EmbeddedBroker(heartbeat_ttl=0.8) as broker:
             client = BrokerClient(broker.address)
-            worker = spawn_worker(broker.address, "early", "--fail-after", "1")
+            worker = spawn_worker(
+                broker.address, "early", "--fail-after", "1", log_dir=tmp_path
+            )
             try:
                 deadline = time.monotonic() + 30
                 while "early" not in client.call("fleet")["fleet"]["live"]:
@@ -518,15 +615,14 @@ class TestQueueTransportLifecycle:
 
                 spec = EnvSpec.from_env(SimulationEnvironment())
                 client.call("announce", campaign={"id": "c", "spec": spec})
-                point = {
+                run = {
                     "token": "p0",
                     "app": UrlApp,
                     "trace": "Whittemore",
                     "params": {},
                     "assignment": {"url_pattern": "AR", "connection": "SLL"},
                 }
-                item = {"token": "c0", "points": [point]}
-                client.call("put", campaign="c", item=item)
+                client.call("put", campaign="c", runs=[run])
                 assert worker.wait(timeout=30) == WORKER_CRASH_EXIT
                 deadline = time.monotonic() + 10
                 while client.call("fleet")["fleet"]["requeues"] < 1:
@@ -534,12 +630,13 @@ class TestQueueTransportLifecycle:
                     time.sleep(0.05)
                 client.call("hello", proto=BROKER_PROTOCOL, worker="next", meta={})
                 requeued = client.call("take_any", worker="next", timeout=1.0)["item"]
-                assert [p["token"] for p in requeued["points"]] == ["p0"]
+                assert requeued["token"] == "p0"
             finally:
                 client.close()
                 if worker.poll() is None:
                     worker.kill()
                     worker.wait(timeout=10)
+                print_logs(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +651,7 @@ class TestElasticFleet:
         nothing but throughput -- results match serial on content keys.
         """
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        early = spawn_worker(transport.address, "early")
+        early = spawn_worker(transport.address, "early", log_dir=tmp_path)
         late_box = []
         mid_campaign = threading.Event()
         done_points = [0]
@@ -569,7 +666,7 @@ class TestElasticFleet:
             if not mid_campaign.wait(120):
                 return
             early.kill()  # leaves without a goodbye
-            late_box.append(spawn_worker(transport.address, "late"))
+            late_box.append(spawn_worker(transport.address, "late", log_dir=tmp_path))
 
         stagehand = threading.Thread(target=choreography, daemon=True)
         stagehand.start()
@@ -590,6 +687,7 @@ class TestElasticFleet:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10)
+            print_logs(tmp_path)
         assert_matches(result, serial_campaign)
         # workers hydrated traces from the shared store: the coordinator
         # generated each needed trace exactly once
@@ -605,13 +703,13 @@ class TestElasticFleet:
 # fault injection through the shared drills
 # ----------------------------------------------------------------------
 class TestQueueFaultInjection:
-    def test_crashed_workers_points_are_requeued(self):
+    def test_crashed_workers_points_are_requeued(self, tmp_path):
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        crash_requeue_drill(transport)
+        crash_requeue_drill(transport, log_dir=tmp_path)
 
-    def test_twice_crashing_worker_is_quarantined(self):
+    def test_twice_crashing_worker_is_quarantined(self, tmp_path):
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        quarantine_drill(transport)
+        quarantine_drill(transport, log_dir=tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -630,6 +728,7 @@ class TestWarmRejoin:
         cache_rejoin_drill(
             serial_campaign,
             cache_dir=tmp_path / "cache",
+            log_dir=tmp_path / "logs",
             trace_store=tmp_path / "traces",
         )
 
@@ -652,6 +751,7 @@ class TestBrokerRestart:
         broker_restart_drill(
             serial_campaign,
             journal_dir=tmp_path / "journal",
+            log_dir=tmp_path / "logs",
             trace_store=tmp_path / "traces",
             cache=tmp_path / "cache",
         )
@@ -673,6 +773,7 @@ class TestConcurrentCampaigns:
         point was received exactly once."""
         url_result, drr_result, metrics = concurrent_campaign_drill(
             journal_dir=tmp_path / "journal",
+            log_dir=tmp_path / "logs",
             trace_store_a=tmp_path / "traces-url",
             trace_store_b=tmp_path / "traces-drr",
         )
@@ -756,8 +857,8 @@ class TestCapacityWeightedDispatch:
         cache_dir = tmp_path / "cache"
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         workers = [
-            spawn_worker(transport.address, "small", capacity=1),
-            spawn_worker(transport.address, "big", capacity=3),
+            spawn_worker(transport.address, "small", capacity=1, log_dir=tmp_path),
+            spawn_worker(transport.address, "big", capacity=3, log_dir=tmp_path),
         ]
         try:
             wait_live(transport.address, "small", "big")
@@ -774,6 +875,7 @@ class TestCapacityWeightedDispatch:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10)
+            print_logs(tmp_path)
         assert_matches(result, serial_campaign)
 
         stats = result.worker_stats

@@ -48,7 +48,6 @@ class TestEnvSpec:
         rebuilt = spec.build()
         assert rebuilt.cacti is env.cacti
         assert rebuilt.costs is env.costs
-        assert rebuilt.repeats == env.repeats
         assert rebuilt._trace_cache == {}
 
     def test_picklable(self, env):
@@ -81,11 +80,6 @@ class TestFingerprint:
         base = model_fingerprint(SimulationEnvironment())
         flat = model_fingerprint(SimulationEnvironment(cacti=FlatEnergyModel()))
         assert base != flat
-
-    def test_repeats_change_fingerprint(self):
-        assert model_fingerprint(SimulationEnvironment()) != model_fingerprint(
-            SimulationEnvironment(repeats=2)
-        )
 
 
 class TestSimulationCache:
@@ -161,7 +155,7 @@ class TestSimulationCache:
     def test_float_stats_round_trip(self, env, tmp_path):
         """Regression: reload used to coerce every stats value to int.
 
-        Fractional per-run statistics (e.g. an average over repeats)
+        Fractional per-run statistics (e.g. an average occupancy)
         must come back as the same floats -- and genuinely integral
         counters as ints -- so a cache hit is bit-for-bit identical to
         the original simulation.
@@ -324,9 +318,9 @@ class TestEngineTeardown:
 
     def test_broken_worker_initializer_tears_transport_down(self, monkeypatch):
         engine = ExplorationEngine(workers=1)
-        # EnvSpec.build() raises inside the pool initializer (repeats
-        # must be positive), breaking every worker process.
-        bad = EnvSpec(cacti=engine.env.cacti, costs=engine.env.costs, repeats=-1)
+        # EnvSpec.build() raises inside the pool initializer (a trace
+        # store path that is no path), breaking every worker process.
+        bad = EnvSpec(cacti=engine.env.cacti, costs=engine.env.costs, trace_store=0)
         monkeypatch.setattr(
             EnvSpec, "from_env", classmethod(lambda cls, env: bad)
         )

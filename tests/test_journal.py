@@ -55,9 +55,9 @@ def write_raw_records(directory, records):
             handle.write(struct.pack("<II", len(blob), crc) + blob)
 
 
-def chunk(token, points=1):
-    """A chunk item of ``points`` points."""
-    return {"token": token, "points": [{"token": (token, i)} for i in range(points)]}
+def put(client, campaign, *tokens):
+    """Queue one lane run per token on ``campaign`` (one ``put``)."""
+    return client.call("put", campaign=campaign, runs=[{"token": t} for t in tokens])
 
 
 def hello(client, worker):
@@ -65,7 +65,7 @@ def hello(client, worker):
 
 
 def lease(client, worker, timeout=0.1):
-    """The token of the chunk ``worker`` leases next, or ``None``."""
+    """The token of the lane run ``worker`` leases next, or ``None``."""
     item = client.call("take_any", worker=worker, timeout=timeout)["item"]
     return None if item is None else item["token"]
 
@@ -93,9 +93,10 @@ class TestJournalFormat:
             (("put", "q", 1), 1),  # a bare entry from a version-1 log
             ({"v": 2, "entry": ("put", "q", 1)}, 2),
             ({"v": 3, "entry": ("put", "q", 1)}, 3),
+            ({"v": 4, "entry": ("put", "q", 1)}, 4),
             ({"v": RECORD_VERSION + 1, "entry": ("put", "q", 1)}, RECORD_VERSION + 1),
         ],
-        ids=["bare-v1", "v2", "v3", "newer"],
+        ids=["bare-v1", "v2", "v3", "v4", "newer"],
     )
     def test_record_of_another_version_is_refused(self, tmp_path, record, version):
         """A record of another version is refused, not translated: the
@@ -232,8 +233,8 @@ class TestBrokerReplay:
             client = BrokerClient(broker.address)
             try:
                 assert client.call("announce", campaign={"id": "c1"})["ok"]
-                for token in (1, 2, 3):
-                    client.call("put", campaign="c1", item=chunk(token))
+                put(client, "c1", 1, 2)
+                put(client, "c1", 3)
                 assert client.call(
                     "push_result", campaign="c1", token=7, payload={}, worker="w"
                 )["dup"] is False
@@ -257,10 +258,10 @@ class TestBrokerReplay:
                 client.close()
 
     def test_older_journals_are_refused_not_translated(self, tmp_path):
-        """A journal written by an older build -- a version-1 or
-        version-3 log, or an unversioned (version-3 or older) snapshot
-        -- is refused with one warning naming the version: the successor
-        registers no campaign and serves none of its chunks."""
+        """A journal written by an older build -- a version-1, -3 or -4
+        log, an unversioned (version-3 or older) snapshot or a version-4
+        snapshot -- is refused with one warning naming the version: the
+        successor registers no campaign and serves none of its work."""
         v3_campaign = {
             "id": "c1",
             "tasks": "tasks:c1",
@@ -268,8 +269,9 @@ class TestBrokerReplay:
             "spec": None,
             "priority": 1.0,
         }
+        v4_chunk = {"token": 0, "points": [{"token": (0, 0)}]}
         v3_snapshot = {
-            "queues": {"tasks:c1": [chunk(0)]},
+            "queues": {"tasks:c1": [v4_chunk]},
             "seen": {"results:c1": set()},
             "campaigns": {"c1": {**v3_campaign, "state": "running"}},
             "leases": {},
@@ -282,12 +284,30 @@ class TestBrokerReplay:
         }
         v3_log = [
             {"v": 3, "entry": ("announce", v3_campaign)},
-            {"v": 3, "entry": ("put", "tasks:c1", chunk(1))},
+            {"v": 3, "entry": ("put", "tasks:c1", v4_chunk)},
         ]
+        v4_campaign = {"id": "c1", "spec": None, "priority": 1.0}
+        v4_log = [
+            {"v": 4, "entry": ("announce", v4_campaign)},
+            {"v": 4, "entry": ("put", "c1", v4_chunk)},
+        ]
+        v4_state = {
+            "_leases": {}, "_seen_workers": set(), "_crashes": {},
+            "_quarantined": [], "_requeues": 0, "_dup_results": 0,
+            "_campaigns": {
+                "c1": {
+                    **v4_campaign, "state": "running", "tasks": [v4_chunk],
+                    "results": [], "seen": set(), "delivered": {},
+                }
+            },
+        }
+        v4_snapshot = {"v": 4, "snapshot": v4_state}
         cases = [
             ("record version 1", None, [("reset", v3_campaign, {"w": 4})]),
             ("record version 3", None, v3_log),
             ("record version 3 or older", v3_snapshot, v3_log),
+            ("record version 4", None, v4_log),
+            ("snapshot .* is record version 4", v4_snapshot, v4_log),
         ]
         for version, snapshot, log in cases:
             for name in (SNAPSHOT_NAME, LOG_NAME):
@@ -350,8 +370,7 @@ class TestBrokerReplay:
         client = BrokerClient(broker.address)
         try:
             client.call("announce", campaign={"id": "c"})
-            client.call("put", campaign="c", item=chunk("leased"))
-            client.call("put", campaign="c", item=chunk("second"))
+            put(client, "c", "leased", "second")
             hello(client, "doomed")
             assert lease(client, "doomed") == "leased"
         finally:
@@ -369,52 +388,6 @@ class TestBrokerReplay:
                 fleet = client.call("fleet")["fleet"]
                 assert fleet["requeues"] == 1
                 assert fleet["crashes"] == {}
-            finally:
-                client.close()
-
-    def test_half_acked_chunk_replays_point_granular(self, tmp_path):
-        """A chunk lease with some points already resulted is requeued
-        on replay with only the unfinished remainder: the journaled
-        ``result`` entries strip completed points from the lease, so a
-        restarted broker never re-runs (or double-counts) them."""
-        points = [{"token": f"p{i}"} for i in range(3)]
-        broker = EmbeddedBroker(journal=tmp_path)
-        broker.start()
-        client = BrokerClient(broker.address)
-        try:
-            client.call("announce", campaign={"id": "c"})
-            client.call("put", campaign="c", item={"token": "c0", "points": points})
-            hello(client, "doomed")
-            taken = client.call("take_any", worker="doomed", timeout=0.1)
-            assert [p["token"] for p in taken["item"]["points"]] == [
-                "p0", "p1", "p2",
-            ]
-            # the first point of the chunk completes and is journaled
-            assert client.call(
-                "push_result", campaign="c", token="p0", payload={},
-                worker="doomed",
-            )["dup"] is False
-        finally:
-            # broker first: the broker dies, the worker is not to blame
-            broker.close()
-            client.close()
-        with EmbeddedBroker(journal=tmp_path) as successor:
-            client = BrokerClient(successor.address)
-            try:
-                hello(client, "survivor")
-                again = client.call("take_any", worker="survivor", timeout=0.1)
-                # only the unfinished remainder of the chunk came back
-                assert [p["token"] for p in again["item"]["points"]] == [
-                    "p1", "p2",
-                ]
-                fleet = client.call("fleet")["fleet"]
-                assert fleet["requeues"] == 2  # points, never chunks
-                assert fleet["crashes"] == {}
-                # the completed point is still a duplicate after replay
-                assert client.call(
-                    "push_result", campaign="c", token="p0", payload={},
-                    worker="survivor",
-                )["dup"] is True
             finally:
                 client.close()
 
@@ -466,7 +439,7 @@ class TestBrokerReplay:
                 mine = BrokerClient(broker.address)
                 try:
                     for i in range(start, start + 20):
-                        mine.call("put", campaign="c", item=chunk(i))
+                        put(mine, "c", i)
                 finally:
                     mine.close()
 
@@ -515,25 +488,29 @@ class TestBrokerReplay:
             client = BrokerClient(broker.address)
             try:
                 client.call("announce", campaign={"id": "c"})
-                client.call("put", campaign="c", item=chunk(1, points=3))
-                client.call("push_result", campaign="c", token=(1, 0), payload={})
+                put(client, "c", 1, 2, 3)
+                client.call("push_result", campaign="c", token=0, payload={})
                 hello(client, "w")
-                assert lease(client, "w") == 1
+                assert [lease(client, "w") for _ in range(3)] == [1, 2, 3]
+                # a result ends its run's lease
+                client.call(
+                    "push_result", campaign="c", token=3, payload={}, worker="w"
+                )
                 status = client.call("status")["status"]
             finally:
                 client.close()
         json.dumps(status)  # must be JSON-safe for the CLI
         assert status["proto"] == BROKER_PROTOCOL
         assert status["uptime_s"] >= 0
-        assert status["leases"]["w"]["count"] == 1
+        assert status["leases"]["w"]["count"] == 2
         assert status["campaigns"]["c"] == {
             "state": "running",
             "priority": 1.0,
             "tasks_pending": 0,
-            "results_pending": 1,
-            "results_seen": 1,
+            "results_pending": 2,
+            "results_seen": 2,
             "unacked": 0,
-            "leased_points": 3,
+            "leased_points": 2,
         }
         assert status["journal"]["directory"] == str(tmp_path)
         assert "w" in status["fleet"]["live"]
@@ -560,7 +537,7 @@ class TestBrokerReconnect:
         successor = []
         try:
             client.call("announce", campaign={"id": "c"})
-            client.call("put", campaign="c", item=chunk(1))
+            put(client, "c", 1)
 
             def restart():
                 time.sleep(0.3)
@@ -676,12 +653,14 @@ class TestStandaloneBrokerProcess:
         from repro.tools import explore
 
         address = f"127.0.0.1:{free_port()}"
-        broker = spawn_broker(address, journal=str(tmp_path))
+        broker = spawn_broker(
+            address, journal=str(tmp_path / "journal"), log_dir=tmp_path / "logs"
+        )
         try:
             assert explore.main(["broker", "--status", address]) == 0
             status = json.loads(capsys.readouterr().out)
             assert status["proto"] == BROKER_PROTOCOL
-            assert status["journal"]["directory"] == str(tmp_path)
+            assert status["journal"]["directory"] == str(tmp_path / "journal")
         finally:
             broker.terminate()
             broker.wait(timeout=10)

@@ -53,25 +53,10 @@ class TestSimulate:
         assert a.metrics == b.metrics
         assert a.stats == b.stats
 
-    def test_repeats_average_identical(self):
-        env = SimulationEnvironment(repeats=3)
-        record = run_simulation(
-            UrlApp, SMALL, {"url_pattern": "SLL", "connection": "SLL"}, env
-        )
-        single = run_simulation(
-            UrlApp, SMALL, {"url_pattern": "SLL", "connection": "SLL"},
-            SimulationEnvironment(),
-        )
-        assert record.metrics == single.metrics
-
     def test_trace_cache_shared(self, env):
         t1 = env.trace_for(SMALL)
         t2 = env.trace_for(NetworkConfig("Whittemore", {"x": 1}))
         assert t1 is t2  # same trace name -> same cached object
-
-    def test_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            SimulationEnvironment(repeats=0)
 
 
 class TestProfiling:

@@ -48,12 +48,6 @@ class TestMetricVector:
         assert not better.dominates(better)  # strictness
         assert better.weakly_dominates(better)
 
-    def test_mean(self):
-        avg = MetricVector.mean([vec(1, 1, 100, 100), vec(3, 3, 300, 300)])
-        assert avg == vec(2, 2, 200, 200)
-        with pytest.raises(ValueError):
-            MetricVector.mean([])
-
     def test_scaled(self):
         doubled = vec(1, 2, 3, 4).scaled(2)
         assert doubled == vec(2, 4, 6, 8)

@@ -50,12 +50,11 @@ def _oracle_batches(seed):
     return batches
 
 
-@pytest.mark.parametrize("repeats", [1, 2])
-def test_engine_records_equal_plain_simulation(repeats):
+def test_engine_records_equal_plain_simulation():
     batches = _oracle_batches(seed=12)
-    engine = ExplorationEngine(env=SimulationEnvironment(repeats=repeats))
+    engine = ExplorationEngine()
     results = engine.run_batches(batches)
-    oracle = SimulationEnvironment(repeats=repeats)
+    oracle = SimulationEnvironment()
     for (app_cls, points, _), records in zip(batches, results):
         for (config, assignment), record in zip(points, records):
             plain = run_simulation(app_cls, config, assignment, oracle)

@@ -16,7 +16,7 @@ from repro.core.campaign import MANIFEST_NAME, CampaignScheduler
 from repro.core.casestudies import CASE_STUDIES
 from repro.core.engine import ExplorationEngine
 from repro.core.methodology import DDTRefinement
-from repro.core.taskgraph import TaskGraph, TaskNode, auto_chunk_points
+from repro.core.taskgraph import TaskGraph, TaskNode
 from repro.apps import DrrApp, UrlApp
 from repro.net import profiles
 from repro.net.config import NetworkConfig
@@ -117,15 +117,6 @@ class TestGraphPrimitives:
                     name="bad", app_cls=UrlApp, points=[self.POINT], details=["a", "b"]
                 )
             )
-
-    @pytest.mark.parametrize(
-        "runs, slots, size", [(1, 2, 1), (10, 2, 3), (160, 2, 40), (16, None, 2)]
-    )
-    def test_default_chunk_size(self, runs, slots, size):
-        """The default chunk size depends on the node's cover runs and
-        the transport's width alone: two chunks per slot, at most 40
-        runs, and 4 slots when the transport does not say."""
-        assert auto_chunk_points(runs, slots=slots) == size
 
     def test_parallel_matches_serial_records(self, tmp_path):
         def build():

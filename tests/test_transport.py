@@ -1,5 +1,5 @@
-"""Tests of the transport layer: wire frames, the local pool, the chunk
-contract and the worker CLI.
+"""Tests of the transport layer: wire frames, the local pool, the
+submission contract and the worker CLI.
 
 Distribution must be a pure scheduling layer: a campaign run through a
 transport produces records equal on ``SimulationRecord.content_key()``
@@ -115,7 +115,7 @@ class TestLocalPoolTransport:
 
 
 # ----------------------------------------------------------------------
-# the chunked contract
+# the submission contract: one call per node, one task per lane run
 # ----------------------------------------------------------------------
 URL_TASK = (UrlApp, SMALL.trace_name, dict(SMALL.app_params),
             {"url_pattern": "AR", "connection": "SLL"})
@@ -127,19 +127,23 @@ class TestChunkContract:
         assert len(chunk) == 2
         assert chunk.tokens == (1, 2)
         assert ChunkTask.of([(7, URL_TASK)]).tokens == (7,)
-        with pytest.raises(ValueError, match="at least one point"):
+        with pytest.raises(ValueError, match="at least one lane run"):
             ChunkTask(())
 
     def test_local_pool_chunk_returns_one_batch(self):
-        """A 3-point chunk is one pool task and one result batch."""
+        """A 3-run chunk is three pool tasks: every run comes back once,
+        across however many result batches."""
         env = SimulationEnvironment()
         transport = LocalPoolTransport(workers=1)
         try:
             transport.start(EnvSpec.from_env(env))
             transport.submit_chunk(
-                "c0", ChunkTask.of([(i, URL_TASK) for i in range(3)])
+                "node", ChunkTask.of([(i, URL_TASK) for i in range(3)])
             )
-            batch = transport.next_results()
+            assert len(transport._futures) == 3
+            batch = []
+            while transport._futures:
+                batch += transport.next_results()
         finally:
             transport.close()
         direct = run_simulation(UrlApp, SMALL, URL_TASK[3], env)
@@ -154,11 +158,11 @@ class TestChunkContract:
 # fault injection (the crash and quarantine drills: tests/test_broker.py)
 # ----------------------------------------------------------------------
 class TestFaultInjection:
-    def test_quarantined_id_is_rejected_on_reconnect(self):
+    def test_quarantined_id_is_rejected_on_reconnect(self, tmp_path):
         """A hello from a quarantined id is turned away at the door."""
         with EmbeddedBroker() as broker:
             broker._quarantined.append("banned")
-            proc = spawn_worker(broker.address, "banned")
+            proc = spawn_worker(broker.address, "banned", log_dir=tmp_path)
             assert proc.wait(timeout=30) == WORKER_REJECTED_EXIT
 
 
