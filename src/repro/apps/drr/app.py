@@ -18,12 +18,17 @@ application" (``quantum`` in ``config.app_params``).
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.apps.base import NetworkApplication
 from repro.ddt.base import DynamicDataType
 from repro.ddt.records import RecordSpec
 from repro.net.packet import Packet
 
 __all__ = ["DrrApp"]
+
+#: Key of a flow record (a :class:`_FlowState`).
+_FLOW_KEY = attrgetter("key")
 
 
 class _FlowState:
@@ -75,7 +80,7 @@ class DrrApp(NetworkApplication):
     def process(self, packet: Packet) -> None:
         """Classify and enqueue one packet; service when the batch fills."""
         key = packet.flow_key
-        hit = self._flows.find(lambda flow: flow.key == key)
+        hit = self._flows.find_key(_FLOW_KEY, key)
         if hit is None:
             state = _FlowState(key, self.make_structure("packet_buf"))
             self._flows.append(state)

@@ -13,6 +13,7 @@ The paper's third case study.  Two dominant dynamic data structures:
 from __future__ import annotations
 
 import zlib
+from operator import itemgetter
 
 from repro.apps.base import NetworkApplication
 from repro.apps.ipchains.rules import ACCEPT, build_rule_chain
@@ -20,6 +21,9 @@ from repro.ddt.records import RecordSpec
 from repro.net.packet import Packet
 
 __all__ = ["IpchainsApp"]
+
+#: Key of a conntrack entry ``(flow_key, packets)``.
+_ENTRY_KEY = itemgetter(0)
 
 
 class IpchainsApp(NetworkApplication):
@@ -64,7 +68,7 @@ class IpchainsApp(NetworkApplication):
         reverse = (key[1], key[0], key[3], key[2], key[4])
 
         # Stateful fast path: established flows skip the chain.
-        tracked = self._track.find(lambda e: e[0] in (key, reverse))
+        tracked = self._track.find_key(_ENTRY_KEY, key, reverse)
         if tracked is not None:
             pos, entry = tracked
             self._track.set(pos, (entry[0], entry[1] + 1))

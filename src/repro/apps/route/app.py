@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from operator import itemgetter
 
 from repro.apps.base import NetworkApplication
 from repro.apps.route.radix import RadixTree
@@ -35,6 +36,8 @@ __all__ = ["RouteApp"]
 
 #: Table prefixes are /24 networks.
 _PREFIX_MASK = 0xFFFF_FF00
+#: Key of a route-cache entry ``(prefix, next_hop, uses)``.
+_ENTRY_KEY = itemgetter(0)
 
 
 class RouteApp(NetworkApplication):
@@ -111,7 +114,7 @@ class RouteApp(NetworkApplication):
         key = packet.dst_ip & _PREFIX_MASK
         self.stats.bump("routed")
 
-        hit = self._cache.find(lambda entry: entry[0] == key)
+        hit = self._cache.find_key(_ENTRY_KEY, key)
         if hit is not None:
             pos, entry = hit
             self.stats.bump("cache_hits")

@@ -14,6 +14,7 @@ for the "energy -80% / time -20%" headline comparison):
 from __future__ import annotations
 
 import zlib
+from operator import itemgetter
 
 from repro.apps.base import NetworkApplication
 from repro.apps.url.matcher import build_pattern_table
@@ -21,6 +22,9 @@ from repro.ddt.records import RecordSpec
 from repro.net.packet import Packet, Protocol
 
 __all__ = ["UrlApp"]
+
+#: Key of a connection entry ``(flow_key, server_id, bytes)``.
+_CONN_KEY = itemgetter(0)
 
 
 class UrlApp(NetworkApplication):
@@ -70,7 +74,7 @@ class UrlApp(NetworkApplication):
         # ones, and packet trains find them after a short scan).
         key = packet.flow_key
         reverse = (key[1], key[0], key[3], key[2], key[4])
-        hit = self._connections.find(lambda conn: conn[0] == key or conn[0] == reverse)
+        hit = self._connections.find_key(_CONN_KEY, key, reverse)
 
         if hit is None:
             server_id = self._dispatch(packet) if packet.url is not None else 0

@@ -45,11 +45,10 @@ class ArrayDDT(DynamicDataType):
         self._capacity = INITIAL_CAPACITY
         self._block: Block = self._pool.allocate(self._capacity * self._spec.size_bytes)
 
-    def _grow_if_full(self) -> None:
-        if len(self._items) < self._capacity:
-            return
+    def _grow(self) -> None:
+        """Reallocate a full array to the next capacity."""
         new_capacity = max(INITIAL_CAPACITY, self._capacity * GROWTH_FACTOR)
-        copy_words = len(self._items) * self._spec.record_words
+        copy_words = len(self._items) * self._record_words
         # realloc: stream every live record into the new block
         pool = self._pool
         self._block = pool.reallocate(self._block, new_capacity * self._spec.size_bytes)
@@ -57,48 +56,48 @@ class ArrayDDT(DynamicDataType):
         pool.stream_writes += copy_words
         self._capacity = new_capacity
 
-    def _shift(self, records: int) -> None:
-        """Charge moving ``records`` records by one slot (memmove)."""
-        words = records * self._spec.record_words
-        pool = self._pool
-        pool.stream_reads += words
-        pool.stream_writes += words
-
-    def _read_record(self) -> None:
-        """Random record read: first word dependent, rest streams."""
-        pool = self._pool
-        pool.dep_reads += 1
-        pool.stream_reads += self._spec.record_words - 1
-
-    def _write_record(self) -> None:
+    # -- cost hooks --------------------------------------------------------
+    # A random record access touches its first word dependently and
+    # streams the rest; a shift streams every moved record both ways.
+    def _model_append(self) -> None:
+        if len(self._items) >= self._capacity:
+            self._grow()
         pool = self._pool
         pool.dep_writes += 1
-        pool.stream_writes += self._spec.record_words - 1
-
-    # -- cost hooks --------------------------------------------------------
-    def _model_append(self) -> None:
-        self._grow_if_full()
-        self._write_record()
+        pool.stream_writes += self._record_words - 1
 
     def _model_insert(self, pos: int) -> None:
-        self._grow_if_full()
-        self._shift(len(self._items) - pos)
-        self._write_record()
+        if len(self._items) >= self._capacity:
+            self._grow()
+        words = self._record_words
+        shifted = (len(self._items) - pos) * words
+        pool = self._pool
+        pool.stream_reads += shifted
+        pool.stream_writes += shifted + words - 1
+        pool.dep_writes += 1
 
     def _model_get(self, pos: int) -> None:
-        self._read_record()
+        pool = self._pool
+        pool.dep_reads += 1
+        pool.stream_reads += self._record_words - 1
 
     def _model_set(self, pos: int) -> None:
-        self._write_record()
+        pool = self._pool
+        pool.dep_writes += 1
+        pool.stream_writes += self._record_words - 1
 
     def _model_remove(self, pos: int) -> None:
-        self._read_record()
-        self._shift(len(self._items) - pos - 1)
+        words = self._record_words
+        shifted = (len(self._items) - pos - 1) * words
+        pool = self._pool
+        pool.dep_reads += 1
+        pool.stream_reads += words - 1 + shifted
+        pool.stream_writes += shifted
 
     def _model_scan(self, visited: int, hit: bool) -> None:
-        reads = visited * self._spec.key_words
+        reads = visited * self._key_words
         if hit:
-            reads += self._spec.record_words - self._spec.key_words
+            reads += self._record_words - self._key_words
         pool = self._pool
         pool.stream_reads += reads
         pool.steps += visited
@@ -108,7 +107,7 @@ class ArrayDDT(DynamicDataType):
 
     def _model_iter_step(self, pos: int) -> None:
         pool = self._pool
-        pool.stream_reads += self._spec.record_words
+        pool.stream_reads += self._record_words
         pool.steps += 1
 
     def _model_clear(self) -> None:
@@ -137,10 +136,10 @@ class PointerArrayDDT(DynamicDataType):
         self._capacity = INITIAL_CAPACITY
         self._block: Block = self._pool.allocate(self._capacity * WORD_BYTES)
         self._record_blocks: list[Block] = []
+        self._record_bytes = self._spec.size_bytes
 
-    def _grow_if_full(self) -> None:
-        if len(self._items) < self._capacity:
-            return
+    def _grow(self) -> None:
+        """Reallocate a full pointer array to the next capacity."""
         new_capacity = max(INITIAL_CAPACITY, self._capacity * GROWTH_FACTOR)
         copy_words = len(self._items)  # one word per pointer
         pool = self._pool
@@ -149,55 +148,51 @@ class PointerArrayDDT(DynamicDataType):
         pool.stream_writes += copy_words
         self._capacity = new_capacity
 
-    def _shift_pointers(self, count: int) -> None:
-        pool = self._pool
-        pool.stream_reads += count
-        pool.stream_writes += count
-
-    def _alloc_record(self) -> None:
-        pool = self._pool
-        self._record_blocks.append(pool.allocate(self._spec.size_bytes))
-        pool.dep_writes += 1
-        pool.stream_writes += self._spec.record_words - 1
-
-    def _free_record(self) -> None:
-        self._pool.free(self._record_blocks.pop())
-
     # -- cost hooks --------------------------------------------------------
+    # A new record gets its own block, written with its first word
+    # dependent; the pointer store is one more dependent write.
     def _model_append(self) -> None:
-        self._grow_if_full()
-        self._alloc_record()
-        self._pool.dep_writes += 1  # store the pointer
+        if len(self._items) >= self._capacity:
+            self._grow()
+        pool = self._pool
+        self._record_blocks.append(pool.allocate(self._record_bytes))
+        pool.dep_writes += 2
+        pool.stream_writes += self._record_words - 1
 
     def _model_insert(self, pos: int) -> None:
-        self._grow_if_full()
-        self._shift_pointers(len(self._items) - pos)
-        self._alloc_record()
-        self._pool.dep_writes += 1
+        if len(self._items) >= self._capacity:
+            self._grow()
+        shifted = len(self._items) - pos  # pointers move, records stay
+        pool = self._pool
+        pool.stream_reads += shifted
+        self._record_blocks.append(pool.allocate(self._record_bytes))
+        pool.dep_writes += 2
+        pool.stream_writes += shifted + self._record_words - 1
 
     def _model_get(self, pos: int) -> None:
         pool = self._pool
         pool.dep_reads += 2  # pointer load + dependent first record word
-        pool.stream_reads += self._spec.record_words - 1
+        pool.stream_reads += self._record_words - 1
 
     def _model_set(self, pos: int) -> None:
         pool = self._pool
         pool.dep_reads += 1  # pointer load
         pool.dep_writes += 1
-        pool.stream_writes += self._spec.record_words - 1
+        pool.stream_writes += self._record_words - 1
 
     def _model_remove(self, pos: int) -> None:
+        shifted = len(self._items) - pos - 1
         pool = self._pool
         pool.dep_reads += 2
-        pool.stream_reads += self._spec.record_words - 1
-        self._free_record()
-        self._shift_pointers(len(self._items) - pos - 1)
+        pool.stream_reads += self._record_words - 1 + shifted
+        pool.free(self._record_blocks.pop())
+        pool.stream_writes += shifted
 
     def _model_scan(self, visited: int, hit: bool) -> None:
         # one dependent pointer load per visited record, keys stream
-        reads = visited * self._spec.key_words
+        reads = visited * self._key_words
         if hit:
-            reads += self._spec.record_words - self._spec.key_words
+            reads += self._record_words - self._key_words
         pool = self._pool
         pool.dep_reads += visited
         pool.stream_reads += reads
@@ -209,17 +204,23 @@ class PointerArrayDDT(DynamicDataType):
     def _model_iter_step(self, pos: int) -> None:
         pool = self._pool
         pool.dep_reads += 1
-        pool.stream_reads += self._spec.record_words
+        pool.stream_reads += self._record_words
         pool.steps += 1
 
+    def _free_records(self) -> None:
+        # Record blocks share one size class, so the order they are
+        # freed in changes no count.
+        free = self._pool.free
+        blocks = self._record_blocks
+        while blocks:
+            free(blocks.pop())
+
     def _model_clear(self) -> None:
-        while self._record_blocks:
-            self._free_record()
+        self._free_records()
         self._pool.free(self._block)
         self._capacity = INITIAL_CAPACITY
         self._block = self._pool.allocate(self._capacity * WORD_BYTES)
 
     def _model_dispose(self) -> None:
-        while self._record_blocks:
-            self._free_record()
+        self._free_records()
         self._pool.free(self._block)

@@ -21,6 +21,17 @@ that contract:
   when the run's parts are taken
   (:meth:`repro.memory.profiler.MemoryProfiler.parts`).
 
+The charged interface is :meth:`~DynamicDataType.append`,
+:meth:`~DynamicDataType.insert`, :meth:`~DynamicDataType.get`,
+:meth:`~DynamicDataType.set`, :meth:`~DynamicDataType.get_direct`,
+:meth:`~DynamicDataType.set_direct`, :meth:`~DynamicDataType.remove_at`
+(with ``pop_front``/``pop_back``), the two scans
+:meth:`~DynamicDataType.find` (any predicate) and
+:meth:`~DynamicDataType.find_key` (key equality, scanned at C level and
+charged exactly like the equivalent ``find``), iteration,
+:meth:`~DynamicDataType.clear` and :meth:`~DynamicDataType.dispose`.
+A disposed structure refuses every one of them.
+
 The hooks receive positions *before* the functional mutation is applied,
 so ``len(self)`` inside a hook is the pre-operation length.
 
@@ -37,12 +48,29 @@ instance is the one-lane case.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, ClassVar, Iterator, Sequence
+from operator import indexOf
+from typing import Any, Callable, ClassVar, Hashable, Iterator, Sequence
 
 from repro.ddt.records import RecordSpec
 from repro.memory.pools import MemoryPool
 
 __all__ = ["DynamicDataType"]
+
+
+class _DisposedLanes:
+    """The lanes of a disposed structure.
+
+    Every charged op walks its lanes before it mutates anything, so
+    iterating this refuses the op; live instances pay nothing for it.
+    """
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[DynamicDataType]:
+        raise RuntimeError("a disposed structure must not be used again")
+
+
+_DISPOSED = _DisposedLanes()
 
 
 class DynamicDataType(ABC):
@@ -69,8 +97,12 @@ class DynamicDataType(ABC):
     def __init__(self, pool: MemoryPool, spec: RecordSpec) -> None:
         self._pool = pool
         self._spec = spec
+        # Read by nearly every cost hook, so bound once per instance.
+        self._record_words = spec.record_words
+        self._key_words = spec.key_words
         self._items: list[Any] = []
-        #: The instances whose hooks every charged op runs, this one first.
+        #: The instances whose hooks every charged op runs, this one first
+        #: (``_DISPOSED`` once the structure is disposed).
         self._lanes: tuple[DynamicDataType, ...] = (self,)
         self._setup_storage()
 
@@ -163,7 +195,7 @@ class DynamicDataType(ABC):
             pool = lane._pool
             pool.ddt_calls += 1
             pool.dep_reads += 1
-            pool.stream_reads += lane._spec.record_words - 1
+            pool.stream_reads += lane._record_words - 1
         return self._items[handle]
 
     def set_direct(self, handle: int, value: Any) -> None:
@@ -173,7 +205,7 @@ class DynamicDataType(ABC):
             pool = lane._pool
             pool.ddt_calls += 1
             pool.dep_writes += 1
-            pool.stream_writes += lane._spec.record_words - 1
+            pool.stream_writes += lane._record_words - 1
         self._items[handle] = value
 
     def remove_at(self, pos: int) -> Any:
@@ -198,16 +230,55 @@ class DynamicDataType(ABC):
         Models a key-comparison scan with early exit: each visited
         record costs a key read plus the organisation's traversal cost
         (charged in bulk by ``_model_scan``); the matching record, when
-        found, is read fully.
+        found, is read fully.  Returns ``(pos, record)`` or ``None``.
         """
-        items = self._items
         hit_pos = -1
-        for pos, value in enumerate(items):
+        for pos, value in enumerate(self._items):
             if predicate(value):
                 hit_pos = pos
                 break
-        visited = hit_pos + 1 if hit_pos >= 0 else len(items)
+        return self._charge_scan(hit_pos)
+
+    def find_key(
+        self, key_of: Callable[[Any], Hashable], *keys: Hashable
+    ) -> tuple[int, Any] | None:
+        """Scan for the first record whose ``key_of(record)`` is one of ``keys``.
+
+        Returns and charges exactly what ``find(lambda r: key_of(r) in
+        keys)`` would, but scans at C level when ``key_of`` is a C-level
+        getter such as ``operator.itemgetter(0)`` or
+        ``operator.attrgetter("key")``.  With more than one key, the
+        keys must be hashable.
+
+        >>> from operator import itemgetter
+        >>> from repro.ddt import RecordSpec, ddt_class
+        >>> from repro.memory.profiler import MemoryProfiler
+        >>> pool = MemoryProfiler().new_pool("conn")
+        >>> table = ddt_class("SLL")(pool, RecordSpec("conn", size_bytes=8))
+        >>> for record in [("a", 1), ("b", 2), ("c", 3)]:
+        ...     table.append(record)
+        >>> table.find_key(itemgetter(0), "c", "b")
+        (1, ('b', 2))
+        >>> table.find_key(itemgetter(0), "z") is None
+        True
+        >>> pool.compares  # two records visited, then all three
+        5
+        """
+        scanned = map(key_of, self._items)
+        try:
+            if len(keys) == 1:
+                hit_pos = indexOf(scanned, keys[0])
+            else:
+                hit_pos = indexOf(map(frozenset(keys).__contains__, scanned), True)
+        except ValueError:  # no record matched
+            hit_pos = -1
+        return self._charge_scan(hit_pos)
+
+    def _charge_scan(self, hit_pos: int) -> tuple[int, Any] | None:
+        """Charge a scan that stopped at ``hit_pos`` (-1: a miss)."""
+        items = self._items
         hit = hit_pos >= 0
+        visited = hit_pos + 1 if hit else len(items)
         for lane in self._lanes:
             pool = lane._pool
             pool.ddt_calls += 1
@@ -240,9 +311,10 @@ class DynamicDataType(ABC):
 
         Used when a structure instance dies with its owner (e.g. a
         per-flow packet queue when the flow goes idle).  A disposed
-        structure must not be used again.  Its lanes are unlinked, so the
-        instances are freed by reference counting alone, with no wait
-        for the cyclic garbage collector.
+        structure must not be used again: every charged op on it, a
+        second ``dispose`` included, raises :class:`RuntimeError`.  Its
+        lanes are unlinked, so the instances are freed by reference
+        counting alone, with no wait for the cyclic garbage collector.
         """
         lanes = self._lanes
         for lane in lanes:
@@ -250,12 +322,13 @@ class DynamicDataType(ABC):
             lane._model_dispose()
         self._items.clear()
         for lane in lanes:
-            lane._lanes = ()
+            lane._lanes = _DISPOSED
 
     # ------------------------------------------------------------------
     def _check_pos(self, pos: int, upper_inclusive: bool = False) -> None:
         upper = len(self._items) + (1 if upper_inclusive else 0)
         if not 0 <= pos < upper:
+            iter(self._lanes)  # a disposed structure says so instead
             raise IndexError(
                 f"{self.ddt_name}: position {pos} out of range "
                 f"(size {len(self._items)})"
@@ -293,8 +366,9 @@ class DynamicDataType(ABC):
         """Charge a key scan over the first ``visited`` records (bulk).
 
         ``hit`` means the last visited record matched and is read fully.
-        Charged once per :meth:`find`, so implementations compute the
-        traversal cost analytically instead of per element.
+        Charged once per :meth:`find` or :meth:`find_key`, so
+        implementations compute the traversal cost analytically instead
+        of per element.
         """
 
     @abstractmethod

@@ -63,16 +63,14 @@ class _ChunkedBase(DynamicDataType):
 
     # -- storage ---------------------------------------------------------
     def _setup_storage(self) -> None:
-        self._chunk_records = chunk_capacity(self._spec.size_bytes)
+        size = self._spec.size_bytes
+        self._chunk_records = chunk_capacity(size)
+        header = self.ptr_words * WORD_BYTES + WORD_BYTES  # links + count
+        self._chunk_bytes = header + self._chunk_records * size
         self._descriptor: Block = self._pool.allocate(DESCRIPTOR_BYTES)
         self._fills: list[int] = []
         self._chunk_blocks: list[Block] = []
         self._rov_chunk: int | None = None
-
-    @property
-    def _chunk_bytes(self) -> int:
-        header = self.ptr_words * WORD_BYTES + WORD_BYTES  # links + count
-        return header + self._chunk_records * self._spec.size_bytes
 
     def _alloc_chunk(self, index: int, fill: int) -> None:
         pool = self._pool
@@ -94,7 +92,14 @@ class _ChunkedBase(DynamicDataType):
         subclass: one dependent read per chunk hop (the next pointer)
         plus a streaming count read per visited chunk.
         """
-        chunk_idx, offset = self._chunk_of(pos)
+        fills = self._fills
+        offset = pos
+        for chunk_idx, fill in enumerate(fills):
+            if offset < fill:
+                break
+            offset -= fill
+        else:  # pos == len(items): append position in the last chunk
+            chunk_idx, offset = (len(fills) - 1, fills[-1]) if fills else (0, 0)
         hops = self._hops_to(chunk_idx)
         pool = self._pool
         pool.dep_reads += hops + 1  # start field + next pointer per hop
@@ -104,17 +109,6 @@ class _ChunkedBase(DynamicDataType):
             self._rov_chunk = chunk_idx
             pool.dep_writes += 1
         return chunk_idx, offset
-
-    def _chunk_of(self, pos: int) -> tuple[int, int]:
-        running = 0
-        for idx, fill in enumerate(self._fills):
-            if pos < running + fill:
-                return idx, pos - running
-            running += fill
-        # pos == len(items): append position in the last chunk
-        if self._fills:
-            return len(self._fills) - 1, self._fills[-1]
-        return 0, 0
 
     def _hops_to(self, chunk_idx: int) -> int:
         """Chunk hops from the cheapest reachable start (subclass hook)."""
@@ -126,7 +120,7 @@ class _ChunkedBase(DynamicDataType):
         move = self._chunk_records // 2
         keep = self._chunk_records - move
         self._alloc_chunk(chunk_idx + 1, move)
-        words = move * self._spec.record_words
+        words = move * self._record_words
         pool = self._pool
         pool.stream_reads += words
         pool.stream_writes += words
@@ -135,22 +129,17 @@ class _ChunkedBase(DynamicDataType):
         if self.roving:
             self._rov_chunk = None
 
-    def _shift_within(self, records: int) -> None:
-        words = records * self._spec.record_words
-        pool = self._pool
-        pool.stream_reads += words
-        pool.stream_writes += words
-
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
         pool = self._pool
-        if not self._fills or self._fills[-1] == self._chunk_records:
-            self._alloc_chunk(len(self._fills), 0)
-            if len(self._fills) > 1:
+        fills = self._fills
+        if not fills or fills[-1] == self._chunk_records:
+            self._alloc_chunk(len(fills), 0)
+            if len(fills) > 1:
                 pool.dep_writes += 1  # link previous tail chunk
         pool.dep_reads += 1  # tail-chunk pointer
-        self._fills[-1] += 1
-        pool.stream_writes += self._spec.record_words
+        fills[-1] += 1
+        pool.stream_writes += self._record_words
         pool.dep_writes += 1  # count update
 
     def _model_insert(self, pos: int) -> None:
@@ -158,35 +147,42 @@ class _ChunkedBase(DynamicDataType):
             self._model_append()
             return
         chunk_idx, offset = self._locate(pos)
-        if self._fills[chunk_idx] == self._chunk_records:
+        fills = self._fills
+        if fills[chunk_idx] == self._chunk_records:
             self._split(chunk_idx)
-            if offset > self._fills[chunk_idx]:
-                offset -= self._fills[chunk_idx]
+            if offset > fills[chunk_idx]:
+                offset -= fills[chunk_idx]
                 chunk_idx += 1
-        self._shift_within(self._fills[chunk_idx] - offset)
-        self._fills[chunk_idx] += 1
+        words = self._record_words
+        shifted = (fills[chunk_idx] - offset) * words  # memmove within the chunk
+        fills[chunk_idx] += 1
         pool = self._pool
-        pool.stream_writes += self._spec.record_words
+        pool.stream_reads += shifted
+        pool.stream_writes += shifted + words
         pool.dep_writes += 1
         if self.roving:
             self._rov_chunk = None
 
     def _model_get(self, pos: int) -> None:
         self._locate(pos)
-        self._pool.stream_reads += self._spec.record_words
+        self._pool.stream_reads += self._record_words
 
     def _model_set(self, pos: int) -> None:
         self._locate(pos)
-        self._pool.stream_writes += self._spec.record_words
+        self._pool.stream_writes += self._record_words
 
     def _model_remove(self, pos: int) -> None:
         chunk_idx, offset = self._locate(pos)
+        fills = self._fills
+        words = self._record_words
+        fill = fills[chunk_idx]
+        shifted = (fill - offset - 1) * words  # memmove within the chunk
         pool = self._pool
-        pool.stream_reads += self._spec.record_words
-        self._shift_within(self._fills[chunk_idx] - offset - 1)
-        self._fills[chunk_idx] -= 1
+        pool.stream_reads += words + shifted
+        pool.stream_writes += shifted
         pool.dep_writes += 1  # count
-        if self._fills[chunk_idx] == 0:
+        fills[chunk_idx] = fill - 1
+        if fill == 1:
             self._free_chunk(chunk_idx)
         if self.roving:
             self._rov_chunk = None
@@ -196,20 +192,19 @@ class _ChunkedBase(DynamicDataType):
         pool.dep_reads += 1  # head-chunk pointer
         if visited == 0:
             return
-        # Count the chunks the first `visited` records span.
+        # Hops between the chunks the first `visited` records span.
         remaining = visited
-        chunks_entered = 0
+        hops = -1
         for fill in self._fills:
+            hops += 1
+            remaining -= fill
             if remaining <= 0:
                 break
-            chunks_entered += 1
-            remaining -= fill
-        hops = max(0, chunks_entered - 1)
         pool.dep_reads += hops  # dependent next hops
         # fill counts stream, like the keys
-        reads = hops + visited * self._spec.key_words
+        reads = hops + visited * self._key_words
         if hit:
-            reads += self._spec.record_words - self._spec.key_words
+            reads += self._record_words - self._key_words
         pool.stream_reads += reads
         pool.steps += visited
         if self.roving and hit:
@@ -224,7 +219,7 @@ class _ChunkedBase(DynamicDataType):
     def _model_iter_step(self, pos: int) -> None:
         self._charge_boundary(pos)
         pool = self._pool
-        pool.stream_reads += self._spec.record_words
+        pool.stream_reads += self._record_words
         pool.steps += 1
 
     def _charge_boundary(self, pos: int) -> None:
@@ -280,7 +275,10 @@ class ChunkedDoublyLinkedDDT(_ChunkedBase):
     ptr_words = 2
 
     def _hops_to(self, chunk_idx: int) -> int:
-        return min(chunk_idx, max(0, len(self._fills) - 1 - chunk_idx))
+        from_tail = len(self._fills) - 1 - chunk_idx
+        if from_tail < chunk_idx:
+            return from_tail if from_tail > 0 else 0
+        return chunk_idx
 
 
 class RovingChunkedSinglyLinkedDDT(ChunkedSinglyLinkedDDT):
@@ -296,10 +294,10 @@ class RovingChunkedSinglyLinkedDDT(ChunkedSinglyLinkedDDT):
     roving = True
 
     def _hops_to(self, chunk_idx: int) -> int:
-        base = super()._hops_to(chunk_idx)
-        if self._rov_chunk is not None and chunk_idx >= self._rov_chunk:
-            base = min(base, chunk_idx - self._rov_chunk)
-        return base
+        rov = self._rov_chunk
+        if rov is not None and chunk_idx >= rov:
+            return chunk_idx - rov  # forward from the cursor
+        return chunk_idx
 
 
 class RovingChunkedDoublyLinkedDDT(ChunkedDoublyLinkedDDT):
@@ -310,7 +308,14 @@ class RovingChunkedDoublyLinkedDDT(ChunkedDoublyLinkedDDT):
     roving = True
 
     def _hops_to(self, chunk_idx: int) -> int:
-        base = super()._hops_to(chunk_idx)
-        if self._rov_chunk is not None:
-            base = min(base, abs(chunk_idx - self._rov_chunk))
-        return base
+        from_tail = len(self._fills) - 1 - chunk_idx
+        if from_tail < chunk_idx:
+            best = from_tail if from_tail > 0 else 0
+        else:
+            best = chunk_idx
+        rov = self._rov_chunk
+        if rov is not None:
+            from_cursor = abs(chunk_idx - rov)
+            if from_cursor < best:
+                best = from_cursor
+        return best

@@ -53,83 +53,80 @@ class _LinkedBase(DynamicDataType):
     def _setup_storage(self) -> None:
         self._descriptor: Block = self._pool.allocate(DESCRIPTOR_BYTES)
         self._node_blocks: list[Block] = []
+        self._node_bytes = self._spec.size_bytes + self.ptr_words * WORD_BYTES
         self._rov: int | None = None
 
-    @property
-    def _node_bytes(self) -> int:
-        return self._spec.size_bytes + self.ptr_words * WORD_BYTES
-
-    def _alloc_node(self) -> None:
-        self._node_blocks.append(self._pool.allocate(self._node_bytes))
-
-    def _free_node(self) -> None:
+    def _free_nodes(self) -> None:
         # All node blocks share one size class, so block identity is
         # interchangeable for accounting purposes.
-        self._pool.free(self._node_blocks.pop())
+        free = self._pool.free
+        blocks = self._node_blocks
+        while blocks:
+            free(blocks.pop())
 
-    # -- walking ---------------------------------------------------------
+    # -- walking (one hook per organisation) -------------------------------
     def _walk_reads(self, pos: int) -> int:
-        """Dependent reads needed to reach node ``pos`` (subclass hook)."""
+        """Dependent reads needed to reach node ``pos``."""
         raise NotImplementedError
 
-    def _walk(self, pos: int) -> None:
-        reads = self._walk_reads(pos)
-        pool = self._pool
-        pool.dep_reads += reads
-        pool.steps += reads
-        if self.roving:
-            self._rov = pos
-            pool.dep_writes += 1  # update the cursor field
-
-    # -- roving-cursor maintenance ----------------------------------------
-    def _cursor_after_insert(self, pos: int) -> None:
-        if self._rov is not None and pos <= self._rov:
-            self._rov += 1
-
-    def _cursor_after_remove(self, pos: int) -> None:
-        if self._rov is None:
-            return
-        if pos == self._rov:
-            self._rov = None
-        elif pos < self._rov:
-            self._rov -= 1
+    def _walk_to_neighbour(self, pos: int) -> None:
+        """Walk to where an insert/remove at ``pos`` rewrites pointers."""
+        raise NotImplementedError
 
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
-        self._alloc_node()
         pool = self._pool
+        self._node_blocks.append(pool.allocate(self._node_bytes))
         pool.dep_reads += 1  # tail pointer
-        pool.stream_writes += self._spec.record_words
+        pool.stream_writes += self._record_words
         # next/prev init + old-tail link + tail field update
         pool.dep_writes += self.ptr_words + 2
 
     def _model_insert(self, pos: int) -> None:
         if pos == len(self._items):
             self._model_append()
-            self._cursor_after_insert(pos)
-            return
-        self._walk_to_neighbour(pos)
-        self._alloc_node()
-        pool = self._pool
-        pool.stream_writes += self._spec.record_words
-        pool.dep_writes += self.ptr_words * 2  # init links + relink neighbours
-        self._cursor_after_insert(pos)
+        else:
+            self._walk_to_neighbour(pos)
+            pool = self._pool
+            self._node_blocks.append(pool.allocate(self._node_bytes))
+            pool.stream_writes += self._record_words
+            pool.dep_writes += self.ptr_words * 2  # init links + relink neighbours
+        rov = self._rov
+        if rov is not None and pos <= rov:
+            self._rov = rov + 1
 
     def _model_get(self, pos: int) -> None:
-        self._walk(pos)
-        self._pool.stream_reads += self._spec.record_words
+        reads = self._walk_reads(pos)
+        pool = self._pool
+        pool.dep_reads += reads
+        pool.steps += reads
+        pool.stream_reads += self._record_words
+        if self.roving:
+            self._rov = pos
+            pool.dep_writes += 1  # update the cursor field
 
     def _model_set(self, pos: int) -> None:
-        self._walk(pos)
-        self._pool.stream_writes += self._spec.record_words
+        reads = self._walk_reads(pos)
+        pool = self._pool
+        pool.dep_reads += reads
+        pool.steps += reads
+        pool.stream_writes += self._record_words
+        if self.roving:
+            self._rov = pos
+            pool.dep_writes += 1  # update the cursor field
 
     def _model_remove(self, pos: int) -> None:
         self._walk_to_neighbour(pos)
         pool = self._pool
-        pool.stream_reads += self._spec.record_words  # removed value returned
+        pool.stream_reads += self._record_words  # removed value returned
         pool.dep_writes += self.ptr_words  # relink neighbour(s)
-        self._free_node()
-        self._cursor_after_remove(pos)
+        pool.free(self._node_blocks.pop())
+        rov = self._rov
+        if rov is not None:
+            if pos == rov:
+                self._rov = None
+            elif pos < rov:
+                self._rov = rov - 1
 
     def _model_scan(self, visited: int, hit: bool) -> None:
         pool = self._pool
@@ -137,9 +134,9 @@ class _LinkedBase(DynamicDataType):
             pool.dep_reads += 1  # empty check reads the head pointer
             return
         # head pointer + next-pointer per advance: all dependent
-        reads = visited * self._spec.key_words
+        reads = visited * self._key_words
         if hit:
-            reads += self._spec.record_words - self._spec.key_words
+            reads += self._record_words - self._key_words
         pool.dep_reads += visited
         pool.stream_reads += reads
         pool.steps += visited
@@ -154,7 +151,7 @@ class _LinkedBase(DynamicDataType):
         pool = self._pool
         if pos > 0:
             pool.dep_reads += 1
-        pool.stream_reads += self._spec.record_words
+        pool.stream_reads += self._record_words
         pool.steps += 1
 
     def _model_clear(self) -> None:
@@ -163,8 +160,7 @@ class _LinkedBase(DynamicDataType):
         pool = self._pool
         pool.dep_reads += n  # next pointer of each node
         pool.steps += n
-        while self._node_blocks:
-            self._free_node()
+        self._free_nodes()
         pool.dep_writes += 2  # head/tail reset
         self._rov = None
 
@@ -173,15 +169,9 @@ class _LinkedBase(DynamicDataType):
         pool = self._pool
         pool.dep_reads += n
         pool.steps += n
-        while self._node_blocks:
-            self._free_node()
+        self._free_nodes()
         pool.free(self._descriptor)
         self._rov = None
-
-    # -- subclass hooks ----------------------------------------------------
-    def _walk_to_neighbour(self, pos: int) -> None:
-        """Walk to where an insert/remove at ``pos`` rewrites pointers."""
-        raise NotImplementedError
 
 
 class SinglyLinkedDDT(_LinkedBase):
@@ -199,12 +189,9 @@ class SinglyLinkedDDT(_LinkedBase):
     def _walk_reads(self, pos: int) -> int:
         return pos + 1  # head field + pos next-pointers
 
-    def _neighbour_reads(self, pos: int) -> int:
-        # Need the predecessor: walk pos nodes from the head field.
-        return max(1, pos)
-
     def _walk_to_neighbour(self, pos: int) -> None:
-        reads = self._neighbour_reads(pos)
+        # Need the predecessor: walk pos nodes from the head field.
+        reads = pos if pos > 1 else 1
         pool = self._pool
         pool.dep_reads += reads
         pool.steps += reads
@@ -218,9 +205,8 @@ class DoublyLinkedDDT(_LinkedBase):
     ptr_words = 2
 
     def _walk_reads(self, pos: int) -> int:
-        from_head = pos + 1
         from_tail = len(self._items) - pos
-        return min(from_head, from_tail)
+        return from_tail if from_tail <= pos else pos + 1  # nearer end
 
     def _walk_to_neighbour(self, pos: int) -> None:
         # The node itself suffices: prev is reachable via its back link.
@@ -244,21 +230,19 @@ class RovingSinglyLinkedDDT(SinglyLinkedDDT):
     roving = True
 
     def _walk_reads(self, pos: int) -> int:
-        if self._rov is not None and pos >= self._rov:
-            return min(pos + 1, (pos - self._rov) + 1)  # cursor + forward hops
+        rov = self._rov
+        if rov is not None and pos >= rov:
+            return pos - rov + 1  # cursor + forward hops
         return pos + 1
 
-    def _neighbour_reads(self, pos: int) -> int:
-        base = max(1, pos)
-        if self._rov is not None:
-            if pos == self._rov:
-                return 1  # cursor pair has the predecessor already
-            if pos > self._rov:
-                return min(base, pos - self._rov)
-        return base
-
     def _walk_to_neighbour(self, pos: int) -> None:
-        reads = self._neighbour_reads(pos)
+        reads = pos if pos > 1 else 1
+        rov = self._rov
+        if rov is not None:
+            if pos == rov:
+                reads = 1  # cursor pair has the predecessor already
+            elif pos > rov and pos - rov < reads:
+                reads = pos - rov
         pool = self._pool
         pool.dep_reads += reads
         pool.steps += reads
@@ -278,15 +262,20 @@ class RovingDoublyLinkedDDT(DoublyLinkedDDT):
     roving = True
 
     def _walk_reads(self, pos: int) -> int:
-        best = super()._walk_reads(pos)
-        if self._rov is not None:
-            best = min(best, abs(pos - self._rov) + 1)
+        from_tail = len(self._items) - pos
+        best = from_tail if from_tail <= pos else pos + 1  # nearer end
+        rov = self._rov
+        if rov is not None:
+            from_cursor = abs(pos - rov) + 1
+            if from_cursor < best:
+                best = from_cursor
         return best
 
     def _walk_to_neighbour(self, pos: int) -> None:
-        reads = self._walk_reads(pos)
         if self._rov is not None and pos == self._rov:
             reads = 1  # cursor points at the node; prev via back link
+        else:
+            reads = self._walk_reads(pos)
         pool = self._pool
         pool.dep_reads += reads
         pool.steps += reads

@@ -30,7 +30,9 @@ True
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["AllocationError", "Block", "AllocatorStats", "Allocator"]
 
@@ -39,9 +41,8 @@ class AllocationError(RuntimeError):
     """Raised on invalid allocator usage (double free, foreign block...)."""
 
 
-@dataclass(frozen=True)
-class Block:
-    """Handle of one live heap block.
+class Block(NamedTuple):
+    """Handle of one live heap block (an immutable tuple).
 
     Attributes
     ----------
@@ -56,6 +57,11 @@ class Block:
     address: int
     payload_bytes: int
     stored_bytes: int
+
+
+#: Builds a :class:`Block` from a field tuple without the keyword-parsing
+#: ``__new__`` of a named tuple (a block is made on every allocation).
+_new_block = tuple.__new__
 
 
 @dataclass
@@ -119,8 +125,9 @@ class Allocator:
             raise ValueError("alignment must be a positive power of two")
         self.header_bytes = header_bytes
         self.alignment = alignment
+        self._mask = alignment - 1
         self.stats = AllocatorStats()
-        self._free_lists: dict[int, list[int]] = {}
+        self._free_lists: defaultdict[int, list[int]] = defaultdict(list)
         self._live: dict[int, Block] = {}
         self._next_address = base_address
 
@@ -146,7 +153,7 @@ class Allocator:
         """Round a payload size up to the allocator alignment."""
         if payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0")
-        mask = self.alignment - 1
+        mask = self._mask
         return (payload_bytes + mask) & ~mask
 
     def gross_size(self, payload_bytes: int) -> int:
@@ -162,24 +169,29 @@ class Allocator:
         Reuses a freed block of the same size class when one is available,
         otherwise extends the heap.
         """
-        stored = self.aligned_size(payload_bytes)
+        if payload_bytes < 0:
+            raise ValueError("payload_bytes must be >= 0")
+        mask = self._mask
+        stored = (payload_bytes + mask) & ~mask
+        gross = self.header_bytes + stored
+        stats = self.stats
         free_list = self._free_lists.get(stored)
         if free_list:
             address = free_list.pop()
-            self.stats.reused_blocks += 1
-            self.stats.free_list_bytes -= self.header_bytes + stored
+            stats.reused_blocks += 1
+            stats.free_list_bytes -= gross
         else:
             address = self._next_address + self.header_bytes
-            self._next_address += self.header_bytes + stored
-            self.stats.heap_top = self._next_address
-
-        block = Block(address=address, payload_bytes=payload_bytes, stored_bytes=stored)
+            self._next_address += gross
+            stats.heap_top = self._next_address
+        block = _new_block(Block, (address, payload_bytes, stored))
         self._live[address] = block
-        self.stats.allocations += 1
-        self.stats.requested_bytes += payload_bytes
-        self.stats.live_bytes += self.header_bytes + stored
-        if self.stats.live_bytes > self.stats.peak_bytes:
-            self.stats.peak_bytes = self.stats.live_bytes
+        stats.allocations += 1
+        stats.requested_bytes += payload_bytes
+        live = stats.live_bytes + gross
+        stats.live_bytes = live
+        if live > stats.peak_bytes:
+            stats.peak_bytes = live
         return block
 
     def free(self, block: Block) -> None:
@@ -189,18 +201,22 @@ class Allocator:
         ------
         AllocationError
             If the block is not currently live (double free or foreign
-            handle).
+            handle).  A refused free leaves the heap as it was.
         """
-        live = self._live.pop(block.address, None)
-        if live is None or live.stored_bytes != block.stored_bytes:
+        address, _, stored = block
+        live = self._live.pop(address, None)
+        if live is None or live.stored_bytes != stored:
+            if live is not None:
+                self._live[address] = live
             raise AllocationError(
-                f"free of non-live block at 0x{block.address:x} "
-                f"({block.stored_bytes} bytes)"
+                f"free of non-live block at 0x{address:x} ({stored} bytes)"
             )
-        self._free_lists.setdefault(block.stored_bytes, []).append(block.address)
-        self.stats.frees += 1
-        self.stats.live_bytes -= self.header_bytes + block.stored_bytes
-        self.stats.free_list_bytes += self.header_bytes + block.stored_bytes
+        self._free_lists[stored].append(address)
+        gross = self.header_bytes + stored
+        stats = self.stats
+        stats.frees += 1
+        stats.live_bytes -= gross
+        stats.free_list_bytes += gross
 
     def reallocate(self, block: Block, payload_bytes: int) -> Block:
         """Grow/shrink a block, modelling ``realloc``.
@@ -213,11 +229,7 @@ class Allocator:
             live = self._live.get(block.address)
             if live is None:
                 raise AllocationError("reallocate of non-live block")
-            resized = Block(
-                address=block.address,
-                payload_bytes=payload_bytes,
-                stored_bytes=block.stored_bytes,
-            )
+            resized = block._replace(payload_bytes=payload_bytes)
             self._live[block.address] = resized
             self.stats.requested_bytes += max(0, payload_bytes - block.payload_bytes)
             return resized

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.memory.allocator import AllocationError, Allocator
+from repro.memory.allocator import AllocationError, Allocator, Block
 
 
 class TestBasicAllocation:
@@ -46,6 +46,17 @@ class TestBasicAllocation:
         block = heap_a.allocate(32)
         with pytest.raises(AllocationError):
             heap_b.free(block)
+
+    def test_refused_free_leaves_the_block_live(self):
+        """A handle naming a live address with the wrong size class is
+        refused, and the real block stays live and freeable."""
+        heap = Allocator()
+        block = heap.allocate(32)
+        with pytest.raises(AllocationError):
+            heap.free(Block(block.address, 64, 64))
+        assert heap.live_blocks == 1
+        heap.free(block)
+        assert heap.live_bytes == 0
 
 
 class TestFreeListReuse:

@@ -5,6 +5,8 @@ changes what the application computes.  Every implementation must behave
 exactly like a Python list for the shared sequence interface.
 """
 
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,13 @@ def make_ddt(name, spec=SPEC):
     profiler = MemoryProfiler()
     pool = profiler.new_pool(name)
     return ddt_class(name)(pool, spec), profiler
+
+
+def _lane_structure(names):
+    """One structure charging every DDT of ``names``, each to its own pool."""
+    profiler = MemoryProfiler()
+    lanes = [ddt_class(name)(profiler.new_pool("rec", name), SPEC) for name in names]
+    return lanes[0].join_lanes(lanes[1:]), [lane.pool for lane in lanes]
 
 
 @pytest.fixture(params=all_ddt_names())
@@ -164,6 +173,39 @@ class TestDisposal:
         assert ddt.pool.allocator.live_bytes == 0
 
 
+_AFTER_DISPOSE = {
+    "append": lambda ddt: ddt.append(1),
+    "insert": lambda ddt: ddt.insert(0, 1),
+    "get": lambda ddt: ddt.get(0),
+    "set": lambda ddt: ddt.set(0, 1),
+    "get_direct": lambda ddt: ddt.get_direct(0),
+    "set_direct": lambda ddt: ddt.set_direct(0, 1),
+    "remove_at": lambda ddt: ddt.remove_at(0),
+    "pop_front": lambda ddt: ddt.pop_front(),
+    "pop_back": lambda ddt: ddt.pop_back(),
+    "find": lambda ddt: ddt.find(lambda v: True),
+    "find_key": lambda ddt: ddt.find_key(itemgetter(0), 1, 2),
+    "iterate": lambda ddt: list(ddt),
+    "clear": lambda ddt: ddt.clear(),
+    "dispose": lambda ddt: ddt.dispose(),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_AFTER_DISPOSE))
+def test_disposed_structure_refuses_every_charged_op(op):
+    """A disposed three-lane structure raises instead of charging
+    nothing: no pool counter or footprint moves."""
+    structure, pools = _lane_structure(("AR", "SLL(O)", "DLL(ARO)"))
+    for i in range(12):
+        structure.append((i, i))
+    structure.dispose()
+    before = [pool.snapshot() for pool in pools]
+    with pytest.raises(RuntimeError, match="disposed"):
+        _AFTER_DISPOSE[op](structure)
+    assert [pool.snapshot() for pool in pools] == before
+    assert len(structure) == 0
+
+
 # ---------------------------------------------------------------------------
 # property-based equivalence against a reference list
 # ---------------------------------------------------------------------------
@@ -222,6 +264,102 @@ def test_equivalence_with_reference_list(name, ops):
             reference.clear()
         assert len(ddt) == len(reference)
     assert list(ddt) == reference
+
+
+# ---------------------------------------------------------------------------
+# find_key: the C-level key scan returns and charges what find does
+# ---------------------------------------------------------------------------
+
+KEY = itemgetter(0)
+#: Stored keys are 0..5; 6 and 7 are never stored, so some scans miss.
+_KEYS = st.integers(min_value=0, max_value=7)
+_KEY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), _KEYS),
+        st.tuples(st.just("insert"), st.integers(min_value=0, max_value=1000)),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=1000)),
+        st.tuples(st.just("set"), st.integers(min_value=0, max_value=1000)),
+        st.tuples(st.just("find"), st.lists(_KEYS, min_size=1, max_size=3)),
+        st.tuples(st.just("iterate"), st.integers()),
+        st.tuples(st.just("clear"), st.integers()),
+    ),
+    max_size=60,
+)
+
+
+def _run_key_script(structure, ops, scan):
+    """Drive ``structure`` through ``ops``; returns every op's result."""
+    results = []
+    for step, (op, arg) in enumerate(ops):
+        size = len(structure)
+        if op == "append":
+            structure.append((arg % 6, step))
+        elif op == "insert":
+            structure.insert(arg % (size + 1), (step % 6, step))
+        elif op == "remove" and size:
+            results.append(structure.remove_at(arg % size))
+        elif op == "set" and size:
+            structure.set(arg % size, (step % 6, step))
+        elif op == "find":
+            results.append(scan(structure, arg))
+        elif op == "iterate":
+            results.append(list(structure))
+        elif op == "clear":
+            structure.clear()
+    structure.dispose()
+    return results
+
+
+def _by_find_key(structure, keys):
+    return structure.find_key(KEY, *keys)
+
+
+def _by_find(structure, keys):
+    return structure.find(lambda record: KEY(record) in keys)
+
+
+@pytest.mark.parametrize(
+    "names", [(name,) for name in all_ddt_names()] + [tuple(all_ddt_names())],
+    ids=lambda names: names[0] if len(names) == 1 else "ten-lanes",
+)
+@given(ops=_KEY_OPS)
+@settings(max_examples=25, deadline=None)
+def test_find_key_equals_find(names, ops):
+    """``find_key(key_of, *keys)`` returns what ``find(lambda r: key_of(r)
+    in keys)`` returns, and leaves every pool's counters and peak
+    footprint where ``find`` leaves them."""
+    keyed, keyed_pools = _lane_structure(names)
+    scanned, scanned_pools = _lane_structure(names)
+    assert _run_key_script(keyed, ops, _by_find_key) == _run_key_script(
+        scanned, ops, _by_find
+    )
+    assert [pool.snapshot() for pool in keyed_pools] == [
+        pool.snapshot() for pool in scanned_pools
+    ]
+
+
+@pytest.mark.parametrize(
+    "stored, keys, expected",
+    [
+        ([], (3,), None),  # empty structure
+        ([], (3, 4), None),
+        ([1, 2, 3], (9,), None),  # miss: every record visited
+        ([1, 2, 3], (9, 8), None),
+        ([1, 2, 3, 4], (4, 2), (1, (2, 1))),  # the later-positioned key first
+        ([1, 2, 3, 2], (2, 2), (1, (2, 1))),  # key == reverse
+        ([5, 5, 6], (5,), (0, (5, 0))),  # first of equal keys
+    ],
+)
+def test_find_key_edge_cases(ddt_name, stored, keys, expected):
+    keyed, keyed_pools = _lane_structure((ddt_name,))
+    scanned, scanned_pools = _lane_structure((ddt_name,))
+    for structure in (keyed, scanned):
+        for serial, key in enumerate(stored):
+            structure.append((key, serial))
+    assert keyed.find_key(KEY, *keys) == expected
+    assert scanned.find(lambda record: KEY(record) in keys) == expected
+    assert keyed_pools[0].snapshot() == scanned_pools[0].snapshot()
+    assert keyed_pools[0].compares == (expected[0] + 1 if expected else len(stored))
 
 
 @pytest.mark.parametrize("name", all_ddt_names())

@@ -84,13 +84,17 @@ def test_doctests_in_key_modules():
     import doctest
 
     for module_name in (
+        "repro.memory.allocator",
         "repro.memory.cacti",
+        "repro.memory.profiler",
+        "repro.ddt.base",
+        "repro.ddt.chunked",
         "repro.ddt.records",
         "repro.ddt.registry",
         "repro.net.addresses",
         "repro.core.pareto",
     ):
         module = importlib.import_module(module_name)
-        failures, _ = doctest.testmod(module, verbose=False)[0], None
         result = doctest.testmod(module)
+        assert result.attempted > 0, f"no doctests in {module_name}"
         assert result.failed == 0, f"doctest failures in {module_name}"
