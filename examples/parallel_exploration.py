@@ -11,7 +11,7 @@ engine layer makes the remaining ones cheap to run and free to re-run:
    identical to a serial run.
 2. ``cache=...`` persists every finished simulation record as JSON
    under a cache directory, keyed by a fingerprint of the energy model,
-   the CPU cost table and the trace profiles.  Re-running the same
+   the CPU cost table and the record's own trace profile.  Re-running the same
    study is then pure cache replay: zero new simulations, identical
    Table-1 numbers.  Change any model coefficient and the fingerprint
    changes, so stale records are never served.

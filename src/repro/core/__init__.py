@@ -6,9 +6,10 @@
   configurations.
 * Step 3 -- :mod:`repro.core.pareto_level`: Pareto pruning and curves.
 
-:class:`~repro.core.methodology.DDTRefinement` chains the steps;
-:mod:`repro.core.casestudies` instantiates the paper's four case
-studies.
+:class:`~repro.core.campaign.RefinementChain` chains the steps, for
+one application (:class:`~repro.core.methodology.DDTRefinement`) or a
+whole campaign; :mod:`repro.core.casestudies` instantiates the paper's
+four case studies.
 """
 
 from repro.core.application_level import (

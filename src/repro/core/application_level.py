@@ -100,8 +100,8 @@ def step1_points(
     """The exhaustive step-1 batch: (config, assignment) points + details.
 
     Split out of :func:`explore_application_level` so callers can lay a
-    step-1 batch out without running it: the campaign scheduler and
-    :class:`~repro.core.methodology.DDTRefinement` turn these points
+    step-1 batch out without running it:
+    :class:`~repro.core.campaign.RefinementChain` turns these points
     into a :class:`~repro.core.taskgraph.TaskNode` whose continuation
     feeds :func:`finish_application_level` and enqueues the step-2 grid
     as soon as the survivors are known.

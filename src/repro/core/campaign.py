@@ -2,17 +2,21 @@
 
 The engine makes a single refinement parallel and cacheable; this
 module makes the *whole paper* one workload.  A
-:class:`CampaignScheduler` compiles every registered case study (plus
-any sensitivity grids) into nodes of one
+:class:`RefinementChain` is the methodology's three steps for one
+application as task-graph nodes, and it is built only here:
+:class:`CampaignScheduler` puts one chain per registered case study
+(plus any sensitivity grids) on one
 :class:`~repro.core.taskgraph.TaskGraph` submitted through a single
-:class:`~repro.core.engine.ExplorationEngine` pool.  Each application's
-step-1 node carries a continuation that plans and enqueues that
-application's step-2 grid the moment its own survivors are known -- a
-fast app's network-level grid simulates concurrently with a slow app's
-exhaustive sweep, with no global phase barrier.  Per-app results are
-bit-identical to standalone serial refinements (asserted by the tests),
-because records are slotted by point index and simulation is a pure
-function of ``(application, config, assignment)``.
+:class:`~repro.core.engine.ExplorationEngine` pool, and
+:class:`~repro.core.methodology.DDTRefinement` runs a graph with one
+chain.  Each application's step-1 node carries a continuation that
+plans and enqueues that application's step-2 grid the moment its own
+survivors are known -- a fast app's network-level grid simulates
+concurrently with a slow app's exhaustive sweep, with no global phase
+barrier.  Per-app results are bit-identical to standalone serial
+refinements (asserted by the tests), because records are slotted by
+point index and simulation is a pure function of ``(application,
+config, assignment)``.
 
 Per-app records persist under ``.repro_cache/<app>/`` via
 :class:`~repro.core.engine.SimulationCache`, and traces come
@@ -22,9 +26,9 @@ once per profile fingerprint for the whole campaign.
 **Incremental campaigns**: a campaign with a persistent cache records
 a ``campaign-manifest.json`` next to its shards -- per application, the
 scoped model fingerprint, config labels, combination labels and
-per-trace profile fingerprints.  Because campaign cache entries are
-keyed by a trace-scoped fingerprint (model parameters
-plus *only the profile of each record's own trace*), editing one trace
+per-trace profile fingerprints.  Because every cache entry is keyed by
+a trace-scoped fingerprint (model parameters plus *only the profile of
+each record's own trace*), editing one trace
 profile or widening one app's grid invalidates exactly the affected
 records; a ``resume=True`` re-run replays every unaffected shard from
 cache and resimulates only the delta, reported per app by
@@ -57,16 +61,25 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.core.application_level import finish_application_level, step1_points
+from repro.apps.base import NetworkApplication
+from repro.core.application_level import (
+    Step1Result,
+    finish_application_level,
+    step1_points,
+)
 from repro.core.casestudies import CASE_STUDIES, CaseStudy, case_study
 from repro.core.engine import EngineStats, ExplorationEngine, SimulationCache
 from repro.core.methodology import RefinementResult, exhaustive_simulation_count
-from repro.core.network_level import finish_network_level, plan_network_level
+from repro.core.network_level import (
+    Step2Result,
+    finish_network_level,
+    plan_network_level,
+)
 from repro.core.pareto import pareto_front_2d
 from repro.core.pareto_level import explore_pareto_level
 from repro.core.selection import SelectionPolicy
 from repro.core.simulate import SimulationEnvironment
-from repro.core.taskgraph import TaskGraph, TaskNode
+from repro.core.taskgraph import Continuation, GraphProgress, TaskGraph, TaskNode
 from repro.net.config import NetworkConfig
 from repro.net.tracestore import TraceStore, trace_fingerprints
 
@@ -77,12 +90,107 @@ __all__ = [
     "CrossAppPoint",
     "IncrementalReport",
     "MANIFEST_NAME",
+    "RefinementChain",
 ]
 
 #: File name of the campaign manifest, written next to the cache shards.
 MANIFEST_NAME = "campaign-manifest.json"
 
 ProgressCallback = Callable[[str, int, int, str], None]
+
+
+class RefinementChain:
+    """One application's three refinement steps, as task-graph nodes.
+
+    ``nodes`` starts with the step-1 node; its continuation selects the
+    survivors, then appends and enqueues the step-2 node.  Once the
+    graph has run, :meth:`result` runs step 3 and the Table-1
+    accounting.  The step functions are called through this module's
+    names, so a wrapper installed on them sees every runner.
+    """
+
+    step1: Step1Result
+    step2: Step2Result
+
+    def __init__(
+        self,
+        app_cls: type[NetworkApplication],
+        configs: Sequence[NetworkConfig],
+        reference: NetworkConfig | None = None,
+        candidates: Sequence[str] | None = None,
+        policy: SelectionPolicy | None = None,
+    ) -> None:
+        self.app_cls = app_cls
+        self.configs = list(configs)
+        self.reference = reference if reference is not None else self.configs[0]
+        self.candidates = candidates
+        self.policy = policy
+        points, details = step1_points(app_cls, self.reference, candidates)
+        self.nodes = [
+            self._node("application-level", points, details, self._step1_done)
+        ]
+
+    def _node(
+        self,
+        phase: str,
+        points: Sequence[tuple[NetworkConfig, Mapping[str, str]]],
+        details: Sequence[str],
+        continuation: Continuation,
+    ) -> TaskNode:
+        name = self.app_cls.name
+        return TaskNode(
+            name=f"{name}/{phase}",
+            app_cls=self.app_cls,
+            points=list(points),
+            details=[f"{name}: {detail}" for detail in details],
+            phase=phase,
+            continuation=continuation,
+        )
+
+    def _step1_done(self, records: Sequence[Any]) -> list[TaskNode]:
+        self.step1 = finish_application_level(self.reference, records, self.policy)
+        plan = plan_network_level(self.app_cls, self.step1, self.configs)
+
+        def step2_done(records2: Sequence[Any]) -> None:
+            self.step2 = finish_network_level(plan, records2)
+
+        node = self._node("network-level", plan.points, plan.details, step2_done)
+        self.nodes.append(node)
+        return [node]
+
+    def result(self) -> RefinementResult:
+        """Step 3 and the Table-1 accounting of the completed chain."""
+        return RefinementResult(
+            app_name=self.app_cls.name,
+            step1=self.step1,
+            step2=self.step2,
+            step3=explore_pareto_level(self.step2.log),
+            exhaustive_simulations=exhaustive_simulation_count(
+                self.app_cls, len(self.configs), self.candidates
+            ),
+            reduced_simulations=self.step1.simulations + self.step2.simulations,
+        )
+
+
+def _graph_progress(callback: ProgressCallback | None) -> GraphProgress | None:
+    """Adapt ``(phase, done, total, detail)`` to the graph's node events.
+
+    ``done`` and ``total`` count across every node of a phase; a
+    phase's total grows as continuations enqueue step-2 nodes.
+    """
+    if callback is None:
+        return None
+    done: dict[str, int] = {}
+    total: dict[str, int] = {}
+
+    def inner(node: TaskNode, _done: int, _total: int, detail: str) -> None:
+        phase = node.phase
+        if node.total and node._done == 1:  # node's first emission
+            total[phase] = total.get(phase, 0) + node.total
+        done[phase] = done.get(phase, 0) + 1
+        callback(phase, done[phase], total.get(phase, 0), detail)
+
+    return inner
 
 
 @dataclass(frozen=True)
@@ -402,53 +510,19 @@ class CampaignScheduler:
     def run(self) -> CampaignResult:
         """Execute the campaign as one dependency-aware task graph."""
         engine = self.engine
-        graph = TaskGraph(engine, progress=self._graph_progress())
-        step1s: dict[str, Any] = {}
-        step2s: dict[str, Any] = {}
-        app_nodes: dict[str, list[TaskNode]] = {}
-
-        def compile_study(study: CaseStudy) -> TaskNode:
-            configs = self._configs[study.name]
-            reference = configs[0]
-            points, details = step1_points(study.app_cls, reference, self.candidates)
-
-            def step1_done(records: Sequence[Any]) -> list[TaskNode]:
-                step1 = finish_application_level(reference, records, self.policy)
-                step1s[study.name] = step1
-                plan = plan_network_level(study.app_cls, step1, configs)
-
-                def step2_done(records2: Sequence[Any]) -> None:
-                    step2s[study.name] = finish_network_level(plan, records2)
-
-                node = TaskNode(
-                    name=f"{study.name}/network-level",
-                    app_cls=plan.app_cls,
-                    points=list(plan.points),
-                    details=[f"{study.name}: {d}" for d in plan.details],
-                    phase="network-level",
-                    scoped=True,
-                    continuation=step2_done,
-                )
-                app_nodes[study.name].append(node)
-                return [node]
-
-            node = TaskNode(
-                name=f"{study.name}/application-level",
-                app_cls=study.app_cls,
-                points=points,
-                details=[f"{study.name}: {d}" for d in details],
-                phase="application-level",
-                scoped=True,
-                continuation=step1_done,
-            )
-            app_nodes[study.name] = [node]
-            return node
-
+        graph = TaskGraph(engine, progress=_graph_progress(self.progress))
+        chains: dict[str, RefinementChain] = {}
         for study in self.studies:
-            graph.add(compile_study(study))
+            chain = chains[study.name] = RefinementChain(
+                study.app_cls,
+                self._configs[study.name],
+                candidates=self.candidates,
+                policy=self.policy,
+            )
+            graph.add(chain.nodes[0])
         graph.run()
 
-        refinements = self._assemble(step1s, step2s)
+        refinements = {name: chain.result() for name, chain in chains.items()}
         # Without a manifest to write or diff against, entry construction
         # (fingerprints + combo enumeration) would be discarded work.
         entries = (
@@ -456,7 +530,7 @@ class CampaignScheduler:
             if self._manifest_path is not None or self.resume
             else {}
         )
-        incremental = self._incremental_report(app_nodes, entries)
+        incremental = self._incremental_report(chains, entries)
         self._write_manifest(entries)
         store = engine.trace_store
         return CampaignResult(
@@ -468,22 +542,6 @@ class CampaignScheduler:
             worker_stats=engine.worker_stats,
             broker_outages=engine.transport_outages,
         )
-
-    def _graph_progress(self):
-        if self.progress is None:
-            return None
-        callback = self.progress
-        done: dict[str, int] = {}
-        total: dict[str, int] = {}
-
-        def inner(node: TaskNode, _done: int, _total: int, detail: str) -> None:
-            phase = node.phase
-            if node.total and node._done == 1:  # node's first emission
-                total[phase] = total.get(phase, 0) + node.total
-            done[phase] = done.get(phase, 0) + 1
-            callback(phase, done[phase], total.get(phase, 0), detail)
-
-        return inner
 
     # ------------------------------------------------------------------
     # manifest + incremental accounting
@@ -554,13 +612,13 @@ class CampaignScheduler:
 
     def _incremental_report(
         self,
-        app_nodes: Mapping[str, Sequence[TaskNode]],
+        chains: Mapping[str, RefinementChain],
         current: Mapping[str, Any],
     ) -> IncrementalReport:
         previous = self._previous_manifest() if self.resume else {}
         apps = []
         for study in self.studies:
-            nodes = app_nodes[study.name]
+            nodes = chains[study.name].nodes
             if study.name not in previous:
                 status = "new"
             elif previous[study.name] == current[study.name]:
@@ -577,23 +635,3 @@ class CampaignScheduler:
                 )
             )
         return IncrementalReport(apps=apps)
-
-    def _assemble(
-        self, step1s: Mapping[str, Any], step2s: Mapping[str, Any]
-    ) -> dict[str, RefinementResult]:
-        """Per-app Pareto analysis + Table-1 accounting, in study order."""
-        refinements: dict[str, RefinementResult] = {}
-        for study in self.studies:
-            step1, step2 = step1s[study.name], step2s[study.name]
-            step3 = explore_pareto_level(step2.log)
-            refinements[study.name] = RefinementResult(
-                app_name=study.app_cls.name,
-                step1=step1,
-                step2=step2,
-                step3=step3,
-                exhaustive_simulations=exhaustive_simulation_count(
-                    study.app_cls, len(self._configs[study.name]), self.candidates
-                ),
-                reduced_simulations=step1.simulations + step2.simulations,
-            )
-        return refinements

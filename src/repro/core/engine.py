@@ -26,21 +26,22 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   ``.repro_cache/<app>/``, keyed by ``(app, config label, combo label,
   model fingerprint)``.  The fingerprint (:func:`model_fingerprint`)
   hashes the :class:`~repro.memory.cacti.CactiModel` coefficients, the
-  :class:`~repro.memory.timing.OperationCosts` table and the trace
-  generation profiles, so entries self-invalidate whenever any model
-  input changes.  A warm cache re-runs a whole case study with zero new
-  simulations.
+  :class:`~repro.memory.timing.OperationCosts` table and the generation
+  profile of the record's own trace, so entries self-invalidate
+  whenever any model input changes.  A warm cache re-runs a whole case
+  study with zero new simulations.
 
 ``workers=0`` (the default everywhere) is the serial in-process path:
 identical behaviour to the pre-engine code, and what the test suite
 runs.
 
-Since the task-graph refactor the batch API is a veneer: every batch
-becomes a continuation-free :class:`~repro.core.taskgraph.TaskNode` and
-:meth:`ExplorationEngine.run_graph` is the primitive -- dependency-aware
-callers (the campaign scheduler, :class:`~repro.core.methodology.DDTRefinement`)
-submit nodes whose continuations enqueue follow-up work as soon as its
-inputs resolve, instead of waiting on a global phase barrier.
+The engine executes nothing itself: a
+:class:`~repro.core.taskgraph.TaskGraph` drains nodes through it.
+:meth:`ExplorationEngine.run_batch` puts one continuation-free
+:class:`~repro.core.taskgraph.TaskNode` on a graph; dependency-aware
+callers (the refinement chain of :mod:`repro.core.campaign`) add nodes
+whose continuations enqueue follow-up work as soon as its inputs
+resolve, instead of waiting on a global phase barrier.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class EnvSpec:
     only the model parameters -- each worker rebuilds its environment
     once (pool initializer).  With ``trace_store`` set the worker
     hydrates traces from the persistent on-disk store (the parent
-    pre-generates them, see :meth:`ExplorationEngine.run_batches`);
+    pre-generates them, see :class:`~repro.core.taskgraph.TaskGraph`);
     without it the worker regenerates traces locally on first use.
     Workers keep no records of their own: the coordinator's
     :class:`SimulationCache` is the only record store.
@@ -142,7 +143,7 @@ def model_fingerprint(
     sweep: editing an unrelated trace profile then leaves the scoped
     fingerprint -- and every cached record keyed by it -- intact, which
     is what the campaign's incremental resume builds on.  ``None`` (the
-    default) hashes the full registry, the pre-scoping behaviour.
+    default) hashes the full registry.
     """
     cacti = env.cacti
     extra = {
@@ -415,13 +416,6 @@ class EngineStats:
         """Requested points resolved: cache hits plus composed points."""
         return self.cache_hits + self.composed
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.simulations = 0
-        self.cache_hits = 0
-        self.batches = 0
-        self.composed = 0
-
 
 class ExplorationEngine:
     """Batched (config, assignment)-point evaluator with cache and pool.
@@ -498,7 +492,11 @@ class ExplorationEngine:
     # ------------------------------------------------------------------
     @property
     def fingerprint(self) -> str:
-        """Global model fingerprint of this engine's environment."""
+        """Global model fingerprint of this engine's environment.
+
+        It hashes every trace profile; records are keyed by the
+        trace-scoped :meth:`fingerprint_for` instead.
+        """
         return self.fingerprint_for(None)
 
     def fingerprint_for(self, trace_names: Sequence[str] | None) -> str:
@@ -614,80 +612,27 @@ class ExplorationEngine:
     ) -> list[SimulationRecord]:
         """Evaluate a batch of points, in deterministic point order.
 
-        Cache hits are resolved first (and reported to ``progress``
-        first, in point order); the remaining points are simulated
-        serially or on the worker pool.  The returned list is always
-        index-aligned with ``points``.
+        The batch is one continuation-free
+        :class:`~repro.core.taskgraph.TaskNode` on a
+        :class:`~repro.core.taskgraph.TaskGraph`.  Cache hits are
+        resolved first (and reported to ``progress`` first, in point
+        order); the remaining points are simulated serially or on the
+        worker pool.  The returned list is always index-aligned with
+        ``points``.
         """
-        return self.run_batches([(app_cls, points, details)], progress=progress)[0]
+        from repro.core.taskgraph import TaskGraph, TaskNode
 
-    def run_batches(
-        self,
-        batches: Sequence[
-            tuple[
-                type[NetworkApplication],
-                Sequence[tuple[NetworkConfig, Mapping[str, str]]],
-                Sequence[str] | None,
-            ]
-        ],
-        progress: ProgressCallback | None = None,
-    ) -> list[list[SimulationRecord]]:
-        """Evaluate several applications' batches as one global workload.
-
-        **This is a thin alias of :meth:`run_graph`** -- the engine's
-        one public execution surface.  Each ``(app_cls, points,
-        details-or-None)`` batch is wrapped in a continuation-free
-        :class:`~repro.core.taskgraph.TaskNode` and handed straight to
-        :meth:`run_graph`; there is no separate batch execution path, so
-        every batch's cache misses share the worker transport instead of
-        draining it one application at a time.  ``progress`` counts
-        across the whole workload.  The returned lists are index-aligned
-        with ``batches`` and their points; per batch the records are
-        bit-identical to a standalone :meth:`run_batch` (itself an alias
-        of this method).
-        """
-        from repro.core.taskgraph import TaskNode
-
-        nodes = [
-            TaskNode(
-                name=f"batch-{index}/{app_cls.name}",
-                app_cls=app_cls,
-                points=list(points),
-                details=list(details) if details is not None else None,
-            )
-            for index, (app_cls, points, details) in enumerate(batches)
-        ]
-        self.run_graph(nodes, progress=progress)
-        return [list(node.records) for node in nodes]
-
-    def run_graph(
-        self,
-        nodes: "Sequence[Any]",
-        progress: ProgressCallback | None = None,
-    ) -> "list[Any]":
-        """Drain :class:`~repro.core.taskgraph.TaskNode`\\ s through this
-        engine.
-
-        The graph-submission API: nodes run serially (``workers=0``) or
-        interleaved on the shared worker pool, continuations fire as
-        each node completes, and any nodes they return join the same
-        workload.  ``progress`` receives ``(done, total, detail)``
-        aggregated across every node scheduled so far (totals grow as
-        continuations add work).  Returns every executed node, in
-        scheduling order.
-        """
-        from repro.core.taskgraph import TaskGraph
-
-        graph = TaskGraph(self, progress=None)
+        node = TaskNode(
+            name=f"batch/{app_cls.name}",
+            app_cls=app_cls,
+            points=list(points),
+            details=list(details) if details is not None else None,
+        )
+        graph = TaskGraph(self)
         if progress is not None:
-            state = {"done": 0}
-
-            def adapter(node: Any, _done: int, _total: int, detail: str) -> None:
-                state["done"] += 1
-                total = sum(n.total for n in graph.nodes)
-                progress(state["done"], total, detail)
-
-            graph.progress = adapter
-        for node in nodes:
-            graph.add(node)
-        return graph.run()
+            graph.progress = lambda _node, done, total, detail: progress(
+                done, total, detail
+            )
+        graph.add(node)
+        graph.run()
+        return list(node.records)

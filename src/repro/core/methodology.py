@@ -1,6 +1,6 @@
 """The 3-step DDT refinement methodology, end to end.
 
-:class:`DDTRefinement` chains the three exploration steps (Figure 1 of
+:class:`DDTRefinement` runs the three exploration steps (Figure 1 of
 the paper) for one application and one configuration sweep, tracking the
 simulation counts Table 1 reports:
 
@@ -9,6 +9,11 @@ simulation counts Table 1 reports:
 * **reduced** -- step-1 simulations + survivors x remaining
   configurations (what the stepwise methodology costs);
 * **pareto_optimal** -- the design choices finally offered.
+
+The steps are chained in one place,
+:class:`~repro.core.campaign.RefinementChain`: a :class:`DDTRefinement`
+is a task graph with one chain, a campaign one graph with a chain per
+application, and both key every record by its trace-scoped fingerprint.
 """
 
 from __future__ import annotations
@@ -17,21 +22,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.apps.base import NetworkApplication
-from repro.core.application_level import (
-    Step1Result,
-    finish_application_level,
-    step1_points,
-)
+from repro.core.application_level import Step1Result
 from repro.core.engine import ExplorationEngine
-from repro.core.network_level import (
-    Step2Result,
-    finish_network_level,
-    plan_network_level,
-)
-from repro.core.pareto_level import Step3Result, explore_pareto_level
+from repro.core.network_level import Step2Result
+from repro.core.pareto_level import Step3Result
 from repro.core.selection import SelectionPolicy
 from repro.core.simulate import SimulationEnvironment
-from repro.core.taskgraph import TaskGraph, TaskNode
+from repro.core.taskgraph import TaskGraph
 from repro.ddt.registry import all_ddt_names
 from repro.net.config import NetworkConfig
 
@@ -45,8 +42,7 @@ def exhaustive_simulation_count(
 ) -> int:
     """Combinations x configurations -- the brute-force exploration cost.
 
-    The "exhaustive" column of Table 1; shared by :class:`DDTRefinement`
-    and the campaign scheduler so both account identically.
+    The "exhaustive" column of Table 1.
     """
     n_candidates = len(candidates) if candidates is not None else len(all_ddt_names())
     return n_candidates ** len(app_cls.dominant_structures) * n_configs
@@ -108,7 +104,9 @@ class DDTRefinement:
         Ignored when ``engine`` is given -- the engine's environment is
         the single source of model parameters.
     progress:
-        Optional callback ``(step, done, total, detail)``.
+        Optional callback ``(step, done, total, detail)``; a step's
+        ``total`` counts the points its task-graph node resolves, so
+        step-1 records step 2 reuses are not progress events.
     engine:
         :class:`~repro.core.engine.ExplorationEngine` carrying the
         worker pool and persistent simulation cache; a serial uncached
@@ -147,84 +145,21 @@ class DDTRefinement:
     def run(self) -> RefinementResult:
         """Execute steps 1-3 and assemble the result.
 
-        Steps 1 and 2 run as a two-node task graph on the engine: the
-        step-1 node's continuation selects survivors, plans the step-2
-        grid and enqueues it -- the same plan/finish halves and the same
-        scheduler the multi-app campaign streams through.  (Cache keying
-        differs: single-app nodes use the engine's global fingerprint,
-        matching pre-graph caches; campaign nodes are trace-scoped.)
+        Runs one :class:`~repro.core.campaign.RefinementChain` on a task
+        graph: the chain, progress adapter and cache keys a campaign
+        uses, so single-app runs and campaigns share cache shards.
         """
-        holder: dict[str, object] = {}
-        progress = self.progress
-        points, details = step1_points(
-            self.app_cls, self.reference_config, self.candidates
+        # Imported here: repro.core.campaign imports this module.
+        from repro.core.campaign import RefinementChain, _graph_progress
+
+        chain = RefinementChain(
+            self.app_cls,
+            self.configs,
+            self.reference_config,
+            self.candidates,
+            self.policy,
         )
-
-        def step1_done(records) -> list[TaskNode]:
-            step1 = finish_application_level(
-                self.reference_config, records, self.policy
-            )
-            holder["step1"] = step1
-            plan = plan_network_level(self.app_cls, step1, self.configs)
-            holder["plan"] = plan
-            if progress is not None:
-                for done, (_slot, detail) in enumerate(plan.reused_details, 1):
-                    progress("network-level", done, plan.total, detail)
-
-            def step2_done(records2) -> None:
-                holder["step2"] = finish_network_level(plan, records2)
-
-            return [
-                TaskNode(
-                    name=f"{self.app_cls.name}/network-level",
-                    app_cls=plan.app_cls,
-                    points=list(plan.points),
-                    details=list(plan.details),
-                    phase="network-level",
-                    continuation=step2_done,
-                )
-            ]
-
-        def adapter(node: TaskNode, done: int, total: int, detail: str) -> None:
-            if progress is None:
-                return
-            if node.phase == "network-level":
-                plan = holder["plan"]
-                progress(
-                    "network-level",
-                    len(plan.reused_details) + done,
-                    plan.total,
-                    detail,
-                )
-            else:
-                progress("application-level", done, total, detail)
-
-        graph = TaskGraph(self.engine, progress=adapter)
-        graph.add(
-            TaskNode(
-                name=f"{self.app_cls.name}/application-level",
-                app_cls=self.app_cls,
-                points=points,
-                details=details,
-                phase="application-level",
-                continuation=step1_done,
-            )
-        )
+        graph = TaskGraph(self.engine, progress=_graph_progress(self.progress))
+        graph.add(chain.nodes[0])
         graph.run()
-        step1: Step1Result = holder["step1"]
-        step2: Step2Result = holder["step2"]
-        step3 = explore_pareto_level(step2.log)
-
-        exhaustive = exhaustive_simulation_count(
-            self.app_cls, len(self.configs), self.candidates
-        )
-        reduced = step1.simulations + step2.simulations
-
-        return RefinementResult(
-            app_name=self.app_cls.name,
-            step1=step1,
-            step2=step2,
-            step3=step3,
-            exhaustive_simulations=exhaustive,
-            reduced_simulations=reduced,
-        )
+        return chain.result()

@@ -76,10 +76,9 @@ class Step2Plan:
     :func:`finish_network_level`; in between, ``points``/``details`` are
     the batch for an :class:`~repro.core.engine.ExplorationEngine` --
     either alone (:func:`explore_network_level`), or as the
-    :class:`~repro.core.taskgraph.TaskNode` a step-1 continuation
-    enqueues the moment that application's survivors are known (the
-    streaming campaign and :class:`~repro.core.methodology.DDTRefinement`
-    paths).
+    :class:`~repro.core.taskgraph.TaskNode` a step-1 continuation of
+    :class:`~repro.core.campaign.RefinementChain` enqueues the moment
+    that application's survivors are known.
     """
 
     app_cls: type[NetworkApplication]

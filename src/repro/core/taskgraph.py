@@ -42,13 +42,13 @@ points are never dispatched.  A node hands all its lane runs to the
 transport in one :meth:`~repro.core.transport.WorkerTransport.submit_chunk`
 call.
 
-Nodes may be ``scoped``: the engine then keys each point's cache entry
-by a fingerprint over the model parameters and *only the profile of
-that point's own trace* (instead of the full profile registry).  A
-record really is a pure function of exactly those inputs, so scoped
-entries survive edits to unrelated profiles and sweep widenings -- which
-is what lets an incremental campaign re-run reuse every shard whose
-inputs did not change (see :mod:`repro.core.campaign`).
+Every point's cache entry is keyed by a fingerprint over the model
+parameters and *only the profile of that point's own trace*.  A record
+really is a pure function of exactly those inputs, so entries survive
+edits to unrelated profiles and sweep widenings -- which is what lets
+an incremental campaign re-run reuse every shard whose inputs did not
+change (see :mod:`repro.core.campaign`) -- and every entry point (a
+campaign, a single refinement, a bare batch) shares the same shards.
 """
 
 from __future__ import annotations
@@ -156,13 +156,7 @@ class TaskNode:
         the point labels when omitted.
     phase:
         Free-form tag a progress adapter can group nodes by (the
-        campaign uses the step names).
-    scoped:
-        ``True`` keys each point's cache entry by the fingerprint of
-        the model parameters plus *that point's own trace profile*
-        (incremental-campaign granularity); ``False`` (default) keys by
-        the engine's global fingerprint over the full profile registry
-        -- the pre-graph behaviour.
+        refinement chain uses the step names).
     continuation:
         Parent-process callback invoked with the completed ``records``;
         any nodes it returns are scheduled on the same graph.
@@ -181,7 +175,6 @@ class TaskNode:
     points: list[tuple[NetworkConfig, Mapping[str, str]]]
     details: list[str] | None = None
     phase: str = ""
-    scoped: bool = False
     continuation: Continuation | None = None
     records: list[SimulationRecord | None] = field(default_factory=list, repr=False)
     cache_hits: int = 0
@@ -252,11 +245,6 @@ class TaskGraph:
         return node
 
     # ------------------------------------------------------------------
-    def _fingerprint(self, node: TaskNode, config: NetworkConfig) -> str:
-        """Cache fingerprint of one point (trace-scoped for scoped nodes)."""
-        scope = (config.trace_name,) if node.scoped else None
-        return self.engine.fingerprint_for(scope)
-
     def _prepare(self, node: TaskNode) -> list[_Group]:
         """Resolve labels, details and cache hits; group the misses by
         configuration, each with its lane run."""
@@ -281,7 +269,7 @@ class TaskGraph:
             if engine.cache is not None:
                 cached = engine.cache.get(
                     node.app_cls.name,
-                    self._fingerprint(node, config),
+                    engine.fingerprint_for((config.trace_name,)),
                     config.label,
                     node._labels[index],
                 )
@@ -320,7 +308,7 @@ class TaskGraph:
             run,
             [node.points[index][1] for index in group.misses],
         )
-        fingerprint = self._fingerprint(node, group.config)
+        fingerprint = engine.fingerprint_for((group.config.trace_name,))
         for index, record in zip(group.misses, records):
             if engine.cache is not None:
                 engine.cache.put(node.app_cls.name, fingerprint, record)

@@ -235,9 +235,3 @@ class Allocator:
             return resized
         self.free(block)
         return self.allocate(payload_bytes)
-
-    def reset(self) -> None:
-        """Drop all state, returning the allocator to construction time."""
-        self.stats = AllocatorStats()
-        self._free_lists.clear()
-        self._live.clear()

@@ -146,14 +146,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             Allocator(header_bytes=-1)
 
-    def test_reset_clears_everything(self):
-        heap = Allocator()
-        heap.allocate(64)
-        heap.reset()
-        assert heap.live_bytes == 0
-        assert heap.peak_bytes == 0
-        assert heap.stats.allocations == 0
-
 
 class TestConservationProperty:
     @given(

@@ -12,10 +12,12 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from support.faults import worker_env
 
+from repro.core import campaign as campaign_module
 from repro.core.campaign import MANIFEST_NAME, CampaignScheduler
 from repro.core.casestudies import CASE_STUDIES, case_study
 from repro.core.engine import ExplorationEngine, SimulationCache
@@ -104,6 +106,38 @@ class TestSerialParity:
         assert all(0.0 <= v <= 1.0 for v in times + energies)
 
 
+class TestOneChain:
+    STEPS = (
+        "finish_application_level",
+        "plan_network_level",
+        "finish_network_level",
+        "explore_pareto_level",
+    )
+
+    def test_both_runners_call_the_steps_through_campaign(self, monkeypatch):
+        calls = []
+        for name in self.STEPS:
+            original = getattr(campaign_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(campaign_module, name, counted)
+        with CampaignScheduler(
+            studies=["url", "drr"],
+            candidates=CANDIDATES,
+            configs={"URL": NARROW["URL"], "DRR": NARROW["DRR"]},
+        ) as campaign:
+            campaign.run()
+        assert Counter(calls) == {name: 2 for name in self.STEPS}
+        calls.clear()
+        DDTRefinement(
+            case_study("DRR").app_cls, configs=NARROW["DRR"], candidates=CANDIDATES
+        ).run()
+        assert Counter(calls) == {name: 1 for name in self.STEPS}
+
+
 class TestParallelParity:
     def test_two_workers_bit_identical_to_four_serial_runs(
         self, serial_results, tmp_path
@@ -170,6 +204,40 @@ class TestCacheSharding:
             [(NARROW["DRR"][0], {"flow_queue": "SLL", "packet_buf": "SLL"})],
         )
         engine.close()
+
+    def test_campaign_resumes_from_single_app_cli_records(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        assert explore.main(
+            ["drr", "--traces", "Whittemore", "--cache", cache, "--quiet",
+             "--out", str(tmp_path / "single")]
+        ) == 0
+        assert "engine: 1 simulated, 100 composed" in capsys.readouterr().out
+        assert explore.campaign_main(
+            ["--apps", "drr", "--traces", "Whittemore", "--cache", cache,
+             "--resume", "--quiet", "--out", str(tmp_path / "campaign")]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "engine: 0 simulated, 0 composed, 100 served from cache" in out
+        assert "incremental: 100 points reused, 0 resimulated, 0 composed" in out
+
+    def test_campaign_warms_single_app_refinement(self, tmp_path):
+        with CampaignScheduler(
+            studies=["drr"],
+            candidates=CANDIDATES,
+            configs={"DRR": NARROW["DRR"]},
+            cache=tmp_path,
+        ) as campaign:
+            warmed = campaign.run()
+        with ExplorationEngine(cache=tmp_path) as engine:
+            result = DDTRefinement(
+                case_study("DRR").app_cls,
+                configs=NARROW["DRR"],
+                candidates=CANDIDATES,
+                engine=engine,
+            ).run()
+        assert engine.stats.simulations == 0
+        assert engine.stats.cache_hits == warmed.stats.points
+        assert result.summary_row() == warmed.refinements["DRR"].summary_row()
 
 
 #: One process of the shared-cache manifest race: builds a campaign on

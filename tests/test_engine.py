@@ -351,7 +351,10 @@ class TestEngineTeardown:
         fresh = SimulationCache(tmp_path)
         assert (
             fresh.get(
-                "URL", engine.fingerprint, SMALL.label, "AR+SLL"
+                "URL",
+                engine.fingerprint_for((SMALL.trace_name,)),
+                SMALL.label,
+                "AR+SLL",
             )
             is not None
         )

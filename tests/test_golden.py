@@ -52,7 +52,7 @@ def test_plain_simulation_matches_golden():
 
 def test_engine_records_match_golden():
     engine = ExplorationEngine()
-    results = engine.run_batches([(app_cls, points, None) for app_cls, points in BATCHES])
+    results = [engine.run_batch(app_cls, points) for app_cls, points in BATCHES]
     for (app_cls, points), records in zip(BATCHES, results):
         for (config, assignment), record in zip(points, records):
             assert encode(record) == GOLDEN[point_id(app_cls, config, assignment)]

@@ -53,7 +53,7 @@ def _oracle_batches(seed):
 def test_engine_records_equal_plain_simulation():
     batches = _oracle_batches(seed=12)
     engine = ExplorationEngine()
-    results = engine.run_batches(batches)
+    results = [engine.run_batch(app_cls, points) for app_cls, points, _ in batches]
     oracle = SimulationEnvironment()
     for (app_cls, points, _), records in zip(batches, results):
         for (config, assignment), record in zip(points, records):

@@ -393,7 +393,7 @@ class TestAdaptiveScheduling:
 class TestDDTRefinementGraph:
     def test_progress_stream_matches_plan(self):
         calls = []
-        DDTRefinement(
+        result = DDTRefinement(
             DrrApp,
             configs=NARROW["DRR"],
             candidates=CANDIDATES,
@@ -408,3 +408,7 @@ class TestDDTRefinementGraph:
         assert all(c[2] == n_combos for c in step1)
         # step-2 counts run 1..total over the full survivor x config grid
         assert [c[1] for c in step2] == list(range(1, step2[-1][2] + 1))
+        # ...whose total is the points the graph resolves: reused step-1
+        # reference records are not progress events
+        assert 0 < result.step2.simulations < len(result.step2.log)
+        assert all(c[2] == result.step2.simulations for c in step2)
