@@ -26,10 +26,11 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   ``.repro_cache/<app>/``, keyed by ``(app, config label, combo label,
   model fingerprint)``.  The fingerprint (:func:`model_fingerprint`)
   hashes the :class:`~repro.memory.cacti.CactiModel` coefficients, the
-  :class:`~repro.memory.timing.OperationCosts` table and the generation
-  profile of the record's own trace, so entries self-invalidate
-  whenever any model input changes.  A warm cache re-runs a whole case
-  study with zero new simulations.
+  :class:`~repro.memory.timing.OperationCosts` table, the generation
+  profile of the record's own trace and the source of the code that
+  turns them into records (:func:`model_source_digest`), so entries
+  self-invalidate whenever any model input or model code changes.  A
+  warm cache re-runs a whole case study with zero new simulations.
 
 ``workers=0`` (the default everywhere) is the serial in-process path:
 identical behaviour to the pre-engine code, and what the test suite
@@ -47,6 +48,7 @@ resolve, instead of waiting on a global phase barrier.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -73,6 +75,7 @@ __all__ = [
     "ExplorationEngine",
     "SimulationCache",
     "model_fingerprint",
+    "model_source_digest",
 ]
 
 ProgressCallback = Callable[[int, int, str], None]
@@ -125,6 +128,44 @@ class EnvSpec:
 # ----------------------------------------------------------------------
 # model fingerprint
 # ----------------------------------------------------------------------
+#: The ``repro`` package directory the model source is read from.
+MODEL_SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: The code that turns model inputs into records, relative to the
+#: package: the applications, the DDT library, the memory model, the
+#: trace generator and the simulation driver.
+MODEL_SOURCES = ("apps", "ddt", "memory", "net", os.path.join("core", "simulate.py"))
+
+
+@functools.lru_cache(maxsize=None)
+def model_source_digest(root: str) -> str:
+    """SHA-256 over every ``.py`` file of :data:`MODEL_SOURCES` under
+    the package directory ``root`` (relative path and bytes), computed
+    once per process and root.
+
+    :func:`model_fingerprint` hashes :data:`MODEL_SOURCE_ROOT`'s digest:
+    any edit there -- a comment included -- changes every fingerprint,
+    so no cached record outlives the code that made it.
+    """
+    relative = []
+    for source in MODEL_SOURCES:
+        path = os.path.join(root, source)
+        if os.path.isfile(path):
+            relative.append(source)
+        for folder, dirs, files in os.walk(path):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            relative += [
+                os.path.relpath(os.path.join(folder, name), root)
+                for name in files
+                if name.endswith(".py")
+            ]
+    digest = hashlib.sha256()
+    for name in sorted(relative):
+        digest.update(name.replace(os.sep, "/").encode())
+        with open(os.path.join(root, name), "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
+
+
 def model_fingerprint(
     env: SimulationEnvironment, trace_names: Sequence[str] | None = None
 ) -> str:
@@ -132,8 +173,9 @@ def model_fingerprint(
 
     Covers the CACTI technology coefficients (and any extra attributes a
     :class:`~repro.memory.cacti.CactiModel` subclass adds, e.g. the flat
-    ablation model's energies), the CPU operation cost table and the
-    trace-profile registry.  Two environments with the
+    ablation model's energies), the CPU operation cost table, the
+    trace-profile registry and the model source
+    (:func:`model_source_digest`).  Two environments with the
     same fingerprint produce byte-identical records for the same point,
     so the fingerprint is what keys the persistent cache -- change any
     coefficient and previously cached records simply stop matching.
@@ -157,6 +199,7 @@ def model_fingerprint(
         "cacti_extra": extra,
         "costs": dataclasses.asdict(env.costs),
         "profiles": profiles_fingerprint_payload(trace_names),
+        "model_source": model_source_digest(MODEL_SOURCE_ROOT),
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

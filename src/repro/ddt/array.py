@@ -13,6 +13,14 @@ it is charged at the pipelined streaming rate; only the first touch of a
 randomly indexed record (and ``AR(P)``'s pointer loads) is a dependent
 access.  This is what makes arrays fast *and* energy-proportional to
 their word traffic.
+
+Shared state: both arrays hold one slot per record and start and grow
+their capacity alike, so they reallocate at the same lengths and shift
+the same slots on every op.  The organisation therefore keeps one
+capacity and counts records added, read, written, removed and moved
+(shifted or copied by growth) once; a slot is a whole record for ``AR``
+and one pointer word for ``AR(P)``, which is all their prices differ in
+besides ``AR(P)``'s pointer loads and per-record blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +37,102 @@ INITIAL_CAPACITY = 4
 GROWTH_FACTOR = 2
 
 
-class ArrayDDT(DynamicDataType):
+class _ArrayBase(DynamicDataType):
+    """Shared state, allocation and event counts of the two arrays."""
+
+    organisation = "array"
+    _events = (
+        "_adds",  # appends and inserts
+        "_gets",
+        "_sets",
+        "_removes",
+        "_moved",  # slots shifted or copied by growth
+        "_visited",
+        "_hits",
+        "_iter_steps",
+    )
+    #: Whether every record lives in its own heap block (``AR(P)``).
+    boxed = False
+
+    # -- storage ---------------------------------------------------------
+    def _setup_storage(self) -> None:
+        self._slot_bytes = WORD_BYTES if self.boxed else self._spec.size_bytes
+        self._capacity = INITIAL_CAPACITY
+        self._block: Block = self._pool.allocate(INITIAL_CAPACITY * self._slot_bytes)
+        self._record_blocks: list[Block] = []
+
+    def _grow(self) -> None:
+        """Reallocate every member's full array to the next capacity."""
+        capacity = max(INITIAL_CAPACITY, self._capacity * GROWTH_FACTOR)
+        self._moved += len(self._items)  # realloc streams every live slot
+        for lane in self._members:
+            lane._block = lane._pool.reallocate(lane._block, capacity * lane._slot_bytes)
+        self._capacity = capacity
+
+    def _add_record(self) -> None:
+        if len(self._items) >= self._capacity:
+            self._grow()
+        self._adds += 1
+        for lane in self._members:
+            if lane.boxed:
+                lane._record_blocks.append(lane._pool.allocate(lane._spec.size_bytes))
+
+    def _free_records(self) -> None:
+        # Record blocks share one size class, so the order they are
+        # freed in changes no count.
+        for lane in self._members:
+            free = lane._pool.free
+            blocks = lane._record_blocks
+            while blocks:
+                free(blocks.pop())
+
+    # -- cost hooks --------------------------------------------------------
+    def _model_append(self) -> None:
+        self._add_record()
+
+    def _model_insert(self, pos: int) -> None:
+        self._add_record()
+        self._moved += len(self._items) - pos
+
+    def _model_get(self, pos: int) -> None:
+        self._gets += 1
+
+    def _model_set(self, pos: int) -> None:
+        self._sets += 1
+
+    def _model_remove(self, pos: int) -> None:
+        self._removes += 1
+        self._moved += len(self._items) - pos - 1
+        for lane in self._members:
+            if lane.boxed:
+                lane._pool.free(lane._record_blocks.pop())
+
+    def _model_scan(self, visited: int, hit: bool) -> None:
+        self._visited += visited
+        if hit:
+            self._hits += 1
+
+    def _model_scan_reset(self) -> None:
+        pass  # base address is in a register
+
+    def _model_iter_step(self, pos: int) -> None:
+        self._iter_steps += 1
+
+    def _model_clear(self) -> None:
+        self._free_records()
+        for lane in self._members:
+            pool = lane._pool
+            pool.free(lane._block)
+            lane._block = pool.allocate(INITIAL_CAPACITY * lane._slot_bytes)
+        self._capacity = INITIAL_CAPACITY
+
+    def _model_dispose(self) -> None:
+        self._free_records()
+        for lane in self._members:
+            lane._pool.free(lane._block)
+
+
+class ArrayDDT(_ArrayBase):
     """``AR`` -- dynamic array with records stored inline.
 
     Cost profile: cheapest footprint and random access of the library;
@@ -40,86 +143,24 @@ class ArrayDDT(DynamicDataType):
     ddt_name = "AR"
     description = "dynamic array, records inline"
 
-    # -- storage ---------------------------------------------------------
-    def _setup_storage(self) -> None:
-        self._capacity = INITIAL_CAPACITY
-        self._block: Block = self._pool.allocate(self._capacity * self._spec.size_bytes)
-
-    def _grow(self) -> None:
-        """Reallocate a full array to the next capacity."""
-        new_capacity = max(INITIAL_CAPACITY, self._capacity * GROWTH_FACTOR)
-        copy_words = len(self._items) * self._record_words
-        # realloc: stream every live record into the new block
-        pool = self._pool
-        self._block = pool.reallocate(self._block, new_capacity * self._spec.size_bytes)
-        pool.stream_reads += copy_words
-        pool.stream_writes += copy_words
-        self._capacity = new_capacity
-
-    # -- cost hooks --------------------------------------------------------
     # A random record access touches its first word dependently and
-    # streams the rest; a shift streams every moved record both ways.
-    def _model_append(self) -> None:
-        if len(self._items) >= self._capacity:
-            self._grow()
-        pool = self._pool
-        pool.dep_writes += 1
-        pool.stream_writes += self._record_words - 1
-
-    def _model_insert(self, pos: int) -> None:
-        if len(self._items) >= self._capacity:
-            self._grow()
-        words = self._record_words
-        shifted = (len(self._items) - pos) * words
-        pool = self._pool
-        pool.stream_reads += shifted
-        pool.stream_writes += shifted + words - 1
-        pool.dep_writes += 1
-
-    def _model_get(self, pos: int) -> None:
-        pool = self._pool
-        pool.dep_reads += 1
-        pool.stream_reads += self._record_words - 1
-
-    def _model_set(self, pos: int) -> None:
-        pool = self._pool
-        pool.dep_writes += 1
-        pool.stream_writes += self._record_words - 1
-
-    def _model_remove(self, pos: int) -> None:
-        words = self._record_words
-        shifted = (len(self._items) - pos - 1) * words
-        pool = self._pool
-        pool.dep_reads += 1
-        pool.stream_reads += words - 1 + shifted
-        pool.stream_writes += shifted
-
-    def _model_scan(self, visited: int, hit: bool) -> None:
-        reads = visited * self._key_words
-        if hit:
-            reads += self._record_words - self._key_words
-        pool = self._pool
-        pool.stream_reads += reads
-        pool.steps += visited
-
-    def _model_scan_reset(self) -> None:
-        pass  # base address is in a register
-
-    def _model_iter_step(self, pos: int) -> None:
-        pool = self._pool
-        pool.stream_reads += self._record_words
-        pool.steps += 1
-
-    def _model_clear(self) -> None:
-        self._pool.free(self._block)
-        self._capacity = INITIAL_CAPACITY
-        self._block = self._pool.allocate(self._capacity * self._spec.size_bytes)
-
-    def _model_dispose(self) -> None:
-        self._pool.free(self._block)
+    # streams the rest; a moved record streams every word both ways.
+    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
+        words, key = self._record_words, self._key_words
+        reads = org._gets + org._removes
+        writes = org._adds + org._sets
+        moved = org._moved * words
+        visited, hits = org._visited, org._hits
+        return (
+            reads,
+            writes,
+            reads * (words - 1) + moved + visited * key + hits * (words - key),
+            writes * (words - 1) + moved,
+            visited,
+        )
 
 
-class PointerArrayDDT(DynamicDataType):
+class PointerArrayDDT(_ArrayBase):
     """``AR(P)`` -- dynamic array of pointers to individually allocated records.
 
     Cost profile: shifts and growth copies move only 4-byte pointers, so
@@ -130,97 +171,19 @@ class PointerArrayDDT(DynamicDataType):
 
     ddt_name = "AR(P)"
     description = "dynamic array of pointers, records allocated individually"
+    boxed = True
 
-    # -- storage ---------------------------------------------------------
-    def _setup_storage(self) -> None:
-        self._capacity = INITIAL_CAPACITY
-        self._block: Block = self._pool.allocate(self._capacity * WORD_BYTES)
-        self._record_blocks: list[Block] = []
-        self._record_bytes = self._spec.size_bytes
-
-    def _grow(self) -> None:
-        """Reallocate a full pointer array to the next capacity."""
-        new_capacity = max(INITIAL_CAPACITY, self._capacity * GROWTH_FACTOR)
-        copy_words = len(self._items)  # one word per pointer
-        pool = self._pool
-        self._block = pool.reallocate(self._block, new_capacity * WORD_BYTES)
-        pool.stream_reads += copy_words
-        pool.stream_writes += copy_words
-        self._capacity = new_capacity
-
-    # -- cost hooks --------------------------------------------------------
     # A new record gets its own block, written with its first word
-    # dependent; the pointer store is one more dependent write.
-    def _model_append(self) -> None:
-        if len(self._items) >= self._capacity:
-            self._grow()
-        pool = self._pool
-        self._record_blocks.append(pool.allocate(self._record_bytes))
-        pool.dep_writes += 2
-        pool.stream_writes += self._record_words - 1
-
-    def _model_insert(self, pos: int) -> None:
-        if len(self._items) >= self._capacity:
-            self._grow()
-        shifted = len(self._items) - pos  # pointers move, records stay
-        pool = self._pool
-        pool.stream_reads += shifted
-        self._record_blocks.append(pool.allocate(self._record_bytes))
-        pool.dep_writes += 2
-        pool.stream_writes += shifted + self._record_words - 1
-
-    def _model_get(self, pos: int) -> None:
-        pool = self._pool
-        pool.dep_reads += 2  # pointer load + dependent first record word
-        pool.stream_reads += self._record_words - 1
-
-    def _model_set(self, pos: int) -> None:
-        pool = self._pool
-        pool.dep_reads += 1  # pointer load
-        pool.dep_writes += 1
-        pool.stream_writes += self._record_words - 1
-
-    def _model_remove(self, pos: int) -> None:
-        shifted = len(self._items) - pos - 1
-        pool = self._pool
-        pool.dep_reads += 2
-        pool.stream_reads += self._record_words - 1 + shifted
-        pool.free(self._record_blocks.pop())
-        pool.stream_writes += shifted
-
-    def _model_scan(self, visited: int, hit: bool) -> None:
-        # one dependent pointer load per visited record, keys stream
-        reads = visited * self._key_words
-        if hit:
-            reads += self._record_words - self._key_words
-        pool = self._pool
-        pool.dep_reads += visited
-        pool.stream_reads += reads
-        pool.steps += visited
-
-    def _model_scan_reset(self) -> None:
-        pass
-
-    def _model_iter_step(self, pos: int) -> None:
-        pool = self._pool
-        pool.dep_reads += 1
-        pool.stream_reads += self._record_words
-        pool.steps += 1
-
-    def _free_records(self) -> None:
-        # Record blocks share one size class, so the order they are
-        # freed in changes no count.
-        free = self._pool.free
-        blocks = self._record_blocks
-        while blocks:
-            free(blocks.pop())
-
-    def _model_clear(self) -> None:
-        self._free_records()
-        self._pool.free(self._block)
-        self._capacity = INITIAL_CAPACITY
-        self._block = self._pool.allocate(self._capacity * WORD_BYTES)
-
-    def _model_dispose(self) -> None:
-        self._free_records()
-        self._pool.free(self._block)
+    # dependent; the pointer store is one more dependent write.  Every
+    # access, scan visit and iteration step loads the pointer first.
+    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
+        words, key = self._record_words, self._key_words
+        reads = org._gets + org._removes
+        visited, hits = org._visited, org._hits
+        return (
+            2 * reads + org._sets + visited + org._iter_steps,
+            2 * org._adds + org._sets,
+            reads * (words - 1) + org._moved + visited * key + hits * (words - key),
+            (org._adds + org._sets) * (words - 1) + org._moved,
+            visited,
+        )

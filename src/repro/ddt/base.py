@@ -10,16 +10,32 @@ that contract:
   an internal Python list in sequence order, so every implementation
   returns exactly the same values for the same operation sequence.  This
   is asserted by the property-based equivalence tests.
-* **Cost behaviour** differs per DDT: each subclass implements the
-  ``_model_*`` hooks, counting word reads/writes and loop steps on its
-  :class:`~repro.memory.pools.MemoryPool` and allocating blocks from the
-  pool's heap exactly as the underlying C data organisation would
-  (pointer hops, element shifts, reallocation copies, chunk splits,
-  per-node headers).  The charged interface itself counts one DDT call
-  per operation and one compare per key scanned.  Charging only adds
-  integers to the pool's counters; the profiler prices the counts once,
-  when the run's parts are taken
-  (:meth:`repro.memory.profiler.MemoryProfiler.parts`).
+* **Cost behaviour** differs per DDT.  The ten DDTs are three data
+  organisations with variants -- arrays (``AR``, ``AR(P)``), linked
+  lists (``SLL``, ``DLL``, ``SLL(O)``, ``DLL(O)``) and chunked lists
+  (``SLL(AR)``, ``DLL(AR)``, ``SLL(ARO)``, ``DLL(ARO)``) -- and each
+  organisation implements the ``_model_*`` hooks once: they keep its
+  model state (array capacity, roving cursor, chunk fills), allocate and
+  free each DDT's blocks on its :class:`~repro.memory.pools.MemoryPool`
+  exactly as the underlying C data organisation would, and count
+  organisation-level events (adds, gets, shift sums, scan visits,
+  locates, splits, one walk or hop sum per walk rule ...).  Each DDT
+  prices those events with its own fixed per-event charges
+  (``_price``): pointer hops, element shifts, reallocation copies, chunk
+  splits, per-node headers.  The charged interface itself counts one DDT
+  call per operation and one compare per key scanned, once per
+  structure, and ``get_direct``/``set_direct`` cost the same on every
+  DDT, so they are counted once per structure too.
+
+**When counts reach the pools.**  Allocator calls charge the pool as
+they happen, because footprint and the allocator's own checks depend on
+them.  Everything else stays pending on the structure until a pool
+counter is read (any public counter, ``snapshot()`` or
+:meth:`repro.memory.profiler.MemoryProfiler.parts`): the pool then asks
+every structure attached to it to fold (:meth:`DynamicDataType.fold_counts`),
+which adds each DDT's priced counts to its pool and zeroes them.  The
+counts are integer sums, so folding late equals charging every event as
+it happens.
 
 The charged interface is :meth:`~DynamicDataType.append`,
 :meth:`~DynamicDataType.insert`, :meth:`~DynamicDataType.get`,
@@ -30,19 +46,24 @@ The charged interface is :meth:`~DynamicDataType.append`,
 :meth:`~DynamicDataType.find_key` (key equality, scanned at C level and
 charged exactly like the equivalent ``find``), iteration,
 :meth:`~DynamicDataType.clear` and :meth:`~DynamicDataType.dispose`.
-A disposed structure refuses every one of them.
+A disposed structure refuses every one of them.  ``dispose()`` folds
+the structure's counts, detaches it from its pools and drops every
+reference it holds to itself, so it dies by reference counting alone.
 
 The hooks receive positions *before* the functional mutation is applied,
 so ``len(self)`` inside a hook is the pre-operation length.
 
 **Lanes.**  One structure instance can charge several DDTs side by side
-(:meth:`DynamicDataType.join_lanes`): each charged op runs every lane's
-``_model_*`` hooks against that lane's own pool and state, then applies
-the functional mutation once to the single item list all lanes share.
-A structure's costs depend only on its own operation stream, so each
-lane's pool ends up exactly as in a plain run of its DDT -- which lets
-one application run price every candidate DDT of a structure.  A plain
-instance is the one-lane case.
+(:meth:`DynamicDataType.join_lanes`), each lane to its own pool.  Every
+op moves an organisation's model state alike for all of its DDTs, so
+the lanes of one organisation share one state and one set of counts,
+kept by the first of them: a charged op calls each organisation present
+once (at most three calls for all ten DDTs), then applies the functional
+mutation once to the single item list all lanes share.  A structure's
+costs depend only on its own operation stream, so each lane's pool ends
+up exactly as in a plain run of its DDT -- which lets one application
+run price every candidate DDT of a structure.  A plain instance is the
+one-lane case.
 """
 
 from __future__ import annotations
@@ -57,20 +78,24 @@ from repro.memory.pools import MemoryPool
 __all__ = ["DynamicDataType"]
 
 
-class _DisposedLanes:
-    """The lanes of a disposed structure.
+class _Refused:
+    """The organisations of an instance that must not be charged.
 
-    Every charged op walks its lanes before it mutates anything, so
-    iterating this refuses the op; live instances pay nothing for it.
+    Every charged op walks its organisations before it counts anything,
+    so iterating this refuses the op; live instances pay nothing for it.
     """
 
-    __slots__ = ()
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        self.reason = reason
 
     def __iter__(self) -> Iterator[DynamicDataType]:
-        raise RuntimeError("a disposed structure must not be used again")
+        raise RuntimeError(self.reason)
 
 
-_DISPOSED = _DisposedLanes()
+_DISPOSED = _Refused("a disposed structure must not be used again")
+_JOINED = _Refused("a joined lane is charged through its structure only")
 
 
 class DynamicDataType(ABC):
@@ -85,14 +110,31 @@ class DynamicDataType(ABC):
         Size description of the stored record type.
 
     Subclasses must set :attr:`ddt_name` (the name used by the registry
-    and in all logs, e.g. ``"SLL(O)"``) and implement the ``_model_*``
-    cost hooks.
+    and in all logs, e.g. ``"SLL(O)"``); each organisation implements
+    the ``_model_*`` hooks and names its event counters in ``_events``,
+    and each DDT prices them in ``_price``.
     """
 
     #: Registry name of the implementation (e.g. ``"AR"``, ``"DLL(O)"``).
     ddt_name: ClassVar[str] = ""
     #: One-line description used by reports.
     description: ClassVar[str] = ""
+    #: Data organisation; lanes of one organisation share its state.
+    organisation: ClassVar[str] = ""
+    #: The organisation's event counters, zeroed at every fold.
+    _events: ClassVar[tuple[str, ...]] = ()
+    # Charges counted once per structure, whatever its lanes.  Every
+    # counter is a class default, so a fresh instance counts from zero.
+    _calls = 0  # DDT calls other than the direct ones
+    _compares = 0
+    _direct_gets = 0
+    _direct_sets = 0
+    _iterated = 0  # records read by iteration
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in cls.__dict__.get("_events", ()):
+            setattr(cls, name, 0)  # so a fresh instance counts from zero
 
     def __init__(self, pool: MemoryPool, spec: RecordSpec) -> None:
         self._pool = pool
@@ -101,23 +143,94 @@ class DynamicDataType(ABC):
         self._record_words = spec.record_words
         self._key_words = spec.key_words
         self._items: list[Any] = []
-        #: The instances whose hooks every charged op runs, this one first
-        #: (``_DISPOSED`` once the structure is disposed).
-        self._lanes: tuple[DynamicDataType, ...] = (self,)
+        #: The organisations every charged op calls, each through the
+        #: first of its lanes, this one first (``_DISPOSED`` once the
+        #: structure is disposed, ``_JOINED`` on any other joined lane).
+        self._orgs: Sequence[DynamicDataType] = (self,)
+        #: The lanes whose organisation state and counts this instance
+        #: keeps, itself first (none on a lane another lane keeps).
+        self._members: tuple[DynamicDataType, ...] = (self,)
         self._setup_storage()
+        pool.attach(self)
 
     def join_lanes(self, others: Sequence[DynamicDataType]) -> DynamicDataType:
         """Make this instance charge ``others`` as extra lanes; returns it.
 
-        Every instance must be fresh (empty) and charge its own pool.
-        From now on ``others`` share this instance's item list and are
-        driven only through it: each charged op runs every lane's hooks,
-        in lane order, before the one functional mutation.
+        Every instance must be fresh (empty, never joined, not
+        disposed), store records of this instance's
+        :class:`~repro.ddt.records.RecordSpec` and charge a pool of its
+        own; anything else is a :class:`ValueError`.  From now on
+        ``others`` share this instance's item list and are driven only
+        through it: each charged op calls each organisation once, its
+        first lane keeping the state and counts of all of its lanes.
         """
+        lanes = (self, *others)
+        spec, items = self._spec, self._items
+        if len({id(lane._pool) for lane in lanes}) < len(lanes):
+            raise ValueError("two lanes would charge one pool")
+        for lane in lanes:
+            if lane._orgs is _DISPOSED:
+                raise ValueError(f"{lane.ddt_name}: a disposed instance cannot be a lane")
+            if lane._orgs != (lane,) or lane._members != (lane,):
+                raise ValueError(f"{lane.ddt_name}: the instance is already joined")
+            if lane._items:
+                raise ValueError(f"{lane.ddt_name}: only an empty instance can be a lane")
+            if lane._spec is not spec and lane._spec != spec:
+                raise ValueError(
+                    f"{lane.ddt_name}: lanes must store one record type, "
+                    f"got {lane._spec} and {spec}"
+                )
+        groups: dict[str, list[DynamicDataType]] = {}
+        for lane in lanes:
+            members = groups.get(lane.organisation)
+            if members is None:
+                groups[lane.organisation] = [lane]
+            else:
+                members.append(lane)
+                lane._members = ()
         for lane in others:
-            lane._items = self._items
-        self._lanes = (self, *others)
+            lane._items = items
+            lane._orgs = _JOINED
+            lane._pool.detach(lane)
+            lane._pool.attach(self)
+        for leader, *rest in groups.values():
+            leader._members = (leader, *rest)
+        self._orgs = tuple(members[0] for members in groups.values())
         return self
+
+    def fold_counts(self) -> None:
+        """Add the pending counts to every lane's pool, then zero them.
+
+        Pools call this before any counter is read; each lane's pool
+        gets its DDT's price of its organisation's counts plus the
+        charges counted once per structure.  Every charged op, and every
+        step of an iteration, leaves one of the latter nonzero, so a
+        structure with none of them pending has nothing to fold.
+        """
+        gets, sets, iterated = self._direct_gets, self._direct_sets, self._iterated
+        calls = self._calls + gets + sets
+        if not (calls or iterated):
+            return
+        compares = self._compares
+        self._calls = self._compares = 0
+        self._direct_gets = self._direct_sets = self._iterated = 0
+        words = self._record_words
+        for org in self._orgs:
+            for lane in org._members:
+                dep_reads, dep_writes, stream_reads, stream_writes, steps = lane._price(org)
+                # a direct access: one dependent word, the rest streamed;
+                # an iteration step streams the whole record
+                lane._pool.add_counts(
+                    dep_reads=dep_reads + gets,
+                    dep_writes=dep_writes + sets,
+                    stream_reads=stream_reads + gets * (words - 1) + iterated * words,
+                    stream_writes=stream_writes + sets * (words - 1),
+                    ddt_calls=calls,
+                    steps=steps + iterated,
+                    compares=compares,
+                )
+            for name in org._events:
+                setattr(org, name, 0)
 
     # ------------------------------------------------------------------
     # introspection
@@ -147,33 +260,36 @@ class DynamicDataType(ABC):
     # ------------------------------------------------------------------
     def append(self, value: Any) -> None:
         """Add a record at the end of the sequence."""
-        for lane in self._lanes:
-            lane._pool.ddt_calls += 1
-            lane._model_append()
+        for org in self._orgs:
+            org._model_append()
+        self._calls += 1
         self._items.append(value)
 
     def insert(self, pos: int, value: Any) -> None:
         """Insert a record before position ``pos`` (0 <= pos <= len)."""
-        self._check_pos(pos, upper_inclusive=True)
-        for lane in self._lanes:
-            lane._pool.ddt_calls += 1
-            lane._model_insert(pos)
+        if not 0 <= pos <= len(self._items):
+            self._out_of_range(pos)
+        for org in self._orgs:
+            org._model_insert(pos)
+        self._calls += 1
         self._items.insert(pos, value)
 
     def get(self, pos: int) -> Any:
         """Access the record at ``pos`` positionally, reading it fully."""
-        self._check_pos(pos)
-        for lane in self._lanes:
-            lane._pool.ddt_calls += 1
-            lane._model_get(pos)
+        if not 0 <= pos < len(self._items):
+            self._out_of_range(pos)
+        for org in self._orgs:
+            org._model_get(pos)
+        self._calls += 1
         return self._items[pos]
 
     def set(self, pos: int, value: Any) -> None:
         """Overwrite the record at ``pos`` positionally."""
-        self._check_pos(pos)
-        for lane in self._lanes:
-            lane._pool.ddt_calls += 1
-            lane._model_set(pos)
+        if not 0 <= pos < len(self._items):
+            self._out_of_range(pos)
+        for org in self._orgs:
+            org._model_set(pos)
+        self._calls += 1
         self._items[pos] = value
 
     def get_direct(self, handle: int) -> Any:
@@ -183,37 +299,34 @@ class DynamicDataType(ABC):
         references into the structure (an index for arrays, a node
         pointer for lists, a (chunk, offset) pair for chunked lists):
         dereferencing costs one dependent access plus the record stream,
-        regardless of the organisation.  The radix tree's child links
-        are the canonical user.
+        regardless of the organisation, so it is counted once per
+        structure.  The radix tree's child links are the canonical user.
 
         Handles are only stable while the structure grows append-only;
         positional inserts/removes invalidate them (the caller's
         responsibility, as in C).
         """
-        self._check_pos(handle)
-        for lane in self._lanes:
-            pool = lane._pool
-            pool.ddt_calls += 1
-            pool.dep_reads += 1
-            pool.stream_reads += lane._record_words - 1
-        return self._items[handle]
+        items = self._items
+        if not 0 <= handle < len(items):
+            self._out_of_range(handle)
+        self._direct_gets += 1
+        return items[handle]
 
     def set_direct(self, handle: int, value: Any) -> None:
         """Overwrite a record through a stable handle -- O(1) everywhere."""
-        self._check_pos(handle)
-        for lane in self._lanes:
-            pool = lane._pool
-            pool.ddt_calls += 1
-            pool.dep_writes += 1
-            pool.stream_writes += lane._record_words - 1
-        self._items[handle] = value
+        items = self._items
+        if not 0 <= handle < len(items):
+            self._out_of_range(handle)
+        self._direct_sets += 1
+        items[handle] = value
 
     def remove_at(self, pos: int) -> Any:
         """Remove and return the record at ``pos``."""
-        self._check_pos(pos)
-        for lane in self._lanes:
-            lane._pool.ddt_calls += 1
-            lane._model_remove(pos)
+        if not 0 <= pos < len(self._items):
+            self._out_of_range(pos)
+        for org in self._orgs:
+            org._model_remove(pos)
+        self._calls += 1
         return self._items.pop(pos)
 
     def pop_front(self) -> Any:
@@ -279,31 +392,31 @@ class DynamicDataType(ABC):
         items = self._items
         hit = hit_pos >= 0
         visited = hit_pos + 1 if hit else len(items)
-        for lane in self._lanes:
-            pool = lane._pool
-            pool.ddt_calls += 1
-            pool.compares += visited
-            lane._model_scan(visited, hit)
+        for org in self._orgs:
+            org._model_scan(visited, hit)
+        self._calls += 1
+        self._compares += visited
         if not hit:
             return None
         return hit_pos, items[hit_pos]
 
     def __iter__(self) -> Iterator[Any]:
         """Charged full iteration: every record is read entirely."""
-        lanes = self._lanes
-        for lane in lanes:
-            lane._pool.ddt_calls += 1
-            lane._model_scan_reset()
+        orgs = self._orgs
+        for org in orgs:
+            org._model_scan_reset()
+        self._calls += 1
         for pos, value in enumerate(self._items):
-            for lane in lanes:
-                lane._model_iter_step(pos)
+            for org in orgs:
+                org._model_iter_step(pos)
+            self._iterated += 1
             yield value
 
     def clear(self) -> None:
         """Remove all records; the structure stays usable."""
-        for lane in self._lanes:
-            lane._pool.ddt_calls += 1
-            lane._model_clear()
+        for org in self._orgs:
+            org._model_clear()
+        self._calls += 1
         self._items.clear()
 
     def dispose(self) -> None:
@@ -313,79 +426,92 @@ class DynamicDataType(ABC):
         per-flow packet queue when the flow goes idle).  A disposed
         structure must not be used again: every charged op on it, a
         second ``dispose`` included, raises :class:`RuntimeError`.  Its
+        counts are folded into its pools, which then forget it, and its
         lanes are unlinked, so the instances are freed by reference
         counting alone, with no wait for the cyclic garbage collector.
         """
-        lanes = self._lanes
-        for lane in lanes:
-            lane._pool.ddt_calls += 1
-            lane._model_dispose()
+        orgs = self._orgs
+        for org in orgs:
+            org._model_dispose()
+        self._calls += 1
         self._items.clear()
-        for lane in lanes:
-            lane._lanes = _DISPOSED
+        self.fold_counts()
+        for org in orgs:
+            for lane in org._members:
+                lane._pool.detach(self)
+                lane._orgs = _DISPOSED
+                lane._members = ()
 
     # ------------------------------------------------------------------
-    def _check_pos(self, pos: int, upper_inclusive: bool = False) -> None:
-        upper = len(self._items) + (1 if upper_inclusive else 0)
-        if not 0 <= pos < upper:
-            iter(self._lanes)  # a disposed structure says so instead
-            raise IndexError(
-                f"{self.ddt_name}: position {pos} out of range "
-                f"(size {len(self._items)})"
-            )
+    def _out_of_range(self, pos: int) -> None:
+        iter(self._orgs)  # a disposed or joined lane says so instead
+        raise IndexError(
+            f"{self.ddt_name}: position {pos} out of range "
+            f"(size {len(self._items)})"
+        )
 
     # ------------------------------------------------------------------
-    # cost/storage hooks -- one implementation per data organisation
+    # organisation hooks: counted once per organisation by its first
+    # lane, which also allocates and frees every member's blocks
     # ------------------------------------------------------------------
     @abstractmethod
     def _setup_storage(self) -> None:
-        """Allocate the organisation's base storage (called once)."""
+        """Allocate the lane's base storage and set the model state (once)."""
 
     @abstractmethod
     def _model_append(self) -> None:
-        """Charge an append of one record at the end."""
+        """Count an append of one record at the end."""
 
     @abstractmethod
     def _model_insert(self, pos: int) -> None:
-        """Charge an insert before ``pos`` (pre-mutation length)."""
+        """Count an insert before ``pos`` (pre-mutation length)."""
 
     @abstractmethod
     def _model_get(self, pos: int) -> None:
-        """Charge a full read of the record at ``pos``."""
+        """Count a full read of the record at ``pos``."""
 
     @abstractmethod
     def _model_set(self, pos: int) -> None:
-        """Charge a full overwrite of the record at ``pos``."""
+        """Count a full overwrite of the record at ``pos``."""
 
     @abstractmethod
     def _model_remove(self, pos: int) -> None:
-        """Charge a removal of the record at ``pos``."""
+        """Count a removal of the record at ``pos``."""
 
     @abstractmethod
     def _model_scan(self, visited: int, hit: bool) -> None:
-        """Charge a key scan over the first ``visited`` records (bulk).
+        """Count a key scan over the first ``visited`` records (bulk).
 
         ``hit`` means the last visited record matched and is read fully.
-        Charged once per :meth:`find` or :meth:`find_key`, so
+        Counted once per :meth:`find` or :meth:`find_key`, so
         implementations compute the traversal cost analytically instead
         of per element.
         """
 
     @abstractmethod
     def _model_scan_reset(self) -> None:
-        """Charge the start of an iteration (cursor to first node)."""
+        """Count the start of an iteration (cursor to first node)."""
 
     @abstractmethod
     def _model_iter_step(self, pos: int) -> None:
-        """Charge visiting ``pos`` during full iteration (record read)."""
+        """Count reaching ``pos`` during full iteration (the record read
+        itself is the same on every DDT and counted by the structure)."""
 
     @abstractmethod
     def _model_clear(self) -> None:
-        """Charge releasing all records (structure stays usable)."""
+        """Count releasing all records (structure stays usable)."""
 
     @abstractmethod
     def _model_dispose(self) -> None:
-        """Charge releasing records *and* base storage (end of life)."""
+        """Count releasing records *and* base storage (end of life)."""
+
+    # ------------------------------------------------------------------
+    # pricing -- one implementation per DDT
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
+        """This DDT's ``(dep_reads, dep_writes, stream_reads,
+        stream_writes, steps)`` for the counts ``org`` keeps."""
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -11,6 +11,17 @@ front between the two extremes.
 Chunk capacity targets :data:`CHUNK_BYTES` of payload (at least
 :data:`MIN_CHUNK_RECORDS` records), following the paper's library which
 sizes internal arrays to a fixed byte budget.
+
+Shared state: the chunk capacity depends only on the record size
+(:func:`chunk_capacity`), so the four chunked lists fill, split and free
+their chunks at the same ops and their fill lists stay equal; the two
+roving variants set their chunk cursor in the same places (the chunk a
+locate reached, the chunk of a scan hit) and drop it on every insert,
+remove and split, and the other two never read it.  So the organisation
+keeps one fill list and one cursor and runs each locate's (chunk,
+offset) scan once, counting one hop sum per walk rule (from the head,
+from the nearer end, and either one or the cursor); every list prices
+the counts by its own rule, header pointer words and cursor writes.
 """
 
 from __future__ import annotations
@@ -49,17 +60,43 @@ def chunk_capacity(record_bytes: int) -> int:
 
 
 class _ChunkedBase(DynamicDataType):
-    """Shared machinery of the four chunked-list DDTs.
+    """Shared state, allocation and event counts of the four chunked lists.
 
     The model tracks the fill of every chunk (``self._fills``) so that
     traversal distances, shift widths and split costs reflect the actual
     chunk layout produced by the operation history.
     """
 
+    organisation = "chunked"
+    _events = (
+        "_appends",  # appends, and inserts at the end
+        "_chunk_allocs",
+        "_tail_links",  # appends that link a new tail chunk
+        "_chunk_frees",  # chunks freed by a removal
+        "_locates",
+        "_sll_hops",  # chunk hops from the head
+        "_dll_hops",  # ... from the nearer end
+        "_sllo_hops",  # ... from the head or the cursor, forwards
+        "_dllo_hops",  # ... from the nearest of head, tail and cursor
+        "_splits",
+        "_inserts",
+        "_gets",
+        "_sets",
+        "_removes",
+        "_shifted",  # records moved within a chunk
+        "_pointer_loads",  # head-chunk pointers
+        "_next_hops",  # next pointer plus the next chunk's count
+        "_visited",
+        "_hits",
+        "_cleared",  # chunks walked to free them
+        "_clears",
+    )
     #: Pointer words per chunk header (1 singly, 2 doubly linked).
     ptr_words = 1
     #: Whether a cursor to the last accessed chunk is maintained.
     roving = False
+    #: The event counter of the walk rule this list locates by.
+    hop_sum = "_sll_hops"
 
     # -- storage ---------------------------------------------------------
     def _setup_storage(self) -> None:
@@ -73,24 +110,32 @@ class _ChunkedBase(DynamicDataType):
         self._rov_chunk: int | None = None
 
     def _alloc_chunk(self, index: int, fill: int) -> None:
-        pool = self._pool
-        self._chunk_blocks.append(pool.allocate(self._chunk_bytes))
+        for lane in self._members:
+            lane._chunk_blocks.append(lane._pool.allocate(lane._chunk_bytes))
         self._fills.insert(index, fill)
-        pool.dep_writes += self.ptr_words + 1  # link + count init
+        self._chunk_allocs += 1
 
     def _free_chunk(self, index: int) -> None:
-        pool = self._pool
-        pool.free(self._chunk_blocks.pop())
+        for lane in self._members:
+            lane._pool.free(lane._chunk_blocks.pop())
         del self._fills[index]
-        pool.dep_writes += self.ptr_words  # unlink
+        self._chunk_frees += 1
+
+    def _free_chunks(self) -> None:
+        for lane in self._members:
+            free = lane._pool.free
+            blocks = lane._chunk_blocks
+            while blocks:
+                free(blocks.pop())
+        self._fills.clear()
 
     # -- location ----------------------------------------------------------
     def _locate(self, pos: int) -> tuple[int, int]:
         """Chunk index and in-chunk offset of sequence position ``pos``.
 
-        Charges the traversal from the walk start chosen by the
-        subclass: one dependent read per chunk hop (the next pointer)
-        plus a streaming count read per visited chunk.
+        Counts the traversal from each walk rule's start: one dependent
+        read per chunk hop (the next pointer) plus a streaming count read
+        per visited chunk.  The cursor moves to the chunk.
         """
         fills = self._fills
         offset = pos
@@ -100,47 +145,42 @@ class _ChunkedBase(DynamicDataType):
             offset -= fill
         else:  # pos == len(items): append position in the last chunk
             chunk_idx, offset = (len(fills) - 1, fills[-1]) if fills else (0, 0)
-        hops = self._hops_to(chunk_idx)
-        pool = self._pool
-        pool.dep_reads += hops + 1  # start field + next pointer per hop
-        pool.stream_reads += hops  # fill counts along the way
-        pool.steps += hops + 1
-        if self.roving:
-            self._rov_chunk = chunk_idx
-            pool.dep_writes += 1
+        from_tail = len(fills) - 1 - chunk_idx
+        if from_tail < chunk_idx:
+            nearer = from_tail if from_tail > 0 else 0
+        else:
+            nearer = chunk_idx
+        self._sll_hops += chunk_idx
+        self._dll_hops += nearer
+        rov = self._rov_chunk
+        if rov is None:
+            self._sllo_hops += chunk_idx
+            self._dllo_hops += nearer
+        else:
+            self._sllo_hops += chunk_idx - rov if chunk_idx >= rov else chunk_idx
+            from_cursor = abs(chunk_idx - rov)
+            self._dllo_hops += from_cursor if from_cursor < nearer else nearer
+        self._locates += 1
+        self._rov_chunk = chunk_idx
         return chunk_idx, offset
-
-    def _hops_to(self, chunk_idx: int) -> int:
-        """Chunk hops from the cheapest reachable start (subclass hook)."""
-        raise NotImplementedError
 
     # -- structural operations ----------------------------------------------
     def _split(self, chunk_idx: int) -> None:
         """Split a full chunk, moving its upper half into a new chunk."""
         move = self._chunk_records // 2
-        keep = self._chunk_records - move
         self._alloc_chunk(chunk_idx + 1, move)
-        words = move * self._record_words
-        pool = self._pool
-        pool.stream_reads += words
-        pool.stream_writes += words
-        pool.dep_writes += 1  # count rewrite
-        self._fills[chunk_idx] = keep
-        if self.roving:
-            self._rov_chunk = None
+        self._splits += 1
+        self._fills[chunk_idx] = self._chunk_records - move
 
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
-        pool = self._pool
         fills = self._fills
         if not fills or fills[-1] == self._chunk_records:
             self._alloc_chunk(len(fills), 0)
             if len(fills) > 1:
-                pool.dep_writes += 1  # link previous tail chunk
-        pool.dep_reads += 1  # tail-chunk pointer
+                self._tail_links += 1
         fills[-1] += 1
-        pool.stream_writes += self._record_words
-        pool.dep_writes += 1  # count update
+        self._appends += 1
 
     def _model_insert(self, pos: int) -> None:
         if pos == len(self._items):
@@ -153,43 +193,32 @@ class _ChunkedBase(DynamicDataType):
             if offset > fills[chunk_idx]:
                 offset -= fills[chunk_idx]
                 chunk_idx += 1
-        words = self._record_words
-        shifted = (fills[chunk_idx] - offset) * words  # memmove within the chunk
+        self._shifted += fills[chunk_idx] - offset  # memmove within the chunk
         fills[chunk_idx] += 1
-        pool = self._pool
-        pool.stream_reads += shifted
-        pool.stream_writes += shifted + words
-        pool.dep_writes += 1
-        if self.roving:
-            self._rov_chunk = None
+        self._inserts += 1
+        self._rov_chunk = None
 
     def _model_get(self, pos: int) -> None:
         self._locate(pos)
-        self._pool.stream_reads += self._record_words
+        self._gets += 1
 
     def _model_set(self, pos: int) -> None:
         self._locate(pos)
-        self._pool.stream_writes += self._record_words
+        self._sets += 1
 
     def _model_remove(self, pos: int) -> None:
         chunk_idx, offset = self._locate(pos)
         fills = self._fills
-        words = self._record_words
         fill = fills[chunk_idx]
-        shifted = (fill - offset - 1) * words  # memmove within the chunk
-        pool = self._pool
-        pool.stream_reads += words + shifted
-        pool.stream_writes += shifted
-        pool.dep_writes += 1  # count
+        self._shifted += fill - offset - 1  # memmove within the chunk
+        self._removes += 1
         fills[chunk_idx] = fill - 1
         if fill == 1:
             self._free_chunk(chunk_idx)
-        if self.roving:
-            self._rov_chunk = None
+        self._rov_chunk = None
 
     def _model_scan(self, visited: int, hit: bool) -> None:
-        pool = self._pool
-        pool.dep_reads += 1  # head-chunk pointer
+        self._pointer_loads += 1  # head-chunk pointer
         if visited == 0:
             return
         # Hops between the chunks the first `visited` records span.
@@ -200,60 +229,75 @@ class _ChunkedBase(DynamicDataType):
             remaining -= fill
             if remaining <= 0:
                 break
-        pool.dep_reads += hops  # dependent next hops
-        # fill counts stream, like the keys
-        reads = hops + visited * self._key_words
+        self._next_hops += hops
+        self._visited += visited
         if hit:
-            reads += self._record_words - self._key_words
-        pool.stream_reads += reads
-        pool.steps += visited
-        if self.roving and hit:
+            self._hits += 1
             self._rov_chunk = hops
-            pool.dep_writes += 1
 
     def _model_scan_reset(self) -> None:
-        self._pool.dep_reads += 1  # head-chunk pointer
+        self._pointer_loads += 1  # head-chunk pointer
         self._scan_running = 0
         self._scan_chunk = 0
 
     def _model_iter_step(self, pos: int) -> None:
-        self._charge_boundary(pos)
-        pool = self._pool
-        pool.stream_reads += self._record_words
-        pool.steps += 1
-
-    def _charge_boundary(self, pos: int) -> None:
-        """Charge the chunk-hop reads when a scan crosses a boundary."""
+        """Count the chunk hops when a scan crosses a boundary."""
+        fills = self._fills
         while (
-            self._scan_chunk < len(self._fills)
-            and pos >= self._scan_running + self._fills[self._scan_chunk]
+            self._scan_chunk < len(fills)
+            and pos >= self._scan_running + fills[self._scan_chunk]
         ):
-            self._scan_running += self._fills[self._scan_chunk]
+            self._scan_running += fills[self._scan_chunk]
             self._scan_chunk += 1
-            self._pool.dep_reads += 1  # dependent next pointer
-            self._pool.stream_reads += 1  # count of the new chunk
+            self._next_hops += 1
 
     def _model_clear(self) -> None:
-        hops = len(self._fills)
-        pool = self._pool
-        pool.dep_reads += hops
-        pool.steps += hops
-        while self._fills:
-            pool.free(self._chunk_blocks.pop())
-            self._fills.pop()
-        pool.dep_writes += 2  # head/tail reset
+        self._cleared += len(self._fills)
+        self._clears += 1
+        self._free_chunks()
         self._rov_chunk = None
 
     def _model_dispose(self) -> None:
-        hops = len(self._fills)
-        pool = self._pool
-        pool.dep_reads += hops
-        pool.steps += hops
-        while self._fills:
-            pool.free(self._chunk_blocks.pop())
-            self._fills.pop()
-        pool.free(self._descriptor)
+        self._cleared += len(self._fills)
+        self._free_chunks()
+        for lane in self._members:
+            lane._pool.free(lane._descriptor)
         self._rov_chunk = None
+
+    # -- pricing -----------------------------------------------------------
+    # A locate reads the start field and one next pointer per hop
+    # (dependent) and one fill count per hop (streamed); a scan or
+    # iteration hop reads a next pointer and a count.  A new chunk
+    # initialises its ``ptr_words`` links and its count, a freed one
+    # unlinks them; a split streams half a chunk across and rewrites the
+    # old count.  A roving list also writes its cursor on every locate
+    # and scan hit.
+    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
+        words, key, ptr = self._record_words, self._key_words, self.ptr_words
+        hops = getattr(org, self.hop_sum)
+        locates, appends, inserts = org._locates, org._appends, org._inserts
+        removes, visited, hits = org._removes, org._visited, org._hits
+        copied = (org._splits * (org._chunk_records // 2) + org._shifted) * words
+        dep_writes = (
+            org._chunk_allocs * (ptr + 1)
+            + org._tail_links
+            + appends
+            + org._splits
+            + inserts
+            + removes
+            + org._chunk_frees * ptr
+            + 2 * org._clears
+        )
+        if self.roving:
+            dep_writes += locates + hits
+        return (
+            appends + locates + hops + org._pointer_loads + org._next_hops + org._cleared,
+            dep_writes,
+            hops + copied + (org._gets + removes) * words + org._next_hops
+            + visited * key + hits * (words - key),
+            copied + (appends + inserts + org._sets) * words,
+            locates + hops + visited + org._cleared,
+        )
 
 
 class ChunkedSinglyLinkedDDT(_ChunkedBase):
@@ -262,9 +306,7 @@ class ChunkedSinglyLinkedDDT(_ChunkedBase):
     ddt_name = "SLL(AR)"
     description = "singly linked list of arrays (unrolled list)"
     ptr_words = 1
-
-    def _hops_to(self, chunk_idx: int) -> int:
-        return chunk_idx
+    hop_sum = "_sll_hops"
 
 
 class ChunkedDoublyLinkedDDT(_ChunkedBase):
@@ -273,12 +315,7 @@ class ChunkedDoublyLinkedDDT(_ChunkedBase):
     ddt_name = "DLL(AR)"
     description = "doubly linked list of arrays"
     ptr_words = 2
-
-    def _hops_to(self, chunk_idx: int) -> int:
-        from_tail = len(self._fills) - 1 - chunk_idx
-        if from_tail < chunk_idx:
-            return from_tail if from_tail > 0 else 0
-        return chunk_idx
+    hop_sum = "_dll_hops"
 
 
 class RovingChunkedSinglyLinkedDDT(ChunkedSinglyLinkedDDT):
@@ -292,12 +329,7 @@ class RovingChunkedSinglyLinkedDDT(ChunkedSinglyLinkedDDT):
     ddt_name = "SLL(ARO)"
     description = "chunked singly linked list with roving chunk pointer"
     roving = True
-
-    def _hops_to(self, chunk_idx: int) -> int:
-        rov = self._rov_chunk
-        if rov is not None and chunk_idx >= rov:
-            return chunk_idx - rov  # forward from the cursor
-        return chunk_idx
+    hop_sum = "_sllo_hops"
 
 
 class RovingChunkedDoublyLinkedDDT(ChunkedDoublyLinkedDDT):
@@ -306,16 +338,4 @@ class RovingChunkedDoublyLinkedDDT(ChunkedDoublyLinkedDDT):
     ddt_name = "DLL(ARO)"
     description = "chunked doubly linked list with roving chunk pointer"
     roving = True
-
-    def _hops_to(self, chunk_idx: int) -> int:
-        from_tail = len(self._fills) - 1 - chunk_idx
-        if from_tail < chunk_idx:
-            best = from_tail if from_tail > 0 else 0
-        else:
-            best = chunk_idx
-        rov = self._rov_chunk
-        if rov is not None:
-            from_cursor = abs(chunk_idx - rov)
-            if from_cursor < best:
-                best = from_cursor
-        return best
+    hop_sum = "_dllo_hops"

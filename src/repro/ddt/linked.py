@@ -22,6 +22,15 @@ predecessor).
 The original NetBench implementations of the paper's benchmarks use
 singly linked lists; :data:`repro.ddt.registry.ORIGINAL_DDT` points at
 :class:`SinglyLinkedDDT` for that reason.
+
+Shared state: every op moves the four lists alike -- the same nodes are
+allocated and freed, and ``SLL(O)`` and ``DLL(O)`` set their cursor in
+the same places (the position a get, set, insert or remove reached, the
+hit of a scan) and drop it on the same removals, while ``SLL`` and
+``DLL`` never read it.  So the organisation keeps one cursor and counts
+each event once, with one walk sum per walk rule (from the head, from
+the nearer end, and either one or the cursor), and every list prices the
+counts by its own rule, pointer words and cursor writes.
 """
 
 from __future__ import annotations
@@ -42,12 +51,31 @@ DESCRIPTOR_BYTES = 16
 
 
 class _LinkedBase(DynamicDataType):
-    """Shared storage/cost machinery of the four linked-list DDTs."""
+    """Shared state, allocation and event counts of the four linked lists."""
 
+    organisation = "linked"
+    _events = (
+        "_appends",  # appends, and inserts at the end
+        "_inserts",
+        "_gets",
+        "_sets",
+        "_removes",
+        "_sll_walks",  # nodes walked from the head
+        "_dll_walks",  # ... from the nearer end
+        "_sllo_walks",  # ... from the head or the cursor, forwards
+        "_dllo_walks",  # ... from the nearest of head, tail and cursor
+        "_pointer_loads",  # head or next pointers with no other charge
+        "_visited",
+        "_hits",
+        "_cleared",  # nodes walked to free them
+        "_clears",
+    )
     #: Pointer words per node (1 for singly, 2 for doubly linked).
     ptr_words = 1
     #: Whether a cursor to the last accessed position is maintained.
     roving = False
+    #: The event counter of the walk rule this list walks by.
+    walk_sum = "_sll_walks"
 
     # -- storage ---------------------------------------------------------
     def _setup_storage(self) -> None:
@@ -56,122 +84,142 @@ class _LinkedBase(DynamicDataType):
         self._node_bytes = self._spec.size_bytes + self.ptr_words * WORD_BYTES
         self._rov: int | None = None
 
+    def _alloc_nodes(self) -> None:
+        for lane in self._members:
+            lane._node_blocks.append(lane._pool.allocate(lane._node_bytes))
+
     def _free_nodes(self) -> None:
         # All node blocks share one size class, so block identity is
         # interchangeable for accounting purposes.
-        free = self._pool.free
-        blocks = self._node_blocks
-        while blocks:
-            free(blocks.pop())
+        for lane in self._members:
+            free = lane._pool.free
+            blocks = lane._node_blocks
+            while blocks:
+                free(blocks.pop())
 
-    # -- walking (one hook per organisation) -------------------------------
-    def _walk_reads(self, pos: int) -> int:
-        """Dependent reads needed to reach node ``pos``."""
-        raise NotImplementedError
+    # -- walking -----------------------------------------------------------
+    def _walk_to(self, pos: int) -> None:
+        """Count each rule's walk to node ``pos``; the cursor moves there."""
+        rov = self._rov
+        from_tail = len(self._items) - pos
+        nearer = from_tail if from_tail <= pos else pos + 1
+        self._sll_walks += pos + 1  # head field + pos next-pointers
+        self._dll_walks += nearer
+        if rov is None:
+            self._sllo_walks += pos + 1
+            self._dllo_walks += nearer
+        else:
+            # a singly linked cursor cannot move backwards
+            self._sllo_walks += pos - rov + 1 if pos >= rov else pos + 1
+            from_cursor = abs(pos - rov) + 1
+            self._dllo_walks += from_cursor if from_cursor < nearer else nearer
+        self._rov = pos
 
     def _walk_to_neighbour(self, pos: int) -> None:
-        """Walk to where an insert/remove at ``pos`` rewrites pointers."""
-        raise NotImplementedError
+        """Count each rule's walk to where an insert/remove at ``pos``
+        rewrites pointers; the cursor moves there."""
+        rov = self._rov
+        from_tail = len(self._items) - pos
+        nearer = from_tail if from_tail <= pos else pos + 1
+        # singly linked: walk to the predecessor (the head field for 0);
+        # doubly linked: the node itself, prev via its back link
+        before = pos if pos > 1 else 1
+        self._sll_walks += before
+        self._dll_walks += nearer
+        if rov is None:
+            self._sllo_walks += before
+            self._dllo_walks += nearer
+        elif pos == rov:  # the cursor pair holds the predecessor already
+            self._sllo_walks += 1
+            self._dllo_walks += 1
+        else:
+            ahead = pos - rov
+            self._sllo_walks += ahead if 0 < ahead < before else before
+            from_cursor = abs(ahead) + 1
+            self._dllo_walks += from_cursor if from_cursor < nearer else nearer
+        self._rov = pos
 
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
-        pool = self._pool
-        self._node_blocks.append(pool.allocate(self._node_bytes))
-        pool.dep_reads += 1  # tail pointer
-        pool.stream_writes += self._record_words
-        # next/prev init + old-tail link + tail field update
-        pool.dep_writes += self.ptr_words + 2
+        self._appends += 1
+        self._alloc_nodes()
 
     def _model_insert(self, pos: int) -> None:
         if pos == len(self._items):
-            self._model_append()
-        else:
-            self._walk_to_neighbour(pos)
-            pool = self._pool
-            self._node_blocks.append(pool.allocate(self._node_bytes))
-            pool.stream_writes += self._record_words
-            pool.dep_writes += self.ptr_words * 2  # init links + relink neighbours
-        rov = self._rov
-        if rov is not None and pos <= rov:
-            self._rov = rov + 1
+            self._model_append()  # the cursor sits before the end
+            return
+        self._walk_to_neighbour(pos)
+        self._inserts += 1
+        self._alloc_nodes()
+        self._rov = pos + 1  # the cursor's node moved up one
 
     def _model_get(self, pos: int) -> None:
-        reads = self._walk_reads(pos)
-        pool = self._pool
-        pool.dep_reads += reads
-        pool.steps += reads
-        pool.stream_reads += self._record_words
-        if self.roving:
-            self._rov = pos
-            pool.dep_writes += 1  # update the cursor field
+        self._gets += 1
+        self._walk_to(pos)
 
     def _model_set(self, pos: int) -> None:
-        reads = self._walk_reads(pos)
-        pool = self._pool
-        pool.dep_reads += reads
-        pool.steps += reads
-        pool.stream_writes += self._record_words
-        if self.roving:
-            self._rov = pos
-            pool.dep_writes += 1  # update the cursor field
+        self._sets += 1
+        self._walk_to(pos)
 
     def _model_remove(self, pos: int) -> None:
         self._walk_to_neighbour(pos)
-        pool = self._pool
-        pool.stream_reads += self._record_words  # removed value returned
-        pool.dep_writes += self.ptr_words  # relink neighbour(s)
-        pool.free(self._node_blocks.pop())
-        rov = self._rov
-        if rov is not None:
-            if pos == rov:
-                self._rov = None
-            elif pos < rov:
-                self._rov = rov - 1
+        self._removes += 1
+        for lane in self._members:
+            lane._pool.free(lane._node_blocks.pop())
+        self._rov = None  # its node is gone
 
     def _model_scan(self, visited: int, hit: bool) -> None:
-        pool = self._pool
         if visited == 0:
-            pool.dep_reads += 1  # empty check reads the head pointer
+            self._pointer_loads += 1  # empty check reads the head pointer
             return
-        # head pointer + next-pointer per advance: all dependent
-        reads = visited * self._key_words
+        self._visited += visited
         if hit:
-            reads += self._record_words - self._key_words
-        pool.dep_reads += visited
-        pool.stream_reads += reads
-        pool.steps += visited
-        if self.roving and hit:
+            self._hits += 1
             self._rov = visited - 1
-            pool.dep_writes += 1
 
     def _model_scan_reset(self) -> None:
-        self._pool.dep_reads += 1  # head pointer
+        self._pointer_loads += 1  # head pointer
 
     def _model_iter_step(self, pos: int) -> None:
-        pool = self._pool
         if pos > 0:
-            pool.dep_reads += 1
-        pool.stream_reads += self._record_words
-        pool.steps += 1
+            self._pointer_loads += 1  # next pointer
 
     def _model_clear(self) -> None:
         # Walk the chain once, freeing every node.
-        n = len(self._items)
-        pool = self._pool
-        pool.dep_reads += n  # next pointer of each node
-        pool.steps += n
+        self._cleared += len(self._items)
+        self._clears += 1
         self._free_nodes()
-        pool.dep_writes += 2  # head/tail reset
         self._rov = None
 
     def _model_dispose(self) -> None:
-        n = len(self._items)
-        pool = self._pool
-        pool.dep_reads += n
-        pool.steps += n
+        self._cleared += len(self._items)
         self._free_nodes()
-        pool.free(self._descriptor)
+        for lane in self._members:
+            lane._pool.free(lane._descriptor)
         self._rov = None
+
+    # -- pricing -----------------------------------------------------------
+    # Every hop is a dependent pointer load and a loop step; a reached
+    # record streams.  An append reads the tail pointer and writes the
+    # new node's links, the old tail's link and the tail field; a
+    # mid-list insert initialises and relinks ``ptr_words`` links twice
+    # and a removal relinks them once.  A roving list also writes its
+    # cursor on every get, set, insert, remove and scan hit.
+    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
+        words, key, ptr = self._record_words, self._key_words, self.ptr_words
+        walks = getattr(org, self.walk_sum)
+        appends, inserts, removes = org._appends, org._inserts, org._removes
+        gets, sets, visited, hits = org._gets, org._sets, org._visited, org._hits
+        dep_writes = appends * (ptr + 2) + inserts * 2 * ptr + removes * ptr + 2 * org._clears
+        if self.roving:
+            dep_writes += gets + sets + inserts + removes + hits
+        return (
+            appends + walks + org._pointer_loads + visited + org._cleared,
+            dep_writes,
+            (gets + removes) * words + visited * key + hits * (words - key),
+            (appends + inserts + sets) * words,
+            walks + visited + org._cleared,
+        )
 
 
 class SinglyLinkedDDT(_LinkedBase):
@@ -185,16 +233,7 @@ class SinglyLinkedDDT(_LinkedBase):
     ddt_name = "SLL"
     description = "singly linked list (head+tail)"
     ptr_words = 1
-
-    def _walk_reads(self, pos: int) -> int:
-        return pos + 1  # head field + pos next-pointers
-
-    def _walk_to_neighbour(self, pos: int) -> None:
-        # Need the predecessor: walk pos nodes from the head field.
-        reads = pos if pos > 1 else 1
-        pool = self._pool
-        pool.dep_reads += reads
-        pool.steps += reads
+    walk_sum = "_sll_walks"
 
 
 class DoublyLinkedDDT(_LinkedBase):
@@ -203,17 +242,7 @@ class DoublyLinkedDDT(_LinkedBase):
     ddt_name = "DLL"
     description = "doubly linked list (walks from nearer end)"
     ptr_words = 2
-
-    def _walk_reads(self, pos: int) -> int:
-        from_tail = len(self._items) - pos
-        return from_tail if from_tail <= pos else pos + 1  # nearer end
-
-    def _walk_to_neighbour(self, pos: int) -> None:
-        # The node itself suffices: prev is reachable via its back link.
-        reads = self._walk_reads(pos)
-        pool = self._pool
-        pool.dep_reads += reads
-        pool.steps += reads
+    walk_sum = "_dll_walks"
 
 
 class RovingSinglyLinkedDDT(SinglyLinkedDDT):
@@ -228,26 +257,7 @@ class RovingSinglyLinkedDDT(SinglyLinkedDDT):
     ddt_name = "SLL(O)"
     description = "singly linked list with roving pointer"
     roving = True
-
-    def _walk_reads(self, pos: int) -> int:
-        rov = self._rov
-        if rov is not None and pos >= rov:
-            return pos - rov + 1  # cursor + forward hops
-        return pos + 1
-
-    def _walk_to_neighbour(self, pos: int) -> None:
-        reads = pos if pos > 1 else 1
-        rov = self._rov
-        if rov is not None:
-            if pos == rov:
-                reads = 1  # cursor pair has the predecessor already
-            elif pos > rov and pos - rov < reads:
-                reads = pos - rov
-        pool = self._pool
-        pool.dep_reads += reads
-        pool.steps += reads
-        pool.dep_writes += 1
-        self._rov = pos
+    walk_sum = "_sllo_walks"
 
 
 class RovingDoublyLinkedDDT(DoublyLinkedDDT):
@@ -260,24 +270,4 @@ class RovingDoublyLinkedDDT(DoublyLinkedDDT):
     ddt_name = "DLL(O)"
     description = "doubly linked list with roving pointer"
     roving = True
-
-    def _walk_reads(self, pos: int) -> int:
-        from_tail = len(self._items) - pos
-        best = from_tail if from_tail <= pos else pos + 1  # nearer end
-        rov = self._rov
-        if rov is not None:
-            from_cursor = abs(pos - rov) + 1
-            if from_cursor < best:
-                best = from_cursor
-        return best
-
-    def _walk_to_neighbour(self, pos: int) -> None:
-        if self._rov is not None and pos == self._rov:
-            reads = 1  # cursor points at the node; prev via back link
-        else:
-            reads = self._walk_reads(pos)
-        pool = self._pool
-        pool.dep_reads += reads
-        pool.steps += reads
-        pool.dep_writes += 1
-        self._rov = pos
+    walk_sum = "_dllo_walks"

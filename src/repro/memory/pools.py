@@ -7,13 +7,17 @@ Each dominant dynamic data structure of an application owns one
   tracked per structure (the paper assumes each DDT lives in its own
   memory, which is what makes the CACTI energy model applicable per
   structure);
-* it counts cost *events* as plain integers: word accesses in four
-  kinds -- dependent reads/writes (pointer chasing: the next address
-  waits on the previous access) and streaming reads/writes (bursts:
-  shifts, copies, sequential scans) -- plus the CPU-side events of its
+* it holds eight cost-event counters: word accesses in four kinds --
+  dependent reads/writes (pointer chasing: the next address waits on
+  the previous access) and streaming reads/writes (bursts: shifts,
+  copies, sequential scans) -- plus the CPU-side events of its
   structure (DDT calls, loop steps, key compares, allocator calls).
-  The DDT cost hooks add to these counters directly, so a charged
-  operation does integer bumps only;
+  Allocator calls count here as they happen.  Everything else is
+  derived: a charged DDT op only counts the events of its data
+  organisation on the structure (see :mod:`repro.ddt.base`), and every
+  structure attached to the pool (:meth:`MemoryPool.attach`) folds its
+  pending counts in, priced by its DDT's fixed per-event charges,
+  whenever a counter is read;
 * every metric is priced *post hoc* from the counters: energy and
   memory latency at the pool's **peak** footprint (the platform
   provisions each structure's SRAM for its worst case, so every access
@@ -22,7 +26,7 @@ Each dominant dynamic data structure of an application owns one
   metric to the energy metric), CPU cycles by the run's
   :class:`~repro.memory.timing.OperationCosts`.  Integer sums do not
   depend on the order of the events, so pricing once equals pricing
-  every event as it happens.
+  every event as it happens, and folding late equals counting early.
 
 The capacity-dependence of per-access cost is the mechanism behind the
 paper's main effect: footprint-lean DDTs (arrays) pay less per access
@@ -32,9 +36,14 @@ amount of stored data.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.memory.allocator import Allocator, Block
 from repro.memory.cacti import CactiModel
 from repro.memory.timing import OperationCosts
+
+if TYPE_CHECKING:  # pragma: no cover - the DDTs import this module
+    from repro.ddt.base import DynamicDataType
 
 __all__ = ["MemoryPool"]
 
@@ -53,6 +62,21 @@ ALLOCATOR_TOUCH_WORDS = 3
 STREAM_CYCLE_FRACTION = 0.125
 
 
+def _counter(field: str, doc: str) -> property:
+    """A public event counter: reads fold the pending counts in first,
+    and an assignment sets the folded total."""
+
+    def read(pool: MemoryPool) -> int:
+        pool._fold()
+        return getattr(pool, field)
+
+    def write(pool: MemoryPool, value: int) -> None:
+        pool._fold()
+        setattr(pool, field, value)
+
+    return property(read, write, doc=doc)
+
+
 class MemoryPool:
     """Footprint-aware cost-event accounting for one data structure.
 
@@ -68,22 +92,68 @@ class MemoryPool:
     ``dep_writes``, ``stream_reads`` and ``stream_writes`` count word
     accesses; ``ddt_calls``, ``steps``, ``compares`` and
     ``allocator_calls`` count the CPU-side events :meth:`cpu_cycles`
-    prices.
+    prices.  Reading any of them, or any figure derived from them,
+    first folds in the pending counts of every attached structure.
     """
 
     def __init__(self, name: str, cacti: CactiModel) -> None:
         self.name = name
         self.cacti = cacti
         self.allocator = Allocator(header_bytes=HEADER_BYTES, alignment=ALIGNMENT)
-        self.dep_reads = 0
-        self.dep_writes = 0
-        self.stream_reads = 0
-        self.stream_writes = 0
-        self.ddt_calls = 0
-        self.steps = 0
-        self.compares = 0
-        self.allocator_calls = 0
+        self._dep_reads = 0
+        self._dep_writes = 0
+        self._stream_reads = 0
+        self._stream_writes = 0
+        self._ddt_calls = 0
+        self._steps = 0
+        self._compares = 0
+        self._allocator_calls = 0
+        #: Structures whose pending counts belong to these counters.
+        self._structures: dict[DynamicDataType, None] = {}
         self._spec_cache: tuple[int, object] | None = None
+
+    dep_reads = _counter("_dep_reads", "Dependent word reads.")
+    dep_writes = _counter("_dep_writes", "Dependent word writes.")
+    stream_reads = _counter("_stream_reads", "Streaming word reads.")
+    stream_writes = _counter("_stream_writes", "Streaming word writes.")
+    ddt_calls = _counter("_ddt_calls", "Charged DDT operations.")
+    steps = _counter("_steps", "Loop steps of traversals and scans.")
+    compares = _counter("_compares", "Key compares of scans.")
+    allocator_calls = _counter("_allocator_calls", "Allocate, free and resize calls.")
+
+    # ------------------------------------------------------------------
+    # lazily charged structures
+    # ------------------------------------------------------------------
+    def attach(self, structure: DynamicDataType) -> None:
+        """Fold ``structure``'s pending counts in whenever a counter is read."""
+        self._structures[structure] = None
+
+    def detach(self, structure: DynamicDataType) -> None:
+        """Stop folding ``structure`` (which must have folded its counts)."""
+        self._structures.pop(structure, None)
+
+    def add_counts(
+        self,
+        dep_reads: int,
+        dep_writes: int,
+        stream_reads: int,
+        stream_writes: int,
+        ddt_calls: int,
+        steps: int,
+        compares: int,
+    ) -> None:
+        """Add a structure's folded counts (every counter but allocator calls)."""
+        self._dep_reads += dep_reads
+        self._dep_writes += dep_writes
+        self._stream_reads += stream_reads
+        self._stream_writes += stream_writes
+        self._ddt_calls += ddt_calls
+        self._steps += steps
+        self._compares += compares
+
+    def _fold(self) -> None:
+        for structure in self._structures:
+            structure.fold_counts()
 
     # ------------------------------------------------------------------
     # capacity / counters
@@ -101,28 +171,34 @@ class MemoryPool:
     @property
     def reads(self) -> int:
         """Total word reads (dependent + streaming)."""
-        return self.dep_reads + self.stream_reads
+        self._fold()
+        return self._dep_reads + self._stream_reads
 
     @property
     def writes(self) -> int:
         """Total word writes (dependent + streaming)."""
-        return self.dep_writes + self.stream_writes
+        self._fold()
+        return self._dep_writes + self._stream_writes
 
     @property
     def accesses(self) -> int:
         """Total modelled word accesses (reads + writes)."""
-        return self.reads + self.writes
+        self._fold()
+        return (
+            self._dep_reads + self._stream_reads + self._dep_writes + self._stream_writes
+        )
 
     # ------------------------------------------------------------------
     # post-hoc pricing
     # ------------------------------------------------------------------
     def cpu_cycles(self, costs: OperationCosts) -> int:
         """Instruction-stream cycles of the counted CPU-side events."""
+        self._fold()
         return (
-            self.ddt_calls * costs.ddt_call
-            + self.steps * costs.step
-            + self.compares * costs.compare
-            + self.allocator_calls * costs.allocator_call
+            self._ddt_calls * costs.ddt_call
+            + self._steps * costs.step
+            + self._compares * costs.compare
+            + self._allocator_calls * costs.allocator_call
         )
 
     def _provisioned_spec(self):
@@ -140,11 +216,13 @@ class MemoryPool:
     def energy_and_cycles(self) -> tuple[float, int]:
         """(energy in pJ, memory latency cycles) from one spec lookup."""
         spec = self._provisioned_spec()
+        self._fold()
         energy = (
-            self.reads * spec.read_energy_pj + self.writes * spec.write_energy_pj
+            (self._dep_reads + self._stream_reads) * spec.read_energy_pj
+            + (self._dep_writes + self._stream_writes) * spec.write_energy_pj
         )
-        dependent = (self.dep_reads + self.dep_writes) * spec.cycles_per_access
-        streamed = (self.stream_reads + self.stream_writes) * spec.cycles_per_access
+        dependent = (self._dep_reads + self._dep_writes) * spec.cycles_per_access
+        streamed = (self._stream_reads + self._stream_writes) * spec.cycles_per_access
         cycles = dependent + round(streamed * STREAM_CYCLE_FRACTION)
         return energy, cycles
 
@@ -165,24 +243,24 @@ class MemoryPool:
     def allocate(self, payload_bytes: int) -> Block:
         """Allocate from the pool's heap, counting allocator bookkeeping."""
         block = self.allocator.allocate(payload_bytes)
-        self.allocator_calls += 1
-        self.dep_reads += 1
-        self.dep_writes += ALLOCATOR_TOUCH_WORDS - 1
+        self._allocator_calls += 1
+        self._dep_reads += 1
+        self._dep_writes += ALLOCATOR_TOUCH_WORDS - 1
         return block
 
     def free(self, block: Block) -> None:
         """Return a block to the pool's heap, counting bookkeeping."""
         self.allocator.free(block)
-        self.allocator_calls += 1
-        self.dep_reads += 1
-        self.dep_writes += ALLOCATOR_TOUCH_WORDS - 1
+        self._allocator_calls += 1
+        self._dep_reads += 1
+        self._dep_writes += ALLOCATOR_TOUCH_WORDS - 1
 
     def reallocate(self, block: Block, payload_bytes: int) -> Block:
         """Resize a block (bookkeeping only; the caller counts the copy)."""
         resized = self.allocator.reallocate(block, payload_bytes)
-        self.allocator_calls += 1
-        self.dep_reads += 1
-        self.dep_writes += ALLOCATOR_TOUCH_WORDS - 1
+        self._allocator_calls += 1
+        self._dep_reads += 1
+        self._dep_writes += ALLOCATOR_TOUCH_WORDS - 1
         return resized
 
     # ------------------------------------------------------------------
@@ -191,16 +269,16 @@ class MemoryPool:
         energy_pj, memory_cycles = self.energy_and_cycles()
         return {
             "name": self.name,
-            "reads": self.reads,
-            "writes": self.writes,
-            "dep_reads": self.dep_reads,
-            "dep_writes": self.dep_writes,
-            "stream_reads": self.stream_reads,
-            "stream_writes": self.stream_writes,
-            "ddt_calls": self.ddt_calls,
-            "steps": self.steps,
-            "compares": self.compares,
-            "allocator_calls": self.allocator_calls,
+            "reads": self._dep_reads + self._stream_reads,
+            "writes": self._dep_writes + self._stream_writes,
+            "dep_reads": self._dep_reads,
+            "dep_writes": self._dep_writes,
+            "stream_reads": self._stream_reads,
+            "stream_writes": self._stream_writes,
+            "ddt_calls": self._ddt_calls,
+            "steps": self._steps,
+            "compares": self._compares,
+            "allocator_calls": self._allocator_calls,
             "energy_pj": energy_pj,
             "memory_cycles": memory_cycles,
             "live_bytes": self.live_bytes,

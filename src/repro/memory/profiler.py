@@ -5,9 +5,13 @@ it for memory pools (one per dominant data structure), charge per-packet
 CPU overhead through it, and at the end of the run the exploration engine
 reads off a single :class:`~repro.core.metrics.MetricVector`.
 
-During the run every pool only counts events (word accesses, DDT calls,
-loop steps, compares, allocator calls); :meth:`MemoryProfiler.parts`
-prices them once, per pool: energy and memory cycles at the pool's
+During the run nothing is priced.  Allocator calls count on their pool
+as they happen; every other DDT event counts once per data organisation
+on the structure that charged it, and a pool's counters (word accesses,
+DDT calls, loop steps, compares) are derived from those counts by each
+DDT's fixed per-event charges when the pool is read (see
+:mod:`repro.ddt.base`).  :meth:`MemoryProfiler.parts` reads every pool
+and prices its counters once: energy and memory cycles at the pool's
 peak footprint, CPU cycles by the run's
 :class:`~repro.memory.timing.OperationCosts`, and seconds at the
 :class:`~repro.memory.cacti.CactiModel` clock.  So a run's metrics split
@@ -195,11 +199,12 @@ class MemoryProfiler:
     def parts(self) -> ProfileParts:
         """The metrics so far, split into base cycles and per-pool parts.
 
-        This is where every pool's counted events are priced: energy and
-        memory latency at the pool's provisioned (peak) capacity -- one
-        spec lookup per pool covers both -- and CPU cycles by
-        :attr:`costs`.  The counts are plain integer sums, so the split
-        is cheap to take and consistent no matter when it is taken.
+        This is where every pool's counters are folded in from their
+        structures and priced: energy and memory latency at the pool's
+        provisioned (peak) capacity -- one spec lookup per pool covers
+        both -- and CPU cycles by :attr:`costs`.  The counts are plain
+        integer sums, so the split is cheap to take and consistent no
+        matter when it is taken.
         """
         pools = []
         for (_name, ddt), pool in self._pools.items():

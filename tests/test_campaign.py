@@ -9,6 +9,7 @@ configurations per app) to keep the full four-app parity test fast.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import pytest
 from support.faults import worker_env
 
 from repro.core import campaign as campaign_module
+from repro.core import engine as engine_module
 from repro.core.campaign import MANIFEST_NAME, CampaignScheduler
 from repro.core.casestudies import CASE_STUDIES, case_study
 from repro.core.engine import ExplorationEngine, SimulationCache
@@ -456,6 +458,33 @@ class TestCampaignCli:
         assert "incremental: " in out
         assert "unchanged" in out
         assert "engine: 0 simulated, 0 composed" in out
+
+    def test_resume_resimulates_after_a_model_source_change(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A warm cache serves nothing a changed model code would compute
+        differently: after an edit to a DDT module, ``--resume``
+        simulates again instead of reusing the records."""
+        args = [
+            "campaign", "--apps", "drr", "--traces", "Whittemore",
+            "--candidates", "AR", "SLL", "--cache", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "results"), "--quiet",
+        ]
+        assert explore.main(args) == 0
+        capsys.readouterr()
+        edited = tmp_path / "repro"
+        shutil.copytree(
+            engine_module.MODEL_SOURCE_ROOT,
+            edited,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        with open(edited / "ddt" / "linked.py", "a", encoding="utf-8") as handle:
+            handle.write("# edited\n")
+        monkeypatch.setattr(engine_module, "MODEL_SOURCE_ROOT", str(edited))
+        assert explore.main(args + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "engine: 1 simulated" in out
+        assert "incremental: 0 points reused" in out
 
     def test_single_case_cli_still_works(self, capsys):
         assert explore.main(["url", "--profile-only"]) == 0

@@ -7,11 +7,13 @@ performance layer with no observable effect on the methodology.
 """
 
 import pickle
+import shutil
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.apps import RouteApp, UrlApp
+from repro.core import engine as engine_module
 from repro.core.application_level import Step1Result, explore_application_level
 from repro.core.casestudies import case_study
 from repro.core.engine import (
@@ -80,6 +82,29 @@ class TestFingerprint:
         base = model_fingerprint(SimulationEnvironment())
         flat = model_fingerprint(SimulationEnvironment(cacti=FlatEnergyModel()))
         assert base != flat
+
+    def test_model_source_changes_fingerprint(self, tmp_path, monkeypatch):
+        """The fingerprint hashes the model code's content: a copy of the
+        package keys the same records, an edit to a model source file
+        (a comment will do) keys none of them, and an edit outside the
+        model code changes nothing."""
+
+        package = engine_module.MODEL_SOURCE_ROOT
+
+        def fingerprint_of(name, edit=None):
+            copy = tmp_path / name
+            shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            if edit is not None:
+                with open(copy / edit, "a", encoding="utf-8") as handle:
+                    handle.write("# edited\n")
+            monkeypatch.setattr(engine_module, "MODEL_SOURCE_ROOT", str(copy))
+            return model_fingerprint(SimulationEnvironment())
+
+        base = model_fingerprint(SimulationEnvironment())
+        assert fingerprint_of("copy") == base
+        assert fingerprint_of("hook", "ddt/linked.py") != base
+        assert fingerprint_of("driver", "core/simulate.py") != base
+        assert fingerprint_of("engine", "core/engine.py") == base
 
 
 class TestSimulationCache:

@@ -12,8 +12,11 @@ other.
 import gc
 import random
 import weakref
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.base import NetworkApplication
 from repro.core.casestudies import CASE_STUDIES
@@ -183,6 +186,182 @@ def test_disposed_lanes_die_with_their_last_reference():
         assert [ref() for ref in refs] == [None] * len(LIBRARY)
     finally:
         gc.enable()
+
+
+SPEC = RecordSpec("rec", size_bytes=24, key_bytes=4)
+
+
+def _fresh(names, profiler, spec=SPEC):
+    """One fresh instance per name, each on its own (rec, name) pool."""
+    return [ddt_class(name)(profiler.new_pool("rec", name), spec) for name in names]
+
+
+def test_join_refuses_a_non_empty_lane():
+    first, second = _fresh(("AR", "SLL"), MemoryProfiler())
+    second.append(1)
+    with pytest.raises(ValueError, match="empty"):
+        first.join_lanes([second])
+
+
+def test_join_refuses_an_already_joined_lane():
+    profiler = MemoryProfiler()
+    first, second, third = _fresh(("AR", "SLL", "DLL"), profiler)
+    first.join_lanes([second])
+    with pytest.raises(ValueError, match="already joined"):
+        third.join_lanes([second])
+    with pytest.raises(ValueError, match="already joined"):
+        first.join_lanes([third])
+
+
+def test_join_refuses_a_disposed_lane():
+    first, second = _fresh(("AR", "SLL"), MemoryProfiler())
+    second.dispose()
+    with pytest.raises(ValueError, match="disposed"):
+        first.join_lanes([second])
+
+
+def test_join_refuses_two_lanes_on_one_pool():
+    pool = MemoryProfiler().new_pool("rec")
+    first, second = (ddt_class(name)(pool, SPEC) for name in ("AR", "SLL"))
+    with pytest.raises(ValueError, match="one pool"):
+        first.join_lanes([second])
+
+
+def test_join_refuses_a_lane_of_another_record_spec():
+    profiler = MemoryProfiler()
+    (first,) = _fresh(("AR",), profiler)
+    (second,) = _fresh(("SLL",), profiler, RecordSpec("rec", size_bytes=32))
+    with pytest.raises(ValueError, match="record type"):
+        first.join_lanes([second])
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_counters_read_mid_iteration_include_every_step(name):
+    """A counter read folds whatever is pending, iteration steps alone
+    included: ``steps`` read after each record rises by one per record."""
+    pool = MemoryProfiler().new_pool("rec", name)
+    structure = ddt_class(name)(pool, SPEC)
+    for value in range(12):
+        structure.append(value)
+    before = pool.steps
+    for seen, _ in enumerate(structure, start=1):
+        assert pool.steps == before + seen
+
+
+#: Every charged op a lane-set script draws from; ``*_near`` ops aim at
+#: the last position accessed, where a roving cursor sits.  Accesses
+#: that set or use a cursor are listed three times, so they are drawn
+#: more often than the removals and clears that drop it.
+SCRIPT_OPS = (
+    *("get", "set", "find", "find_key", "insert_near") * 3,
+    "append", "insert", "get_direct", "set_direct", "remove_at",
+    "remove_near", "pop_front", "pop_back", "find_keys", "iter",
+    "iter_part", "clear", "dispose", "snapshot",
+)
+#: The ops that also run on an empty instance (the rest append instead).
+EMPTY_OPS = {"find", "find_key", "find_keys", "iter", "iter_part", "clear", "dispose"}
+
+
+@st.composite
+def lane_scripts(draw):
+    """An ordered lane set, an instance count and an op script that
+    first fills each instance past a few chunks."""
+    order = draw(st.permutations(LIBRARY))
+    names = tuple(order[: draw(st.integers(1, len(LIBRARY)))])
+    count = draw(st.integers(1, 3))
+    fill = [
+        (index, "append", value)
+        for index in range(count)
+        for value in range(draw(st.integers(0, 36)))
+    ]
+    ops = st.tuples(
+        st.integers(0, count - 1),
+        st.sampled_from(SCRIPT_OPS),
+        st.integers(0, 10**6),
+    )
+    return names, count, fill + draw(st.lists(ops, min_size=10, max_size=80))
+
+
+def _run_script(make, count, script, pools):
+    """Drive ``count`` instances from ``make`` through ``script``;
+    returns every pool's snapshot at each ``snapshot`` op and at the end.
+
+    Records are ``(key, value)`` pairs.  A disposed instance is replaced
+    by a fresh one, as DRR replaces an idle flow's queue.
+    """
+    structures = [make() for _ in range(count)]
+    last = [0] * count  # the last position each instance accessed
+    seen = []
+    for index, op, value in script:
+        structure = structures[index]
+        size = len(structure)
+        record = (value % 40, value)
+        near = min(max(last[index] + value % 3 - 1, 0), size)
+        if op == "snapshot":  # read the pools starting at a drawn lane
+            first = value % len(pools)
+            order = [*range(first, len(pools)), *range(first)]
+            snapshots = {lane: pools[lane].snapshot() for lane in order}
+            seen.append([snapshots[lane] for lane in range(len(pools))])
+        elif op == "append" or not (size or op in EMPTY_OPS):
+            structure.append(record)
+        elif op in ("insert", "insert_near"):
+            pos = near if op == "insert_near" else value % (size + 1)
+            structure.insert(pos, record)
+            last[index] = pos
+        elif op in ("get", "get_direct", "remove_at"):
+            last[index] = value % size
+            getattr(structure, op)(value % size)
+        elif op in ("set", "set_direct"):
+            last[index] = value % size
+            getattr(structure, op)(value % size, record)
+        elif op == "remove_near":
+            last[index] = min(near, size - 1)
+            structure.remove_at(last[index])
+        elif op in ("pop_front", "pop_back"):
+            getattr(structure, op)()
+        elif op == "find":
+            hit = structure.find(lambda item, key=record[0]: item[0] == key)
+            last[index] = hit[0] if hit else last[index]
+        elif op in ("find_key", "find_keys"):
+            keys = (record[0],) if op == "find_key" else (record[0], value % 7)
+            hit = structure.find_key(itemgetter(0), *keys)
+            last[index] = hit[0] if hit else last[index]
+        elif op == "iter":
+            list(structure)
+        elif op == "iter_part":
+            for seen_pos, _ in enumerate(structure):
+                if seen_pos == value % (size + 1):
+                    break
+        elif op == "clear":
+            structure.clear()
+        else:  # dispose, and a fresh instance takes its place
+            structure.dispose()
+            structures[index] = make()
+    seen.append([pool.snapshot() for pool in pools])
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(lane_scripts())
+def test_lane_sets_of_any_shape_equal_their_plain_runs(case):
+    """Any ordered lane set (any DDT may lead its organisation), with
+    several instances sharing each pool, charges every pool exactly as
+    plain runs of its DDT do, at every point of the script."""
+    names, count, script = case
+    laned = MemoryProfiler()
+    lane_pools = [laned.new_pool("rec", name) for name in names]
+
+    def make_laned():
+        lanes = [ddt_class(name)(pool, SPEC) for name, pool in zip(names, lane_pools)]
+        return lanes[0].join_lanes(lanes[1:])
+
+    laned_seen = _run_script(make_laned, count, script, lane_pools)
+    for lane, name in enumerate(names):
+        pool = MemoryProfiler().new_pool("rec", name)
+        plain_seen = _run_script(lambda: ddt_class(name)(pool, SPEC), count, script, [pool])
+        assert [snapshots[lane] for snapshots in laned_seen] == [
+            snapshots[0] for snapshots in plain_seen
+        ], name
 
 
 class _AssignmentCharging(NetworkApplication):
