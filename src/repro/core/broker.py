@@ -4,16 +4,19 @@ Remote execution goes through a small, dependency-free **broker** that
 decouples worker lifetime from the coordinator, over the
 length-prefixed pickle frames of :mod:`repro.core.transport`:
 
-* :class:`EmbeddedBroker` -- a threaded TCP server holding one record
-  per announced campaign (its queue of lane runs, its result queue with
-  **duplicate-result rejection by token**, and its unacknowledged
-  deliveries), the leases of every worker, and a **worker registry
-  with heartbeat TTLs**.  Every op names the campaign it acts on, and
-  a lane run is the unit it queues, leases and requeues.  A worker that
-  stops heartbeating (or whose connection drops, or whose id a new
-  process registers) has its leased runs requeued at the front of their
-  campaign's queue and its crash counted; repeat offenders are
-  quarantined.
+* :class:`EmbeddedBroker` -- a threaded TCP shell around one
+  :class:`~repro.core.brokerstate.BrokerState`, the pure state machine
+  that holds one record per announced campaign (its queue of lane runs,
+  its result queue with **duplicate-result rejection by token**, and its
+  unacknowledged deliveries), the leases of every worker, and a
+  **worker registry with heartbeat TTLs**.  Every op names the campaign
+  it acts on, and a lane run is the unit it queues, leases and
+  requeues.  A worker that stops heartbeating (or whose connection
+  drops, or whose id a new process registers) has its leased runs
+  requeued at the front of their campaign's queue and its crash
+  counted; repeat offenders are quarantined.  The state machine reads
+  no clock: the shell passes the time of each call in as data, and a
+  malformed frame gets an error reply naming the field.
 * :class:`QueueTransport` -- a
   :class:`~repro.core.transport.WorkerTransport` implemented *against*
   a broker instead of against worker connections.  The coordinator
@@ -40,16 +43,17 @@ on ``SimulationRecord.content_key()`` to serial runs (asserted by
 ``tests/test_broker.py`` and CI's ``queue-smoke`` job).
 
 **Durability.**  Pass ``journal=DIR`` (CLI: ``ddt-explore broker
---journal DIR``) and every state-changing op is appended to a
-:class:`~repro.core.journal.Journal` write-ahead log before it is
-applied, with periodic compaction into a snapshot.  A restarted broker
-replays snapshot+log, requeues any journaled leases and unacknowledged
-deliveries at the queue front, and resumes -- combined with
-:class:`BrokerClient`'s transparent reconnect (capped exponential
-backoff + jitter, bounded by ``max_outage_s``) a broker kill/restart
-mid-campaign is invisible to the coordinator and the fleet (asserted by
-``tests/support/faults.py``'s broker-restart drill and CI's
-``restart-smoke`` job).
+--journal DIR``) and every entry the state machine commits is appended
+to a :class:`~repro.core.journal.Journal` write-ahead log before it is
+applied, with periodic compaction into a snapshot.  A ``lease`` entry
+carries its grant time, so replay is a function of the journal alone.
+A restarted broker replays snapshot+log, requeues any journaled leases
+and unacknowledged deliveries at the queue front, and resumes --
+combined with :class:`BrokerClient`'s transparent reconnect (capped
+exponential backoff + jitter, bounded by ``max_outage_s``) a broker
+kill/restart mid-campaign is invisible to the coordinator and the fleet
+(asserted by ``tests/support/faults.py``'s broker-restart drill and
+CI's ``restart-smoke`` job).
 
 **Multi-tenancy.**  Campaigns are *announced* onto a standing broker
 (``announce`` / ``conclude`` / ``withdraw`` ops, all journaled).  The
@@ -76,12 +80,11 @@ import socket
 import threading
 import time
 import warnings
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Callable, Mapping
 
+from repro.core.brokerstate import BROKER_PROTOCOL, DRR_QUANTUM, BrokerState
 from repro.core.journal import Journal, JournalWarning
 from repro.core.results import SimulationRecord
 from repro.core.simulate import run_simulation
@@ -102,21 +105,13 @@ from repro.net.config import NetworkConfig
 
 __all__ = [
     "BROKER_PROTOCOL",
+    "DRR_QUANTUM",
     "BrokerClient",
     "BrokerUnavailableError",
     "EmbeddedBroker",
     "QueueTransport",
     "serve_queue_worker",
 ]
-
-#: Broker wire-protocol version; a worker's hello and a coordinator's
-#: ping must match it exactly.  Version 3 entries are lane runs (each
-#: assignment maps a structure to a tuple of DDTs).  Version 4 names a
-#: campaign id in every op where version 3 named a queue.  Version 5
-#: queues, leases and returns single lane runs where version 4 moved
-#: chunks of them, so an older peer is refused instead of misreading
-#: every item.
-BROKER_PROTOCOL = 5
 
 #: Sequence for campaign ids minted by :meth:`QueueTransport.start`.
 _CAMPAIGN_SEQ = count()
@@ -126,13 +121,6 @@ _CAMPAIGN_SEQ = count()
 #: for (``take``/``take_any`` send a ``timeout`` of at most 0.4 s), so
 #: only a listener that accepted but stopped answering reaches it.
 REPLY_TIMEOUT_S = 30.0
-
-#: Base deficit-round-robin quantum, in lane runs per visit.  Each
-#: running campaign banks ``DRR_QUANTUM * priority`` runs every time the
-#: scheduler's rotation reaches it, and leases one run per unit of
-#: deficit -- so the leased-run ratio between two busy campaigns
-#: follows their priority ratio.
-DRR_QUANTUM = 8.0
 
 
 def _mint_campaign_id() -> str:
@@ -165,75 +153,23 @@ class BrokerUnavailableError(TransportError):
         self.address = address
 
 
-class _BrokerWorker:
-    """Broker-side registry entry of one heartbeating worker.
-
-    Leases themselves live on the broker (``EmbeddedBroker._leases``),
-    not here: a journaled lease must survive a restart, and after a
-    restart the worker holding it is *not yet* connected.
-    """
-
-    def __init__(self, worker_id: str, meta: dict[str, Any], ttl: float) -> None:
-        self.id = worker_id
-        self.meta = meta
-        self.expires_at = time.monotonic() + ttl
-        #: connection currently bound to this worker (closed on expiry).
-        self.conn: socket.socket | None = None
-
-
-#: The :class:`_Campaign` fields a journal snapshot keeps.
-_DURABLE = ("id", "spec", "priority", "state", "tasks", "results", "seen", "delivered")
-#: The :class:`EmbeddedBroker` attributes it keeps besides the campaigns.
-_DURABLE_BROKER = (
-    "_leases", "_seen_workers", "_crashes", "_quarantined", "_requeues", "_dup_results"
-)
-
-
-@dataclass(eq=False)
-class _Campaign:
-    """One tenant's whole broker state; ``withdraw`` drops it in one step.
-
-    Everything but ``consumer`` and ``deficit`` is durable (journal
-    snapshots keep the :data:`_DURABLE` fields); those two restart
-    empty after a replay.
-    """
-
-    id: str
-    #: the announced :class:`~repro.core.engine.EnvSpec` workers hydrate.
-    spec: Any = None
-    priority: float = 1.0
-    #: ``"running"`` until the coordinator concludes it, then ``"done"``.
-    state: str = "running"
-    #: lane runs waiting for a lease, FIFO.
-    tasks: deque = field(default_factory=deque)
-    #: result frames waiting for the coordinator, FIFO.
-    results: deque = field(default_factory=deque)
-    #: every result token accepted so far (duplicate rejection).
-    seen: set = field(default_factory=set)
-    #: token -> result frame taken by the coordinator, not yet acked.
-    delivered: dict = field(default_factory=dict)
-    #: the connection taking results; a new one gets the unacked again.
-    consumer: Any = None
-    #: deficit round-robin balance, in lane runs.
-    deficit: float = 0.0
-
-
 # ----------------------------------------------------------------------
-# the broker
+# the broker: a socket shell around the state machine
 # ----------------------------------------------------------------------
 class EmbeddedBroker:
     """Dependency-free TCP broker serving campaigns to a worker fleet.
 
-    One broker serves **any number of concurrent campaigns**: each
-    announced campaign owns one record (run queue, result queue,
-    seen tokens, unacknowledged deliveries), every op names the
-    campaign it acts on, and the worker-facing ``take_any`` op
-    arbitrates between running campaigns with priority-weighted deficit
-    round-robin (see :data:`DRR_QUANTUM`).
-    All state is in memory unless journaled; the broker is cheap enough
-    to embed in the coordinator process (what ``ddt-explore campaign
-    --transport queue`` does without ``--broker``) or to run standalone
-    via ``ddt-explore broker`` as a shared cluster service.
+    One broker serves **any number of concurrent campaigns**; every rule
+    and all state live in one :class:`~repro.core.brokerstate.BrokerState`.
+    This shell keeps the listener, one thread per connection, the
+    journal and one :class:`threading.Condition`: it holds the condition
+    around every state-machine call, reads the clock once per attempt,
+    and after each call that answered compacts the journal when due and
+    notifies once.
+    The broker is cheap enough to embed in the coordinator process (what
+    ``ddt-explore campaign --transport queue`` does without
+    ``--broker``) or to run standalone via ``ddt-explore broker`` as a
+    shared cluster service.
 
     Parameters
     ----------
@@ -241,32 +177,19 @@ class EmbeddedBroker:
         ``"host:port"`` or ``(host, port)``; port ``0`` picks an
         ephemeral port (read it back from :attr:`address`).  Bound in
         the constructor so the address is known before anything runs.
-    heartbeat_ttl:
-        Seconds a worker may go silent before it is presumed crashed:
-        its leased runs are requeued at the *front* of their campaign's
-        queue and its crash count incremented.  Announced to workers in
-        the hello reply, which heartbeat at ``ttl / 3``; *every* op from
-        a registered worker re-arms its TTL, so the TTL only needs to
-        outlast a single lane run (a capacity-1 worker cannot heartbeat
-        while simulating inline).  A spuriously expired worker heals on
-        its next heartbeat (re-registered, crash count kept) and the
-        duplicate-token rejection keeps its twice-run runs
-        single-delivery, so results survive a too-small
-        TTL -- it only costs repeat work and, eventually, quarantine.
-    quarantine_after:
-        Crash count at which a worker id is quarantined; its hellos,
-        heartbeats and takes are rejected from then on.
+    heartbeat_ttl, quarantine_after:
+        Those of the :class:`~repro.core.brokerstate.BrokerState`.
     journal:
         ``None`` (default) keeps all state in memory.  A directory path
-        turns on durability: every state-changing op is appended to a
-        :class:`~repro.core.journal.Journal` write-ahead log *before* it
-        is applied, and on construction the broker replays the
-        directory's snapshot+log, requeues any journaled leases and
-        unacknowledged deliveries at the queue front, and compacts -- a
-        restart on the same directory resumes every campaign exactly
-        where the previous process died.  Restart requeues are *not*
-        counted as worker crashes: the workers are blameless, so nobody
-        edges toward quarantine.
+        turns on durability: every entry the state machine commits is
+        appended to a :class:`~repro.core.journal.Journal` write-ahead
+        log *before* it is applied, and on construction the broker
+        replays the directory's snapshot+log, requeues any journaled
+        leases and unacknowledged deliveries at the queue front, and
+        compacts -- a restart on the same directory resumes every
+        campaign exactly where the previous process died.  Restart
+        requeues are *not* counted as worker crashes: the workers are
+        blameless, so nobody edges toward quarantine.
     compact_every:
         Fold the journal log into a fresh snapshot every this many
         appended records (ignored without ``journal``).
@@ -281,34 +204,13 @@ class EmbeddedBroker:
         journal: str | None = None,
         compact_every: int = 512,
     ) -> None:
-        if heartbeat_ttl <= 0:
-            raise ValueError("heartbeat_ttl must be > 0")
-        if quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1")
-        self.heartbeat_ttl = heartbeat_ttl
-        self.quarantine_after = quarantine_after
+        self._state = BrokerState(
+            heartbeat_ttl=heartbeat_ttl, quarantine_after=quarantine_after
+        )
         self._listener = socket.create_server(
             parse_address(bind), reuse_port=False, backlog=32
         )
         self._cond = threading.Condition()
-        #: campaign id -> its whole state -- the tenant registry, journaled.
-        self._campaigns: dict[str, _Campaign] = {}
-        #: the campaign deficit round-robin is serving (runtime-only).
-        self._drr_current: str | None = None
-        self._workers: dict[str, _BrokerWorker] = {}
-        #: worker id -> {(campaign id, run token): (run, grant time)};
-        #: requeued at the queue front when the worker dies -- or when
-        #: the *broker* is restarted on a journal (the lease grants are
-        #: journaled).  Keyed by campaign too: campaigns number their
-        #: runs independently, and one worker may hold runs of several.
-        #: The grant time only ages leases in ``status``; a lease that
-        #: survives a restart is requeued.
-        self._leases: dict[str, dict[tuple[str, Any], tuple[dict, float]]] = {}
-        self._seen_workers: set[str] = set()
-        self._crashes: dict[str, int] = {}
-        self._quarantined: list[str] = []
-        self._requeues = 0
-        self._dup_results = 0
         #: every open connection, so close() can drop them all -- a
         #: lingering accepted socket would otherwise hold the port
         #: against an immediate same-address restart.
@@ -326,43 +228,25 @@ class EmbeddedBroker:
         """Replay snapshot+log, then requeue every orphaned delivery."""
         assert self._journal is not None
         snapshot, entries = self._journal.load()
-        with self._cond:
-            if snapshot is not None:
-                self._restore_snapshot_locked(snapshot)
-            for entry in entries:
-                try:
-                    self._apply_locked(entry, journal=False)
-                except Exception as exc:  # a damaged entry ends the replay
-                    warnings.warn(
-                        f"journal replay stopped on {entry!r}: {exc!r}",
-                        JournalWarning,
-                        stacklevel=2,
-                    )
-                    break
-            if any(self._leases.values()) or any(
-                c.delivered for c in self._campaigns.values()
-            ):
-                # The previous broker died holding leases / undelivered
-                # acks: hand every such item back to its queue front so
-                # the (re-connecting) fleet and coordinators get it again.
-                self._apply_locked(("recover",))
-            self._journal.compact(self._snapshot_locked())
-
-    def _snapshot_locked(self) -> dict[str, Any]:
-        # Compaction pickles this at once, under the lock: no copies.
-        state = {name: getattr(self, name) for name in _DURABLE_BROKER}
-        state["_campaigns"] = {
-            cid: {name: getattr(c, name) for name in _DURABLE}
-            for cid, c in self._campaigns.items()
-        }
-        return state
-
-    def _restore_snapshot_locked(self, snapshot: Mapping[str, Any]) -> None:
-        for name in _DURABLE_BROKER:
-            setattr(self, name, snapshot[name])
-        self._campaigns = {
-            cid: _Campaign(**fields) for cid, fields in snapshot["_campaigns"].items()
-        }
+        if snapshot is not None:
+            self._state.restore(snapshot)
+        for entry in entries:
+            try:
+                self._state.reduce(entry)
+            except Exception as exc:  # a damaged entry ends the replay
+                warnings.warn(
+                    f"journal replay stopped on {entry!r}: {exc!r}",
+                    JournalWarning,
+                    stacklevel=2,
+                )
+                break
+        # From here on every committed entry is journaled first.
+        self._state.record = self._journal.append
+        # The previous broker died holding leases / undelivered acks:
+        # hand every such item back to its queue front so the
+        # (re-connecting) fleet and coordinators get it again.
+        self._state.recover()
+        self._journal.compact(self._state.snapshot())
 
     # ------------------------------------------------------------------
     @property
@@ -400,7 +284,6 @@ class EmbeddedBroker:
             if self._closed:
                 return
             self._closed = True
-            self._workers.clear()
             conns = list(self._conns)
             self._conns.clear()
             self._cond.notify_all()
@@ -414,7 +297,7 @@ class EmbeddedBroker:
             thread.join(timeout=5.0)
         if self._journal is not None:
             with self._cond:
-                self._journal.compact(self._snapshot_locked())
+                self._journal.compact(self._state.snapshot())
             self._journal.close()
 
     def drop_announcement(self) -> None:
@@ -426,10 +309,9 @@ class EmbeddedBroker:
         one from the journal.
         """
         with self._cond:
-            if not self._closed:
-                for cid in list(self._campaigns):
-                    self._apply_locked(("withdraw", cid))
-                self._cond.notify_all()
+            campaigns = list(self._state.campaigns)
+        for cid in campaigns:
+            self._serve({"type": "cmd", "op": "withdraw", "campaign": cid}, None)
 
     def __enter__(self) -> "EmbeddedBroker":
         return self.start()
@@ -438,7 +320,7 @@ class EmbeddedBroker:
         self.close()
 
     # ------------------------------------------------------------------
-    # background loops
+    # threads: accept, sweep, one per connection
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
         while True:
@@ -451,628 +333,75 @@ class EmbeddedBroker:
             ).start()
 
     def _sweep_loop(self) -> None:
-        interval = max(0.02, min(0.25, self.heartbeat_ttl / 5.0))
+        interval = max(0.02, min(0.25, self._state.heartbeat_ttl / 5.0))
         with self._cond:
             while not self._closed:
-                now = time.monotonic()
-                for worker_id in [
-                    w for w, e in self._workers.items() if e.expires_at < now
-                ]:
-                    self._fail_worker_locked(worker_id)
+                self._state.expire(time.monotonic())
+                self._settle_locked()
                 # close() notifies the condition, so shutdown never
                 # waits out the interval.
                 self._cond.wait_for(lambda: self._closed, timeout=interval)
 
-    def _requeue_leases_locked(self, worker_id: str, count: bool) -> None:
-        """Hand a departing worker's leased runs back, at the queue front.
-
-        ``count`` distinguishes a presumed crash (tracked on the
-        ``requeues`` counter the drills assert on) from a clean goodbye.
-        """
-        held = self._leases.pop(worker_id, None) or {}
-        for (cid, _token), (run, _granted) in reversed(list(held.items())):
-            self._campaigns[cid].tasks.appendleft(run)
-            if count:
-                self._requeues += 1
-
-    def _drop_campaign_locked(self, cid: str) -> None:
-        """Drop one campaign's record and every lease on its runs;
-        every other tenant's state is untouched."""
-        self._campaigns.pop(cid, None)
-        if self._drr_current == cid:
-            self._drr_current = None
-        for worker_id, held in list(self._leases.items()):
-            for key in [key for key in held if key[0] == cid]:
-                del held[key]
-            if not held:
-                del self._leases[worker_id]
-
-    def _fail_worker_locked(self, worker_id: str) -> None:
-        """Presume one worker crashed: requeue leases, count the crash."""
-        entry = self._workers.pop(worker_id, None)
-        if entry is None:
-            return
-        self._apply_locked(("drop", worker_id, False))
-        # The connection is left alone: a genuinely dead worker's socket
-        # EOFs on its own, while a slow-but-alive worker re-registers on
-        # its next heartbeat (its crash already counted).
-        self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    # journaled state transitions
-    # ------------------------------------------------------------------
-    def _apply_locked(self, entry: tuple, *, journal: bool = True) -> Any:
-        """Journal one logical op, then apply it (the write-ahead rule).
-
-        Every mutation of durable state funnels through here, both live
-        (``journal=True``: appended to the WAL first) and during replay
-        (``journal=False``) -- so a restarted broker reconstructs
-        *exactly* the state the live broker had, by construction.  The
-        ops check that a named campaign exists before journaling, so
-        every entry names a campaign the reducer knows.
-        """
-        if journal and self._journal is not None:
-            self._journal.append(entry)
-            if self._journal.due_for_compaction:
-                self._journal.compact(self._snapshot_locked())
-        op = entry[0]
-        if op == "put":
-            _, cid, runs = entry
-            self._campaigns[cid].tasks.extend(runs)
-            return None
-        if op == "lease":
-            _, cid, worker_id = entry
-            run = self._campaigns[cid].tasks.popleft()
-            held = self._leases.setdefault(worker_id, {})
-            held[(cid, run["token"])] = (run, time.monotonic())
-            return run
-        if op == "take":
-            # The coordinator acknowledges what it saw, then takes up
-            # to ``limit`` results; they stay delivered until acked.
-            _, cid, acks, limit = entry
-            campaign = self._campaigns[cid]
-            for token in acks:
-                campaign.delivered.pop(token, None)
-            items = []
-            while campaign.results and len(items) < limit:
-                item = campaign.results.popleft()
-                campaign.delivered[item["token"]] = item
-                items.append(item)
-            return items
-        if op == "result":
-            _, cid, token, payload, worker_id = entry
-            campaign = self._campaigns[cid]
-            # A result ends its run's lease.
-            self._leases.get(worker_id, {}).pop((cid, token), None)
-            if token in campaign.seen:
-                self._dup_results += 1
-                return True  # duplicate: deliver exactly once
-            campaign.seen.add(token)
-            campaign.results.append(
-                {"token": token, "payload": payload, "worker": worker_id}
-            )
-            return False
-        if op == "announce":
-            # Open (or re-open) one campaign on a fresh record; the
-            # id-liveness check happens at the op layer, so replay is a
-            # pure function of the journal.
-            announced = entry[1]
-            cid = announced["id"]
-            self._drop_campaign_locked(cid)
-            self._campaigns[cid] = _Campaign(
-                cid, announced["spec"], announced["priority"]
-            )
-            return None
-        if op == "conclude":
-            self._campaigns[entry[1]].state = "done"
-            return None
-        if op == "withdraw":
-            self._drop_campaign_locked(entry[1])
-            return None
-        if op == "drop":
-            _, worker_id, clean = entry
-            self._requeue_leases_locked(worker_id, count=not clean)
-            if not clean:
-                crashes = self._crashes.get(worker_id, 0) + 1
-                self._crashes[worker_id] = crashes
-                if (
-                    crashes >= self.quarantine_after
-                    and worker_id not in self._quarantined
-                ):
-                    self._quarantined.append(worker_id)
-            return None
-        if op == "seen":
-            self._seen_workers.add(entry[1])
-            return None
-        if op == "reclaim":
-            self._reclaim_locked(self._campaigns[entry[1]])
-            return None
-        if op == "recover":
-            # Broker restart: every un-acked delivery goes back to its
-            # result queue front, then every lease to its run queue
-            # front.  Requeues are counted (they are real repeat work)
-            # but no crashes -- workers are blameless.
-            for campaign in self._campaigns.values():
-                self._reclaim_locked(campaign)
-            for worker_id in list(self._leases):
-                self._requeue_leases_locked(worker_id, count=True)
-            return None
-        raise ValueError(f"unknown journal entry {op!r}")
-
-    @staticmethod
-    def _reclaim_locked(campaign: _Campaign) -> None:
-        """Redeliver every un-acked result, at the result queue front."""
-        campaign.results.extendleft(reversed(campaign.delivered.values()))
-        campaign.delivered.clear()
-
-    # ------------------------------------------------------------------
-    # per-connection protocol loop
-    # ------------------------------------------------------------------
     def _serve_connection(self, conn: socket.socket) -> None:
-        bound_worker: str | None = None
-        clean = False
         with self._cond:
-            if self._closed:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            self._conns.add(conn)
+            serving = not self._closed
+            if serving:
+                self._conns.add(conn)
         try:
-            while True:
-                message = recv_frame(conn)
-                if message is None:
-                    return
-                if message.get("type") != "cmd":
-                    send_frame(
-                        conn,
-                        {"type": "reply", "ok": False, "error": "expected a cmd frame"},
+            while serving and (message := recv_frame(conn)) is not None:
+                reply = self._serve(message, conn)
+                if message.get("op") == "status" and reply["ok"]:
+                    reply["status"].update(
+                        uptime_s=round(time.monotonic() - self._started_at, 3),
+                        journal=self._journal.position if self._journal else None,
                     )
-                    continue
-                op = str(message.get("op"))
-                handler = getattr(self, f"_op_{op}", None)
-                if handler is None:
-                    reply = {"ok": False, "error": f"unknown op {op!r}"}
-                else:
-                    reply = handler(message, conn)
-                if op in ("hello", "heartbeat") and reply.get("ok"):
-                    bound_worker = str(message.get("worker"))
-                if op == "goodbye" and reply.get("ok"):
-                    clean = True
                 send_frame(conn, {"type": "reply", **reply})
         except (OSError, TransportError):
             pass
         finally:
             with self._cond:
                 self._conns.discard(conn)
-            if bound_worker is not None and not clean:
-                with self._cond:
-                    entry = self._workers.get(bound_worker)
-                    if not self._closed and entry is not None and entry.conn is conn:
-                        self._fail_worker_locked(bound_worker)
+                if not self._closed:
+                    self._state.connection_lost(conn)
+                    self._settle_locked()
             try:
                 conn.close()
             except OSError:
                 pass
 
     # ------------------------------------------------------------------
-    # ops (each runs on the connection thread, state under the lock)
+    # the one wait loop
     # ------------------------------------------------------------------
-    def _campaign_locked(self, message: Mapping[str, Any]) -> _Campaign | None:
-        """The record of the campaign ``message`` names, if announced."""
-        cid = message.get("campaign")
-        return self._campaigns.get(cid) if isinstance(cid, str) else None
+    def _serve(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
+        """Answer one frame through the state machine.
 
-    @staticmethod
-    def _unknown_campaign(message: Mapping[str, Any]) -> dict[str, Any]:
-        return {"ok": False, "error": f"unknown campaign {message.get('campaign')!r}"}
-
-    def _state_locked(self) -> str | None:
-        """Aggregate campaign state for the ``status`` snapshot:
-        ``"done"`` only once *every* registered campaign concluded,
-        ``None`` with no campaign registered."""
-        if not self._campaigns:
-            return None
-        states = {c.state for c in self._campaigns.values()}
-        return "done" if states == {"done"} else "running"
-
-    def _running_locked(self) -> int:
-        return sum(c.state == "running" for c in self._campaigns.values())
-
-    def _leased_runs_locked(self) -> dict[str, int]:
-        """Lane runs currently leased, per campaign id."""
-        leased: dict[str, int] = {}
-        for held in self._leases.values():
-            for cid, _token in held:
-                leased[cid] = leased.get(cid, 0) + 1
-        return leased
-
-    def _drr_pick_locked(self) -> _Campaign | None:
-        """Pick the campaign the next ``take_any`` lease comes from.
-
-        Stateful deficit round-robin: the current campaign keeps serving
-        while its banked deficit covers one run; otherwise the rotation
-        moves on, each visited campaign banking ``DRR_QUANTUM *
-        priority`` runs, until one can afford a run.  Every visit banks
-        a positive amount, so the loop ends.
+        The one wait loop ``take`` and ``take_any`` share: while the
+        state machine answers "not yet", the op waits for a notify (any
+        other call may have changed the state) or for its ``timeout``,
+        and is asked again -- with ``timeout`` 0 once that has passed,
+        so it answers.
         """
-        active = [
-            campaign
-            for _cid, campaign in sorted(self._campaigns.items())
-            if campaign.state == "running" and campaign.tasks
-        ]
-        if not active:
-            return None
-        ids = [campaign.id for campaign in active]
-        if self._drr_current in ids:
-            index = ids.index(self._drr_current)
-            if active[index].deficit >= 1:
-                return active[index]
-            index += 1
-        else:
-            index = 0
-        while True:
-            campaign = active[index % len(active)]
-            campaign.deficit += DRR_QUANTUM * max(campaign.priority, 0.01)
-            if campaign.deficit >= 1:
-                self._drr_current = campaign.id
-                return campaign
-            index += 1
-
-    def _touch_locked(self, worker_id: str) -> None:
-        """Any op from a registered worker is proof of life: re-arm its
-        TTL, so a capacity-1 worker blocked in one long inline run only
-        needs the TTL to outlast that run.
-        """
-        entry = self._workers.get(worker_id)
-        if entry is not None:
-            entry.expires_at = time.monotonic() + self.heartbeat_ttl
-
-    def _fleet_locked(self) -> dict[str, Any]:
-        return {
-            "live": {w: dict(e.meta) for w, e in self._workers.items()},
-            "seen": sorted(self._seen_workers),
-            "crashes": dict(self._crashes),
-            "quarantined": list(self._quarantined),
-            "requeues": self._requeues,
-            "dup_results": self._dup_results,
-            "pending": {
-                cid: len(c.tasks) for cid, c in self._campaigns.items() if c.tasks
-            },
-        }
-
-    def _quarantined_reply(self, worker_id: str) -> dict[str, Any] | None:
-        if worker_id not in self._quarantined:
-            return None
-        return {
-            "ok": False,
-            "quarantined": True,
-            "error": f"worker {worker_id!r} is quarantined",
-        }
-
-    def _op_ping(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        return {"ok": True, "proto": BROKER_PROTOCOL}
-
-    def _op_put(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Queue lane runs on their campaign (one journal entry).
-
-        ``runs`` must be a non-empty list of runs, each a dict with its
-        own ``token``: a result ends a lease by token, so a run without
-        one could never be released.
-        """
-        runs = message.get("runs")
-        if not (
-            isinstance(runs, list)
-            and runs
-            and all(isinstance(run, dict) and "token" in run for run in runs)
-        ):
-            return {
-                "ok": False,
-                "error": 'put needs "runs": a non-empty list of lane runs, '
-                "each with a token",
-            }
+        deadline = None
         with self._cond:
-            campaign = self._campaign_locked(message)
-            if campaign is None:
-                return self._unknown_campaign(message)
-            self._apply_locked(("put", campaign.id, runs))
-            self._cond.notify_all()
-            return {"ok": True, "size": len(campaign.tasks)}
+            while not self._closed:
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    message = {**message, "timeout": 0.0}
+                reply = self._state.handle(message, conn, now)
+                if reply is not None:
+                    self._settle_locked()
+                    return reply
+                if deadline is None:
+                    deadline = now + message["timeout"]
+                self._cond.wait(min(deadline - now, threading.TIMEOUT_MAX))
+        return {"ok": False, "error": "broker is closed"}
 
-    def _op_take(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Collect a campaign's results for its coordinator.
-
-        ``ack`` lists the tokens of the previous take's results, so a
-        restarted broker knows which deliveries the coordinator saw; up
-        to ``max`` results come back, waiting up to ``timeout`` seconds
-        for the first.  The reply carries the fleet too.
-        """
-        acks = list(message.get("ack") or ())
-        limit = max(1, int(message.get("max") or 1))
-        deadline = time.monotonic() + float(message.get("timeout") or 0.0)
-        with self._cond:
-            campaign = self._campaign_locked(message)
-            if campaign is None:
-                return self._unknown_campaign(message)
-            if campaign.consumer is not conn and campaign.delivered:
-                # A *new* consumer connection (the coordinator
-                # reconnected): whatever the previous connection took
-                # but never acknowledged was lost in flight -- hand it
-                # back before serving.
-                self._apply_locked(("reclaim", campaign.id))
-            campaign.consumer = conn
-            while not campaign.results:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(min(remaining, 0.2))
-                if self._closed:
-                    return {"ok": False, "error": "broker is closed"}
-                if self._campaigns.get(campaign.id) is not campaign:
-                    return self._unknown_campaign(message)
-            items = []
-            if acks or campaign.results:
-                items = self._apply_locked(("take", campaign.id, acks, limit))
-            return {"ok": True, "items": items, "fleet": self._fleet_locked()}
-
-    def _op_take_any(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Lease one lane run from whichever running campaign DRR picks.
-
-        The worker op: the worker subscribes to the broker, not a
-        campaign, and every reply names the campaign the run came from,
-        so its result is pushed back to the right one.  Only a
-        worker that said hello may lease (its lease must be requeued if
-        it dies).  ``running`` counts running campaigns -- workers exit
-        once they have observed at least one campaign and the count
-        returns to zero.
-
-        The caller may send the ``running`` count it last saw; without
-        one, the count at entry stands in.  A call with no work to lease
-        returns at once, without an item, whenever the broker's count
-        differs from it, so an announce, conclude or withdraw ends the
-        wait instead of the timeout.
-        """
-        worker_id = str(message.get("worker"))
-        deadline = time.monotonic() + float(message.get("timeout") or 0.0)
-        with self._cond:
-            seen = message.get("running")
-            seen = self._running_locked() if seen is None else int(seen)
-            while True:
-                if self._closed:
-                    return {"ok": False, "error": "broker is closed"}
-                refused = self._quarantined_reply(worker_id)
-                if refused is not None:
-                    return refused
-                if worker_id not in self._workers:
-                    return {
-                        "ok": False,
-                        "error": f"worker {worker_id!r} must say hello before leasing",
-                    }
-                self._touch_locked(worker_id)
-                running = self._running_locked()
-                campaign = self._drr_pick_locked()
-                if campaign is not None:
-                    run = self._apply_locked(("lease", campaign.id, worker_id))
-                    campaign.deficit -= 1
-                    return {
-                        "ok": True,
-                        "item": run,
-                        "campaign": campaign.id,
-                        "running": running,
-                    }
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or running != seen:
-                    return {
-                        "ok": True,
-                        "item": None,
-                        "campaign": None,
-                        "running": running,
-                    }
-                self._cond.wait(min(remaining, 0.2))
-
-    def _op_campaigns(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """The tenant registry, announcements included (specs travel as
-        pickle, like every frame) -- what workers hydrate environments
-        from and coordinators poll during teardown."""
-        with self._cond:
-            leased = self._leased_runs_locked()
-            campaigns = {
-                cid: {
-                    "id": cid,
-                    "spec": c.spec,
-                    "priority": c.priority,
-                    "state": c.state,
-                    "tasks_pending": len(c.tasks),
-                    "leased": leased.get(cid, 0),
-                }
-                for cid, c in self._campaigns.items()
-            }
-            running = self._running_locked()
-            return {"ok": True, "campaigns": campaigns, "running": running}
-
-    def _op_announce(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Register one campaign ``{id, spec, priority}`` (journaled).
-
-        A re-announcement of a *live* (running) id is rejected: distinct
-        coordinators must never silently cross-wire one campaign, and a
-        reconnecting coordinator re-announces only after its campaign
-        concluded or was withdrawn.  Re-announcing a concluded id starts
-        it from a fresh record.  A priority must be a positive finite
-        number: deficit round-robin banks ``DRR_QUANTUM * priority`` per
-        visit until a campaign can afford a run.
-        """
-        campaign = dict(message.get("campaign") or {})
-        cid = campaign.get("id")
-        if not cid or not isinstance(cid, str):
-            return {"ok": False, "error": "announce requires a campaign id"}
-        priority = float(campaign.get("priority") or 1.0)
-        if not 0 < priority < float("inf"):
-            return {
-                "ok": False,
-                "error": f"priority must be a finite number > 0, not {priority!r}",
-            }
-        announced = {"id": cid, "spec": campaign.get("spec"), "priority": priority}
-        with self._cond:
-            existing = self._campaigns.get(cid)
-            if existing is not None and existing.state == "running":
-                return {
-                    "ok": False,
-                    "error": f"campaign {cid!r} is already live on this broker",
-                }
-            self._apply_locked(("announce", announced))
-            self._cond.notify_all()
-            return {"ok": True, "campaign": cid}
-
-    def _op_conclude(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Mark one campaign done (journaled; idempotent)."""
-        with self._cond:
-            campaign = self._campaign_locked(message)
-            if campaign is not None and campaign.state != "done":
-                self._apply_locked(("conclude", campaign.id))
-            self._cond.notify_all()
-            return {"ok": True}
-
-    def _op_withdraw(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Drop one campaign's record and leases (journaled; idempotent)."""
-        with self._cond:
-            campaign = self._campaign_locked(message)
-            if campaign is not None:
-                self._apply_locked(("withdraw", campaign.id))
-            self._cond.notify_all()
-            return {"ok": True}
-
-    def _op_push_result(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Accept one lane run's result for its campaign (journaled).
-
-        A result for a campaign the broker no longer knows (withdrawn,
-        its leases with it) is answered and dropped, leaving no state.
-        """
-        worker_id = message.get("worker")
-        with self._cond:
-            if worker_id is not None:
-                self._touch_locked(str(worker_id))
-            campaign = self._campaign_locked(message)
-            if campaign is None:
-                return {"ok": True, "dropped": True}
-            # A requeued run that both the presumed-dead and the
-            # replacement worker completed -- or a reconnecting worker
-            # replaying its last un-replied push -- deliver exactly once.
-            dup = self._apply_locked(
-                (
-                    "result",
-                    campaign.id,
-                    message.get("token"),
-                    message.get("payload"),
-                    worker_id,
-                )
-            )
-            if not dup:
-                self._cond.notify_all()
-            return {"ok": True, "dup": dup}
-
-    def _register_locked(
-        self, worker_id: str, meta: dict[str, Any], conn: Any
-    ) -> dict[str, Any]:
-        refused = self._quarantined_reply(worker_id)
-        if refused is not None:
-            return refused
-        entry = self._workers.get(worker_id)
-        if entry is None:
-            entry = _BrokerWorker(worker_id, meta, self.heartbeat_ttl)
-            self._workers[worker_id] = entry
-        elif meta:
-            entry.meta = meta
-        entry.expires_at = time.monotonic() + self.heartbeat_ttl
-        entry.conn = conn
-        if worker_id not in self._seen_workers:
-            self._apply_locked(("seen", worker_id))
+    def _settle_locked(self) -> None:
+        """After each state-machine call: compact the journal when it is
+        due, then wake every waiting op to look again."""
+        if self._journal is not None and self._journal.due_for_compaction:
+            self._journal.compact(self._state.snapshot())
         self._cond.notify_all()
-        running = self._running_locked()
-        return {"ok": True, "ttl": self.heartbeat_ttl, "running": running}
-
-    def _op_hello(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Register a worker.
-
-        A hello naming a live id with another ``pid`` comes from a new
-        process: its predecessor died, possibly before the broker read
-        its connection's end, so that incarnation is failed first (its
-        leases requeued, its crash counted).  A same-pid hello -- the
-        worker re-registering after a reconnect -- keeps its leases.
-        """
-        if message.get("proto") != BROKER_PROTOCOL:
-            return {"ok": False, "error": "broker protocol mismatch"}
-        worker_id = str(message.get("worker"))
-        meta = dict(message.get("meta") or {})
-        with self._cond:
-            entry = self._workers.get(worker_id)
-            if entry is not None and meta.get("pid") != entry.meta.get("pid"):
-                self._fail_worker_locked(worker_id)
-            return self._register_locked(worker_id, meta, conn)
-
-    def _op_heartbeat(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        # Carries the meta too, so a worker whose entry expired while it
-        # was briefly silent transparently re-registers.
-        with self._cond:
-            return self._register_locked(
-                str(message.get("worker")), dict(message.get("meta") or {}), conn
-            )
-
-    def _op_goodbye(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Clean departure: no crash penalty, leases requeued silently."""
-        worker_id = str(message.get("worker"))
-        with self._cond:
-            entry = self._workers.pop(worker_id, None)
-            if entry is not None or self._leases.get(worker_id):
-                self._apply_locked(("drop", worker_id, True))
-            self._cond.notify_all()
-            return {"ok": True}
-
-    def _op_fleet(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        with self._cond:
-            return {"ok": True, "fleet": self._fleet_locked()}
-
-    def _op_status(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """One JSON-safe snapshot of broker health for ``--status``."""
-        now = time.monotonic()
-        with self._cond:
-            leases = {
-                str(worker_id): {
-                    "count": len(held),
-                    "oldest_age_s": round(
-                        now - min(granted for _run, granted in held.values()), 3
-                    ),
-                }
-                for worker_id, held in self._leases.items()
-                if held
-            }
-            leased = self._leased_runs_locked()
-            campaigns = {
-                str(cid): {
-                    "state": c.state,
-                    "priority": c.priority,
-                    "tasks_pending": len(c.tasks),
-                    "results_pending": len(c.results),
-                    "results_seen": len(c.seen),
-                    "unacked": len(c.delivered),
-                    "leased_points": leased.get(cid, 0),
-                }
-                for cid, c in self._campaigns.items()
-            }
-            status: dict[str, Any] = {
-                "proto": BROKER_PROTOCOL,
-                "uptime_s": round(now - self._started_at, 3),
-                "state": self._state_locked(),
-                "campaigns": campaigns,
-                "leases": leases,
-                "fleet": self._fleet_locked(),
-                "heartbeat_ttl": self.heartbeat_ttl,
-                "quarantine_after": self.quarantine_after,
-                "journal": (
-                    self._journal.position if self._journal is not None else None
-                ),
-            }
-        return {"ok": True, "status": status}
 
 
 # ----------------------------------------------------------------------
@@ -1420,7 +749,7 @@ class QueueTransport(WorkerTransport):
             self._absorb_fleet(reply.get("fleet"))
             items = reply["items"]
             if not items:
-                self._check_starvation(reply.get("fleet"))
+                self._check_starvation(reply.get("fleet"), time.monotonic())
                 continue
             batch: list[tuple[Any, SimulationRecord]] = []
             for item in items:
@@ -1558,19 +887,19 @@ class QueueTransport(WorkerTransport):
             if worker_id not in self.quarantined:
                 self.quarantined.append(worker_id)
 
-    def _check_starvation(self, fleet: Mapping[str, Any] | None) -> None:
+    def _check_starvation(self, fleet: Mapping[str, Any] | None, now: float) -> None:
         """Fail the run after ``worker_timeout`` of *observed* starvation.
 
-        The clock arms on the first empty-fleet observation and is
-        disarmed by any live worker or survived outage -- it never
-        inherits wall time from before the observation (the old
-        behaviour could fire instantly after a long broker-outage
-        backoff, misattributing the outage to the fleet).
+        ``now`` is the time of the observation.  The clock arms on the
+        first empty-fleet observation and is disarmed by any live worker
+        or survived outage -- it never inherits wall time from before
+        the observation (the old behaviour could fire instantly after a
+        long broker-outage backoff, misattributing the outage to the
+        fleet).
         """
         if fleet is not None and fleet.get("live"):
             self._starved_since = None  # _absorb_fleet disarmed it too
             return
-        now = time.monotonic()
         if self._starved_since is None:
             self._starved_since = now
             return

@@ -48,7 +48,6 @@ resolve, instead of waiting on a global phase barrier.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -64,7 +63,7 @@ from repro.memory.cacti import CactiModel
 from repro.memory.timing import OperationCosts
 from repro.net.config import NetworkConfig
 from repro.net.profiles import profiles_fingerprint_payload
-from repro.net.tracestore import TraceStore
+from repro.net.tracestore import TraceStore, source_digest
 
 if TYPE_CHECKING:  # pragma: no cover - circular at runtime, types only
     from repro.core.transport import WorkerTransport
@@ -136,34 +135,16 @@ MODEL_SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODEL_SOURCES = ("apps", "ddt", "memory", "net", os.path.join("core", "simulate.py"))
 
 
-@functools.lru_cache(maxsize=None)
 def model_source_digest(root: str) -> str:
     """SHA-256 over every ``.py`` file of :data:`MODEL_SOURCES` under
     the package directory ``root`` (relative path and bytes), computed
-    once per process and root.
+    once per process and root (:func:`~repro.net.tracestore.source_digest`).
 
     :func:`model_fingerprint` hashes :data:`MODEL_SOURCE_ROOT`'s digest:
     any edit there -- a comment included -- changes every fingerprint,
     so no cached record outlives the code that made it.
     """
-    relative = []
-    for source in MODEL_SOURCES:
-        path = os.path.join(root, source)
-        if os.path.isfile(path):
-            relative.append(source)
-        for folder, dirs, files in os.walk(path):
-            dirs[:] = [d for d in dirs if d != "__pycache__"]
-            relative += [
-                os.path.relpath(os.path.join(folder, name), root)
-                for name in files
-                if name.endswith(".py")
-            ]
-    digest = hashlib.sha256()
-    for name in sorted(relative):
-        digest.update(name.replace(os.sep, "/").encode())
-        with open(os.path.join(root, name), "rb") as handle:
-            digest.update(handle.read())
-    return digest.hexdigest()
+    return source_digest(root, MODEL_SOURCES)
 
 
 def model_fingerprint(

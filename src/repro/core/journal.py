@@ -1,8 +1,9 @@
 """Append-only broker journal: write-ahead log plus snapshot compaction.
 
 The :class:`~repro.core.broker.EmbeddedBroker` promotes itself from an
-in-memory embed to a durable service by journaling every state-changing
-operation (campaign announcements, lane-run puts and leases, results
+in-memory embed to a durable service by journaling every entry its
+:class:`~repro.core.brokerstate.BrokerState` commits (campaign
+announcements, lane-run puts and leases with their grant times, results
 and their acks, crash bookkeeping), each naming its campaign, to an
 append-only log before applying it.  On restart the broker loads the
 latest snapshot, replays the log suffix, and resumes -- the campaign
@@ -25,7 +26,7 @@ Records and snapshots are versioned: every entry is wrapped in a
 snapshot in ``{"v": RECORD_VERSION, "snapshot": state}``.  Anything
 written by another version is refused, not translated, with one
 :class:`JournalWarning` naming the version.  A log record of another
-version -- say version 4, or a bare entry from a version-1 log -- stops
+version -- say version 5, or a bare entry from a version-1 log -- stops
 :meth:`Journal.load` there and the tail is truncated, as on a damaged
 record.  A snapshot of another version -- or an unversioned one, which
 every build before version 4 wrote -- refuses the whole journal, since
@@ -65,8 +66,10 @@ LOG_NAME = "wal.log"
 #: entry and shortens ``announce`` to ``("announce", campaign)``;
 #: version 4 names a campaign id where version 3 named a queue, and
 #: versions snapshots too; version 5 queues and leases single lane runs
-#: (a ``put`` entry carries a list of runs) where version 4 held chunks.
-RECORD_VERSION = 5
+#: (a ``put`` entry carries a list of runs) where version 4 held chunks;
+#: version 6 stamps each ``lease`` entry with its grant time, so replay
+#: reads no clock, and drops the underscores from snapshot keys.
+RECORD_VERSION = 6
 
 #: ``(payload_length, crc32)`` little-endian record header.
 _HEADER = struct.Struct("<II")

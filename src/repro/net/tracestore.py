@@ -11,7 +11,8 @@ the exploration engine's worker processes used to pay that cost once
   :class:`~repro.core.engine.EnvSpec`, repeated CLI/benchmark
   invocations) loads the bytes instead of regenerating packets;
 * the profile fingerprint is part of the file name, so a change to any
-  generator parameter (seed, size mix, flow count, ...) makes old files
+  generator parameter (seed, size mix, flow count, ...) or to the
+  generator's source (every file of ``repro.net``) makes old files
   invisible rather than wrong -- the same self-invalidation scheme the
   simulation cache uses.
 
@@ -27,6 +28,7 @@ touching the filesystem.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -45,6 +47,7 @@ __all__ = [
     "TraceStoreError",
     "profile_fingerprint",
     "read_trace_binary",
+    "source_digest",
     "trace_fingerprints",
     "write_trace_binary",
 ]
@@ -62,14 +65,51 @@ class TraceStoreError(ValueError):
     """Raised when a stored trace file does not parse."""
 
 
-def profile_fingerprint(prof: NetworkProfile) -> str:
-    """Hash every generator parameter of one profile.
+#: The ``repro`` package directory the generator's source is read from.
+TRACE_SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: The code a trace is generated by, relative to the package.
+TRACE_SOURCES = ("net",)
 
-    Trace generation is a pure function of the profile, so two equal
-    fingerprints guarantee byte-identical traces -- which is what makes
-    a stored trace safe to substitute for a fresh generation.
+
+@functools.lru_cache(maxsize=None)
+def source_digest(root: str, sources: tuple[str, ...]) -> str:
+    """SHA-256 over every ``.py`` file of ``sources`` (package-relative
+    files or directories) under the package directory ``root``, relative
+    path and bytes, computed once per process, root and sources."""
+    relative = []
+    for source in sources:
+        path = os.path.join(root, source)
+        if os.path.isfile(path):
+            relative.append(source)
+        for folder, dirs, files in os.walk(path):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            relative += [
+                os.path.relpath(os.path.join(folder, name), root)
+                for name in files
+                if name.endswith(".py")
+            ]
+    digest = hashlib.sha256()
+    for name in sorted(relative):
+        digest.update(name.replace(os.sep, "/").encode())
+        with open(os.path.join(root, name), "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
+
+
+def profile_fingerprint(prof: NetworkProfile) -> str:
+    """Hash every generator parameter of one profile, and the generator.
+
+    Trace generation is a pure function of the profile and the
+    ``repro.net`` code (:func:`source_digest` of
+    :data:`TRACE_SOURCE_ROOT`), so two equal fingerprints guarantee
+    byte-identical traces -- which is what makes a stored trace safe to
+    substitute for a fresh generation.
     """
-    blob = json.dumps(asdict(prof), sort_keys=True)
+    payload = {
+        "profile": asdict(prof),
+        "source": source_digest(TRACE_SOURCE_ROOT, TRACE_SOURCES),
+    }
+    blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 

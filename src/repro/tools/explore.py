@@ -619,27 +619,11 @@ def broker_main(argv: Sequence[str] | None = None) -> int:
         parser.error("--quarantine-after must be >= 1")
     if args.compact_every < 1:
         parser.error("--compact-every must be >= 1")
-    broker = EmbeddedBroker(
-        args.bind,
-        heartbeat_ttl=args.ttl,
-        quarantine_after=args.quarantine_after,
-        journal=args.journal,
-        compact_every=args.compact_every,
-    )
-    broker.start()
-    if not args.quiet:
-        durable = f" (journal: {args.journal})" if args.journal else ""
-        sys.stderr.write(
-            f"broker listening on {broker.address}{durable} -- run campaigns "
-            f"with: ddt-explore campaign --transport queue --broker "
-            f"{broker.address}\nand workers with: ddt-explore worker "
-            f"--connect-broker {broker.address}\n"
-        )
-        sys.stderr.flush()
-
     # A Ctrl-C (or TERM from a supervisor) must be a *clean* shutdown --
     # flush+compact the journal, withdraw the announcement, exit 0 --
-    # not a KeyboardInterrupt traceback mid-close.
+    # not a KeyboardInterrupt traceback mid-close.  The handlers go in
+    # before the broker is built: its listener accepts from then on, so a
+    # signal may follow the first reply at once.
     stop = threading.Event()
     installed: list[tuple[Any, Any]] = []
     if threading.current_thread() is threading.main_thread():
@@ -651,20 +635,41 @@ def broker_main(argv: Sequence[str] | None = None) -> int:
                 installed.append((signum, signal.signal(signum, _handle)))
             except (ValueError, OSError):  # pragma: no cover
                 pass
-    deadline = time.time() + args.run_for if args.run_for is not None else None
+    broker = None
     try:
+        broker = EmbeddedBroker(
+            args.bind,
+            heartbeat_ttl=args.ttl,
+            quarantine_after=args.quarantine_after,
+            journal=args.journal,
+            compact_every=args.compact_every,
+        )
+        broker.start()
+        if not args.quiet:
+            durable = f" (journal: {args.journal})" if args.journal else ""
+            sys.stderr.write(
+                f"broker listening on {broker.address}{durable} -- run campaigns "
+                f"with: ddt-explore campaign --transport queue --broker "
+                f"{broker.address}\nand workers with: ddt-explore worker "
+                f"--connect-broker {broker.address}\n"
+            )
+            sys.stderr.flush()
+        deadline = time.time() + args.run_for if args.run_for is not None else None
         while not stop.is_set() and (deadline is None or time.time() < deadline):
             stop.wait(0.2)
     except KeyboardInterrupt:  # no handler installed (non-main thread)
         pass
     finally:
-        for signum, previous in installed:
-            try:
-                signal.signal(signum, previous)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        broker.drop_announcement()
-        broker.close()
+        try:
+            if broker is not None:
+                broker.drop_announcement()
+                broker.close()
+        finally:
+            for signum, previous in installed:
+                try:
+                    signal.signal(signum, previous)
+                except (ValueError, OSError):  # pragma: no cover
+                    pass
     if not args.quiet:
         sys.stderr.write("broker: clean shutdown\n")
         sys.stderr.flush()

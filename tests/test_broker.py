@@ -5,9 +5,17 @@ tasks and push results through Redis-like queues, heartbeat with a TTL,
 and may join, leave and rejoin mid-campaign.  None of that may show in
 the results -- every drill gates on ``SimulationRecord.content_key()``
 parity with the serial baseline (drills in ``tests/support/faults.py``).
+
+The broker's rules are tested on its state machine,
+:class:`~repro.core.brokerstate.BrokerState`, with time passed in as
+data: a TTL, a quarantine or a fair-scheduling rotation is a made-up
+``now``, with no socket, thread or sleep.  The socket shell keeps one
+test per behaviour of its own (frames, a dropped connection fails its
+worker, a waiting op wakes on a notify, malformed frames).
 """
 
 import json
+import pickle
 import socket
 import threading
 import time
@@ -32,11 +40,13 @@ from repro.apps import UrlApp
 from repro.core import broker as broker_module
 from repro.core.broker import (
     BROKER_PROTOCOL,
+    DRR_QUANTUM,
     BrokerClient,
     BrokerUnavailableError,
     EmbeddedBroker,
     QueueTransport,
 )
+from repro.core.brokerstate import BrokerState
 from repro.core.campaign import CampaignScheduler
 from repro.core.engine import EnvSpec
 from repro.core.simulate import SimulationEnvironment
@@ -63,19 +73,43 @@ def client(broker):
     connected.close()
 
 
-def put(client, campaign, *tokens):
+@pytest.fixture()
+def state():
+    """A broker state machine with a 0.25 s TTL, at ``now`` = 0."""
+    return BrokerState(heartbeat_ttl=0.25)
+
+
+def call(state, op, now=0.0, conn=None, **fields):
+    """Send one ``op`` frame to the state machine at time ``now``; the op
+    must answer (not wait)."""
+    reply = state.handle({"type": "cmd", "op": op, **fields}, conn, now)
+    assert reply is not None, f"{op} would wait"
+    return reply
+
+
+def hello(state, worker, now=0.0, conn=None, **meta):
+    assert call(
+        state, "hello", now, conn, proto=BROKER_PROTOCOL, worker=worker, meta=meta
+    )["ok"]
+
+
+def put(state, campaign, *tokens):
     """Queue one lane run per token on ``campaign`` (one ``put``)."""
-    return client.call("put", campaign=campaign, runs=[{"token": t} for t in tokens])
+    return call(state, "put", campaign=campaign, runs=[{"token": t} for t in tokens])
 
 
-def lease(client, worker, timeout=0.1):
+def lease(state, worker, now=0.0):
     """The token of the lane run ``worker`` leases next, or ``None``."""
-    item = client.call("take_any", worker=worker, timeout=timeout)["item"]
+    item = call(state, "take_any", now, worker=worker)["item"]
     return None if item is None else item["token"]
 
 
+def fleet(state):
+    return call(state, "fleet")["fleet"]
+
+
 # ----------------------------------------------------------------------
-# broker protocol units
+# broker protocol units, on the state machine
 # ----------------------------------------------------------------------
 class TestBrokerProtocol:
     def test_ping_reports_protocol(self, client):
@@ -85,138 +119,140 @@ class TestBrokerProtocol:
             "proto": BROKER_PROTOCOL,
         }
 
-    def test_queue_is_fifo(self, client):
-        client.call("announce", campaign={"id": "c"})
-        assert put(client, "c", 1, 2)["ok"]
-        assert put(client, "c", 3)["ok"]
-        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
-        assert [lease(client, "w") for _ in range(3)] == [1, 2, 3]
-        assert lease(client, "w", timeout=0.05) is None
+    def test_queue_is_fifo(self, state):
+        call(state, "announce", campaign={"id": "c"})
+        assert put(state, "c", 1, 2)["ok"]
+        assert put(state, "c", 3)["ok"]
+        hello(state, "w")
+        assert [lease(state, "w") for _ in range(3)] == [1, 2, 3]
+        assert lease(state, "w") is None
 
-    def test_heartbeat_ttl_expiry_requeues_leases_at_front(self, client):
+    def test_heartbeat_ttl_expiry_requeues_leases_at_front(self, state):
         """A silent worker's leased run goes back to the queue head."""
-        client.call("announce", campaign={"id": "c"})
-        put(client, "c", "leased", "second")
-        hello = client.call(
-            "hello", proto=BROKER_PROTOCOL, worker="silent", meta={"capacity": 1}
+        call(state, "announce", campaign={"id": "c"})
+        put(state, "c", "leased", "second")
+        reply = call(
+            state, "hello", proto=BROKER_PROTOCOL, worker="silent", meta={"capacity": 1}
         )
-        assert hello["ok"] and hello["ttl"] == pytest.approx(0.25)
-        assert lease(client, "silent") == "leased"
-        time.sleep(0.6)  # > TTL: the sweeper presumes a crash
-        fleet = client.call("fleet")["fleet"]
-        assert "silent" not in fleet["live"]
-        assert fleet["crashes"] == {"silent": 1}
-        assert fleet["requeues"] == 1
+        assert reply["ok"] and reply["ttl"] == pytest.approx(0.25)
+        assert lease(state, "silent") == "leased"
+        state.expire(0.6)  # > TTL: presumed crashed
+        after = fleet(state)
+        assert "silent" not in after["live"]
+        assert after["crashes"] == {"silent": 1}
+        assert after["requeues"] == 1
         # requeued at the *front*, ahead of the unleased run
-        client.call("hello", proto=BROKER_PROTOCOL, worker="next", meta={})
-        assert [lease(client, "next") for _ in range(2)] == ["leased", "second"]
+        hello(state, "next", 0.6)
+        assert [lease(state, "next", 0.6) for _ in range(2)] == ["leased", "second"]
 
-    def test_heartbeat_refreshes_and_rearms_ttl(self, client):
-        client.call("hello", proto=BROKER_PROTOCOL, worker="beater", meta={})
-        for _ in range(4):
-            time.sleep(0.1)  # each beat lands well inside the 0.25s TTL
-            assert client.call("heartbeat", worker="beater", meta={})["ok"]
-        assert "beater" in client.call("fleet")["fleet"]["live"]
+    def test_heartbeat_refreshes_and_rearms_ttl(self, state):
+        hello(state, "beater")
+        for now in (0.1, 0.2, 0.3, 0.4):  # each beat well inside the TTL
+            state.expire(now)
+            assert call(state, "heartbeat", now, worker="beater", meta={})["ok"]
+        state.expire(0.5)
+        assert "beater" in fleet(state)["live"]
+        state.expire(0.66)  # 0.25 s after the last beat
+        assert "beater" not in fleet(state)["live"]
 
-    def test_any_worker_op_rearms_the_ttl(self, client):
+    def test_any_worker_op_rearms_the_ttl(self, state):
         """Takes/pushes are proof of life: a capacity-1 worker busy with
         inline points never heartbeats between them, and must not be
         presumed crashed while it keeps pulling and pushing."""
-        client.call("hello", proto=BROKER_PROTOCOL, worker="busy", meta={})
-        deadline = time.time() + 0.6  # well past the 0.25s TTL
-        while time.time() < deadline:
-            assert client.call("take_any", worker="busy", timeout=0.0)["ok"]
-            time.sleep(0.1)
-        fleet = client.call("fleet")["fleet"]
-        assert "busy" in fleet["live"]
-        assert fleet["crashes"] == {}
+        hello(state, "busy")
+        # one op every 0.2 s, well past the 0.25 s TTL in all
+        for step in range(1, 7):
+            now = 0.2 * step
+            state.expire(now)
+            if step % 2:
+                assert call(state, "take_any", now, worker="busy")["ok"]
+            else:
+                push = {"campaign": "c", "token": step, "payload": {}, "worker": "busy"}
+                assert call(state, "push_result", now, **push)["ok"]
+        after = fleet(state)
+        assert "busy" in after["live"]
+        assert after["crashes"] == {}
 
-    def test_reset_drops_stale_quota_refinements(self, client):
+    def test_reset_drops_stale_quota_refinements(self, state):
         """A re-announced campaign must not inherit its previous run's
         queued work -- but a *different* tenant's start must not wipe
         it either (the pre-multi-tenant ``reset`` cleared globally)."""
 
         def pending(cid):
-            return client.call("campaigns")["campaigns"][cid]["tasks_pending"]
+            return call(state, "campaigns")["campaigns"][cid]["tasks_pending"]
 
-        client.call("announce", campaign={"id": "a"})
-        put(client, "a", "stale")
-        client.call("conclude", campaign="a")
+        call(state, "announce", campaign={"id": "a"})
+        put(state, "a", "stale")
+        call(state, "conclude", campaign="a")
         # re-announcing campaign a starts it from a fresh record
-        client.call("announce", campaign={"id": "a"})
+        call(state, "announce", campaign={"id": "a"})
         assert pending("a") == 0
-        put(client, "a", "a0")
+        put(state, "a", "a0")
         # a second tenant starting leaves campaign a's queued run alone
-        client.call("announce", campaign={"id": "b"})
+        call(state, "announce", campaign={"id": "b"})
         assert pending("a") == 1
         # withdrawing campaign a drops its record (and the run) whole
-        client.call("withdraw", campaign="a")
-        assert "a" not in client.call("campaigns")["campaigns"]
+        call(state, "withdraw", campaign="a")
+        assert "a" not in call(state, "campaigns")["campaigns"]
         assert pending("b") == 0
-        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
-        assert lease(client, "w", timeout=0.05) is None
+        hello(state, "w")
+        assert lease(state, "w") is None
 
-    def test_reannouncing_a_live_campaign_id_is_rejected(self, client):
+    def test_reannouncing_a_live_campaign_id_is_rejected(self, state):
         """Two coordinators that mint the same id must not cross-wire
         queues: the second announcement is refused while the first is
         live, and accepted again once it concludes."""
-        first = client.call("announce", campaign={"id": "dup"})
-        assert first["ok"]
-        second = client.call("announce", campaign={"id": "dup"})
+        assert call(state, "announce", campaign={"id": "dup"})["ok"]
+        second = call(state, "announce", campaign={"id": "dup"})
         assert not second["ok"] and "already live" in second["error"]
-        client.call("conclude", campaign="dup")
-        again = client.call("announce", campaign={"id": "dup"})
-        assert again["ok"]
+        call(state, "conclude", campaign="dup")
+        assert call(state, "announce", campaign={"id": "dup"})["ok"]
 
-    def test_take_any_interleaves_tenants_fairly(self, client):
+    def test_take_any_interleaves_tenants_fairly(self, state):
         """Deficit round-robin: with two equal-priority tenants queued,
         a stream of ``take_any`` leases alternates between them, one
         quantum of lane runs at a time, instead of draining one campaign
         before touching the other."""
-        from repro.core.broker import DRR_QUANTUM
-
         quantum = int(DRR_QUANTUM)  # runs one visit's deficit pays for
         for cid in ("a", "b"):
-            client.call("announce", campaign={"id": cid})
-            put(client, cid, *(f"{cid}{token}" for token in range(2 * quantum)))
-        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
+            call(state, "announce", campaign={"id": cid})
+            put(state, cid, *(f"{cid}{token}" for token in range(2 * quantum)))
+        hello(state, "w")
         origins = []
         for _ in range(4 * quantum):
-            reply = client.call("take_any", worker="w", timeout=0.1)
+            reply = call(state, "take_any", worker="w")
             assert reply["ok"] and reply["item"] is not None
             origins.append(reply["campaign"])
         # neither tenant waits for the other to drain
         assert origins == (["a"] * quantum + ["b"] * quantum) * 2
-        assert client.call("take_any", worker="w", timeout=0.05)["item"] is None
+        assert lease(state, "w") is None
 
-    def test_take_any_weights_by_priority(self, client):
+    def test_take_any_weights_by_priority(self, state):
         """A priority-2 tenant is offered twice the work of a priority-1
         one while both have tasks queued."""
-        from repro.core.broker import DRR_QUANTUM
-
         quantum = int(DRR_QUANTUM)
-        client.call("announce", campaign={"id": "hi", "priority": 2.0})
-        client.call("announce", campaign={"id": "lo", "priority": 1.0})
+        call(state, "announce", campaign={"id": "hi", "priority": 2.0})
+        call(state, "announce", campaign={"id": "lo", "priority": 1.0})
         for cid in ("hi", "lo"):
-            put(client, cid, *(f"{cid}{token}" for token in range(6 * quantum)))
-        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
+            put(state, cid, *(f"{cid}{token}" for token in range(6 * quantum)))
+        hello(state, "w")
         origins = []
         for _ in range(6 * quantum):  # two rotations of 2 + 1 quanta
-            reply = client.call("take_any", worker="w", timeout=0.1)
+            reply = call(state, "take_any", worker="w")
             assert reply["item"] is not None
             origins.append(reply["campaign"])
         # the leases split 2:1 in favour of the hi tenant
         assert origins.count("hi") == 2 * origins.count("lo") == 4 * quantum
 
     @pytest.mark.parametrize("priority", [-1.0, float("nan"), float("inf")])
-    def test_announce_refuses_a_priority_drr_cannot_bank(self, client, priority):
+    def test_announce_refuses_a_priority_drr_cannot_bank(self, state, priority):
         """Deficit round-robin banks ``DRR_QUANTUM * priority`` per visit
         until a campaign affords a run; a priority that is not a positive
         finite number would never get there (or never stop), so it is
         refused and nothing is registered."""
-        reply = client.call("announce", campaign={"id": "c", "priority": priority})
+        reply = call(state, "announce", campaign={"id": "c", "priority": priority})
         assert not reply["ok"] and "priority" in reply["error"]
-        assert client.call("campaigns")["campaigns"] == {}
+        assert call(state, "campaigns")["campaigns"] == {}
         with pytest.raises(ValueError, match="priority"):
             QueueTransport(priority=priority)
 
@@ -236,62 +272,55 @@ class TestBrokerProtocol:
         for cid in minted:
             assert re.fullmatch(prefix + r"\d+-[0-9a-f]{6}", cid)
 
-    def test_duplicate_result_rejected_by_token(self, client):
-        client.call("announce", campaign={"id": "c"})
-        first = client.call(
-            "push_result", campaign="c", token=7, payload={"x": 1}, worker="w"
-        )
-        dup = client.call(
-            "push_result", campaign="c", token=7, payload={"x": 1}, worker="w"
-        )
-        assert first["dup"] is False
-        assert dup["dup"] is True
-        taken = client.call("take", campaign="c", ack=[], max=8, timeout=0.1)
+    def test_duplicate_result_rejected_by_token(self, state):
+        call(state, "announce", campaign={"id": "c"})
+        push = {"campaign": "c", "token": 7, "payload": {"x": 1}, "worker": "w"}
+        assert call(state, "push_result", **push)["dup"] is False
+        assert call(state, "push_result", **push)["dup"] is True
+        taken = call(state, "take", campaign="c", ack=[], max=8)
         assert [item["token"] for item in taken["items"]] == [7]
-        again = client.call("take", campaign="c", ack=[7], max=8, timeout=0.05)
-        assert again["items"] == []
-        assert client.call("fleet")["fleet"]["dup_results"] == 1
+        assert call(state, "take", campaign="c", ack=[7], max=8)["items"] == []
+        assert fleet(state)["dup_results"] == 1
 
-    def test_quarantined_worker_is_rejected_everywhere(self, broker, client):
+    def test_quarantined_worker_is_rejected_everywhere(self, state):
         # two expiries push the id over the default quarantine threshold
-        for _ in range(2):
-            client.call("hello", proto=BROKER_PROTOCOL, worker="repeat", meta={})
-            time.sleep(0.6)
-        fleet = client.call("fleet")["fleet"]
-        assert "repeat" in fleet["quarantined"]
+        for now in (0.0, 1.0):
+            hello(state, "repeat", now)
+            state.expire(now + 0.6)
+        assert "repeat" in fleet(state)["quarantined"]
         for op, fields in (
             ("hello", {"proto": BROKER_PROTOCOL, "meta": {}}),
             ("heartbeat", {"meta": {}}),
             ("take_any", {"timeout": 0.05}),
         ):
-            reply = client.call(op, worker="repeat", **fields)
+            reply = call(state, op, 2.0, worker="repeat", **fields)
             assert not reply["ok"] and reply.get("quarantined"), op
 
-    def test_protocol_mismatch_rejected(self, client):
-        hello = client.call("hello", proto=99, worker="future", meta={})
-        assert not hello["ok"] and "protocol" in hello["error"]
+    def test_protocol_mismatch_rejected(self, state):
+        reply = call(state, "hello", proto=99, worker="future", meta={})
+        assert not reply["ok"] and "protocol" in reply["error"]
         # older workers are refused at hello, not mis-served: a version-2
         # worker cannot run lane-run entries, a version-3 one would push
         # results under queue names instead of campaign ids, and a
         # version-4 one would read a single lane run as a chunk
         for proto in (1, 2, 3, 4):
-            hello = client.call("hello", proto=proto, worker=f"v{proto}", meta={})
-            assert not hello["ok"] and "protocol" in hello["error"]
+            reply = call(state, "hello", proto=proto, worker=f"v{proto}", meta={})
+            assert not reply["ok"] and "protocol" in reply["error"]
 
-    def test_unknown_op_rejected(self, client):
-        reply = client.call("flush_everything")
+    def test_unknown_op_rejected(self, state):
+        reply = call(state, "flush_everything")
         assert not reply["ok"] and "unknown op" in reply["error"]
 
-    def test_put_and_take_on_an_unknown_campaign_are_refused(self, client):
+    def test_put_and_take_on_an_unknown_campaign_are_refused(self, state):
         """Only an announced campaign has a record to file work under; a
         put or take naming any other id (or none) creates nothing."""
-        client.call("announce", campaign={"id": "known"})
+        call(state, "announce", campaign={"id": "known"})
         for fields in ({"campaign": "other"}, {"queue": "tasks:known"}):
-            refused = client.call("put", runs=[{"token": 0}], **fields)
+            refused = call(state, "put", runs=[{"token": 0}], **fields)
             assert not refused["ok"] and "unknown campaign" in refused["error"]
-            take = client.call("take", ack=[], max=1, timeout=0.0, **fields)
+            take = call(state, "take", ack=[], max=1, timeout=0.0, **fields)
             assert not take["ok"] and "unknown campaign" in take["error"]
-        status = client.call("status")["status"]
+        status = call(state, "status")["status"]
         assert list(status["campaigns"]) == ["known"]
         assert status["fleet"]["pending"] == {}
 
@@ -305,107 +334,97 @@ class TestBrokerProtocol:
         ],
         ids=["flat", "empty", "point-without-token", "chunk-without-token"],
     )
-    def test_put_accepts_chunks_only(self, client, fields):
+    def test_put_accepts_chunks_only(self, state, fields):
         """A put carries one node's lane runs as a non-empty ``runs``
         list, every run with a token; a lone run, an empty list, a
         tokenless run or a version-4 chunk item is refused whole."""
-        client.call("announce", campaign={"id": "c"})
-        reply = client.call("put", campaign="c", **fields)
+        call(state, "announce", campaign={"id": "c"})
+        reply = call(state, "put", campaign="c", **fields)
         assert not reply["ok"] and "runs" in reply["error"]
-        assert client.call("campaigns")["campaigns"]["c"]["tasks_pending"] == 0
+        assert call(state, "campaigns")["campaigns"]["c"]["tasks_pending"] == 0
 
-    def test_take_any_needs_a_hello_and_leases_nothing_without_one(self, client):
+    def test_take_any_needs_a_hello_and_leases_nothing_without_one(self, state):
         """A worker that never said hello is not in the registry, so a
         lease it took could never be requeued when it dies: the take is
         refused and the run stays queued."""
-        client.call("announce", campaign={"id": "c"})
-        put(client, "c", "c0")
-        reply = client.call("take_any", worker="stranger", timeout=0.05)
+        call(state, "announce", campaign={"id": "c"})
+        put(state, "c", "c0")
+        reply = call(state, "take_any", worker="stranger", timeout=0.05)
         assert not reply["ok"] and "hello" in reply["error"]
-        status = client.call("status")["status"]
+        status = call(state, "status")["status"]
         assert status["leases"] == {}
         assert status["campaigns"]["c"]["tasks_pending"] == 1
-        client.call("hello", proto=BROKER_PROTOCOL, worker="stranger", meta={})
-        assert lease(client, "stranger") == "c0"
+        hello(state, "stranger")
+        assert lease(state, "stranger") == "c0"
 
-    def test_same_numbered_chunks_of_two_campaigns_both_requeue(self, client):
+    def test_same_numbered_chunks_of_two_campaigns_both_requeue(self, state):
         """Campaigns number their lane runs independently, so one worker
         may lease run 0 of two campaigns at once; when it dies, both go
         back to their own campaign's queue."""
         for cid in ("a", "b"):
-            client.call("announce", campaign={"id": cid})
-            put(client, cid, 0, 1)
-        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
-        assert [lease(client, "w") for _ in range(4)] == [0, 1, 0, 1]
-        status = client.call("status")["status"]
-        assert status["leases"]["w"]["count"] == 4
+            call(state, "announce", campaign={"id": cid})
+            put(state, cid, 0, 1)
+        hello(state, "w")
+        assert [lease(state, "w") for _ in range(4)] == [0, 1, 0, 1]
+        status = call(state, "status", 0.1)["status"]
+        assert status["leases"]["w"] == {"count": 4, "oldest_age_s": 0.1}
         assert {cid: c["leased_points"] for cid, c in status["campaigns"].items()} == {
             "a": 2,
             "b": 2,
         }
-        time.sleep(0.6)  # > TTL: the sweeper presumes a crash
-        fleet = client.call("fleet")["fleet"]
-        assert fleet["requeues"] == 4
-        assert fleet["pending"] == {"a": 2, "b": 2}
+        state.expire(0.6)  # > TTL: presumed crashed
+        after = fleet(state)
+        assert after["requeues"] == 4
+        assert after["pending"] == {"a": 2, "b": 2}
 
     def test_new_process_under_a_live_id_requeues_its_predecessors_leases(self):
         """A respawned worker may say hello before the broker has read its
         predecessor's end of connection.  A hello with another pid ends
         the previous incarnation there and then: its lease is requeued at
         the front and its crash counted, once."""
-        broker = EmbeddedBroker(heartbeat_ttl=30.0).start()
-        first, second, admin = (BrokerClient(broker.address) for _ in range(3))
-        try:
-            admin.call("announce", campaign={"id": "c"})
-            put(admin, "c", "a", "b")
-            first.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={"pid": 1})
-            assert lease(first, "w") == "a"
-            second.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={"pid": 2})
-            first.close()
-            fleet = admin.call("fleet")["fleet"]
-            assert fleet["crashes"] == {"w": 1}
-            assert fleet["requeues"] == 1
-            assert [lease(second, "w") for _ in range(2)] == ["a", "b"]
-            time.sleep(0.1)  # the predecessor's end of connection counts nothing
-            status = admin.call("status")["status"]
-            assert status["fleet"]["crashes"] == {"w": 1}
-            assert status["leases"]["w"]["count"] == 2
-            assert status["fleet"]["pending"] == {}
-        finally:
-            for client in (first, second, admin):
-                client.close()
-            broker.close()
+        state = BrokerState(heartbeat_ttl=30.0)
+        first, second = object(), object()
+        call(state, "announce", campaign={"id": "c"})
+        put(state, "c", "a", "b")
+        hello(state, "w", conn=first, pid=1)
+        assert lease(state, "w") == "a"
+        hello(state, "w", conn=second, pid=2)
+        after = fleet(state)
+        assert after["crashes"] == {"w": 1}
+        assert after["requeues"] == 1
+        assert [lease(state, "w") for _ in range(2)] == ["a", "b"]
+        state.connection_lost(first)  # the predecessor's end counts nothing
+        status = call(state, "status")["status"]
+        assert status["fleet"]["crashes"] == {"w": 1}
+        assert status["leases"]["w"]["count"] == 2
+        assert status["fleet"]["pending"] == {}
 
     def test_same_process_rehello_keeps_its_leases(self):
         """A worker re-registering after a reconnect sends its own pid
         again: its lease stays and no crash is counted, also when the
         old connection ends afterwards."""
-        broker = EmbeddedBroker(heartbeat_ttl=30.0).start()
-        first, second, admin = (BrokerClient(broker.address) for _ in range(3))
-        try:
-            admin.call("announce", campaign={"id": "c"})
-            put(admin, "c", "a", "b")
-            first.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={"pid": 1})
-            assert lease(first, "w") == "a"
-            second.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={"pid": 1})
-            first.close()
-            time.sleep(0.1)
-            status = admin.call("status")["status"]
-            assert status["fleet"]["crashes"] == {}
-            assert status["fleet"]["requeues"] == 0
-            assert status["leases"]["w"]["count"] == 1
-            assert lease(second, "w") == "b"
-        finally:
-            for client in (first, second, admin):
-                client.close()
-            broker.close()
+        state = BrokerState(heartbeat_ttl=30.0)
+        first, second = object(), object()
+        call(state, "announce", campaign={"id": "c"})
+        put(state, "c", "a", "b")
+        hello(state, "w", conn=first, pid=1)
+        assert lease(state, "w") == "a"
+        hello(state, "w", conn=second, pid=1)
+        state.connection_lost(first)
+        status = call(state, "status")["status"]
+        assert status["fleet"]["crashes"] == {}
+        assert status["fleet"]["requeues"] == 0
+        assert status["leases"]["w"]["count"] == 1
+        assert lease(state, "w") == "b"
 
-    def test_goodbye_is_not_a_crash(self, client):
-        client.call("hello", proto=BROKER_PROTOCOL, worker="leaver", meta={})
-        assert client.call("goodbye", worker="leaver")["ok"]
-        fleet = client.call("fleet")["fleet"]
-        assert "leaver" not in fleet["live"]
-        assert fleet["crashes"] == {}
+    def test_goodbye_is_not_a_crash(self, state):
+        conn = object()
+        hello(state, "leaver", conn=conn)
+        assert call(state, "goodbye", worker="leaver")["ok"]
+        state.connection_lost(conn)  # the goodbye's connection then ends
+        after = fleet(state)
+        assert "leaver" not in after["live"]
+        assert after["crashes"] == {}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="heartbeat_ttl"):
@@ -549,19 +568,15 @@ class TestQueueTransportLifecycle:
         poll after recovery could fail the campaign instantly, blaming
         the fleet for the broker's downtime.  The clock arms on the
         first starved *observation* and a reconnect disarms it."""
-        transport = QueueTransport(worker_timeout=0.3)
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            empty_fleet = {"live": {}}
-            transport._check_starvation(empty_fleet)  # arms only
-            time.sleep(0.4)  # starved past worker_timeout...
-            transport._broker_reconnected(transport._client)  # ...but recovered
-            transport._check_starvation(empty_fleet)  # re-arms, no raise
-            time.sleep(0.4)  # continuously starved after recovery
-            with pytest.raises(TransportError, match="no workers"):
-                transport._check_starvation(empty_fleet)
-        finally:
-            transport.close()
+        transport = QueueTransport("127.0.0.1:9", worker_timeout=0.3)
+        empty_fleet = {"live": {}}
+        transport._check_starvation(empty_fleet, 0.0)  # arms only
+        # starved past worker_timeout, but recovered
+        transport._broker_reconnected(None)
+        transport._check_starvation(empty_fleet, 0.4)  # re-arms, no raise
+        # continuously starved after recovery
+        with pytest.raises(TransportError, match="no workers"):
+            transport._check_starvation(empty_fleet, 0.8)
 
     def test_next_result_without_work_rejected(self):
         transport = QueueTransport()
@@ -596,23 +611,37 @@ class TestQueueTransportLifecycle:
         """Regression: a worker launched before any campaign polled an
         op that never re-armed its TTL, so waiting out the TTL counted
         as a crash, and its first lease after the wait went unrecorded
-        -- a crash then lost the leased points.  A waiting worker stays
-        live, and a crash on its first lease requeues that lease."""
+        -- a crash then lost the leased points.  A worker waiting in
+        ``take_any`` stays live, and a crash on its first lease requeues
+        that lease: on the state machine with the waits as data, and
+        with a real worker process that crashes on its first lease."""
+        state = BrokerState(heartbeat_ttl=0.8)
+        conn = object()
+        hello(state, "early", conn=conn)
+        wait = {"type": "cmd", "op": "take_any", "worker": "early", "running": 0}
+        for step in range(1, 6):  # 2 s of waiting, well past the TTL
+            now = 0.4 * step
+            state.expire(now)
+            # each wait runs out (the shell then asks with timeout 0)
+            assert state.handle({**wait, "timeout": 0.4}, conn, now) is None
+            assert state.handle({**wait, "timeout": 0.0}, conn, now)["ok"]
+        assert "early" in fleet(state)["live"]
+        assert fleet(state)["crashes"] == {}
+        call(state, "announce", campaign={"id": "c"})
+        put(state, "c", "p0")
+        assert lease(state, "early", 2.1) == "p0"
+        state.connection_lost(conn)  # the injected crash
+        assert fleet(state)["requeues"] == 1
+        hello(state, "next", 2.2)
+        assert lease(state, "next", 2.2) == "p0"
+
         with EmbeddedBroker(heartbeat_ttl=0.8) as broker:
             client = BrokerClient(broker.address)
             worker = spawn_worker(
                 broker.address, "early", "--fail-after", "1", log_dir=tmp_path
             )
             try:
-                deadline = time.monotonic() + 30
-                while "early" not in client.call("fleet")["fleet"]["live"]:
-                    assert time.monotonic() < deadline, "worker never registered"
-                    time.sleep(0.05)
-                time.sleep(2.0)  # well past the TTL, still no campaign
-                fleet = client.call("fleet")["fleet"]
-                assert "early" in fleet["live"]
-                assert fleet["crashes"] == {}
-
+                wait_live(broker.address, "early")
                 spec = EnvSpec.from_env(SimulationEnvironment())
                 client.call("announce", campaign={"id": "c", "spec": spec})
                 run = {
@@ -624,13 +653,11 @@ class TestQueueTransportLifecycle:
                 }
                 client.call("put", campaign="c", runs=[run])
                 assert worker.wait(timeout=30) == WORKER_CRASH_EXIT
-                deadline = time.monotonic() + 10
-                while client.call("fleet")["fleet"]["requeues"] < 1:
-                    assert time.monotonic() < deadline, "the lease was lost"
-                    time.sleep(0.05)
+                # the requeue lets the waiting take lease the run again
                 client.call("hello", proto=BROKER_PROTOCOL, worker="next", meta={})
-                requeued = client.call("take_any", worker="next", timeout=1.0)["item"]
+                requeued = client.call("take_any", worker="next", timeout=10.0)["item"]
                 assert requeued["token"] == "p0"
+                assert client.call("fleet")["fleet"]["requeues"] == 1
             finally:
                 client.close()
                 if worker.poll() is None:
@@ -806,6 +833,17 @@ class TestBoundedShutdown:
         last-seen running count is stale returns at once; a blocked one
         returns when a conclude changes the count."""
         with EmbeddedBroker() as broker:
+            # signal once the take is parked in the broker's wait loop
+            parked = threading.Event()
+            handle = broker._state.handle
+
+            def spy(message, conn, now):
+                reply = handle(message, conn, now)
+                if reply is None:
+                    parked.set()
+                return reply
+
+            broker._state.handle = spy
             client = BrokerClient(broker.address)
             try:
                 client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
@@ -829,7 +867,7 @@ class TestBoundedShutdown:
 
                 thread = threading.Thread(target=take)
                 thread.start()
-                time.sleep(0.3)  # let the take block in the broker
+                assert parked.wait(10), "the take never waited"
                 concluded = time.monotonic()
                 client.call("conclude", campaign="c")
                 thread.join(timeout=10)
@@ -839,6 +877,100 @@ class TestBoundedShutdown:
                 assert returned["at"] - concluded < 1.0
             finally:
                 client.close()
+
+
+# ----------------------------------------------------------------------
+# the socket shell, and malformed frames
+# ----------------------------------------------------------------------
+#: Frames with one field of the wrong type: (op, fields, the field).
+MALFORMED = {
+    "take-timeout": ("take", {"campaign": "c", "timeout": "soon"}, "timeout"),
+    "take-max": ("take", {"campaign": "c", "max": "many"}, "max"),
+    "take-ack": ("take", {"campaign": "c", "ack": [["r"]]}, "ack"),
+    "take_any-timeout": ("take_any", {"worker": "w", "timeout": "soon"}, "timeout"),
+    "take_any-running": ("take_any", {"worker": "w", "running": "1"}, "running"),
+    "announce-priority": (
+        "announce", {"campaign": {"id": "d", "priority": "high"}}, "priority"
+    ),
+    "announce-campaign": ("announce", {"campaign": ["d"]}, "campaign"),
+    "hello-meta": (
+        "hello", {"proto": BROKER_PROTOCOL, "worker": "w", "meta": ["pid"]}, "meta"
+    ),
+    "heartbeat-meta": ("heartbeat", {"worker": "w", "meta": "fast"}, "meta"),
+    "put-token": ("put", {"campaign": "c", "runs": [{"token": ["r"]}]}, "token"),
+    "push_result-token": (
+        "push_result", {"campaign": "c", "token": {}, "payload": {}}, "token"
+    ),
+}
+
+
+class TestBrokerShell:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_a_malformed_frame_gets_an_error_and_changes_nothing(self, name):
+        """A field of the wrong type is answered with an error that names
+        it; nothing is recorded, no state moves and no crash counts."""
+        op, fields, field = MALFORMED[name]
+        recorded = []
+        state = BrokerState(heartbeat_ttl=30.0)
+        state.record = recorded.append
+        call(state, "announce", campaign={"id": "c"})
+        put(state, "c", "r", "s")
+        hello(state, "w", pid=1)
+        assert lease(state, "w") == "r"
+        before, entries = pickle.dumps(state.snapshot()), len(recorded)
+        reply = call(state, op, 1.0, **fields)
+        assert not reply["ok"] and field in reply["error"], reply
+        assert len(recorded) == entries
+        assert pickle.dumps(state.snapshot()) == before
+        assert fleet(state)["crashes"] == {}
+        assert lease(state, "w") == "s"  # and the broker serves on
+
+    def test_malformed_frames_over_a_socket_keep_the_connection(self, tmp_path):
+        """Over a socket too: every malformed frame gets its error at
+        once (a reconnecting client does not retry it), the connection
+        still answers, no crash is counted and nothing is journaled."""
+        with EmbeddedBroker(heartbeat_ttl=30.0, journal=tmp_path) as broker:
+            client = BrokerClient(broker.address, max_outage_s=2.0)
+            try:
+                client.call("announce", campaign={"id": "c"})
+                client.call("put", campaign="c", runs=[{"token": "r"}])
+                client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
+                assert client.call("take_any", worker="w")["item"]["token"] == "r"
+                logged = client.call("status")["status"]["journal"]["log_records"]
+                for name, (op, fields, field) in sorted(MALFORMED.items()):
+                    reply = client.call(op, **fields)
+                    assert not reply["ok"] and field in reply["error"], name
+                assert client.call("ping")["ok"]
+                status = client.call("status")["status"]
+                assert client.reconnects == 0
+            finally:
+                client.close()
+        assert status["journal"]["log_records"] == logged
+        assert status["fleet"]["crashes"] == {}
+        assert status["leases"]["w"]["count"] == 1
+        assert status["campaigns"]["c"]["tasks_pending"] == 0
+
+    def test_a_dropped_connection_fails_its_worker(self):
+        """A worker whose connection ends without a goodbye is presumed
+        crashed: its lease is requeued -- which wakes a waiting take --
+        and its crash counted."""
+        with EmbeddedBroker(heartbeat_ttl=30.0) as broker:
+            doomed, admin = BrokerClient(broker.address), BrokerClient(broker.address)
+            try:
+                admin.call("announce", campaign={"id": "c"})
+                admin.call("put", campaign="c", runs=[{"token": "r"}])
+                doomed.call("hello", proto=BROKER_PROTOCOL, worker="doomed", meta={})
+                assert doomed.call("take_any", worker="doomed")["item"]["token"] == "r"
+                admin.call("hello", proto=BROKER_PROTOCOL, worker="next", meta={})
+                doomed.close()  # no goodbye
+                reply = admin.call("take_any", worker="next", timeout=10.0)
+                assert reply["item"]["token"] == "r"
+                after = admin.call("fleet")["fleet"]
+            finally:
+                admin.close()
+        assert after["crashes"] == {"doomed": 1}
+        assert after["requeues"] == 1
+        assert "doomed" not in after["live"]
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,8 @@ import time
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support.faults import free_port, spawn_broker, worker_env
 
@@ -36,6 +38,7 @@ from repro.core.broker import (
     BrokerUnavailableError,
     EmbeddedBroker,
 )
+from repro.core.brokerstate import BrokerState
 from repro.core.journal import (
     LOG_NAME,
     RECORD_VERSION,
@@ -94,9 +97,10 @@ class TestJournalFormat:
             ({"v": 2, "entry": ("put", "q", 1)}, 2),
             ({"v": 3, "entry": ("put", "q", 1)}, 3),
             ({"v": 4, "entry": ("put", "q", 1)}, 4),
+            ({"v": 5, "entry": ("put", "q", 1)}, 5),
             ({"v": RECORD_VERSION + 1, "entry": ("put", "q", 1)}, RECORD_VERSION + 1),
         ],
-        ids=["bare-v1", "v2", "v3", "v4", "newer"],
+        ids=["bare-v1", "v2", "v3", "v4", "v5", "newer"],
     )
     def test_record_of_another_version_is_refused(self, tmp_path, record, version):
         """A record of another version is refused, not translated: the
@@ -258,10 +262,11 @@ class TestBrokerReplay:
                 client.close()
 
     def test_older_journals_are_refused_not_translated(self, tmp_path):
-        """A journal written by an older build -- a version-1, -3 or -4
-        log, an unversioned (version-3 or older) snapshot or a version-4
-        snapshot -- is refused with one warning naming the version: the
-        successor registers no campaign and serves none of its work."""
+        """A journal written by an older build -- a version-1, -3, -4 or
+        -5 log, an unversioned (version-3 or older) snapshot or a
+        version-4 or -5 snapshot -- is refused with one warning naming
+        the version: the successor registers no campaign and serves none
+        of its work."""
         v3_campaign = {
             "id": "c1",
             "tasks": "tasks:c1",
@@ -302,12 +307,24 @@ class TestBrokerReplay:
             },
         }
         v4_snapshot = {"v": 4, "snapshot": v4_state}
+        # version 5: single lane runs, and a lease entry without its time
+        v5_log = [
+            {"v": 5, "entry": ("announce", v4_campaign)},
+            {"v": 5, "entry": ("put", "c1", [{"token": 0}])},
+            {"v": 5, "entry": ("lease", "c1", "w")},
+        ]
+        v5_state = dict(v4_state, _campaigns={
+            "c1": {**v4_state["_campaigns"]["c1"], "tasks": [{"token": 0}]}
+        })
+        v5_snapshot = {"v": 5, "snapshot": v5_state}
         cases = [
             ("record version 1", None, [("reset", v3_campaign, {"w": 4})]),
             ("record version 3", None, v3_log),
             ("record version 3 or older", v3_snapshot, v3_log),
             ("record version 4", None, v4_log),
             ("snapshot .* is record version 4", v4_snapshot, v4_log),
+            ("record version 5", None, v5_log),
+            ("snapshot .* is record version 5", v5_snapshot, v5_log),
         ]
         for version, snapshot, log in cases:
             for name in (SNAPSHOT_NAME, LOG_NAME):
@@ -463,6 +480,25 @@ class TestBrokerReplay:
             finally:
                 client.close()
 
+    def test_compaction_keeps_the_entry_that_made_it_due(self, tmp_path):
+        """A compaction snapshots the state *after* the entry that made it
+        due: read as a restart after a kill -9 would read it (no clean
+        close), the journal holds every run put."""
+        with EmbeddedBroker(journal=tmp_path, compact_every=2) as broker:
+            client = BrokerClient(broker.address)
+            try:
+                client.call("announce", campaign={"id": "c"})
+                for token in (1, 2, 3):
+                    put(client, "c", token)
+            finally:
+                client.close()
+            snapshot, entries = Journal(tmp_path).load()
+        state = BrokerState()
+        state.restore(snapshot)
+        for entry in entries:
+            state.reduce(entry)
+        assert [run["token"] for run in state.campaigns["c"].tasks] == [1, 2, 3]
+
     def test_drop_announcement_withdraws_campaign_durably(self, tmp_path):
         broker = EmbeddedBroker(journal=tmp_path)
         broker.start()
@@ -526,6 +562,119 @@ class TestBrokerReplay:
 
 
 # ----------------------------------------------------------------------
+# replay reproduces the state: a property of the state machine
+# ----------------------------------------------------------------------
+TTL = 1.0
+CAMPAIGNS = st.sampled_from(["a", "b"])
+WORKERS = st.sampled_from(["w1", "w2"])
+TOKENS = st.integers(0, 4)
+#: The arguments of each drawn op, and how often it is drawn: weighted
+#: towards the ops that move runs, so most sequences lease and return.
+ARGS = {
+    "announce": (2, st.tuples(CAMPAIGNS, st.sampled_from([1.0, 2.0]))),
+    "put": (4, st.tuples(CAMPAIGNS, TOKENS)),
+    "hello": (2, st.tuples(WORKERS, st.integers(1, 2))),
+    "heartbeat": (1, st.tuples(WORKERS)),
+    "take_any": (5, st.tuples(WORKERS)),
+    "push_result": (3, st.tuples(CAMPAIGNS, TOKENS, WORKERS)),
+    "take": (2, st.tuples(CAMPAIGNS, st.booleans())),
+    "reconnect": (1, st.tuples()),
+    "goodbye": (1, st.tuples(WORKERS)),
+    "expire": (1, st.tuples()),
+    "connection_lost": (1, st.tuples(WORKERS)),
+    "conclude": (1, st.tuples(CAMPAIGNS)),
+    "withdraw": (1, st.tuples(CAMPAIGNS)),
+}
+OPS = st.sampled_from(
+    [op for op, (weight, _args) in ARGS.items() for _ in range(weight)]
+).flatmap(lambda op: ARGS[op][1].map(lambda args: (op, *args)))
+
+
+def replayed(snapshot, entries):
+    """The durable snapshot of a fresh state fed ``snapshot`` (pickled,
+    or ``None``) and the pickled ``entries`` -- what a restart reads."""
+    state = BrokerState(heartbeat_ttl=TTL)
+    if snapshot is not None:
+        state.restore(pickle.loads(snapshot))
+    for entry in entries:
+        state.reduce(pickle.loads(entry))
+    return state.snapshot()
+
+
+class TestReplayReproducesTheState:
+    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(OPS, st.sampled_from([0.0, 0.1, 0.3])), min_size=10, max_size=40
+        ),
+        st.integers(0, 40),
+    )
+    def test_replay_of_the_recorded_entries_rebuilds_the_state(self, steps, cut):
+        """Drive the state machine through drawn ops at non-decreasing
+        ``now``; after every step a fresh state fed the recorded entries,
+        and a state restored from a mid-sequence snapshot plus the
+        entries after it, have the live state's durable snapshot."""
+        recorded = []
+        live = BrokerState(heartbeat_ttl=TTL)
+        live.record = lambda entry: recorded.append(pickle.dumps(entry))
+        conns = {"w1": object(), "w2": object(), "coordinator": object()}
+        acks = {"a": [], "b": []}
+        now = 0.0
+        mid = None
+
+        def cmd(op, conn=None, **fields):
+            reply = live.handle({"type": "cmd", "op": op, **fields}, conn, now)
+            assert reply is not None, op
+            return reply
+
+        # two campaigns and two workers to start from
+        for cid, priority in (("a", 1.0), ("b", 2.0)):
+            cmd("announce", campaign={"id": cid, "priority": priority})
+        for worker in ("w1", "w2"):
+            cmd("hello", conns[worker], proto=BROKER_PROTOCOL, worker=worker,
+                meta={"pid": 1})
+        for index, ((op, *args), step) in enumerate(steps):
+            now += step
+            if op == "announce":
+                cmd(op, campaign={"id": args[0], "priority": args[1]})
+            elif op == "put":
+                cmd(op, campaign=args[0], runs=[{"token": args[1]}])
+            elif op == "hello":
+                cmd(op, conns[args[0]], proto=BROKER_PROTOCOL, worker=args[0],
+                    meta={"pid": args[1]})
+            elif op == "heartbeat":
+                cmd(op, conns[args[0]], worker=args[0], meta={})
+            elif op == "take_any":
+                cmd(op, conns[args[0]], worker=args[0])
+            elif op == "push_result":
+                cid, token, worker = args
+                cmd(op, campaign=cid, token=token, payload={"t": token}, worker=worker)
+            elif op == "take":
+                cid, ack = args
+                reply = cmd(op, conns["coordinator"], campaign=cid,
+                            ack=acks[cid] if ack else [], max=2)
+                if reply["ok"]:
+                    acks[cid] = [item["token"] for item in reply["items"]]
+            elif op == "reconnect":  # the coordinator's next take reclaims
+                conns["coordinator"] = object()
+            elif op == "goodbye":
+                cmd(op, worker=args[0])
+            elif op == "expire":
+                live.expire(now)
+            elif op == "connection_lost":
+                live.connection_lost(conns[args[0]])
+                conns[args[0]] = object()
+            else:
+                cmd(op, campaign=args[0])
+            if index == cut:
+                mid = (pickle.dumps(live.snapshot()), len(recorded))
+            expected = live.snapshot()
+            assert replayed(None, recorded) == expected
+            if mid is not None:
+                assert replayed(mid[0], recorded[mid[1]:]) == expected
+
+
+# ----------------------------------------------------------------------
 # reconnecting client
 # ----------------------------------------------------------------------
 class TestBrokerReconnect:
@@ -538,19 +687,11 @@ class TestBrokerReconnect:
         try:
             client.call("announce", campaign={"id": "c"})
             put(client, "c", 1)
-
-            def restart():
-                time.sleep(0.3)
-                first.close()
-                time.sleep(0.5)
-                successor.append(EmbeddedBroker(address, journal=tmp_path))
-                successor[0].start()
-
-            stagehand = threading.Thread(target=restart)
-            stagehand.start()
-            time.sleep(0.4)  # land the call inside the outage window
+            # the restart drops the client's connection, so its next call
+            # meets the outage whenever it is made
+            first.close()
+            successor.append(EmbeddedBroker(address, journal=tmp_path).start())
             campaigns = client.call("campaigns")["campaigns"]
-            stagehand.join()
             assert campaigns["c"]["tasks_pending"] == 1
             assert client.reconnects == 1
             assert client.last_outage_s > 0
@@ -648,6 +789,45 @@ class TestStandaloneBrokerProcess:
                 assert client.call("campaigns")["campaigns"] == {}
             finally:
                 client.close()
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+    def test_a_signal_as_serving_starts_is_a_clean_shutdown(self, tmp_path, signum):
+        """The handlers are in before the broker serves: a broker whose
+        ``start`` announces a campaign and signals its own process as it
+        returns still exits 0, compacts its journal and withdraws the
+        campaign."""
+        script = (
+            "import os, sys\n"
+            "from repro.core import broker\n"
+            "from repro.tools import explore\n"
+            "start = broker.EmbeddedBroker.start\n"
+            "def start_then_signal(self):\n"
+            "    start(self)\n"
+            "    client = broker.BrokerClient(self.address)\n"
+            "    client.call('announce', campaign={'id': 'c'})\n"
+            "    client.close()\n"
+            "    os.kill(os.getpid(), int(sys.argv[1]))\n"
+            "    return self\n"
+            "broker.EmbeddedBroker.start = start_then_signal\n"
+            "sys.exit(explore.main(['broker', '--bind', '127.0.0.1:0',"
+            " '--journal', sys.argv[2]]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(int(signum)), str(tmp_path)],
+            env=worker_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "broker: clean shutdown" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        reader = Journal(tmp_path)
+        try:
+            snapshot, entries = reader.load()
+        finally:
+            reader.close()
+        assert entries == [] and snapshot["campaigns"] == {}
 
     def test_status_cli_prints_json(self, tmp_path, capsys):
         from repro.tools import explore

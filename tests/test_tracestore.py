@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import pickle
+import shutil
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.engine import EnvSpec
 from repro.core.simulate import SimulationEnvironment
 from repro.net.config import NetworkConfig
 from repro.net.profiles import PROFILES, profile
+from repro.net import tracestore as tracestore_module
 from repro.net.tracegen import default_trace_store, generate_all_traces, generate_trace
 from repro.net.tracestore import (
     TraceStore,
@@ -118,6 +120,33 @@ class TestTraceStore:
         write_trace_binary(trace, store.path_for(SMALL), "0" * 16)
         assert store.get(SMALL) == trace
         assert store.generations == 1  # regenerated, not trusted
+
+    def test_generator_source_keys_the_file(self, tmp_path, monkeypatch):
+        """File names cover the generator's source too: after an edit to
+        ``net/tracegen.py`` (a comment will do) the store names another
+        file and regenerates instead of loading what the old code
+        wrote; an edit outside ``repro.net`` names the same file."""
+        directory = tmp_path / "store"
+        TraceStore(directory).get(SMALL)
+        written = TraceStore(directory).path_for(SMALL)
+        package = tracestore_module.TRACE_SOURCE_ROOT
+
+        def edited_store(name, edit):
+            copy = tmp_path / name
+            shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            with open(copy / edit, "a", encoding="utf-8") as handle:
+                handle.write("# edited\n")
+            monkeypatch.setattr(tracestore_module, "TRACE_SOURCE_ROOT", str(copy))
+            return TraceStore(directory)
+
+        engine_edit = edited_store("engine", "core/engine.py")
+        assert engine_edit.path_for(SMALL) == written
+        engine_edit.get(SMALL)
+        assert (engine_edit.disk_loads, engine_edit.generations) == (1, 0)
+        generator_edit = edited_store("generator", "net/tracegen.py")
+        assert generator_edit.path_for(SMALL) != written
+        generator_edit.get(SMALL)
+        assert (generator_edit.disk_loads, generator_edit.generations) == (0, 1)
 
     def test_memory_only_store_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

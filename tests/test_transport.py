@@ -161,7 +161,7 @@ class TestFaultInjection:
     def test_quarantined_id_is_rejected_on_reconnect(self, tmp_path):
         """A hello from a quarantined id is turned away at the door."""
         with EmbeddedBroker() as broker:
-            broker._quarantined.append("banned")
+            broker._state.quarantined.append("banned")
             proc = spawn_worker(broker.address, "banned", log_dir=tmp_path)
             assert proc.wait(timeout=30) == WORKER_REJECTED_EXIT
 
