@@ -20,15 +20,20 @@ length-prefixed pickle frames of :mod:`repro.core.transport`:
 * :class:`QueueTransport` -- a
   :class:`~repro.core.transport.WorkerTransport` implemented *against*
   a broker instead of against worker connections.  The coordinator
-  puts lane runs and takes result frames; workers pull.  Workers can
-  therefore join, leave, and rejoin mid-campaign without the
-  coordinator noticing anything beyond throughput.
+  puts lane runs, each queued as ``{"token", "run"}`` with the run a
+  :class:`~repro.core.transport.LaneRun`, and takes result frames;
+  workers pull.  Workers can therefore join, leave, and rejoin
+  mid-campaign without the coordinator noticing anything beyond
+  throughput.
 * :func:`serve_queue_worker` -- the worker loop behind ``ddt-explore
   worker --connect-broker``.  Each worker advertises a **capacity** in
   its hello (parallel simulation slots and cores) and keeps that many
   lane runs leased.  A worker with ``capacity > 1`` runs its leased
   runs on a local process pool, so a 4-core box genuinely completes
-  ~4x the runs of a 1-core box.
+  ~4x the runs of a 1-core box; every capacity runs through the one
+  executor :func:`_simulate`.  A worker refuses a campaign announced
+  by another build (another ``EnvSpec.model_digest``) before it
+  simulates any of its runs.
 
 Dispatch is thus capacity-weighted by construction -- a pull model in
 which each worker's capacity is its weight.  What each worker did in
@@ -85,14 +90,16 @@ from itertools import count
 from typing import Any, Callable, Mapping
 
 from repro.core.brokerstate import BROKER_PROTOCOL, DRR_QUANTUM, BrokerState
+from repro.core.engine import MODEL_SOURCE_ROOT, EnvSpec, model_source_digest
 from repro.core.journal import Journal, JournalWarning
 from repro.core.results import SimulationRecord
-from repro.core.simulate import run_simulation
+from repro.core.simulate import SimulationEnvironment, run_simulation
 from repro.core.transport import (
     WORKER_CRASH_EXIT,
     WORKER_REJECTED_EXIT,
     ChunkTask,
     FrameConnectionError,
+    LaneRun,
     TransportError,
     WorkerTransport,
     _close_listener,
@@ -101,7 +108,6 @@ from repro.core.transport import (
     recv_frame,
     send_frame,
 )
-from repro.net.config import NetworkConfig
 
 __all__ = [
     "BROKER_PROTOCOL",
@@ -710,17 +716,7 @@ class QueueTransport(WorkerTransport):
             raise TransportError("transport is closed")
         if self._client is None:
             raise TransportError("transport is not started")
-        runs = [
-            {
-                "token": run_token,
-                "app": app_cls,
-                "trace": trace_name,
-                "params": app_params,
-                "assignment": assignment,
-            }
-            for run_token, (app_cls, trace_name, app_params, assignment)
-            in chunk.entries
-        ]
+        runs = [{"token": run_token, "run": run} for run_token, run in chunk.entries]
         reply = self._client.call("put", campaign=self._campaign_id, runs=runs)
         if not reply.get("ok"):
             raise TransportError(str(reply.get("error")))
@@ -928,9 +924,24 @@ class QueueTransport(WorkerTransport):
 # ----------------------------------------------------------------------
 # worker side (what `ddt-explore worker --connect-broker` runs)
 # ----------------------------------------------------------------------
-def _simulate_item(item: Mapping[str, Any], env: Any) -> SimulationRecord:
-    config = NetworkConfig(item["trace"], item["params"])
-    return run_simulation(item["app"], config, item["assignment"], env)
+#: campaign id -> this process's environment for the campaign's runs.
+_ENVS: dict[str, SimulationEnvironment] = {}
+
+
+def _simulate(campaign: str, spec: EnvSpec, run: LaneRun) -> SimulationRecord:
+    """The queue worker's one executor, inline (capacity 1) or in a pool
+    process (capacity > 1).
+
+    A pool shared across campaigns cannot be initialised for one
+    :class:`~repro.core.engine.EnvSpec` up front, so each process builds
+    one environment per campaign on first use and keeps it: interleaved
+    runs of different tenants reuse their own hydrated traces and never
+    share state.
+    """
+    env = _ENVS.get(campaign)
+    if env is None:
+        env = _ENVS[campaign] = spec.build()
+    return run_simulation(run.app_cls, run.config, run.lanes, env)
 
 
 def _push_result(
@@ -987,10 +998,17 @@ def serve_queue_worker(
     A worker with ``capacity > 1`` executes its leased runs on a local
     :class:`~concurrent.futures.ProcessPoolExecutor` of that many
     processes and leases another run whenever fewer than ``capacity``
-    are in flight.  Pool processes build and cache one environment per
-    campaign (see :func:`~repro.core.engine._run_campaign_point`), so
-    interleaved runs from different campaigns still reuse hydrated
-    traces.
+    are in flight.  Every capacity runs through the one executor
+    :func:`_simulate`, which keeps one environment per campaign per
+    process, so interleaved runs from different campaigns still reuse
+    hydrated traces.
+
+    A campaign announced by another build -- its spec's
+    ``model_digest`` is not this worker's
+    :func:`~repro.core.engine.model_source_digest` -- is refused before
+    any of its runs is simulated: the worker says goodbye (its leases
+    requeue, no crash counted), prints both digests and returns
+    :data:`~repro.core.transport.WORKER_REJECTED_EXIT`.
 
     The worker keeps no records of its own: every leased run is
     simulated, and the coordinator's
@@ -1015,12 +1033,11 @@ def serve_queue_worker(
 
     Returns ``0`` on a clean campaign end,
     :data:`~repro.core.transport.WORKER_REJECTED_EXIT` when the broker
-    rejected or quarantined the id.  Connection failures raise
+    rejected or quarantined the id or the worker refused a campaign of
+    another build.  Connection failures raise
     :class:`~repro.core.transport.TransportError` (the CLI maps them to
     a non-zero exit).
     """
-    from repro.core.engine import _run_campaign_point
-
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     host, port = parse_address(address)
@@ -1051,6 +1068,10 @@ def serve_queue_worker(
         on_reconnect=rehello,
     )
     pool: ProcessPoolExecutor | None = None
+    # The announced spec of each campaign served, fetched on its first
+    # lease and refused unless its model digest is this worker's.
+    specs: dict[str, EnvSpec] = {}
+    digest = model_source_digest(MODEL_SOURCE_ROOT)
     try:
         reply = client.call(
             "hello", proto=BROKER_PROTOCOL, worker=worker_id, meta=meta
@@ -1061,32 +1082,10 @@ def serve_queue_worker(
         ttl = float(reply.get("ttl") or 15.0)
         running = int(reply.get("running") or 0)
         if capacity > 1:
-            # No initializer: pool processes hydrate one environment per
-            # campaign on first use (``_run_campaign_point``), so a
-            # shared pool serves interleaved tenants without rebuilds.
+            # No initializer: pool processes build one environment per
+            # campaign on first use (``_simulate``), so a shared pool
+            # serves interleaved tenants without rebuilds.
             pool = ProcessPoolExecutor(max_workers=capacity)
-
-        # Per-campaign service context, hydrated lazily on first lease:
-        # the announced spec and an inline environment (capacity 1).
-        contexts: dict[str, "dict[str, Any]"] = {}
-
-        def hydrate(cid: str) -> "dict[str, Any] | None":
-            ctx = contexts.get(cid)
-            if ctx is not None:
-                return ctx
-            info = client.call("campaigns").get("campaigns", {}).get(cid)
-            if info is None:
-                # Withdrawn between the lease and this lookup; the
-                # withdrawal already stripped the lease broker-side.
-                return None
-            spec = info["spec"]
-            ctx = {"spec": spec, "env": spec.build() if pool is None else None}
-            contexts[cid] = ctx
-            emit(
-                f"worker {worker_id}: serving campaign {cid} from "
-                f"{host}:{port} (capacity {capacity})"
-            )
-            return ctx
 
         sent = 0
         taken = 0
@@ -1133,9 +1132,30 @@ def serve_queue_worker(
                 if item is None:
                     break
                 cid = str(reply.get("campaign"))
-                ctx = hydrate(cid)
-                if ctx is None:
-                    continue
+                spec = specs.get(cid)
+                if spec is None:
+                    info = client.call("campaigns").get("campaigns", {}).get(cid)
+                    if info is None:
+                        # Withdrawn between the lease and this lookup; the
+                        # withdrawal already stripped the lease broker-side.
+                        continue
+                    spec = info["spec"]
+                    theirs = getattr(spec, "model_digest", None)
+                    if theirs != digest:
+                        # Records of another model must never reach the
+                        # coordinator: hand the lease back (a goodbye
+                        # counts no crash) and leave.
+                        client.call("goodbye", worker=worker_id)
+                        emit(
+                            f"worker {worker_id}: refused campaign {cid}: it "
+                            f"runs model {theirs}, this worker runs model {digest}"
+                        )
+                        return WORKER_REJECTED_EXIT
+                    specs[cid] = spec
+                    emit(
+                        f"worker {worker_id}: serving campaign {cid} from "
+                        f"{host}:{port} (capacity {capacity})"
+                    )
                 taken += 1
                 if fail_after is not None and taken >= fail_after:
                     # The N-th run is provably leased when the crash
@@ -1147,15 +1167,11 @@ def serve_queue_worker(
                     # lease (and re-arms the TTL).
                     _push_result(
                         client, cid, worker_id, item["token"],
-                        lambda: _simulate_item(item, ctx["env"]),
+                        lambda: _simulate(cid, spec, item["run"]),
                     )
                     sent += 1
                     break
-                task = (
-                    item["token"], item["app"], item["trace"], item["params"],
-                    item["assignment"],
-                )
-                future = pool.submit(_run_campaign_point, cid, ctx["spec"], task)
+                future = pool.submit(_simulate, cid, spec, item["run"])
                 inflight[future] = (cid, item["token"])
 
             if pool is not None and inflight:
@@ -1164,9 +1180,7 @@ def serve_queue_worker(
                 )
                 for future in done:
                     cid, token = inflight.pop(future)
-                    _push_result(
-                        client, cid, worker_id, token, lambda: future.result()[1]
-                    )
+                    _push_result(client, cid, worker_id, token, future.result)
                     sent += 1
 
             if running == 0 and item is None and not inflight:
@@ -1183,3 +1197,5 @@ def serve_queue_worker(
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         client.close()
+        for cid in specs:  # inline environments die with their worker
+            _ENVS.pop(cid, None)

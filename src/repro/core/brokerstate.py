@@ -45,9 +45,11 @@ Frame = Mapping[str, Any]
 #: assignment maps a structure to a tuple of DDTs).  Version 4 names a
 #: campaign id in every op where version 3 named a queue.  Version 5
 #: queues, leases and returns single lane runs where version 4 moved
-#: chunks of them, so an older peer is refused instead of misreading
-#: every item.
-BROKER_PROTOCOL = 5
+#: chunks of them.  Version 6 queues each run as ``{"token", "run"}``,
+#: the run a :class:`~repro.core.transport.LaneRun`, where version 5
+#: spelled it out in five keys.  An older peer is refused instead of
+#: misreading every item.
+BROKER_PROTOCOL = 6
 
 #: Base deficit-round-robin quantum, in lane runs per visit.  Each
 #: running campaign banks ``DRR_QUANTUM * priority`` runs every time the

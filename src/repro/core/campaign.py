@@ -80,6 +80,7 @@ from repro.core.pareto_level import explore_pareto_level
 from repro.core.selection import SelectionPolicy
 from repro.core.simulate import SimulationEnvironment
 from repro.core.taskgraph import Continuation, GraphProgress, TaskGraph, TaskNode
+from repro.ddt.registry import combinations
 from repro.net.config import NetworkConfig
 from repro.net.tracestore import TraceStore, trace_fingerprints
 
@@ -378,7 +379,9 @@ class CampaignScheduler:
         case studies by default.
     candidates:
         DDT names to explore per structure (full library by default) --
-        shared across applications, like the paper's library.
+        shared across applications, like the paper's library.  An
+        unknown or repeated name is refused here, as is an application
+        left with no configuration.
     policy:
         Step-1 survivor selection policy shared by every application.
     configs:
@@ -464,6 +467,10 @@ class CampaignScheduler:
             self._configs[study.name] = list(
                 {c.label: c for c in base}.values()
             )
+            if not self._configs[study.name]:
+                raise ValueError(f"{study.name}: no configurations to explore")
+            # Refuses an unknown or repeated candidate DDT now, not at run().
+            combinations(study.app_cls.dominant_structures, self.candidates)
 
         if engine is not None:
             if transport is not None:
@@ -533,14 +540,15 @@ class CampaignScheduler:
         incremental = self._incremental_report(chains, entries)
         self._write_manifest(entries)
         store = engine.trace_store
+        transport = engine.transport()
         return CampaignResult(
             refinements=refinements,
             stats=engine.stats,
             trace_counters=store.counters() if store is not None else {},
             incremental=incremental,
-            quarantined=engine.quarantined_workers,
-            worker_stats=engine.worker_stats,
-            broker_outages=engine.transport_outages,
+            quarantined=list(transport.quarantined),
+            worker_stats=transport.worker_stats(),
+            broker_outages=transport.outages,
         )
 
     # ------------------------------------------------------------------

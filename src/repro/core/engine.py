@@ -8,18 +8,19 @@ scenario multiplies it.  The paper attacks that cost algorithmically
 * **Batching** -- the per-point ``run_simulation`` loops of steps 1-2
   are expressed as batches of ``(config, assignment)`` points submitted
   through one :class:`ExplorationEngine`.
-* **Parallelism** -- with ``workers=N`` the engine schedules the batch
-  across a :class:`concurrent.futures.ProcessPoolExecutor`.  Each worker
-  process builds exactly one :class:`SimulationEnvironment` from a
-  picklable :class:`EnvSpec` via the pool initializer, so traces are
-  generated once per worker (not once per task) and every worker runs
-  under identical model parameters.  Results are re-ordered by
-  submission index, so the produced records match the serial run
-  deterministically.  The pool is one :mod:`~repro.core.transport`
-  backend -- pass a :class:`~repro.core.broker.QueueTransport` to
-  distribute the same points to ``ddt-explore worker --connect-broker``
-  processes instead.  Each lane run is one dispatched task; no timing
-  measured by an earlier run steers the schedule.
+* **One transport per engine** -- every lane run goes through the
+  engine's one :mod:`~repro.core.transport` backend
+  (:meth:`ExplorationEngine.transport`).  ``workers=0`` (the default
+  everywhere, and what the test suite runs) simulates in-process;
+  ``workers=N`` schedules across a
+  :class:`concurrent.futures.ProcessPoolExecutor` whose processes each
+  build exactly one :class:`SimulationEnvironment` from a picklable
+  :class:`EnvSpec`, so every worker runs under identical model
+  parameters; a :class:`~repro.core.broker.QueueTransport` distributes
+  the same runs to ``ddt-explore worker --connect-broker`` processes.
+  Results are slotted by submission token, so the records match
+  whichever transport ran them.  Each lane run is one dispatched task;
+  no timing measured by an earlier run steers the schedule.
 * **Persistent caching** -- an optional :class:`SimulationCache`, the
   one record store, keeps finished
   :class:`~repro.core.results.SimulationRecord`\\ s as JSON under
@@ -31,10 +32,6 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   turns them into records (:func:`model_source_digest`), so entries
   self-invalidate whenever any model input or model code changes.  A
   warm cache re-runs a whole case study with zero new simulations.
-
-``workers=0`` (the default everywhere) is the serial in-process path:
-identical behaviour to the pre-engine code, and what the test suite
-runs.
 
 The engine executes nothing itself: a
 :class:`~repro.core.taskgraph.TaskGraph` drains nodes through it.
@@ -53,20 +50,19 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.apps.base import NetworkApplication
 from repro.core.metrics import MetricVector
 from repro.core.results import SimulationRecord
-from repro.core.simulate import SimulationEnvironment, run_simulation
+from repro.core.simulate import SimulationEnvironment
+from repro.core.taskgraph import InProcessTransport, TaskGraph, TaskNode
+from repro.core.transport import LocalPoolTransport, WorkerTransport
 from repro.memory.cacti import CactiModel
 from repro.memory.timing import OperationCosts
 from repro.net.config import NetworkConfig
 from repro.net.profiles import profiles_fingerprint_payload
 from repro.net.tracestore import TraceStore, source_digest
-
-if TYPE_CHECKING:  # pragma: no cover - circular at runtime, types only
-    from repro.core.transport import WorkerTransport
 
 __all__ = [
     "EnvSpec",
@@ -97,11 +93,19 @@ class EnvSpec:
     without it the worker regenerates traces locally on first use.
     Workers keep no records of their own: the coordinator's
     :class:`SimulationCache` is the only record store.
+
+    ``model_digest`` is the :func:`model_source_digest` of the build
+    that made the spec (not a constructor parameter: a caller cannot
+    set it); a queue worker of another build refuses the campaign
+    instead of returning records of another model.
     """
 
     cacti: CactiModel
     costs: OperationCosts
     trace_store: str | None = None
+    model_digest: str = dataclasses.field(
+        init=False, default_factory=lambda: model_source_digest(MODEL_SOURCE_ROOT)
+    )
 
     @classmethod
     def from_env(cls, env: SimulationEnvironment) -> "EnvSpec":
@@ -363,59 +367,6 @@ class SimulationCache:
 
 
 # ----------------------------------------------------------------------
-# worker-side machinery (module level: must be picklable by reference)
-# ----------------------------------------------------------------------
-_WORKER_ENV: SimulationEnvironment | None = None
-
-
-def _init_worker(spec: EnvSpec) -> None:
-    """Pool initializer: build this worker's one environment."""
-    global _WORKER_ENV
-    _WORKER_ENV = spec.build()
-
-
-def _run_point(
-    task: tuple[Any, type[NetworkApplication], str, dict[str, Any], dict[str, str]],
-) -> tuple[Any, SimulationRecord]:
-    """Run one lane run inside a pool worker process.
-
-    ``task[0]`` is an opaque token echoed back with the record so the
-    task graph can slot the result deterministically.
-    """
-    key, app_cls, trace_name, app_params, assignment = task
-    config = NetworkConfig(trace_name, app_params)
-    record = run_simulation(app_cls, config, assignment, _WORKER_ENV)
-    return key, record
-
-
-_CAMPAIGN_ENVS: dict[str, SimulationEnvironment] = {}
-
-
-def _run_campaign_point(
-    campaign_id: str,
-    spec: EnvSpec,
-    task: tuple[Any, type[NetworkApplication], str, dict[str, Any], dict[str, str]],
-) -> tuple[Any, SimulationRecord]:
-    """Run one lane run for a named campaign inside a shared worker
-    process.
-
-    The multi-tenant queue worker shares one process pool across every
-    campaign it serves, so pool processes cannot be initialised for a
-    single :class:`EnvSpec` up front.  Instead each process hydrates an
-    environment per campaign on first use and caches it here, keyed by
-    campaign id; interleaved runs from different tenants reuse their
-    own hydrated traces without rebuilding, and never share state.
-    """
-    env = _CAMPAIGN_ENVS.get(campaign_id)
-    if env is None:
-        env = _CAMPAIGN_ENVS[campaign_id] = spec.build()
-    key, app_cls, trace_name, app_params, assignment = task
-    config = NetworkConfig(trace_name, app_params)
-    record = run_simulation(app_cls, config, assignment, env)
-    return key, record
-
-
-# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 @dataclass
@@ -427,7 +378,7 @@ class EngineStats:
     ``composed`` from the per-pool parts of a *lane run* (see
     :mod:`repro.core.taskgraph`).  ``simulations`` counts lane runs --
     application runs, one per node and configuration with misses --
-    each simulated serially or by a transport worker.
+    each simulated in-process or by a transport worker.
     """
 
     simulations: int = 0
@@ -447,12 +398,12 @@ class ExplorationEngine:
     Parameters
     ----------
     env:
-        Simulation environment of the serial path and the template for
+        Simulation environment of in-process runs and the template for
         worker environments; a fresh default one when omitted.
     workers:
-        ``0`` (default) runs points serially in-process -- bit-for-bit
-        the behaviour of the pre-engine per-point loops.  ``N >= 1``
-        evaluates cache misses on a pool of ``N`` worker processes.
+        ``0`` (default) simulates lane runs in this process, in ``env``.
+        ``N >= 1`` evaluates cache misses on a pool of ``N`` worker
+        processes.
     cache:
         ``None`` disables persistence; a path (or ``True`` for the
         default ``.repro_cache/``) enables the on-disk record cache; an
@@ -461,19 +412,19 @@ class ExplorationEngine:
         ``None`` keeps the environment's existing trace source; a path
         (or ``True`` for the default ``.repro_cache/traces/``) attaches
         a persistent :class:`~repro.net.tracestore.TraceStore`; an
-        existing store is used as-is.  With a persistent store, parallel
-        batches pre-generate every needed trace in the parent and the
-        workers load them from disk instead of regenerating per worker.
+        existing store is used as-is.  With a persistent store, the
+        task graph writes every missing trace file a node needs before
+        submitting it, and workers load them from disk instead of
+        regenerating per worker.
     transport:
-        ``None`` (default) uses a
-        :class:`~repro.core.transport.LocalPoolTransport` over
-        ``workers`` processes -- the pre-transport behaviour.  An
-        explicit :class:`~repro.core.transport.WorkerTransport` (e.g. a
+        ``None`` (default) picks one from ``workers`` (see
+        :meth:`transport`).  An explicit
+        :class:`~repro.core.transport.WorkerTransport` (e.g. a
         :class:`~repro.core.broker.QueueTransport`) routes every cache
         miss through it instead, regardless of ``workers``.
 
     The engine is a context manager; :meth:`close` shuts the worker
-    transport down (a serial engine holds no resources).
+    transport down (an in-process transport holds no resources).
     """
 
     DEFAULT_CACHE_DIR = ".repro_cache"
@@ -484,7 +435,7 @@ class ExplorationEngine:
         workers: int = 0,
         cache: "SimulationCache | str | os.PathLike[str] | bool | None" = None,
         trace_store: "TraceStore | str | os.PathLike[str] | bool | None" = None,
-        transport: "WorkerTransport | None" = None,
+        transport: WorkerTransport | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -511,7 +462,7 @@ class ExplorationEngine:
         self.stats = EngineStats()
         self._fingerprints: dict[tuple[str, ...] | None, str] = {}
         self._transport_spec = transport
-        self._transport: "WorkerTransport | None" = None
+        self._transport: WorkerTransport | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -538,60 +489,25 @@ class ExplorationEngine:
             self._fingerprints[key] = cached
         return cached
 
-    @property
-    def parallel(self) -> bool:
-        """Whether graph runs dispatch points through a worker transport."""
-        return self.workers > 0 or self._transport_spec is not None
-
-    @property
-    def active_transport(self) -> "WorkerTransport | None":
-        """The started transport, or ``None`` when idle/serial."""
-        return self._transport
-
-    @property
-    def quarantined_workers(self) -> list[str]:
-        """Worker ids the active transport quarantined (empty when serial)."""
-        if self._transport is None:
-            return []
-        return list(self._transport.quarantined)
-
-    @property
-    def transport_outages(self) -> int:
-        """Broker outages the transport survived (0 serial)."""
-        transport = self._transport or self._transport_spec
-        if transport is None:
-            return 0
-        return int(getattr(transport, "outages", 0) or 0)
-
-    @property
-    def worker_stats(self) -> dict:
-        """The transport's per-worker dispatch records of this run.
-
-        ``{worker: {capacity, points, busy_s, throughput}}`` for a
-        capacity-tracking transport (the queue transport), ``{}`` for
-        serial runs and transports that do not distinguish workers.
-        """
-        transport = self._transport or self._transport_spec
-        if transport is None:
-            return {}
-        return transport.worker_stats()
-
-    def transport(self) -> "WorkerTransport":
+    def transport(self) -> WorkerTransport:
         """The running transport, starting it on first use.
 
-        An explicitly supplied transport is started as-is; otherwise a
-        :class:`~repro.core.transport.LocalPoolTransport` over
-        ``workers`` processes is created.  Either way the transport's
-        workers build their environments from this engine's
-        :class:`EnvSpec`.
+        An explicitly supplied transport is started as-is; otherwise
+        ``workers=N`` creates a
+        :class:`~repro.core.transport.LocalPoolTransport` over ``N``
+        processes, whose workers build their environments from this
+        engine's :class:`EnvSpec`, and ``workers=0`` an
+        :class:`~repro.core.taskgraph.InProcessTransport` on this
+        engine's own environment.  The campaign reads its fleet report
+        (``quarantined``, ``outages``, ``worker_stats()``) from here.
         """
         if self._transport is None:
-            from repro.core.transport import LocalPoolTransport
-
             if self._transport_spec is not None:
                 transport = self._transport_spec
-            else:
+            elif self.workers:
                 transport = LocalPoolTransport(self.workers)
+            else:
+                transport = InProcessTransport(self.env)
             transport.start(EnvSpec.from_env(self.env))
             self._transport = transport
         return self._transport
@@ -640,12 +556,10 @@ class ExplorationEngine:
         :class:`~repro.core.taskgraph.TaskNode` on a
         :class:`~repro.core.taskgraph.TaskGraph`.  Cache hits are
         resolved first (and reported to ``progress`` first, in point
-        order); the remaining points are simulated serially or on the
+        order); the remaining points are simulated in-process or on the
         worker pool.  The returned list is always index-aligned with
         ``points``.
         """
-        from repro.core.taskgraph import TaskGraph, TaskNode
-
         node = TaskNode(
             name=f"batch/{app_cls.name}",
             app_cls=app_cls,

@@ -68,8 +68,9 @@ LOG_NAME = "wal.log"
 #: versions snapshots too; version 5 queues and leases single lane runs
 #: (a ``put`` entry carries a list of runs) where version 4 held chunks;
 #: version 6 stamps each ``lease`` entry with its grant time, so replay
-#: reads no clock, and drops the underscores from snapshot keys.
-RECORD_VERSION = 6
+#: reads no clock, and drops the underscores from snapshot keys;
+#: version 7 queues runs as ``{"token", "run"}`` (protocol 6).
+RECORD_VERSION = 7
 
 #: ``(payload_length, crc32)`` little-endian record header.
 _HEADER = struct.Struct("<II")

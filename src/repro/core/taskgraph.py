@@ -11,13 +11,14 @@ campaign as a small task graph instead:
   that runs in the parent process when the node's last point resolves
   and may return follow-up nodes;
 * a :class:`TaskGraph` drains nodes through one shared
-  :class:`~repro.core.engine.ExplorationEngine` -- serially in FIFO
-  order with ``workers=0``, or interleaved across the engine's single
-  :class:`~repro.core.transport.WorkerTransport` otherwise (the local
-  process pool by default, an elastic broker-decoupled fleet with a
-  :class:`~repro.core.broker.QueueTransport`), so a fast application's
-  step-2 grid simulates concurrently with a slow application's step-1
-  sweep.
+  :class:`~repro.core.engine.ExplorationEngine` with one loop: every
+  node's lane runs go to the engine's single
+  :class:`~repro.core.transport.WorkerTransport` and every result comes
+  back from it -- :class:`InProcessTransport` with ``workers=0``, the
+  local process pool with ``workers=N``, an elastic broker-decoupled
+  fleet with a :class:`~repro.core.broker.QueueTransport` -- so a fast
+  application's step-2 grid simulates concurrently with a slow
+  application's step-1 sweep.
 
 Determinism is preserved by construction: each node's ``records`` are
 slotted by point index (never by completion order), continuations run
@@ -37,10 +38,10 @@ needs, charged side by side in one application run), and *composes*
 every miss from the lane run's parts (:func:`compose_records`) through
 the aggregation :meth:`~repro.memory.profiler.MemoryProfiler.metrics`
 uses, so composed records equal simulated ones bit for bit.  The lane
-run is the unit a transport dispatches, leases and returns; composed
-points are never dispatched.  A node hands all its lane runs to the
-transport in one :meth:`~repro.core.transport.WorkerTransport.submit_chunk`
-call.
+run (:class:`~repro.core.transport.LaneRun`) is the unit a transport
+dispatches, leases and returns; composed points are never dispatched.
+A node hands all its lane runs to the transport in one
+:meth:`~repro.core.transport.WorkerTransport.submit_chunk` call.
 
 Every point's cache entry is keyed by a fingerprint over the model
 parameters and *only the profile of that point's own trace*.  A record
@@ -56,15 +57,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.apps.base import NetworkApplication
 from repro.core.results import SimulationRecord
-from repro.core.simulate import run_simulation
+from repro.core.simulate import SimulationEnvironment, run_simulation
+from repro.core.transport import ChunkTask, LaneRun, TransportError, WorkerTransport
 from repro.ddt.registry import combination_label
 from repro.net.config import NetworkConfig
 
 __all__ = [
+    "InProcessTransport",
     "TaskGraph",
     "TaskNode",
     "compose_records",
@@ -198,11 +201,42 @@ class TaskNode:
 
 @dataclass
 class _Group:
-    """One configuration's cache misses within a node, and their lane run."""
+    """One configuration's cache misses within a node."""
 
     config: NetworkConfig
     misses: list[int] = field(default_factory=list)
-    lanes: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+
+class InProcessTransport(WorkerTransport):
+    """``workers=0``: lane runs simulated in the calling process.
+
+    Each :meth:`next_results` call simulates the next queued run, FIFO,
+    in the engine's own environment (so its trace cache serves every
+    run), and returns it as a one-pair batch.
+    """
+
+    def __init__(self, env: SimulationEnvironment) -> None:
+        super().__init__()
+        self.env = env
+        self._queue: deque[tuple[Any, LaneRun]] = deque()
+
+    def start(self, spec: Any) -> None:
+        """Nothing to start: runs use the environment given above."""
+
+    def submit_chunk(self, token: Any, chunk: ChunkTask) -> None:
+        """Queue every lane run of the chunk."""
+        self._queue.extend(chunk.entries)
+
+    def next_results(self) -> list[tuple[Any, SimulationRecord]]:
+        """Simulate the next queued run."""
+        if not self._queue:
+            raise TransportError("no outstanding work")
+        token, run = self._queue.popleft()
+        return [(token, run_simulation(run.app_cls, run.config, run.lanes, self.env))]
+
+    def close(self) -> None:
+        """Drop whatever is still queued."""
+        self._queue.clear()
 
 
 class TaskGraph:
@@ -217,12 +251,13 @@ class TaskGraph:
         Optional node-relative callback
         ``(node, done-in-node, node-total, detail)``.
 
-    ``workers=0`` (and no transport) processes nodes strictly FIFO (a
-    node's continuation runs before the next queued node starts); with a
-    transport the graph keeps the workers saturated across nodes and
-    runs each continuation as soon as its node's last point lands,
-    immediately submitting any follow-up nodes.  Either way ``records``
-    end up in point order and bit-identical between the two modes.
+    Every node's lane runs are submitted as soon as the node is
+    queued, so the transport's workers stay saturated across nodes, and
+    each continuation runs as soon as its node's last point lands,
+    immediately submitting any follow-up nodes.  With ``workers=0`` the
+    :class:`InProcessTransport` simulates the queued runs FIFO.  Either
+    way ``records`` end up in point order and bit-identical across
+    transports.
     """
 
     def __init__(
@@ -247,7 +282,7 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def _prepare(self, node: TaskNode) -> list[_Group]:
         """Resolve labels, details and cache hits; group the misses by
-        configuration, each with its lane run."""
+        configuration."""
         engine = self.engine
         node._labels = [
             combination_label(assignment, node.app_cls.dominant_structures)
@@ -285,11 +320,6 @@ class TaskGraph:
                 group = groups[config.label] = _Group(config)
             group.misses.append(index)
             node._remaining += 1
-        for group in groups.values():
-            group.lanes = lane_assignment(
-                node.app_cls.dominant_structures,
-                (node.points[index][1] for index in group.misses),
-            )
         return list(groups.values())
 
     def _emit(self, node: TaskNode, detail: str) -> None:
@@ -334,20 +364,25 @@ class TaskGraph:
 
     # ------------------------------------------------------------------
     def run(self) -> list[TaskNode]:
-        """Drain the graph; returns every node, in scheduling order."""
-        if not self.engine.parallel:
-            self._run_serial()
-        else:
-            try:
-                self._run_transport()
-            except BaseException:
-                # Never leave a broken pool/coordinator behind: tear the
-                # transport down before surfacing the failure, so a later
-                # engine.close() has nothing left to leak or hang on.
-                self.engine.shutdown_transport()
-                raise
-        if self.engine.cache is not None:
-            self.engine.cache.flush()
+        """Drain the graph; returns every node, in scheduling order.
+
+        The one drain loop, whatever the transport: each queued node's
+        lane runs go to the engine's transport in one chunk, and each
+        result is composed into its node as it lands.  A completed
+        node's continuation runs at once and its follow-ups are
+        submitted before the next wait, so workers never idle on this
+        loop.  On any failure the transport is torn down before the
+        error surfaces, so a later ``engine.close()`` has nothing left
+        to leak or hang on.
+        """
+        engine = self.engine
+        try:
+            self._drain(engine.transport())
+        except BaseException:
+            engine.shutdown_transport()
+            raise
+        if engine.cache is not None:
+            engine.cache.flush()
         unresolved = [
             node.name
             for node in self.nodes
@@ -357,48 +392,38 @@ class TaskGraph:
             raise RuntimeError(f"task-graph nodes never resolved: {unresolved}")
         return list(self.nodes)
 
-    def _run_serial(self) -> None:
-        env = self.engine.env
-        while self._queue:
-            node = self._queue.popleft()
-            for group in self._prepare(node):
-                record = run_simulation(node.app_cls, group.config, group.lanes, env)
-                self._compose(node, group, record)
-            self._complete(node)
-
-    def _run_transport(self) -> None:
-        from repro.core.transport import ChunkTask
-
-        engine = self.engine
-        transport = engine.transport()
+    def _drain(self, transport: WorkerTransport) -> None:
+        store = self.engine.trace_store
         slots: dict[int, tuple[TaskNode, _Group]] = {}
         tokens = count()
 
-        def launch(node: TaskNode) -> None:
-            groups = self._prepare(node)
-            if not groups:
-                self._complete(node)
-                return
-            store = engine.trace_store
-            if store is not None and store.directory is not None:
-                # Pay trace generation once here; workers only load.
-                store.ensure(group.config.trace_name for group in groups)
-            entries = []
-            for group in groups:
-                token = next(tokens)
-                slots[token] = (node, group)
-                config = group.config
-                task = (
-                    node.app_cls,
-                    config.trace_name,
-                    dict(config.app_params),
-                    dict(group.lanes),
-                )
-                entries.append((token, task))
-            transport.submit_chunk(node.name, ChunkTask.of(entries))
+        def launch_queued() -> None:
+            while self._queue:
+                node = self._queue.popleft()
+                groups = self._prepare(node)
+                if not groups:
+                    self._complete(node)
+                    continue
+                if store is not None:
+                    # Generate missing trace files once, here; every
+                    # executor only loads them.
+                    store.ensure(group.config.trace_name for group in groups)
+                entries = []
+                for group in groups:
+                    token = next(tokens)
+                    slots[token] = (node, group)
+                    lanes = lane_assignment(
+                        node.app_cls.dominant_structures,
+                        (node.points[index][1] for index in group.misses),
+                    )
+                    config = group.config
+                    run = LaneRun(
+                        node.app_cls, config.trace_name, dict(config.app_params), lanes
+                    )
+                    entries.append((token, run))
+                transport.submit_chunk(node.name, ChunkTask.of(entries))
 
-        while self._queue:
-            launch(self._queue.popleft())
+        launch_queued()
         while slots:
             for token, record in transport.next_results():
                 entry = slots.pop(token, None)
@@ -410,7 +435,4 @@ class TaskGraph:
                 self._compose(node, group, record)
                 if node._remaining == 0:
                     self._complete(node)
-                    # Continuations enqueue follow-ups; submit them now so
-                    # the workers never idle waiting for this loop.
-                    while self._queue:
-                        launch(self._queue.popleft())
+                    launch_queued()

@@ -1,22 +1,22 @@
 """Worker transports for the exploration engine.
 
-Every schedulable unit of a campaign is a serialisable point list -- a
-:class:`~repro.core.taskgraph.TaskNode` is ``(application, config
-label, combo label)`` tuples plus a parent-side continuation.  This
-module ships those points to workers through a **transport** instead
-of hard-wiring the engine to one local process pool.
+The unit of dispatch is a **lane run** (:class:`LaneRun`): one
+application run per (node, configuration) that prices every DDT the
+node's cache misses need (see :mod:`repro.core.taskgraph`).  One value
+carries it on every hop -- the task graph builds it, a
+:class:`ChunkTask` hands a node's lane runs to a transport in one call,
+the broker queues it as ``{"token", "run"}``, and every executor is one
+``run_simulation(run.app_cls, run.config, run.lanes, env)`` call.  A
+transport dispatches, leases and returns each run on its own: a lane
+run takes tens to hundreds of milliseconds, so one round-trip per run
+costs little.  A transport only executes; nothing it measures carries
+over to the next run.
 
-The unit of dispatch is a **lane run**: one application run per
-(node, configuration) that prices every DDT the node's cache misses
-need (see :mod:`repro.core.taskgraph`).  The task graph hands a node's
-lane runs to a transport in one :class:`ChunkTask`, and the transport
-dispatches, leases and returns each run on its own: a lane run takes
-tens to hundreds of milliseconds, so one round-trip per run costs
-little.  A transport only executes; nothing it measures carries over
-to the next run.
+Three transports implement :class:`WorkerTransport`:
 
-Two transports implement :class:`WorkerTransport`:
-
+* :class:`~repro.core.taskgraph.InProcessTransport` -- ``workers=0``:
+  each :meth:`~WorkerTransport.next_results` call simulates the next
+  queued run in the calling process, in the engine's own environment.
 * :class:`LocalPoolTransport` -- one
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers build a
   :class:`~repro.core.engine.EnvSpec` environment once via the pool
@@ -37,9 +37,9 @@ changes *where* a run happens, never what it returns (asserted on
 This module also holds the wire primitives the broker speaks:
 length-prefixed pickle frames, address parsing, connect-with-retry and
 the worker exit codes.  Pickle is the point -- application classes,
-:class:`EnvSpec` and records cross the wire with zero schema code --
-but it also means the broker must only ever be exposed to **trusted
-workers on a trusted network**.
+lane runs, :class:`EnvSpec` and records cross the wire with zero schema
+code -- but it also means the broker must only ever be exposed to
+**trusted workers on a trusted network**.
 """
 
 from __future__ import annotations
@@ -54,22 +54,21 @@ from typing import Any, Iterable, Mapping
 
 from repro.apps.base import NetworkApplication
 from repro.core.results import SimulationRecord
+from repro.core.simulate import SimulationEnvironment, run_simulation
+from repro.net.config import NetworkConfig
 
 __all__ = [
     "ChunkTask",
     "FrameConnectionError",
+    "LaneRun",
     "LocalPoolTransport",
     "TransportError",
     "WorkerTransport",
     "parse_address",
 ]
 
-#: What a transport ships per lane run: ``(application class, trace
-#: name, application parameters, DDT assignment)``.  The config is
-#: rebuilt on the worker from its picklable parts.
-PointTask = tuple[type[NetworkApplication], str, dict[str, Any], dict[str, str]]
-
-#: Exit code of a worker whose hello was rejected (quarantined id).
+#: Exit code of a worker whose hello was rejected (quarantined id) or
+#: that refused a campaign announced by another build.
 WORKER_REJECTED_EXIT = 3
 #: Exit code of a worker that never reached (or lost) its broker: the
 #: CLI prints the last error and exits with this.
@@ -145,18 +144,39 @@ def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# one node's lane runs
+# the lane run, and one node's lane runs
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class LaneRun:
+    """One application run that prices every DDT of its lanes.
+
+    ``lanes`` maps each dominant structure to the DDTs charged side by
+    side (see :func:`~repro.core.taskgraph.lane_assignment`).  The
+    configuration travels as its picklable parts and :attr:`config`
+    rebuilds it wherever the run executes.
+    """
+
+    app_cls: type[NetworkApplication]
+    trace_name: str
+    app_params: dict[str, Any]
+    lanes: dict[str, tuple[str, ...]]
+
+    @property
+    def config(self) -> NetworkConfig:
+        """The run's network configuration."""
+        return NetworkConfig(self.trace_name, self.app_params)
+
+
 @dataclass(frozen=True)
 class ChunkTask:
     """The lane runs of one node, handed to a transport in one call.
 
-    Every entry is ``(token, PointTask)``.  Each entry is dispatched,
+    Every entry is ``(token, LaneRun)``.  Each entry is dispatched,
     leased, requeued and returned on its own; the chunk only groups
     one node's submissions.
     """
 
-    entries: tuple[tuple[Any, PointTask], ...]
+    entries: tuple[tuple[Any, LaneRun], ...]
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -168,11 +188,11 @@ class ChunkTask:
     @property
     def tokens(self) -> tuple[Any, ...]:
         """The per-run tokens, in submission order."""
-        return tuple(token for token, _task in self.entries)
+        return tuple(token for token, _run in self.entries)
 
     @classmethod
-    def of(cls, entries: "Iterable[tuple[Any, PointTask]]") -> "ChunkTask":
-        """Build a chunk from an iterable of ``(token, task)`` pairs."""
+    def of(cls, entries: "Iterable[tuple[Any, LaneRun]]") -> "ChunkTask":
+        """Build a chunk from an iterable of ``(token, run)`` pairs."""
         return cls(tuple(entries))
 
 
@@ -185,7 +205,7 @@ class WorkerTransport:
     The contract the graph relies on: every token of every
     :meth:`submit_chunk`\\ ed chunk is eventually returned exactly once
     across :meth:`next_results` batches (or an exception is raised), and
-    the record of a token is a pure function of its task -- which worker
+    the record of a token is a pure function of its run -- which worker
     ran it, in what order, after how many retries, is invisible in the
     result.
     """
@@ -236,8 +256,23 @@ class WorkerTransport:
         return {}
 
 
+#: The one environment of a local pool worker process.
+_POOL_ENV: SimulationEnvironment | None = None
+
+
+def _init_pool_worker(spec: Any) -> None:
+    """Pool initializer: build this worker process's one environment."""
+    global _POOL_ENV
+    _POOL_ENV = spec.build()
+
+
+def _run_pooled(token: Any, run: LaneRun) -> tuple[Any, SimulationRecord]:
+    """A local pool process's one executor; echoes the run's token."""
+    return token, run_simulation(run.app_cls, run.config, run.lanes, _POOL_ENV)
+
+
 class LocalPoolTransport(WorkerTransport):
-    """The default transport: a local :class:`ProcessPoolExecutor`.
+    """A local :class:`ProcessPoolExecutor`.
 
     What ``workers=N`` means: one pool whose initializer builds a
     single :class:`~repro.core.simulate.SimulationEnvironment` per
@@ -254,24 +289,20 @@ class LocalPoolTransport(WorkerTransport):
         self._futures: set[Any] = set()
 
     def start(self, spec: Any) -> None:
-        """Create the worker pool (environments built lazily per worker)."""
-        from repro.core.engine import _init_worker
-
+        """Create the worker pool (environments built once per worker)."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=_init_worker,
+                initializer=_init_pool_worker,
                 initargs=(spec,),
             )
 
     def submit_chunk(self, token: Any, chunk: ChunkTask) -> None:
         """Schedule each lane run of the chunk as its own pool task."""
-        from repro.core.engine import _run_point
-
         if self._pool is None:
             raise TransportError("transport is not started")
-        for run_token, task in chunk.entries:
-            self._futures.add(self._pool.submit(_run_point, (run_token, *task)))
+        for run_token, run in chunk.entries:
+            self._futures.add(self._pool.submit(_run_pooled, run_token, run))
 
     def next_results(self) -> list[tuple[Any, SimulationRecord]]:
         """Pop every finished lane run, waiting on the pool as needed."""

@@ -94,16 +94,18 @@ def combinations(
 
     Yields one mapping ``{structure_name: ddt_name}`` per point of the
     cartesian product -- ``len(candidates) ** len(structure_names)``
-    combinations in total.
+    combinations in total.  The arguments are checked when this is
+    called, not when the first combination is drawn.
 
     Parameters
     ----------
     structure_names:
         The application's dominant structure names, e.g.
-        ``("radix_node", "rtentry")``.
+        ``("radix_node", "rtentry")``; must be unique.
     candidates:
         DDT names to consider per structure; the full library when
-        omitted.
+        omitted.  Must be unique: a repeated name would repeat every
+        combination that uses it.
     """
     if not structure_names:
         raise ValueError("structure_names must not be empty")
@@ -112,8 +114,13 @@ def combinations(
     names = tuple(candidates) if candidates is not None else all_ddt_names()
     for name in names:
         ddt_class(name)  # validate early
-    for assignment in itertools.product(names, repeat=len(structure_names)):
-        yield dict(zip(structure_names, assignment))
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"duplicate DDT candidates: {repeated}")
+    return (
+        dict(zip(structure_names, assignment))
+        for assignment in itertools.product(names, repeat=len(structure_names))
+    )
 
 
 def combination_label(combo: Mapping[str, str], structure_names: Sequence[str]) -> str:

@@ -7,9 +7,11 @@ the exploration engine's worker processes used to pay that cost once
 
 * each trace is generated **once per profile fingerprint** and
   serialised to a compact binary file under ``.repro_cache/traces/``;
-* every later consumer (serial runs, pool workers hydrating via
-  :class:`~repro.core.engine.EnvSpec`, repeated CLI/benchmark
-  invocations) loads the bytes instead of regenerating packets;
+* every later consumer (in-process runs, pool and queue workers
+  hydrating via :class:`~repro.core.engine.EnvSpec`, repeated
+  CLI/benchmark invocations) loads the bytes instead of regenerating
+  packets, and :meth:`TraceStore.ensure` leaves an existing file unread,
+  so a coordinator parses no trace it does not simulate itself;
 * the profile fingerprint is part of the file name, so a change to any
   generator parameter (seed, size mix, flow count, ...) or to the
   generator's source (every file of ``repro.net``) makes old files
@@ -317,25 +319,25 @@ class TraceStore:
     def ensure(self, names: Iterable[str]) -> int:
         """Make every named trace loadable from disk; returns generations.
 
-        The engine calls this before submitting a parallel batch so
-        worker processes only ever *load* traces -- the generation cost
-        is paid once in the parent, not once per worker.  A no-op for a
-        memory-only store.
+        The task graph calls this before it submits a node's lane runs,
+        so every executor only ever *loads* traces -- the generation
+        cost is paid once, in the coordinator.  A file that already
+        exists is left unread (whoever simulates loads it); only a
+        missing one is written, from the memo or a fresh generation.
+        A no-op for a memory-only store.
         """
         if self.directory is None:
             return 0
         before = self.generations
         for name in dict.fromkeys(names):
-            if name in self._memo:
-                # memoised but possibly never persisted (e.g. first get()
-                # raced another process's file): re-check the file.
-                path = self.path_for(name)
-                if path is not None and not os.path.exists(path):
-                    self._persist(
-                        self._memo[name], profile_fingerprint(profile(name))
-                    )
+            path = self.path_for(name)
+            if os.path.exists(path):
                 continue
-            self.get(name)
+            trace = self._memo.get(name)
+            if trace is None:
+                self.get(name)  # generates and persists
+            else:
+                self._persist(trace, profile_fingerprint(profile(name)))
         return self.generations - before
 
     # ------------------------------------------------------------------

@@ -745,19 +745,25 @@ def campaign_main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.flush()
 
     started = time.time()
-    with CampaignScheduler(
-        studies=studies,
-        candidates=args.candidates,
-        policy=QuantileUnion(args.quantile),
-        configs=configs,
-        grids=grids,
-        workers=args.workers,
-        cache=args.cache,
-        trace_store=args.trace_store,
-        transport=transport,
-        progress=progress,
-        resume=args.resume,
-    ) as campaign:
+    try:
+        campaign = CampaignScheduler(
+            studies=studies,
+            candidates=args.candidates,
+            policy=QuantileUnion(args.quantile),
+            configs=configs,
+            grids=grids,
+            workers=args.workers,
+            cache=args.cache,
+            trace_store=args.trace_store,
+            transport=transport,
+            progress=progress,
+            resume=args.resume,
+        )
+    except (KeyError, ValueError) as exc:
+        if transport is not None:
+            transport.close()
+        parser.error(str(exc.args[0]))
+    with campaign:
         result = campaign.run()
     elapsed = time.time() - started
 

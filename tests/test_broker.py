@@ -48,15 +48,24 @@ from repro.core.broker import (
 )
 from repro.core.brokerstate import BrokerState
 from repro.core.campaign import CampaignScheduler
-from repro.core.engine import EnvSpec
+from repro.core.engine import EnvSpec, ExplorationEngine
 from repro.core.simulate import SimulationEnvironment
 from repro.core.transport import (
     WORKER_CRASH_EXIT,
+    WORKER_REJECTED_EXIT,
     ChunkTask,
+    LaneRun,
     TransportError,
     parse_address,
     recv_frame,
     send_frame,
+)
+from repro.net.config import NetworkConfig
+
+
+#: One URL lane run on the smallest trace.
+URL_RUN = LaneRun(
+    UrlApp, "Whittemore", {}, {"url_pattern": ("AR",), "connection": ("SLL",)}
 )
 
 
@@ -473,9 +482,7 @@ class TestQueueTransportLifecycle:
         transport = QueueTransport()
         try:
             with pytest.raises(TransportError, match="not started"):
-                transport.submit_chunk(
-                    0, ChunkTask.of([(0, (UrlApp, "Whittemore", {}, {}))])
-                )
+                transport.submit_chunk(0, ChunkTask.of([(0, URL_RUN)]))
         finally:
             transport.close()
 
@@ -484,9 +491,7 @@ class TestQueueTransportLifecycle:
         transport.close()
         transport.close()
         with pytest.raises(TransportError, match="closed"):
-            transport.submit_chunk(
-                0, ChunkTask.of([(0, (UrlApp, "Whittemore", {}, {}))])
-            )
+            transport.submit_chunk(0, ChunkTask.of([(0, URL_RUN)]))
 
     def test_start_refuses_a_broker_of_another_protocol(self):
         """The coordinator pings before it announces: a broker that
@@ -526,10 +531,8 @@ class TestQueueTransportLifecycle:
             client = BrokerClient(shared.address)
             try:
                 transport.start(EnvSpec.from_env(SimulationEnvironment()))
-                assignment = {"url_pattern": "AR", "connection": "SLL"}
-                task = (UrlApp, "Whittemore", {}, assignment)
                 transport.submit_chunk(
-                    "node", ChunkTask.of([(i, task) for i in range(3)])
+                    "node", ChunkTask.of([(i, URL_RUN) for i in range(3)])
                 )
                 (cid,) = client.call("campaigns")["campaigns"]
                 status = client.call("status")["status"]
@@ -537,8 +540,7 @@ class TestQueueTransportLifecycle:
                 client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
                 reply = client.call("take_any", worker="w", timeout=0.1)
                 assert reply["campaign"] == cid
-                assert reply["item"]["token"] == 0
-                assert reply["item"]["assignment"] == assignment
+                assert reply["item"] == {"token": 0, "run": URL_RUN}
                 status = client.call("status")["status"]
                 assert status["campaigns"][cid]["tasks_pending"] == 2
                 assert status["campaigns"][cid]["leased_points"] == 1
@@ -552,11 +554,7 @@ class TestQueueTransportLifecycle:
         transport = QueueTransport(worker_timeout=0.5)
         try:
             transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            transport.submit_chunk(
-                0,
-                ChunkTask.of([(0, (UrlApp, "Whittemore", {},
-                                   {"url_pattern": "AR", "connection": "SLL"}))]),
-            )
+            transport.submit_chunk(0, ChunkTask.of([(0, URL_RUN)]))
             with pytest.raises(TransportError, match="no workers"):
                 transport.next_results()
         finally:
@@ -644,13 +642,7 @@ class TestQueueTransportLifecycle:
                 wait_live(broker.address, "early")
                 spec = EnvSpec.from_env(SimulationEnvironment())
                 client.call("announce", campaign={"id": "c", "spec": spec})
-                run = {
-                    "token": "p0",
-                    "app": UrlApp,
-                    "trace": "Whittemore",
-                    "params": {},
-                    "assignment": {"url_pattern": "AR", "connection": "SLL"},
-                }
+                run = {"token": "p0", "run": URL_RUN}
                 client.call("put", campaign="c", runs=[run])
                 assert worker.wait(timeout=30) == WORKER_CRASH_EXIT
                 # the requeue lets the waiting take lease the run again
@@ -665,6 +657,59 @@ class TestQueueTransportLifecycle:
                     worker.wait(timeout=10)
                 print_logs(tmp_path)
 
+
+    def test_worker_of_another_build_refuses_the_campaign(self, tmp_path):
+        """A campaign whose spec carries another model digest is refused
+        before any of its runs is simulated: the worker says goodbye (its
+        lease requeues, no crash counted), prints both digests and exits
+        3.  Nothing from it is composed or cached."""
+        cache_dir = tmp_path / "cache"
+        logs = tmp_path / "logs"
+        assignment = {"url_pattern": "AR", "connection": "SLL"}
+        point = (NetworkConfig("Whittemore"), assignment)
+        failures = []
+
+        def coordinate(engine):
+            try:
+                engine.run_batch(UrlApp, [point])
+            except TransportError as exc:
+                failures.append(exc)
+
+        with EmbeddedBroker() as broker:
+            transport = QueueTransport(broker, max_outage_s=0.0)
+            engine = ExplorationEngine(cache=cache_dir, transport=transport)
+            ours = EnvSpec.from_env(engine.env)
+            other = EnvSpec.from_env(engine.env)
+            # the digest is not settable: forge another build's spec
+            object.__setattr__(other, "model_digest", "0" * 64)
+            # engine.transport() keeps this announcement: start is idempotent
+            transport.start(other)
+            worker = spawn_worker(broker.address, "other-build", log_dir=logs)
+            client = BrokerClient(broker.address)
+            coordinator = threading.Thread(target=coordinate, args=(engine,))
+            try:
+                wait_live(broker.address, "other-build")
+                coordinator.start()
+                assert worker.wait(timeout=30) == WORKER_REJECTED_EXIT
+                (campaign,) = client.call("campaigns")["campaigns"].values()
+                assert (campaign["tasks_pending"], campaign["leased"]) == (1, 0)
+                fleet = client.call("fleet")["fleet"]
+                assert (fleet["crashes"], fleet["requeues"]) == ({}, 0)
+            finally:
+                client.close()
+                broker.close()  # ends the coordinator's wait for results
+                coordinator.join(timeout=30)
+                engine.close()
+                if worker.poll() is None:
+                    worker.kill()
+                    worker.wait(timeout=10)
+                print_logs(logs)
+        assert not coordinator.is_alive() and len(failures) == 1
+        assert engine.stats.simulations == engine.stats.composed == 0
+        assert list(cache_dir.rglob("*.json")) == []
+        (log,) = logs.glob("*worker-other-build*.log")
+        text = log.read_text()
+        assert ours.model_digest in text and "0" * 64 in text
 
 # ----------------------------------------------------------------------
 # elastic fleet: join and leave mid-campaign, content parity throughout

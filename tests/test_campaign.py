@@ -372,8 +372,29 @@ class TestSensitivityGrids:
         with pytest.raises(ValueError, match="at least one"):
             CampaignScheduler(studies=[])
 
+    def test_app_without_configurations_refused_at_construction(self):
+        """An empty sweep used to surface at run() as a bare IndexError."""
+        with pytest.raises(ValueError, match="URL: no configurations"):
+            CampaignScheduler(studies=["url"], configs={"URL": []})
+
+    def test_duplicate_candidates_refused_at_construction(self):
+        """["AR", "AR"] used to run and report the Table-1 row
+        ("URL", 4, 4, 1) for one distinct combination on one config."""
+        with pytest.raises(ValueError, match=r"duplicate DDT candidates: \['AR'\]"):
+            CampaignScheduler(
+                studies=["url"],
+                candidates=["AR", "AR"],
+                configs={"URL": [NetworkConfig("Whittemore")]},
+            )
+
 
 class TestCampaignCli:
+    def test_duplicate_candidates_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            explore.main(["campaign", "--apps", "url", "--candidates", "AR", "AR"])
+        assert exited.value.code == 2
+        assert "duplicate DDT candidates: ['AR']" in capsys.readouterr().err
+
     def test_end_to_end_run(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         code = explore.main(

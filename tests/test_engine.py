@@ -352,7 +352,7 @@ class TestEngineTeardown:
         with pytest.raises(BrokenProcessPool):
             engine.run_batch(UrlApp, self.POINT)
         # the failed run already tore the broken pool down...
-        assert engine.active_transport is None
+        assert engine._transport is None
         # ...so close() has nothing to hang on and stays idempotent
         engine.close()
         engine.close()

@@ -98,9 +98,10 @@ class TestJournalFormat:
             ({"v": 3, "entry": ("put", "q", 1)}, 3),
             ({"v": 4, "entry": ("put", "q", 1)}, 4),
             ({"v": 5, "entry": ("put", "q", 1)}, 5),
+            ({"v": 6, "entry": ("put", "q", 1)}, 6),
             ({"v": RECORD_VERSION + 1, "entry": ("put", "q", 1)}, RECORD_VERSION + 1),
         ],
-        ids=["bare-v1", "v2", "v3", "v4", "v5", "newer"],
+        ids=["bare-v1", "v2", "v3", "v4", "v5", "v6", "newer"],
     )
     def test_record_of_another_version_is_refused(self, tmp_path, record, version):
         """A record of another version is refused, not translated: the
@@ -262,11 +263,11 @@ class TestBrokerReplay:
                 client.close()
 
     def test_older_journals_are_refused_not_translated(self, tmp_path):
-        """A journal written by an older build -- a version-1, -3, -4 or
-        -5 log, an unversioned (version-3 or older) snapshot or a
-        version-4 or -5 snapshot -- is refused with one warning naming
-        the version: the successor registers no campaign and serves none
-        of its work."""
+        """A journal written by an older build -- a version-1, -3, -4,
+        -5 or -6 log, an unversioned (version-3 or older) snapshot or a
+        version-4, -5 or -6 snapshot -- is refused with one warning
+        naming the version: the successor registers no campaign and
+        serves none of its work."""
         v3_campaign = {
             "id": "c1",
             "tasks": "tasks:c1",
@@ -317,6 +318,22 @@ class TestBrokerReplay:
             "c1": {**v4_state["_campaigns"]["c1"], "tasks": [{"token": 0}]}
         })
         v5_snapshot = {"v": 5, "snapshot": v5_state}
+        # version 6: each run spelled out in five keys, timed leases,
+        # snapshot keys without underscores
+        v6_run = {
+            "token": 0, "app": "UrlApp", "trace": "Whittemore", "params": {},
+            "assignment": {"url_pattern": ("AR",), "connection": ("SLL",)},
+        }
+        v6_log = [
+            {"v": 6, "entry": ("announce", v4_campaign)},
+            {"v": 6, "entry": ("put", "c1", [v6_run])},
+            {"v": 6, "entry": ("lease", "c1", "w", 0.0)},
+        ]
+        v6_state = {name.lstrip("_"): value for name, value in v4_state.items()}
+        v6_state["campaigns"] = {
+            "c1": {**v4_state["_campaigns"]["c1"], "tasks": [v6_run]}
+        }
+        v6_snapshot = {"v": 6, "snapshot": v6_state}
         cases = [
             ("record version 1", None, [("reset", v3_campaign, {"w": 4})]),
             ("record version 3", None, v3_log),
@@ -325,6 +342,8 @@ class TestBrokerReplay:
             ("snapshot .* is record version 4", v4_snapshot, v4_log),
             ("record version 5", None, v5_log),
             ("snapshot .* is record version 5", v5_snapshot, v5_log),
+            ("record version 6", None, v6_log),
+            ("snapshot .* is record version 6", v6_snapshot, v6_log),
         ]
         for version, snapshot, log in cases:
             for name in (SNAPSHOT_NAME, LOG_NAME):

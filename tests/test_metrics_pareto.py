@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.casestudies import CASE_STUDIES
 from repro.core.metrics import METRIC_NAMES, MetricVector
 from repro.core.pareto import (
     ParetoCurve,
@@ -12,6 +13,9 @@ from repro.core.pareto import (
     pareto_indices,
     trade_off_range,
 )
+from repro.core.simulate import run_simulation
+from repro.ddt.registry import all_ddt_names, combinations
+from repro.net.config import NetworkConfig
 
 
 def vec(e=1.0, t=1.0, a=100, f=1000):
@@ -181,3 +185,44 @@ class TestParetoCurve:
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
             ParetoCurve("x", "y", "cfg", points=())
+
+
+# ----------------------------------------------------------------------
+# the exact front: per-structure dominance prunes no front point
+# ----------------------------------------------------------------------
+def _part_cost(part):
+    return (
+        part.energy_pj,
+        part.cpu_cycles + part.memory_cycles,
+        part.accesses,
+        part.footprint_bytes,
+    )
+
+
+@pytest.mark.parametrize("trace", ("Whittemore", "Berry-I"))
+@pytest.mark.parametrize("study", CASE_STUDIES, ids=lambda study: study.name)
+def test_exhaustive_front_uses_only_undominated_parts(study, trace):
+    """A combination whose DDT on one structure is dominated on that
+    structure's own part is dominated as a whole (swap in the dominating
+    DDT), so every point of the exhaustive 4D front uses, on each
+    structure, a DDT whose part no other part dominates.  One
+    full-library lane run prices all 100 combinations."""
+    library = all_ddt_names()
+    structures = study.app_cls.dominant_structures
+    config = NetworkConfig(trace, study.configs[0].app_params)
+    run = run_simulation(study.app_cls, config, dict.fromkeys(structures, library))
+    combos = list(combinations(structures, library))
+    front = pareto_indices(
+        [run.parts.select(combo).metrics().as_tuple() for combo in combos]
+    )
+    undominated = {}
+    for structure in structures:
+        parts = [part for part in run.parts.pools if part.name == structure]
+        kept = pareto_indices([_part_cost(part) for part in parts])
+        undominated[structure] = {parts[index].ddt for index in kept}
+    misses = [
+        combos[index]
+        for index in front
+        if any(combos[index][s] not in undominated[s] for s in structures)
+    ]
+    assert front and misses == []

@@ -82,6 +82,12 @@ class TestCombinations:
         with pytest.raises(KeyError):
             list(combinations(("a",), candidates=("NOPE",)))
 
+    def test_duplicate_candidates_rejected_on_call(self):
+        """A repeated candidate would repeat every combination using it;
+        it is refused when combinations() is called, before iteration."""
+        with pytest.raises(ValueError, match=r"duplicate DDT candidates: \['AR'\]"):
+            combinations(("a", "b"), candidates=("AR", "SLL", "AR"))
+
 
 class TestLabels:
     def test_label_round_trip(self):

@@ -167,6 +167,15 @@ class TestTraceStore:
         warm.get("Sudikoff")
         assert warm.generations == 0 and warm.disk_loads == 2
 
+    def test_ensure_leaves_existing_files_unread(self, tmp_path):
+        """Only a missing file costs anything: an existing one is neither
+        parsed nor memoised (whoever simulates loads it)."""
+        TraceStore(tmp_path).ensure([SMALL])
+        store = TraceStore(tmp_path)
+        assert store.ensure([SMALL, "Sudikoff"]) == 1
+        assert store.counters() == {"generations": 1, "disk_loads": 0, "memo_hits": 0}
+        assert len(store) == 1  # the generated trace, not the existing one
+
     def test_len_counts_memoised_traces(self, tmp_path):
         store = TraceStore(tmp_path)
         assert len(store) == 0
@@ -225,7 +234,7 @@ class TestEnvironmentIntegration:
             costs=SimulationEnvironment().costs,
             trace_store=os.fspath(tmp_path),
         )
-        worker_env = spec.build()  # what _init_worker does in a worker
+        worker_env = spec.build()  # what every worker process does
         worker_env.trace_for(NetworkConfig(SMALL))
         assert worker_env.trace_store.generations == 0
         assert worker_env.trace_store.disk_loads == 1

@@ -23,6 +23,7 @@ from repro.core.transport import (
     WORKER_CONNECT_EXIT,
     WORKER_REJECTED_EXIT,
     ChunkTask,
+    LaneRun,
     LocalPoolTransport,
     TransportError,
     parse_address,
@@ -32,6 +33,10 @@ from repro.core.transport import (
 from repro.net.config import NetworkConfig
 
 SMALL = NetworkConfig("Whittemore")
+URL_RUN = LaneRun(
+    UrlApp, SMALL.trace_name, dict(SMALL.app_params),
+    {"url_pattern": ("AR",), "connection": ("SLL",)},
+)
 
 
 # ----------------------------------------------------------------------
@@ -79,16 +84,14 @@ class TestFrames:
 class TestLocalPoolTransport:
     def test_round_trip_matches_direct_run(self):
         env = SimulationEnvironment()
-        task = (UrlApp, SMALL.trace_name, dict(SMALL.app_params),
-                {"url_pattern": "AR", "connection": "SLL"})
         transport = LocalPoolTransport(workers=1)
         try:
             transport.start(EnvSpec.from_env(env))
-            transport.submit_chunk("c0", ChunkTask.of([("tok", task)]))
+            transport.submit_chunk("c0", ChunkTask.of([("tok", URL_RUN)]))
             [(token, record)] = transport.next_results()
         finally:
             transport.close()
-        direct = run_simulation(UrlApp, SMALL, task[3], env)
+        direct = run_simulation(UrlApp, SMALL, URL_RUN.lanes, env)
         assert token == "tok"
         assert record.content_key() == direct.content_key()
 
@@ -99,9 +102,7 @@ class TestLocalPoolTransport:
     def test_submit_before_start_rejected(self):
         transport = LocalPoolTransport(workers=1)
         with pytest.raises(TransportError, match="not started"):
-            transport.submit_chunk(
-                0, ChunkTask.of([(0, (UrlApp, "Whittemore", {}, {}))])
-            )
+            transport.submit_chunk(0, ChunkTask.of([(0, URL_RUN)]))
 
     def test_next_result_without_work_rejected(self):
         transport = LocalPoolTransport(workers=1)
@@ -117,16 +118,13 @@ class TestLocalPoolTransport:
 # ----------------------------------------------------------------------
 # the submission contract: one call per node, one task per lane run
 # ----------------------------------------------------------------------
-URL_TASK = (UrlApp, SMALL.trace_name, dict(SMALL.app_params),
-            {"url_pattern": "AR", "connection": "SLL"})
-
 
 class TestChunkContract:
     def test_chunk_task_shape(self):
-        chunk = ChunkTask.of([(1, URL_TASK), (2, URL_TASK)])
+        chunk = ChunkTask.of([(1, URL_RUN), (2, URL_RUN)])
         assert len(chunk) == 2
         assert chunk.tokens == (1, 2)
-        assert ChunkTask.of([(7, URL_TASK)]).tokens == (7,)
+        assert ChunkTask.of([(7, URL_RUN)]).tokens == (7,)
         with pytest.raises(ValueError, match="at least one lane run"):
             ChunkTask(())
 
@@ -138,7 +136,7 @@ class TestChunkContract:
         try:
             transport.start(EnvSpec.from_env(env))
             transport.submit_chunk(
-                "node", ChunkTask.of([(i, URL_TASK) for i in range(3)])
+                "node", ChunkTask.of([(i, URL_RUN) for i in range(3)])
             )
             assert len(transport._futures) == 3
             batch = []
@@ -146,7 +144,7 @@ class TestChunkContract:
                 batch += transport.next_results()
         finally:
             transport.close()
-        direct = run_simulation(UrlApp, SMALL, URL_TASK[3], env)
+        direct = run_simulation(UrlApp, SMALL, URL_RUN.lanes, env)
         assert sorted(token for token, _ in batch) == [0, 1, 2]
         assert all(
             record.content_key() == direct.content_key()
