@@ -37,12 +37,14 @@ class RateMonitorApp(NetworkApplication):
         "bucket": RecordSpec("bucket", size_bytes=24, key_bytes=4),
         "violation": RecordSpec("violation", size_bytes=16, key_bytes=4),
     }
+    # Every parameter the app reads, with its default.
+    param_defaults = {"rate_bytes": 20000, "log_entries": 128}
 
     def setup(self) -> None:
         self._buckets = self.make_structure("bucket")
         self._violations = self.make_structure("violation")
-        self._rate = int(self.config.param("rate_bytes", 20000))
-        self._log_cap = int(self.config.param("log_entries", 128))
+        self._rate = int(self.param("rate_bytes"))
+        self._log_cap = int(self.param("log_entries"))
 
     def process(self, packet) -> None:
         src = packet.src_ip

@@ -17,7 +17,7 @@ so an app-level charge has no assignment to depend on.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Mapping, Sequence
+from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
 from repro.ddt.base import DynamicDataType
 from repro.ddt.records import RecordSpec
@@ -68,11 +68,27 @@ class NetworkApplication(ABC):
         order (defines combination-label order too).
     record_specs:
         One :class:`RecordSpec` per dominant structure.
+    param_defaults:
+        Every application parameter the app reads (:meth:`param`), with
+        its default; a configuration may set these and no others
+        (:meth:`check_params`).
     """
 
     name: ClassVar[str] = ""
     dominant_structures: ClassVar[tuple[str, ...]] = ()
     record_specs: ClassVar[Mapping[str, RecordSpec]] = {}
+    param_defaults: ClassVar[Mapping[str, Any]] = {}
+
+    @classmethod
+    def check_params(cls, names: Iterable[str]) -> None:
+        """Refuse, with a :class:`ValueError`, a parameter name the app
+        does not read: it would label configurations that simulate alike."""
+        for key in names:
+            if key not in cls.param_defaults:
+                known = ", ".join(sorted(cls.param_defaults)) or "none"
+                raise ValueError(
+                    f"{cls.name} reads no parameter {key!r} (known: {known})"
+                )
 
     def __init__(
         self,
@@ -117,6 +133,11 @@ class NetworkApplication(ABC):
             for cls in classes
         ]
         return lanes[0].join_lanes(lanes[1:])
+
+    def param(self, name: str) -> Any:
+        """The configuration's value of parameter ``name``, else its
+        default from :attr:`param_defaults`."""
+        return self.config.param(name, self.param_defaults[name])
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -62,14 +62,13 @@ class DrrApp(NetworkApplication):
         "packet_buf": RecordSpec("packet_buf", size_bytes=16, key_bytes=4),
     }
 
-    DEFAULT_QUANTUM = 1500
-    DEFAULT_SERVICE_BATCH = 16
+    param_defaults = {"quantum": 1500, "service_batch": 16}
 
     def setup(self) -> None:
         """Create the flow list; per-flow queues are created on demand."""
         self._flows = self.make_structure("flow_queue")
-        self._quantum = int(self.config.param("quantum", self.DEFAULT_QUANTUM))
-        self._batch = int(self.config.param("service_batch", self.DEFAULT_SERVICE_BATCH))
+        self._quantum = int(self.param("quantum"))
+        self._batch = int(self.param("service_batch"))
         if self._quantum <= 0:
             raise ValueError("quantum must be positive")
         if self._batch <= 0:

@@ -45,17 +45,14 @@ class IpchainsApp(NetworkApplication):
         "conn_track": RecordSpec("conn_track", size_bytes=24, key_bytes=4),
     }
 
-    DEFAULT_RULE_COUNT = 64
-    DEFAULT_TRACK_ENTRIES = 64
+    param_defaults = {"rule_count": 64, "track_entries": 64}
 
     def setup(self) -> None:
         """Build the rule chain from the trace's address population."""
         self._rules = self.make_structure("rule")
         self._track = self.make_structure("conn_track")
-        self._track_cap = int(
-            self.config.param("track_entries", self.DEFAULT_TRACK_ENTRIES)
-        )
-        rule_count = int(self.config.param("rule_count", self.DEFAULT_RULE_COUNT))
+        self._track_cap = int(self.param("track_entries"))
+        rule_count = int(self.param("rule_count"))
         seed = zlib.crc32(f"ipchains:{self.trace.name}:{rule_count}".encode())
         for rule in build_rule_chain(self.trace, rule_count, seed):
             self._rules.append(rule)

@@ -59,18 +59,15 @@ class RouteApp(NetworkApplication):
         "rtentry": RecordSpec("rtentry", size_bytes=48, key_bytes=4),
     }
 
-    DEFAULT_RADIX_SIZE = 128
-    DEFAULT_CACHE_ENTRIES = 32
+    param_defaults = {"radix_size": 128, "cache_entries": 32}
 
     def setup(self) -> None:
         """Build the radix tree and the route cache from the trace."""
         self._nodes = self.make_structure("radix_node")
         self._cache = self.make_structure("rtentry")
         self._tree = RadixTree(self._nodes)
-        self._cache_cap = int(
-            self.config.param("cache_entries", self.DEFAULT_CACHE_ENTRIES)
-        )
-        radix_size = int(self.config.param("radix_size", self.DEFAULT_RADIX_SIZE))
+        self._cache_cap = int(self.param("cache_entries"))
+        radix_size = int(self.param("radix_size"))
         for key, next_hop, metric in self._table_prefixes(radix_size):
             self._tree.insert(key, next_hop, metric)
         self.stats["table_routes"] = self._tree.size

@@ -32,7 +32,7 @@ class UrlApp(NetworkApplication):
 
     Application parameters (``config.app_params``):
 
-    * ``pattern_count`` -- URL patterns in the table (default 48).
+    * ``pattern_count`` -- URL patterns in the table (default 64).
     * ``server_count`` -- dispatch target groups (default 8).
     """
 
@@ -45,17 +45,14 @@ class UrlApp(NetworkApplication):
         "connection": RecordSpec("connection", size_bytes=32, key_bytes=4),
     }
 
-    DEFAULT_PATTERN_COUNT = 64
-    DEFAULT_SERVER_COUNT = 8
+    param_defaults = {"pattern_count": 64, "server_count": 8}
 
     def setup(self) -> None:
         """Build the URL pattern table; the connection table starts empty."""
         self._patterns = self.make_structure("url_pattern")
         self._connections = self.make_structure("connection")
-        pattern_count = int(
-            self.config.param("pattern_count", self.DEFAULT_PATTERN_COUNT)
-        )
-        servers = int(self.config.param("server_count", self.DEFAULT_SERVER_COUNT))
+        pattern_count = int(self.param("pattern_count"))
+        servers = int(self.param("server_count"))
         seed = zlib.crc32(f"url:{self.trace.name}:{pattern_count}".encode())
         for pattern in build_pattern_table(pattern_count, seed, servers):
             self._patterns.append(pattern)

@@ -392,7 +392,10 @@ class CampaignScheduler:
         Optional per-app sensitivity grids,
         ``{app_name: {param: [values, ...]}}``; each grid expands to
         extra configurations (via :meth:`CaseStudy.grid_configs`)
-        appended after the paper sweep.
+        appended after the paper sweep.  A configuration or grid that
+        sets a parameter its app does not read (see
+        :attr:`~repro.apps.base.NetworkApplication.param_defaults`) is
+        refused here.
     env:
         Simulation environment template (ignored when ``engine`` is
         given).
@@ -469,6 +472,7 @@ class CampaignScheduler:
             )
             if not self._configs[study.name]:
                 raise ValueError(f"{study.name}: no configurations to explore")
+            study.app_cls.check_params(key for c in base for key in c.app_params)
             # Refuses an unknown or repeated candidate DDT now, not at run().
             combinations(study.app_cls.dominant_structures, self.candidates)
 

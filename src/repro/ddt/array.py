@@ -7,6 +7,10 @@ element shifts on mid-sequence insert/remove and copy bursts on growth).
 heap block -- shifts move only pointers, at the price of one indirection
 per access and per-record allocator overhead.
 
+Heap blocks: every array is one block of ``capacity x slot bytes``, and
+``AR(P)`` holds one record block per stored record, so both counts come
+from the capacity and the length the organisation keeps anyway.
+
 Access-kind modelling: array traffic is overwhelmingly *streaming*
 (shifts, growth copies, sequential scans, contiguous record reads), so
 it is charged at the pipelined streaming rate; only the first touch of a
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 from repro.ddt.base import DynamicDataType
 from repro.ddt.records import WORD_BYTES
-from repro.memory.allocator import Block
 
 __all__ = ["ArrayDDT", "PointerArrayDDT"]
 
@@ -58,15 +61,15 @@ class _ArrayBase(DynamicDataType):
     def _setup_storage(self) -> None:
         self._slot_bytes = WORD_BYTES if self.boxed else self._spec.size_bytes
         self._capacity = INITIAL_CAPACITY
-        self._block: Block = self._pool.allocate(INITIAL_CAPACITY * self._slot_bytes)
-        self._record_blocks: list[Block] = []
+        self._pool.allocate(INITIAL_CAPACITY * self._slot_bytes)
 
     def _grow(self) -> None:
         """Reallocate every member's full array to the next capacity."""
-        capacity = max(INITIAL_CAPACITY, self._capacity * GROWTH_FACTOR)
+        old = self._capacity
+        capacity = max(INITIAL_CAPACITY, old * GROWTH_FACTOR)
         self._moved += len(self._items)  # realloc streams every live slot
         for lane in self._members:
-            lane._block = lane._pool.reallocate(lane._block, capacity * lane._slot_bytes)
+            lane._pool.reallocate(old * lane._slot_bytes, capacity * lane._slot_bytes)
         self._capacity = capacity
 
     def _add_record(self) -> None:
@@ -75,16 +78,16 @@ class _ArrayBase(DynamicDataType):
         self._adds += 1
         for lane in self._members:
             if lane.boxed:
-                lane._record_blocks.append(lane._pool.allocate(lane._spec.size_bytes))
+                lane._pool.allocate(lane._spec.size_bytes)
 
-    def _free_records(self) -> None:
-        # Record blocks share one size class, so the order they are
-        # freed in changes no count.
+    def _free_storage(self) -> None:
+        """Free every member's record blocks, then its array."""
+        records = len(self._items)
         for lane in self._members:
-            free = lane._pool.free
-            blocks = lane._record_blocks
-            while blocks:
-                free(blocks.pop())
+            pool = lane._pool
+            if lane.boxed and records:
+                pool.free(lane._spec.size_bytes, records)
+            pool.free(self._capacity * lane._slot_bytes)
 
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
@@ -105,7 +108,7 @@ class _ArrayBase(DynamicDataType):
         self._moved += len(self._items) - pos - 1
         for lane in self._members:
             if lane.boxed:
-                lane._pool.free(lane._record_blocks.pop())
+                lane._pool.free(lane._spec.size_bytes)
 
     def _model_scan(self, visited: int, hit: bool) -> None:
         self._visited += visited
@@ -119,17 +122,13 @@ class _ArrayBase(DynamicDataType):
         self._iter_steps += 1
 
     def _model_clear(self) -> None:
-        self._free_records()
+        self._free_storage()
         for lane in self._members:
-            pool = lane._pool
-            pool.free(lane._block)
-            lane._block = pool.allocate(INITIAL_CAPACITY * lane._slot_bytes)
+            lane._pool.allocate(INITIAL_CAPACITY * lane._slot_bytes)
         self._capacity = INITIAL_CAPACITY
 
     def _model_dispose(self) -> None:
-        self._free_records()
-        for lane in self._members:
-            lane._pool.free(lane._block)
+        self._free_storage()
 
 
 class ArrayDDT(_ArrayBase):

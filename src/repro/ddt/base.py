@@ -17,8 +17,9 @@ that contract:
   organisation implements the ``_model_*`` hooks once: they keep its
   model state (array capacity, roving cursor, chunk fills), allocate and
   free each DDT's blocks on its :class:`~repro.memory.pools.MemoryPool`
-  exactly as the underlying C data organisation would, and count
-  organisation-level events (adds, gets, shift sums, scan visits,
+  exactly as the underlying C data organisation would (by payload size
+  and count, read off that state and the length: no block handles), and
+  count organisation-level events (adds, gets, shift sums, scan visits,
   locates, splits, one walk or hop sum per walk rule ...).  Each DDT
   prices those events with its own fixed per-event charges
   (``_price``): pointer hops, element shifts, reallocation copies, chunk
@@ -27,10 +28,10 @@ that contract:
   structure, and ``get_direct``/``set_direct`` cost the same on every
   DDT, so they are counted once per structure too.
 
-**When counts reach the pools.**  Allocator calls charge the pool as
-they happen, because footprint and the allocator's own checks depend on
-them.  Everything else stays pending on the structure until a pool
-counter is read (any public counter, ``snapshot()`` or
+**When counts reach the pools.**  Every allocator call charges its pool
+as it happens, because the pool's live bytes, peak and over-free guard
+depend on their order.  Everything else stays pending on the structure
+until a pool counter is read (any public counter, or
 :meth:`repro.memory.profiler.MemoryProfiler.parts`): the pool then asks
 every structure attached to it to fold (:meth:`DynamicDataType.fold_counts`),
 which adds each DDT's priced counts to its pool and zeroes them.  The

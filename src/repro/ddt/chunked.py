@@ -22,13 +22,15 @@ keeps one fill list and one cursor and runs each locate's (chunk,
 offset) scan once, counting one hop sum per walk rule (from the head,
 from the nearer end, and either one or the cursor); every list prices
 the counts by its own rule, header pointer words and cursor writes.
+
+Heap blocks: a chunked list is one descriptor block plus one block per
+chunk, so its chunk count is the length of its fill list.
 """
 
 from __future__ import annotations
 
 from repro.ddt.base import DynamicDataType
 from repro.ddt.records import WORD_BYTES
-from repro.memory.allocator import Block
 
 __all__ = [
     "ChunkedSinglyLinkedDDT",
@@ -104,30 +106,28 @@ class _ChunkedBase(DynamicDataType):
         self._chunk_records = chunk_capacity(size)
         header = self.ptr_words * WORD_BYTES + WORD_BYTES  # links + count
         self._chunk_bytes = header + self._chunk_records * size
-        self._descriptor: Block = self._pool.allocate(DESCRIPTOR_BYTES)
+        self._pool.allocate(DESCRIPTOR_BYTES)
         self._fills: list[int] = []
-        self._chunk_blocks: list[Block] = []
         self._rov_chunk: int | None = None
 
     def _alloc_chunk(self, index: int, fill: int) -> None:
         for lane in self._members:
-            lane._chunk_blocks.append(lane._pool.allocate(lane._chunk_bytes))
+            lane._pool.allocate(lane._chunk_bytes)
         self._fills.insert(index, fill)
         self._chunk_allocs += 1
 
     def _free_chunk(self, index: int) -> None:
         for lane in self._members:
-            lane._pool.free(lane._chunk_blocks.pop())
+            lane._pool.free(lane._chunk_bytes)
         del self._fills[index]
         self._chunk_frees += 1
 
     def _free_chunks(self) -> None:
-        for lane in self._members:
-            free = lane._pool.free
-            blocks = lane._chunk_blocks
-            while blocks:
-                free(blocks.pop())
-        self._fills.clear()
+        chunks = len(self._fills)
+        if chunks:
+            for lane in self._members:
+                lane._pool.free(lane._chunk_bytes, chunks)
+            self._fills.clear()
 
     # -- location ----------------------------------------------------------
     def _locate(self, pos: int) -> tuple[int, int]:
@@ -261,7 +261,7 @@ class _ChunkedBase(DynamicDataType):
         self._cleared += len(self._fills)
         self._free_chunks()
         for lane in self._members:
-            lane._pool.free(lane._descriptor)
+            lane._pool.free(DESCRIPTOR_BYTES)
         self._rov_chunk = None
 
     # -- pricing -----------------------------------------------------------

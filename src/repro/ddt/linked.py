@@ -19,6 +19,9 @@ distance from the cursor, and a removal right at the cursor is free of
 walking entirely (the scan that set the cursor retained the
 predecessor).
 
+Heap blocks: a list is one descriptor block plus one node block per
+stored record, so its node count is its length.
+
 The original NetBench implementations of the paper's benchmarks use
 singly linked lists; :data:`repro.ddt.registry.ORIGINAL_DDT` points at
 :class:`SinglyLinkedDDT` for that reason.
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 from repro.ddt.base import DynamicDataType
 from repro.ddt.records import WORD_BYTES
-from repro.memory.allocator import Block
 
 __all__ = [
     "SinglyLinkedDDT",
@@ -79,23 +81,19 @@ class _LinkedBase(DynamicDataType):
 
     # -- storage ---------------------------------------------------------
     def _setup_storage(self) -> None:
-        self._descriptor: Block = self._pool.allocate(DESCRIPTOR_BYTES)
-        self._node_blocks: list[Block] = []
+        self._pool.allocate(DESCRIPTOR_BYTES)
         self._node_bytes = self._spec.size_bytes + self.ptr_words * WORD_BYTES
         self._rov: int | None = None
 
     def _alloc_nodes(self) -> None:
         for lane in self._members:
-            lane._node_blocks.append(lane._pool.allocate(lane._node_bytes))
+            lane._pool.allocate(lane._node_bytes)
 
     def _free_nodes(self) -> None:
-        # All node blocks share one size class, so block identity is
-        # interchangeable for accounting purposes.
-        for lane in self._members:
-            free = lane._pool.free
-            blocks = lane._node_blocks
-            while blocks:
-                free(blocks.pop())
+        nodes = len(self._items)
+        if nodes:
+            for lane in self._members:
+                lane._pool.free(lane._node_bytes, nodes)
 
     # -- walking -----------------------------------------------------------
     def _walk_to(self, pos: int) -> None:
@@ -165,7 +163,7 @@ class _LinkedBase(DynamicDataType):
         self._walk_to_neighbour(pos)
         self._removes += 1
         for lane in self._members:
-            lane._pool.free(lane._node_blocks.pop())
+            lane._pool.free(lane._node_bytes)
         self._rov = None  # its node is gone
 
     def _model_scan(self, visited: int, hit: bool) -> None:
@@ -195,7 +193,7 @@ class _LinkedBase(DynamicDataType):
         self._cleared += len(self._items)
         self._free_nodes()
         for lane in self._members:
-            lane._pool.free(lane._descriptor)
+            lane._pool.free(DESCRIPTOR_BYTES)
         self._rov = None
 
     # -- pricing -----------------------------------------------------------

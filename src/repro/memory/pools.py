@@ -3,16 +3,20 @@
 Each dominant dynamic data structure of an application owns one
 :class:`MemoryPool`.  The pool combines three responsibilities:
 
-* it owns an :class:`~repro.memory.allocator.Allocator`, so footprint is
-  tracked per structure (the paper assumes each DDT lives in its own
-  memory, which is what makes the CACTI energy model applicable per
-  structure);
+* it is its structure's heap model, so footprint is tracked per
+  structure (the paper assumes each DDT lives in its own memory, which
+  is what makes the CACTI energy model applicable per structure).  The
+  model is three integers: live bytes, their peak (the footprint) and
+  live blocks.  A block costs :data:`HEADER_BYTES` plus its payload
+  rounded up to :data:`ALIGNMENT` (:func:`block_bytes`), and the
+  structures say how many blocks of which payload they allocate, free
+  or resize -- no block handles, addresses or free lists;
 * it holds eight cost-event counters: word accesses in four kinds --
   dependent reads/writes (pointer chasing: the next address waits on
   the previous access) and streaming reads/writes (bursts: shifts,
   copies, sequential scans) -- plus the CPU-side events of its
   structure (DDT calls, loop steps, key compares, allocator calls).
-  Allocator calls count here as they happen.  Everything else is
+  Every allocator call counts here as it happens.  Everything else is
   derived: a charged DDT op only counts the events of its data
   organisation on the structure (see :mod:`repro.ddt.base`), and every
   structure attached to the pool (:meth:`MemoryPool.attach`) folds its
@@ -32,25 +36,39 @@ The capacity-dependence of per-access cost is the mechanism behind the
 paper's main effect: footprint-lean DDTs (arrays) pay less per access
 than pointer-rich ones (linked lists), and the gap widens with the
 amount of stored data.
+
+Example
+-------
+>>> pool = MemoryPool("rtentry", CactiModel())
+>>> pool.allocate(13, count=2)  # two blocks of 8 + 16 bytes
+>>> pool.free(13)
+>>> pool.live_bytes, pool.footprint_bytes, pool.live_blocks
+(24, 48, 1)
+>>> pool.free(100)
+Traceback (most recent call last):
+    ...
+repro.memory.pools.AllocationError: rtentry: freeing 1 block(s) of 100 bytes exceeds the live 1 block(s), 24 bytes
+>>> pool.allocator_calls  # the refused free counted nothing
+3
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.memory.allocator import Allocator, Block
 from repro.memory.cacti import CactiModel
 from repro.memory.timing import OperationCosts
 
 if TYPE_CHECKING:  # pragma: no cover - the DDTs import this module
     from repro.ddt.base import DynamicDataType
 
-__all__ = ["MemoryPool"]
+__all__ = ["AllocationError", "MemoryPool", "block_bytes"]
 
-#: Per-block header bytes of every pool's :class:`Allocator`.
+#: Per-block header bytes (size + status word of a classic ``malloc``).
 HEADER_BYTES = 8
-#: Payload alignment of every pool's :class:`Allocator`.
+#: Payload alignment in bytes (a power of two).
 ALIGNMENT = 8
+_ALIGN_MASK = ALIGNMENT - 1
 #: Words of allocator metadata touched per allocate/free call (free-list
 #: head read + header write + link write for a classic free-list
 #: ``malloc``).
@@ -60,6 +78,23 @@ ALLOCATOR_TOUCH_WORDS = 3
 #: pipeline through a wide memory port; dependent accesses (pointer
 #: hops) pay the full latency before the next address is known.
 STREAM_CYCLE_FRACTION = 0.125
+
+
+class AllocationError(RuntimeError):
+    """A free or resize would take a pool's live bytes or live blocks
+    below zero (a double free, or a block the pool never allocated)."""
+
+
+def block_bytes(payload_bytes: int) -> int:
+    """Footprint charge of one block: the header plus the payload rounded
+    up to the alignment.
+
+    >>> block_bytes(13), block_bytes(0)
+    (24, 8)
+    """
+    if payload_bytes < 0:
+        raise ValueError("payload_bytes must be >= 0")
+    return HEADER_BYTES + ((payload_bytes + _ALIGN_MASK) & ~_ALIGN_MASK)
 
 
 def _counter(field: str, doc: str) -> property:
@@ -94,12 +129,17 @@ class MemoryPool:
     ``allocator_calls`` count the CPU-side events :meth:`cpu_cycles`
     prices.  Reading any of them, or any figure derived from them,
     first folds in the pending counts of every attached structure.
+    The heap model -- :attr:`live_bytes`, :attr:`footprint_bytes` and
+    :attr:`live_blocks` -- moves only through :meth:`allocate`,
+    :meth:`free` and :meth:`reallocate`.
     """
 
     def __init__(self, name: str, cacti: CactiModel) -> None:
         self.name = name
         self.cacti = cacti
-        self.allocator = Allocator(header_bytes=HEADER_BYTES, alignment=ALIGNMENT)
+        self._live_bytes = 0
+        self._peak_bytes = 0
+        self._live_blocks = 0
         self._dep_reads = 0
         self._dep_writes = 0
         self._stream_reads = 0
@@ -160,13 +200,18 @@ class MemoryPool:
     # ------------------------------------------------------------------
     @property
     def live_bytes(self) -> int:
-        """Live bytes currently owned by this pool's allocator."""
-        return self.allocator.live_bytes
+        """Bytes of the live blocks (headers + aligned payloads)."""
+        return self._live_bytes
 
     @property
     def footprint_bytes(self) -> int:
         """Peak live bytes -- the pool's contribution to the footprint metric."""
-        return self.allocator.peak_bytes
+        return self._peak_bytes
+
+    @property
+    def live_blocks(self) -> int:
+        """Number of live blocks."""
+        return self._live_blocks
 
     @property
     def reads(self) -> int:
@@ -202,11 +247,11 @@ class MemoryPool:
         )
 
     def _provisioned_spec(self):
-        # Memoised on the allocator's peak: the peak only ever grows, so
-        # metric reads between allocations (every simulation reads all of
-        # energy, cycles and footprint at least once) skip the CACTI
+        # Memoised on the peak: the peak only ever grows, so metric reads
+        # between allocations (every simulation reads all of energy,
+        # cycles and footprint at least once) skip the CACTI
         # quantise-and-lookup walk entirely.
-        peak = self.allocator.peak_bytes
+        peak = self._peak_bytes
         cached = self._spec_cache
         if cached is None or cached[0] != peak:
             cached = (peak, self.cacti.characteristics(peak))
@@ -240,32 +285,73 @@ class MemoryPool:
     # allocation (footprint + bookkeeping): every allocator call reads
     # the free-list head, then writes the header and the list head
     # ------------------------------------------------------------------
-    def allocate(self, payload_bytes: int) -> Block:
-        """Allocate from the pool's heap, counting allocator bookkeeping."""
-        block = self.allocator.allocate(payload_bytes)
-        self._allocator_calls += 1
-        self._dep_reads += 1
-        self._dep_writes += ALLOCATOR_TOUCH_WORDS - 1
-        return block
+    def allocate(self, payload_bytes: int, count: int = 1) -> None:
+        """Allocate ``count`` blocks of ``payload_bytes`` each, one
+        allocator call per block."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        live = self._live_bytes + count * block_bytes(payload_bytes)
+        self._live_bytes = live
+        if live > self._peak_bytes:
+            self._peak_bytes = live
+        self._live_blocks += count
+        self._allocator_calls += count
+        self._dep_reads += count
+        self._dep_writes += count * (ALLOCATOR_TOUCH_WORDS - 1)
 
-    def free(self, block: Block) -> None:
-        """Return a block to the pool's heap, counting bookkeeping."""
-        self.allocator.free(block)
-        self._allocator_calls += 1
-        self._dep_reads += 1
-        self._dep_writes += ALLOCATOR_TOUCH_WORDS - 1
+    def free(self, payload_bytes: int, count: int = 1) -> None:
+        """Free ``count`` blocks of ``payload_bytes`` each, one allocator
+        call per block.
 
-    def reallocate(self, block: Block, payload_bytes: int) -> Block:
-        """Resize a block (bookkeeping only; the caller counts the copy)."""
-        resized = self.allocator.reallocate(block, payload_bytes)
+        Raises
+        ------
+        AllocationError
+            If the pool holds fewer live blocks or bytes than that (a
+            double free, or blocks it never allocated).  A refused free
+            leaves the pool as it was.
+        """
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        live = self._live_bytes - count * block_bytes(payload_bytes)
+        blocks = self._live_blocks - count
+        if live < 0 or blocks < 0:
+            raise AllocationError(
+                f"{self.name}: freeing {count} block(s) of {payload_bytes} bytes "
+                f"exceeds the live {self._live_blocks} block(s), {self._live_bytes} bytes"
+            )
+        self._live_bytes = live
+        self._live_blocks = blocks
+        self._allocator_calls += count
+        self._dep_reads += count
+        self._dep_writes += count * (ALLOCATOR_TOUCH_WORDS - 1)
+
+    def reallocate(self, old_payload_bytes: int, payload_bytes: int) -> None:
+        """Resize one block in one allocator call, modelling ``realloc``
+        (the caller counts the copy, knowing how many words move).
+
+        Live bytes move by the new charge minus the old, and the peak is
+        checked after the move.  Like :meth:`free`, a resize the live
+        blocks cannot cover raises :class:`AllocationError` and leaves
+        the pool as it was.
+        """
+        old, new = block_bytes(old_payload_bytes), block_bytes(payload_bytes)
+        if self._live_blocks < 1 or self._live_bytes < old:
+            raise AllocationError(
+                f"{self.name}: resizing a block of {old_payload_bytes} bytes exceeds "
+                f"the live {self._live_blocks} block(s), {self._live_bytes} bytes"
+            )
+        live = self._live_bytes - old + new
+        self._live_bytes = live
+        if live > self._peak_bytes:
+            self._peak_bytes = live
         self._allocator_calls += 1
         self._dep_reads += 1
         self._dep_writes += ALLOCATOR_TOUCH_WORDS - 1
-        return resized
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, float]:
-        """Return the pool's counters for logging."""
+        """Every counter, the heap model and the priced figures as one
+        dict: a pool's whole observable state, for comparing pools."""
         energy_pj, memory_cycles = self.energy_and_cycles()
         return {
             "name": self.name,
@@ -281,6 +367,7 @@ class MemoryPool:
             "allocator_calls": self._allocator_calls,
             "energy_pj": energy_pj,
             "memory_cycles": memory_cycles,
-            "live_bytes": self.live_bytes,
-            "footprint_bytes": self.footprint_bytes,
+            "live_bytes": self._live_bytes,
+            "live_blocks": self._live_blocks,
+            "footprint_bytes": self._peak_bytes,
         }

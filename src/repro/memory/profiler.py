@@ -5,8 +5,8 @@ it for memory pools (one per dominant data structure), charge per-packet
 CPU overhead through it, and at the end of the run the exploration engine
 reads off a single :class:`~repro.core.metrics.MetricVector`.
 
-During the run nothing is priced.  Allocator calls count on their pool
-as they happen; every other DDT event counts once per data organisation
+During the run nothing is priced.  Every allocator call counts on its
+pool as it happens; every other DDT event counts once per data organisation
 on the structure that charged it, and a pool's counters (word accesses,
 DDT calls, loop steps, compares) are derived from those counts by each
 DDT's fixed per-event charges when the pool is read (see
@@ -125,7 +125,7 @@ class MemoryProfiler:
     -------
     >>> profiler = MemoryProfiler()
     >>> pool = profiler.new_pool("rtentry")
-    >>> block = pool.allocate(48)
+    >>> pool.allocate(48)
     >>> pool.dep_writes += 12
     >>> profiler.metrics().accesses > 0
     True
@@ -171,17 +171,11 @@ class MemoryProfiler:
     # ------------------------------------------------------------------
     # CPU-side charging
     # ------------------------------------------------------------------
-    def charge_packet_overhead(self) -> None:
-        """Charge the fixed per-packet application overhead."""
-        self.base_cycles += self.costs.packet_overhead
-
     def charge_packets(self, count: int) -> None:
-        """Charge the fixed overhead for ``count`` packets in one call.
-
-        Identical totals to ``count`` individual
-        :meth:`charge_packet_overhead` calls -- the batch form exists so
-        the per-packet loop of :meth:`repro.apps.base.NetworkApplication.run`
-        does not pay a method call per packet for a constant charge.
+        """Charge the fixed per-packet application overhead for ``count``
+        packets in one call, so the per-packet loop of
+        :meth:`repro.apps.base.NetworkApplication.run` does not pay a
+        method call per packet for a constant charge.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
@@ -230,7 +224,3 @@ class MemoryProfiler:
         """Snapshot the four metrics accumulated so far (of a run with
         one lane per structure)."""
         return self.parts().metrics()
-
-    def pool_snapshots(self) -> list[dict[str, float]]:
-        """Per-pool counters, for the detailed simulation logs."""
-        return [p.snapshot() for p in self._pools.values()]

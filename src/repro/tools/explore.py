@@ -874,6 +874,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.traces or args.param:
         params = _parse_params(args.param)
+        unknown = set(args.traces or ()) - set(trace_names())
+        if unknown:
+            parser.error(f"unknown traces: {sorted(unknown)}")
+        try:
+            study.app_cls.check_params(params)
+        except ValueError as exc:
+            parser.error(str(exc))
         traces = list(args.traces) if args.traces else sorted(
             {c.trace_name for c in study.configs}
         )

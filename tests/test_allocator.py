@@ -1,150 +1,166 @@
-"""Tests for the simulated heap allocator."""
+"""Tests for the pools' heap model: live bytes, their peak, live blocks
+and the over-free guard."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.memory.allocator import AllocationError, Allocator, Block
+from repro.memory import AllocationError
+from repro.memory.cacti import CactiModel
+from repro.memory.pools import ALIGNMENT, HEADER_BYTES, MemoryPool, block_bytes
+
+
+def make_pool():
+    return MemoryPool("heap", cacti=CactiModel())
+
+
+def heap_state(pool):
+    return (pool.live_bytes, pool.live_blocks, pool.footprint_bytes, pool.allocator_calls)
 
 
 class TestBasicAllocation:
     def test_allocate_charges_header_and_alignment(self):
-        heap = Allocator(header_bytes=8, alignment=8)
-        block = heap.allocate(13)
-        assert block.payload_bytes == 13
-        assert block.stored_bytes == 16  # aligned up
-        assert heap.live_bytes == 8 + 16
+        pool = make_pool()
+        pool.allocate(13)
+        assert pool.live_bytes == 8 + 16  # header + payload aligned up
+        assert pool.live_blocks == 1
 
     def test_zero_byte_allocation(self):
-        heap = Allocator()
-        block = heap.allocate(0)
-        assert block.stored_bytes == 0
-        assert heap.live_bytes == heap.header_bytes
+        pool = make_pool()
+        pool.allocate(0)
+        assert pool.live_bytes == HEADER_BYTES
 
     def test_negative_size_rejected(self):
-        heap = Allocator()
-        with pytest.raises(ValueError):
-            heap.allocate(-1)
+        """On all three calls, and a refused call changes nothing."""
+        pool = make_pool()
+        pool.allocate(64)
+        before = heap_state(pool)
+        for call in (
+            lambda: pool.allocate(-1),
+            lambda: pool.free(-1),
+            lambda: pool.reallocate(64, -1),
+            lambda: pool.reallocate(-1, 64),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        assert heap_state(pool) == before
 
     def test_free_returns_bytes(self):
-        heap = Allocator()
-        block = heap.allocate(100)
-        heap.free(block)
-        assert heap.live_bytes == 0
-        assert heap.live_blocks == 0
+        pool = make_pool()
+        pool.allocate(100)
+        pool.free(100)
+        assert pool.live_bytes == 0
+        assert pool.live_blocks == 0
 
     def test_double_free_raises(self):
-        heap = Allocator()
-        block = heap.allocate(32)
-        heap.free(block)
+        pool = make_pool()
+        pool.allocate(32)
+        pool.free(32)
         with pytest.raises(AllocationError):
-            heap.free(block)
+            pool.free(32)
 
     def test_foreign_block_free_raises(self):
-        heap_a = Allocator()
-        heap_b = Allocator()
-        block = heap_a.allocate(32)
+        """A pool cannot free what only another pool allocated."""
+        pool_a = make_pool()
+        pool_b = make_pool()
+        pool_a.allocate(32)
         with pytest.raises(AllocationError):
-            heap_b.free(block)
+            pool_b.free(32)
 
     def test_refused_free_leaves_the_block_live(self):
-        """A handle naming a live address with the wrong size class is
-        refused, and the real block stays live and freeable."""
-        heap = Allocator()
-        block = heap.allocate(32)
+        """A free larger than the live bytes, or of more blocks than are
+        live, is refused and leaves live bytes, live blocks, the peak and
+        the allocator calls as they were; the real block stays freeable."""
+        pool = make_pool()
+        pool.allocate(32)
+        before = heap_state(pool)
         with pytest.raises(AllocationError):
-            heap.free(Block(block.address, 64, 64))
-        assert heap.live_blocks == 1
-        heap.free(block)
-        assert heap.live_bytes == 0
+            pool.free(64)
+        with pytest.raises(AllocationError):
+            pool.free(0, count=2)
+        assert heap_state(pool) == before
+        pool.free(32)
+        assert pool.live_bytes == 0
 
 
 class TestFreeListReuse:
-    def test_same_size_class_reuses_address(self):
-        heap = Allocator()
-        block = heap.allocate(64)
-        address = block.address
-        heap.free(block)
-        again = heap.allocate(64)
-        assert again.address == address
-        assert heap.stats.reused_blocks == 1
-
-    def test_different_size_class_not_reused(self):
-        heap = Allocator()
-        block = heap.allocate(64)
-        heap.free(block)
-        other = heap.allocate(128)
-        assert other.address != block.address
-        assert heap.stats.reused_blocks == 0
+    """Freed bytes are reused: a later block that fits them leaves the
+    peak where it was."""
 
     def test_aligned_sizes_share_class(self):
-        heap = Allocator(alignment=8)
-        block = heap.allocate(61)  # stored as 64
-        heap.free(block)
-        again = heap.allocate(64)
-        assert again.address == block.address
+        """Payloads that align up to one size cost the same, so a freed
+        61-byte block covers a 64-byte one."""
+        assert block_bytes(61) == block_bytes(64) == HEADER_BYTES + 64
+        pool = make_pool()
+        pool.allocate(61)
+        pool.free(61)
+        pool.allocate(64)
+        assert pool.footprint_bytes == pool.live_bytes == HEADER_BYTES + 64
 
-    def test_heap_never_shrinks(self):
-        heap = Allocator()
-        blocks = [heap.allocate(32) for _ in range(10)]
-        top = heap.stats.heap_top
-        for block in blocks:
-            heap.free(block)
-        assert heap.stats.heap_top == top
+    def test_different_size_class_not_reused(self):
+        """A freed block does not cover a larger one: the peak grows to
+        the larger block alone."""
+        pool = make_pool()
+        pool.allocate(64)
+        pool.free(64)
+        pool.allocate(128)
+        assert pool.footprint_bytes == block_bytes(128)
 
 
 class TestPeakTracking:
     def test_peak_is_high_water_mark(self):
-        heap = Allocator(header_bytes=0, alignment=8)
-        a = heap.allocate(64)
-        b = heap.allocate(64)
-        heap.free(a)
-        heap.free(b)
-        assert heap.peak_bytes == 128
-        assert heap.live_bytes == 0
+        pool = make_pool()
+        pool.allocate(64)
+        pool.allocate(64)
+        pool.free(64)
+        pool.free(64)
+        assert pool.footprint_bytes == 2 * (HEADER_BYTES + 64)
+        assert pool.live_bytes == 0
 
     def test_peak_not_raised_by_reuse(self):
-        heap = Allocator(header_bytes=0, alignment=8)
-        a = heap.allocate(64)
-        heap.free(a)
-        heap.allocate(64)
-        assert heap.peak_bytes == 64
+        pool = make_pool()
+        pool.allocate(64)
+        pool.free(64)
+        pool.allocate(64)
+        assert pool.footprint_bytes == HEADER_BYTES + 64
 
 
 class TestRealloc:
     def test_same_class_keeps_address(self):
-        heap = Allocator(alignment=8)
-        block = heap.allocate(60)
-        resized = heap.reallocate(block, 64)
-        assert resized.address == block.address
-        assert heap.live_blocks == 1
+        """A resize within one aligned size moves no live bytes, and is
+        still one allocator call."""
+        pool = make_pool()
+        pool.allocate(60)
+        before = pool.live_bytes
+        pool.reallocate(60, 64)
+        assert pool.live_bytes == before
+        assert pool.live_blocks == 1
+        assert pool.allocator_calls == 2
 
     def test_growth_moves_block(self):
-        heap = Allocator()
-        block = heap.allocate(64)
-        resized = heap.reallocate(block, 256)
-        assert resized.stored_bytes == 256
-        assert heap.live_blocks == 1
-        assert heap.live_bytes == heap.header_bytes + 256
+        """A growing resize moves live bytes by new minus old charge, in
+        one allocator call, and raises the peak after the move."""
+        pool = make_pool()
+        pool.allocate(64)
+        pool.reallocate(64, 256)
+        assert pool.live_blocks == 1
+        assert pool.live_bytes == HEADER_BYTES + 256
+        assert pool.footprint_bytes == HEADER_BYTES + 256
+        assert pool.allocator_calls == 2
 
     def test_realloc_dead_block_raises(self):
-        heap = Allocator()
-        block = heap.allocate(64)
-        heap.free(block)
+        pool = make_pool()
+        pool.allocate(64)
+        pool.free(64)
+        before = heap_state(pool)
         with pytest.raises(AllocationError):
-            heap.reallocate(block, 64)
-
-
-class TestValidation:
-    def test_bad_alignment_rejected(self):
-        with pytest.raises(ValueError):
-            Allocator(alignment=0)
-        with pytest.raises(ValueError):
-            Allocator(alignment=12)
-
-    def test_negative_header_rejected(self):
-        with pytest.raises(ValueError):
-            Allocator(header_bytes=-1)
+            pool.reallocate(64, 64)
+        assert heap_state(pool) == before
+        pool.allocate(16)
+        before = heap_state(pool)
+        with pytest.raises(AllocationError):
+            pool.reallocate(64, 128)  # more bytes than are live
+        assert heap_state(pool) == before
 
 
 class TestConservationProperty:
@@ -155,26 +171,29 @@ class TestConservationProperty:
         )
     )
     def test_alloc_free_conservation(self, ops):
-        """Freeing everything always returns live_bytes to zero."""
-        heap = Allocator()
+        """Freeing everything always returns live bytes to zero."""
+        pool = make_pool()
         live = []
+        allocations = 0
         for is_alloc, size in ops:
             if is_alloc or not live:
-                live.append(heap.allocate(size))
+                pool.allocate(size)
+                live.append(size)
+                allocations += 1
             else:
-                heap.free(live.pop(size % len(live)))
-        for block in live:
-            heap.free(block)
-        assert heap.live_bytes == 0
-        assert heap.live_blocks == 0
-        assert heap.stats.allocations == heap.stats.frees
+                pool.free(live.pop(size % len(live)))
+        for size in live:
+            pool.free(size)
+        assert pool.live_bytes == 0
+        assert pool.live_blocks == 0
+        assert pool.allocator_calls == 2 * allocations  # one free per allocation
 
     @given(st.lists(st.integers(min_value=0, max_value=4096), max_size=100))
     def test_live_bytes_equals_sum_of_gross_sizes(self, sizes):
-        heap = Allocator()
+        pool = make_pool()
         expected = 0
         for size in sizes:
-            heap.allocate(size)
-            expected += heap.gross_size(size)
-        assert heap.live_bytes == expected
-        assert heap.peak_bytes == expected
+            pool.allocate(size)
+            expected += HEADER_BYTES + -(-size // ALIGNMENT) * ALIGNMENT
+        assert pool.live_bytes == expected
+        assert pool.footprint_bytes == expected

@@ -213,4 +213,4 @@ class TestDrrApp:
         profiler = MemoryProfiler()
         app = DrrApp(config, {"flow_queue": "SLL", "packet_buf": "SLL"}, profiler)
         app.run(config.load_trace())
-        assert profiler.pool("packet_buf").allocator.live_blocks == 0
+        assert profiler.pool("packet_buf").live_blocks == 0

@@ -377,6 +377,18 @@ class TestSensitivityGrids:
         with pytest.raises(ValueError, match="URL: no configurations"):
             CampaignScheduler(studies=["url"], configs={"URL": []})
 
+    def test_unread_parameters_refused_at_construction(self):
+        """A grid or a configuration that sets a parameter the app does
+        not read is refused, naming the app, the key and the known keys."""
+        message = r"DRR reads no parameter 'radix_size' \(known: quantum, service_batch\)"
+        with pytest.raises(ValueError, match=message):
+            CampaignScheduler(studies=["drr"], grids={"DRR": {"radix_size": [64]}})
+        with pytest.raises(ValueError, match=message):
+            CampaignScheduler(
+                studies=["drr"],
+                configs={"DRR": [NetworkConfig("Whittemore", {"radix_size": 64})]},
+            )
+
     def test_duplicate_candidates_refused_at_construction(self):
         """["AR", "AR"] used to run and report the Table-1 row
         ("URL", 4, 4, 1) for one distinct combination on one config."""
@@ -394,6 +406,29 @@ class TestCampaignCli:
             explore.main(["campaign", "--apps", "url", "--candidates", "AR", "AR"])
         assert exited.value.code == 2
         assert "duplicate DDT candidates: ['AR']" in capsys.readouterr().err
+
+    def test_unknown_grid_key_is_a_usage_error(self, capsys):
+        """URL reads no ``bogus``: the grid used to simulate identical
+        configurations under 10 extra labels and exit 0."""
+        with pytest.raises(SystemExit) as exited:
+            explore.main(
+                ["campaign", "--apps", "url", "--traces", "Whittemore",
+                 "--grid", "url:bogus=1,2", "--quiet"]
+            )
+        assert exited.value.code == 2
+        assert (
+            "URL reads no parameter 'bogus' (known: pattern_count, server_count)"
+            in capsys.readouterr().err
+        )
+
+    def test_empty_grid_key_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            explore.main(
+                ["campaign", "--apps", "url", "--traces", "Whittemore",
+                 "--grid", "url:=1", "--quiet"]
+            )
+        assert exited.value.code == 2
+        assert "URL reads no parameter ''" in capsys.readouterr().err
 
     def test_end_to_end_run(self, tmp_path, capsys):
         out_dir = tmp_path / "results"

@@ -189,9 +189,9 @@ class TestMutationCosts:
         cap = chunk_capacity(64)
         chunked, pool = make("SLL(AR)", spec)
         fill(chunked, cap)  # exactly one full chunk
-        blocks_before = pool.allocator.live_blocks
+        blocks_before = pool.live_blocks
         chunked.insert(1, "split")  # forces a split
-        assert pool.allocator.live_blocks == blocks_before + 1
+        assert pool.live_blocks == blocks_before + 1
         assert list(chunked)[1] == "split"
 
 

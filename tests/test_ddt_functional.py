@@ -156,13 +156,13 @@ class TestDisposal:
         for i in range(40):
             ddt.append(i)
         ddt.dispose()
-        assert ddt.pool.allocator.live_bytes == 0
-        assert ddt.pool.allocator.live_blocks == 0
+        assert ddt.pool.live_bytes == 0
+        assert ddt.pool.live_blocks == 0
 
     def test_dispose_empty_structure(self, ddt_name):
         ddt, _ = make_ddt(ddt_name)
         ddt.dispose()
-        assert ddt.pool.allocator.live_bytes == 0
+        assert ddt.pool.live_bytes == 0
 
     def test_clear_then_dispose(self, ddt_name):
         ddt, _ = make_ddt(ddt_name)
@@ -170,7 +170,8 @@ class TestDisposal:
             ddt.append(i)
         ddt.clear()
         ddt.dispose()
-        assert ddt.pool.allocator.live_bytes == 0
+        assert ddt.pool.live_bytes == 0
+        assert ddt.pool.live_blocks == 0
 
 
 _AFTER_DISPOSE = {

@@ -6,7 +6,7 @@ from repro.core.casestudies import CASE_STUDIES
 from repro.core.metrics import MetricVector
 from repro.core.simulate import SimulationEnvironment, run_simulation
 from repro.memory.cacti import CactiModel
-from repro.memory.pools import STREAM_CYCLE_FRACTION, MemoryPool
+from repro.memory.pools import STREAM_CYCLE_FRACTION, MemoryPool, block_bytes
 from repro.memory.profiler import MemoryProfiler
 from repro.memory.timing import OperationCosts
 from repro.net.config import NetworkConfig
@@ -71,8 +71,8 @@ class TestEnergyAndCycles:
     def test_energy_uses_peak_not_live(self):
         """Energy is provisioned for the peak footprint."""
         pool = make_pool()
-        block = pool.allocate(64 * 1024)
-        pool.free(block)
+        pool.allocate(64 * 1024)
+        pool.free(64 * 1024)
         assert pool.live_bytes == 0
         baseline = pool.energy_pj
         pool.dep_reads += 1000
@@ -102,8 +102,8 @@ class TestAllocationCharging:
 
     def test_free_counts_bookkeeping(self):
         pool = make_pool()
-        block = pool.allocate(64)
-        pool.free(block)
+        pool.allocate(64)
+        pool.free(64)
         assert pool.accesses == 6
         assert pool.allocator_calls == 2
         costs = OperationCosts()
@@ -111,11 +111,12 @@ class TestAllocationCharging:
 
     def test_footprint_tracks_peak(self):
         pool = make_pool()
-        blocks = [pool.allocate(100) for _ in range(5)]
-        for b in blocks:
-            pool.free(b)
+        for _ in range(5):
+            pool.allocate(100)
+        pool.free(100, count=5)
         assert pool.live_bytes == 0
-        assert pool.footprint_bytes == 5 * pool.allocator.gross_size(100)
+        assert pool.footprint_bytes == 5 * block_bytes(100)
+        assert pool.allocator_calls == 10  # one call per block
 
 
 class TestCpuModel:
@@ -177,7 +178,7 @@ class TestMemoryProfiler:
 
     def test_packet_overhead_charged(self):
         profiler = MemoryProfiler()
-        profiler.charge_packet_overhead()
+        profiler.charge_packets(1)
         assert profiler.base_cycles == profiler.costs.packet_overhead
 
     def test_metrics_snapshot_consistent(self):
@@ -209,11 +210,3 @@ class TestMemoryProfiler:
             part.cpu_cycles + part.memory_cycles for part in parts.pools
         )
         assert record.metrics.time_s == cycles / env.cacti.clock_hz
-
-    def test_pool_snapshots(self):
-        profiler = MemoryProfiler()
-        profiler.new_pool("a").dep_reads += 5
-        snaps = profiler.pool_snapshots()
-        assert len(snaps) == 1
-        assert snaps[0]["name"] == "a"
-        assert snaps[0]["reads"] == 5

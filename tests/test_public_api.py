@@ -84,8 +84,8 @@ def test_doctests_in_key_modules():
     import doctest
 
     for module_name in (
-        "repro.memory.allocator",
         "repro.memory.cacti",
+        "repro.memory.pools",
         "repro.memory.profiler",
         "repro.ddt.base",
         "repro.ddt.chunked",

@@ -85,6 +85,22 @@ class TestExploreCli:
         assert "dominant-structure profile" in out
         assert "url_pattern" in out
 
+    def test_unknown_param_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            explore.main(["url", "--param", "bogus=1"])
+        assert exited.value.code == 2
+        assert (
+            "URL reads no parameter 'bogus' (known: pattern_count, server_count)"
+            in capsys.readouterr().err
+        )
+
+    def test_unknown_trace_is_a_usage_error(self, capsys):
+        """Used to end in a KeyError traceback with exit 1."""
+        with pytest.raises(SystemExit) as exited:
+            explore.main(["url", "--traces", "Nope"])
+        assert exited.value.code == 2
+        assert "unknown traces: ['Nope']" in capsys.readouterr().err
+
     def test_param_parsing(self):
         parsed = explore._parse_params(["a=1", "b=2.5", "c=hello"])
         assert parsed == {"a": 1, "b": 2.5, "c": "hello"}
