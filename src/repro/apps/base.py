@@ -8,8 +8,9 @@ functional behaviour -- only the cost metrics -- which is the invariant
 the whole methodology rests on (and which the test suite asserts).
 
 An assignment may give a structure several DDTs (lanes): every
-instance :meth:`NetworkApplication.make_structure` returns then charges
-each of them side by side, so one run prices them all.  The app is not
+structure :meth:`NetworkApplication.make_structure` returns is then one
+object that charges each of them side by side, each lane to its own
+(structure, DDT) pool, so one run prices them all.  The app is not
 handed its assignment -- ``make_structure`` is its only way to a DDT --
 so an app-level charge has no assignment to depend on.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
-from repro.ddt.base import DynamicDataType
+from repro.ddt.base import DynamicDataType, Lane
 from repro.ddt.records import RecordSpec
 from repro.ddt.registry import ddt_class, lane_names
 from repro.memory.profiler import MemoryProfiler
@@ -104,10 +105,13 @@ class NetworkApplication(ABC):
                 f"got {sorted(provided)}"
             )
         self.config = config
-        self._lanes = {
+        self._ddts = {
             structure: tuple(ddt_class(name) for name in names)
             for structure, names in lane_names(assignment).items()
         }
+        #: Each structure's ``(DDT class, pool)`` lanes, from its first
+        #: :meth:`make_structure` call on (which creates the pools).
+        self._lanes: dict[str, tuple[Lane, ...]] = {}
         self.profiler = profiler
         self.stats = AppStats()
         self._trace: Trace | None = None
@@ -124,15 +128,15 @@ class NetworkApplication(ABC):
         With several DDTs assigned, the instance charges each of them
         as a lane, every lane to its own (structure, DDT) pool.
         """
-        classes = self._lanes.get(structure)
-        if classes is None:
+        if structure not in self._ddts:
             raise KeyError(f"{self.name}: {structure!r} is not a dominant structure")
-        spec = self.record_specs[structure]
-        lanes = [
-            cls(self.profiler.new_pool(structure, cls.ddt_name), spec)
-            for cls in classes
-        ]
-        return lanes[0].join_lanes(lanes[1:])
+        lanes = self._lanes.get(structure)
+        if lanes is None:
+            lanes = self._lanes[structure] = tuple(
+                (ddt, self.profiler.new_pool(structure, ddt.ddt_name))
+                for ddt in self._ddts[structure]
+            )
+        return DynamicDataType.with_lanes(self.record_specs[structure], lanes)
 
     def param(self, name: str) -> Any:
         """The configuration's value of parameter ``name``, else its

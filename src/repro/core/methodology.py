@@ -91,9 +91,11 @@ class DDTRefinement:
     app_cls:
         Application under study.
     configs:
-        The network configurations of step 2 (trace x app parameters).
+        The network configurations of step 2 (trace x app parameters);
+        a parameter the app does not read is a :class:`ValueError`.
     reference_config:
-        Step-1 configuration; defaults to the first of ``configs``.
+        Step-1 configuration (checked alike); defaults to the first of
+        ``configs``.
     candidates:
         DDT names to explore per structure (full 10-DDT library by
         default).
@@ -131,6 +133,9 @@ class DDTRefinement:
         self.configs = list(configs)
         self.reference_config = (
             reference_config if reference_config is not None else self.configs[0]
+        )
+        app_cls.check_params(
+            key for c in (*self.configs, self.reference_config) for key in c.app_params
         )
         self.candidates = list(candidates) if candidates is not None else None
         self.policy = policy

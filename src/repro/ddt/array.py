@@ -23,14 +23,15 @@ their capacity alike, so they reallocate at the same lengths and shift
 the same slots on every op.  The organisation therefore keeps one
 capacity and counts records added, read, written, removed and moved
 (shifted or copied by growth) once; a slot is a whole record for ``AR``
-and one pointer word for ``AR(P)``, which is all their prices differ in
-besides ``AR(P)``'s pointer loads and per-record blocks.
+and one pointer word for ``AR(P)`` (``boxed``), which is all their
+prices differ in besides ``AR(P)``'s pointer loads and per-record
+blocks.
 """
 
 from __future__ import annotations
 
-from repro.ddt.base import DynamicDataType
-from repro.ddt.records import WORD_BYTES
+from repro.ddt.base import DynamicDataType, OrganisationState
+from repro.ddt.records import WORD_BYTES, RecordSpec
 
 __all__ = ["ArrayDDT", "PointerArrayDDT"]
 
@@ -40,10 +41,9 @@ INITIAL_CAPACITY = 4
 GROWTH_FACTOR = 2
 
 
-class _ArrayBase(DynamicDataType):
-    """Shared state, allocation and event counts of the two arrays."""
+class _ArrayState(OrganisationState):
+    """One capacity, the event counts and the blocks of array lanes."""
 
-    organisation = "array"
     _events = (
         "_adds",  # appends and inserts
         "_gets",
@@ -54,40 +54,44 @@ class _ArrayBase(DynamicDataType):
         "_hits",
         "_iter_steps",
     )
-    #: Whether every record lives in its own heap block (``AR(P)``).
-    boxed = False
+
+    def _setup(self, spec: RecordSpec) -> None:
+        size = self._record_bytes = spec.size_bytes
+        #: Each lane's pool and array slot bytes.
+        self._slots = tuple(
+            (pool, WORD_BYTES if ddt.boxed else size) for ddt, pool in self.lanes
+        )
+        #: The pools of the lanes that box each record in its own block.
+        self._boxes = tuple(pool for ddt, pool in self.lanes if ddt.boxed)
+        self._capacity = INITIAL_CAPACITY
+        for pool, slot in self._slots:
+            pool.allocate(INITIAL_CAPACITY * slot)
 
     # -- storage ---------------------------------------------------------
-    def _setup_storage(self) -> None:
-        self._slot_bytes = WORD_BYTES if self.boxed else self._spec.size_bytes
-        self._capacity = INITIAL_CAPACITY
-        self._pool.allocate(INITIAL_CAPACITY * self._slot_bytes)
-
     def _grow(self) -> None:
-        """Reallocate every member's full array to the next capacity."""
+        """Reallocate every lane's full array to the next capacity."""
         old = self._capacity
         capacity = max(INITIAL_CAPACITY, old * GROWTH_FACTOR)
         self._moved += len(self._items)  # realloc streams every live slot
-        for lane in self._members:
-            lane._pool.reallocate(old * lane._slot_bytes, capacity * lane._slot_bytes)
+        for pool, slot in self._slots:
+            pool.reallocate(old * slot, capacity * slot)
         self._capacity = capacity
 
     def _add_record(self) -> None:
         if len(self._items) >= self._capacity:
             self._grow()
         self._adds += 1
-        for lane in self._members:
-            if lane.boxed:
-                lane._pool.allocate(lane._spec.size_bytes)
+        for pool in self._boxes:
+            pool.allocate(self._record_bytes)
 
     def _free_storage(self) -> None:
-        """Free every member's record blocks, then its array."""
+        """Free every lane's record blocks, then its array."""
         records = len(self._items)
-        for lane in self._members:
-            pool = lane._pool
-            if lane.boxed and records:
-                pool.free(lane._spec.size_bytes, records)
-            pool.free(self._capacity * lane._slot_bytes)
+        if records:
+            for pool in self._boxes:
+                pool.free(self._record_bytes, records)
+        for pool, slot in self._slots:
+            pool.free(self._capacity * slot)
 
     # -- cost hooks --------------------------------------------------------
     def _model_append(self) -> None:
@@ -106,9 +110,8 @@ class _ArrayBase(DynamicDataType):
     def _model_remove(self, pos: int) -> None:
         self._removes += 1
         self._moved += len(self._items) - pos - 1
-        for lane in self._members:
-            if lane.boxed:
-                lane._pool.free(lane._spec.size_bytes)
+        for pool in self._boxes:
+            pool.free(self._record_bytes)
 
     def _model_scan(self, visited: int, hit: bool) -> None:
         self._visited += visited
@@ -123,15 +126,38 @@ class _ArrayBase(DynamicDataType):
 
     def _model_clear(self) -> None:
         self._free_storage()
-        for lane in self._members:
-            lane._pool.allocate(INITIAL_CAPACITY * lane._slot_bytes)
+        for pool, slot in self._slots:
+            pool.allocate(INITIAL_CAPACITY * slot)
         self._capacity = INITIAL_CAPACITY
 
     def _model_dispose(self) -> None:
         self._free_storage()
 
+    # -- pricing -----------------------------------------------------------
+    # A random record access touches its first word dependently and
+    # streams the rest; a moved slot streams both ways.  ``AR(P)`` also
+    # loads the pointer on every access, scan visit and iteration step,
+    # and stores it (one more dependent write) for every new record.
+    def _price(self, ddt: type[DynamicDataType]) -> tuple[int, int, int, int, int]:
+        words, key = self._record_words, self._key_words
+        reads = self._gets + self._removes
+        writes = self._adds + self._sets
+        visited, hits = self._visited, self._hits
+        moved = self._moved if ddt.boxed else self._moved * words
+        stream_reads = reads * (words - 1) + moved + visited * key + hits * (words - key)
+        stream_writes = writes * (words - 1) + moved
+        if ddt.boxed:
+            return (
+                2 * reads + self._sets + visited + self._iter_steps,
+                2 * self._adds + self._sets,
+                stream_reads,
+                stream_writes,
+                visited,
+            )
+        return reads, writes, stream_reads, stream_writes, visited
 
-class ArrayDDT(_ArrayBase):
+
+class ArrayDDT(DynamicDataType):
     """``AR`` -- dynamic array with records stored inline.
 
     Cost profile: cheapest footprint and random access of the library;
@@ -141,25 +167,12 @@ class ArrayDDT(_ArrayBase):
 
     ddt_name = "AR"
     description = "dynamic array, records inline"
-
-    # A random record access touches its first word dependently and
-    # streams the rest; a moved record streams every word both ways.
-    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
-        words, key = self._record_words, self._key_words
-        reads = org._gets + org._removes
-        writes = org._adds + org._sets
-        moved = org._moved * words
-        visited, hits = org._visited, org._hits
-        return (
-            reads,
-            writes,
-            reads * (words - 1) + moved + visited * key + hits * (words - key),
-            writes * (words - 1) + moved,
-            visited,
-        )
+    organisation = _ArrayState
+    #: Whether every record lives in its own heap block (``AR(P)``).
+    boxed = False
 
 
-class PointerArrayDDT(_ArrayBase):
+class PointerArrayDDT(DynamicDataType):
     """``AR(P)`` -- dynamic array of pointers to individually allocated records.
 
     Cost profile: shifts and growth copies move only 4-byte pointers, so
@@ -170,19 +183,5 @@ class PointerArrayDDT(_ArrayBase):
 
     ddt_name = "AR(P)"
     description = "dynamic array of pointers, records allocated individually"
+    organisation = _ArrayState
     boxed = True
-
-    # A new record gets its own block, written with its first word
-    # dependent; the pointer store is one more dependent write.  Every
-    # access, scan visit and iteration step loads the pointer first.
-    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
-        words, key = self._record_words, self._key_words
-        reads = org._gets + org._removes
-        visited, hits = org._visited, org._hits
-        return (
-            2 * reads + org._sets + visited + org._iter_steps,
-            2 * org._adds + org._sets,
-            reads * (words - 1) + org._moved + visited * key + hits * (words - key),
-            (org._adds + org._sets) * (words - 1) + org._moved,
-            visited,
-        )

@@ -13,18 +13,18 @@ that contract:
 * **Cost behaviour** differs per DDT.  The ten DDTs are three data
   organisations with variants -- arrays (``AR``, ``AR(P)``), linked
   lists (``SLL``, ``DLL``, ``SLL(O)``, ``DLL(O)``) and chunked lists
-  (``SLL(AR)``, ``DLL(AR)``, ``SLL(ARO)``, ``DLL(ARO)``) -- and each
-  organisation implements the ``_model_*`` hooks once: they keep its
-  model state (array capacity, roving cursor, chunk fills), allocate and
-  free each DDT's blocks on its :class:`~repro.memory.pools.MemoryPool`
-  exactly as the underlying C data organisation would (by payload size
-  and count, read off that state and the length: no block handles), and
-  count organisation-level events (adds, gets, shift sums, scan visits,
-  locates, splits, one walk or hop sum per walk rule ...).  Each DDT
-  prices those events with its own fixed per-event charges
-  (``_price``): pointer hops, element shifts, reallocation copies, chunk
-  splits, per-node headers.  The charged interface itself counts one DDT
-  call per operation and one compare per key scanned, once per
+  (``SLL(AR)``, ``DLL(AR)``, ``SLL(ARO)``, ``DLL(ARO)``).  Each
+  organisation is one :class:`OrganisationState` class whose
+  ``_model_*`` hooks keep its model state (array capacity, roving
+  cursor, chunk fills), allocate and free each DDT's blocks on its
+  :class:`~repro.memory.pools.MemoryPool` exactly as the underlying C
+  data organisation would (by payload size and count: no block
+  handles), and count organisation-level events (adds, gets, shift
+  sums, scan visits, locates, splits, one walk or hop sum per walk
+  rule ...).  Its ``_price`` charges those events to each DDT by the
+  constants that make up a DDT class: pointer words, boxed records,
+  roving cursor, walk rule.  The charged interface itself counts one
+  DDT call per operation and one compare per key scanned, once per
   structure, and ``get_direct``/``set_direct`` cost the same on every
   DDT, so they are counted once per structure too.
 
@@ -34,7 +34,7 @@ depend on their order.  Everything else stays pending on the structure
 until a pool counter is read (any public counter, or
 :meth:`repro.memory.profiler.MemoryProfiler.parts`): the pool then asks
 every structure attached to it to fold (:meth:`DynamicDataType.fold_counts`),
-which adds each DDT's priced counts to its pool and zeroes them.  The
+which adds each lane's priced counts to its pool and zeroes them.  The
 counts are integer sums, so folding late equals charging every event as
 it happens.
 
@@ -48,23 +48,23 @@ The charged interface is :meth:`~DynamicDataType.append`,
 charged exactly like the equivalent ``find``), iteration,
 :meth:`~DynamicDataType.clear` and :meth:`~DynamicDataType.dispose`.
 A disposed structure refuses every one of them.  ``dispose()`` folds
-the structure's counts, detaches it from its pools and drops every
-reference it holds to itself, so it dies by reference counting alone.
+the structure's counts, detaches it from its pools and drops its
+organisation states, which never refer back to it, so it dies by
+reference counting alone.
 
 The hooks receive positions *before* the functional mutation is applied,
-so ``len(self)`` inside a hook is the pre-operation length.
+so the item list's length inside a hook is the pre-operation length.
 
-**Lanes.**  One structure instance can charge several DDTs side by side
-(:meth:`DynamicDataType.join_lanes`), each lane to its own pool.  Every
-op moves an organisation's model state alike for all of its DDTs, so
-the lanes of one organisation share one state and one set of counts,
-kept by the first of them: a charged op calls each organisation present
-once (at most three calls for all ten DDTs), then applies the functional
-mutation once to the single item list all lanes share.  A structure's
-costs depend only on its own operation stream, so each lane's pool ends
-up exactly as in a plain run of its DDT -- which lets one application
-run price every candidate DDT of a structure.  A plain instance is the
-one-lane case.
+**Lanes.**  One structure can charge several DDTs side by side, each
+lane to its own pool (:meth:`DynamicDataType.with_lanes`; a plain
+``DDT(pool, spec)`` is the one-lane case).  Every op moves an
+organisation's model state alike for all of its DDTs, so the structure
+keeps one state per organisation its lanes use: a charged op calls each
+of them once (at most three calls for all ten DDTs), then applies the
+functional mutation once to the single item list.  A structure's costs
+depend only on its own operation stream, so each lane's pool ends up
+exactly as in a plain run of its DDT -- which lets one application run
+price every candidate DDT of a structure.
 """
 
 from __future__ import annotations
@@ -76,128 +76,172 @@ from typing import Any, Callable, ClassVar, Hashable, Iterator, Sequence
 from repro.ddt.records import RecordSpec
 from repro.memory.pools import MemoryPool
 
-__all__ = ["DynamicDataType"]
+__all__ = ["DESCRIPTOR_BYTES", "DynamicDataType", "OrganisationState"]
+
+#: Bytes of a list descriptor (head, tail, count, cursor fields).
+DESCRIPTOR_BYTES = 16
+
+#: A lane: the DDT charged and the pool it charges.
+Lane = tuple[type["DynamicDataType"], MemoryPool]
 
 
-class _Refused:
-    """The organisations of an instance that must not be charged.
+class _Disposed:
+    """The organisations of a disposed structure.
 
     Every charged op walks its organisations before it counts anything,
-    so iterating this refuses the op; live instances pay nothing for it.
+    so iterating this refuses the op; live structures pay nothing for it.
     """
 
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
-
-    def __iter__(self) -> Iterator[DynamicDataType]:
-        raise RuntimeError(self.reason)
+    def __iter__(self) -> Iterator[OrganisationState]:
+        raise RuntimeError("a disposed structure must not be used again")
 
 
-_DISPOSED = _Refused("a disposed structure must not be used again")
-_JOINED = _Refused("a joined lane is charged through its structure only")
+_DISPOSED = _Disposed()
 
 
-class DynamicDataType(ABC):
+class OrganisationState(ABC):
+    """Model state and event counts of one data organisation, kept once
+    for a structure's ``lanes`` of it (``(DDT class, pool)`` pairs,
+    whose base storage the state allocates when built).
+
+    Subclasses name their event counters in ``_events``, implement the
+    ``_model_*`` hooks, which count events and allocate and free every
+    lane's blocks, and price the counts per DDT in ``_price``.  A state
+    holds the structure's item list (the hooks read its length), never
+    the structure, so a disposed structure dies by reference counting
+    alone.
+    """
+
+    #: The event counters, zeroed at every fold.
+    _events: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in cls.__dict__.get("_events", ()):
+            setattr(cls, name, 0)  # so a fresh state counts from zero
+
+    def __init__(
+        self, spec: RecordSpec, items: list[Any], lanes: Sequence[Lane]
+    ) -> None:
+        self.lanes = tuple(lanes)
+        self._items = items
+        # Read by nearly every price rule, so bound once per state.
+        self._record_words = spec.record_words
+        self._key_words = spec.key_words
+        self._setup(spec)
+
+    @abstractmethod
+    def _setup(self, spec: RecordSpec) -> None:
+        """Set the model state and block sizes; allocate base storage."""
+
+    @abstractmethod
+    def _model_append(self) -> None:
+        """Count an append of one record at the end."""
+
+    @abstractmethod
+    def _model_insert(self, pos: int) -> None:
+        """Count an insert before ``pos`` (pre-mutation length)."""
+
+    @abstractmethod
+    def _model_get(self, pos: int) -> None:
+        """Count a full read of the record at ``pos``."""
+
+    @abstractmethod
+    def _model_set(self, pos: int) -> None:
+        """Count a full overwrite of the record at ``pos``."""
+
+    @abstractmethod
+    def _model_remove(self, pos: int) -> None:
+        """Count a removal of the record at ``pos``."""
+
+    @abstractmethod
+    def _model_scan(self, visited: int, hit: bool) -> None:
+        """Count a key scan over the first ``visited`` records (bulk).
+
+        ``hit`` means the last visited record matched and is read fully.
+        Counted once per :meth:`~DynamicDataType.find` or
+        :meth:`~DynamicDataType.find_key`, so implementations compute
+        the traversal cost analytically instead of per element.
+        """
+
+    @abstractmethod
+    def _model_scan_reset(self) -> None:
+        """Count the start of an iteration (cursor to first node)."""
+
+    @abstractmethod
+    def _model_iter_step(self, pos: int) -> None:
+        """Count reaching ``pos`` during full iteration (the record read
+        itself is the same on every DDT and counted by the structure)."""
+
+    @abstractmethod
+    def _model_clear(self) -> None:
+        """Count releasing all records (structure stays usable)."""
+
+    @abstractmethod
+    def _model_dispose(self) -> None:
+        """Count releasing records *and* base storage (end of life)."""
+
+    @abstractmethod
+    def _price(self, ddt: type[DynamicDataType]) -> tuple[int, int, int, int, int]:
+        """``ddt``'s ``(dep_reads, dep_writes, stream_reads,
+        stream_writes, steps)`` for the pending counts."""
+
+
+class DynamicDataType:
     """Common interface + functional storage of all 10 DDTs.
 
-    Parameters
-    ----------
-    pool:
-        The memory pool this structure lives in (one pool per dominant
-        structure; see :class:`repro.memory.profiler.MemoryProfiler`).
-    spec:
-        Size description of the stored record type.
-
-    Subclasses must set :attr:`ddt_name` (the name used by the registry
-    and in all logs, e.g. ``"SLL(O)"``); each organisation implements
-    the ``_model_*`` hooks and names its event counters in ``_events``,
-    and each DDT prices them in ``_price``.
+    ``DDT(pool, spec)``, for a library class ``DDT``, is the one-lane
+    structure of ``spec`` records on ``pool`` (one pool per dominant
+    structure and DDT; see :class:`repro.memory.profiler.MemoryProfiler`),
+    built by :meth:`with_lanes` like any other.  A DDT class sets
+    :attr:`ddt_name`, :attr:`description`, its :attr:`organisation` and
+    the constants that organisation prices it by, and holds no code.
     """
 
     #: Registry name of the implementation (e.g. ``"AR"``, ``"DLL(O)"``).
     ddt_name: ClassVar[str] = ""
     #: One-line description used by reports.
     description: ClassVar[str] = ""
-    #: Data organisation; lanes of one organisation share its state.
-    organisation: ClassVar[str] = ""
-    #: The organisation's event counters, zeroed at every fold.
-    _events: ClassVar[tuple[str, ...]] = ()
+    #: The state class of the data organisation that models and prices it.
+    organisation: ClassVar[type[OrganisationState]]
     # Charges counted once per structure, whatever its lanes.  Every
-    # counter is a class default, so a fresh instance counts from zero.
+    # counter is a class default, so a fresh structure counts from zero.
     _calls = 0  # DDT calls other than the direct ones
     _compares = 0
     _direct_gets = 0
     _direct_sets = 0
     _iterated = 0  # records read by iteration
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        for name in cls.__dict__.get("_events", ()):
-            setattr(cls, name, 0)  # so a fresh instance counts from zero
+    def __new__(cls, pool: MemoryPool, spec: RecordSpec) -> DynamicDataType:
+        return DynamicDataType.with_lanes(spec, ((cls, pool),))
 
-    def __init__(self, pool: MemoryPool, spec: RecordSpec) -> None:
-        self._pool = pool
-        self._spec = spec
-        # Read by nearly every cost hook, so bound once per instance.
-        self._record_words = spec.record_words
-        self._key_words = spec.key_words
-        self._items: list[Any] = []
-        #: The organisations every charged op calls, each through the
-        #: first of its lanes, this one first (``_DISPOSED`` once the
-        #: structure is disposed, ``_JOINED`` on any other joined lane).
-        self._orgs: Sequence[DynamicDataType] = (self,)
-        #: The lanes whose organisation state and counts this instance
-        #: keeps, itself first (none on a lane another lane keeps).
-        self._members: tuple[DynamicDataType, ...] = (self,)
-        self._setup_storage()
-        pool.attach(self)
+    @staticmethod
+    def with_lanes(spec: RecordSpec, lanes: Sequence[Lane]) -> DynamicDataType:
+        """A structure of ``spec`` records charging every ``(DDT class,
+        pool)`` lane side by side, an instance of its first lane's DDT.
 
-    def join_lanes(self, others: Sequence[DynamicDataType]) -> DynamicDataType:
-        """Make this instance charge ``others`` as extra lanes; returns it.
-
-        Every instance must be fresh (empty, never joined, not
-        disposed), store records of this instance's
-        :class:`~repro.ddt.records.RecordSpec` and charge a pool of its
-        own; anything else is a :class:`ValueError`.  From now on
-        ``others`` share this instance's item list and are driven only
-        through it: each charged op calls each organisation once, its
-        first lane keeping the state and counts of all of its lanes.
+        Each lane needs a pool of its own (else :class:`ValueError`).
+        Lanes of one organisation share one state, which keeps their
+        counts and allocates their base storage in lane order.
         """
-        lanes = (self, *others)
-        spec, items = self._spec, self._items
-        if len({id(lane._pool) for lane in lanes}) < len(lanes):
+        pools = [pool for _, pool in lanes]
+        if len({id(pool) for pool in pools}) < len(pools):
             raise ValueError("two lanes would charge one pool")
+        structure = object.__new__(lanes[0][0])
+        structure._pool = pools[0]
+        structure._spec = spec
+        structure._items = items = []
+        groups: dict[type[OrganisationState], list[Lane]] = {}
         for lane in lanes:
-            if lane._orgs is _DISPOSED:
-                raise ValueError(f"{lane.ddt_name}: a disposed instance cannot be a lane")
-            if lane._orgs != (lane,) or lane._members != (lane,):
-                raise ValueError(f"{lane.ddt_name}: the instance is already joined")
-            if lane._items:
-                raise ValueError(f"{lane.ddt_name}: only an empty instance can be a lane")
-            if lane._spec is not spec and lane._spec != spec:
-                raise ValueError(
-                    f"{lane.ddt_name}: lanes must store one record type, "
-                    f"got {lane._spec} and {spec}"
-                )
-        groups: dict[str, list[DynamicDataType]] = {}
-        for lane in lanes:
-            members = groups.get(lane.organisation)
-            if members is None:
-                groups[lane.organisation] = [lane]
-            else:
-                members.append(lane)
-                lane._members = ()
-        for lane in others:
-            lane._items = items
-            lane._orgs = _JOINED
-            lane._pool.detach(lane)
-            lane._pool.attach(self)
-        for leader, *rest in groups.values():
-            leader._members = (leader, *rest)
-        self._orgs = tuple(members[0] for members in groups.values())
-        return self
+            groups.setdefault(lane[0].organisation, []).append(lane)
+        #: The organisation states every charged op calls, the first
+        #: lane's first (``_DISPOSED`` once the structure is disposed).
+        structure._orgs = tuple(
+            org(spec, items, members) for org, members in groups.items()
+        )
+        for pool in pools:
+            pool.attach(structure)
+        return structure
 
     def fold_counts(self) -> None:
         """Add the pending counts to every lane's pool, then zero them.
@@ -215,13 +259,13 @@ class DynamicDataType(ABC):
         compares = self._compares
         self._calls = self._compares = 0
         self._direct_gets = self._direct_sets = self._iterated = 0
-        words = self._record_words
+        words = self._spec.record_words
         for org in self._orgs:
-            for lane in org._members:
-                dep_reads, dep_writes, stream_reads, stream_writes, steps = lane._price(org)
+            for ddt, pool in org.lanes:
+                dep_reads, dep_writes, stream_reads, stream_writes, steps = org._price(ddt)
                 # a direct access: one dependent word, the rest streamed;
                 # an iteration step streams the whole record
-                lane._pool.add_counts(
+                pool.add_counts(
                     dep_reads=dep_reads + gets,
                     dep_writes=dep_writes + sets,
                     stream_reads=stream_reads + gets * (words - 1) + iterated * words,
@@ -423,13 +467,13 @@ class DynamicDataType(ABC):
     def dispose(self) -> None:
         """Destroy the structure, releasing *all* of its storage.
 
-        Used when a structure instance dies with its owner (e.g. a
-        per-flow packet queue when the flow goes idle).  A disposed
-        structure must not be used again: every charged op on it, a
-        second ``dispose`` included, raises :class:`RuntimeError`.  Its
-        counts are folded into its pools, which then forget it, and its
-        lanes are unlinked, so the instances are freed by reference
-        counting alone, with no wait for the cyclic garbage collector.
+        Used when a structure dies with its owner (e.g. a per-flow
+        packet queue when the flow goes idle).  A disposed structure
+        must not be used again: every charged op on it, a second
+        ``dispose`` included, raises :class:`RuntimeError`.  Its counts
+        are folded into its pools, which then forget it, and it drops
+        its organisation states, so it is freed by reference counting
+        alone, with no wait for the cyclic garbage collector.
         """
         orgs = self._orgs
         for org in orgs:
@@ -437,82 +481,18 @@ class DynamicDataType(ABC):
         self._calls += 1
         self._items.clear()
         self.fold_counts()
+        self._orgs = _DISPOSED
         for org in orgs:
-            for lane in org._members:
-                lane._pool.detach(self)
-                lane._orgs = _DISPOSED
-                lane._members = ()
+            for _, pool in org.lanes:
+                pool.detach(self)
 
     # ------------------------------------------------------------------
     def _out_of_range(self, pos: int) -> None:
-        iter(self._orgs)  # a disposed or joined lane says so instead
+        iter(self._orgs)  # a disposed structure says so instead
         raise IndexError(
             f"{self.ddt_name}: position {pos} out of range "
             f"(size {len(self._items)})"
         )
-
-    # ------------------------------------------------------------------
-    # organisation hooks: counted once per organisation by its first
-    # lane, which also allocates and frees every member's blocks
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _setup_storage(self) -> None:
-        """Allocate the lane's base storage and set the model state (once)."""
-
-    @abstractmethod
-    def _model_append(self) -> None:
-        """Count an append of one record at the end."""
-
-    @abstractmethod
-    def _model_insert(self, pos: int) -> None:
-        """Count an insert before ``pos`` (pre-mutation length)."""
-
-    @abstractmethod
-    def _model_get(self, pos: int) -> None:
-        """Count a full read of the record at ``pos``."""
-
-    @abstractmethod
-    def _model_set(self, pos: int) -> None:
-        """Count a full overwrite of the record at ``pos``."""
-
-    @abstractmethod
-    def _model_remove(self, pos: int) -> None:
-        """Count a removal of the record at ``pos``."""
-
-    @abstractmethod
-    def _model_scan(self, visited: int, hit: bool) -> None:
-        """Count a key scan over the first ``visited`` records (bulk).
-
-        ``hit`` means the last visited record matched and is read fully.
-        Counted once per :meth:`find` or :meth:`find_key`, so
-        implementations compute the traversal cost analytically instead
-        of per element.
-        """
-
-    @abstractmethod
-    def _model_scan_reset(self) -> None:
-        """Count the start of an iteration (cursor to first node)."""
-
-    @abstractmethod
-    def _model_iter_step(self, pos: int) -> None:
-        """Count reaching ``pos`` during full iteration (the record read
-        itself is the same on every DDT and counted by the structure)."""
-
-    @abstractmethod
-    def _model_clear(self) -> None:
-        """Count releasing all records (structure stays usable)."""
-
-    @abstractmethod
-    def _model_dispose(self) -> None:
-        """Count releasing records *and* base storage (end of life)."""
-
-    # ------------------------------------------------------------------
-    # pricing -- one implementation per DDT
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
-        """This DDT's ``(dep_reads, dep_writes, stream_reads,
-        stream_writes, steps)`` for the counts ``org`` keeps."""
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

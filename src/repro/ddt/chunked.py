@@ -29,8 +29,8 @@ chunk, so its chunk count is the length of its fill list.
 
 from __future__ import annotations
 
-from repro.ddt.base import DynamicDataType
-from repro.ddt.records import WORD_BYTES
+from repro.ddt.base import DESCRIPTOR_BYTES, DynamicDataType, OrganisationState
+from repro.ddt.records import WORD_BYTES, RecordSpec
 
 __all__ = [
     "ChunkedSinglyLinkedDDT",
@@ -44,8 +44,6 @@ __all__ = [
 CHUNK_BYTES = 256
 #: Lower bound on records per chunk (tiny records never chunk singly).
 MIN_CHUNK_RECORDS = 4
-#: Bytes of the list descriptor (head, tail, count, cursor fields).
-DESCRIPTOR_BYTES = 16
 
 
 def chunk_capacity(record_bytes: int) -> int:
@@ -61,15 +59,15 @@ def chunk_capacity(record_bytes: int) -> int:
     return max(MIN_CHUNK_RECORDS, CHUNK_BYTES // record_bytes)
 
 
-class _ChunkedBase(DynamicDataType):
-    """Shared state, allocation and event counts of the four chunked lists.
+class _ChunkedState(OrganisationState):
+    """One fill list, one cursor, the event counts and the blocks of
+    chunked-list lanes.
 
     The model tracks the fill of every chunk (``self._fills``) so that
     traversal distances, shift widths and split costs reflect the actual
     chunk layout produced by the operation history.
     """
 
-    organisation = "chunked"
     _events = (
         "_appends",  # appends, and inserts at the end
         "_chunk_allocs",
@@ -93,40 +91,38 @@ class _ChunkedBase(DynamicDataType):
         "_cleared",  # chunks walked to free them
         "_clears",
     )
-    #: Pointer words per chunk header (1 singly, 2 doubly linked).
-    ptr_words = 1
-    #: Whether a cursor to the last accessed chunk is maintained.
-    roving = False
-    #: The event counter of the walk rule this list locates by.
-    hop_sum = "_sll_hops"
 
-    # -- storage ---------------------------------------------------------
-    def _setup_storage(self) -> None:
-        size = self._spec.size_bytes
+    def _setup(self, spec: RecordSpec) -> None:
+        size = spec.size_bytes
         self._chunk_records = chunk_capacity(size)
-        header = self.ptr_words * WORD_BYTES + WORD_BYTES  # links + count
-        self._chunk_bytes = header + self._chunk_records * size
-        self._pool.allocate(DESCRIPTOR_BYTES)
+        #: Each lane's pool and chunk bytes (links, a count, the records).
+        self._chunks = tuple(
+            (pool, (ddt.ptr_words + 1) * WORD_BYTES + self._chunk_records * size)
+            for ddt, pool in self.lanes
+        )
         self._fills: list[int] = []
         self._rov_chunk: int | None = None
+        for _, pool in self.lanes:
+            pool.allocate(DESCRIPTOR_BYTES)
 
+    # -- storage ---------------------------------------------------------
     def _alloc_chunk(self, index: int, fill: int) -> None:
-        for lane in self._members:
-            lane._pool.allocate(lane._chunk_bytes)
+        for pool, chunk in self._chunks:
+            pool.allocate(chunk)
         self._fills.insert(index, fill)
         self._chunk_allocs += 1
 
     def _free_chunk(self, index: int) -> None:
-        for lane in self._members:
-            lane._pool.free(lane._chunk_bytes)
+        for pool, chunk in self._chunks:
+            pool.free(chunk)
         del self._fills[index]
         self._chunk_frees += 1
 
     def _free_chunks(self) -> None:
         chunks = len(self._fills)
         if chunks:
-            for lane in self._members:
-                lane._pool.free(lane._chunk_bytes, chunks)
+            for pool, chunk in self._chunks:
+                pool.free(chunk, chunks)
             self._fills.clear()
 
     # -- location ----------------------------------------------------------
@@ -260,8 +256,8 @@ class _ChunkedBase(DynamicDataType):
     def _model_dispose(self) -> None:
         self._cleared += len(self._fills)
         self._free_chunks()
-        for lane in self._members:
-            lane._pool.free(DESCRIPTOR_BYTES)
+        for _, pool in self.lanes:
+            pool.free(DESCRIPTOR_BYTES)
         self._rov_chunk = None
 
     # -- pricing -----------------------------------------------------------
@@ -272,32 +268,44 @@ class _ChunkedBase(DynamicDataType):
     # unlinks them; a split streams half a chunk across and rewrites the
     # old count.  A roving list also writes its cursor on every locate
     # and scan hit.
-    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
-        words, key, ptr = self._record_words, self._key_words, self.ptr_words
-        hops = getattr(org, self.hop_sum)
-        locates, appends, inserts = org._locates, org._appends, org._inserts
-        removes, visited, hits = org._removes, org._visited, org._hits
-        copied = (org._splits * (org._chunk_records // 2) + org._shifted) * words
+    def _price(self, ddt: type[DynamicDataType]) -> tuple[int, int, int, int, int]:
+        words, key, ptr = self._record_words, self._key_words, ddt.ptr_words
+        hops = getattr(self, ddt.hop_sum)
+        locates, appends, inserts = self._locates, self._appends, self._inserts
+        removes, visited, hits = self._removes, self._visited, self._hits
+        copied = (self._splits * (self._chunk_records // 2) + self._shifted) * words
         dep_writes = (
-            org._chunk_allocs * (ptr + 1)
-            + org._tail_links
+            self._chunk_allocs * (ptr + 1)
+            + self._tail_links
             + appends
-            + org._splits
+            + self._splits
             + inserts
             + removes
-            + org._chunk_frees * ptr
-            + 2 * org._clears
+            + self._chunk_frees * ptr
+            + 2 * self._clears
         )
-        if self.roving:
+        if ddt.roving:
             dep_writes += locates + hits
         return (
-            appends + locates + hops + org._pointer_loads + org._next_hops + org._cleared,
+            appends + locates + hops + self._pointer_loads + self._next_hops + self._cleared,
             dep_writes,
-            hops + copied + (org._gets + removes) * words + org._next_hops
+            hops + copied + (self._gets + removes) * words + self._next_hops
             + visited * key + hits * (words - key),
-            copied + (appends + inserts + org._sets) * words,
-            locates + hops + visited + org._cleared,
+            copied + (appends + inserts + self._sets) * words,
+            locates + hops + visited + self._cleared,
         )
+
+
+class _ChunkedBase(DynamicDataType):
+    """The constants the chunked organisation prices a list by."""
+
+    organisation = _ChunkedState
+    #: Pointer words per chunk header (1 singly, 2 doubly linked).
+    ptr_words = 1
+    #: Whether a cursor to the last accessed chunk is maintained.
+    roving = False
+    #: The event counter of the walk rule this list locates by.
+    hop_sum = "_sll_hops"
 
 
 class ChunkedSinglyLinkedDDT(_ChunkedBase):
@@ -305,8 +313,6 @@ class ChunkedSinglyLinkedDDT(_ChunkedBase):
 
     ddt_name = "SLL(AR)"
     description = "singly linked list of arrays (unrolled list)"
-    ptr_words = 1
-    hop_sum = "_sll_hops"
 
 
 class ChunkedDoublyLinkedDDT(_ChunkedBase):

@@ -38,8 +38,8 @@ counts by its own rule, pointer words and cursor writes.
 
 from __future__ import annotations
 
-from repro.ddt.base import DynamicDataType
-from repro.ddt.records import WORD_BYTES
+from repro.ddt.base import DESCRIPTOR_BYTES, DynamicDataType, OrganisationState
+from repro.ddt.records import WORD_BYTES, RecordSpec
 
 __all__ = [
     "SinglyLinkedDDT",
@@ -48,14 +48,10 @@ __all__ = [
     "RovingDoublyLinkedDDT",
 ]
 
-#: Bytes of the list descriptor (head, tail, count, cursor fields).
-DESCRIPTOR_BYTES = 16
 
+class _LinkedState(OrganisationState):
+    """One cursor, the event counts and the blocks of linked-list lanes."""
 
-class _LinkedBase(DynamicDataType):
-    """Shared state, allocation and event counts of the four linked lists."""
-
-    organisation = "linked"
     _events = (
         "_appends",  # appends, and inserts at the end
         "_inserts",
@@ -72,28 +68,27 @@ class _LinkedBase(DynamicDataType):
         "_cleared",  # nodes walked to free them
         "_clears",
     )
-    #: Pointer words per node (1 for singly, 2 for doubly linked).
-    ptr_words = 1
-    #: Whether a cursor to the last accessed position is maintained.
-    roving = False
-    #: The event counter of the walk rule this list walks by.
-    walk_sum = "_sll_walks"
+
+    def _setup(self, spec: RecordSpec) -> None:
+        #: Each lane's pool and node bytes (the record and its links).
+        self._nodes = tuple(
+            (pool, spec.size_bytes + ddt.ptr_words * WORD_BYTES)
+            for ddt, pool in self.lanes
+        )
+        self._rov: int | None = None
+        for _, pool in self.lanes:
+            pool.allocate(DESCRIPTOR_BYTES)
 
     # -- storage ---------------------------------------------------------
-    def _setup_storage(self) -> None:
-        self._pool.allocate(DESCRIPTOR_BYTES)
-        self._node_bytes = self._spec.size_bytes + self.ptr_words * WORD_BYTES
-        self._rov: int | None = None
-
     def _alloc_nodes(self) -> None:
-        for lane in self._members:
-            lane._pool.allocate(lane._node_bytes)
+        for pool, node in self._nodes:
+            pool.allocate(node)
 
     def _free_nodes(self) -> None:
         nodes = len(self._items)
         if nodes:
-            for lane in self._members:
-                lane._pool.free(lane._node_bytes, nodes)
+            for pool, node in self._nodes:
+                pool.free(node, nodes)
 
     # -- walking -----------------------------------------------------------
     def _walk_to(self, pos: int) -> None:
@@ -162,8 +157,8 @@ class _LinkedBase(DynamicDataType):
     def _model_remove(self, pos: int) -> None:
         self._walk_to_neighbour(pos)
         self._removes += 1
-        for lane in self._members:
-            lane._pool.free(lane._node_bytes)
+        for pool, node in self._nodes:
+            pool.free(node)
         self._rov = None  # its node is gone
 
     def _model_scan(self, visited: int, hit: bool) -> None:
@@ -192,8 +187,8 @@ class _LinkedBase(DynamicDataType):
     def _model_dispose(self) -> None:
         self._cleared += len(self._items)
         self._free_nodes()
-        for lane in self._members:
-            lane._pool.free(DESCRIPTOR_BYTES)
+        for _, pool in self.lanes:
+            pool.free(DESCRIPTOR_BYTES)
         self._rov = None
 
     # -- pricing -----------------------------------------------------------
@@ -203,21 +198,33 @@ class _LinkedBase(DynamicDataType):
     # mid-list insert initialises and relinks ``ptr_words`` links twice
     # and a removal relinks them once.  A roving list also writes its
     # cursor on every get, set, insert, remove and scan hit.
-    def _price(self, org: DynamicDataType) -> tuple[int, int, int, int, int]:
-        words, key, ptr = self._record_words, self._key_words, self.ptr_words
-        walks = getattr(org, self.walk_sum)
-        appends, inserts, removes = org._appends, org._inserts, org._removes
-        gets, sets, visited, hits = org._gets, org._sets, org._visited, org._hits
-        dep_writes = appends * (ptr + 2) + inserts * 2 * ptr + removes * ptr + 2 * org._clears
-        if self.roving:
+    def _price(self, ddt: type[DynamicDataType]) -> tuple[int, int, int, int, int]:
+        words, key, ptr = self._record_words, self._key_words, ddt.ptr_words
+        walks = getattr(self, ddt.walk_sum)
+        appends, inserts, removes = self._appends, self._inserts, self._removes
+        gets, sets, visited, hits = self._gets, self._sets, self._visited, self._hits
+        dep_writes = appends * (ptr + 2) + inserts * 2 * ptr + removes * ptr + 2 * self._clears
+        if ddt.roving:
             dep_writes += gets + sets + inserts + removes + hits
         return (
-            appends + walks + org._pointer_loads + visited + org._cleared,
+            appends + walks + self._pointer_loads + visited + self._cleared,
             dep_writes,
             (gets + removes) * words + visited * key + hits * (words - key),
             (appends + inserts + sets) * words,
-            walks + visited + org._cleared,
+            walks + visited + self._cleared,
         )
+
+
+class _LinkedBase(DynamicDataType):
+    """The constants the linked organisation prices a list by."""
+
+    organisation = _LinkedState
+    #: Pointer words per node (1 for singly, 2 for doubly linked).
+    ptr_words = 1
+    #: Whether a cursor to the last accessed position is maintained.
+    roving = False
+    #: The event counter of the walk rule this list walks by.
+    walk_sum = "_sll_walks"
 
 
 class SinglyLinkedDDT(_LinkedBase):
@@ -230,8 +237,6 @@ class SinglyLinkedDDT(_LinkedBase):
 
     ddt_name = "SLL"
     description = "singly linked list (head+tail)"
-    ptr_words = 1
-    walk_sum = "_sll_walks"
 
 
 class DoublyLinkedDDT(_LinkedBase):

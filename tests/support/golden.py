@@ -26,6 +26,7 @@ import random
 import sys
 
 from repro.core.casestudies import CASE_STUDIES
+from repro.ddt.base import DynamicDataType
 from repro.ddt.records import RecordSpec
 from repro.ddt.registry import all_ddt_names, combination_label, ddt_class
 from repro.memory.profiler import MemoryProfiler
@@ -175,18 +176,17 @@ def golden_ddt_parts(laned=False):
     One plain instance per DDT, or (``laned``) one instance charging all
     ten DDTs as lanes.
     """
-    names = all_ddt_names()
     profiler = MemoryProfiler()
-    structures = [
-        ddt_class(name)(profiler.new_pool(DDT_SPEC.name, name), DDT_SPEC)
-        for name in names
+    lanes = [
+        (ddt_class(name), profiler.new_pool(DDT_SPEC.name, name))
+        for name in all_ddt_names()
     ]
     script = ddt_script()
     if laned:
-        drive(structures[0].join_lanes(structures[1:]), script)
+        drive(DynamicDataType.with_lanes(DDT_SPEC, lanes), script)
     else:
-        for structure in structures:
-            drive(structure, script)
+        for ddt, pool in lanes:
+            drive(ddt(pool, DDT_SPEC), script)
     golden = {}
     for part, pool in zip(profiler.parts().pools, profiler.pools):
         encoded = {key: _exact(value) for key, value in dataclasses.asdict(part).items()}

@@ -7,6 +7,7 @@ identical across DDT assignments -- only metrics differ.
 import pytest
 
 from repro.apps import ALL_APPS, DrrApp, IpchainsApp, RouteApp, UrlApp
+from repro.ddt.registry import all_ddt_names
 from repro.memory.profiler import MemoryProfiler
 from repro.net.config import NetworkConfig
 from repro.net.packet import Packet, Protocol, TcpFlags
@@ -208,9 +209,15 @@ class TestDrrApp:
             app.run(config.load_trace())
 
     def test_queues_disposed(self):
-        """After the run every per-flow queue has been disposed."""
+        """After a full-library lane run every per-flow queue has been
+        disposed: each of the ten ``packet_buf`` pools ends empty."""
         config = SMALL
         profiler = MemoryProfiler()
-        app = DrrApp(config, {"flow_queue": "SLL", "packet_buf": "SLL"}, profiler)
+        library = all_ddt_names()
+        app = DrrApp(config, {"flow_queue": library, "packet_buf": library}, profiler)
         app.run(config.load_trace())
-        assert profiler.pool("packet_buf").live_blocks == 0
+        buffers = [pool for pool in profiler.pools if pool.name == "packet_buf"]
+        assert len(buffers) == len(library)
+        assert app.stats["flows_created"] > 1
+        for pool in buffers:
+            assert (pool.live_blocks, pool.live_bytes) == (0, 0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ddt import RecordSpec, all_ddt_names, ddt_class
+from repro.ddt import DynamicDataType, RecordSpec, all_ddt_names, ddt_class
 from repro.memory.profiler import MemoryProfiler
 
 SPEC = RecordSpec("test_record", size_bytes=32, key_bytes=4)
@@ -26,8 +26,8 @@ def make_ddt(name, spec=SPEC):
 def _lane_structure(names):
     """One structure charging every DDT of ``names``, each to its own pool."""
     profiler = MemoryProfiler()
-    lanes = [ddt_class(name)(profiler.new_pool("rec", name), SPEC) for name in names]
-    return lanes[0].join_lanes(lanes[1:]), [lane.pool for lane in lanes]
+    lanes = [(ddt_class(name), profiler.new_pool("rec", name)) for name in names]
+    return DynamicDataType.with_lanes(SPEC, lanes), [pool for _, pool in lanes]
 
 
 @pytest.fixture(params=all_ddt_names())

@@ -122,6 +122,22 @@ class TestStep2:
             explore_network_level(UrlApp, step1, [], env=env)
 
 
+class TestRefinementParameters:
+    """The library entry refuses what the scheduler and CLI refuse: a
+    parameter the app does not read would label configurations that
+    simulate alike."""
+
+    def test_unread_parameter_in_configs_refused(self):
+        configs = [NetworkConfig("Whittemore", {"bogus": v}) for v in (1, 2)]
+        with pytest.raises(ValueError, match="reads no parameter 'bogus'"):
+            DDTRefinement(UrlApp, configs, candidates=["AR", "SLL"])
+
+    def test_unread_parameter_in_reference_config_refused(self):
+        reference = NetworkConfig("Whittemore", {"bogus": 3})
+        with pytest.raises(ValueError, match="reads no parameter 'bogus'"):
+            DDTRefinement(UrlApp, CONFIGS, reference_config=reference)
+
+
 class TestStep3:
     def test_curves_per_config(self, url_result):
         step3 = url_result.step3

@@ -93,6 +93,7 @@ def test_doctests_in_key_modules():
         "repro.ddt.registry",
         "repro.net.addresses",
         "repro.core.pareto",
+        "repro.core.constraints",
     ):
         module = importlib.import_module(module_name)
         result = doctest.testmod(module)

@@ -23,6 +23,7 @@ from repro.core.casestudies import CASE_STUDIES
 from repro.core.engine import ExplorationEngine
 from repro.core.simulate import SimulationEnvironment, run_simulation
 from repro.core.taskgraph import lane_assignment
+from repro.ddt.base import DynamicDataType
 from repro.ddt.records import RecordSpec
 from repro.ddt.registry import all_ddt_names, combinations, ddt_class
 from repro.memory.profiler import MemoryProfiler
@@ -156,34 +157,33 @@ def test_roving_lane_keeps_its_own_cursor(names):
         structure.dispose()
 
     profiler = MemoryProfiler()
-    lanes = [ddt_class(name)(profiler.new_pool("rec", name), spec) for name in names]
-    drive(lanes[0].join_lanes(lanes[1:]))
-    for name, lane in zip(names, lanes):
-        alone = ddt_class(name)(MemoryProfiler().new_pool("rec", name), spec)
+    lanes = [(ddt_class(name), profiler.new_pool("rec", name)) for name in names]
+    drive(DynamicDataType.with_lanes(spec, lanes))
+    for ddt, pool in lanes:
+        alone = ddt(MemoryProfiler().new_pool("rec", ddt.ddt_name), spec)
         drive(alone)
-        assert lane.pool.snapshot() == alone.pool.snapshot()
+        assert pool.snapshot() == alone.pool.snapshot()
 
 
 def test_disposed_lanes_die_with_their_last_reference():
-    """``dispose()`` unlinks the lanes, so a disposed multi-lane
-    structure is freed by reference counting alone: with the cyclic
-    collector off, no lane outlives the last reference to it."""
+    """A disposed multi-lane structure is freed by reference counting
+    alone: with the cyclic collector off, neither the structure nor any
+    of its organisation states outlives the last reference to it."""
     spec = RecordSpec("rec", size_bytes=24, key_bytes=4)
     profiler = MemoryProfiler()
     gc.collect()
     gc.disable()
     try:
-        lanes = [
-            ddt_class(name)(profiler.new_pool("rec", name), spec) for name in LIBRARY
-        ]
-        structure = lanes[0].join_lanes(lanes[1:])
+        lanes = [(ddt_class(name), profiler.new_pool("rec", name)) for name in LIBRARY]
+        structure = DynamicDataType.with_lanes(spec, lanes)
         for value in range(20):
             structure.append(value)
         structure.find(lambda item: item == 7)
+        refs = [weakref.ref(structure), *map(weakref.ref, structure._orgs)]
+        assert len(refs) == 4  # the array, linked and chunked states
         structure.dispose()
-        refs = [weakref.ref(lane) for lane in lanes]
-        del lanes, structure
-        assert [ref() for ref in refs] == [None] * len(LIBRARY)
+        del structure
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 
@@ -191,48 +191,13 @@ def test_disposed_lanes_die_with_their_last_reference():
 SPEC = RecordSpec("rec", size_bytes=24, key_bytes=4)
 
 
-def _fresh(names, profiler, spec=SPEC):
-    """One fresh instance per name, each on its own (rec, name) pool."""
-    return [ddt_class(name)(profiler.new_pool("rec", name), spec) for name in names]
-
-
-def test_join_refuses_a_non_empty_lane():
-    first, second = _fresh(("AR", "SLL"), MemoryProfiler())
-    second.append(1)
-    with pytest.raises(ValueError, match="empty"):
-        first.join_lanes([second])
-
-
-def test_join_refuses_an_already_joined_lane():
-    profiler = MemoryProfiler()
-    first, second, third = _fresh(("AR", "SLL", "DLL"), profiler)
-    first.join_lanes([second])
-    with pytest.raises(ValueError, match="already joined"):
-        third.join_lanes([second])
-    with pytest.raises(ValueError, match="already joined"):
-        first.join_lanes([third])
-
-
-def test_join_refuses_a_disposed_lane():
-    first, second = _fresh(("AR", "SLL"), MemoryProfiler())
-    second.dispose()
-    with pytest.raises(ValueError, match="disposed"):
-        first.join_lanes([second])
-
-
 def test_join_refuses_two_lanes_on_one_pool():
+    """Two lanes on one pool are refused before either allocates."""
     pool = MemoryProfiler().new_pool("rec")
-    first, second = (ddt_class(name)(pool, SPEC) for name in ("AR", "SLL"))
+    lanes = [(ddt_class("AR"), pool), (ddt_class("SLL"), pool)]
     with pytest.raises(ValueError, match="one pool"):
-        first.join_lanes([second])
-
-
-def test_join_refuses_a_lane_of_another_record_spec():
-    profiler = MemoryProfiler()
-    (first,) = _fresh(("AR",), profiler)
-    (second,) = _fresh(("SLL",), profiler, RecordSpec("rec", size_bytes=32))
-    with pytest.raises(ValueError, match="record type"):
-        first.join_lanes([second])
+        DynamicDataType.with_lanes(SPEC, lanes)
+    assert pool.live_blocks == pool.allocator_calls == 0
 
 
 @pytest.mark.parametrize("name", LIBRARY)
@@ -344,18 +309,17 @@ def _run_script(make, count, script, pools):
 @settings(max_examples=100, deadline=None)
 @given(lane_scripts())
 def test_lane_sets_of_any_shape_equal_their_plain_runs(case):
-    """Any ordered lane set (any DDT may lead its organisation), with
-    several instances sharing each pool, charges every pool exactly as
-    plain runs of its DDT do, at every point of the script."""
+    """Any ordered lane set (any DDT may come first in its
+    organisation), with several instances sharing each pool, charges
+    every pool exactly as plain runs of its DDT do, at every point of
+    the script."""
     names, count, script = case
     laned = MemoryProfiler()
     lane_pools = [laned.new_pool("rec", name) for name in names]
-
-    def make_laned():
-        lanes = [ddt_class(name)(pool, SPEC) for name, pool in zip(names, lane_pools)]
-        return lanes[0].join_lanes(lanes[1:])
-
-    laned_seen = _run_script(make_laned, count, script, lane_pools)
+    lanes = [(ddt_class(name), pool) for name, pool in zip(names, lane_pools)]
+    laned_seen = _run_script(
+        lambda: DynamicDataType.with_lanes(SPEC, lanes), count, script, lane_pools
+    )
     for lane, name in enumerate(names):
         pool = MemoryProfiler().new_pool("rec", name)
         plain_seen = _run_script(lambda: ddt_class(name)(pool, SPEC), count, script, [pool])
