@@ -12,7 +12,7 @@ step-2 sweeps into one streaming task graph over one engine:
   per profile fingerprint for the whole campaign, loaded from disk by
   every worker and every re-run;
 * simulation records persist in per-app shards
-  (``<cache>/<app>/<app>-<fingerprint>.json``), so a second campaign is
+  (``<cache>/<app>/<app>-<fingerprint>.v3.jsonl``), so a second campaign is
   pure cache replay.
 
 The per-app results are bit-identical to the serial runs -- scheduling

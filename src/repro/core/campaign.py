@@ -402,8 +402,8 @@ class CampaignScheduler:
     workers / cache / trace_store:
         Forwarded to the owned :class:`ExplorationEngine`; a path-like
         ``cache`` becomes a :class:`SimulationCache`
-        (``<cache>/<app>/...``), and ``trace_store=True`` uses the
-        default ``.repro_cache/traces/`` store.
+        (``<cache>/<app>/...``), and a path-like ``trace_store`` a
+        :class:`~repro.net.tracestore.TraceStore` there.
     transport:
         Optional :class:`~repro.core.transport.WorkerTransport`
         forwarded to the owned engine -- a
@@ -434,8 +434,8 @@ class CampaignScheduler:
         grids: Mapping[str, Mapping[str, Sequence[Any]]] | None = None,
         env: SimulationEnvironment | None = None,
         workers: int = 0,
-        cache: "SimulationCache | str | os.PathLike[str] | bool | None" = None,
-        trace_store: "TraceStore | str | os.PathLike[str] | bool | None" = None,
+        cache: "SimulationCache | str | os.PathLike[str] | None" = None,
+        trace_store: "TraceStore | str | os.PathLike[str] | None" = None,
         transport: "Any | None" = None,
         engine: ExplorationEngine | None = None,
         progress: ProgressCallback | None = None,
@@ -605,15 +605,17 @@ class CampaignScheduler:
         return apps if isinstance(apps, dict) else {}
 
     def _write_manifest(self, entries: Mapping[str, Any]) -> None:
-        """Record this run's per-app entries -- all the manifest holds.
+        """Record this run's per-app entries over the recorded ones.
 
-        Any other key an older build wrote is dropped here; reading
+        An app this run does not schedule keeps its entry, so a narrower
+        run does not turn it ``new`` for the next ``resume``.  Any other
+        key an older build wrote is dropped here; reading
         (:meth:`_previous_manifest`) already ignores it.
         """
         path = self._manifest_path
         if path is None:
             return
-        payload = {"version": 1, "apps": dict(entries)}
+        payload = {"version": 1, "apps": {**self._previous_manifest(), **entries}}
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         # Per-process tmp name: campaigns sharing one --cache must never
         # interleave writes into (or rename away) each other's tmp file.

@@ -22,11 +22,12 @@ scenario multiplies it.  The paper attacks that cost algorithmically
   whichever transport ran them.  Each lane run is one dispatched task;
   no timing measured by an earlier run steers the schedule.
 * **Persistent caching** -- an optional :class:`SimulationCache`, the
-  one record store, keeps finished
-  :class:`~repro.core.results.SimulationRecord`\\ s as JSON under
-  ``.repro_cache/<app>/``, keyed by ``(app, config label, combo label,
-  model fingerprint)``.  The fingerprint (:func:`model_fingerprint`)
-  hashes the :class:`~repro.memory.cacti.CactiModel` coefficients, the
+  one record store, appends finished
+  :class:`~repro.core.results.SimulationRecord`\\ s to JSON-lines
+  shards ``.repro_cache/<app>/<app>-<fingerprint>.v3.jsonl``, keyed by
+  ``(app, config label, combo label, model fingerprint)``.  The
+  fingerprint (:func:`model_fingerprint`) hashes the
+  :class:`~repro.memory.cacti.CactiModel` coefficients, the
   :class:`~repro.memory.timing.OperationCosts` table, the generation
   profile of the record's own trace and the source of the code that
   turns them into records (:func:`model_source_digest`), so entries
@@ -233,23 +234,31 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).lower() or "app"
 
 
-#: Record-shard format; a shard of any other version reads as empty,
-#: exactly like a stale one.
-SHARD_VERSION = 2
+#: Record-shard format, part of every shard's file name: a shard of
+#: another format is never opened, so a cache written by another format
+#: runs cold once.
+SHARD_VERSION = 3
 
 
 class SimulationCache:
     """Persistent record store under a cache directory.
 
-    One JSON shard per ``(application, model fingerprint)`` pair, kept in
-    a per-application subdirectory, e.g.
-    ``.repro_cache/route/route-1f2e3d4c5b6a7980.json`` -- a multi-app
-    campaign writes through one instance while every application's
-    records stay physically isolated.  Keys inside a shard are ``(config
-    label, combo label)`` pairs.  Because the fingerprint is part of the
-    shard identity, stale shards (written under different model
-    coefficients) are never consulted -- they are invisible rather than
-    wrong.
+    One append-only JSON-lines shard per ``(application, model
+    fingerprint)`` pair, kept in a per-application subdirectory, e.g.
+    ``.repro_cache/route/route-1f2e3d4c5b6a7980.v3.jsonl`` -- a
+    multi-app campaign writes through one instance while every
+    application's records stay physically isolated.  Keys inside a shard
+    are ``(config label, combo label)`` pairs.  Because the fingerprint
+    is part of the shard identity, stale shards (written under different
+    model coefficients) are never consulted -- they are invisible rather
+    than wrong.
+
+    Each :meth:`flush` appends one line per shard with new records,
+    ``{"fingerprint": ..., "records": [...]}``; loading a shard replays
+    its lines in order, and a later record of a point replaces an
+    earlier one.  A line that does not parse (one a killed writer left
+    torn) or that names another fingerprint (a copied or renamed file)
+    is skipped, so a damaged shard costs misses, never wrong records.
 
     Floats survive the JSON round trip exactly (``json`` serialises via
     ``repr``), so a cache hit reproduces the original record's metrics
@@ -258,45 +267,41 @@ class SimulationCache:
 
     def __init__(self, directory: str | os.PathLike[str] = ".repro_cache") -> None:
         self.directory = os.fspath(directory)
-        self._shards: dict[tuple[str, str], dict[str, dict[str, Any]]] = {}
-        self._dirty: set[tuple[str, str]] = set()
+        # Per (app, fingerprint) shard: its records by record key, and
+        # the records put since the last flush.
+        self._shards: dict[tuple[str, str], dict[tuple, SimulationRecord]] = {}
+        self._unflushed: dict[tuple[str, str], dict[tuple, SimulationRecord]] = {}
         self.hits = 0
         self.misses = 0
 
     # ------------------------------------------------------------------
     def _shard_path(self, app_name: str, fingerprint: str) -> str:
         slug = _slug(app_name)
-        return os.path.join(self.directory, slug, f"{slug}-{fingerprint}.json")
+        return os.path.join(
+            self.directory, slug, f"{slug}-{fingerprint}.v{SHARD_VERSION}.jsonl"
+        )
 
-    @staticmethod
-    def _read_shard(path: str, fingerprint: str) -> dict[str, dict[str, Any]]:
-        """Load one shard file; ``{}`` when absent, stale or corrupt."""
-        if not os.path.exists(path):
-            return {}
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if (
-                payload.get("version") == SHARD_VERSION
-                and payload.get("fingerprint") == fingerprint
-            ):
-                return dict(payload.get("records", {}))
-        except (OSError, ValueError):
-            pass  # unreadable/corrupt shard: treat as empty
-        return {}
-
-    def _shard(self, app_name: str, fingerprint: str) -> dict[str, dict[str, Any]]:
+    def _shard(self, app_name: str, fingerprint: str) -> dict[tuple, SimulationRecord]:
+        """One shard's records, replayed from its file on first use."""
         key = (app_name, fingerprint)
         shard = self._shards.get(key)
         if shard is not None:
             return shard
-        shard = self._read_shard(self._shard_path(app_name, fingerprint), fingerprint)
-        self._shards[key] = shard
+        shard = self._shards[key] = {}
+        try:
+            with open(self._shard_path(app_name, fingerprint), "rb") as handle:
+                lines = handle.readlines()
+        except OSError:
+            return shard  # absent or unreadable shard: every point misses
+        for line in lines:
+            try:
+                batch = json.loads(line)
+                if batch["fingerprint"] == fingerprint:
+                    records = [_record_from_json(data) for data in batch["records"]]
+                    shard.update((record.key, record) for record in records)
+            except (ValueError, KeyError, TypeError):
+                pass  # a torn line: its records miss
         return shard
-
-    @staticmethod
-    def _key(config_label: str, combo_label: str) -> str:
-        return f"{config_label}\x1f{combo_label}"
 
     # ------------------------------------------------------------------
     def get(
@@ -307,60 +312,40 @@ class SimulationCache:
         combo_label: str,
     ) -> SimulationRecord | None:
         """Look one point up; ``None`` on a miss."""
-        shard = self._shard(app_name, fingerprint)
-        data = shard.get(self._key(config_label, combo_label))
-        if data is None:
+        record = self._shard(app_name, fingerprint).get((config_label, combo_label))
+        if record is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        return _record_from_json(data)
+        else:
+            self.hits += 1
+        return record
 
     def put(self, app_name: str, fingerprint: str, record: SimulationRecord) -> None:
-        """Store one finished record (flushed to disk by :meth:`flush`)."""
-        shard = self._shard(app_name, fingerprint)
-        shard[self._key(record.config_label, record.combo_label)] = _record_to_json(
-            record
-        )
-        self._dirty.add((app_name, fingerprint))
+        """Store one finished record (appended to disk by :meth:`flush`)."""
+        self._shard(app_name, fingerprint)[record.key] = record
+        self._unflushed.setdefault((app_name, fingerprint), {})[record.key] = record
 
     def flush(self) -> None:
-        """Write dirty shards to disk atomically (tmp file + rename).
+        """Append each shard's records put since the last flush.
 
-        The write **merges with the on-disk shard** instead of
-        rewriting it wholesale: another process sharing the directory
-        (a concurrent campaign) may have flushed records of its own
-        since this instance loaded the shard, and those must not be
-        dropped by a last-writer-wins replace.  Conflicting keys keep
-        this instance's record -- identical content anyway, since the
-        fingerprint pins every model input.  The read-merge-replace is
-        not one atomic step, so two *simultaneous* flushes can still
-        race within that window; each instance keeps its own records in
-        memory, so the next flush of the loser re-merges them -- writers
-        converge instead of silently losing data.
+        One line per shard, each point once, in put order.  The line
+        goes out in one unbuffered ``write`` to a file opened for
+        appending, so writers sharing the directory only ever add to a
+        shard: on a local POSIX filesystem concurrent appends do not
+        interleave, and each line starts on a fresh line, so one that
+        follows a torn line stays readable.
         """
-        if not self._dirty:
-            return
-        for app_name, fingerprint in sorted(self._dirty):
+        for (app_name, fingerprint), records in list(self._unflushed.items()):
             path = self._shard_path(app_name, fingerprint)
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            disk = self._read_shard(path, fingerprint)
-            if disk:
-                merged = dict(disk)
-                merged.update(self._shards[(app_name, fingerprint)])
-                self._shards[(app_name, fingerprint)] = merged
-            payload = {
-                "version": SHARD_VERSION,
-                "app": app_name,
+            batch = {
                 "fingerprint": fingerprint,
-                "records": self._shards[(app_name, fingerprint)],
+                "records": [_record_to_json(record) for record in records.values()],
             }
-            # Per-process tmp name: two processes flushing the same
-            # shard must never interleave writes into one tmp file.
-            tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        self._dirty.clear()
+            line = b"\n" + json.dumps(batch).encode("utf-8")
+            with open(path, "ab", buffering=0) as handle:
+                if handle.write(line) != len(line):
+                    raise OSError(f"short append to record shard {path}")
+            del self._unflushed[(app_name, fingerprint)]
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards.values())
@@ -405,17 +390,15 @@ class ExplorationEngine:
         ``N >= 1`` evaluates cache misses on a pool of ``N`` worker
         processes.
     cache:
-        ``None`` disables persistence; a path (or ``True`` for the
-        default ``.repro_cache/``) enables the on-disk record cache; an
-        existing :class:`SimulationCache` is used as-is.
+        ``None`` disables persistence; a path enables the on-disk record
+        cache there; an existing :class:`SimulationCache` is used as-is.
     trace_store:
         ``None`` keeps the environment's existing trace source; a path
-        (or ``True`` for the default ``.repro_cache/traces/``) attaches
-        a persistent :class:`~repro.net.tracestore.TraceStore`; an
-        existing store is used as-is.  With a persistent store, the
-        task graph writes every missing trace file a node needs before
-        submitting it, and workers load them from disk instead of
-        regenerating per worker.
+        attaches a persistent :class:`~repro.net.tracestore.TraceStore`
+        there; an existing store is used as-is.  With a persistent
+        store, the task graph writes every missing trace file a node
+        needs before submitting it, and workers load them from disk
+        instead of regenerating per worker.
     transport:
         ``None`` (default) picks one from ``workers`` (see
         :meth:`transport`).  An explicit
@@ -433,26 +416,20 @@ class ExplorationEngine:
         self,
         env: SimulationEnvironment | None = None,
         workers: int = 0,
-        cache: "SimulationCache | str | os.PathLike[str] | bool | None" = None,
-        trace_store: "TraceStore | str | os.PathLike[str] | bool | None" = None,
+        cache: "SimulationCache | str | os.PathLike[str] | None" = None,
+        trace_store: "TraceStore | str | os.PathLike[str] | None" = None,
         transport: WorkerTransport | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.env = env if env is not None else SimulationEnvironment()
         self.workers = workers
-        if cache is None or cache is False:
-            self.cache: SimulationCache | None = None
-        elif cache is True:
-            self.cache = SimulationCache(self.DEFAULT_CACHE_DIR)
-        elif isinstance(cache, SimulationCache):
-            self.cache = cache
+        if cache is None or isinstance(cache, SimulationCache):
+            self.cache: SimulationCache | None = cache
         else:
             self.cache = SimulationCache(cache)
-        if trace_store is None or trace_store is False:
+        if trace_store is None:
             store = self.env.trace_store
-        elif trace_store is True:
-            store = TraceStore()
         elif isinstance(trace_store, TraceStore):
             store = trace_store
         else:

@@ -6,9 +6,11 @@ energy consumption, shortest execution time, lowest memory footprint and
 lower memory accesses", discarding ~80% of the space.  The paper does
 not pin the exact rule, so the policy is pluggable:
 
-* :class:`NearBestUnion` (default) -- keep a combination if it is within
-  a tolerance of the per-metric best for *at least one* metric; with the
-  default tolerance this retains roughly the paper's 20%.
+* :class:`QuantileUnion` (default) -- keep a combination if it ranks in
+  the best :data:`DEFAULT_QUANTILE` of *at least one* metric, plus the
+  4D Pareto-optimal set; this retains roughly the paper's 20%.
+* :class:`NearBestUnion` -- keep a combination if it is within a
+  tolerance of the per-metric best for at least one metric.
 * :class:`ParetoSelection` -- keep the 4D non-dominated set.
 * :class:`TopKPerMetric` -- keep the k best combinations per metric.
 
@@ -26,12 +28,17 @@ from repro.core.pareto import pareto_indices
 from repro.core.results import ExplorationLog
 
 __all__ = [
+    "DEFAULT_QUANTILE",
     "SelectionPolicy",
     "NearBestUnion",
     "ParetoSelection",
     "QuantileUnion",
     "TopKPerMetric",
 ]
+
+#: :class:`QuantileUnion`'s survivor quantile, the one the library and
+#: both ``ddt-explore`` parsers default to.
+DEFAULT_QUANTILE = 0.05
 
 
 class SelectionPolicy(ABC):
@@ -98,7 +105,9 @@ class QuantileUnion(SelectionPolicy):
     will discard approximately 80% of the available DDT combinations".
     """
 
-    def __init__(self, quantile: float = 0.05, keep_pareto: bool = True) -> None:
+    def __init__(
+        self, quantile: float = DEFAULT_QUANTILE, keep_pareto: bool = True
+    ) -> None:
         if not 0.0 < quantile <= 1.0:
             raise ValueError("quantile must be in (0, 1]")
         self.quantile = quantile

@@ -65,7 +65,7 @@ from repro.core.reporting import (
     table2_report,
     write_curves_csv,
 )
-from repro.core.selection import QuantileUnion
+from repro.core.selection import DEFAULT_QUANTILE, QuantileUnion
 from repro.core.simulate import SimulationEnvironment
 from repro.net.config import NetworkConfig, make_configs
 from repro.net.profiles import trace_names
@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quantile",
         type=float,
-        default=0.06,
-        help="step-1 survivor quantile per metric (default 0.06)",
+        default=DEFAULT_QUANTILE,
+        help=f"step-1 survivor quantile per metric (default {DEFAULT_QUANTILE})",
     )
     parser.add_argument(
         "--out",
@@ -326,8 +326,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quantile",
         type=float,
-        default=0.06,
-        help="step-1 survivor quantile per metric (default 0.06)",
+        default=DEFAULT_QUANTILE,
+        help=f"step-1 survivor quantile per metric (default {DEFAULT_QUANTILE})",
     )
     parser.add_argument(
         "--out",

@@ -176,11 +176,16 @@ class TestCacheSharding:
             # trace of the app's sweep
             traces = {c.trace_name for c in NARROW[study.name]}
             assert len(shards) == len(traces)
+            slug = study.name.lower()
             for shard in shards:
+                # one JSON line per flush, naming the fingerprint that is
+                # also in the shard's file name
+                assert shard.startswith(f"{slug}-") and shard.endswith(".v3.jsonl")
+                fingerprint = shard[len(slug) + 1 : -len(".v3.jsonl")]
                 with open(shard_dir / shard, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                assert payload["app"] == study.name
-                apps = {r["app_name"] for r in payload["records"].values()}
+                    batches = [json.loads(line) for line in handle if line.strip()]
+                assert {batch["fingerprint"] for batch in batches} == {fingerprint}
+                apps = {r["app_name"] for batch in batches for r in batch["records"]}
                 assert apps == {study.name}
 
         with CampaignScheduler(

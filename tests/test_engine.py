@@ -6,6 +6,8 @@ results against the serial path -- the engine must be a pure
 performance layer with no observable effect on the methodology.
 """
 
+import dataclasses
+import json
 import pickle
 import shutil
 from concurrent.futures.process import BrokenProcessPool
@@ -185,8 +187,6 @@ class TestSimulationCache:
         counters as ints -- so a cache hit is bit-for-bit identical to
         the original simulation.
         """
-        import dataclasses
-
         base = run_simulation(
             UrlApp, SMALL, {"url_pattern": "AR", "connection": "SLL"}, env
         )
@@ -205,6 +205,131 @@ class TestSimulationCache:
         assert isinstance(reloaded.stats["avg_occupancy"], float)
         for key, value in record.stats.items():
             assert type(reloaded.stats[key]) is type(value)
+
+    # -- append-only shards ---------------------------------------------
+    @staticmethod
+    def _points(env, count):
+        """``count`` records of distinct URL points (one simulation)."""
+        base = run_simulation(
+            UrlApp, SMALL, {"url_pattern": "AR", "connection": "SLL"}, env
+        )
+        return [
+            dataclasses.replace(base, combo_label=f"AR+{ddt}")
+            for ddt in ("SLL", "DLL", "AR", "SLL(O)")[:count]
+        ]
+
+    @staticmethod
+    def _shard_file(tmp_path):
+        (shard,) = (tmp_path / "url").iterdir()
+        return shard
+
+    def test_overlapping_flushes_keep_both_records(self, env, tmp_path, monkeypatch):
+        """Two writers on one shard whose flushes overlap keep both.
+
+        The second writer's whole flush lands inside the first's, just
+        before the first opens a file to write.  Regression: a flush
+        that re-read the shard, merged and renamed over it lost the
+        second writer's record for good, while that writer counted it
+        as flushed.
+        """
+        fp = model_fingerprint(env)
+        record_a, record_b = self._points(env, 2)
+        first, second = SimulationCache(tmp_path), SimulationCache(tmp_path)
+        first.put("URL", fp, record_a)
+        second.put("URL", fp, record_b)
+        inner = [second.flush]
+
+        def open_after_inner_flush(file, mode="r", *args, **kwargs):
+            if inner and ("w" in mode or "a" in mode):
+                inner.pop()()
+            return open(file, mode, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "open", open_after_inner_flush, raising=False)
+            first.flush()
+        assert not inner  # the second flush did land inside the first
+        fresh = SimulationCache(tmp_path)
+        for record in (record_a, record_b):
+            assert fresh.get("URL", fp, *record.key) == record
+
+    def test_torn_line_misses_only_its_own_records(self, env, tmp_path):
+        """A batch cut mid-record (a writer killed mid-append) is a miss
+        for its own records; the batches before it, and one appended
+        after the cut, are still served."""
+        fp = model_fingerprint(env)
+        before, torn, after = self._points(env, 3)
+        cache = SimulationCache(tmp_path)
+        cache.put("URL", fp, before)
+        cache.flush()
+        shard = self._shard_file(tmp_path)
+        intact = shard.stat().st_size
+        cache.put("URL", fp, torn)
+        cache.flush()
+        with open(shard, "r+b") as handle:
+            handle.truncate((intact + shard.stat().st_size) // 2)
+        writer = SimulationCache(tmp_path)
+        writer.put("URL", fp, after)
+        writer.flush()
+        fresh = SimulationCache(tmp_path)
+        assert fresh.get("URL", fp, *before.key) == before
+        assert fresh.get("URL", fp, *torn.key) is None
+        assert fresh.get("URL", fp, *after.key) == after
+
+    def test_line_of_another_fingerprint_is_skipped(self, env, tmp_path):
+        """A shard copied under another fingerprint's name serves none of
+        the records it holds under that fingerprint."""
+        fp, other = model_fingerprint(env), "0123456789abcdef"
+        (record,) = self._points(env, 1)
+        cache = SimulationCache(tmp_path)
+        cache.put("URL", fp, record)
+        cache.flush()
+        shard = self._shard_file(tmp_path)
+        shutil.copyfile(shard, shard.with_name(shard.name.replace(fp, other)))
+        fresh = SimulationCache(tmp_path)
+        assert fresh.get("URL", other, *record.key) is None
+        assert fresh.get("URL", fp, *record.key) == record
+
+    def test_version_2_shard_is_not_read(self, env, tmp_path):
+        fp = model_fingerprint(env)
+        (record,) = self._points(env, 1)
+        (tmp_path / "url").mkdir()
+        (tmp_path / "url" / f"url-{fp}.json").write_text(
+            json.dumps(
+                {
+                    "version": 2,
+                    "app": "URL",
+                    "fingerprint": fp,
+                    "records": {
+                        "\x1f".join(record.key): engine_module._record_to_json(record)
+                    },
+                }
+            )
+        )
+        assert SimulationCache(tmp_path).get("URL", fp, *record.key) is None
+
+    def test_flush_only_appends_what_is_new(self, env, tmp_path):
+        """A flush with nothing new leaves the shard byte-identical; one
+        more put and flush append exactly one line, holding that record."""
+        fp = model_fingerprint(env)
+        first, second = self._points(env, 2)
+        cache = SimulationCache(tmp_path)
+        cache.put("URL", fp, first)
+        cache.flush()
+        shard = self._shard_file(tmp_path)
+        written = shard.read_bytes()
+        cache.flush()
+        replay = SimulationCache(tmp_path)
+        assert replay.get("URL", fp, *first.key) == first
+        replay.flush()
+        assert shard.read_bytes() == written
+        replay.put("URL", fp, second)
+        replay.flush()
+        grown = shard.read_bytes()
+        assert grown.startswith(written)
+        (line,) = [line for line in grown[len(written):].splitlines() if line]
+        assert [data["combo_label"] for data in json.loads(line)["records"]] == [
+            second.combo_label
+        ]
 
 
 class TestEngineSerial:
@@ -319,12 +444,6 @@ class TestEngineCache:
             engine.run_batch(UrlApp, points)
             assert engine.stats.simulations == 1
             assert engine.stats.cache_hits == 0
-
-    def test_cache_true_uses_default_dir(self, env, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        engine = ExplorationEngine(env=env, cache=True)
-        assert engine.cache is not None
-        assert engine.cache.directory == ExplorationEngine.DEFAULT_CACHE_DIR
 
     def test_shared_cache_instance(self, env, tmp_path):
         cache = SimulationCache(tmp_path)

@@ -231,6 +231,29 @@ class TestIncrementalResume:
         ]
         assert warm.summary_rows() == cold.summary_rows()
 
+    def test_narrower_run_keeps_other_apps_entries(self, tmp_path):
+        """A resumed run of one app keeps the other apps' manifest
+        entries, so the next two-app resume reads them ``unchanged``."""
+        cache = tmp_path / "cache"
+        with CampaignScheduler(cache=cache, **self.TWO_APPS) as campaign:
+            cold = campaign.run()
+        with CampaignScheduler(
+            cache=cache,
+            resume=True,
+            studies=["url"],
+            candidates=CANDIDATES,
+            configs={"URL": NARROW["URL"]},
+        ) as campaign:
+            campaign.run()
+        with CampaignScheduler(cache=cache, resume=True, **self.TWO_APPS) as campaign:
+            warm = campaign.run()
+        assert warm.stats.simulations == 0
+        assert warm.incremental.reused == cold.stats.points
+        assert [row[1] for row in warm.incremental.rows()] == [
+            "unchanged",
+            "unchanged",
+        ]
+
     def test_profile_edit_resimulates_only_touched_app(self, tmp_path, monkeypatch):
         # Disjoint trace scopes: URL on BWY-I only, DRR on ANL only.
         configs = {

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.core.casestudies import CASE_STUDIES, case_study, case_study_names
+from repro.core.selection import QuantileUnion
 from repro.net.profiles import profile
 from repro.net.tracegen import generate_trace
 from repro.net.trace import write_trace
@@ -129,6 +130,13 @@ class TestExploreCli:
         assert os.path.exists(os.path.join(out_dir, "exploration_log.csv"))
         csvs = [f for f in os.listdir(out_dir) if f.startswith("pareto_")]
         assert len(csvs) >= 2  # both metric pairs
+
+    def test_quantile_default_is_the_library_default(self):
+        """Both parsers run the survivor quantile ``QuantileUnion`` (and
+        so ``DDTRefinement`` and ``CampaignScheduler``) defaults to."""
+        library = QuantileUnion().quantile
+        assert explore.build_parser().parse_args(["url"]).quantile == library
+        assert explore.build_campaign_parser().parse_args([]).quantile == library
 
     def test_parser_rejects_unknown_case(self):
         with pytest.raises(SystemExit):
